@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"objmig/internal/core"
+	"objmig/internal/store"
 	"objmig/internal/wire"
 )
 
@@ -77,77 +78,26 @@ func (n *Node) WorkingSet(ctx context.Context, ref Ref, al AllianceID) ([]Ref, e
 	return out, nil
 }
 
-// edgeAdd records half an attachment at the host of obj, chasing its
-// location.
+// edgeAdd records half an attachment at the host of obj.
 func (n *Node) edgeAdd(ctx context.Context, obj, other core.OID, al core.AllianceID) error {
 	req := &wire.EdgeAddReq{Obj: obj, Other: other, Alliance: al, Mode: n.attachMode}
-	return n.edgeRequest(ctx, obj, wire.KEdgeAdd, req)
+	_, _, err := routed(ctx, n, obj, "attach", wire.KEdgeAdd, req, n.handleEdgeAdd, nil)
+	return err
 }
 
 // edgeDel removes half an attachment at the host of obj.
 func (n *Node) edgeDel(ctx context.Context, obj, other core.OID, al core.AllianceID) error {
 	req := &wire.EdgeDelReq{Obj: obj, Other: other, Alliance: al}
-	return n.edgeRequest(ctx, obj, wire.KEdgeDel, req)
-}
-
-// edgeRequest chases obj's host and delivers an edge mutation there.
-func (n *Node) edgeRequest(ctx context.Context, oid core.OID, kind wire.Kind, req interface{}) error {
-	c := n.newChase(oid)
-	defer c.end()
-	for c.next(ctx) {
-		if _, ok := n.hostedRecord(oid); ok {
-			var err error
-			switch r := req.(type) {
-			case *wire.EdgeAddReq:
-				_, err = n.handleEdgeAdd(ctx, r)
-			case *wire.EdgeDelReq:
-				_, err = n.handleEdgeDel(ctx, r)
-			}
-			if to, moved := movedTo(err); moved {
-				n.store.Learn(oid, to)
-				continue
-			}
-			return fromRemote(err)
-		}
-		target := n.store.Hint(oid)
-		if target == n.id {
-			if n.selfHintRetry(oid) {
-				continue // an arrival raced the two lookups
-			}
-			return fmt.Errorf("%w: %s", ErrNotFound, oid)
-		}
-		var resp wire.EdgeAddResp
-		c.hop()
-		err := n.call(ctx, target, kind, req, &resp)
-		if err == nil {
-			return nil
-		}
-		if to, moved := movedTo(err); moved {
-			n.store.Learn(oid, to)
-			continue
-		}
-		if isCode(err, wire.CodeNotFound) && target != oid.Origin {
-			n.store.InvalidateAt(oid, target)
-			continue
-		}
-		return fromRemote(err)
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return fmt.Errorf("%w: %s (attach)", ErrUnreachable, oid)
+	_, _, err := routed(ctx, n, obj, "detach", wire.KEdgeDel, req, n.handleEdgeDel, nil)
+	return err
 }
 
 // handleEdgeAdd applies the attachment admission rule for the local
 // endpoint and records the half-edge. The check and the mutation run
 // atomically against the record, waiting out in-flight migrations.
-func (n *Node) handleEdgeAdd(ctx context.Context, req *wire.EdgeAddReq) (*wire.EdgeAddResp, error) {
+func (n *Node) handleEdgeAdd(ctx context.Context, rec *store.Record, req *wire.EdgeAddReq) (*wire.EdgeAddResp, error) {
 	if req.Obj == req.Other {
 		return nil, wire.Errorf(wire.CodeBadRequest, "self-attachment of %s", req.Obj)
-	}
-	rec, ok := n.record(req.Obj)
-	if !ok {
-		return nil, n.whereabouts(req.Obj)
 	}
 	err := rec.EdgeOp(ctx, func() *wire.RemoteError {
 		// Each endpoint enforces its own degree constraint; the
@@ -168,11 +118,7 @@ func (n *Node) handleEdgeAdd(ctx context.Context, req *wire.EdgeAddReq) (*wire.E
 }
 
 // handleEdgeDel removes the half-edge, atomically against the record.
-func (n *Node) handleEdgeDel(ctx context.Context, req *wire.EdgeDelReq) (*wire.EdgeDelResp, error) {
-	rec, ok := n.record(req.Obj)
-	if !ok {
-		return nil, n.whereabouts(req.Obj)
-	}
+func (n *Node) handleEdgeDel(ctx context.Context, rec *store.Record, req *wire.EdgeDelReq) (*wire.EdgeDelResp, error) {
 	existed := false
 	err := rec.EdgeOp(ctx, func() *wire.RemoteError {
 		existed = rec.DelEdgeLocked(req.Other, req.Alliance)
@@ -185,10 +131,13 @@ func (n *Node) handleEdgeDel(ctx context.Context, req *wire.EdgeDelReq) (*wire.E
 }
 
 // handleEdges serves the adjacency of a hosted object.
-func (n *Node) handleEdges(req *wire.EdgesReq) (*wire.EdgesResp, error) {
-	rec, ok := n.record(req.Obj)
-	if !ok || rec.IsGone() {
+func (n *Node) handleEdges(_ context.Context, rec *store.Record, req *wire.EdgesReq) (*wire.EdgesResp, error) {
+	// List first, judge second: a departure between the two empties the
+	// list, and a stub never comes back to life — so a record still live
+	// after the read was live during it.
+	edges := rec.EdgeList()
+	if rec.IsGone() {
 		return nil, n.whereabouts(req.Obj)
 	}
-	return &wire.EdgesResp{Edges: rec.EdgeList()}, nil
+	return &wire.EdgesResp{Edges: edges}, nil
 }

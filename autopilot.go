@@ -115,8 +115,7 @@ type autopilot struct {
 
 	scans int
 
-	mu       sync.Mutex
-	cooldown map[core.OID]time.Time
+	cool cooldowns
 }
 
 // EnableAutopilot starts the node's affinity tracker and autopilot
@@ -143,11 +142,11 @@ func (n *Node) EnableAutopilot(cfg AutopilotConfig) error {
 		return fmt.Errorf("objmig: autopilot already enabled on %s", n.id)
 	}
 	ap := &autopilot{
-		node:     n,
-		cfg:      cfg,
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
-		cooldown: make(map[core.OID]time.Time),
+		node: n,
+		cfg:  cfg,
+		stop: make(chan struct{}),
+		done: make(chan struct{}),
+		cool: newCooldowns(cfg.Cooldown),
 	}
 	n.ap = ap
 	n.affUsers++
@@ -213,7 +212,7 @@ func (a *autopilot) tick() {
 	if a.cfg.DecayEvery > 0 && a.scans%a.cfg.DecayEvery == 0 {
 		n.aff.Decay()
 	}
-	a.reapCooldowns(time.Now())
+	a.cool.reap(time.Now())
 
 	hot := n.aff.Hot(a.cfg.MinTotal)
 	if len(hot) == 0 {
@@ -266,7 +265,7 @@ func (a *autopilot) tick() {
 		}
 		// Cooldown stamps use a fresh clock — a slow migration earlier
 		// in the loop must not backdate (and thereby void) them.
-		if a.onCooldown(h.Obj, time.Now()) {
+		if a.cool.on(h.Obj, time.Now()) {
 			n.stats.autopilotDeferred.Add(1)
 			continue
 		}
@@ -274,7 +273,7 @@ func (a *autopilot) tick() {
 		if err != nil {
 			// Fixed, placed, busy, or the target is unreachable: back
 			// off for one cooldown instead of hammering every tick.
-			a.setCooldown(h.Obj, time.Now())
+			a.cool.set(h.Obj, time.Now())
 			n.stats.autopilotDeferred.Add(1)
 			continue
 		}
@@ -286,7 +285,7 @@ func (a *autopilot) tick() {
 		// cooldown stamps are left to write.
 		now := time.Now()
 		for _, oid := range moved {
-			a.setCooldown(oid, now)
+			a.cool.set(oid, now)
 		}
 		refs := make([]Ref, len(moved))
 		for i, oid := range moved {
@@ -307,13 +306,13 @@ func (a *autopilot) tick() {
 // another hot member. Reports whether a migration was issued.
 func (a *autopilot) electGroup(ctx context.Context, d *placementDaemon, root core.OID, visited map[core.OID]bool) bool {
 	n := a.node
-	if a.onCooldown(root, time.Now()) {
+	if a.cool.on(root, time.Now()) {
 		n.stats.autopilotDeferred.Add(1)
 		return false
 	}
 	members, err := n.closureOf(ctx, root, a.cfg.Alliance)
 	if err != nil {
-		a.setCooldown(root, time.Now())
+		a.cool.set(root, time.Now())
 		n.stats.autopilotDeferred.Add(1)
 		return false
 	}
@@ -333,12 +332,12 @@ func (a *autopilot) electGroup(ctx context.Context, d *placementDaemon, root cor
 		if short < a.cfg.Interval {
 			short = a.cfg.Interval
 		}
-		a.setCooldownUntil(root, time.Now().Add(short))
+		a.cool.setUntil(root, time.Now().Add(short))
 		return false
 	}
 	moved, err := n.migrateClosureSoft(ctx, root, members, dec.Target)
 	if err != nil {
-		a.setCooldown(root, time.Now())
+		a.cool.set(root, time.Now())
 		n.stats.autopilotDeferred.Add(1)
 		return false
 	}
@@ -349,7 +348,7 @@ func (a *autopilot) electGroup(ctx context.Context, d *placementDaemon, root cor
 	now := time.Now()
 	refs := make([]Ref, len(moved))
 	for i, oid := range moved {
-		a.setCooldown(oid, now)
+		a.cool.set(oid, now)
 		refs[i] = Ref{OID: oid}
 	}
 	n.emit(Event{Kind: EventAutopilot, Obj: Ref{OID: root}, Target: dec.Target,
@@ -386,45 +385,57 @@ func (a *autopilot) elect(h affinity.ObjLoad) (NodeID, bool) {
 	return leader.Node, true
 }
 
-// onCooldown reports whether the object migrated too recently.
-func (a *autopilot) onCooldown(obj core.OID, now time.Time) bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	until, ok := a.cooldown[obj]
+// cooldowns is the per-object "not again before" table an optimiser
+// daemon consults so one object is not moved (or retried) every tick.
+type cooldowns struct {
+	period time.Duration
+	mu     sync.Mutex
+	until  map[core.OID]time.Time
+}
+
+func newCooldowns(period time.Duration) cooldowns {
+	return cooldowns{period: period, until: make(map[core.OID]time.Time)}
+}
+
+// on reports whether the object was stamped too recently.
+func (c *cooldowns) on(obj core.OID, now time.Time) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	until, ok := c.until[obj]
 	if ok && now.Before(until) {
 		return true
 	}
 	if ok {
-		delete(a.cooldown, obj)
+		delete(c.until, obj)
 	}
 	return false
 }
 
-// setCooldown stamps the object's next earliest migration.
-func (a *autopilot) setCooldown(obj core.OID, now time.Time) {
-	a.setCooldownUntil(obj, now.Add(a.cfg.Cooldown))
+// set stamps the object's next earliest move, one period from now.
+func (c *cooldowns) set(obj core.OID, now time.Time) {
+	c.setUntil(obj, now.Add(c.period))
 }
 
-// setCooldownUntil stamps an explicit deadline (the engine's short
-// declined-score back-off uses a fraction of the full cooldown).
-func (a *autopilot) setCooldownUntil(obj core.OID, until time.Time) {
-	a.mu.Lock()
-	a.cooldown[obj] = until
-	a.mu.Unlock()
+// setUntil stamps an explicit deadline (the engine's short
+// declined-score back-off uses a fraction of the full period).
+func (c *cooldowns) setUntil(obj core.OID, until time.Time) {
+	c.mu.Lock()
+	c.until[obj] = until
+	c.mu.Unlock()
 }
 
-// reapCooldowns drops expired stamps. Objects that migrated away are
-// never looked up again (the hosted check skips them before the
-// cooldown), so without this sweep the map would grow by one entry per
-// object the autopilot ever moved.
-func (a *autopilot) reapCooldowns(now time.Time) {
-	a.mu.Lock()
-	for obj, until := range a.cooldown {
+// reap drops expired stamps. Objects that migrated away are never
+// looked up again (the hosted check skips them before the cooldown), so
+// without this sweep the table would grow by one entry per object the
+// daemon ever moved.
+func (c *cooldowns) reap(now time.Time) {
+	c.mu.Lock()
+	for obj, until := range c.until {
 		if !now.Before(until) {
-			delete(a.cooldown, obj)
+			delete(c.until, obj)
 		}
 	}
-	a.mu.Unlock()
+	c.mu.Unlock()
 }
 
 // migrate drives one autopilot group migration through the standard

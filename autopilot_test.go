@@ -229,25 +229,22 @@ func TestAutopilotElect(t *testing.T) {
 // TestAutopilotCooldown checks the per-object cooldown bookkeeping.
 func TestAutopilotCooldown(t *testing.T) {
 	t.Parallel()
-	a := &autopilot{
-		cfg:      AutopilotConfig{Cooldown: time.Hour}.withDefaults(),
-		cooldown: make(map[core.OID]time.Time),
-	}
+	cool := newCooldowns(time.Hour)
 	obj := core.OID{Origin: "n0", Seq: 1}
 	now := time.Now()
-	if a.onCooldown(obj, now) {
+	if cool.on(obj, now) {
 		t.Fatal("fresh object on cooldown")
 	}
-	a.setCooldown(obj, now)
-	if !a.onCooldown(obj, now.Add(30*time.Minute)) {
+	cool.set(obj, now)
+	if !cool.on(obj, now.Add(30*time.Minute)) {
 		t.Fatal("cooldown expired too early")
 	}
-	if a.onCooldown(obj, now.Add(2*time.Hour)) {
+	if cool.on(obj, now.Add(2*time.Hour)) {
 		t.Fatal("cooldown never expired")
 	}
-	a.mu.Lock()
-	_, still := a.cooldown[obj]
-	a.mu.Unlock()
+	cool.mu.Lock()
+	_, still := cool.until[obj]
+	cool.mu.Unlock()
 	if still {
 		t.Fatal("expired cooldown entry not reaped")
 	}

@@ -22,11 +22,6 @@ type DirectoryConfig struct {
 	// Stats.ChasesOverBudget and emits an EventChase. 0 selects the
 	// default (4); negative disables the event.
 	ChaseHopBudget int
-	// DisableClosureRecords turns closure-level location records off:
-	// group migrations then report per-object entries everywhere, as
-	// before. Useful for A/B measurement (BenchmarkDirectoryMillion
-	// compares both modes).
-	DisableClosureRecords bool
 }
 
 // Defaults mirrored from internal/store so callers of the public API
@@ -49,10 +44,6 @@ func (c DirectoryConfig) withDefaults() DirectoryConfig {
 	}
 	return c
 }
-
-// closureRecords reports whether closure-level location records are
-// enabled on this node.
-func (n *Node) closureRecords() bool { return !n.dir.DisableClosureRecords }
 
 // CompactDirectory runs one forward-compaction sweep immediately: TTL
 // expiry of unconfirmed forwarding pointers, stub retirement and

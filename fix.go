@@ -2,9 +2,7 @@ package objmig
 
 import (
 	"context"
-	"fmt"
 
-	"objmig/internal/core"
 	"objmig/internal/store"
 	"objmig/internal/wire"
 )
@@ -13,12 +11,14 @@ import (
 // move- and migrate-request is denied until Unfix (the fix() primitive
 // of Section 2.2).
 func (n *Node) Fix(ctx context.Context, ref Ref) error {
-	return n.fixRequest(ctx, ref.OID, true)
+	_, err := n.fixRequest(ctx, "fix", &wire.FixReq{Obj: ref.OID, Fix: true})
+	return err
 }
 
 // Unfix clears the fixed flag.
 func (n *Node) Unfix(ctx context.Context, ref Ref) error {
-	return n.fixRequest(ctx, ref.OID, false)
+	_, err := n.fixRequest(ctx, "fix", &wire.FixReq{Obj: ref.OID})
+	return err
 }
 
 // Refix moves a fixed (or unfixed) object to a new node and fixes it
@@ -34,100 +34,22 @@ func (n *Node) Refix(ctx context.Context, ref Ref, target NodeID) error {
 // travels with the object's policy state, so the query chases the
 // object to its current host.
 func (n *Node) IsFixed(ctx context.Context, ref Ref) (bool, error) {
-	oid := ref.OID
-	req := &wire.FixReq{Obj: oid, Query: true}
-	c := n.newChase(oid)
-	defer c.end()
-	for c.next(ctx) {
-		if _, ok := n.hostedRecord(oid); ok {
-			resp, err := n.handleFix(req)
-			if to, moved := movedTo(err); moved {
-				n.store.Learn(oid, to)
-				continue
-			}
-			if err != nil {
-				return false, fromRemote(err)
-			}
-			return resp.Fixed, nil
-		}
-		target := n.store.Hint(oid)
-		if target == n.id {
-			if n.selfHintRetry(oid) {
-				continue // an arrival raced the two lookups
-			}
-			return false, fmt.Errorf("%w: %s", ErrNotFound, oid)
-		}
-		var resp wire.FixResp
-		c.hop()
-		err := n.call(ctx, target, wire.KFix, req, &resp)
-		if err == nil {
-			return resp.Fixed, nil
-		}
-		if to, moved := movedTo(err); moved {
-			n.store.Learn(oid, to)
-			continue
-		}
-		if isCode(err, wire.CodeNotFound) && target != oid.Origin {
-			n.store.InvalidateAt(oid, target)
-			continue
-		}
-		return false, fromRemote(err)
-	}
-	if err := ctx.Err(); err != nil {
+	resp, err := n.fixRequest(ctx, "fixed?", &wire.FixReq{Obj: ref.OID, Query: true})
+	if err != nil {
 		return false, err
 	}
-	return false, fmt.Errorf("%w: %s (fixed?)", ErrUnreachable, oid)
+	return resp.Fixed, nil
 }
 
-// fixRequest chases the object and flips its fixed flag at the host.
-func (n *Node) fixRequest(ctx context.Context, oid core.OID, fix bool) error {
-	req := &wire.FixReq{Obj: oid, Fix: fix}
-	c := n.newChase(oid)
-	defer c.end()
-	for c.next(ctx) {
-		if _, ok := n.hostedRecord(oid); ok {
-			_, err := n.handleFix(req)
-			if to, moved := movedTo(err); moved {
-				n.store.Learn(oid, to)
-				continue
-			}
-			return fromRemote(err)
-		}
-		target := n.store.Hint(oid)
-		if target == n.id {
-			if n.selfHintRetry(oid) {
-				continue // an arrival raced the two lookups
-			}
-			return fmt.Errorf("%w: %s", ErrNotFound, oid)
-		}
-		var resp wire.FixResp
-		c.hop()
-		err := n.call(ctx, target, wire.KFix, req, &resp)
-		if err == nil {
-			return nil
-		}
-		if to, moved := movedTo(err); moved {
-			n.store.Learn(oid, to)
-			continue
-		}
-		if isCode(err, wire.CodeNotFound) && target != oid.Origin {
-			n.store.InvalidateAt(oid, target)
-			continue
-		}
-		return fromRemote(err)
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return fmt.Errorf("%w: %s (fix)", ErrUnreachable, oid)
+// fixRequest delivers a fix, unfix or fixed-flag query at the object's
+// host.
+func (n *Node) fixRequest(ctx context.Context, op string, req *wire.FixReq) (*wire.FixResp, error) {
+	resp, _, err := routed(ctx, n, req.Obj, op, wire.KFix, req, n.handleFix, nil)
+	return resp, err
 }
 
 // handleFix serves fix/unfix and the fixed-flag query.
-func (n *Node) handleFix(req *wire.FixReq) (*wire.FixResp, error) {
-	rec, ok := n.record(req.Obj)
-	if !ok {
-		return nil, n.whereabouts(req.Obj)
-	}
+func (n *Node) handleFix(_ context.Context, rec *store.Record, req *wire.FixReq) (*wire.FixResp, error) {
 	rec.Mu.Lock()
 	defer rec.Mu.Unlock()
 	if rec.Status == store.StatusGone {

@@ -2,6 +2,8 @@ package store
 
 import (
 	"fmt"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -272,4 +274,175 @@ func TestDepartedClosureCoalesces(t *testing.T) {
 	if ls = s.LocStats(); ls.Closures != 0 {
 		t.Fatalf("zero-ref closure not reaped: %+v", ls)
 	}
+}
+
+// The cases below pin the per-object location semantics — home index,
+// forwarding pointers, hint cache — the way the paper's system model
+// assumes them ([ChC91], [JLH+88]): a name-service lookup at the
+// object's origin plus forward addressing at former hosts. Departures
+// report generation zero, which yields plain last-writer-wins.
+
+func TestLocCreatedAndHint(t *testing.T) {
+	t.Parallel()
+	s := New("n1")
+	id := oid("n1", 1)
+	s.Created(id)
+	if at, ok := s.Home(id); !ok || at != "n1" {
+		t.Fatalf("home = %v, %v", at, ok)
+	}
+	if got := s.Hint(id); got != "n1" {
+		t.Fatalf("hint = %v, want n1", got)
+	}
+}
+
+func TestLocDepartureInstallsForwardAndUpdatesHome(t *testing.T) {
+	t.Parallel()
+	s := New("n1")
+	id := oid("n1", 1)
+	s.Created(id)
+	s.Departed(id, "n2", 0)
+	if to, ok := s.Forward(id); !ok || to != "n2" {
+		t.Fatalf("forward = %v, %v", to, ok)
+	}
+	if at, _ := s.Home(id); at != "n2" {
+		t.Fatalf("home after departure = %v", at)
+	}
+	if got := s.Hint(id); got != "n2" {
+		t.Fatalf("hint = %v", got)
+	}
+}
+
+func TestLocDebug(t *testing.T) {
+	t.Parallel()
+	s := New("n1")
+	id := oid("n1", 4)
+	s.Created(id)
+	s.Departed(id, "n2", 0)
+	out := s.Debug(id)
+	for _, want := range []string{"self=n1", `home="n2"(true)`, `fwd="n2"(true)`, `cache=""(false)`} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("Debug = %q missing %q", out, want)
+		}
+	}
+}
+
+func TestLocArrivalClearsForward(t *testing.T) {
+	t.Parallel()
+	s := New("n1")
+	id := oid("n1", 1)
+	s.Created(id)
+	s.Departed(id, "n2", 0)
+	s.Arrived(id) // came back
+	if _, ok := s.Forward(id); ok {
+		t.Fatal("forward survived arrival")
+	}
+	if at, _ := s.Home(id); at != "n1" {
+		t.Fatalf("home = %v, want n1", at)
+	}
+}
+
+func TestLocForeignObjectLifecycle(t *testing.T) {
+	t.Parallel()
+	s := New("n2")
+	id := oid("n1", 7)
+	// Unknown foreign object: hint falls back to its origin.
+	if got := s.Hint(id); got != "n1" {
+		t.Fatalf("hint = %v, want origin n1", got)
+	}
+	s.Learn(id, "n5")
+	if got := s.Hint(id); got != "n5" {
+		t.Fatalf("hint = %v, want cached n5", got)
+	}
+	s.Invalidate(id)
+	if got := s.Hint(id); got != "n1" {
+		t.Fatalf("hint after invalidate = %v, want n1", got)
+	}
+	// Hosting the foreign object, then sending it on.
+	s.Arrived(id)
+	s.Departed(id, "n9", 0)
+	if got := s.Hint(id); got != "n9" {
+		t.Fatalf("hint = %v, want forward n9", got)
+	}
+	if at, ok := s.Home(id); ok {
+		t.Fatalf("foreign object entered home index: %v", at)
+	}
+}
+
+func TestLocLearnIgnoresSelfAndEmpty(t *testing.T) {
+	t.Parallel()
+	s := New("n2")
+	id := oid("n1", 7)
+	s.Learn(id, "")
+	s.Learn(id, "n2")
+	if got := s.Hint(id); got != "n1" {
+		t.Fatalf("hint = %v, want origin", got)
+	}
+}
+
+func TestLocForwardBeatsCache(t *testing.T) {
+	t.Parallel()
+	s := New("n2")
+	id := oid("n1", 3)
+	s.Learn(id, "n5")
+	s.Arrived(id)
+	s.Departed(id, "n6", 0)
+	if got := s.Hint(id); got != "n6" {
+		t.Fatalf("hint = %v, want forward n6 over stale cache", got)
+	}
+}
+
+func TestLocHomeUpdate(t *testing.T) {
+	t.Parallel()
+	s := New("n1")
+	mine := oid("n1", 1)
+	foreign := oid("nX", 2)
+	s.Created(mine)
+	s.HomeUpdate([]core.OID{mine, foreign}, nil, "n4")
+	if at, _ := s.Home(mine); at != "n4" {
+		t.Fatalf("home = %v, want n4", at)
+	}
+	if _, ok := s.Home(foreign); ok {
+		t.Fatal("foreign object accepted into home index")
+	}
+	if got := s.Hint(mine); got != "n4" {
+		t.Fatalf("hint = %v, want n4", got)
+	}
+}
+
+func TestLocStats(t *testing.T) {
+	t.Parallel()
+	s := New("n1")
+	s.Created(oid("n1", 1))
+	s.Learn(oid("n9", 1), "n3")
+	s.Arrived(oid("n9", 2))
+	s.Departed(oid("n9", 2), "n4", 0)
+	if ls := s.LocStats(); ls.Home != 1 || ls.Forwards != 1 || ls.Cache != 1 {
+		t.Fatalf("stats = %+v", ls)
+	}
+}
+
+func TestLocConcurrentAccess(t *testing.T) {
+	t.Parallel()
+	s := New("n1")
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				id := oid("n1", uint64(i%10))
+				switch g % 4 {
+				case 0:
+					s.Created(id)
+				case 1:
+					s.Departed(id, "n2", 0)
+				case 2:
+					s.Hint(id)
+				case 3:
+					s.Arrived(id)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

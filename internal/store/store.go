@@ -430,8 +430,8 @@ func (s *Store) Close() {
 // --- Location tables ---
 
 // Created records that this node created the object. The explicit
-// self-entry serves callers (the registry facade) that track location
-// without hosting records; the node runtime relies on the hosted
+// self-entry serves callers (the location-semantics tests) that track
+// location without hosting records; the node runtime relies on the hosted
 // record instead and never needs it.
 func (s *Store) Created(id core.OID) {
 	sh := s.shardOf(id)
@@ -444,7 +444,7 @@ func (s *Store) Created(id core.OID) {
 // pointer, closure-member reference and stale hint is dropped. For an
 // object created here the home entry is dropped too when the record is
 // actually hosted (the record is the home knowledge); when no record
-// exists (registry usage) an explicit self-entry is written instead.
+// exists (location-only usage) an explicit self-entry is written instead.
 func (s *Store) Arrived(id core.OID) {
 	_, hosted := s.Hosted(id)
 	sh := s.shardOf(id)

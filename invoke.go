@@ -19,167 +19,33 @@ func (n *Node) InvokeRaw(ctx context.Context, ref Ref, method string, arg []byte
 		return nil, fmt.Errorf("%w: zero reference", ErrNotFound)
 	}
 	oid := ref.OID
-	c := n.newChase(oid)
-	defer c.end()
-	for c.next(ctx) {
-		// One sharded lookup resolves both the hosted record and, when
-		// the object is elsewhere, the best location hint.
-		rec, target := n.store.Lookup(oid)
+	// The legs are spelled out instead of going through routed: the
+	// local leg must not build (and heap-allocate) a wire request, and
+	// the remote leg carries invoke's own accounting.
+	var out []byte
+	_, err := n.route(ctx, oid, "invoke", func(rec *store.Record, host NodeID) (NodeID, error) {
 		if rec != nil {
 			n.aff.RecordLocal(oid)
-			out, err := n.invokeLocal(ctx, rec, method, arg)
-			if to, moved := movedTo(err); moved {
-				n.store.Learn(oid, to)
-				continue
-			}
-			return out, fromRemote(err)
-		}
-		if target == n.id {
-			if n.selfHintRetry(oid) {
-				continue // an arrival raced the two lookups
-			}
-			return nil, fmt.Errorf("%w: %s", ErrNotFound, oid)
+			var err error
+			out, err = n.invokeLocal(ctx, rec, method, arg)
+			return "", err
 		}
 		var resp wire.InvokeResp
 		n.stats.remoteCallsSent.Add(1)
-		c.hop()
 		hopStart := time.Now()
-		err := n.call(ctx, target, wire.KInvoke,
+		err := n.call(ctx, host, wire.KInvoke,
 			&wire.InvokeReq{Obj: oid, Method: method, Arg: arg, From: n.id}, &resp)
 		n.tel.invokeRemote.ObserveSince(hopStart)
-		if err == nil {
-			n.store.Learn(oid, resp.At)
-			return resp.Result, nil
-		}
-		if to, moved := movedTo(err); moved {
-			n.store.Learn(oid, to)
-			continue
-		}
-		if isCode(err, wire.CodeNotFound) && target != oid.Origin {
-			// Stale hint: fall back towards the origin.
-			n.store.InvalidateAt(oid, target)
-			continue
-		}
-		return nil, fromRemote(err)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	recState := "no-record"
-	if rec, ok := n.record(oid); ok {
-		rec.Mu.Lock()
-		recState = fmt.Sprintf("status=%d movedTo=%s", rec.Status, rec.MovedTo)
-		rec.Mu.Unlock()
-	}
-	return nil, fmt.Errorf("%w: %s (chase budget exhausted; %s; %s)", ErrUnreachable, oid, recState, n.store.Debug(oid))
+		out = resp.Result
+		return resp.At, err
+	})
+	return out, err
 }
 
 // isCode reports whether err is a RemoteError with the given code.
 func isCode(err error, code wire.ErrCode) bool {
 	var re *wire.RemoteError
 	return errors.As(err, &re) && re.Code == code
-}
-
-// chase is the adaptive retry budget of one location chase. A chase
-// normally terminates within a handful of hops, and the attempt budget
-// (Config.CallRetries) covers that common case cheaply. But a fixed
-// attempt count alone is a wall-clock budget in disguise — 32 attempts
-// at 1 ms apart is ~32 ms — and under heavy migration ping-pong (or on
-// a starved single-CPU box) a single transfer can take longer than
-// that, so a correct chase could exhaust its budget while the object
-// was merely in flight. The deadline (Config.ChaseDeadline) closes
-// that hole: a chase keeps retrying until BOTH the attempt budget and
-// the deadline are spent, so churn stretches the chase instead of
-// failing it, while the deadline still guarantees termination.
-type chase struct {
-	n        *Node
-	oid      core.OID
-	attempt  int
-	hops     int       // remote calls issued — the directory's cost metric
-	start    time.Time // chase begin, for the latency histogram
-	deadline time.Time // zero when ChaseDeadline is disabled
-}
-
-// newChase starts a chase budget for one logical operation on oid.
-func (n *Node) newChase(oid core.OID) *chase {
-	c := &chase{n: n, oid: oid, start: time.Now()}
-	if d := n.chaseDeadline; d > 0 {
-		c.deadline = c.start.Add(d)
-	}
-	return c
-}
-
-// hop records one remote call of the chase. Callers bump it immediately
-// before each RPC so end() sees the true network cost.
-func (c *chase) hop() { c.hops = c.hops + 1 }
-
-// end folds the finished chase into the node's directory statistics:
-// zero hops means the object was local (not a directory event at all),
-// one hop means the first hint was right (a hit), more means chasing
-// (a miss). Chases longer than DirectoryConfig.ChaseHopBudget also
-// count as over-budget and emit an EventChase so operators can spot
-// directories gone stale.
-func (c *chase) end() {
-	n := c.n
-	switch {
-	case c.hops == 0:
-		return
-	case c.hops == 1:
-		n.stats.hintHits.Add(1)
-	default:
-		n.stats.hintMisses.Add(1)
-	}
-	n.tel.chaseLat.ObserveSince(c.start)
-	n.stats.chaseHops.Add(int64(c.hops))
-	bucket := c.hops
-	if bucket > len(n.stats.chaseHist) {
-		bucket = len(n.stats.chaseHist)
-	}
-	n.stats.chaseHist[bucket-1].Add(1)
-	if budget := n.dir.ChaseHopBudget; budget > 0 && c.hops > budget {
-		n.stats.chasesOverBudget.Add(1)
-		n.emit(Event{Kind: EventChase, Obj: Ref{OID: c.oid}, Outcome: "over-budget", Hops: c.hops})
-	}
-}
-
-// next reports whether another attempt may run, backing off briefly
-// between attempts so in-flight transfers can land before the next
-// try (long chases stretch the pause — by then the object is clearly
-// mid-transfer and tight polling only adds load). It returns false
-// when the budget is spent or the context is done; callers
-// distinguish the two via ctx.Err().
-func (c *chase) next(ctx context.Context) bool {
-	if c.attempt == 0 {
-		c.attempt++
-		return ctx.Err() == nil
-	}
-	if c.attempt >= c.n.retries && (c.deadline.IsZero() || !time.Now().Before(c.deadline)) {
-		return false
-	}
-	d := time.Millisecond
-	switch {
-	case c.attempt >= 256:
-		d = 8 * time.Millisecond
-	case c.attempt >= 64:
-		d = 4 * time.Millisecond
-	}
-	c.attempt++
-	select {
-	case <-ctx.Done():
-		return false
-	case <-time.After(d):
-		return true
-	}
-}
-
-// selfHintRetry resolves the "my own tables point at me but I don't
-// host it" case: if any record exists (the object just arrived, is
-// arriving, or left a stub disagreeing with the registry for an
-// instant) the chase should retry; only a never-hosted object is
-// genuinely unknown.
-func (n *Node) selfHintRetry(oid core.OID) bool {
-	_, ok := n.record(oid)
-	return ok
 }
 
 // invokeLocal executes a method on a hosted object, serialising
@@ -211,11 +77,7 @@ func (n *Node) invokeLocal(ctx context.Context, rec *store.Record, method string
 
 // handleInvoke serves a remote invocation, attributing the access to
 // the calling node in the affinity tracker.
-func (n *Node) handleInvoke(ctx context.Context, req *wire.InvokeReq) (*wire.InvokeResp, error) {
-	rec, ok := n.record(req.Obj)
-	if !ok {
-		return nil, n.whereabouts(req.Obj)
-	}
+func (n *Node) handleInvoke(ctx context.Context, rec *store.Record, req *wire.InvokeReq) (*wire.InvokeResp, error) {
 	// Attribute pressure only for objects actually served here: a
 	// forwarding stub answering misdirected calls must not accumulate
 	// phantom counts that would poison a later return of the object.
@@ -269,53 +131,21 @@ func (n *Node) handleLocate(req *wire.LocateReq) (*wire.LocateResp, error) {
 }
 
 // Locate resolves the node currently hosting the object by following
-// hints and forwarding pointers. Each attempt re-derives its starting
-// point from the registry, folding everything learnt back in.
+// hints and forwarding pointers. An answer naming another node is a
+// redirect like any other: route learns it and asks there, until a host
+// names itself.
 func (n *Node) Locate(ctx context.Context, ref Ref) (NodeID, error) {
-	oid := ref.OID
-	next := NodeID("")
-	c := n.newChase(oid)
-	defer c.end()
-	for c.next(ctx) {
-		rec, hint := n.store.Lookup(oid)
+	return n.route(ctx, ref.OID, "locate", func(rec *store.Record, host NodeID) (NodeID, error) {
 		if rec != nil {
-			return n.id, nil
-		}
-		target := next
-		if target == "" || target == n.id {
-			target = hint
-		}
-		next = ""
-		if target == n.id {
-			if n.selfHintRetry(oid) {
-				continue // an arrival raced the two lookups
-			}
-			return "", fmt.Errorf("%w: %s", ErrNotFound, oid)
+			return "", nil
 		}
 		var resp wire.LocateResp
-		c.hop()
-		err := n.call(ctx, target, wire.KLocate, &wire.LocateReq{Obj: oid}, &resp)
-		if err != nil {
-			if to, moved := movedTo(err); moved {
-				n.store.Learn(oid, to)
-				next = to
-				continue
-			}
-			if isCode(err, wire.CodeNotFound) && target != oid.Origin {
-				n.store.InvalidateAt(oid, target)
-				continue
-			}
-			return "", fromRemote(err)
+		if err := n.call(ctx, host, wire.KLocate, &wire.LocateReq{Obj: ref.OID}, &resp); err != nil {
+			return "", err
 		}
-		if resp.At == target {
-			n.store.Learn(oid, resp.At)
-			return resp.At, nil
+		if resp.At != host {
+			return "", &wire.RemoteError{Code: wire.CodeMoved, Msg: ref.OID.String(), To: resp.At}
 		}
-		n.store.Learn(oid, resp.At)
-		next = resp.At
-	}
-	if err := ctx.Err(); err != nil {
-		return "", err
-	}
-	return "", fmt.Errorf("%w: %s (locate)", ErrUnreachable, oid)
+		return "", nil
+	})
 }

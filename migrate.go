@@ -17,46 +17,14 @@ import (
 	"objmig/internal/wire"
 )
 
-// edgesOf fetches the attachment adjacency of an object, chasing its
-// location, and reports the host that answered. Each attempt re-derives
-// the target from the registry: carrying a stale redirect across
-// attempts can point back at ourselves while the registry already
-// knows better.
+// edgesOf fetches the attachment adjacency of an object at its current
+// host and reports the host that answered.
 func (n *Node) edgesOf(ctx context.Context, oid core.OID) ([]wire.EdgeRec, NodeID, error) {
-	c := n.newChase(oid)
-	defer c.end()
-	for c.next(ctx) {
-		if rec, ok := n.hostedRecord(oid); ok {
-			return rec.EdgeList(), n.id, nil
-		}
-		target := n.store.Hint(oid)
-		if target == n.id {
-			if n.selfHintRetry(oid) {
-				continue // an arrival raced the two lookups
-			}
-			return nil, "", fmt.Errorf("%w: %s (edges)", ErrNotFound, oid)
-		}
-		var resp wire.EdgesResp
-		c.hop()
-		err := n.call(ctx, target, wire.KEdges, &wire.EdgesReq{Obj: oid}, &resp)
-		if err == nil {
-			n.store.Learn(oid, target)
-			return resp.Edges, target, nil
-		}
-		if to, moved := movedTo(err); moved {
-			n.store.Learn(oid, to)
-			continue
-		}
-		if isCode(err, wire.CodeNotFound) && target != oid.Origin {
-			n.store.InvalidateAt(oid, target)
-			continue
-		}
-		return nil, "", fromRemote(err)
-	}
-	if err := ctx.Err(); err != nil {
+	resp, host, err := routed(ctx, n, oid, "edges", wire.KEdges, &wire.EdgesReq{Obj: oid}, n.handleEdges, nil)
+	if err != nil {
 		return nil, "", err
 	}
-	return nil, "", fmt.Errorf("%w: %s (edges)", ErrUnreachable, oid)
+	return resp.Edges, host, nil
 }
 
 // closureOf walks the attachment graph from root and returns the
@@ -377,17 +345,11 @@ func (n *Node) pauseBatch(ctx context.Context, h NodeID, objs []core.OID, token 
 		From: n.id, Target: target, Trace: trace,
 	}
 	start := time.Now()
-	var resp *wire.PauseResp
-	if h == n.id {
-		var err error
-		if resp, err = n.handlePause(ctx, req); err != nil {
-			return nil, err
-		}
-	} else {
-		resp = &wire.PauseResp{}
-		if err := n.call(ctx, h, wire.KPause, req, resp); err != nil {
-			return nil, err
-		}
+	resp, err := deliver(ctx, n, h, wire.KPause, req, func(req *wire.PauseReq) (*wire.PauseResp, error) {
+		return n.handlePause(ctx, req)
+	})
+	if err != nil {
+		return nil, err
 	}
 	n.tel.span(trace, telemetry.PhasePause, start, 0, len(resp.Snapshots))
 	return resp, nil
@@ -420,15 +382,8 @@ func (n *Node) installOneShot(ctx context.Context, target NodeID, snaps []wire.S
 	}
 	req := &wire.InstallReq{Snapshots: snaps, Token: token, From: n.id, Trace: trace}
 	start := time.Now()
-	if target == n.id {
-		if _, err := n.handleInstall(req); err != nil {
-			return err
-		}
-	} else {
-		var resp wire.InstallResp
-		if err := n.call(ctx, target, wire.KInstall, req, &resp); err != nil {
-			return err
-		}
+	if _, err := deliver(ctx, n, target, wire.KInstall, req, n.handleInstall); err != nil {
+		return err
 	}
 	n.tel.span(trace, telemetry.PhaseStream, start, bytes, len(snaps))
 	n.stats.streamChunksOut.Add(1)
@@ -470,12 +425,7 @@ func (n *Node) finishGroupMigration(ctx context.Context, ids []core.OID, byHost 
 		}
 		req := &wire.CommitReq{Objs: byHost[h], NewHome: target, Token: token, From: n.id,
 			Gens: gensFor(gens, byHost[h]), Anchor: anchor, Trace: trace}
-		if h == n.id {
-			n.commitLocal(req)
-			continue
-		}
-		var resp wire.CommitResp
-		if err := n.call(ctx, h, wire.KCommit, req, &resp); err != nil {
+		if _, err := deliver(ctx, n, h, wire.KCommit, req, n.handleCommit); err != nil {
 			n.retryCommit(h, req)
 			if commitErr == nil {
 				commitErr = fmt.Errorf("objmig: commit at %s failed (objects are at %s): %w", h, target, err)
@@ -520,12 +470,8 @@ func (n *Node) sessionBegin(ctx context.Context, target NodeID, token uint64, id
 		}
 	}
 	req := &wire.MigrateBeginReq{Token: token, From: n.id, Objs: ids, Bytes: bytes, Trace: trace}
-	if target == n.id {
-		_, err := n.handleMigrateBegin(req)
-		return err
-	}
-	var resp wire.MigrateBeginResp
-	return n.call(ctx, target, wire.KMigrateBegin, req, &resp)
+	_, err := deliver(ctx, n, target, wire.KMigrateBegin, req, n.handleMigrateBegin)
+	return err
 }
 
 // sessionChunk forwards one sub-batch of snapshots to the target's
@@ -537,14 +483,7 @@ func (n *Node) sessionChunk(ctx context.Context, target NodeID, token, seq uint6
 	}
 	req := &wire.InstallChunkReq{Token: token, From: n.id, Seq: seq, Snapshots: snaps, Trace: trace}
 	start := time.Now()
-	var err error
-	if target == n.id {
-		_, err = n.handleInstallChunk(req)
-	} else {
-		var resp wire.InstallChunkResp
-		err = n.call(ctx, target, wire.KInstallChunk, req, &resp)
-	}
-	if err != nil {
+	if _, err := deliver(ctx, n, target, wire.KInstallChunk, req, n.handleInstallChunk); err != nil {
 		return 0, err
 	}
 	n.tel.span(trace, telemetry.PhaseStream, start, bytes, len(snaps))
@@ -557,12 +496,8 @@ func (n *Node) sessionChunk(ctx context.Context, target NodeID, token, seq uint6
 // sessionCommit asks the target to install the staged group.
 func (n *Node) sessionCommit(ctx context.Context, target NodeID, token, trace uint64) error {
 	req := &wire.InstallCommitReq{Token: token, From: n.id, Trace: trace}
-	if target == n.id {
-		_, err := n.handleInstallCommit(req)
-		return err
-	}
-	var resp wire.InstallCommitResp
-	return n.call(ctx, target, wire.KInstallCommit, req, &resp)
+	_, err := deliver(ctx, n, target, wire.KInstallCommit, req, n.handleInstallCommit)
+	return err
 }
 
 // retryCommit keeps delivering a commit whose first attempt failed:
@@ -589,14 +524,9 @@ func (n *Node) retryCommit(h NodeID, req *wire.CommitReq) {
 // be cancelled.
 func (n *Node) sessionAbort(h NodeID, objs []core.OID, token uint64) {
 	req := &wire.AbortReq{Objs: objs, Token: token, From: n.id}
-	if h == n.id {
-		n.abortLocal(req)
-		return
-	}
 	actx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	var resp wire.AbortResp
-	_ = n.call(actx, h, wire.KAbort, req, &resp)
+	_, _ = deliver(actx, n, h, wire.KAbort, req, n.handleAbort)
 }
 
 // notifyOrigins queues home updates for the moved objects towards
@@ -630,7 +560,7 @@ func (n *Node) notifyOrigins(ids []core.OID, at NodeID, obs []affinity.Obs, anch
 				maxGen = g
 			}
 		}
-		asClosure := n.closureRecords() && anchor != (core.OID{}) && len(objs) >= 2
+		asClosure := anchor != (core.OID{}) && len(objs) >= 2
 		if origin == n.id {
 			// This node is the origin: update the home index directly
 			// and fold the lifted observations straight back in — the
@@ -831,7 +761,7 @@ func (n *Node) commitLocal(req *wire.CommitReq) {
 	// here keep their per-object home entries (the origin-side closure
 	// attach happens in the coordinator's phase 4, where it survives
 	// retirement).
-	if n.closureRecords() && req.Anchor != (core.OID{}) && len(foreign) >= 2 {
+	if req.Anchor != (core.OID{}) && len(foreign) >= 2 {
 		n.store.DepartedClosure(req.Anchor, maxGen, foreign, req.NewHome)
 	}
 	if len(own) > 0 {
@@ -931,57 +861,16 @@ func (n *Node) MigrateToObject(ctx context.Context, ref, with Ref) error {
 	return n.Migrate(ctx, ref, at)
 }
 
-// migrateRequest chases the object's host and asks it to execute the
-// migrate primitive.
+// migrateRequest asks the object's host to execute the migrate
+// primitive.
 func (n *Node) migrateRequest(ctx context.Context, req *wire.MigrateReq) (*wire.MigrateResp, error) {
-	oid := req.Obj
-	c := n.newChase(oid)
-	defer c.end()
-	for c.next(ctx) {
-		if _, ok := n.hostedRecord(oid); ok {
-			resp, err := n.handleMigrate(ctx, req)
-			if to, moved := movedTo(err); moved {
-				n.store.Learn(oid, to)
-				continue
-			}
-			return resp, fromRemote(err)
-		}
-		target := n.store.Hint(oid)
-		if target == n.id {
-			if n.selfHintRetry(oid) {
-				continue // an arrival raced the two lookups
-			}
-			return nil, fmt.Errorf("%w: %s", ErrNotFound, oid)
-		}
-		var resp wire.MigrateResp
-		c.hop()
-		err := n.call(ctx, target, wire.KMigrate, req, &resp)
-		if err == nil {
-			n.store.Learn(oid, resp.At)
-			return &resp, nil
-		}
-		if to, moved := movedTo(err); moved {
-			n.store.Learn(oid, to)
-			continue
-		}
-		if isCode(err, wire.CodeNotFound) && target != oid.Origin {
-			n.store.InvalidateAt(oid, target)
-			continue
-		}
-		return nil, fromRemote(err)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return nil, fmt.Errorf("%w: %s (migrate)", ErrUnreachable, oid)
+	resp, _, err := routed(ctx, n, req.Obj, "migrate", wire.KMigrate, req, n.handleMigrate,
+		func(r *wire.MigrateResp) NodeID { return r.At })
+	return resp, err
 }
 
 // handleMigrate executes the migrate primitive at the object's host.
-func (n *Node) handleMigrate(ctx context.Context, req *wire.MigrateReq) (*wire.MigrateResp, error) {
-	rec, ok := n.record(req.Obj)
-	if !ok {
-		return nil, n.whereabouts(req.Obj)
-	}
+func (n *Node) handleMigrate(ctx context.Context, rec *store.Record, req *wire.MigrateReq) (*wire.MigrateResp, error) {
 	rec.Mu.Lock()
 	if rec.Status == store.StatusGone {
 		to := rec.MovedTo

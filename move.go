@@ -53,7 +53,7 @@ func (n *Node) moveBlock(ctx context.Context, al AllianceID, ref Ref,
 	body func(ctx context.Context, b *Block) error, visit bool) error {
 
 	block := n.nextBlock()
-	out, err := n.moveRequest(ctx, &wire.MoveReq{
+	resp, prevAt, err := n.moveRequest(ctx, &wire.MoveReq{
 		Obj: ref.OID, From: n.id, Block: block, Alliance: al,
 	})
 	if err != nil {
@@ -61,19 +61,19 @@ func (n *Node) moveBlock(ctx context.Context, al AllianceID, ref Ref,
 	}
 	b := &Block{
 		Ref:      ref,
-		Granted:  out.resp.Outcome != wire.MoveDenied,
-		At:       out.resp.At,
+		Granted:  resp.Outcome != wire.MoveDenied,
+		At:       resp.At,
 		alliance: al,
 		id:       block,
-		prevAt:   out.prevAt,
+		prevAt:   prevAt,
 	}
-	for _, oid := range out.resp.Moved {
+	for _, oid := range resp.Moved {
 		b.Moved = append(b.Moved, Ref{OID: oid})
 	}
 
 	bodyErr := body(ctx, b)
 
-	if endErr := n.endBlock(ctx, ref, al, block, out.resp.Moved); endErr != nil && bodyErr == nil {
+	if endErr := n.endBlock(ctx, ref, al, block, resp.Moved); endErr != nil && bodyErr == nil {
 		bodyErr = endErr
 	}
 	if visit && b.Granted && b.prevAt != "" && b.prevAt != n.id {
@@ -84,72 +84,24 @@ func (n *Node) moveBlock(ctx context.Context, al AllianceID, ref Ref,
 	return bodyErr
 }
 
-// moveOutcome couples the responder (the object's previous host) with
-// its response.
-type moveOutcome struct {
-	resp   *wire.MoveResp
-	prevAt NodeID
-}
-
-// moveRequest chases the object's current host and delivers the
-// move-request there.
-func (n *Node) moveRequest(ctx context.Context, req *wire.MoveReq) (*moveOutcome, error) {
-	oid := req.Obj
-	c := n.newChase(oid)
-	defer c.end()
-	for c.next(ctx) {
-		if _, ok := n.hostedRecord(oid); ok {
-			resp, err := n.handleMove(ctx, req)
-			if to, moved := movedTo(err); moved {
-				n.store.Learn(oid, to)
-				continue
-			}
-			if err != nil {
-				return nil, fromRemote(err)
-			}
-			return &moveOutcome{resp: resp, prevAt: n.id}, nil
-		}
-		target := n.store.Hint(oid)
-		if target == n.id {
-			if n.selfHintRetry(oid) {
-				continue // an arrival raced the two lookups
-			}
-			return nil, fmt.Errorf("%w: %s", ErrNotFound, oid)
-		}
-		var resp wire.MoveResp
-		c.hop()
-		err := n.call(ctx, target, wire.KMove, req, &resp)
-		if err == nil {
-			n.store.Learn(oid, resp.At)
-			return &moveOutcome{resp: &resp, prevAt: target}, nil
-		}
-		if to, moved := movedTo(err); moved {
-			n.store.Learn(oid, to)
-			continue
-		}
-		if isCode(err, wire.CodeNotFound) && target != oid.Origin {
-			n.store.InvalidateAt(oid, target)
-			continue
-		}
-		return nil, fromRemote(err)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return nil, fmt.Errorf("%w: %s (move)", ErrUnreachable, oid)
+// moveRequest delivers the move-request at the object's current host and
+// reports the responder — the object's previous host — with its reply.
+func (n *Node) moveRequest(ctx context.Context, req *wire.MoveReq) (*wire.MoveResp, NodeID, error) {
+	return routed(ctx, n, req.Obj, "move", wire.KMove, req, n.handleMove,
+		func(r *wire.MoveResp) NodeID { return r.At })
 }
 
 // handleMove interprets a move-request at the object's current host —
 // the run-time support of paper Fig. 3. Under conventional migration a
 // busy working set is retried (the thrash the paper analyses); under
 // transient placement it denies immediately.
-func (n *Node) handleMove(ctx context.Context, req *wire.MoveReq) (*wire.MoveResp, error) {
+func (n *Node) handleMove(ctx context.Context, rec *store.Record, req *wire.MoveReq) (*wire.MoveResp, error) {
 	const (
 		busyRetries = 50
 		busyBackoff = 2 * time.Millisecond
 	)
 	for attempt := 0; ; attempt++ {
-		resp, retry, err := n.tryMove(ctx, req)
+		resp, retry, err := n.tryMove(ctx, rec, req)
 		if !retry {
 			return resp, err
 		}
@@ -161,17 +113,19 @@ func (n *Node) handleMove(ctx context.Context, req *wire.MoveReq) (*wire.MoveRes
 			return nil, wire.Errorf(wire.CodeDenied, "working set of %s stayed busy", req.Obj)
 		case <-time.After(busyBackoff):
 		}
+		// The object may have left and come back while we waited; the
+		// next attempt must judge the record that is in the table now.
+		var ok bool
+		if rec, ok = n.record(req.Obj); !ok {
+			return nil, n.whereabouts(req.Obj)
+		}
 	}
 }
 
 // tryMove performs one move attempt. retry=true means the working set
 // was busy under a policy that should chase it (conventional and the
 // dynamic strategies).
-func (n *Node) tryMove(ctx context.Context, req *wire.MoveReq) (_ *wire.MoveResp, retry bool, _ error) {
-	rec, ok := n.record(req.Obj)
-	if !ok {
-		return nil, false, n.whereabouts(req.Obj)
-	}
+func (n *Node) tryMove(ctx context.Context, rec *store.Record, req *wire.MoveReq) (_ *wire.MoveResp, retry bool, _ error) {
 	coreReq := core.MoveRequest{From: req.From, Block: req.Block}
 
 	rec.Mu.Lock()
@@ -274,62 +228,21 @@ func (n *Node) endBlock(ctx context.Context, ref Ref, al AllianceID, block core.
 	kind := n.policy.Kind()
 	dynamic := kind == core.PolicyCompareNodes || kind == core.PolicyCompareReinstantiate
 	if !dynamic {
-		if _, ok := n.hostedRecord(ref.OID); ok {
-			_, err := n.handleEnd(ctx, req)
+		if rec, ok := n.hostedRecord(ref.OID); ok {
+			_, err := n.handleEnd(ctx, rec, req)
 			return fromRemote(err)
 		}
 		return nil // the paper's "the end-request is simply ignored"
 	}
 	// Dynamic policies: chase the object.
-	oid := ref.OID
-	c := n.newChase(oid)
-	defer c.end()
-	for c.next(ctx) {
-		if _, ok := n.hostedRecord(oid); ok {
-			_, err := n.handleEnd(ctx, req)
-			if to, moved := movedTo(err); moved {
-				n.store.Learn(oid, to)
-				continue
-			}
-			return fromRemote(err)
-		}
-		target := n.store.Hint(oid)
-		if target == n.id {
-			if n.selfHintRetry(oid) {
-				continue // an arrival raced the two lookups
-			}
-			return fmt.Errorf("%w: %s", ErrNotFound, oid)
-		}
-		var resp wire.EndResp
-		c.hop()
-		err := n.call(ctx, target, wire.KEnd, req, &resp)
-		if err == nil {
-			return nil
-		}
-		if to, moved := movedTo(err); moved {
-			n.store.Learn(oid, to)
-			continue
-		}
-		if isCode(err, wire.CodeNotFound) && target != oid.Origin {
-			n.store.InvalidateAt(oid, target)
-			continue
-		}
-		return fromRemote(err)
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return fmt.Errorf("%w: %s (end)", ErrUnreachable, oid)
+	_, _, err := routed(ctx, n, ref.OID, "end", wire.KEnd, req, n.handleEnd, nil)
+	return err
 }
 
 // handleEnd processes an end-request at the object's host: release the
 // block's group locks and, under comparing-and-reinstantiation, migrate
 // towards a clear majority of open move-requests.
-func (n *Node) handleEnd(ctx context.Context, req *wire.EndReq) (*wire.EndResp, error) {
-	rec, ok := n.record(req.Obj)
-	if !ok {
-		return nil, n.whereabouts(req.Obj)
-	}
+func (n *Node) handleEnd(ctx context.Context, rec *store.Record, req *wire.EndReq) (*wire.EndResp, error) {
 	rec.Mu.Lock()
 	if rec.Status == store.StatusGone {
 		to := rec.MovedTo

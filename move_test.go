@@ -312,14 +312,14 @@ func TestMoveDecisionReasonSurfaced(t *testing.T) {
 	nodes := testCluster(t, 2, Config{Policy: PolicyPlacement})
 	ref := mustCreate(t, nodes[0])
 	err := nodes[0].Move(ctx, ref, func(ctx context.Context, b *Block) error {
-		out, err := nodes[1].moveRequest(ctx, &wire.MoveReq{
+		resp, _, err := nodes[1].moveRequest(ctx, &wire.MoveReq{
 			Obj: ref.OID, From: "n1", Block: 999,
 		})
 		if err != nil {
 			return err
 		}
-		if out.resp.Reason != core.ReasonLocked {
-			t.Errorf("reason = %v, want locked", out.resp.Reason)
+		if resp.Reason != core.ReasonLocked {
+			t.Errorf("reason = %v, want locked", resp.Reason)
 		}
 		return nil
 	})

@@ -440,7 +440,7 @@ func (n *Node) handle(ctx context.Context, kind wire.Kind, body, dst []byte) ([]
 		return wire.MarshalAppend(dst, wire.PingResp{Payload: req.Payload})
 	case wire.KInvoke:
 		return handleTyped(body, dst, func(req *wire.InvokeReq) (*wire.InvokeResp, error) {
-			return n.handleInvoke(ctx, req)
+			return onRecord(ctx, n, req.Obj, req, n.handleInvoke)
 		})
 	case wire.KLocate:
 		return handleTyped(body, dst, func(req *wire.LocateReq) (*wire.LocateResp, error) {
@@ -448,15 +448,15 @@ func (n *Node) handle(ctx context.Context, kind wire.Kind, body, dst []byte) ([]
 		})
 	case wire.KMove:
 		return handleTyped(body, dst, func(req *wire.MoveReq) (*wire.MoveResp, error) {
-			return n.handleMove(ctx, req)
+			return onRecord(ctx, n, req.Obj, req, n.handleMove)
 		})
 	case wire.KEnd:
 		return handleTyped(body, dst, func(req *wire.EndReq) (*wire.EndResp, error) {
-			return n.handleEnd(ctx, req)
+			return onRecord(ctx, n, req.Obj, req, n.handleEnd)
 		})
 	case wire.KMigrate:
 		return handleTyped(body, dst, func(req *wire.MigrateReq) (*wire.MigrateResp, error) {
-			return n.handleMigrate(ctx, req)
+			return onRecord(ctx, n, req.Obj, req, n.handleMigrate)
 		})
 	case wire.KPause:
 		return handleTyped(body, dst, func(req *wire.PauseReq) (*wire.PauseResp, error) {
@@ -512,19 +512,19 @@ func (n *Node) handle(ctx context.Context, kind wire.Kind, body, dst []byte) ([]
 		})
 	case wire.KEdgeAdd:
 		return handleTyped(body, dst, func(req *wire.EdgeAddReq) (*wire.EdgeAddResp, error) {
-			return n.handleEdgeAdd(ctx, req)
+			return onRecord(ctx, n, req.Obj, req, n.handleEdgeAdd)
 		})
 	case wire.KEdgeDel:
 		return handleTyped(body, dst, func(req *wire.EdgeDelReq) (*wire.EdgeDelResp, error) {
-			return n.handleEdgeDel(ctx, req)
+			return onRecord(ctx, n, req.Obj, req, n.handleEdgeDel)
 		})
 	case wire.KEdges:
 		return handleTyped(body, dst, func(req *wire.EdgesReq) (*wire.EdgesResp, error) {
-			return n.handleEdges(req)
+			return onRecord(ctx, n, req.Obj, req, n.handleEdges)
 		})
 	case wire.KFix:
 		return handleTyped(body, dst, func(req *wire.FixReq) (*wire.FixResp, error) {
-			return n.handleFix(req)
+			return onRecord(ctx, n, req.Obj, req, n.handleFix)
 		})
 	default:
 		return nil, wire.Errorf(wire.CodeBadRequest, "unhandled kind %v", kind)

@@ -103,14 +103,6 @@ type PlacementConfig struct {
 	// Zero selects the default 0.25; see HealthConfig for how nodes
 	// become degraded.
 	DegradedPenalty float64
-	// DisableReservations reverts target-side admission to the
-	// unreserved check-then-act predicate (read hosted counts, compare,
-	// answer) instead of the reservation ledger's atomic
-	// claim-at-MigrateBegin. With it set, N concurrent coordinators can
-	// collectively overshoot the capacity the veto guards — the knob
-	// exists for A/B tests and regression demonstrations, not for
-	// production.
-	DisableReservations bool
 }
 
 // withDefaults fills the zero fields.
@@ -180,8 +172,7 @@ type placementDaemon struct {
 	stop chan struct{}
 	done chan struct{}
 
-	mu       sync.Mutex
-	cooldown map[core.OID]time.Time
+	cool cooldowns
 }
 
 // EnablePlacement starts the node's placement subsystem: the load
@@ -219,7 +210,7 @@ func (n *Node) EnablePlacement(cfg PlacementConfig) error {
 		lastTick: time.Now(),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
-		cooldown: make(map[core.OID]time.Time),
+		cool:     newCooldowns(cfg.Cooldown),
 	}
 	n.pl = d
 	n.affUsers++
@@ -477,7 +468,7 @@ func (d *placementDaemon) gossipPeers() []NodeID {
 func (d *placementDaemon) originPass() {
 	n := d.node
 	n.stats.placementScans.Add(1)
-	d.reapCooldowns(time.Now())
+	d.cool.reap(time.Now())
 	hot := n.aff.Hot(d.cfg.MinTotal)
 	if len(hot) == 0 {
 		return
@@ -507,7 +498,7 @@ func (d *placementDaemon) originPass() {
 		if _, hosted := n.store.Hosted(h.Obj); !hosted {
 			continue
 		}
-		if d.onCooldown(h.Obj, time.Now()) {
+		if d.cool.on(h.Obj, time.Now()) {
 			continue
 		}
 		members, err := n.closureOf(ctx, h.Obj, d.cfg.Alliance)
@@ -525,7 +516,7 @@ func (d *placementDaemon) originPass() {
 		}
 		moved, err := n.migrateClosureSoft(ctx, h.Obj, members, dec.Target)
 		if err != nil {
-			d.setCooldown(h.Obj, time.Now())
+			d.cool.set(h.Obj, time.Now())
 			continue
 		}
 		budget--
@@ -535,43 +526,11 @@ func (d *placementDaemon) originPass() {
 		refs := make([]Ref, len(moved))
 		for i, oid := range moved {
 			refs[i] = Ref{OID: oid}
-			d.setCooldown(oid, now)
+			d.cool.set(oid, now)
 		}
 		n.emit(Event{Kind: EventPlacement, Obj: Ref{OID: h.Obj}, Target: dec.Target,
 			Outcome: "origin", Objects: refs})
 	}
-}
-
-// onCooldown reports whether the object pre-placed too recently.
-func (d *placementDaemon) onCooldown(obj core.OID, now time.Time) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	until, ok := d.cooldown[obj]
-	if ok && now.Before(until) {
-		return true
-	}
-	if ok {
-		delete(d.cooldown, obj)
-	}
-	return false
-}
-
-// setCooldown stamps the object's next earliest pre-placement.
-func (d *placementDaemon) setCooldown(obj core.OID, now time.Time) {
-	d.mu.Lock()
-	d.cooldown[obj] = now.Add(d.cfg.Cooldown)
-	d.mu.Unlock()
-}
-
-// reapCooldowns drops expired stamps (same hygiene as the autopilot's).
-func (d *placementDaemon) reapCooldowns(now time.Time) {
-	d.mu.Lock()
-	for obj, until := range d.cooldown {
-		if !now.Before(until) {
-			delete(d.cooldown, obj)
-		}
-	}
-	d.mu.Unlock()
 }
 
 // groupAffinity aggregates the affinity tracker's counters over an
@@ -635,62 +594,16 @@ func (n *Node) selfSample() placement.Sample {
 // alongside the staging session, and the caller owns releasing it
 // (dropSession / commit / one-shot completion) whenever reserved is
 // true. A nil error admits the migration.
-//
-// With cfg.DisableReservations the pre-ledger check-then-act predicate
-// runs instead: correct against a single coordinator, overshootable by
-// concurrent ones — the A/B baseline the ledger exists to replace.
 func (n *Node) admitAndReserve(objs []core.OID, bytes int64, from NodeID, token uint64) (reserved bool, err error) {
-	// A draining node refuses every inbound migration outright —
-	// capacity or not — so the optimiser daemons and rival coordinators
-	// cannot refill it while a drain job empties it. Objects already
-	// present still re-admit (same-node reshuffles, returning objects).
-	if n.draining.Load() && len(objs) > 0 {
-		incoming := 0
-		for _, rec := range n.store.GetBatch(objs) {
-			if rec == nil || rec.IsGone() {
-				incoming++
-			}
-		}
-		if incoming > 0 {
-			n.stats.placementVetoes.Add(1)
-			refs := make([]Ref, len(objs))
-			for i, oid := range objs {
-				refs[i] = Ref{OID: oid}
-			}
-			n.emit(Event{Kind: EventPlacement, Target: from, Outcome: "veto", Objects: refs})
-			return false, wire.Errorf(wire.CodeDenied,
-				"node %s is draining: migration of %d objects refused", n.id, incoming)
-		}
-	}
-	// A critical node refuses inbound migrations the same way a
-	// draining one does — its own health engine has judged it unfit to
-	// take more load, capacity headroom notwithstanding. This is the
-	// authoritative, target-side half of the health gate: a coordinator
-	// whose gossiped view lags (or predates) the transition is
-	// back-pressured here instead of trusted.
-	if HealthState(n.healthState.Load()) >= HealthCritical && len(objs) > 0 {
-		incoming := 0
-		for _, rec := range n.store.GetBatch(objs) {
-			if rec == nil || rec.IsGone() {
-				incoming++
-			}
-		}
-		if incoming > 0 {
-			n.stats.healthVetoes.Add(1)
-			n.stats.placementVetoes.Add(1)
-			refs := make([]Ref, len(objs))
-			for i, oid := range objs {
-				refs[i] = Ref{OID: oid}
-			}
-			n.emit(Event{Kind: EventPlacement, Target: from, Outcome: "veto", Objects: refs})
-			return false, wire.Errorf(wire.CodeDenied,
-				"node %s is critical: migration of %d objects refused", n.id, incoming)
-		}
-	}
+	draining := n.draining.Load()
+	critical := HealthState(n.healthState.Load()) >= HealthCritical
 	d := n.placementDaemonRef()
-	if d == nil || (n.capacity <= 0 && n.capBytes <= 0) || len(objs) == 0 {
+	capped := d != nil && (n.capacity > 0 || n.capBytes > 0)
+	if !draining && !critical && !capped {
 		return false, nil
 	}
+	// Objects already present (same-node reshuffles, returning objects)
+	// re-admit through every gate below.
 	incoming := 0
 	for _, rec := range n.store.GetBatch(objs) {
 		if rec == nil || rec.IsGone() {
@@ -700,37 +613,52 @@ func (n *Node) admitAndReserve(objs []core.OID, bytes int64, from NodeID, token 
 	if incoming == 0 {
 		return false, nil
 	}
-	if d.cfg.DisableReservations {
-		self := n.selfSample()
-		if !placement.Overloaded(self, incoming, bytes, d.cfg.OverloadRatio) {
-			return false, nil
-		}
-		return false, n.placementVeto(objs, from, incoming, bytes)
+	// A draining node refuses every inbound migration outright —
+	// capacity or not — so the optimiser daemons and rival coordinators
+	// cannot refill it while a drain job empties it.
+	if draining {
+		return false, n.placementVeto(objs, from,
+			"node %s is draining: migration of %d objects refused", n.id, incoming)
+	}
+	// A critical node refuses inbound migrations the same way a
+	// draining one does — its own health engine has judged it unfit to
+	// take more load, capacity headroom notwithstanding. This is the
+	// authoritative, target-side half of the health gate: a coordinator
+	// whose gossiped view lags (or predates) the transition is
+	// back-pressured here instead of trusted.
+	if critical {
+		n.stats.healthVetoes.Add(1)
+		return false, n.placementVeto(objs, from,
+			"node %s is critical: migration of %d objects refused", n.id, incoming)
+	}
+	if !capped {
+		return false, nil
 	}
 	key := placement.ClaimKey{From: from, Token: token}
 	claim := placement.Claim{Objects: int64(incoming), Bytes: bytes}
 	if !n.resv.Admit(key, claim, d.cfg.OverloadRatio, n.selfSample) {
-		return false, n.placementVeto(objs, from, incoming, bytes)
+		hosted, hostedBytes := n.store.HostedStats()
+		res := n.resv.Reserved()
+		return false, n.placementVeto(objs, from,
+			"node %s is at capacity (%d hosted + %d reserved, %d incoming, capacity %d objects / %d bytes; %d+%d incoming bytes of %d reserved): migration refused",
+			n.id, hosted, res.Objects, incoming, n.capacity, n.capBytes,
+			hostedBytes, bytes, res.Bytes)
 	}
 	n.stats.placementReservations.Add(1)
 	n.publishReserved()
 	return true, nil
 }
 
-// placementVeto records and reports one refused admission.
-func (n *Node) placementVeto(objs []core.OID, from NodeID, incoming int, bytes int64) error {
+// placementVeto records and reports one refused admission; format and
+// args say why.
+func (n *Node) placementVeto(objs []core.OID, from NodeID, format string, args ...interface{}) error {
 	n.stats.placementVetoes.Add(1)
 	refs := make([]Ref, len(objs))
 	for i, oid := range objs {
 		refs[i] = Ref{OID: oid}
 	}
 	n.emit(Event{Kind: EventPlacement, Target: from, Outcome: "veto", Objects: refs})
-	hosted, hostedBytes := n.store.HostedStats()
-	res := n.resv.Reserved()
-	return wire.Errorf(wire.CodeDenied,
-		"node %s is at capacity (%d hosted + %d reserved, %d incoming, capacity %d objects / %d bytes; %d+%d incoming bytes of %d reserved): migration refused",
-		n.id, hosted, res.Objects, incoming, n.capacity, n.capBytes,
-		hostedBytes, bytes, res.Bytes)
+	return wire.Errorf(wire.CodeDenied, format, args...)
 }
 
 // releaseReservation drops the ledger claim keyed (from, token), if
@@ -810,7 +738,7 @@ func (d *placementDaemon) shedPass() {
 		return
 	}
 	n.stats.placementScans.Add(1)
-	d.reapCooldowns(time.Now())
+	d.cool.reap(time.Now())
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -827,7 +755,7 @@ func (d *placementDaemon) shedPass() {
 			if ctx.Err() != nil {
 				return
 			}
-			if visited[cand.oid] || d.onCooldown(cand.oid, time.Now()) {
+			if visited[cand.oid] || d.cool.on(cand.oid, time.Now()) {
 				continue
 			}
 			members, err := n.closureOf(ctx, cand.oid, d.cfg.Alliance)
@@ -844,12 +772,12 @@ func (d *placementDaemon) shedPass() {
 			if !ok {
 				// No peer with headroom for this closure; smaller ones
 				// later in the plan may still fit.
-				d.setCooldown(cand.oid, time.Now())
+				d.cool.set(cand.oid, time.Now())
 				continue
 			}
 			moved, err := n.migrateClosureSoft(ctx, cand.oid, members, dec.Target)
 			if err != nil {
-				d.setCooldown(cand.oid, time.Now())
+				d.cool.set(cand.oid, time.Now())
 				continue
 			}
 			budget--
@@ -861,7 +789,7 @@ func (d *placementDaemon) shedPass() {
 			refs := make([]Ref, len(moved))
 			for i, oid := range moved {
 				refs[i] = Ref{OID: oid}
-				d.setCooldown(oid, now)
+				d.cool.set(oid, now)
 			}
 			n.emit(Event{Kind: EventPlacement, Obj: Ref{OID: cand.oid}, Target: dec.Target,
 				Outcome: "shed", Objects: refs})

@@ -33,7 +33,7 @@ const (
 	overshootCapBytes = 30 << 10
 )
 
-func newOvershootWorld(t *testing.T, disableReservations bool) *overshootWorld {
+func newOvershootWorld(t *testing.T) *overshootWorld {
 	t.Helper()
 	ctx := ctxShort(t)
 	cl := NewLocalCluster()
@@ -55,10 +55,7 @@ func newOvershootWorld(t *testing.T, disableReservations bool) *overshootWorld {
 		return n
 	}
 	w := &overshootWorld{target: mk("target", overshootCapBytes)}
-	if err := w.target.EnablePlacement(PlacementConfig{
-		Heartbeat: -1, OriginPass: -1,
-		DisableReservations: disableReservations,
-	}); err != nil {
+	if err := w.target.EnablePlacement(PlacementConfig{Heartbeat: -1, OriginPass: -1}); err != nil {
 		t.Fatal(err)
 	}
 	seed := mk("seed", 0)
@@ -122,38 +119,17 @@ func (w *overshootWorld) race(ctx context.Context) []error {
 // the reservation ledger and the proactive shedder, meant to run under
 // -race:
 //
-//   - without the ledger (the A/B knob) four concurrent coordinators
-//     collectively overshoot the target's byte capacity, every
-//     individual admission having been correct against the counts it
-//     saw;
-//   - with the ledger, peak resident bytes never exceed the capacity,
-//     the vetoed coordinators' groups stay usable at their sources;
+//   - four concurrent coordinators race one byte-capped target: peak
+//     resident bytes never exceed the capacity, and the vetoed
+//     coordinators' groups stay usable at their sources;
 //   - a node pushed past ShedRatio drains itself below it.
 func TestReservationLedgerPreventsOvershoot(t *testing.T) {
 	t.Parallel()
 
-	t.Run("overshoot-without-ledger", func(t *testing.T) {
-		t.Parallel()
-		ctx := ctxShort(t)
-		// The seed predicate is check-then-act: an overshoot needs at
-		// least two begins to land before the first commit. The streamed
-		// window makes that all but certain; retry the staging against
-		// scheduler luck rather than flake.
-		for attempt := 0; attempt < 8; attempt++ {
-			w := newOvershootWorld(t, true)
-			w.race(ctx)
-			_, bytes := w.target.store.HostedStats()
-			if bytes > overshootCapBytes {
-				return // the race the ledger exists to close, demonstrated
-			}
-		}
-		t.Fatal("check-then-act admission never overshot across 5 attempts; the A/B baseline has lost its race window")
-	})
-
 	t.Run("ledger-caps-peak", func(t *testing.T) {
 		t.Parallel()
 		ctx := ctxShort(t)
-		w := newOvershootWorld(t, false)
+		w := newOvershootWorld(t)
 
 		// Peak monitor: resident bytes at the target, sampled throughout
 		// the race, must never exceed the capacity.
@@ -301,29 +277,15 @@ func TestReservationLedgerPreventsOvershoot(t *testing.T) {
 
 // TestExplicitAdmissionTOCTOURegression pins the check-then-act bug
 // for explicit Move/Migrate grants, deterministically: two admissions
-// race one object of headroom. The seed predicate (reservations
-// disabled) admits both — the double admission that used to overshoot
-// capacity. The ledger refuses the second.
+// race one object of headroom. A snapshot predicate would admit both —
+// each alone is within capacity, together they are not — which is the
+// double admission that used to overshoot capacity. The ledger refuses
+// the second.
 func TestExplicitAdmissionTOCTOURegression(t *testing.T) {
 	t.Parallel()
 	nodes := placementTestCluster(t, 2, []int64{0, 1}, nil)
 	src, tgt := nodes[0], nodes[1]
 	a, b := mustCreate(t, src), mustCreate(t, src)
-
-	// A/B baseline: both admissions pass the snapshot predicate — each
-	// alone is within capacity, together they are not.
-	if err := tgt.EnablePlacement(PlacementConfig{
-		Heartbeat: -1, OriginPass: -1, DisableReservations: true,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tgt.admitAndReserve([]core.OID{a.OID}, 0, src.ID(), 1); err != nil {
-		t.Fatalf("baseline first admission: %v", err)
-	}
-	if _, err := tgt.admitAndReserve([]core.OID{b.OID}, 0, src.ID(), 2); err != nil {
-		t.Fatalf("baseline second admission refused — the seed predicate no longer double-admits, update this regression: %v", err)
-	}
-	tgt.DisablePlacement()
 
 	// The ledger: the first admission claims the single slot, the
 	// second is refused at once.

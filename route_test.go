@@ -1,0 +1,364 @@
+package objmig
+
+import (
+	"context"
+	"errors"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"objmig/internal/core"
+	"objmig/internal/store"
+	"objmig/internal/wire"
+)
+
+// routedOp is one primitive delivered through the routed-request core.
+// Every op here leaves a fixed object where it is, so one object can be
+// addressed by op after op: a move is denied, a migrate re-installs the
+// object at its own host, the edge ops touch an alliance no closure
+// walk follows. host is the node the object truly lives on.
+type routedOp struct {
+	label string // the op label route stamps on an exhausted chase
+	run   func(ctx context.Context, n *Node, oid core.OID, host NodeID) error
+}
+
+// routeGhost is an attachment partner that exists nowhere; the edge ops
+// record and drop a half-edge to it inside routeAlliance.
+var routeGhost = core.OID{Origin: "n0", Seq: 1 << 50}
+
+const routeAlliance = core.AllianceID(7)
+
+var routedOps = []routedOp{
+	{"invoke", func(ctx context.Context, n *Node, oid core.OID, _ NodeID) error {
+		_, err := Call[struct{}, int](ctx, n, Ref{OID: oid}, "Get", struct{}{})
+		return err
+	}},
+	{"locate", func(ctx context.Context, n *Node, oid core.OID, host NodeID) error {
+		at, err := n.Locate(ctx, Ref{OID: oid})
+		if err == nil && at != host {
+			return errors.New("located at " + string(at) + ", want " + string(host))
+		}
+		return err
+	}},
+	{"move", func(ctx context.Context, n *Node, oid core.OID, host NodeID) error {
+		resp, prevAt, err := n.moveRequest(ctx, &wire.MoveReq{Obj: oid, From: n.id, Block: n.nextBlock()})
+		if err == nil && (resp.Outcome != wire.MoveDenied || prevAt != host) {
+			return errors.New("move of a fixed object was not denied at its host")
+		}
+		return err
+	}},
+	{"end", func(ctx context.Context, n *Node, oid core.OID, _ NodeID) error {
+		return n.endBlock(ctx, Ref{OID: oid}, NoAlliance, n.nextBlock(), nil)
+	}},
+	{"migrate", func(ctx context.Context, n *Node, oid core.OID, host NodeID) error {
+		return n.Refix(ctx, Ref{OID: oid}, host)
+	}},
+	{"edges", func(ctx context.Context, n *Node, oid core.OID, host NodeID) error {
+		_, at, err := n.edgesOf(ctx, oid)
+		if err == nil && at != host {
+			return errors.New("edges answered by " + string(at) + ", want " + string(host))
+		}
+		return err
+	}},
+	{"attach", func(ctx context.Context, n *Node, oid core.OID, _ NodeID) error {
+		return n.edgeAdd(ctx, oid, routeGhost, routeAlliance)
+	}},
+	{"detach", func(ctx context.Context, n *Node, oid core.OID, _ NodeID) error {
+		return n.edgeDel(ctx, oid, routeGhost, routeAlliance)
+	}},
+	{"fixed?", func(ctx context.Context, n *Node, oid core.OID, _ NodeID) error {
+		fixed, err := n.IsFixed(ctx, Ref{OID: oid})
+		if err == nil && !fixed {
+			return errors.New("fixed object reported unfixed")
+		}
+		return err
+	}},
+	{"fix", func(ctx context.Context, n *Node, oid core.OID, _ NodeID) error {
+		return n.Fix(ctx, Ref{OID: oid})
+	}},
+}
+
+// routeCluster is three in-memory nodes under a dynamic policy (so the
+// end-request is routed rather than the local-only shortcut) with
+// A-transitive attachment (so the edge ops' alliance stays out of every
+// closure walk).
+func routeCluster(t *testing.T, cfg Config) []*Node {
+	t.Helper()
+	cfg.Policy = PolicyCompareNodes
+	cfg.Attach = AttachATransitive
+	return testCluster(t, 3, cfg)
+}
+
+// fixedAt creates an object on n0 and fixes it at host.
+func fixedAt(t *testing.T, ctx context.Context, nodes []*Node, host NodeID) core.OID {
+	t.Helper()
+	ref := mustCreate(t, nodes[0])
+	if err := nodes[0].Refix(ctx, ref, host); err != nil {
+		t.Fatalf("fix %s at %s: %v", ref.OID, host, err)
+	}
+	return ref.OID
+}
+
+// chaseDelta is what one routed request cost its caller.
+type chaseDelta struct{ hops, hits, misses int64 }
+
+// measure runs fn and reports the caller's chase accounting for it.
+func measure(n *Node, fn func() error) (chaseDelta, error) {
+	before := n.Stats()
+	err := fn()
+	after := n.Stats()
+	return chaseDelta{
+		hops:   after.ChaseHops - before.ChaseHops,
+		hits:   after.HintHits - before.HintHits,
+		misses: after.HintMisses - before.HintMisses,
+	}, err
+}
+
+var (
+	oneHopHit   = chaseDelta{hops: 1, hits: 1}
+	twoHopsMiss = chaseDelta{hops: 2, misses: 1}
+)
+
+// stub plants a forwarding stub for oid at n, pointing at to.
+func stub(t *testing.T, ctx context.Context, n *Node, oid core.OID, to NodeID) {
+	t.Helper()
+	rec := store.NewRecord(oid, "counter", nil)
+	if err := rec.Pause(ctx, 1); err != nil {
+		t.Fatal(err)
+	}
+	rec.Depart(1, to, nil)
+	if err := n.store.Add(rec); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// healOnWait is a context that runs heal the first time anyone waits on
+// it. Before its first RPC a chase does that in exactly one place: the
+// backoff between two attempts.
+type healOnWait struct {
+	context.Context
+	once sync.Once
+	heal func()
+}
+
+func (c *healOnWait) Done() <-chan struct{} {
+	c.once.Do(c.heal)
+	return c.Context.Done()
+}
+
+// pingPong leaves oid hosted nowhere with n0 and n1 each redirecting to
+// the other, so no chase for it can ever terminate.
+func pingPong(t *testing.T, ctx context.Context, nodes []*Node) core.OID {
+	t.Helper()
+	oid := fixedAt(t, ctx, nodes, "n1") // n0's home index now names n1
+	rec, ok := nodes[1].record(oid)
+	if !ok {
+		t.Fatal("object did not arrive at n1")
+	}
+	if err := rec.Pause(ctx, 1); err != nil {
+		t.Fatal(err)
+	}
+	rec.Depart(1, "n0", func() { nodes[1].store.Departed(oid, "n0", rec.Gen+1) })
+	return oid
+}
+
+// TestRoutedOps drives every primitive through the one routing rule and
+// holds each to the same behaviour and the same chase accounting: one
+// ChaseHops per RPC, a one-hop success is a hint hit, anything longer a
+// miss.
+func TestRoutedOps(t *testing.T) {
+	t.Parallel()
+
+	t.Run("stale hint falls back to the origin", func(t *testing.T) {
+		t.Parallel()
+		ctx := ctxShort(t)
+		nodes := routeCluster(t, Config{})
+		caller := nodes[2]
+		for _, op := range routedOps {
+			oid := fixedAt(t, ctx, nodes, "n0")
+			caller.store.Learn(oid, "n1") // n1 never heard of the object
+			got, err := measure(caller, func() error { return op.run(ctx, caller, oid, "n0") })
+			if err != nil {
+				t.Fatalf("%s: %v", op.label, err)
+			}
+			if got != twoHopsMiss {
+				t.Errorf("%s: accounting = %+v, want %+v", op.label, got, twoHopsMiss)
+			}
+			if hint := caller.store.Hint(oid); hint != "n0" {
+				t.Errorf("%s: hint after the chase = %s, want n0 (the refuted n1 invalidated)", op.label, hint)
+			}
+		}
+	})
+
+	t.Run("redirect is learnt and followed", func(t *testing.T) {
+		t.Parallel()
+		ctx := ctxShort(t)
+		nodes := routeCluster(t, Config{})
+		caller := nodes[2]
+		for _, op := range routedOps {
+			oid := fixedAt(t, ctx, nodes, "n1")
+			run := func() error { return op.run(ctx, caller, oid, "n1") }
+			// Cold: the origin redirects, the host answers.
+			got, err := measure(caller, run)
+			if err != nil {
+				t.Fatalf("%s: %v", op.label, err)
+			}
+			if got != twoHopsMiss {
+				t.Errorf("%s: cold accounting = %+v, want %+v", op.label, got, twoHopsMiss)
+			}
+			if hint := caller.store.Hint(oid); hint != "n1" {
+				t.Errorf("%s: hint after the chase = %s, want n1", op.label, hint)
+			}
+			// Warm: straight to the host.
+			if got, err = measure(caller, run); err != nil || got != oneHopHit {
+				t.Errorf("%s: warm accounting = %+v, %v, want %+v", op.label, got, err, oneHopHit)
+			}
+		}
+	})
+
+	// Whatever op reached a migrated object first, every other op then
+	// goes straight to the host: the ops share one location memory.
+	t.Run("any op warms the hint for every other", func(t *testing.T) {
+		t.Parallel()
+		ctx := ctxShort(t)
+		nodes := routeCluster(t, Config{})
+		caller := nodes[2]
+		for _, first := range routedOps {
+			oid := fixedAt(t, ctx, nodes, "n1")
+			if err := first.run(ctx, caller, oid, "n1"); err != nil {
+				t.Fatalf("%s: %v", first.label, err)
+			}
+			for _, next := range routedOps {
+				if next.label == first.label {
+					continue
+				}
+				got, err := measure(caller, func() error { return next.run(ctx, caller, oid, "n1") })
+				if err != nil || got != oneHopHit {
+					t.Errorf("%s after %s: accounting = %+v, %v, want %+v", next.label, first.label, got, err, oneHopHit)
+				}
+			}
+		}
+	})
+
+	// A reply that says where the object went outranks the host that
+	// gave it: the op after a migrate goes to the target, not back to the
+	// old host for a redirect.
+	t.Run("a relocating reply teaches the new host", func(t *testing.T) {
+		t.Parallel()
+		ctx := ctxShort(t)
+		nodes := routeCluster(t, Config{})
+		caller := nodes[2]
+		for _, next := range routedOps {
+			oid := mustCreate(t, nodes[0]).OID
+			got, err := measure(caller, func() error { return caller.Refix(ctx, Ref{OID: oid}, "n1") })
+			if err != nil || got != oneHopHit {
+				t.Fatalf("migrate n0 -> n1: accounting = %+v, %v, want %+v", got, err, oneHopHit)
+			}
+			got, err = measure(caller, func() error { return next.run(ctx, caller, oid, "n1") })
+			if err != nil || got != oneHopHit {
+				t.Errorf("%s after the migrate: accounting = %+v, %v, want %+v", next.label, got, err, oneHopHit)
+			}
+		}
+	})
+
+	// The caller's own tables name the caller while it holds only a stub:
+	// the state an arrival leaves between the two halves of a lookup. The
+	// chase must wait it out, not report the object unknown.
+	t.Run("self-hint arrival race is retried", func(t *testing.T) {
+		t.Parallel()
+		ctx := ctxShort(t)
+		nodes := routeCluster(t, Config{})
+		caller := nodes[0]
+		for _, op := range routedOps {
+			oid := fixedAt(t, ctx, nodes, "n1")
+			if _, ok := caller.record(oid); !ok {
+				stub(t, ctx, caller, oid, "n1")
+			}
+			caller.store.Created(oid) // the home index now says "here"
+			if rec, at := caller.store.Lookup(oid); rec != nil || at != caller.id {
+				t.Fatalf("%s: lookup = %v, %s; the self-hint state was not set up", op.label, rec, at)
+			}
+			// The tables heal the moment the chase first waits between
+			// attempts — so the first attempt is sure to have met the
+			// self-hint, and only a retry can succeed.
+			hctx := &healOnWait{Context: ctx, heal: func() {
+				caller.store.HomeUpdate([]core.OID{oid}, []uint64{1 << 20}, "n1")
+			}}
+			got, err := measure(caller, func() error { return op.run(hctx, caller, oid, "n1") })
+			if err != nil {
+				t.Fatalf("%s: %v", op.label, err)
+			}
+			if got != oneHopHit {
+				t.Errorf("%s: accounting = %+v, want %+v (retries cost no hop)", op.label, got, oneHopHit)
+			}
+		}
+	})
+
+	t.Run("never-hosted object is not found", func(t *testing.T) {
+		t.Parallel()
+		ctx := ctxShort(t)
+		nodes := routeCluster(t, Config{})
+		for _, op := range routedOps {
+			// At the origin the answer is local; elsewhere the origin
+			// gives it in one hop.
+			for _, tc := range []struct {
+				caller *Node
+				hops   int64
+			}{{nodes[0], 0}, {nodes[2], 1}} {
+				got, err := measure(tc.caller, func() error { return op.run(ctx, tc.caller, routeGhost, "n0") })
+				if !errors.Is(err, ErrNotFound) {
+					t.Errorf("%s from %s: err = %v, want ErrNotFound", op.label, tc.caller.id, err)
+				}
+				if got.hops != tc.hops {
+					t.Errorf("%s from %s: %d hops, want %d", op.label, tc.caller.id, got.hops, tc.hops)
+				}
+			}
+		}
+	})
+
+	t.Run("exhausted budget is unreachable and names the op", func(t *testing.T) {
+		t.Parallel()
+		ctx := ctxShort(t)
+		const attempts = 3
+		nodes := routeCluster(t, Config{CallRetries: attempts, ChaseDeadline: -1})
+		caller := nodes[2]
+		oid := pingPong(t, ctx, nodes)
+		for _, op := range routedOps {
+			got, err := measure(caller, func() error { return op.run(ctx, caller, oid, "") })
+			if !errors.Is(err, ErrUnreachable) {
+				t.Fatalf("%s: err = %v, want ErrUnreachable", op.label, err)
+			}
+			if want := "(" + op.label + ": chase budget exhausted"; !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: error %q does not carry %q", op.label, err, want)
+			}
+			if want := (chaseDelta{hops: attempts, misses: 1}); got != want {
+				t.Errorf("%s: accounting = %+v, want %+v", op.label, got, want)
+			}
+		}
+	})
+
+	t.Run("cancelled context wins over the budget", func(t *testing.T) {
+		t.Parallel()
+		ctx := ctxShort(t)
+		nodes := routeCluster(t, Config{})
+		caller := nodes[2]
+		oid := pingPong(t, ctx, nodes)
+		for _, op := range routedOps {
+			// Cancelled before the first attempt: no hop is spent.
+			cctx, cancel := context.WithCancel(ctx)
+			cancel()
+			got, err := measure(caller, func() error { return op.run(cctx, caller, oid, "") })
+			if !errors.Is(err, context.Canceled) || got.hops != 0 {
+				t.Errorf("%s: err = %v after %d hops, want context.Canceled after none", op.label, err, got.hops)
+			}
+			// Expiring mid-chase: the budget (2 s) is nowhere near spent.
+			dctx, cancel := context.WithTimeout(ctx, 10*time.Millisecond)
+			err = op.run(dctx, caller, oid, "")
+			cancel()
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Errorf("%s: err = %v, want context.DeadlineExceeded", op.label, err)
+			}
+		}
+	})
+}

@@ -1,14 +1,16 @@
 #!/usr/bin/env bash
 # check-allocs.sh — perf-regression guard for the wire codec, the
-# location directory and the telemetry hot path.
+# invoke path, the location directory and the telemetry hot path.
 #
-# Runs BenchmarkRuntimeCodec (allocs/op), BenchmarkDirectoryScale
+# Runs BenchmarkRuntimeCodec (allocs/op), BenchmarkRuntimeLocalInvoke
+# and BenchmarkRuntimeRemoteInvoke (allocs/op), BenchmarkDirectoryScale
 # (bytes/obj, p99-hops), BenchmarkTelemetryRecord (allocs/op),
 # BenchmarkShedPlan (allocs/op), BenchmarkJobPlan (allocs/op) and
 # BenchmarkHealthTick (allocs/op) and fails if any reported value
-# exceeds its ceiling in scripts/alloc-budget.txt. The fast-path codec budgets are exact
-# (their allocation counts are deterministic — the append variants
-# allocate only decode output) and the telemetry budgets are zero
+# exceeds its ceiling in scripts/alloc-budget.txt. The fast-path codec
+# and invoke budgets are exact (their allocation counts are
+# deterministic — the append variants allocate only decode output, the
+# routed-request core allocates nothing) and the telemetry budgets are zero
 # (recording a counter, gauge, histogram sample or migration span must
 # never allocate); the gob baselines and the directory's
 # bytes-per-object get headroom for drift. Lowering a number after an
@@ -28,6 +30,14 @@ status=$?
 echo "$out"
 if [ "$status" -ne 0 ]; then
   echo "alloc check FAILED (benchmark did not run)"
+  exit 1
+fi
+
+invout=$(go test -run '^$' -bench 'BenchmarkRuntime(Local|Remote)Invoke$' -benchmem -benchtime 1000x . 2>&1)
+invstatus=$?
+echo "$invout"
+if [ "$invstatus" -ne 0 ]; then
+  echo "alloc check FAILED (invoke benchmark did not run)"
   exit 1
 fi
 
@@ -69,6 +79,7 @@ if [ "$healthstatus" -ne 0 ]; then
   exit 1
 fi
 out="$out
+$invout
 $dirout
 $telout
 $shedout
