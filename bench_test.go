@@ -16,12 +16,13 @@ package objmig
 import (
 	"bytes"
 	"context"
-	"encoding/gob"
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"objmig/internal/core"
+	"objmig/internal/gobstream"
 	"objmig/internal/store"
 	"objmig/internal/wire"
 	"objmig/sim"
@@ -261,18 +262,16 @@ func BenchmarkRuntimeMoveBlock(b *testing.B) {
 	}
 }
 
-// gobMarshal is the pre-refactor wire.Marshal — a fresh bytes.Buffer
-// and gob encoder per message — kept here as the codec baseline.
+// gobMarshal and gobUnmarshal are the wire codec's gob fallback — what
+// a body costs without a hand-rolled fast path: a plain-gob image
+// written and read by internal/gobstream's primed encoders and
+// decoders. The fast path is measured against it.
 func gobMarshal(v interface{}) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return gobstream.For(reflect.TypeOf(v)).AppendEncode(nil, v)
 }
 
 func gobUnmarshal(data []byte, v interface{}) error {
-	return gob.NewDecoder(bytes.NewReader(data)).Decode(v)
+	return gobstream.For(reflect.TypeOf(v)).Decode(data, v)
 }
 
 // codecBodies are the two hot wire bodies the codec satellite tracks:
@@ -299,8 +298,8 @@ func codecBodies() (*wire.InvokeReq, *wire.Snapshot) {
 	return req, snap
 }
 
-// BenchmarkRuntimeCodec compares the per-message gob baseline against
-// the fast-path codec behind wire.Marshal, on encode+decode round
+// BenchmarkRuntimeCodec compares the gob fallback against the
+// fast-path codec behind wire.Marshal, on encode+decode round
 // trips of the two hot bodies. The append sub-benchmarks measure the
 // zero-copy path the rpc layer actually runs — wire.MarshalAppend into
 // a reused frame buffer — whose remaining allocs/op are pure decode

@@ -91,6 +91,9 @@ type Peer struct {
 	wg sync.WaitGroup
 }
 
+// resultChans recycles the one-slot channel a call blocks on.
+var resultChans = sync.Pool{New: func() interface{} { return make(chan callResult, 1) }}
+
 // callResult carries one response frame (or a local failure) from the
 // read loop to the blocked caller, which decodes it and recycles the
 // frame.
@@ -140,7 +143,7 @@ func NewPeer(conn transport.Conn, handler Handler) *Peer {
 // exactly once, directly behind the reserved frame header; the frame
 // returns to the pool as soon as the transport has taken it.
 func (p *Peer) Call(ctx context.Context, kind wire.Kind, req, resp interface{}) error {
-	ch := make(chan callResult, 1)
+	ch := resultChans.Get().(chan callResult)
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
@@ -172,6 +175,10 @@ func (p *Peer) Call(ctx context.Context, kind wire.Kind, req, resp interface{}) 
 
 	select {
 	case r := <-ch:
+		// The registration was deleted before the one send it allows,
+		// so the drained channel is private again. Every other exit
+		// drops it: a late response or failAll may still send into it.
+		resultChans.Put(ch)
 		return r.finish(resp)
 	case <-ctx.Done():
 		p.forget(id)

@@ -74,27 +74,56 @@ func NewRecord(id core.OID, typeName string, inst interface{}) *Record {
 // busy. It fails with a moved-error when the object leaves while
 // waiting, and respects context cancellation.
 func (r *Record) Acquire(ctx context.Context) error {
-	stop := context.AfterFunc(ctx, func() {
-		r.Mu.Lock()
-		r.cond.Broadcast()
-		r.Mu.Unlock()
+	return r.await(ctx, func() (bool, error) {
+		switch {
+		case r.Status == StatusGone:
+			return true, r.movedLocked()
+		case r.Status == StatusActive && !r.busy:
+			r.busy = true
+			return true, nil
+		}
+		return false, nil
 	})
-	defer stop()
+}
+
+// await runs try under Mu until it reports done, sleeping on the
+// record's condition between attempts, and gives up with ctx's error
+// once ctx is cancelled. The cancellation hook that wakes a sleeping
+// waiter is registered only when the first attempt has to wait, so an
+// uncontended call costs the lock and nothing else.
+func (r *Record) await(ctx context.Context, try func() (done bool, err error)) error {
+	var stop func() bool
+	defer func() {
+		if stop != nil {
+			stop()
+		}
+	}()
 	r.Mu.Lock()
 	defer r.Mu.Unlock()
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		switch {
-		case r.Status == StatusGone:
-			return &wire.RemoteError{Code: wire.CodeMoved, Msg: "object " + r.ID.String() + " moved", To: r.MovedTo}
-		case r.Status == StatusActive && !r.busy:
-			r.busy = true
-			return nil
+		if done, err := try(); done {
+			return err
+		}
+		if stop == nil {
+			// Registered with Mu held: a cancellation landing right now
+			// blocks in the hook until Wait releases the lock, so its
+			// broadcast cannot be missed.
+			stop = context.AfterFunc(ctx, func() {
+				r.Mu.Lock()
+				r.cond.Broadcast()
+				r.Mu.Unlock()
+			})
 		}
 		r.cond.Wait()
 	}
+}
+
+// movedLocked is the redirect a stub answers with. Caller holds Mu.
+func (r *Record) movedLocked() error {
+	return &wire.RemoteError{Code: wire.CodeMoved, Msg: "object " + r.ID.String() + " moved", To: r.MovedTo}
 }
 
 // Release ends an invocation.
@@ -110,32 +139,21 @@ func (r *Record) Release() {
 // immediately if the object is already paused or gone (pause never
 // waits on pause, so concurrent group migrations cannot deadlock).
 func (r *Record) Pause(ctx context.Context, token uint64) error {
-	stop := context.AfterFunc(ctx, func() {
-		r.Mu.Lock()
-		r.cond.Broadcast()
-		r.Mu.Unlock()
-	})
-	defer stop()
-	r.Mu.Lock()
-	defer r.Mu.Unlock()
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
+	return r.await(ctx, func() (bool, error) {
 		switch r.Status {
 		case StatusGone:
-			return &wire.RemoteError{Code: wire.CodeMoved, Msg: "object " + r.ID.String() + " moved", To: r.MovedTo}
+			return true, r.movedLocked()
 		case StatusPaused:
-			return wire.Errorf(wire.CodeDenied, "object %s is being migrated", r.ID)
+			return true, wire.Errorf(wire.CodeDenied, "object %s is being migrated", r.ID)
 		case StatusActive:
 			if !r.busy {
 				r.Status = StatusPaused
 				r.Token = token
-				return nil
+				return true, nil
 			}
 		}
-		r.cond.Wait()
-	}
+		return false, nil
+	})
 }
 
 // Unpause rolls a pause back (migration aborted or its lease expired),
@@ -306,29 +324,18 @@ func (r *Record) DelEdgeLocked(other core.OID, al core.AllianceID) bool {
 // taken would be lost with the transfer), fails with a redirect when
 // the object has left, and otherwise runs op under the record lock.
 func (r *Record) EdgeOp(ctx context.Context, op func() *wire.RemoteError) error {
-	stop := context.AfterFunc(ctx, func() {
-		r.Mu.Lock()
-		r.cond.Broadcast()
-		r.Mu.Unlock()
-	})
-	defer stop()
-	r.Mu.Lock()
-	defer r.Mu.Unlock()
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
+	return r.await(ctx, func() (bool, error) {
 		switch r.Status {
 		case StatusGone:
-			return &wire.RemoteError{Code: wire.CodeMoved, Msg: "object " + r.ID.String() + " moved", To: r.MovedTo}
+			return true, r.movedLocked()
 		case StatusActive:
 			if re := op(); re != nil {
-				return re
+				return true, re
 			}
-			return nil
+			return true, nil
 		}
-		r.cond.Wait()
-	}
+		return false, nil
+	})
 }
 
 // IsGone reports whether the record is a forwarding stub.

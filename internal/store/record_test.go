@@ -75,6 +75,101 @@ func TestRecordAcquireRespectsContext(t *testing.T) {
 	rec.Release()
 }
 
+// errSpy reports each Err call: await polls ctx.Err under the record
+// lock at the top of every attempt, so the test learns when a waiter
+// has started one.
+type errSpy struct {
+	context.Context
+	polled chan struct{}
+}
+
+func (c errSpy) Err() error {
+	select {
+	case c.polled <- struct{}{}:
+	default:
+	}
+	return c.Context.Err()
+}
+
+// A context cancelled while Acquire or Pause sleeps on the record wakes
+// it: the cancellation hook is registered lazily, but before the wait.
+func TestRecordCancelWakesWaiter(t *testing.T) {
+	t.Parallel()
+	waits := map[string]func(*Record, context.Context) error{
+		"Acquire": func(r *Record, ctx context.Context) error { return r.Acquire(ctx) },
+		"Pause":   func(r *Record, ctx context.Context) error { return r.Pause(ctx, 1) },
+		"EdgeOp": func(r *Record, ctx context.Context) error {
+			return r.EdgeOp(ctx, func() *wire.RemoteError { return nil })
+		},
+	}
+	for name, wait := range waits {
+		rec := testRecord()
+		if name == "EdgeOp" { // edge ops wait out a pause, not an invocation
+			if err := rec.Pause(context.Background(), 9); err != nil {
+				t.Fatal(err)
+			}
+		} else if err := rec.Acquire(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		inner, cancel := context.WithCancel(context.Background())
+		ctx := errSpy{Context: inner, polled: make(chan struct{}, 1)}
+		done := make(chan error, 1)
+		go func() { done <- wait(rec, ctx) }()
+		<-ctx.polled
+		// The waiter polled with Mu held; once Mu can be taken it has
+		// found the record unavailable and is parked in cond.Wait.
+		rec.Mu.Lock()
+		rec.Mu.Unlock()
+		select {
+		case err := <-done:
+			t.Fatalf("%s returned %v while the record was unavailable", name, err)
+		default:
+		}
+		cancel()
+		if err := <-done; !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s after cancel: %v, want context.Canceled", name, err)
+		}
+	}
+}
+
+// An already-cancelled context is refused even when the record is free
+// (the uncontended fast path), and leaves the record untouched.
+func TestRecordCancelledContextRefusedWhenFree(t *testing.T) {
+	t.Parallel()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	rec := testRecord()
+	if err := rec.Acquire(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Acquire on a free record: %v, want context.Canceled", err)
+	}
+	if err := rec.Pause(ctx, 5); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Pause on a free record: %v, want context.Canceled", err)
+	}
+	// Neither refusal marked the record busy or paused.
+	if err := rec.Acquire(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	rec.Release()
+	if err := rec.Pause(context.Background(), 6); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// The uncontended Acquire/Release pair is the invoke path's per-call
+// cost on a record: it must not allocate.
+func TestRecordAcquireUncontendedDoesNotAllocate(t *testing.T) {
+	rec := testRecord()
+	ctx := context.Background()
+	if n := testing.AllocsPerRun(100, func() {
+		if err := rec.Acquire(ctx); err != nil {
+			t.Fatal(err)
+		}
+		rec.Release()
+	}); n != 0 {
+		t.Fatalf("uncontended Acquire+Release allocates %v times", n)
+	}
+}
+
 func TestRecordPauseSemantics(t *testing.T) {
 	t.Parallel()
 	rec := testRecord()

@@ -9,11 +9,13 @@ package wire
 //     continuously. These encode to [tag][varint-framed fields] with
 //     zero reflection and no per-message encoder state.
 //   - A gob fallback for everything else (control-plane bodies and
-//     remote errors), prefixed with tagGob. Gob's encoder/decoder
-//     objects cannot be reused across independent messages (each
-//     stream re-sends type descriptors), so the fallback encodes
-//     through a throwaway encoder; the decode side pools its
-//     bytes.Reader.
+//     remote errors), prefixed with tagGob. Each body is a complete,
+//     self-describing plain-gob image, but it is not produced by a
+//     throwaway encoder: internal/gobstream keeps, per body type,
+//     encoders that have already sent the type's descriptors and
+//     decoders that have already compiled them, and splices the
+//     descriptor bytes back in front of every value. The bytes are
+//     those a fresh gob.Encoder writes.
 //
 // Both layers are append-style: encoders extend the destination slice
 // in place, so the rpc layer can reserve a frame header and have the
@@ -27,15 +29,14 @@ package wire
 // transports pick the fast path up transparently.
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
+	"reflect"
 	"sort"
-	"sync"
 
 	"objmig/internal/core"
 	"objmig/internal/framebuf"
+	"objmig/internal/gobstream"
 )
 
 const (
@@ -67,34 +68,18 @@ const (
 
 // --- Gob fallback ---
 
-// sliceWriter adapts an append target to io.Writer so gob can encode
-// directly into the tail of a frame buffer.
-type sliceWriter struct{ b []byte }
-
-func (w *sliceWriter) Write(p []byte) (int, error) {
-	w.b = append(w.b, p...)
-	return len(p), nil
-}
-
-var decReaderPool = sync.Pool{New: func() interface{} { return new(bytes.Reader) }}
-
 func marshalGobAppend(dst []byte, v interface{}) ([]byte, error) {
-	w := sliceWriter{b: append(dst, tagGob)}
-	if err := gob.NewEncoder(&w).Encode(v); err != nil {
+	out, err := gobstream.For(reflect.TypeOf(v)).AppendEncode(append(dst, tagGob), v)
+	if err != nil {
 		// Leave dst exactly as handed in: a failed encode must not
 		// publish half a body into a frame the caller will reuse.
 		return dst, fmt.Errorf("wire: marshal %T: %w", v, err)
 	}
-	return w.b, nil
+	return out, nil
 }
 
 func unmarshalGob(data []byte, v interface{}) error {
-	r := decReaderPool.Get().(*bytes.Reader)
-	r.Reset(data)
-	err := gob.NewDecoder(r).Decode(v)
-	r.Reset(nil) // don't pin the frame while the reader sits in the pool
-	decReaderPool.Put(r)
-	if err != nil {
+	if err := gobstream.For(reflect.TypeOf(v)).Decode(data, v); err != nil {
 		return fmt.Errorf("wire: unmarshal %T: %w", v, err)
 	}
 	return nil

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -612,4 +613,101 @@ func TestMigrateConfigDefaults(t *testing.T) {
 		t.Fatalf("negative settings overridden: %+v", d)
 	}
 	_ = fmt.Sprintf("%v", c)
+}
+
+// ledgerState is a state type with everything the state codec has to
+// carry across a migration: a nested struct, a slice of structs and a
+// map.
+type ledgerState struct {
+	Owner   ledgerOwner
+	Entries []ledgerEntry
+	Totals  map[string]int64
+	Note    *string
+}
+
+type ledgerOwner struct {
+	Name string
+	Ref  Ref
+}
+
+type ledgerEntry struct {
+	Key   string
+	Delta int64
+}
+
+func newLedgerType() *Type[ledgerState] {
+	t := NewType[ledgerState]("ledger")
+	HandleFunc(t, "Load", func(c *Ctx, s *ledgerState, in ledgerState) (int, error) {
+		*s = in
+		return len(s.Entries), nil
+	})
+	HandleFunc(t, "Dump", func(c *Ctx, s *ledgerState, _ struct{}) (ledgerState, error) {
+		return *s, nil
+	})
+	return t
+}
+
+// TestStateCodecSurvivesBothTransferShapes: structured state migrates
+// A→B→A unchanged through the one-shot InstallReq and through the
+// streamed session, repeatedly — every hop after the first runs on
+// encoders and decoders the previous hop left primed.
+func TestStateCodecSurvivesBothTransferShapes(t *testing.T) {
+	t.Parallel()
+	shapes := map[string]MigrateConfig{
+		"one-shot": {},
+		"streamed": {ChunkBytes: 1},
+	}
+	for name, mc := range shapes {
+		ctx := ctxShort(t)
+		nodes := testCluster(t, 2, Config{Migrate: mc})
+		for _, n := range nodes {
+			if err := n.RegisterType(newLedgerType()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Two attached ledgers: a group of one always fits one frame,
+		// whatever the chunk budget.
+		var group [2]Ref
+		var want [2]ledgerState
+		for i := range group {
+			ref, err := nodes[0].Create("ledger")
+			if err != nil {
+				t.Fatal(err)
+			}
+			note := fmt.Sprint("carried by pointer ", i)
+			group[i] = ref
+			want[i] = ledgerState{
+				Owner:   ledgerOwner{Name: "treasury", Ref: ref},
+				Entries: []ledgerEntry{{"rent", -1200}, {"salary", 4100 + int64(i)}, {"", 0}},
+				Totals:  map[string]int64{"in": 4100, "out": -1200, "zero": 0},
+				Note:    &note,
+			}
+			if n, err := Call[ledgerState, int](ctx, nodes[1], ref, "Load", want[i]); err != nil || n != 3 {
+				t.Fatalf("%s: Load = %d, %v", name, n, err)
+			}
+		}
+		if err := nodes[0].Attach(ctx, group[0], group[1], NoAlliance); err != nil {
+			t.Fatal(err)
+		}
+		for hop, to := range []NodeID{"n1", "n0", "n1", "n0"} {
+			if err := nodes[0].Migrate(ctx, group[0], to); err != nil {
+				t.Fatalf("%s hop %d: %v", name, hop, err)
+			}
+			for i, ref := range group {
+				for _, from := range nodes {
+					got, err := Call[struct{}, ledgerState](ctx, from, ref, "Dump", struct{}{})
+					if err != nil {
+						t.Fatalf("%s hop %d: Dump via %s: %v", name, hop, from.ID(), err)
+					}
+					if !reflect.DeepEqual(got, want[i]) {
+						t.Fatalf("%s hop %d via %s:\n got  %+v\n want %+v", name, hop, from.ID(), got, want[i])
+					}
+				}
+			}
+		}
+		streamed := nodes[0].Stats().StreamSessionsOpened + nodes[1].Stats().StreamSessionsOpened
+		if (name == "streamed") != (streamed > 0) {
+			t.Fatalf("%s: %d streaming sessions opened", name, streamed)
+		}
+	}
 }

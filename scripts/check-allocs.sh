@@ -5,16 +5,17 @@
 # Runs BenchmarkRuntimeCodec (allocs/op), BenchmarkRuntimeLocalInvoke
 # and BenchmarkRuntimeRemoteInvoke (allocs/op), BenchmarkDirectoryScale
 # (bytes/obj, p99-hops), BenchmarkTelemetryRecord (allocs/op),
-# BenchmarkShedPlan (allocs/op), BenchmarkJobPlan (allocs/op) and
-# BenchmarkHealthTick (allocs/op) and fails if any reported value
-# exceeds its ceiling in scripts/alloc-budget.txt. The fast-path codec
-# and invoke budgets are exact (their allocation counts are
-# deterministic — the append variants allocate only decode output, the
-# routed-request core allocates nothing) and the telemetry budgets are zero
-# (recording a counter, gauge, histogram sample or migration span must
-# never allocate); the gob baselines and the directory's
-# bytes-per-object get headroom for drift. Lowering a number after an
-# optimisation is encouraged; raising one is a reviewed decision.
+# BenchmarkShedPlan (allocs/op), BenchmarkJobPlan (allocs/op),
+# BenchmarkHealthTick (allocs/op) and BenchmarkGobStream (allocs/op)
+# and fails if any reported value exceeds its ceiling in
+# scripts/alloc-budget.txt. The fast-path codec, invoke and gob-stream
+# budgets are exact (their allocation counts are deterministic — the
+# append variants allocate only decode output, the routed-request core
+# allocates nothing) and the telemetry budgets are zero (recording a
+# counter, gauge, histogram sample or migration span must never
+# allocate); the gob-fallback rows and the directory's bytes-per-object
+# get headroom for drift. Lowering a number after an optimisation is
+# encouraged; raising one is a reviewed decision.
 #
 # Budget rows are "name budget [unit]"; the unit defaults to
 # allocs/op. The value compared is the one immediately preceding the
@@ -78,13 +79,21 @@ if [ "$healthstatus" -ne 0 ]; then
   echo "alloc check FAILED (health-tick benchmark did not run)"
   exit 1
 fi
+gobout=$(go test -run '^$' -bench 'BenchmarkGobStream' -benchmem -benchtime 1000x -cpu 1 ./internal/gobstream 2>&1)
+gobstatus=$?
+echo "$gobout"
+if [ "$gobstatus" -ne 0 ]; then
+  echo "alloc check FAILED (gob-stream benchmark did not run)"
+  exit 1
+fi
 out="$out
 $invout
 $dirout
 $telout
 $shedout
 $jobout
-$healthout"
+$healthout
+$gobout"
 
 fail=0
 while read -r name budget unit; do

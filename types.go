@@ -14,14 +14,15 @@
 package objmig
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"fmt"
+	"reflect"
 	"strconv"
 	"strings"
 
 	"objmig/internal/core"
+	"objmig/internal/framebuf"
+	"objmig/internal/gobstream"
 )
 
 // NodeID identifies a node. It aliases the policy-level identifier so
@@ -108,7 +109,6 @@ type objectType interface {
 	Name() string
 	newInstance() interface{}
 	method(name string) (methodFunc, bool)
-	methodNames() []string
 	encodeState(inst interface{}) ([]byte, error)
 	decodeState(data []byte) (interface{}, error)
 }
@@ -118,6 +118,14 @@ type objectType interface {
 type Type[S any] struct {
 	name    string
 	methods map[string]methodFunc
+	state   *gobstream.Stream
+}
+
+// streamOf returns the reusable gob codec of T: arguments, results and
+// object state travel as plain-gob images, but the encoders and
+// decoders behind them are compiled once per type, not per message.
+func streamOf[T any]() *gobstream.Stream {
+	return gobstream.For(reflect.TypeOf((*T)(nil)))
 }
 
 var _ objectType = (*Type[struct{}])(nil)
@@ -125,7 +133,7 @@ var _ objectType = (*Type[struct{}])(nil)
 // NewType declares an object type under the given name. Register it
 // with Node.RegisterType on every node that may host instances.
 func NewType[S any](name string) *Type[S] {
-	return &Type[S]{name: name, methods: make(map[string]methodFunc)}
+	return &Type[S]{name: name, methods: make(map[string]methodFunc), state: streamOf[S]()}
 }
 
 // Name returns the registered type name.
@@ -138,29 +146,21 @@ func (t *Type[S]) method(name string) (methodFunc, bool) {
 	return m, ok
 }
 
-func (t *Type[S]) methodNames() []string {
-	out := make([]string, 0, len(t.methods))
-	for n := range t.methods {
-		out = append(out, n)
-	}
-	return out
-}
-
 func (t *Type[S]) encodeState(inst interface{}) ([]byte, error) {
 	s, ok := inst.(*S)
 	if !ok {
 		return nil, fmt.Errorf("objmig: type %s: instance is %T", t.name, inst)
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(s); err != nil {
+	data, err := t.state.AppendEncode(nil, s)
+	if err != nil {
 		return nil, fmt.Errorf("objmig: linearise %s: %w", t.name, err)
 	}
-	return buf.Bytes(), nil
+	return data, nil
 }
 
 func (t *Type[S]) decodeState(data []byte) (interface{}, error) {
 	s := new(S)
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(s); err != nil {
+	if err := t.state.Decode(data, s); err != nil {
 		return nil, fmt.Errorf("objmig: reinstall %s: %w", t.name, err)
 	}
 	return s, nil
@@ -173,24 +173,25 @@ func HandleFunc[S, A, R any](t *Type[S], name string, fn func(c *Ctx, s *S, arg 
 	if _, dup := t.methods[name]; dup {
 		panic(fmt.Sprintf("objmig: method %s.%s registered twice", t.name, name))
 	}
+	args, results := streamOf[A](), streamOf[R]()
 	t.methods[name] = func(c *Ctx, inst interface{}, argBytes []byte) ([]byte, error) {
 		s, ok := inst.(*S)
 		if !ok {
 			return nil, fmt.Errorf("objmig: %s.%s: instance is %T", t.name, name, inst)
 		}
 		var arg A
-		if err := gob.NewDecoder(bytes.NewReader(argBytes)).Decode(&arg); err != nil {
+		if err := args.Decode(argBytes, &arg); err != nil {
 			return nil, fmt.Errorf("objmig: %s.%s: decode argument: %w", t.name, name, err)
 		}
 		res, err := fn(c, s, arg)
 		if err != nil {
 			return nil, err
 		}
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(&res); err != nil {
+		out, err := results.AppendEncode(nil, &res)
+		if err != nil {
 			return nil, fmt.Errorf("objmig: %s.%s: encode result: %w", t.name, name, err)
 		}
-		return buf.Bytes(), nil
+		return out, nil
 	}
 }
 
@@ -198,16 +199,21 @@ func HandleFunc[S, A, R any](t *Type[S], name string, fn func(c *Ctx, s *S, arg 
 // result. It is the typed client-side counterpart of HandleFunc.
 func Call[A, R any](ctx context.Context, n *Node, ref Ref, method string, arg A) (R, error) {
 	var zero R
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&arg); err != nil {
+	// The encoded argument lives in a pooled scratch buffer: InvokeRaw
+	// has copied it into a frame, or the method has decoded it, by the
+	// time it returns.
+	argBytes, err := streamOf[A]().AppendEncode(framebuf.Get(0), &arg)
+	if err != nil {
+		framebuf.Put(argBytes) // the scratch buffer, unchanged
 		return zero, fmt.Errorf("objmig: encode argument: %w", err)
 	}
-	resBytes, err := n.InvokeRaw(ctx, ref, method, buf.Bytes())
+	resBytes, err := n.InvokeRaw(ctx, ref, method, argBytes)
+	framebuf.Put(argBytes)
 	if err != nil {
 		return zero, err
 	}
 	var res R
-	if err := gob.NewDecoder(bytes.NewReader(resBytes)).Decode(&res); err != nil {
+	if err := streamOf[R]().Decode(resBytes, &res); err != nil {
 		return zero, fmt.Errorf("objmig: decode result: %w", err)
 	}
 	return res, nil

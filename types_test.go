@@ -2,7 +2,10 @@ package objmig
 
 import (
 	"context"
+	"encoding/gob"
 	"errors"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -98,10 +101,19 @@ func TestTypeStateRoundTrip(t *testing.T) {
 	}
 }
 
+// methodNames lists the methods registered on a type.
+func methodNames[S any](t *Type[S]) []string {
+	out := make([]string, 0, len(t.methods))
+	for n := range t.methods {
+		out = append(out, n)
+	}
+	return out
+}
+
 func TestTypeMethodNames(t *testing.T) {
 	t.Parallel()
 	typ := newCounterType()
-	names := typ.methodNames()
+	names := methodNames(typ)
 	if len(names) == 0 {
 		t.Fatal("no method names")
 	}
@@ -235,6 +247,108 @@ func TestClusterLatencyVisible(t *testing.T) {
 	NewTCPCluster().SetLatency(0)
 	cl.SetLatency(0)
 	if _, err := Call[int, int](ctx, b, ref, "Add", 1); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// orderReq/orderResp are a struct argument and result: their gob
+// streams are compiled once and reused by every call below.
+type orderReq struct {
+	SKU   string
+	Qty   int
+	Notes []string
+	Attrs map[string]string
+}
+
+type orderResp struct {
+	Total   int
+	Echo    orderReq
+	Handled NodeID
+}
+
+// boxedReq has an interface field: gob describes the concrete type
+// lazily, per message, so this type must keep the per-message codec.
+type boxedReq struct {
+	Label   string
+	Payload interface{}
+}
+
+type boxedPayload struct {
+	N    int
+	Tags []string
+}
+
+func newOrderType() *Type[counterState] {
+	t := NewType[counterState]("orders")
+	HandleFunc(t, "Order", func(c *Ctx, s *counterState, req orderReq) (orderResp, error) {
+		s.Value += req.Qty
+		return orderResp{Total: s.Value, Echo: req, Handled: c.Node().ID()}, nil
+	})
+	HandleFunc(t, "Box", func(c *Ctx, s *counterState, req boxedReq) (boxedReq, error) {
+		p, ok := req.Payload.(boxedPayload)
+		if !ok {
+			return boxedReq{}, errors.New("payload is not a boxedPayload")
+		}
+		p.N++
+		return boxedReq{Label: req.Label + "!", Payload: p}, nil
+	})
+	return t
+}
+
+// TestTypedCallStructAndInterfaceAcrossNodes: struct arguments and
+// results, and a gob.Register-ed concrete type behind an interface
+// field, survive repeated local and remote calls — the struct pair on
+// pooled, primed gob streams, the interface-bearing pair on the
+// per-message path.
+func TestTypedCallStructAndInterfaceAcrossNodes(t *testing.T) {
+	t.Parallel()
+	gob.Register(boxedPayload{})
+	ctx := ctxShort(t)
+	nodes := testCluster(t, 2, Config{})
+	for _, n := range nodes {
+		if err := n.RegisterType(newOrderType()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ref, err := nodes[0].Create("orders")
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := 0
+	for i := 0; i < 20; i++ {
+		from := nodes[i%2] // local and remote callers alternate
+		req := orderReq{SKU: fmt.Sprint("sku-", i), Qty: i, Notes: []string{"a", fmt.Sprint(i)}}
+		if i%3 == 0 {
+			req.Attrs = map[string]string{"round": fmt.Sprint(i)}
+		}
+		total += i
+		got, err := Call[orderReq, orderResp](ctx, from, ref, "Order", req)
+		if err != nil {
+			t.Fatalf("call %d from %s: %v", i, from.ID(), err)
+		}
+		want := orderResp{Total: total, Echo: req, Handled: "n0"}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("call %d from %s:\n got  %+v\n want %+v", i, from.ID(), got, want)
+		}
+
+		boxed := boxedReq{Label: fmt.Sprint("box-", i), Payload: boxedPayload{N: i, Tags: []string{"t"}}}
+		back, err := Call[boxedReq, boxedReq](ctx, from, ref, "Box", boxed)
+		if err != nil {
+			t.Fatalf("boxed call %d from %s: %v", i, from.ID(), err)
+		}
+		wantBox := boxedReq{Label: boxed.Label + "!", Payload: boxedPayload{N: i + 1, Tags: []string{"t"}}}
+		if !reflect.DeepEqual(back, wantBox) {
+			t.Fatalf("boxed call %d from %s:\n got  %+v\n want %+v", i, from.ID(), back, wantBox)
+		}
+	}
+	// An unregistered concrete type is gob's error, reported by Call.
+	type stranger struct{ X int }
+	_, err = Call[boxedReq, boxedReq](ctx, nodes[1], ref, "Box", boxedReq{Payload: stranger{1}})
+	if err == nil || !strings.Contains(err.Error(), "encode argument") {
+		t.Fatalf("unregistered payload: %v, want an encode-argument error", err)
+	}
+	// The failure poisoned nothing.
+	if _, err := Call[orderReq, orderResp](ctx, nodes[1], ref, "Order", orderReq{SKU: "after"}); err != nil {
 		t.Fatal(err)
 	}
 }
