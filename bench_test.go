@@ -360,22 +360,24 @@ func BenchmarkRuntimeCodec(b *testing.B) {
 		Load: &load.Load,
 	}
 	runAppend("HomeUpdateLoad/append", hu, func() interface{} { return new(wire.HomeUpdate) })
-	// The annotated migration control frames: MigrateBegin opens the
-	// staging session, InstallChunk carries each streamed sub-batch.
-	// Both tow the migration TraceID as a trailing uvarint, and
-	// MigrateBegin additionally carries the byte estimate the target's
-	// reservation ledger claims at admission; the append paths must
-	// stay as lean as before either annotation.
-	begin := &wire.MigrateBeginReq{
-		Token: 42, From: "node-0", Trace: 0xABCD1234DEADBEEF, Bytes: 3 << 20,
-		Objs: []core.OID{{Origin: "node-0", Seq: 1}, {Origin: "node-0", Seq: 2}},
+	// The migration payload frame as a small migration sends it: one
+	// InstallReq that opens, stages and commits a fully connected
+	// 4-object closure (the shape bench/probes.go times). On top of the
+	// snapshots' own decode output, the member list costs the OID slice
+	// and one origin string per member.
+	const closure = 4
+	install := &wire.InstallReq{Token: 42, From: "node-0", Trace: 0xABCD1234DEADBEEF, Bytes: 3 << 20, Commit: true}
+	for i := 1; i <= closure; i++ {
+		s := wire.Snapshot{ID: core.OID{Origin: "node-0", Seq: uint64(i)}, Type: "bench", State: make([]byte, 32), Gen: 7}
+		for j := 1; j <= closure; j++ {
+			if j != i {
+				s.Edges = append(s.Edges, wire.EdgeRec{Other: core.OID{Origin: "node-0", Seq: uint64(j)}})
+			}
+		}
+		install.Snapshots = append(install.Snapshots, s)
+		install.Members = append(install.Members, s.ID)
 	}
-	runAppend("MigrateBegin/append", begin, func() interface{} { return new(wire.MigrateBeginReq) })
-	chunk := &wire.InstallChunkReq{
-		Token: 42, From: "node-0", Seq: 3, Trace: 0xABCD1234DEADBEEF,
-		Snapshots: []wire.Snapshot{*snap},
-	}
-	runAppend("Chunk/append", chunk, func() interface{} { return new(wire.InstallChunkReq) })
+	runAppend("Install/append", install, func() interface{} { return new(wire.InstallReq) })
 }
 
 // BenchmarkShedPlan measures the shedder's planning pass alone: the
@@ -474,7 +476,7 @@ func newBlobType() *Type[blobState] {
 // back and forth between two nodes and compares the streamed transfer
 // (default 256 KiB chunks) against a monolithic configuration that
 // ships the whole group in one frame. The reported max-chunk-B metric
-// is the coordinator's largest single InstallChunk frame — with
+// is the coordinator's largest single InstallReq frame — with
 // chunking it stays near max(ChunkBytes, one object) regardless of the
 // group, while the monolithic configuration buffers the entire group
 // (~64 MiB); B/op shows the corresponding allocation drop.

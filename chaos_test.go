@@ -256,8 +256,8 @@ func TestChaos(t *testing.T) {
 }
 
 // TestChaosCoordinatorCrashReleasesReservation: a coordinator that
-// claims admission headroom at MigrateBegin and then dies before
-// streaming a single chunk must not leak its claim. The target's
+// claims admission headroom with its opening frame and then dies before
+// streaming a single snapshot must not leak its claim. The target's
 // session-TTL janitor discards the orphaned session and releases the
 // reservation with it, so the headroom returns to its pre-claim level
 // and later migrations admit again.
@@ -292,22 +292,18 @@ func TestChaosCoordinatorCrashReleasesReservation(t *testing.T) {
 	// The "coordinator" opens a session claiming 2 objects / 100 bytes
 	// of headroom and then crashes: no chunk, no commit, no abort ever
 	// arrives.
-	resp, err := tgt.handleMigrateBegin(&wire.MigrateBeginReq{
-		Token: 77, From: src.ID(), Objs: oids[:2], Bytes: 100,
-	})
-	if err != nil {
+	if _, err := tgt.handleInstall(&wire.InstallReq{
+		Token: 77, From: src.ID(), Members: oids[:2], Bytes: 100,
+	}); err != nil {
 		t.Fatal(err)
-	}
-	if !resp.Reserved || resp.ReservedBytes != 100 {
-		t.Fatalf("begin did not reserve: %+v", resp)
 	}
 	if res := tgt.resv.Reserved(); res.Objects != 2 || res.Bytes != 100 {
 		t.Fatalf("reserved = %+v, want 2 objects / 100 bytes", res)
 	}
 	// While the claim is live it defends the capacity: a 3-object group
 	// would make 5 of 4 and is vetoed.
-	if _, err := tgt.handleMigrateBegin(&wire.MigrateBeginReq{
-		Token: 78, From: src.ID(), Objs: oids[2:], Bytes: 0,
+	if _, err := tgt.handleInstall(&wire.InstallReq{
+		Token: 78, From: src.ID(), Members: oids[2:],
 	}); err == nil || !strings.Contains(err.Error(), "capacity") {
 		t.Fatalf("pre-expiry admission: %v, want capacity refusal", err)
 	}
@@ -327,10 +323,12 @@ func TestChaosCoordinatorCrashReleasesReservation(t *testing.T) {
 		t.Fatalf("StreamSessionsExpired = %d, want >= 1", exp)
 	}
 	// Headroom is back: the 3-object group that was vetoed now admits.
-	resp, err = tgt.handleMigrateBegin(&wire.MigrateBeginReq{
-		Token: 79, From: src.ID(), Objs: oids[2:], Bytes: 0,
-	})
-	if err != nil || !resp.Reserved {
-		t.Fatalf("post-expiry admission: reserved=%v err=%v", resp != nil && resp.Reserved, err)
+	if _, err := tgt.handleInstall(&wire.InstallReq{
+		Token: 79, From: src.ID(), Members: oids[2:],
+	}); err != nil {
+		t.Fatalf("post-expiry admission: %v", err)
+	}
+	if res := tgt.resv.Reserved(); res.Objects != 3 {
+		t.Fatalf("post-expiry admission reserved %+v, want 3 objects", res)
 	}
 }

@@ -33,11 +33,16 @@ const (
 	// its heaviest caller (Obj is the elected object, Target the
 	// destination, Objects the full group that travelled).
 	EventAutopilot
-	// EventMigrateStream: a streaming group-migration session changed
-	// state. At the target, Outcome is "begin", "commit", "abort" or
-	// "expire" and Bytes counts the staged snapshot bytes; at the
-	// coordinator, Outcome is "streamed" and Bytes counts the bytes
-	// forwarded in InstallChunk frames.
+	// EventMigrateStream: a group transfer changed state. Every
+	// transfer emits the same outcomes whatever its frame count. At the
+	// target: "begin" when the opening frame is admitted, then exactly
+	// one of "commit" (installed), "abort" (dropped by the coordinator's
+	// abort or by a frame that failed to stage) or "expire" (dropped by
+	// the TTL janitor); Bytes counts the staged snapshot bytes. At the
+	// coordinator: "streamed" once the group is installed; Bytes counts
+	// the snapshot bytes its InstallReq frames carried. Source hosts
+	// add "lease-committed", "lease-resumed" or "lease-retry" when a
+	// pause lease fires.
 	EventMigrateStream
 	// EventPlacement: the placement engine acted here. Outcome
 	// "migrate" (the autopilot's group-scored election) or "origin"

@@ -6,7 +6,7 @@
 // transport has taken it; the transports draw receive buffers from the
 // same pool, and the rpc read loop recycles them after dispatch. The
 // result is that steady-state traffic — including a streamed group
-// migration's InstallChunk frames — allocates O(live frames), not
+// migration's InstallReq frames — allocates O(live frames), not
 // O(frames sent).
 //
 // # Ownership rules

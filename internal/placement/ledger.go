@@ -4,18 +4,19 @@ package placement
 //
 // The overload veto alone is a snapshot predicate: a target reads its
 // hosted counts, decides there is headroom, and answers — but the
-// objects only land later, at InstallCommit. Two coordinators racing
-// the same target can both pass the check before either lands, and the
-// node overshoots its capacity even though every individual decision
-// was correct. The ledger makes admission a *claim*: MigrateBegin
-// atomically checks projected utilisation (hosted + already-reserved +
-// incoming, in both the object-count and byte dimensions) and records
-// the incoming group's (objects, bytes) under the session key, all
-// under one mutex. InstallCommit converts the claim to residency (the
-// installed objects now show up in the hosted counts, so the claim is
-// simply released — after the install, never before, so the sum of
-// hosted and reserved never dips below the truth). An abort or the
-// session-TTL janitor releases the claim without installing.
+// objects only land later, when the transfer closes. Two coordinators
+// racing the same target can both pass the check before either lands,
+// and the node overshoots its capacity even though every individual
+// decision was correct. The ledger makes admission a *claim*: the
+// opening install frame atomically checks projected utilisation (hosted
+// + already-reserved + incoming, in both the object-count and byte
+// dimensions) and records the incoming group's (objects, bytes) under
+// the session key, all under one mutex. The closing frame converts the
+// claim to residency (the installed objects now show up in the hosted
+// counts, so the claim is simply released — after the install, never
+// before, so the sum of hosted and reserved never dips below the
+// truth). An abort or the session-TTL janitor releases the claim
+// without installing.
 //
 // The hosted counts are read through a callback *inside* the ledger's
 // critical section: a sample read before the lock could miss a claim
@@ -66,10 +67,10 @@ func NewLedger() *Ledger {
 // load and, if the group fits, records the claim. hosted is invoked
 // under the ledger lock and must return the node's authoritative local
 // sample (objects, bytes, capacities); ratio <= 0 selects the default
-// 1. A re-admission under an existing key replaces the old claim (the
-// session layer rejects duplicate sessions before admission, so this
-// only matters for retried one-shot installs). Reports whether the
-// claim was recorded.
+// 1. A re-admission under an existing key replaces the old claim (a
+// duplicated opening frame: the session layer then refuses the second
+// session, and the one claim keeps backing the first). Reports whether
+// the claim was recorded.
 func (l *Ledger) Admit(key ClaimKey, c Claim, ratio float64, hosted func() Sample) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()

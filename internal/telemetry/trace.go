@@ -29,14 +29,14 @@ const (
 	// PhaseSnapshot is the source-side component of the pause: waiting
 	// for in-flight invocations to drain plus encoding the state.
 	PhaseSnapshot
-	// PhaseStream is one coordinator transfer to the target: an
-	// InstallChunk frame on the streamed path, or the whole one-shot
-	// Install. Bytes is the encoded frame size.
+	// PhaseStream is one coordinator transfer to the target: the round
+	// trip of one InstallReq frame that carries snapshots. Bytes is the
+	// encoded snapshot size.
 	PhaseStream
-	// PhaseStage is the target-side decode-and-stage of one chunk.
+	// PhaseStage is the target-side decode-and-stage of one such frame.
 	PhaseStage
-	// PhaseInstall is the target-side commit of the staged (or
-	// one-shot) snapshots into the store.
+	// PhaseInstall is the target-side commit of the staged snapshots
+	// into the store.
 	PhaseInstall
 	// PhaseCommit is the coordinator's commit fan-out: every old host
 	// deletes its copies and plants forwards.

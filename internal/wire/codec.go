@@ -56,14 +56,17 @@ const (
 	tagEndResp
 	tagMigrateReq
 	tagMigrateResp
-	tagMigrateBeginReq
-	tagMigrateBeginResp
-	tagInstallChunkReq
-	tagInstallChunkResp
-	tagInstallCommitReq
-	tagInstallCommitResp
+	// Tags 16–21 carried the begin/chunk/commit bodies tagInstallReq
+	// absorbed. Retired, never reused: no body decodes from them.
+	_
+	_
+	_
+	_
+	_
+	_
 	tagLoadGossipReq
 	tagLoadGossipResp
+	tagInstallResp
 )
 
 // --- Gob fallback ---
@@ -308,7 +311,7 @@ func marshalFastAppend(dst []byte, v interface{}) (data []byte, ok bool) {
 	case PauseResp:
 		return marshalFastAppend(dst, &m)
 	case *InstallReq:
-		b := grow(dst, 34+len(m.From)+snapshotsSize(m.Snapshots))
+		b := grow(dst, 46+len(m.From)+snapshotsSize(m.Snapshots)+oidsSize(m.Members))
 		b = append(b, tagInstallReq)
 		b = appendUvarint(b, uint64(len(m.Snapshots)))
 		for i := range m.Snapshots {
@@ -316,8 +319,15 @@ func marshalFastAppend(dst []byte, v interface{}) (data []byte, ok bool) {
 		}
 		b = appendUvarint(b, m.Token)
 		b = appendStr(b, string(m.From))
-		return appendUvarint(b, m.Trace), true
+		b = appendUvarint(b, m.Trace)
+		b = appendOIDs(b, m.Members)
+		b = appendVarint(b, m.Bytes)
+		return appendBool(b, m.Commit), true
 	case InstallReq:
+		return marshalFastAppend(dst, &m)
+	case *InstallResp:
+		return append(dst, tagInstallResp), true
+	case InstallResp:
 		return marshalFastAppend(dst, &m)
 	case *MoveReq:
 		b := append(dst, tagMoveReq)
@@ -364,53 +374,6 @@ func marshalFastAppend(dst []byte, v interface{}) (data []byte, ok bool) {
 		b = appendStr(b, string(m.At))
 		return appendOIDs(b, m.Moved), true
 	case MigrateResp:
-		return marshalFastAppend(dst, &m)
-	case *MigrateBeginReq:
-		b := grow(dst, 44+len(m.From)+oidsSize(m.Objs))
-		b = append(b, tagMigrateBeginReq)
-		b = appendUvarint(b, m.Token)
-		b = appendStr(b, string(m.From))
-		b = appendOIDs(b, m.Objs)
-		b = appendVarint(b, m.Bytes)
-		return appendUvarint(b, m.Trace), true
-	case MigrateBeginReq:
-		return marshalFastAppend(dst, &m)
-	case *MigrateBeginResp:
-		b := grow(dst, 12)
-		b = append(b, tagMigrateBeginResp)
-		b = appendBool(b, m.Reserved)
-		return appendVarint(b, m.ReservedBytes), true
-	case MigrateBeginResp:
-		return marshalFastAppend(dst, &m)
-	case *InstallChunkReq:
-		b := grow(dst, 42+len(m.From)+snapshotsSize(m.Snapshots))
-		b = append(b, tagInstallChunkReq)
-		b = appendUvarint(b, m.Token)
-		b = appendStr(b, string(m.From))
-		b = appendUvarint(b, m.Seq)
-		b = appendUvarint(b, uint64(len(m.Snapshots)))
-		for i := range m.Snapshots {
-			b = appendSnapshotBody(b, &m.Snapshots[i])
-		}
-		return appendUvarint(b, m.Trace), true
-	case InstallChunkReq:
-		return marshalFastAppend(dst, &m)
-	case *InstallChunkResp:
-		b := append(dst, tagInstallChunkResp)
-		return appendVarint(b, int64(m.Staged)), true
-	case InstallChunkResp:
-		return marshalFastAppend(dst, &m)
-	case *InstallCommitReq:
-		b := append(dst, tagInstallCommitReq)
-		b = appendUvarint(b, m.Token)
-		b = appendStr(b, string(m.From))
-		return appendUvarint(b, m.Trace), true
-	case InstallCommitReq:
-		return marshalFastAppend(dst, &m)
-	case *InstallCommitResp:
-		b := append(dst, tagInstallCommitResp)
-		return appendVarint(b, int64(m.Installed)), true
-	case InstallCommitResp:
 		return marshalFastAppend(dst, &m)
 	case *LoadGossipReq:
 		b := grow(dst, 1+loadSize(&m.Load))
@@ -716,6 +679,13 @@ func unmarshalFast(tag byte, data []byte, v interface{}) error {
 		out.Token = r.uvarint()
 		out.From = core.NodeID(r.str())
 		out.Trace = r.uvarint()
+		out.Members = r.oids()
+		out.Bytes = r.varint()
+		out.Commit = r.bool()
+	case *InstallResp:
+		if tag != tagInstallResp {
+			return tagMismatch(tag, v)
+		}
 	case *MoveReq:
 		if tag != tagMoveReq {
 			return tagMismatch(tag, v)
@@ -762,47 +732,6 @@ func unmarshalFast(tag byte, data []byte, v interface{}) error {
 		}
 		out.At = core.NodeID(r.str())
 		out.Moved = r.oids()
-	case *MigrateBeginReq:
-		if tag != tagMigrateBeginReq {
-			return tagMismatch(tag, v)
-		}
-		out.Token = r.uvarint()
-		out.From = core.NodeID(r.str())
-		out.Objs = r.oids()
-		out.Bytes = r.varint()
-		out.Trace = r.uvarint()
-	case *MigrateBeginResp:
-		if tag != tagMigrateBeginResp {
-			return tagMismatch(tag, v)
-		}
-		out.Reserved = r.bool()
-		out.ReservedBytes = r.varint()
-	case *InstallChunkReq:
-		if tag != tagInstallChunkReq {
-			return tagMismatch(tag, v)
-		}
-		out.Token = r.uvarint()
-		out.From = core.NodeID(r.str())
-		out.Seq = r.uvarint()
-		out.Snapshots = r.snapshots()
-		out.Trace = r.uvarint()
-	case *InstallChunkResp:
-		if tag != tagInstallChunkResp {
-			return tagMismatch(tag, v)
-		}
-		out.Staged = int(r.varint())
-	case *InstallCommitReq:
-		if tag != tagInstallCommitReq {
-			return tagMismatch(tag, v)
-		}
-		out.Token = r.uvarint()
-		out.From = core.NodeID(r.str())
-		out.Trace = r.uvarint()
-	case *InstallCommitResp:
-		if tag != tagInstallCommitResp {
-			return tagMismatch(tag, v)
-		}
-		out.Installed = int(r.varint())
 	case *LoadGossipReq:
 		if tag != tagLoadGossipReq {
 			return tagMismatch(tag, v)

@@ -1,6 +1,8 @@
 package wire
 
 import (
+	"bytes"
+	"encoding/hex"
 	"reflect"
 	"testing"
 
@@ -45,14 +47,14 @@ func fastBodies() []interface{} {
 		&LoadGossipResp{Load: NodeLoad{Node: "n0", Seq: 1}},
 		&snap,
 		&PauseResp{Snapshots: []Snapshot{snap, {ID: oid2, Type: "t"}}, Pending: []core.OID{oid1}},
-		&InstallReq{Snapshots: []Snapshot{snap}, Token: 99},
-		&MigrateBeginReq{Token: 99, From: "n1", Objs: []core.OID{oid1, oid2}, Bytes: 1 << 22},
-		&MigrateBeginResp{},
-		&MigrateBeginResp{Reserved: true, ReservedBytes: 1 << 22},
-		&InstallChunkReq{Token: 99, From: "n1", Seq: 3, Snapshots: []Snapshot{snap}},
-		&InstallChunkResp{Staged: 5},
-		&InstallCommitReq{Token: 99, From: "n1"},
-		&InstallCommitResp{Installed: 17},
+		// The one migration payload frame in its three uses: a whole
+		// small group (open + stage + commit), a continuation, a bare
+		// commit.
+		&InstallReq{Snapshots: []Snapshot{snap}, Token: 99, From: "n1", Trace: 5,
+			Members: []core.OID{oid1}, Bytes: 1 << 22, Commit: true},
+		&InstallReq{Snapshots: []Snapshot{snap}, Token: 99, From: "n1"},
+		&InstallReq{Token: 99, From: "n1", Commit: true},
+		&InstallResp{},
 		&MoveReq{Obj: oid1, From: "n2", Block: 7, Alliance: 3},
 		&MoveResp{Outcome: MoveMigrated, Reason: core.ReasonLocked, At: "n2", Moved: []core.OID{oid1, oid2}},
 		&EndReq{Obj: oid1, From: "n2", Block: 7, Alliance: 3, Members: []core.OID{oid1, oid2}},
@@ -81,6 +83,93 @@ func TestFastPathRoundTrip(t *testing.T) {
 		}
 		if !reflect.DeepEqual(in, out) {
 			t.Fatalf("round trip %T:\n in: %+v\nout: %+v", in, in, out)
+		}
+	}
+}
+
+// goldenImages are the exact wire bytes of fastBodies(), entry for
+// entry. Layouts are frozen per tag (docs/wire-format.md): a change
+// that moves a single byte of an existing image is a protocol break and
+// must show up here as an edited literal, never silently.
+var goldenImages = []string{
+	"01026e312a0341646403010203026e37", // InvokeReq
+	"02020405026e32",                   // InvokeResp
+	"03026e3207",                       // LocateReq
+	"04026e35",                         // LocateResp
+	"0502026e312a026e3207026e3402026e312a026e3718026e3207026e380201026e39f001808080018827800480808080081f02" +
+		"02030902026e312a0402026e312a026e3207026e32070101026e320700", // HomeUpdate
+	"0600", // HomeUpdateResp, no sample
+	"0601026e39f001808080018827800480808080081f02",                                         // HomeUpdateResp
+	"16026e39f001808080018827800480808080081f02",                                           // LoadGossipReq
+	"17026e3000000000000100",                                                               // LoadGossipResp
+	"07026e312a07636f756e746572030908070101026e330b0201610401620a02026e320703026e312a0006", // Snapshot
+	"0802026e312a07636f756e746572030908070101026e330b0201610401620a02026e320703026e312a0006" +
+		"026e32070174000000000000000001026e312a", // PauseResp
+	"0901026e312a07636f756e746572030908070101026e330b0201610401620a02026e320703026e312a0006" +
+		"63026e310501026e312a8080800401", // InstallReq: open + stage + commit
+	"0901026e312a07636f756e746572030908070101026e330b0201610401620a02026e320703026e312a0006" +
+		"63026e3100000000", // InstallReq: continuation
+	"090063026e3100000001",                   // InstallReq: bare commit
+	"18",                                     // InstallResp
+	"0a026e312a026e320703",                   // MoveReq
+	"0b0606026e3202026e312a026e3207",         // MoveResp
+	"0c026e312a026e32070302026e312a026e3207", // EndReq
+	"0d0101026e39",                           // EndResp
+	"0e026e3207026e350101",                   // MigrateReq
+	"0f026e3501026e3207",                     // MigrateResp
+}
+
+// TestGoldenImages: every live fast-path tag encodes its specimen to
+// exactly the pinned bytes, and the pinned bytes decode back to it.
+func TestGoldenImages(t *testing.T) {
+	t.Parallel()
+	bodies := fastBodies()
+	if len(bodies) != len(goldenImages) {
+		t.Fatalf("%d specimens, %d golden images", len(bodies), len(goldenImages))
+	}
+	tags := make(map[byte]bool)
+	for i, in := range bodies {
+		want, err := hex.DecodeString(goldenImages[i])
+		if err != nil {
+			t.Fatalf("golden image %d: %v", i, err)
+		}
+		got, err := Marshal(in)
+		if err != nil {
+			t.Fatalf("marshal %T: %v", in, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%T (specimen %d) encodes to\n  %x\nwant\n  %x", in, i, got, want)
+		}
+		out := reflect.New(reflect.TypeOf(in).Elem()).Interface()
+		if err := Unmarshal(want, out); err != nil || !reflect.DeepEqual(in, out) {
+			t.Fatalf("golden image %d decodes to %+v (%v), want %+v", i, out, err, in)
+		}
+		tags[want[0]] = true
+	}
+	// Every live tag has a specimen; the retired ones have none.
+	for tag := tagInvokeReq; tag <= tagInstallResp; tag++ {
+		if retired := tag > tagMigrateResp && tag < tagLoadGossipReq; tags[tag] == retired {
+			t.Fatalf("tag %d: golden image present = %v, retired = %v", tag, tags[tag], retired)
+		}
+	}
+}
+
+// TestRetiredTagsNeverDecode: tags 16–21 carried the begin/chunk/commit
+// bodies of the retired session kinds. No body type may accept them —
+// not even one whose own image follows the tag byte.
+func TestRetiredTagsNeverDecode(t *testing.T) {
+	t.Parallel()
+	for tag := tagMigrateResp + 1; tag < tagLoadGossipReq; tag++ {
+		for _, in := range fastBodies() {
+			data, err := Marshal(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data[0] = tag
+			out := reflect.New(reflect.TypeOf(in).Elem()).Interface()
+			if err := Unmarshal(data, out); err == nil {
+				t.Fatalf("%T decoded from retired tag %d", in, tag)
+			}
 		}
 	}
 }

@@ -12,13 +12,13 @@
 // its migration-policy state (locks, counters, the fixed flag) and its
 // attachment edges, so policy decisions survive the move.
 //
-// Group migration moves state as a bounded stream rather than one
-// monolithic blob: the coordinator opens a session at the target
-// (MigrateBegin), forwards snapshots in size-bounded InstallChunk
-// frames, and commits atomically with InstallCommit. See
-// docs/protocol.md for the full message catalogue and compatibility
-// rules, and docs/wire-format.md for the byte-level layouts and the
-// buffer-ownership rules of the zero-copy pipeline.
+// Group migration moves state as a bounded stream of InstallReq frames:
+// the first names the full member set, every frame may carry a
+// size-bounded batch of snapshots, and the frame flagged Commit makes
+// the target install the whole group atomically. A small group is the
+// one-frame stream. See docs/protocol.md for the full message catalogue
+// and compatibility rules, and docs/wire-format.md for the byte-level
+// layouts and the buffer-ownership rules of the zero-copy pipeline.
 package wire
 
 import (
@@ -33,7 +33,8 @@ type Kind uint8
 
 // The request kinds, one per protocol exchange. See docs/protocol.md
 // for the catalogue; numbers are append-only (new kinds go immediately
-// before kMax, existing constants never renumber).
+// before kMax, existing constants never renumber). A retired kind keeps
+// its slot so its number is never reused; it is not Valid.
 const (
 	KInvoke Kind = iota + 1
 	KMove
@@ -50,9 +51,9 @@ const (
 	KEdges
 	KFix
 	KPing
-	KMigrateBegin
-	KInstallChunk
-	KInstallCommit
+	kRetiredFirst // 16–18 were KMigrateBegin, KInstallChunk and KInstallCommit,
+	_             // the session kinds KInstall absorbed
+	kRetiredLast
 	KLoadGossip
 	KInventory
 	kMax
@@ -65,8 +66,7 @@ func (k Kind) String() string {
 		KLocate: "locate", KPause: "pause", KInstall: "install",
 		KCommit: "commit", KAbort: "abort", KHomeUpdate: "home-update",
 		KEdgeAdd: "edge-add", KEdgeDel: "edge-del", KEdges: "edges",
-		KFix: "fix", KPing: "ping", KMigrateBegin: "migrate-begin",
-		KInstallChunk: "install-chunk", KInstallCommit: "install-commit",
+		KFix: "fix", KPing: "ping",
 		KLoadGossip: "load-gossip", KInventory: "inventory",
 	}
 	if k >= 1 && int(k) < len(names) && names[k] != "" {
@@ -75,8 +75,10 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
-// Valid reports whether k is a known kind.
-func (k Kind) Valid() bool { return k >= KInvoke && k < kMax }
+// Valid reports whether k is a known, live kind.
+func (k Kind) Valid() bool {
+	return k >= KInvoke && k < kMax && (k < kRetiredFirst || k > kRetiredLast)
+}
 
 // Marshal encodes a message body into a fresh buffer: a hand-rolled
 // binary fast path for the high-frequency bodies (invoke, locate,
@@ -342,88 +344,45 @@ type PauseResp struct {
 	Pending   []core.OID
 }
 
-// InstallReq delivers snapshots to the target node of a migration in
-// one shot. Small groups — one source host, everything within a single
-// chunk budget — take this path (one frame instead of a
-// begin/chunk/commit session); larger or multi-host groups stream.
-// From names the coordinator so the target can disarm the matching
-// pause lease when it hosted some of the group itself.
+// InstallReq is the one payload frame of a group migration: every
+// transfer is a sequence of them from the coordinator to the target,
+// keyed (From, Token), and a small group is the sequence of length one.
+// What a frame carries decides what the target does with it:
+//
+//   - Members (the opening frame only): open the transfer — run the
+//     placement admission for the full expected member set, claim
+//     max(Bytes, this frame's snapshot bytes) in the reservation ledger
+//     and start a staging session. A session that sees no traffic for
+//     the target's configured TTL is discarded, so a coordinator crash
+//     mid-stream leaves the target clean.
+//   - Snapshots: decode and stage them in the session. Frames carry
+//     disjoint member subsets, so their arrival order does not matter.
+//   - Commit: close the transfer — verify every expected member was
+//     staged and install the whole group in one shard-aware atomic
+//     batch.
 type InstallReq struct {
 	Snapshots []Snapshot
 	Token     uint64
-	From      core.NodeID
-	// Trace is the migration's TraceID (0 = untraced).
+	// From names the coordinator. Required: sessions, pause leases,
+	// abort fences and ledger claims are all keyed (From, Token),
+	// because tokens are only unique per coordinator.
+	From core.NodeID
+	// Trace is the migration's TraceID (0 = untraced), on every frame:
+	// the target stamps the frame's stage span with it and, on the
+	// closing frame, the install span.
 	Trace uint64
-}
-
-// InstallResp acknowledges installation.
-type InstallResp struct{}
-
-// MigrateBeginReq opens a streaming migration session at the target:
-// snapshots arriving in InstallChunk frames for (From, Token) are
-// staged in a session buffer and installed atomically only when the
-// coordinator commits. Objs is the full expected member set, so the
-// commit can verify that no chunk was lost. A session that sees no
-// traffic for the target's configured TTL is discarded (coordinator
-// crash mid-stream leaves the target clean).
-type MigrateBeginReq struct {
-	Token uint64
-	From  core.NodeID // the coordinator; sessions are keyed (From, Token)
-	Objs  []core.OID
-	// Bytes is the coordinator's estimate of the group's snapshot
-	// bytes (the sum of the members' last-known state sizes). The
-	// target's reservation ledger claims this footprint against its
-	// byte capacity at admission, before any chunk is streamed.
+	// Members is the full expected member set, on the opening frame.
+	Members []core.OID
+	// Bytes, with Members, is the coordinator's estimate of the group's
+	// snapshot bytes (the sum of the last-known state sizes of the
+	// members it hosts — a floor).
 	Bytes int64
-	// Trace is the migration's TraceID (0 = untraced); the session
-	// remembers it so every staged chunk and the final install are
-	// stamped without re-sending it per frame.
-	Trace uint64
+	// Commit marks the frame that closes the transfer.
+	Commit bool
 }
 
-// MigrateBeginResp acknowledges the session and reports the admission
-// reservation the target's ledger claimed for it.
-type MigrateBeginResp struct {
-	// Reserved reports whether the target recorded a (bytes, objects)
-	// claim for this session — false when the target is uncapped, has
-	// no placement daemon, or runs with reservations disabled.
-	Reserved bool
-	// ReservedBytes is the byte footprint of the claim (0 when
-	// Reserved is false).
-	ReservedBytes int64
-}
-
-// InstallChunkReq delivers one size-bounded slice of a streaming
-// migration's snapshots to the target's session buffer. Chunks carry
-// disjoint member subsets, so their arrival order does not matter; Seq
-// numbers them for diagnostics.
-type InstallChunkReq struct {
-	Token     uint64
-	From      core.NodeID
-	Seq       uint64
-	Snapshots []Snapshot
-	// Trace is the migration's TraceID (0 = untraced), redundant with
-	// the session's MigrateBegin — carried so a chunk's stage span can
-	// be stamped even before the session is resolved.
-	Trace uint64
-}
-
-// InstallChunkResp acknowledges a chunk; Staged is the total number of
-// objects staged in the session so far.
-type InstallChunkResp struct{ Staged int }
-
-// InstallCommitReq closes a streaming migration session: the target
-// verifies every expected member was staged and installs the whole
-// group in one shard-aware atomic batch.
-type InstallCommitReq struct {
-	Token uint64
-	From  core.NodeID
-	// Trace is the migration's TraceID (0 = untraced).
-	Trace uint64
-}
-
-// InstallCommitResp reports the number of objects installed.
-type InstallCommitResp struct{ Installed int }
+// InstallResp acknowledges one frame.
+type InstallResp struct{}
 
 // CommitReq tells the old hosts that the move is complete: replace the
 // paused entries with forwarding pointers to NewHome and release
@@ -450,8 +409,8 @@ type CommitReq struct {
 type CommitResp struct{}
 
 // AbortReq rolls a pause back (the migration failed elsewhere). At the
-// migration target it additionally discards the streaming session
-// staged for (From, Token), if one exists.
+// migration target it additionally discards the session staged for
+// (From, Token), if one exists, and fences the migration off.
 type AbortReq struct {
 	Objs  []core.OID
 	Token uint64

@@ -68,22 +68,25 @@ func sortedOIDs(members map[core.OID]NodeID) []core.OID {
 	return out
 }
 
-// migrateGroup transfers the member objects to target as one batch,
-// picking the cheapest transfer shape:
+// migrateGroup transfers the member objects to target as one unit, as
+// a stream of InstallReq frames (see migsession.go for the target's
+// side):
 //
-//   - A group on a single host whose snapshots fit one chunk budget
-//     moves with a one-shot InstallReq — one frame to the target, the
-//     pre-streaming message count. This is the common case (autopilot
-//     moves of small closures, single objects).
+//   - The opening frame names the full member set. A group on a single
+//     host has its first chunk-bounded sub-batch paused before the
+//     target is contacted, so the opening frame already carries it —
+//     and when that drained the group (the common case: autopilot
+//     moves of small closures, single objects) the same frame commits,
+//     and the migration is one frame to the target. A multi-host group
+//     opens before pausing anything: an unreachable or full target
+//     fails the migration with minimal cleanup.
 //
-//   - Anything bigger streams: a staging session at the target
-//     (MigrateBegin), hosts paused concurrently in chunk-bounded
-//     sub-batches, each sub-batch forwarded as an InstallChunk the
-//     moment it arrives, and one atomic InstallCommit — the target
-//     installs the whole group in one shard-aware swap only at
-//     commit, so the coordinator never materialises more than about
-//     one chunk per host and the "group moves as a unit" invariant is
-//     preserved.
+//   - Whatever is left is paused host by host, concurrently, in
+//     chunk-bounded sub-batches, each forwarded as a continuation frame
+//     the moment it arrives, and one closing frame commits — the target
+//     installs the whole group in one shard-aware swap only then, so
+//     the coordinator never materialises more than about one chunk per
+//     host and the "group moves as a unit" invariant is preserved.
 //
 //   - admit inspects each paused snapshot as it arrives and may veto
 //     the migration (transient placement's all-or-nothing working-set
@@ -102,211 +105,252 @@ func sortedOIDs(members map[core.OID]NodeID) []core.OID {
 //     participating node stamps its telemetry spans with it; 0 runs
 //     the migration untraced (phase histograms still record).
 //
-// Every shipped snapshot gets its departure generation bumped here, on
-// the coordinator — the one place every snapshot passes through — so
+// Every shipped snapshot gets its departure generation bumped on the
+// coordinator — the one place every snapshot passes through — so
 // location reports for this migration outrank every earlier one.
 //
-// On any failure before the install commit the pauses are rolled
-// back, the target's session is discarded, and the system is
-// unchanged. Every exit path aborts every host that may hold a pause
-// — including veto exits after only some hosts responded.
+// On any failure before the commit the pauses are rolled back, the
+// target's session is discarded, and the system is unchanged. Every
+// failing exit aborts every host that may hold a pause — including
+// veto exits after only some hosts responded.
 func (n *Node) migrateGroup(ctx context.Context, members map[core.OID]NodeID, target NodeID, anchor core.OID,
 	admit func(*wire.Snapshot) error, mutate func(*wire.Snapshot), trace uint64) ([]core.OID, error) {
 
-	token := n.nextToken()
-	ids := sortedOIDs(members)
-	start := time.Now()
-
-	// Stamp departure generations on every snapshot that will ship,
-	// recording them for the commit and home-update phases. Wrapping
-	// mutate covers both transfer shapes' admitMutateBatch calls; the
-	// map is written from the per-host pause workers, hence the lock.
-	var genMu sync.Mutex
-	gens := make(map[core.OID]uint64, len(members))
-	userMutate := mutate
-	mutate = func(s *wire.Snapshot) {
-		s.Gen++
-		genMu.Lock()
-		gens[s.ID] = s.Gen
-		genMu.Unlock()
-		if userMutate != nil {
-			userMutate(s)
-		}
+	t := &transfer{
+		n: n, target: target, token: n.nextToken(), trace: trace, start: time.Now(),
+		ids: sortedOIDs(members), admit: admit, mutate: mutate,
+		gens: make(map[core.OID]uint64, len(members)),
 	}
-
-	// Group members by host, hosts in deterministic order.
-	byHost := make(map[NodeID][]core.OID)
-	for _, oid := range ids {
+	// Group members by host, hosts in deterministic order. A group's
+	// neighbours in canonical order mostly share a host, so the last
+	// group is tried first.
+	for _, oid := range t.ids {
 		h := members[oid]
-		byHost[h] = append(byHost[h], oid)
+		g := len(t.groups) - 1
+		for g >= 0 && t.groups[g].host != h {
+			g--
+		}
+		if g < 0 {
+			g = len(t.groups)
+			t.groups = append(t.groups, hostGroup{host: h})
+		}
+		t.groups[g].objs = append(t.groups[g].objs, oid)
 	}
-	hosts := make([]NodeID, 0, len(byHost))
-	for h := range byHost {
-		hosts = append(hosts, h)
-	}
-	sort.Slice(hosts, func(i, j int) bool { return hosts[i] < hosts[j] })
+	sort.Slice(t.groups, func(i, j int) bool { return t.groups[i].host < t.groups[j].host })
 
-	// One-shot fast path: a single-host group is paused first; if
-	// everything fit the chunk budget there is nothing to stream — one
-	// InstallReq moves the group. A failure (or admission veto) aborts
-	// the lone host and nothing else exists to clean up.
-	var primed *wire.PauseResp
-	if len(hosts) == 1 {
-		h := hosts[0]
-		resp, err := n.pauseBatch(ctx, h, byHost[h], token, target, trace)
-		if err == nil {
-			err = admitMutateBatch(resp.Snapshots, admit, mutate)
-		}
-		if err != nil {
-			n.sessionAbort(h, byHost[h], token)
-			return nil, err
-		}
-		if len(resp.Pending) == 0 {
-			// Same half-lease guard as the streamed commit below: a
-			// pause that crawled (busy drain) must not push the install
-			// into a race with the sources' lease recovery.
-			if lease := n.migrate.PauseLease; lease > 0 && time.Since(start) > lease/2 {
-				n.sessionAbort(h, byHost[h], token)
-				return nil, wire.Errorf(wire.CodeDenied,
-					"migration %d consumed over half the %v pause lease; aborted to stay clear of the sources' lease recovery", token, lease)
-			}
-			if err := n.installOneShot(ctx, target, resp.Snapshots, token, trace); err != nil {
-				// The install is the point of no return: only a definite
-				// answer from the target proves it did not happen. An
-				// ambiguous transport failure leaves the sources paused
-				// for their lease to resolve (see the commit below).
-				if definiteFailure(err) || n.migrate.PauseLease <= 0 {
-					n.sessionAbort(h, byHost[h], token)
-				}
-				return nil, err
-			}
-			return n.finishGroupMigration(ctx, ids, byHost, hosts, target, token, 0, anchor, gens, trace)
-		}
-		primed = resp // bigger than one chunk: stream it below
-	}
-
-	// Streamed path. Open the staging session at the target before
-	// pausing anything further: an unreachable target fails the
-	// migration with minimal cleanup.
-	if err := n.sessionBegin(ctx, target, token, ids, trace); err != nil {
-		if primed != nil {
-			n.sessionAbort(hosts[0], byHost[hosts[0]], token)
+	if err := t.run(ctx); err != nil {
+		// An undecided commit must not be rolled back (see send); every
+		// other failure rolls the whole transfer back.
+		if !t.undecided {
+			t.abort()
 		}
 		return nil, err
 	}
+	return n.finishGroupMigration(ctx, t, anchor)
+}
 
-	// abort rolls the whole transfer back: resume every host that may
-	// hold a pause (Unpause is token-checked and idempotent, so hosts
-	// or objects that never paused ignore it) and discard the target's
-	// staged session. Chunk/commit failures may already have dropped
-	// the session; the extra abort is a no-op then.
-	abort := func() {
-		for _, h := range hosts {
-			n.sessionAbort(h, byHost[h], token)
-		}
-		if _, isHost := byHost[target]; !isHost {
-			n.sessionAbort(target, nil, token)
+// transfer is one group migration in flight at its coordinator.
+type transfer struct {
+	n            *Node
+	target       NodeID
+	token, trace uint64
+	start        time.Time
+	ids          []core.OID  // every member, canonical order
+	groups       []hostGroup // the members by host, hosts ascending
+	admit        func(*wire.Snapshot) error
+	mutate       func(*wire.Snapshot)
+
+	mu        sync.Mutex          // guards gens: the per-host workers stamp concurrently
+	gens      map[core.OID]uint64 // departure generation of every shipped snapshot
+	bytesOut  atomic.Int64        // snapshot bytes the frames carried
+	undecided bool                // the committing frame failed ambiguously
+}
+
+// hostGroup is the part of a migrating group that lives on one host.
+type hostGroup struct {
+	host NodeID
+	objs []core.OID
+}
+
+// run sends the transfer's frames: the opening one, whatever
+// continuation frames the group needs, the closing one.
+func (t *transfer) run(ctx context.Context) error {
+	// The opening frame. Its byte estimate is the summed state sizes of
+	// the members hosted here; members living on other hosts are not
+	// inspected (that would cost a round trip per host before anything
+	// is even admitted), so the estimate is a floor.
+	open := &wire.InstallReq{Members: t.ids}
+	for _, oid := range t.ids {
+		if rec, ok := t.n.hostedRecord(oid); ok {
+			open.Bytes += rec.StateBytes
 		}
 	}
+	pending := t.groups // what is still to pause, per host
+	if len(pending) == 1 {
+		batch, rest, err := t.pause(ctx, pending[0].host, pending[0].objs)
+		if err != nil {
+			return err
+		}
+		open.Snapshots, open.Commit = batch, len(rest) == 0
+		pending = []hostGroup{{host: pending[0].host, objs: rest}}
+	}
+	if err := t.send(ctx, open); err != nil || open.Commit {
+		return err
+	}
 
-	// Phase 1: pause and stream, hosts in parallel. Each host worker
-	// drains its host in chunk-bounded pause sub-batches and forwards
-	// every sub-batch to the target as one InstallChunk. The first
-	// error cancels the others.
+	// Pause and stream, hosts in parallel. Each host worker drains its
+	// host in chunk-bounded pause sub-batches and forwards every
+	// sub-batch to the target as one frame. The first error cancels the
+	// others.
 	sctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var (
-		failMu   sync.Mutex
+		wg       sync.WaitGroup
+		failOnce sync.Once
 		firstErr error
 	)
-	fail := func(err error) {
-		failMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-			cancel()
-		}
-		failMu.Unlock()
-	}
-	var seq atomic.Uint64
-	var bytesOut atomic.Int64
-	var wg sync.WaitGroup
-	for _, h := range hosts {
+	for _, g := range pending {
 		wg.Add(1)
-		go func(h NodeID) {
+		go func(g hostGroup) {
 			defer wg.Done()
-			pending := byHost[h]
-			var batch []wire.Snapshot
-			if primed != nil && h == hosts[0] {
-				// The fast-path probe already paused and admitted the
-				// first sub-batch; ship it as the first chunk.
-				batch, pending = primed.Snapshots, primed.Pending
+			if err := t.drain(sctx, g.host, g.objs); err != nil {
+				failOnce.Do(func() {
+					firstErr = err
+					cancel()
+				})
 			}
-			for len(batch) > 0 || len(pending) > 0 {
-				if err := sctx.Err(); err != nil {
-					fail(err)
-					return
-				}
-				if batch == nil {
-					resp, err := n.pauseBatch(sctx, h, pending, token, target, trace)
-					if err != nil {
-						fail(err)
-						return
-					}
-					if len(resp.Snapshots) == 0 {
-						fail(wire.Errorf(wire.CodeInternal, "pause at %s made no progress", h))
-						return
-					}
-					if err := admitMutateBatch(resp.Snapshots, admit, mutate); err != nil {
-						fail(err)
-						return
-					}
-					batch, pending = resp.Snapshots, resp.Pending
-				}
-				b, err := n.sessionChunk(sctx, target, token, seq.Add(1), batch, trace)
-				if err != nil {
-					fail(err)
-					return
-				}
-				bytesOut.Add(b)
-				batch = nil
-			}
-		}(h)
+		}(g)
 	}
 	wg.Wait()
 	if firstErr != nil {
-		abort()
-		return nil, firstErr
+		return firstErr
 	}
+	return t.send(ctx, &wire.InstallReq{Commit: true})
+}
 
-	// Lease guard: committing close to the pause lease's edge could
-	// race the sources' lease machinery and duplicate objects. A
-	// transfer that burned more than half the lease aborts instead.
-	if lease := n.migrate.PauseLease; lease > 0 && time.Since(start) > lease/2 {
-		abort()
-		return nil, wire.Errorf(wire.CodeDenied,
-			"migration %d consumed over half the %v pause lease; aborted to stay clear of the sources' lease recovery", token, lease)
-	}
-
-	// Phase 2: atomic install of the staged group at the target. This
-	// is the point of no return, so the failure's nature matters: a
-	// definite answer from the target (a RemoteError — the request was
-	// processed and refused) proves nothing installed, and aborting is
-	// safe. An ambiguous transport failure (lost ack, expired context)
-	// leaves the outcome unknown — the target may well have installed
-	// the group — so the sources are left paused for their leases to
-	// resolve against the target: commit finished locally if the
-	// install happened, resume if it did not. Blind-aborting here
-	// would resume sources whose state may be live at the target — the
-	// exact duplication the lease machinery exists to prevent. Only
-	// when leases are disabled is the blind abort the lesser evil
-	// (nothing else would ever unpause the sources).
-	if err := n.sessionCommit(ctx, target, token, trace); err != nil {
-		if definiteFailure(err) || n.migrate.PauseLease <= 0 {
-			abort()
+// drain pauses rest at host h sub-batch by sub-batch, one continuation
+// frame each.
+func (t *transfer) drain(ctx context.Context, h NodeID, rest []core.OID) error {
+	for len(rest) > 0 {
+		if err := ctx.Err(); err != nil {
+			return err
 		}
-		return nil, err
+		batch, left, err := t.pause(ctx, h, rest)
+		if err != nil {
+			return err
+		}
+		if err := t.send(ctx, &wire.InstallReq{Snapshots: batch}); err != nil {
+			return err
+		}
+		rest = left
 	}
-	return n.finishGroupMigration(ctx, ids, byHost, hosts, target, token, bytesOut.Load(), anchor, gens, trace)
+	return nil
+}
+
+// pause pauses one chunk-bounded sub-batch of objs at host h (locally
+// or over the wire) and runs it through the admission and mutation
+// hooks. Every snapshot that will ship gets its departure generation
+// stamped here. The pause span covers the whole round trip: the
+// request, the host-side pause wait and snapshot encode, and the reply
+// carrying the snapshots.
+func (t *transfer) pause(ctx context.Context, h NodeID, objs []core.OID) (batch []wire.Snapshot, rest []core.OID, err error) {
+	n := t.n
+	req := &wire.PauseReq{
+		Objs: objs, Token: t.token,
+		MaxBytes: int64(n.migrate.ChunkBytes), Lease: n.migrate.PauseLease,
+		From: n.id, Target: t.target, Trace: t.trace,
+	}
+	start := time.Now()
+	resp, err := deliver(ctx, n, h, wire.KPause, req, func(req *wire.PauseReq) (*wire.PauseResp, error) {
+		return n.handlePause(ctx, req)
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	n.tel.span(t.trace, telemetry.PhasePause, start, 0, len(resp.Snapshots))
+	if len(resp.Snapshots) == 0 {
+		return nil, nil, wire.Errorf(wire.CodeInternal, "pause at %s made no progress", h)
+	}
+	for i := range resp.Snapshots {
+		s := &resp.Snapshots[i]
+		if t.admit != nil {
+			if err := t.admit(s); err != nil {
+				return nil, nil, err
+			}
+		}
+		s.Gen++
+		t.mu.Lock()
+		t.gens[s.ID] = s.Gen
+		t.mu.Unlock()
+		if t.mutate != nil {
+			t.mutate(s)
+		}
+	}
+	return resp.Snapshots, resp.Pending, nil
+}
+
+// send ships one frame of the transfer to the target. A frame that
+// carries Commit is the point of no return, so it is guarded before and
+// its failure is classified after.
+func (t *transfer) send(ctx context.Context, req *wire.InstallReq) error {
+	n := t.n
+	req.Token, req.From, req.Trace = t.token, n.id, t.trace
+	// Lease guard: committing close to the pause lease's edge could race
+	// the sources' lease machinery and duplicate objects. A transfer
+	// that burned more than half the lease (a pause that crawled through
+	// a busy drain, a slow stream) aborts instead.
+	if lease := n.migrate.PauseLease; req.Commit && lease > 0 && time.Since(t.start) > lease/2 {
+		return wire.Errorf(wire.CodeDenied,
+			"migration %d consumed over half the %v pause lease; aborted to stay clear of the sources' lease recovery", t.token, lease)
+	}
+	bytes := snapshotBytes(req.Snapshots)
+	sent := time.Now()
+	if _, err := deliver(ctx, n, t.target, wire.KInstall, req, n.handleInstall); err != nil {
+		// For a committing frame the failure's nature matters: a definite
+		// answer from the target (a RemoteError — the request was
+		// processed and refused) proves nothing installed, and aborting
+		// is safe. An ambiguous transport failure (lost ack, expired
+		// context) leaves the outcome unknown — the target may well have
+		// installed the group — so the sources are left paused for their
+		// leases to resolve against the target: commit finished locally
+		// if the install happened, resume if it did not. Blind-aborting
+		// here would resume sources whose state may be live at the
+		// target — the exact duplication the lease machinery exists to
+		// prevent. Only when leases are disabled is the blind abort the
+		// lesser evil (nothing else would ever unpause the sources).
+		if req.Commit && !(definiteFailure(err) || n.migrate.PauseLease <= 0) {
+			t.undecided = true
+		}
+		return err
+	}
+	if len(req.Snapshots) > 0 {
+		// The gauges count payload frames, so StreamMaxChunkBytes is the
+		// coordinator's true peak migration-frame size.
+		n.tel.span(t.trace, telemetry.PhaseStream, sent, bytes, len(req.Snapshots))
+		n.stats.streamChunksOut.Add(1)
+		n.stats.streamBytesOut.Add(bytes)
+		maxInt64(&n.stats.streamMaxChunkBytes, bytes)
+		t.bytesOut.Add(bytes)
+	}
+	return nil
+}
+
+// abort rolls the whole transfer back: resume every host that may hold
+// a pause (Unpause is token-checked and idempotent, so hosts or objects
+// that never paused ignore it) and have the target discard its session
+// and fence the migration off — a target that holds no session just
+// plants the fence, and one that is itself a host did both with its
+// pause rollback.
+func (t *transfer) abort() {
+	key := sessionKey{from: t.n.id, token: t.token}
+	targetIsHost := false
+	for _, g := range t.groups {
+		_ = t.n.sendAbort(g.host, g.objs, key)
+		targetIsHost = targetIsHost || g.host == t.target
+	}
+	if !targetIsHost {
+		_ = t.n.sendAbort(t.target, nil, key)
+	}
 }
 
 // definiteFailure reports whether err proves the request had no remote
@@ -334,74 +378,13 @@ func memberRaced(err error) bool {
 	return errors.As(err, &re) && (re.Code == wire.CodeMoved || re.Code == wire.CodeNotFound)
 }
 
-// pauseBatch pauses one chunk-bounded sub-batch of a migration at a
-// host (locally or over the wire). The coordinator's pause span covers
-// the whole round trip: the request, the host-side pause wait and
-// snapshot encode, and the reply carrying the snapshots.
-func (n *Node) pauseBatch(ctx context.Context, h NodeID, objs []core.OID, token uint64, target NodeID, trace uint64) (*wire.PauseResp, error) {
-	req := &wire.PauseReq{
-		Objs: objs, Token: token,
-		MaxBytes: int64(n.migrate.ChunkBytes), Lease: n.migrate.PauseLease,
-		From: n.id, Target: target, Trace: trace,
-	}
-	start := time.Now()
-	resp, err := deliver(ctx, n, h, wire.KPause, req, func(req *wire.PauseReq) (*wire.PauseResp, error) {
-		return n.handlePause(ctx, req)
-	})
-	if err != nil {
-		return nil, err
-	}
-	n.tel.span(trace, telemetry.PhasePause, start, 0, len(resp.Snapshots))
-	return resp, nil
-}
-
-// admitMutateBatch runs the per-snapshot admission and mutation hooks
-// over one pause sub-batch; the first veto wins.
-func admitMutateBatch(snaps []wire.Snapshot, admit func(*wire.Snapshot) error, mutate func(*wire.Snapshot)) error {
-	for i := range snaps {
-		if admit != nil {
-			if err := admit(&snaps[i]); err != nil {
-				return err
-			}
-		}
-		if mutate != nil {
-			mutate(&snaps[i])
-		}
-	}
-	return nil
-}
-
-// installOneShot delivers a small group to the target in a single
-// InstallReq. The frame counts towards the same transfer gauges as
-// streamed chunks, so StreamMaxChunkBytes always reports the
-// coordinator's true peak migration-frame size.
-func (n *Node) installOneShot(ctx context.Context, target NodeID, snaps []wire.Snapshot, token, trace uint64) error {
-	var bytes int64
-	for i := range snaps {
-		bytes += int64(wire.SnapshotSize(&snaps[i]))
-	}
-	req := &wire.InstallReq{Snapshots: snaps, Token: token, From: n.id, Trace: trace}
-	start := time.Now()
-	if _, err := deliver(ctx, n, target, wire.KInstall, req, n.handleInstall); err != nil {
-		return err
-	}
-	n.tel.span(trace, telemetry.PhaseStream, start, bytes, len(snaps))
-	n.stats.streamChunksOut.Add(1)
-	n.stats.streamBytesOut.Add(bytes)
-	maxInt64(&n.stats.streamMaxChunkBytes, bytes)
-	return nil
-}
-
-// finishGroupMigration is the shared tail of both transfer shapes,
-// entered once the group is durably installed at the target: lift the
-// coordinator's affinity observations, commit forwarding pointers at
-// the old hosts, advise the origins, account and announce. streamed is
-// the stream's snapshot byte count (zero for one-shot transfers);
-// anchor and gens carry the closure identity and the departure
-// generations stamped on the shipped snapshots.
-func (n *Node) finishGroupMigration(ctx context.Context, ids []core.OID, byHost map[NodeID][]core.OID,
-	hosts []NodeID, target NodeID, token uint64, streamed int64,
-	anchor core.OID, gens map[core.OID]uint64, trace uint64) ([]core.OID, error) {
+// finishGroupMigration is the tail of a transfer, entered once the
+// group is durably installed at the target: lift the coordinator's
+// affinity observations, commit forwarding pointers at the old hosts,
+// advise the origins, account and announce. anchor carries the closure
+// identity the group was derived from.
+func (n *Node) finishGroupMigration(ctx context.Context, t *transfer, anchor core.OID) ([]core.OID, error) {
+	ids, target, gens, trace := t.ids, t.target, t.gens, t.trace
 
 	// The objects are leaving this node: lift the coordinator's
 	// affinity observations now (commit drops them) so they can ride
@@ -419,16 +402,16 @@ func (n *Node) finishGroupMigration(ctx context.Context, ids []core.OID, byHost 
 	// backstop — the remaining hosts still get their commit now.
 	var commitErr error
 	commitStart := time.Now()
-	for _, h := range hosts {
-		if h == target {
+	for _, g := range t.groups {
+		if g.host == target {
 			continue
 		}
-		req := &wire.CommitReq{Objs: byHost[h], NewHome: target, Token: token, From: n.id,
-			Gens: gensFor(gens, byHost[h]), Anchor: anchor, Trace: trace}
-		if _, err := deliver(ctx, n, h, wire.KCommit, req, n.handleCommit); err != nil {
-			n.retryCommit(h, req)
+		req := &wire.CommitReq{Objs: g.objs, NewHome: target, Token: t.token, From: n.id,
+			Gens: gensFor(gens, g.objs), Anchor: anchor, Trace: trace}
+		if _, err := deliver(ctx, n, g.host, wire.KCommit, req, n.handleCommit); err != nil {
+			n.retryCommit(g.host, req)
 			if commitErr == nil {
-				commitErr = fmt.Errorf("objmig: commit at %s failed (objects are at %s): %w", h, target, err)
+				commitErr = fmt.Errorf("objmig: commit at %s failed (objects are at %s): %w", g.host, target, err)
 			}
 		}
 	}
@@ -447,57 +430,10 @@ func (n *Node) finishGroupMigration(ctx context.Context, ids []core.OID, byHost 
 	for i, id := range ids {
 		moved[i] = Ref{OID: id}
 	}
-	if streamed > 0 {
-		n.emit(Event{Kind: EventMigrateStream, Target: target, Outcome: "streamed",
-			Bytes: streamed, Objects: moved})
-	}
+	n.emit(Event{Kind: EventMigrateStream, Target: target, Outcome: "streamed",
+		Bytes: t.bytesOut.Load(), Objects: moved})
 	n.emit(Event{Kind: EventMigration, Target: target, Objects: moved})
 	return ids, nil
-}
-
-// sessionBegin opens the streaming session at the target. The begin
-// frame carries the coordinator's byte estimate for the group — the
-// summed state sizes of the members hosted here. Members living on
-// other hosts are not inspected (that would cost a round trip per
-// host before anything is even admitted), so the estimate is a floor;
-// the target's ledger trues it up against real chunk sizes only in
-// the sense that residency replaces the claim at commit.
-func (n *Node) sessionBegin(ctx context.Context, target NodeID, token uint64, ids []core.OID, trace uint64) error {
-	var bytes int64
-	for _, rec := range n.store.GetBatch(ids) {
-		if rec != nil && !rec.IsGone() {
-			bytes += rec.StateBytes
-		}
-	}
-	req := &wire.MigrateBeginReq{Token: token, From: n.id, Objs: ids, Bytes: bytes, Trace: trace}
-	_, err := deliver(ctx, n, target, wire.KMigrateBegin, req, n.handleMigrateBegin)
-	return err
-}
-
-// sessionChunk forwards one sub-batch of snapshots to the target's
-// session and returns the snapshot bytes it carried.
-func (n *Node) sessionChunk(ctx context.Context, target NodeID, token, seq uint64, snaps []wire.Snapshot, trace uint64) (int64, error) {
-	var bytes int64
-	for i := range snaps {
-		bytes += int64(wire.SnapshotSize(&snaps[i]))
-	}
-	req := &wire.InstallChunkReq{Token: token, From: n.id, Seq: seq, Snapshots: snaps, Trace: trace}
-	start := time.Now()
-	if _, err := deliver(ctx, n, target, wire.KInstallChunk, req, n.handleInstallChunk); err != nil {
-		return 0, err
-	}
-	n.tel.span(trace, telemetry.PhaseStream, start, bytes, len(snaps))
-	n.stats.streamChunksOut.Add(1)
-	n.stats.streamBytesOut.Add(bytes)
-	maxInt64(&n.stats.streamMaxChunkBytes, bytes)
-	return bytes, nil
-}
-
-// sessionCommit asks the target to install the staged group.
-func (n *Node) sessionCommit(ctx context.Context, target NodeID, token, trace uint64) error {
-	req := &wire.InstallCommitReq{Token: token, From: n.id, Trace: trace}
-	_, err := deliver(ctx, n, target, wire.KInstallCommit, req, n.handleInstallCommit)
-	return err
 }
 
 // retryCommit keeps delivering a commit whose first attempt failed:
@@ -519,14 +455,16 @@ func (n *Node) retryCommit(h NodeID, req *wire.CommitReq) {
 	})
 }
 
-// sessionAbort rolls one host (or the target's session) back, best
-// effort, on a fresh context — the migration's own context may already
-// be cancelled.
-func (n *Node) sessionAbort(h NodeID, objs []core.OID, token uint64) {
-	req := &wire.AbortReq{Objs: objs, Token: token, From: n.id}
+// sendAbort tells node h that migration key is off: h resumes what it
+// paused of objs, discards a session staged for key and fences the
+// migration (see abortLocal). Best effort, on a fresh context — the
+// migration's own context may already be cancelled.
+func (n *Node) sendAbort(h NodeID, objs []core.OID, key sessionKey) error {
+	req := &wire.AbortReq{Objs: objs, Token: key.token, From: key.from}
 	actx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	_, _ = deliver(actx, n, h, wire.KAbort, req, n.handleAbort)
+	_, err := deliver(actx, n, h, wire.KAbort, req, n.handleAbort)
+	return err
 }
 
 // notifyOrigins queues home updates for the moved objects towards
@@ -662,46 +600,6 @@ func (n *Node) handlePause(ctx context.Context, req *wire.PauseReq) (*wire.Pause
 	return resp, nil
 }
 
-// handleInstall reinstantiates migrated objects locally, atomically
-// (the one-shot transfer shape; see migrateGroup).
-func (n *Node) handleInstall(req *wire.InstallReq) (*wire.InstallResp, error) {
-	if req.From != "" && n.migrationAborted(sessionKey{from: req.From, token: req.Token}) {
-		return nil, wire.Errorf(wire.CodeDenied, "migration %d from %s was aborted", req.Token, req.From)
-	}
-	ids := make([]core.OID, len(req.Snapshots))
-	var bytes int64
-	for i := range req.Snapshots {
-		ids[i] = req.Snapshots[i].ID
-		bytes += int64(wire.SnapshotSize(&req.Snapshots[i]))
-	}
-	// The placement admission, with this node's authoritative counts: a
-	// one-shot install that would blow the capacity is refused before
-	// anything decodes. The admitted group is claimed in the
-	// reservation ledger for the (short) window until the install below
-	// lands, so a concurrent MigrateBegin cannot admit against headroom
-	// this install is about to consume; the claim is released once the
-	// batch either became residency or failed.
-	if _, err := n.admitAndReserve(ids, bytes, req.From, req.Token); err != nil {
-		return nil, err
-	}
-	defer n.releaseReservation(req.From, req.Token)
-	start := time.Now()
-	if err := n.installBatch(req.Snapshots, req.Token); err != nil {
-		var re *wire.RemoteError
-		if errors.As(err, &re) {
-			return nil, re
-		}
-		return nil, wire.Errorf(wire.CodeInternal, "install: %v", err)
-	}
-	// Members that were paused *here* (the target hosted the group
-	// itself) were just replaced; disarm their lease.
-	if req.From != "" {
-		n.cancelPauseLease(sessionKey{from: req.From, token: req.Token})
-	}
-	n.tel.span(req.Trace, telemetry.PhaseInstall, start, bytes, len(ids))
-	return &wire.InstallResp{}, nil
-}
-
 // handleCommit finalises departures of local paused records.
 func (n *Node) handleCommit(req *wire.CommitReq) (*wire.CommitResp, error) {
 	n.commitLocal(req)
@@ -822,7 +720,7 @@ func (n *Node) handleAbort(req *wire.AbortReq) (*wire.AbortResp, error) {
 // naturally ignored. The pause lease is disarmed, a staging session
 // the aborting coordinator opened here (this node was the migration
 // target) is discarded, and the migration's abort fence goes up so an
-// install frame still in flight cannot land afterwards.
+// opening frame still in flight cannot land afterwards.
 func (n *Node) abortLocal(req *wire.AbortReq) {
 	key := sessionKey{from: req.From, token: req.Token}
 	n.cancelPauseLease(key)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -29,7 +30,7 @@ func eventually(t *testing.T, d time.Duration, cond func() bool, msg string) {
 }
 
 // TestStreamedGroupMigration: a multi-host group whose snapshots do not
-// fit one chunk migrates as a stream of several InstallChunk frames and
+// fit one chunk migrates as a stream of several InstallReq frames and
 // still moves as a unit — every member arrives, every value survives,
 // and no staging session is left behind on any node.
 func TestStreamedGroupMigration(t *testing.T) {
@@ -92,55 +93,300 @@ func TestStreamedGroupMigration(t *testing.T) {
 	}
 }
 
-// TestMigrateVetoResumesAllHosts: when the admission check vetoes a
-// group migration after some hosts have already paused and answered,
-// every paused object on every host must be resumed — a veto must never
-// strand a remote member in the paused state.
+// TestMigrateVetoResumesAllHosts: when a veto stops a group migration
+// after some hosts have already paused and answered, every paused
+// object on every host must be resumed — a veto must never strand a
+// member in the paused state. Both vetoes run at both frame counts: the
+// coordinator's per-snapshot admission check on a two-host group, and
+// the target's capacity admission on a single-host group, whose first
+// sub-batch is paused before the target is even asked.
 func TestMigrateVetoResumesAllHosts(t *testing.T) {
 	t.Parallel()
+	for _, chunk := range []int{0, 1} {
+		chunk := chunk
+		t.Run(fmt.Sprintf("admit/ChunkBytes=%d", chunk), func(t *testing.T) {
+			t.Parallel()
+			ctx := ctxShort(t)
+			nodes := testCluster(t, 3, Config{Migrate: MigrateConfig{ChunkBytes: chunk}})
+			root := mustCreate(t, nodes[0])
+			near := mustCreate(t, nodes[0])
+			far := mustCreate(t, nodes[1]) // second host: the veto crosses nodes
+			for _, m := range []Ref{near, far} {
+				if err := nodes[0].Attach(ctx, root, m, NoAlliance); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Fixing the remote member makes the per-snapshot admission check
+			// veto the whole group.
+			if err := nodes[1].Fix(ctx, far); err != nil {
+				t.Fatal(err)
+			}
+			err := nodes[0].Migrate(ctx, root, "n2")
+			if !errors.Is(err, ErrFixed) {
+				t.Fatalf("migration with a fixed member: %v, want ErrFixed", err)
+			}
+			assertGroupResumed(t, nodes, []Ref{root, near, far}, []NodeID{"n0", "n0", "n1"})
+		})
+		t.Run(fmt.Sprintf("capacity/ChunkBytes=%d", chunk), func(t *testing.T) {
+			t.Parallel()
+			ctx := ctxShort(t)
+			mc := MigrateConfig{ChunkBytes: chunk}
+			nodes := nodesOn(t, NewLocalCluster(),
+				Config{ID: "n0", Migrate: mc}, Config{ID: "n1", Migrate: mc, Capacity: 2})
+			if err := nodes[1].EnablePlacement(PlacementConfig{Heartbeat: -1, OriginPass: -1}); err != nil {
+				t.Fatal(err)
+			}
+			group := attachedGroup(t, nodes[0], 3)
+			err := nodes[0].Migrate(ctx, group[0], "n1")
+			if !errors.Is(err, ErrDenied) || !strings.Contains(err.Error(), "capacity") {
+				t.Fatalf("migration of 3 objects to a 2-object node: %v, want a capacity denial", err)
+			}
+			assertGroupResumed(t, nodes, group, []NodeID{"n0", "n0", "n0"})
+			if res := nodes[1].resv.Reserved(); res.Objects != 0 {
+				t.Fatalf("vetoed migration left a claim behind: %+v", res)
+			}
+		})
+	}
+}
+
+// nodesOn starts one counter-hosting node per config on cl.
+func nodesOn(t *testing.T, cl *Cluster, cfgs ...Config) []*Node {
+	t.Helper()
+	nodes := make([]*Node, len(cfgs))
+	for i, cfg := range cfgs {
+		cfg.Cluster = cl
+		n, err := NewNode(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := n.RegisterType(newCounterType()); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = n.Close() })
+		nodes[i] = n
+	}
+	return nodes
+}
+
+// attachedGroup creates size counters on n, attached to the first, and
+// gives member i the value 10+i.
+func attachedGroup(t *testing.T, n *Node, size int) []Ref {
+	t.Helper()
 	ctx := ctxShort(t)
-	nodes := testCluster(t, 3, Config{})
-	root := mustCreate(t, nodes[0])
-	near := mustCreate(t, nodes[0])
-	far := mustCreate(t, nodes[1]) // second host: the veto crosses nodes
-	for _, m := range []Ref{near, far} {
-		if err := nodes[0].Attach(ctx, root, m, NoAlliance); err != nil {
+	group := make([]Ref, size)
+	for i := range group {
+		group[i] = mustCreate(t, n)
+		if i > 0 {
+			if err := n.Attach(ctx, group[0], group[i], NoAlliance); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := Call[int, int](ctx, n, group[i], "Add", 10+i); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Fixing the remote member makes the per-snapshot admission check
-	// veto the whole group.
-	if err := nodes[1].Fix(ctx, far); err != nil {
-		t.Fatal(err)
-	}
+	return group
+}
 
-	err := nodes[0].Migrate(ctx, root, "n2")
-	if !errors.Is(err, ErrFixed) {
-		t.Fatalf("migration with a fixed member: %v, want ErrFixed", err)
-	}
-
-	// Every member must answer promptly — a stranded pause would block
-	// the invocation until the test context dies.
-	checkCtx, cancel := context.WithTimeout(ctx, 5*time.Second)
+// assertGroupResumed checks that a migration that did not happen left
+// nothing behind: every member answers promptly where it was (a
+// stranded pause would block the call until its context dies) and no
+// node holds a staging session.
+func assertGroupResumed(t *testing.T, nodes []*Node, group []Ref, at []NodeID) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(ctxShort(t), 5*time.Second)
 	defer cancel()
-	for i, m := range []Ref{root, near, far} {
-		if _, err := Call[int, int](checkCtx, nodes[0], m, "Add", 1); err != nil {
-			t.Fatalf("member %d unusable after vetoed migration: %v", i, err)
+	for i, m := range group {
+		if _, err := Call[int, int](ctx, nodes[0], m, "Add", 0); err != nil {
+			t.Fatalf("member %d unusable: %v", i, err)
 		}
-	}
-	// And nothing moved or was left staged.
-	for i, m := range []Ref{root, near} {
-		if at := whereIs(t, ctx, nodes[0], m); at != "n0" {
-			t.Fatalf("member %d at %v after vetoed migration, want n0", i, at)
+		if got := whereIs(t, ctx, nodes[0], m); got != at[i] {
+			t.Fatalf("member %d at %v, want %v", i, got, at[i])
 		}
-	}
-	if at := whereIs(t, ctx, nodes[0], far); at != "n1" {
-		t.Fatalf("fixed member at %v, want n1", at)
 	}
 	for i, n := range nodes {
 		if c := n.sessionCount(); c != 0 {
-			t.Fatalf("node %d holds %d staging sessions after vetoed migration", i, c)
+			t.Fatalf("node %d holds %d staging sessions", i, c)
 		}
+	}
+}
+
+// TestCrashRulesAtEveryFrameCount runs both ends of the point-of-no-
+// return rule through the real coordinator, once with the group in one
+// frame and once in many (told apart on the wire, by the tap's frame
+// count): the commit-bearing frame's ack is lost, or the frame itself
+// is held back until the sources' leases have given up on it.
+func TestCrashRulesAtEveryFrameCount(t *testing.T) {
+	t.Parallel()
+	arms := []struct {
+		name   string
+		chunk  int
+		frames int // install frames of a 3-member single-host group
+	}{
+		{"one-frame", 0, 1},
+		{"many-frames", 1, 4}, // open+first member, two more members, commit
+	}
+	for _, arm := range arms {
+		arm := arm
+		world := func(t *testing.T) (src, tgt *Node, group []Ref, tap *installTap) {
+			cl, tap := newTappedCluster()
+			// The lease leaves the coordinator half a second for everything
+			// before its commit, even on a loaded machine.
+			mc := MigrateConfig{ChunkBytes: arm.chunk, SessionTTL: 10 * time.Second, PauseLease: time.Second}
+			nodes := nodesOn(t, cl, Config{ID: "n0", Migrate: mc}, Config{ID: "n1", Migrate: mc})
+			return nodes[0], nodes[1], attachedGroup(t, nodes[0], 3), tap
+		}
+		// migrate runs the doomed migration: its commit-bearing frame
+		// never gets an answer, so the call ends with its context.
+		migrate := func(t *testing.T, src *Node, root Ref, tap *installTap) {
+			mctx, cancel := context.WithTimeout(ctxShort(t), 400*time.Millisecond)
+			defer cancel()
+			if err := src.Migrate(mctx, root, "n1"); err == nil {
+				t.Fatal("migration succeeded without an answer to its commit")
+			}
+			if got := tap.seen(); got != arm.frames {
+				t.Fatalf("%d install frames on the wire, want %d", got, arm.frames)
+			}
+		}
+		values := func(t *testing.T, via *Node, group []Ref, at NodeID) {
+			ctx := ctxShort(t)
+			for i, m := range group {
+				if v, err := Call[struct{}, int](ctx, via, m, "Get", struct{}{}); err != nil || v != 10+i {
+					t.Fatalf("member %d reads %d (%v), want %d", i, v, err, 10+i)
+				}
+				if got := whereIs(t, ctx, via, m); got != at {
+					t.Fatalf("member %d at %v, want %v", i, got, at)
+				}
+			}
+		}
+
+		// The ack is lost: the install happened, the coordinator cannot
+		// know, and must not abort. The lease asks the target and
+		// finishes the commit.
+		t.Run(arm.name+"/lost-ack-resolves-committed", func(t *testing.T) {
+			t.Parallel()
+			src, tgt, group, tap := world(t)
+			tap.setDecide(func(req *wire.InstallReq) tapAction {
+				if req.Commit {
+					return tapLoseReply
+				}
+				return tapDeliver
+			})
+			migrate(t, src, group[0], tap)
+			eventually(t, 5*time.Second, func() bool { return src.Stats().ObjectsHosted == 0 },
+				"sources never departed after a committed-but-unacked migration")
+			values(t, src, group, "n1")
+			if st := src.Stats(); st.PauseLeasesExpired != 1 {
+				t.Fatalf("PauseLeasesExpired = %d, want 1", st.PauseLeasesExpired)
+			}
+			if got := tgt.Stats().ObjectsHosted; got != 3 {
+				t.Fatalf("target hosts %d objects, want 3", got)
+			}
+		})
+
+		// The frame never arrives: nothing installed, the lease asks the
+		// target, fences the migration there and resumes. When the frame
+		// finally lands it must bounce off the fence.
+		t.Run(arm.name+"/dropped-frame-resolves-aborted", func(t *testing.T) {
+			t.Parallel()
+			src, tgt, group, tap := world(t)
+			tap.setDecide(func(req *wire.InstallReq) tapAction {
+				if req.Commit {
+					return tapHold
+				}
+				return tapDeliver
+			})
+			migrate(t, src, group[0], tap)
+			eventually(t, 5*time.Second, func() bool { return src.Stats().PauseLeasesExpired == 1 },
+				"the pause lease never fired")
+			assertGroupResumed(t, []*Node{src, tgt}, group, []NodeID{"n0", "n0", "n0"})
+			tap.release(t)
+			select {
+			case dir := <-tap.late:
+				if dir != 2 {
+					t.Fatalf("the late frame was answered with direction %d, want an error reply", dir)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("the late frame was never answered")
+			}
+			values(t, src, group, "n0")
+			if got := tgt.Stats().ObjectsHosted; got != 0 {
+				t.Fatalf("target hosts %d objects after a fenced late frame, want 0", got)
+			}
+		})
+	}
+}
+
+// TestTransferFrameCounts pins the wire cost of a transfer: the frames
+// the target receives, counted on the wire, and the payload-frame
+// counters at both ends.
+func TestTransferFrameCounts(t *testing.T) {
+	t.Parallel()
+	ctx := ctxShort(t)
+	cl, tap := newTappedCluster()
+	nodes := nodesOn(t, cl, Config{ID: "n0"}, Config{ID: "n1"}, Config{ID: "n2"})
+	for _, n := range nodes {
+		if err := n.RegisterType(newBlobType()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// migrate moves root's group to n2 and reports the install frames it
+	// put on the wire and the payload frames counted at both ends.
+	migrate := func(coord *Node, root Ref) (frames int, out, in int64) {
+		t.Helper()
+		frames, out, in = tap.seen(), coord.Stats().StreamChunksOut, nodes[2].Stats().StreamChunksIn
+		if err := coord.Migrate(ctx, root, "n2"); err != nil {
+			t.Fatal(err)
+		}
+		return tap.seen() - frames, coord.Stats().StreamChunksOut - out, nodes[2].Stats().StreamChunksIn - in
+	}
+
+	// A single-host group within one chunk is exactly one frame.
+	small := attachedGroup(t, nodes[0], 4)
+	if frames, out, in := migrate(nodes[0], small[0]); frames != 1 || out != 1 || in != 1 {
+		t.Fatalf("small group: %d frames, %d payload out, %d payload in; want 1, 1, 1", frames, out, in)
+	}
+
+	// Two hosts: the opening frame goes out before anything is paused,
+	// then one frame per host and the commit — what begin + chunks +
+	// commit cost before.
+	pair := attachedGroup(t, nodes[0], 1)
+	far := mustCreate(t, nodes[1])
+	if err := nodes[0].Attach(ctx, pair[0], far, NoAlliance); err != nil {
+		t.Fatal(err)
+	}
+	if frames, out, in := migrate(nodes[0], pair[0]); frames != 4 || out != 2 || in != 2 {
+		t.Fatalf("two-host group: %d frames, %d payload out, %d payload in; want 4, 2, 2", frames, out, in)
+	}
+
+	// The migrate-bulk shape: 16 × 256 KiB from one host at the default
+	// chunk size is one snapshot per frame. Before, that was begin + 16
+	// chunks + commit = 18 frames; the opening frame now carries the
+	// first snapshot.
+	const bulk = 16
+	root, err := nodes[0].Create("blob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	blobs := []Ref{root}
+	for i := 1; i < bulk; i++ {
+		m, err := nodes[0].Create("blob")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := nodes[0].Attach(ctx, root, m, NoAlliance); err != nil {
+			t.Fatal(err)
+		}
+		blobs = append(blobs, m)
+	}
+	for _, m := range blobs {
+		if _, err := Call[int, int](ctx, nodes[0], m, "Fill", 256<<10); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if frames, out, in := migrate(nodes[0], root); frames > bulk+2 || out != bulk || in != bulk {
+		t.Fatalf("bulk group: %d frames, %d payload out, %d payload in; want at most %d, %d, %d",
+			frames, out, in, bulk+2, bulk, bulk)
 	}
 }
 
@@ -236,10 +482,10 @@ func TestStreamSessionExpiryAndPauseLease(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The ghost coordinator: begin, pause with a lease, one chunk, die.
+	// The ghost coordinator: open, pause with a lease, one chunk, die.
 	const token = 777
-	if _, err := tgt.handleMigrateBegin(&wire.MigrateBeginReq{
-		Token: token, From: "ghost", Objs: []core.OID{o1.OID, o2.OID},
+	if _, err := tgt.handleInstall(&wire.InstallReq{
+		Token: token, From: "ghost", Members: []core.OID{o1.OID, o2.OID},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -253,8 +499,8 @@ func TestStreamSessionExpiryAndPauseLease(t *testing.T) {
 	if len(resp.Snapshots) != 2 {
 		t.Fatalf("paused %d objects, want 2", len(resp.Snapshots))
 	}
-	if _, err := tgt.handleInstallChunk(&wire.InstallChunkReq{
-		Token: token, From: "ghost", Seq: 1, Snapshots: resp.Snapshots[:1],
+	if _, err := tgt.handleInstall(&wire.InstallReq{
+		Token: token, From: "ghost", Snapshots: resp.Snapshots[:1],
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -288,65 +534,73 @@ func TestStreamSessionExpiryAndPauseLease(t *testing.T) {
 // but before the sources received their commit. Blindly resuming would
 // leave the object live in two places; the lease must instead discover
 // the commit by asking the target and finish the departure locally.
+// The ghost coordinator ships the group as one frame and as three.
 func TestPauseLeaseResolvesCommittedMigration(t *testing.T) {
 	t.Parallel()
-	ctx := ctxShort(t)
-	nodes := testCluster(t, 2, Config{
-		Migrate: MigrateConfig{SessionTTL: 10 * time.Second, PauseLease: 150 * time.Millisecond},
-	})
-	src, tgt := nodes[0], nodes[1]
-	o1, o2 := mustCreate(t, src), mustCreate(t, src)
-	if _, err := Call[int, int](ctx, src, o1, "Add", 7); err != nil {
-		t.Fatal(err)
-	}
+	for _, frames := range []int{1, 3} {
+		frames := frames
+		t.Run(fmt.Sprintf("frames=%d", frames), func(t *testing.T) {
+			t.Parallel()
+			ctx := ctxShort(t)
+			nodes := testCluster(t, 2, Config{
+				Migrate: MigrateConfig{SessionTTL: 10 * time.Second, PauseLease: 150 * time.Millisecond},
+			})
+			src, tgt := nodes[0], nodes[1]
+			o1, o2 := mustCreate(t, src), mustCreate(t, src)
+			if _, err := Call[int, int](ctx, src, o1, "Add", 7); err != nil {
+				t.Fatal(err)
+			}
 
-	// Ghost coordinator: full stream + target commit, then death
-	// before the sources' CommitReq.
-	const token = 888
-	if _, err := tgt.handleMigrateBegin(&wire.MigrateBeginReq{
-		Token: token, From: "ghost", Objs: []core.OID{o1.OID, o2.OID},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := src.handlePause(ctx, &wire.PauseReq{
-		Objs: []core.OID{o1.OID, o2.OID}, Token: token, Lease: 150 * time.Millisecond,
-		From: "ghost", Target: "n1",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tgt.handleInstallChunk(&wire.InstallChunkReq{
-		Token: token, From: "ghost", Seq: 1, Snapshots: resp.Snapshots,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tgt.handleInstallCommit(&wire.InstallCommitReq{Token: token, From: "ghost"}); err != nil {
-		t.Fatal(err)
-	}
-	// …the coordinator dies here: src never hears the commit.
+			// Ghost coordinator: full transfer + target commit, then death
+			// before the sources' CommitReq.
+			const token = 888
+			resp, err := src.handlePause(ctx, &wire.PauseReq{
+				Objs: []core.OID{o1.OID, o2.OID}, Token: token, Lease: 150 * time.Millisecond,
+				From: "ghost", Target: "n1",
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			transfer := []*wire.InstallReq{
+				{Members: []core.OID{o1.OID, o2.OID}, Snapshots: resp.Snapshots, Commit: true},
+			}
+			if frames == 3 {
+				transfer = []*wire.InstallReq{
+					{Members: []core.OID{o1.OID, o2.OID}}, {Snapshots: resp.Snapshots}, {Commit: true},
+				}
+			}
+			for i, f := range transfer {
+				f.Token, f.From = token, "ghost"
+				if _, err := tgt.handleInstall(f); err != nil {
+					t.Fatalf("frame %d: %v", i, err)
+				}
+			}
+			// …the coordinator dies here: src never hears the commit.
 
-	// The lease fires, asks n1, learns the install committed, and
-	// departs the local records — one live copy, at the target.
-	// The departure may already have retired the forwarding stub: the
-	// source is the objects' origin, so its home index is authoritative
-	// the moment the commit lands and the stub need not linger.
-	eventually(t, 5*time.Second, func() bool {
-		rec, ok := src.record(o1.OID)
-		return !ok || rec.IsGone()
-	}, "source records never departed after a committed-but-unacked migration")
-	if v, err := Call[struct{}, int](ctx, src, o1, "Get", struct{}{}); err != nil || v != 7 {
-		t.Fatalf("value after lease-resolved commit: %d, %v, want 7", v, err)
-	}
-	for _, o := range []Ref{o1, o2} {
-		if at := whereIs(t, ctx, src, o); at != "n1" {
-			t.Fatalf("object %s at %v after lease-resolved commit, want n1", o.OID, at)
-		}
-	}
-	if hosted := src.Stats().ObjectsHosted; hosted != 0 {
-		t.Fatalf("source still hosts %d objects (duplicate live copies)", hosted)
-	}
-	if st := src.Stats(); st.PauseLeasesExpired != 1 {
-		t.Fatalf("PauseLeasesExpired = %d, want 1", st.PauseLeasesExpired)
+			// The lease fires, asks n1, learns the install committed, and
+			// departs the local records — one live copy, at the target.
+			// The departure may already have retired the forwarding stub: the
+			// source is the objects' origin, so its home index is authoritative
+			// the moment the commit lands and the stub need not linger.
+			eventually(t, 5*time.Second, func() bool {
+				rec, ok := src.record(o1.OID)
+				return !ok || rec.IsGone()
+			}, "source records never departed after a committed-but-unacked migration")
+			if v, err := Call[struct{}, int](ctx, src, o1, "Get", struct{}{}); err != nil || v != 7 {
+				t.Fatalf("value after lease-resolved commit: %d, %v, want 7", v, err)
+			}
+			for _, o := range []Ref{o1, o2} {
+				if at := whereIs(t, ctx, src, o); at != "n1" {
+					t.Fatalf("object %s at %v after lease-resolved commit, want n1", o.OID, at)
+				}
+			}
+			if hosted := src.Stats().ObjectsHosted; hosted != 0 {
+				t.Fatalf("source still hosts %d objects (duplicate live copies)", hosted)
+			}
+			if st := src.Stats(); st.PauseLeasesExpired != 1 {
+				t.Fatalf("PauseLeasesExpired = %d, want 1", st.PauseLeasesExpired)
+			}
+		})
 	}
 }
 
@@ -540,7 +794,8 @@ func TestStreamAbortDiscardsSession(t *testing.T) {
 	nodes := testCluster(t, 1, Config{})
 	n := nodes[0]
 	oid := mustCreate(t, n).OID
-	if _, err := n.handleMigrateBegin(&wire.MigrateBeginReq{Token: 9, From: "ghost", Objs: []core.OID{oid}}); err != nil {
+	open := &wire.InstallReq{Token: 9, From: "ghost", Members: []core.OID{oid}}
+	if _, err := n.handleInstall(open); err != nil {
 		t.Fatal(err)
 	}
 	if n.sessionCount() != 1 {
@@ -551,17 +806,19 @@ func TestStreamAbortDiscardsSession(t *testing.T) {
 		t.Fatal("abort left the session staged")
 	}
 	// A commit for the aborted session must fail, not install.
-	if _, err := n.handleInstallCommit(&wire.InstallCommitReq{Token: 9, From: "ghost"}); err == nil {
+	if _, err := n.handleInstall(&wire.InstallReq{Token: 9, From: "ghost", Commit: true}); err == nil {
 		t.Fatal("commit of an aborted session succeeded")
 	}
 	// The abort fence blocks frames that were still in flight: a late
-	// one-shot install and a late session re-open must both be refused,
+	// whole-group frame and a late session re-open must both be refused,
 	// or the resumed source and the install would duplicate the object.
 	late := wire.Snapshot{ID: core.OID{Origin: "ghost", Seq: 1}, Type: "counter"}
-	if _, err := n.handleInstall(&wire.InstallReq{Snapshots: []wire.Snapshot{late}, Token: 9, From: "ghost"}); err == nil {
+	if _, err := n.handleInstall(&wire.InstallReq{
+		Token: 9, From: "ghost", Members: []core.OID{late.ID}, Snapshots: []wire.Snapshot{late}, Commit: true,
+	}); err == nil {
 		t.Fatal("late install landed after the abort fence")
 	}
-	if _, err := n.handleMigrateBegin(&wire.MigrateBeginReq{Token: 9, From: "ghost", Objs: []core.OID{oid}}); err == nil {
+	if _, err := n.handleInstall(open); err == nil {
 		t.Fatal("session re-opened through the abort fence")
 	}
 }
@@ -648,14 +905,14 @@ func newLedgerType() *Type[ledgerState] {
 }
 
 // TestStateCodecSurvivesBothTransferShapes: structured state migrates
-// A→B→A unchanged through the one-shot InstallReq and through the
-// streamed session, repeatedly — every hop after the first runs on
-// encoders and decoders the previous hop left primed.
+// A→B→A unchanged as a one-frame transfer and as a many-frame one,
+// repeatedly — every hop after the first runs on encoders and decoders
+// the previous hop left primed.
 func TestStateCodecSurvivesBothTransferShapes(t *testing.T) {
 	t.Parallel()
 	shapes := map[string]MigrateConfig{
-		"one-shot": {},
-		"streamed": {ChunkBytes: 1},
+		"one-frame":  {},
+		"many-frame": {ChunkBytes: 1},
 	}
 	for name, mc := range shapes {
 		ctx := ctxShort(t)
@@ -705,9 +962,12 @@ func TestStateCodecSurvivesBothTransferShapes(t *testing.T) {
 				}
 			}
 		}
-		streamed := nodes[0].Stats().StreamSessionsOpened + nodes[1].Stats().StreamSessionsOpened
-		if (name == "streamed") != (streamed > 0) {
-			t.Fatalf("%s: %d streaming sessions opened", name, streamed)
+		// Four hops of a two-member group from one host, coordinated by
+		// whichever node hosts it: one payload frame per hop within a
+		// chunk, one per member at 1-byte chunks.
+		frames := nodes[0].Stats().StreamChunksOut + nodes[1].Stats().StreamChunksOut
+		if want := map[string]int64{"one-frame": 4, "many-frame": 8}[name]; frames != want {
+			t.Fatalf("%s: %d payload frames over 4 hops, want %d", name, frames, want)
 		}
 	}
 }

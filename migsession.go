@@ -1,26 +1,28 @@
 package objmig
 
-// Streaming group migration, target side and shared config.
+// Group migration, target side and shared config.
 //
-// A group migration used to materialise every member's snapshot in one
-// InstallReq, doubling a large working set in memory on both the
-// coordinator and the target. The streamed path replaces that blob
-// with a bounded pipeline:
+// A group travels as a stream of InstallReq frames, all keyed by
+// (coordinator, token), and the target runs one state machine over
+// them — a small group is simply the stream of length one:
 //
-//	coordinator                         target
-//	-----------                         ------
-//	MigrateBegin(token, members) ─────► open session (TTL janitor armed)
-//	InstallChunk(token, snaps…)  ─────► decode + stage (≤ ChunkBytes)
-//	InstallChunk(token, snaps…)  ─────► decode + stage
+//	coordinator                            target
+//	-----------                            ------
+//	InstallReq{Members, Bytes, snaps…} ──► open: fence check, admission,
+//	                                       ledger claim, session (TTL
+//	                                       janitor armed); stage snaps
+//	InstallReq{snaps…}                 ──► decode + stage (≤ ChunkBytes)
 //	…
-//	InstallCommit(token)         ─────► InstallBatch: whole group,
-//	                                    one shard-aware atomic swap
+//	InstallReq{Commit}                 ──► close: InstallBatch, whole
+//	                                       group, one shard-aware swap
 //
-// The target stages decoded records in a session buffer keyed by
-// (coordinator, token) and installs the whole group only at commit, so
-// the paper's "group moves as a unit" invariant survives chunking: an
-// abort or crash anywhere before commit leaves the target exactly as
-// it was. Two failure detectors make a dead coordinator harmless:
+// Each step runs iff the frame carries its field, so the frame of a
+// group that fits one chunk carries all three and the same code opens,
+// stages and closes it. The target stages decoded records in the
+// session and installs the whole group only at the close, so the
+// paper's "group moves as a unit" invariant survives chunking: an abort
+// or crash anywhere before the close leaves the target exactly as it
+// was. Two failure detectors make a dead coordinator harmless:
 //
 //   - the session TTL discards a staging session that stops receiving
 //     traffic, so the target never leaks half-streamed state;
@@ -32,6 +34,7 @@ package objmig
 import (
 	"context"
 	"errors"
+	"sort"
 	"time"
 
 	"objmig/internal/core"
@@ -40,18 +43,18 @@ import (
 	"objmig/internal/wire"
 )
 
-// DefaultChunkBytes is the default size bound of one InstallChunk
+// DefaultChunkBytes is the default size bound of one InstallReq
 // frame's encoded snapshot payload.
 const DefaultChunkBytes = 256 << 10
 
-// MigrateConfig tunes the streaming group-migration transfer. The zero
-// value selects the documented defaults.
+// MigrateConfig tunes the group-migration transfer. The zero value
+// selects the documented defaults.
 type MigrateConfig struct {
-	// ChunkBytes bounds the encoded snapshot bytes per InstallChunk
-	// frame (and per PauseResp, via PauseReq.MaxBytes) — the
-	// coordinator's peak per-frame buffering. A single snapshot larger
-	// than the bound still travels (in a chunk of its own). Default
-	// 256 KiB; negative disables the bound (monolithic frames).
+	// ChunkBytes bounds the encoded snapshot bytes per InstallReq frame
+	// (and per PauseResp, via PauseReq.MaxBytes) — the coordinator's
+	// peak per-frame buffering. A single snapshot larger than the bound
+	// still travels (in a frame of its own). Default 256 KiB; negative
+	// disables the bound (every host's members in one frame).
 	ChunkBytes int
 	// SessionTTL is how long the target keeps a staging session that
 	// receives no traffic before discarding it (coordinator death).
@@ -87,53 +90,83 @@ type sessionKey struct {
 	token uint64
 }
 
-// migSession is one in-progress streamed transfer at the target:
-// decoded records staged chunk by chunk until commit or discard. All
-// mutation happens under the node's sessMu; the struct itself has no
-// lock.
+// migSession is one in-progress transfer at the target: decoded records
+// staged frame by frame until the close or a discard. All mutation
+// happens under the node's sessMu; the struct itself has no lock.
 type migSession struct {
-	key     sessionKey
-	expect  map[core.OID]bool
-	staged  map[core.OID]bool
-	recs    []*store.Record
-	bytes   int64
-	trace   uint64      // the migration's TraceID (0 when untraced)
-	touched time.Time   // last traffic; re-checked by the TTL janitor
-	timer   *time.Timer // TTL janitor; nil when expiry is disabled
+	members []core.OID      // the expected members, in canonical order
+	recs    []*store.Record // recs[i] is members[i] decoded; nil until staged
+	staged  int             // members staged so far
+	bytes   int64           // snapshot bytes staged so far
+	touched time.Time       // last traffic; re-checked by the TTL janitor
+	timer   *time.Timer     // TTL janitor; nil when the session needs none
 }
 
-// handleMigrateBegin opens a staging session for a streamed group
-// migration.
-func (n *Node) handleMigrateBegin(req *wire.MigrateBeginReq) (*wire.MigrateBeginResp, error) {
-	if len(req.Objs) == 0 {
-		return nil, wire.Errorf(wire.CodeBadRequest, "migrate-begin with no members")
-	}
+// handleInstall is the target side of every group migration: it runs
+// the steps the frame carries, in order — open (Members), stage
+// (Snapshots), close (Commit).
+func (n *Node) handleInstall(req *wire.InstallReq) (*wire.InstallResp, error) {
 	key := sessionKey{from: req.From, token: req.Token}
-	if n.migrationAborted(key) {
-		return nil, wire.Errorf(wire.CodeDenied, "migration %d from %s was aborted", req.Token, req.From)
+	if len(req.Members) == 0 && len(req.Snapshots) == 0 && !req.Commit {
+		return nil, wire.Errorf(wire.CodeBadRequest, "install frame %d from %s carries nothing", req.Token, req.From)
 	}
-	// The placement admission runs before the session opens: a
-	// coordinator with a stale load view learns here — with this
-	// node's authoritative counts — that the group will not fit, before
-	// a single member is paused or a single chunk streamed. When the
-	// group is admitted, its (objects, bytes) are claimed in the
-	// reservation ledger under the session's own key, so concurrent
-	// coordinators cannot collectively overshoot the capacity the veto
-	// defends: each admission sees every earlier claim as if it were
-	// already resident.
-	reserved, err := n.admitAndReserve(req.Objs, req.Bytes, req.From, req.Token)
-	if err != nil {
-		return nil, err
+	if len(req.Members) > 0 {
+		if err := n.openSession(key, req); err != nil {
+			return nil, err
+		}
+	}
+	if len(req.Snapshots) > 0 {
+		if err := n.stageSnapshots(key, req); err != nil {
+			return nil, err
+		}
+	}
+	if req.Commit {
+		if err := n.commitSession(key, req.Trace); err != nil {
+			return nil, err
+		}
+	}
+	return &wire.InstallResp{}, nil
+}
+
+// openSession admits a transfer and starts its staging session.
+func (n *Node) openSession(key sessionKey, req *wire.InstallReq) error {
+	if key.from == "" {
+		return wire.Errorf(wire.CodeBadRequest, "install frame %d names no coordinator", key.token)
+	}
+	n.sessMu.Lock()
+	_, fenced := n.tombs[key]
+	n.sessMu.Unlock()
+	if fenced {
+		return wire.Errorf(wire.CodeDenied, "migration %d from %s was aborted", key.token, key.from)
+	}
+	// Canonical order makes the member list its own index: staging finds
+	// a member by binary search, and a duplicate cannot hide in it.
+	for i := 1; i < len(req.Members); i++ {
+		if !req.Members[i-1].Less(req.Members[i]) {
+			return wire.Errorf(wire.CodeBadRequest, "install frame %d lists its members out of canonical order", key.token)
+		}
+	}
+	// The placement admission runs before anything is staged: a
+	// coordinator with a stale load view learns here — with this node's
+	// authoritative counts — that the group will not fit. When the group
+	// is admitted, its (objects, bytes) are claimed in the reservation
+	// ledger under the session's own key, so concurrent coordinators
+	// cannot collectively overshoot the capacity the veto defends: each
+	// admission sees every earlier claim as if it were already resident.
+	// The coordinator's estimate is a floor (it only knows the members it
+	// hosts); what this frame already carries is exact, and for a group
+	// that fits one frame that is the whole group.
+	bytes := req.Bytes
+	if carried := snapshotBytes(req.Snapshots); carried > bytes {
+		bytes = carried
+	}
+	if _, err := n.admitAndReserve(req.Members, bytes, key.from, key.token); err != nil {
+		return err
 	}
 	s := &migSession{
-		key:     key,
-		expect:  make(map[core.OID]bool, len(req.Objs)),
-		staged:  make(map[core.OID]bool, len(req.Objs)),
-		trace:   req.Trace,
+		members: req.Members,
+		recs:    make([]*store.Record, len(req.Members)),
 		touched: time.Now(),
-	}
-	for _, oid := range req.Objs {
-		s.expect[oid] = true
 	}
 	n.sessMu.Lock()
 	if _, dup := n.sessions[key]; dup {
@@ -141,150 +174,146 @@ func (n *Node) handleMigrateBegin(req *wire.MigrateBeginReq) (*wire.MigrateBegin
 		// Keep the claim: it carries the same (coordinator, token) key
 		// as the open session's, so the ledger entry still backs the
 		// transfer that is actually in flight.
-		return nil, wire.Errorf(wire.CodeDenied, "migration session %d from %s already open", req.Token, req.From)
+		return wire.Errorf(wire.CodeDenied, "migration session %d from %s already open", key.token, key.from)
 	}
-	if ttl := n.migrate.SessionTTL; ttl > 0 {
+	// The janitor guards a session that waits for further frames; one
+	// whose opening frame also commits is gone before this call returns.
+	if ttl := n.migrate.SessionTTL; ttl > 0 && !req.Commit {
 		s.timer = time.AfterFunc(ttl, func() { n.expireSession(key) })
 	}
 	n.sessions[key] = s
 	n.sessMu.Unlock()
 	n.stats.streamSessionsOpened.Add(1)
-	n.emit(Event{Kind: EventMigrateStream, Target: req.From, Outcome: "begin"})
-	resp := &wire.MigrateBeginResp{Reserved: reserved}
-	if reserved {
-		resp.ReservedBytes = req.Bytes
-	}
-	return resp, nil
+	n.emit(Event{Kind: EventMigrateStream, Target: key.from, Outcome: "begin"})
+	return nil
 }
 
-// handleInstallChunk stages one chunk of snapshots into its session.
+// stageSnapshots stages one frame's snapshots into its session.
 // Records are decoded here, at staging time, so an unknown type, a
-// corrupt state blob or a conflicting live object fails the stream
+// corrupt state blob or a conflicting live object fails the transfer
 // early — the coordinator aborts instead of discovering the problem at
-// commit. A failed chunk dooms the whole transfer, so the session is
+// the close. A failed frame dooms the whole transfer, so the session is
 // discarded on any error.
-func (n *Node) handleInstallChunk(req *wire.InstallChunkReq) (*wire.InstallChunkResp, error) {
-	key := sessionKey{from: req.From, token: req.Token}
-	fail := func(err *wire.RemoteError) (*wire.InstallChunkResp, error) {
+func (n *Node) stageSnapshots(key sessionKey, req *wire.InstallReq) error {
+	fail := func(err error) error {
 		n.dropSession(key, "abort")
-		return nil, err
-	}
-	// Cheap existence check first: a chunk racing its session's expiry
-	// or abort should not pay for decoding megabytes it will discard.
-	// The authoritative re-check below still runs under the lock.
-	n.sessMu.Lock()
-	_, open := n.sessions[key]
-	n.sessMu.Unlock()
-	if !open {
-		return nil, wire.Errorf(wire.CodeDenied, "no migration session %d from %s (expired?)", req.Token, req.From)
+		return err
 	}
 	// Decode outside the session lock: state blobs can be large. The
 	// stage span covers decode and bookkeeping — the target-side cost
-	// of one chunk.
+	// of one frame.
 	start := time.Now()
 	recs := make([]*store.Record, len(req.Snapshots))
-	var bytes int64
 	for i := range req.Snapshots {
 		snap := &req.Snapshots[i]
 		rec, err := n.decodeSnapshot(snap)
-		if err != nil {
-			var re *wire.RemoteError
-			if !errors.As(err, &re) {
-				re = wire.Errorf(wire.CodeInternal, "stage %s: %v", snap.ID, err)
-			}
-			return fail(re)
+		if err == nil {
+			err = n.store.Installable(snap.ID, key.token)
 		}
-		if err := n.store.Installable(snap.ID, req.Token); err != nil {
-			var re *wire.RemoteError
-			if !errors.As(err, &re) {
-				re = wire.Errorf(wire.CodeDenied, "stage %s: %v", snap.ID, err)
-			}
-			return fail(re)
+		if err != nil {
+			return fail(err)
 		}
 		recs[i] = rec
-		bytes += int64(wire.SnapshotSize(snap))
 	}
+	bytes := snapshotBytes(req.Snapshots)
 
 	n.sessMu.Lock()
 	s, ok := n.sessions[key]
 	if !ok {
 		n.sessMu.Unlock()
-		return nil, wire.Errorf(wire.CodeDenied, "no migration session %d from %s (expired?)", req.Token, req.From)
+		return wire.Errorf(wire.CodeDenied, "no migration session %d from %s (expired?)", key.token, key.from)
 	}
-	for i := range req.Snapshots {
-		oid := req.Snapshots[i].ID
-		if !s.expect[oid] {
+	for _, rec := range recs {
+		i := sort.Search(len(s.members), func(i int) bool { return !s.members[i].Less(rec.ID) })
+		if i == len(s.members) || s.members[i] != rec.ID {
 			n.sessMu.Unlock()
-			return fail(wire.Errorf(wire.CodeBadRequest, "chunk carries %s, not a member of session %d", oid, req.Token))
+			return fail(wire.Errorf(wire.CodeBadRequest, "frame carries %s, not a member of session %d", rec.ID, key.token))
 		}
-		if s.staged[oid] {
+		if s.recs[i] != nil {
 			n.sessMu.Unlock()
-			return fail(wire.Errorf(wire.CodeBadRequest, "chunk re-stages %s in session %d", oid, req.Token))
+			return fail(wire.Errorf(wire.CodeBadRequest, "frame re-stages %s in session %d", rec.ID, key.token))
 		}
-		s.staged[oid] = true
+		s.recs[i] = rec
 	}
-	s.recs = append(s.recs, recs...)
+	s.staged += len(recs)
 	s.bytes += bytes
 	s.touched = time.Now()
 	if s.timer != nil {
 		s.timer.Reset(n.migrate.SessionTTL)
 	}
-	staged := len(s.recs)
 	n.sessMu.Unlock()
 
-	n.tel.span(req.Trace, telemetry.PhaseStage, start, bytes, len(req.Snapshots))
+	n.tel.span(req.Trace, telemetry.PhaseStage, start, bytes, len(recs))
 	n.stats.streamChunksIn.Add(1)
 	n.stats.streamBytesIn.Add(bytes)
-	return &wire.InstallChunkResp{Staged: staged}, nil
+	return nil
 }
 
-// handleInstallCommit closes a session: every expected member must be
+// commitSession closes a transfer: every expected member must be
 // staged, and the whole group is installed in one atomic shard-aware
-// batch. Whatever the outcome, the session is gone afterwards.
-func (n *Node) handleInstallCommit(req *wire.InstallCommitReq) (*wire.InstallCommitResp, error) {
-	key := sessionKey{from: req.From, token: req.Token}
-	n.sessMu.Lock()
-	s, ok := n.sessions[key]
-	if ok {
-		delete(n.sessions, key)
-		if s.timer != nil {
-			s.timer.Stop()
-		}
+// batch. Whatever the outcome, the session and its claim are gone
+// afterwards.
+func (n *Node) commitSession(key sessionKey, trace uint64) error {
+	s := n.takeSession(key)
+	if s == nil {
+		return wire.Errorf(wire.CodeDenied, "no migration session %d from %s (expired?)", key.token, key.from)
 	}
-	n.sessMu.Unlock()
-	if !ok {
-		return nil, wire.Errorf(wire.CodeDenied, "no migration session %d from %s (expired?)", req.Token, req.From)
-	}
-	if missing := len(s.expect) - len(s.staged); missing > 0 {
-		return nil, wire.Errorf(wire.CodeBadRequest,
-			"commit of session %d from %s with %d of %d members unstaged", req.Token, req.From, missing, len(s.expect))
+	// Released on every exit, and on success only after InstallBatch:
+	// between the install and the release the group is briefly counted
+	// twice (as residency and as a claim), which errs on the safe side —
+	// hosted plus reserved never undercounts what the node is committed
+	// to.
+	defer n.releaseReservation(key.from, key.token)
+	if missing := len(s.members) - s.staged; missing > 0 {
+		return wire.Errorf(wire.CodeBadRequest,
+			"commit of session %d from %s with %d of %d members unstaged", key.token, key.from, missing, len(s.members))
 	}
 	start := time.Now()
-	// The reservation is released only after InstallBatch: between the
-	// install and the release the group is briefly counted twice (as
-	// residency and as a claim), which errs on the safe side — hosted
-	// plus reserved never undercounts what the node is committed to.
-	defer n.releaseReservation(req.From, req.Token)
-	if err := n.store.InstallBatch(s.recs, req.Token); err != nil {
+	if err := n.store.InstallBatch(s.recs, key.token); err != nil {
 		var re *wire.RemoteError
 		if errors.As(err, &re) {
-			return nil, re
+			return re
 		}
-		return nil, wire.Errorf(wire.CodeInternal, "install: %v", err)
+		return wire.Errorf(wire.CodeInternal, "install: %v", err)
 	}
 	// Members that were paused *here* (the target hosted some of the
 	// group) were just replaced by the installation; their lease must
 	// not fire later and there is nothing left for it to resume.
 	n.cancelPauseLease(key)
-	n.tel.span(s.trace, telemetry.PhaseInstall, start, s.bytes, len(s.recs))
+	n.tel.span(trace, telemetry.PhaseInstall, start, s.bytes, len(s.recs))
 	installed := make([]Ref, len(s.recs))
 	for i, rec := range s.recs {
 		installed[i] = Ref{OID: rec.ID}
 	}
 	n.stats.objectsInstalled.Add(int64(len(s.recs)))
 	n.emit(Event{Kind: EventInstall, Objects: installed})
-	n.emit(Event{Kind: EventMigrateStream, Target: req.From, Outcome: "commit", Bytes: s.bytes})
-	return &wire.InstallCommitResp{Installed: len(s.recs)}, nil
+	n.emit(Event{Kind: EventMigrateStream, Target: key.from, Outcome: "commit", Bytes: s.bytes})
+	return nil
+}
+
+// snapshotBytes sums the encoded-size estimates of a snapshot batch.
+func snapshotBytes(snaps []wire.Snapshot) int64 {
+	var bytes int64
+	for i := range snaps {
+		bytes += int64(wire.SnapshotSize(&snaps[i]))
+	}
+	return bytes
+}
+
+// takeSession removes a staging session from the table and stops its
+// janitor; nil when none is open under key.
+func (n *Node) takeSession(key sessionKey) *migSession {
+	n.sessMu.Lock()
+	defer n.sessMu.Unlock()
+	s, ok := n.sessions[key]
+	if !ok {
+		return nil
+	}
+	delete(n.sessions, key)
+	if s.timer != nil {
+		s.timer.Stop()
+	}
+	return s
 }
 
 // expireSession is the TTL janitor: a session that stopped receiving
@@ -311,20 +340,12 @@ func (n *Node) expireSession(key sessionKey) {
 // dropSession discards a staging session, reporting whether it
 // existed. outcome labels the emitted event ("abort" or "expire").
 // The session's capacity claim is released whether or not the session
-// itself still exists: an abort can race a commit that already removed
-// the session but failed its install, leaving only the claim behind.
+// itself still exists: an abort can overtake the opening frame between
+// its admission and its session.
 func (n *Node) dropSession(key sessionKey, outcome string) bool {
 	n.releaseReservation(key.from, key.token)
-	n.sessMu.Lock()
-	s, ok := n.sessions[key]
-	if ok {
-		delete(n.sessions, key)
-		if s.timer != nil {
-			s.timer.Stop()
-		}
-	}
-	n.sessMu.Unlock()
-	if !ok {
+	s := n.takeSession(key)
+	if s == nil {
 		return false
 	}
 	if outcome == "abort" {
@@ -334,10 +355,11 @@ func (n *Node) dropSession(key sessionKey, outcome string) bool {
 	return true
 }
 
-// abortFence plants a tombstone for an aborted migration: installs and
-// session-begins for (coordinator, token) are refused afterwards, so a
-// frame that was in flight when the abort (or a lease resume) happened
-// cannot land late and duplicate objects the sources already resumed.
+// abortFence plants a tombstone for an aborted migration: opening
+// frames for (coordinator, token) are refused afterwards (and later
+// frames find no session), so a frame that was in flight when the abort
+// (or a lease resume) happened cannot land late and duplicate objects
+// the sources already resumed.
 // Tokens are never reused, so a tombstone can only ever block the one
 // migration it names. Old tombstones are pruned lazily.
 func (n *Node) abortFence(key sessionKey) {
@@ -354,14 +376,6 @@ func (n *Node) abortFence(key sessionKey) {
 	}
 	n.tombs[key] = now
 	n.sessMu.Unlock()
-}
-
-// migrationAborted reports whether the migration's abort fence is up.
-func (n *Node) migrationAborted(key sessionKey) bool {
-	n.sessMu.Lock()
-	_, ok := n.tombs[key]
-	n.sessMu.Unlock()
-	return ok
 }
 
 // closeSessions discards every staging session (node shutdown).
@@ -476,7 +490,7 @@ func (n *Node) resolveExpiredLease(key sessionKey, l *pauseLease) {
 		// the objects come back to life here. If the fence cannot be
 		// confirmed, stay paused and retry — consistency over
 		// availability.
-		if !n.fenceRemote(key, l.target) {
+		if n.sendAbort(l.target, nil, key) != nil {
 			verdict = leaseUnknown
 		}
 	}
@@ -553,17 +567,6 @@ func (n *Node) expiredLeaseVerdict(key sessionKey, l *pauseLease) leaseVerdict {
 	default:
 		return leaseUnknown
 	}
-}
-
-// fenceRemote plants the abort tombstone for (key) at the target via a
-// best-effort AbortReq carrying no objects, reporting whether the
-// target acknowledged it.
-func (n *Node) fenceRemote(key sessionKey, target NodeID) bool {
-	actx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	var resp wire.AbortResp
-	err := n.call(actx, target, wire.KAbort, &wire.AbortReq{Token: key.token, From: key.from}, &resp)
-	return err == nil
 }
 
 // closePauseLeases stops every lease timer (node shutdown).

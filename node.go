@@ -168,10 +168,10 @@ type Node struct {
 
 	capacity int64
 	capBytes int64
-	// resv is the admission reservation ledger: claims made at
-	// MigrateBegin/Install admission, released on commit, abort or
-	// session expiry. Always non-nil; it only accumulates claims while
-	// placement is enabled on a capped node.
+	// resv is the admission reservation ledger: claims made when an
+	// install opens, released at its close, abort or session expiry.
+	// Always non-nil; it only accumulates claims while placement is
+	// enabled on a capped node.
 	resv     *placement.Ledger
 	loadSeq  atomic.Uint64                 // load-sample ordering (see wire.NodeLoad.Seq)
 	lastLoad atomic.Pointer[wire.NodeLoad] // latest self-sample, for piggybacks
@@ -200,7 +200,9 @@ type Node struct {
 	stats nodeStats
 	tel   *nodeTelemetry
 
-	bg sync.WaitGroup // background work: home updates, reinstantiation
+	bgMu     sync.Mutex     // orders spawn's bg.Add before Close's bg.Wait
+	bgClosed bool           // Close is waiting on bg: spawn starts nothing more
+	bg       sync.WaitGroup // background work: home updates, reinstantiation
 }
 
 // NewNode creates and starts a node.
@@ -407,6 +409,9 @@ func (n *Node) Close() error {
 	_ = n.pool.Close()
 	n.closeSessions()
 	n.closePauseLeases()
+	n.bgMu.Lock()
+	n.bgClosed = true
+	n.bgMu.Unlock()
 	n.bg.Wait()
 	// The sink goes last: background work above may still emit, and a
 	// drained queue means observers see every event that made it in.
@@ -465,18 +470,6 @@ func (n *Node) handle(ctx context.Context, kind wire.Kind, body, dst []byte) ([]
 	case wire.KInstall:
 		return handleTyped(body, dst, func(req *wire.InstallReq) (*wire.InstallResp, error) {
 			return n.handleInstall(req)
-		})
-	case wire.KMigrateBegin:
-		return handleTyped(body, dst, func(req *wire.MigrateBeginReq) (*wire.MigrateBeginResp, error) {
-			return n.handleMigrateBegin(req)
-		})
-	case wire.KInstallChunk:
-		return handleTyped(body, dst, func(req *wire.InstallChunkReq) (*wire.InstallChunkResp, error) {
-			return n.handleInstallChunk(req)
-		})
-	case wire.KInstallCommit:
-		return handleTyped(body, dst, func(req *wire.InstallCommitReq) (*wire.InstallCommitResp, error) {
-			return n.handleInstallCommit(req)
 		})
 	case wire.KCommit:
 		return handleTyped(body, dst, func(req *wire.CommitReq) (*wire.CommitResp, error) {
@@ -547,9 +540,20 @@ func handleTyped[Req, Resp any](body, dst []byte, fn func(*Req) (*Resp, error)) 
 }
 
 // spawn runs fn in a tracked background goroutine (never fire-and-
-// forget).
+// forget). Once Close waits for the background work, nothing new is
+// started: bgMu orders every bg.Add before the bg.Wait, and a migration
+// still winding down on the closing node (its commit retry, its
+// home-update flush) finds the door shut instead of racing the wait.
+// The daemons are unaffected — Close stops them before it shuts the
+// door, and they refuse to start on a closed node.
 func (n *Node) spawn(fn func()) {
+	n.bgMu.Lock()
+	if n.bgClosed {
+		n.bgMu.Unlock()
+		return
+	}
 	n.bg.Add(1)
+	n.bgMu.Unlock()
 	go func() {
 		defer n.bg.Done()
 		fn()

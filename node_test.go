@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"objmig/internal/wire"
 )
 
 // counterState is the test object: a gob-encodable struct, possibly
@@ -481,5 +483,27 @@ func TestContextCancellationDuringInvoke(t *testing.T) {
 	_, err := Call[time.Duration, struct{}](ctx, nodes[1], ref, "Slow", 5*time.Second)
 	if err == nil {
 		t.Fatal("slow call ignored the deadline")
+	}
+}
+
+// TestRetiredKindsRefused: the begin/chunk/commit kinds the install
+// frame absorbed keep their numbers reserved and are answered with
+// CodeBadRequest — by the dispatcher, and over the wire.
+func TestRetiredKindsRefused(t *testing.T) {
+	t.Parallel()
+	ctx := ctxShort(t)
+	nodes := testCluster(t, 2, Config{})
+	for kind := wire.Kind(16); kind <= 18; kind++ {
+		body, err := wire.Marshal(&wire.PingReq{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := nodes[1].handle(ctx, kind, body, nil); !isCode(err, wire.CodeBadRequest) {
+			t.Fatalf("dispatching kind %d: %v, want CodeBadRequest", kind, err)
+		}
+		var resp wire.PingResp
+		if err := nodes[0].call(ctx, "n1", kind, &wire.PingReq{}, &resp); !isCode(err, wire.CodeBadRequest) {
+			t.Fatalf("calling kind %d: %v, want CodeBadRequest", kind, err)
+		}
 	}
 }

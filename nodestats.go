@@ -40,26 +40,29 @@ type Stats struct {
 	HomeUpdatesQueued int64
 	HomeUpdateBatches int64
 	// StreamChunksOut / StreamBytesOut count the migration payload
-	// frames this node shipped as a coordinator — InstallChunk frames
-	// of streamed transfers and one-shot InstallReq frames alike — and
-	// the snapshot bytes they carried; StreamMaxChunkBytes is the
-	// largest single frame, the coordinator's peak per-frame
-	// buffering. With chunking enabled it stays bounded by
-	// MigrateConfig.ChunkBytes plus one snapshot.
+	// frames this node shipped as a coordinator — every InstallReq
+	// frame that carried snapshots, whether it was a small group's only
+	// frame or one of many — and the snapshot bytes they carried;
+	// StreamMaxChunkBytes is the largest single frame, the coordinator's
+	// peak per-frame buffering. With chunking enabled it stays bounded
+	// by MigrateConfig.ChunkBytes plus one snapshot.
 	StreamChunksOut     int64
 	StreamBytesOut      int64
 	StreamMaxChunkBytes int64
-	// StreamChunksIn / StreamBytesIn count chunks staged here as a
-	// migration target; StreamSessionsOpened / StreamSessionsExpired
-	// count staging sessions opened and discarded by the TTL janitor
-	// (an expiry means a coordinator died or stalled mid-stream).
+	// StreamChunksIn / StreamBytesIn mirror them at the target: the
+	// payload frames staged here and their snapshot bytes.
+	// StreamSessionsOpened counts opening frames admitted — transfers
+	// received, of any frame count; StreamSessionsExpired the staging
+	// sessions the TTL janitor discarded (an expiry means a coordinator
+	// died or stalled mid-stream).
 	StreamChunksIn        int64
 	StreamBytesIn         int64
 	StreamSessionsOpened  int64
 	StreamSessionsExpired int64
-	// StreamAborts counts staging sessions this node dropped with an
-	// explicit abort (coordinator rollback or admission failure) — a
-	// health-engine signal: a rising abort rate inside a window marks
+	// StreamAborts counts staging sessions this node dropped because
+	// the coordinator aborted or a frame failed to stage (unknown type,
+	// corrupt state, a conflicting live object, a stranger in the
+	// frame) — a health-engine signal: a rising abort rate inside a window marks
 	// migrations going wrong faster than the TTL janitor would show.
 	StreamAborts int64
 	// PauseLeasesExpired counts pause leases that fired: migrations

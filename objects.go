@@ -10,7 +10,7 @@ import (
 // The per-object record machinery (monitor locks, pause/depart
 // lifecycle, attachment adjacency) lives in internal/store together
 // with the lock-striped object table; this file keeps the node-level
-// glue: hosted-record resolution and batch installation.
+// glue: hosted-record resolution and snapshot decoding.
 
 // hostedRecord returns the local record only when the object actually
 // lives here (active or paused). Forwarding stubs are excluded: client
@@ -22,7 +22,6 @@ func (n *Node) hostedRecord(id core.OID) (*store.Record, bool) {
 
 // decodeSnapshot reinstantiates one linearised object as a fresh local
 // record: type lookup, state decode, policy state and attachment edges.
-// Used by the one-shot install path and by streamed chunk staging.
 func (n *Node) decodeSnapshot(snap *wire.Snapshot) (*store.Record, error) {
 	t, ok := n.typeByName(snap.Type)
 	if !ok {
@@ -40,31 +39,4 @@ func (n *Node) decodeSnapshot(snap *wire.Snapshot) (*store.Record, error) {
 		rec.AddEdge(e.Other, e.Alliance)
 	}
 	return rec, nil
-}
-
-// installBatch registers arriving objects from their snapshots, as part
-// of migration token. The batch is all-or-nothing: either every
-// snapshot is installed or none is — the sharded store's InstallBatch
-// performs the check-then-commit under the involved shards' locks (see
-// store.InstallBatch for the replaceability rule that prevents
-// concurrent migrations from duplicating an object).
-func (n *Node) installBatch(snaps []wire.Snapshot, token uint64) error {
-	recs := make([]*store.Record, len(snaps))
-	for i := range snaps {
-		rec, err := n.decodeSnapshot(&snaps[i])
-		if err != nil {
-			return err
-		}
-		recs[i] = rec
-	}
-	if err := n.store.InstallBatch(recs, token); err != nil {
-		return err
-	}
-	installed := make([]Ref, len(snaps))
-	for i, snap := range snaps {
-		installed[i] = Ref{OID: snap.ID}
-	}
-	n.stats.objectsInstalled.Add(int64(len(snaps)))
-	n.emit(Event{Kind: EventInstall, Objects: installed})
-	return nil
 }

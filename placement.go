@@ -24,9 +24,9 @@ package objmig
 //   - The target-side admission veto. The same overload predicate the
 //     engine applies with gossiped samples runs here with the node's
 //     authoritative local counts: a migration that would push this
-//     node past Capacity×OverloadRatio is refused at MigrateBegin /
-//     Install time, so converging traffic is back-pressured even when
-//     the coordinators' views are stale.
+//     node past Capacity×OverloadRatio is refused when its opening
+//     install frame arrives, so converging traffic is back-pressured
+//     even when the coordinators' views are stale.
 //
 // The autopilot's election is the third consumer of the engine: with
 // placement enabled its per-object election is replaced by the
@@ -592,8 +592,8 @@ func (n *Node) selfSample() placement.Sample {
 // returning objects are never vetoed. bytes is the coordinator's
 // estimate of the group's snapshot footprint; token keys the claim
 // alongside the staging session, and the caller owns releasing it
-// (dropSession / commit / one-shot completion) whenever reserved is
-// true. A nil error admits the migration.
+// (commitSession / dropSession) whenever reserved is true. A nil error
+// admits the migration.
 func (n *Node) admitAndReserve(objs []core.OID, bytes int64, from NodeID, token uint64) (reserved bool, err error) {
 	draining := n.draining.Load()
 	critical := HealthState(n.healthState.Load()) >= HealthCritical

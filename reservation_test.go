@@ -16,8 +16,8 @@ import (
 // overshootWorld stages the concurrent-coordinator race: four
 // coordinators each hosting a 3-blob closure (installed there by a
 // prior migration, so every member has a real StateBytes), plus one
-// byte-capped target. Small chunks force the streamed transfer path,
-// keeping each migration's begin-to-commit window wide open for the
+// byte-capped target. Small chunks force a many-frame transfer,
+// keeping each migration's open-to-commit window wide open for the
 // race.
 type overshootWorld struct {
 	coords  []*Node
@@ -83,7 +83,7 @@ func newOvershootWorld(t *testing.T) *overshootWorld {
 		}
 		// Move the closure onto its coordinator: the install stamps each
 		// member's StateBytes, which is what the coordinator's byte
-		// estimate in MigrateBegin is summed from.
+		// estimate in the opening install frame is summed from.
 		if err := seed.Migrate(ctx, anchor, c.ID()); err != nil {
 			t.Fatal(err)
 		}

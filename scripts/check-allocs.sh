@@ -2,8 +2,9 @@
 # check-allocs.sh — perf-regression guard for the wire codec, the
 # invoke path, the location directory and the telemetry hot path.
 #
-# Runs BenchmarkRuntimeCodec (allocs/op), BenchmarkRuntimeLocalInvoke
-# and BenchmarkRuntimeRemoteInvoke (allocs/op), BenchmarkDirectoryScale
+# Runs BenchmarkRuntimeCodec (allocs/op), BenchmarkRuntimeLocalInvoke,
+# BenchmarkRuntimeRemoteInvoke and BenchmarkRuntimeMigration
+# (allocs/op), BenchmarkDirectoryScale
 # (bytes/obj, p99-hops), BenchmarkTelemetryRecord (allocs/op),
 # BenchmarkShedPlan (allocs/op), BenchmarkJobPlan (allocs/op),
 # BenchmarkHealthTick (allocs/op) and BenchmarkGobStream (allocs/op)
@@ -34,7 +35,7 @@ if [ "$status" -ne 0 ]; then
   exit 1
 fi
 
-invout=$(go test -run '^$' -bench 'BenchmarkRuntime(Local|Remote)Invoke$' -benchmem -benchtime 1000x . 2>&1)
+invout=$(go test -run '^$' -bench 'BenchmarkRuntime(LocalInvoke|RemoteInvoke|Migration)$' -benchmem -benchtime 1000x . 2>&1)
 invstatus=$?
 echo "$invout"
 if [ "$invstatus" -ne 0 ]; then

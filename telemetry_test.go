@@ -37,8 +37,8 @@ func phasesOf(spans []telemetry.Span, trace uint64) map[telemetry.Phase][]teleme
 func TestMigrationTraceCorrelation(t *testing.T) {
 	t.Parallel()
 	ctx := ctxShort(t)
-	// ChunkBytes 1 forces the streamed path: per-snapshot pause
-	// sub-batches, InstallChunk frames, a staging session.
+	// ChunkBytes 1 forces a many-frame transfer: per-snapshot pause
+	// sub-batches, one InstallReq frame each, a staging session.
 	nodes := testCluster(t, 3, Config{Migrate: MigrateConfig{ChunkBytes: 1}})
 	root := mustCreate(t, nodes[0])
 	members := []Ref{root}
