@@ -11,13 +11,15 @@ package objmig
 //
 // Every node runs its own autopilot over the objects it currently
 // hosts — decisions stay at the object's location, exactly like the
-// paper's Fig. 3 run-time support. The scoring mirrors the paper's two
+// paper's Fig. 3 run-time support. The unit of every decision is the
+// attachment closure: its members' pressure is summed per caller node
+// and scored by internal/placement, whose rule mirrors the paper's two
 // dynamic strategies:
 //
 //   - PolicyCompareNodes: migrate towards the leading caller when it
 //     strictly dominates every rival pressure source (local serves and
 //     the runner-up caller), scaled by a hysteresis factor so two
-//     near-equal callers never make the object ping-pong.
+//     near-equal callers never make the closure ping-pong.
 //   - PolicyCompareReinstantiate: additionally require the leader to
 //     hold a clear majority (strictly more than half) of all observed
 //     pressure — the paper's reinstantiation rule.
@@ -26,11 +28,14 @@ package objmig
 // the autopilot may cause; group transfers ride the same migrateGroup
 // machinery as every explicit migration, so fixing, placement locks
 // and attachment closures keep their semantics.
+//
+// The scan itself — optimise, below — is shared with the placement
+// daemon's origin and shed passes (placement.go): a daemon describes
+// what it wants scanned in a pass and optimise does the rest.
 
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -116,6 +121,10 @@ type autopilot struct {
 	scans int
 
 	cool cooldowns
+	// view is what the election scores against while no placement
+	// daemon runs. Nothing ever feeds it: with no load sample the
+	// engine has no veto evidence and elects on affinity alone.
+	view *placement.View
 }
 
 // EnableAutopilot starts the node's affinity tracker and autopilot
@@ -147,11 +156,12 @@ func (n *Node) EnableAutopilot(cfg AutopilotConfig) error {
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 		cool: newCooldowns(cfg.Cooldown),
+		view: placement.NewView(0),
 	}
 	n.ap = ap
 	n.affUsers++
 	n.aff.SetEnabled(true)
-	n.spawn(ap.run)
+	n.spawn(func() { runPeriodic(ap.stop, ap.done, periodic{cfg.Interval, ap.tick}) })
 	return nil
 }
 
@@ -188,23 +198,8 @@ func (n *Node) AutopilotEnabled() bool {
 	return n.ap != nil
 }
 
-// run is the daemon loop.
-func (a *autopilot) run() {
-	defer close(a.done)
-	ticker := time.NewTicker(a.cfg.Interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-a.stop:
-			return
-		case <-ticker.C:
-			a.tick()
-		}
-	}
-}
-
-// tick performs one scan: decay if due, rank hot objects, migrate the
-// best candidates within the budget.
+// tick performs one scan: decay if due, then hand the hot objects that
+// have remote callers, hottest first, to the shared optimiser scan.
 func (a *autopilot) tick() {
 	n := a.node
 	a.scans++
@@ -212,177 +207,173 @@ func (a *autopilot) tick() {
 	if a.cfg.DecayEvery > 0 && a.scans%a.cfg.DecayEvery == 0 {
 		n.aff.Decay()
 	}
-	a.cool.reap(time.Now())
-
-	hot := n.aff.Hot(a.cfg.MinTotal)
-	if len(hot) == 0 {
+	var anchors []core.OID
+	for _, h := range n.aff.Hot(a.cfg.MinTotal) {
+		// Only local pressure: already optimally placed, and a node full
+		// of locally-used hot objects must not walk a closure per object
+		// per tick to find that out.
+		if len(h.Callers) > 0 {
+			anchors = append(anchors, h.Obj)
+		}
+	}
+	if len(anchors) == 0 {
 		return
 	}
-	sort.Slice(hot, func(i, j int) bool {
-		if hot[i].Total != hot[j].Total {
-			return hot[i].Total > hot[j].Total
-		}
-		return hot[i].Obj.Less(hot[j].Obj)
+
+	// The closure aggregate is always scored by the placement engine.
+	// While the placement daemon runs the election sees its cluster view
+	// (load-discounted, overload-vetoed); otherwise the autopilot's own
+	// view stays empty, and with no load sample the engine is the pure
+	// comparing strategy.
+	view, opt := a.view, placement.Options{}
+	pl := n.placementDaemonRef()
+	if pl != nil {
+		n.stats.placementScans.Add(1)
+		view, opt = pl.view, pl.cfg.engineOptions()
+	}
+	opt.Hysteresis = a.cfg.Hysteresis
+	opt.RequireMajority = a.cfg.Policy == PolicyCompareReinstantiate
+
+	deferred := func(core.OID) { n.stats.autopilotDeferred.Add(1) }
+	n.optimise(pass{
+		stop:     a.stop,
+		cool:     &a.cool,
+		alliance: a.cfg.Alliance,
+		budget:   a.cfg.BudgetPerTick,
+		anchors:  anchors,
+		elect: func(g placement.Group) (placement.Decision, bool) {
+			return placement.Score(g, view, opt)
+		},
+		// Re-deriving the closure every tick for a group that keeps
+		// scoring "stay" is wasted (possibly remote) work. Back off for
+		// a fraction of the full cooldown so fresh pressure can still
+		// flip the verdict quickly.
+		declinedFor: max(a.cfg.Cooldown/4, a.cfg.Interval),
+		cooling:     deferred,
+		failed:      deferred,
+		moved: func(anchor core.OID, to NodeID, ids []core.OID, _ placement.Group) {
+			n.stats.autopilotMigrations.Add(1)
+			n.stats.autopilotObjectsMoved.Add(int64(len(ids)))
+			n.emit(Event{Kind: EventAutopilot, Obj: Ref{OID: anchor}, Target: to,
+				Outcome: "migrate", Objects: oidRefs(ids)})
+			if pl != nil {
+				n.placementMoved("migrate", anchor, to, ids)
+			}
+		},
 	})
+}
+
+// pass describes one optimiser scan: which closures a daemon wants
+// considered, how it elects a target for one, and what it records about
+// the outcome. Everything else — the steps of a scan and their
+// bookkeeping — is optimise's.
+type pass struct {
+	stop     <-chan struct{} // the daemon's stop channel: cancels the scan context
+	cool     *cooldowns
+	alliance AllianceID // context of the closure that travels with an anchor
+	budget   int        // migrations the scan may issue
+	anchors  []core.OID // candidates, best first
+
+	// elect scores one closure's aggregate pressure and names the node
+	// it should move to, or reports that it stays.
+	elect func(placement.Group) (placement.Decision, bool)
+	// declinedFor is the back-off stamped on an anchor whose closure
+	// elected to stay; 0 re-scores it on the next scan.
+	declinedFor time.Duration
+
+	cooling func(anchor core.OID) // skipped on cooldown; nil = not recorded
+	failed  func(anchor core.OID) // walk or transfer failed, cooldown stamped; nil = not recorded
+	moved   func(anchor core.OID, to NodeID, ids []core.OID, g placement.Group)
+}
+
+// optimise is the one scan every optimiser daemon runs — the autopilot
+// tick, the origin pre-placement pass, the shed pass. Anchor by anchor,
+// within the budget: resolve the attachment closure, aggregate its
+// affinity per caller node, let the pass elect a target for the closure
+// as a unit — so one hot member cannot drag a group whose combined
+// pressure points elsewhere — and migrate it there unless a fixed or
+// placed member objects. Every member of a scored closure is marked
+// visited, so a scan never re-scores the same closure through another
+// member. It returns the number of migrations issued.
+func (n *Node) optimise(p pass) int {
+	if len(p.anchors) == 0 || p.budget <= 0 {
+		return 0
+	}
+	// Objects that migrated away are never looked up again (the hosted
+	// check skips them before the cooldown), so without this sweep the
+	// table would grow by one entry per object the daemon ever moved.
+	p.cool.reap(time.Now())
 
 	// The scan's context dies with the daemon, so Close never waits
 	// out a full migration timeout.
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	defer cancelOnStop(a.stop, cancel)()
+	defer cancelOnStop(p.stop, cancel)()
 
-	// With placement enabled the election routes through the engine:
-	// group-scored, load-discounted, overload-vetoed. Without it the
-	// classic per-object election below runs unchanged.
-	pl := n.placementDaemonRef()
-	if pl != nil {
-		n.stats.placementScans.Add(1)
-	}
-	visited := make(map[core.OID]bool)
-
-	budget := a.cfg.BudgetPerTick
-	for _, h := range hot {
-		if budget <= 0 || ctx.Err() != nil {
-			return
+	// failed: an unreachable member, a fixed or placed one, a busy
+	// closure or a refusing target. Back off for one cooldown instead
+	// of hammering (and re-walking, possibly over RPC) every scan.
+	failed := func(anchor core.OID) {
+		p.cool.set(anchor, time.Now())
+		if p.failed != nil {
+			p.failed(anchor)
 		}
-		if _, hosted := n.store.Hosted(h.Obj); !hosted {
+	}
+
+	issued := 0
+	visited := make(map[core.OID]bool)
+	for _, anchor := range p.anchors {
+		if issued >= p.budget || ctx.Err() != nil {
+			break
+		}
+		if visited[anchor] {
+			continue
+		}
+		if _, hosted := n.store.Hosted(anchor); !hosted {
 			continue // gossip about an object somebody else hosts
 		}
-		if pl != nil {
-			if h.Obj.Origin == n.id && len(h.Callers) == 0 {
-				// Origin-accumulated gossip with no remote pressure at
-				// all: nothing to elect (mirrors the classic path).
-				continue
-			}
-			if !visited[h.Obj] && a.electGroup(ctx, pl, h.Obj, visited) {
-				budget--
+		// Cooldown checks and stamps each read a fresh clock — a slow
+		// migration earlier in the loop must not backdate (and thereby
+		// void) them.
+		if p.cool.on(anchor, time.Now()) {
+			if p.cooling != nil {
+				p.cooling(anchor)
 			}
 			continue
 		}
-		target, ok := a.elect(h)
-		if !ok {
-			continue
-		}
-		// Cooldown stamps use a fresh clock — a slow migration earlier
-		// in the loop must not backdate (and thereby void) them.
-		if a.cool.on(h.Obj, time.Now()) {
-			n.stats.autopilotDeferred.Add(1)
-			continue
-		}
-		moved, err := a.migrate(ctx, h.Obj, target)
+		members, err := n.closureOf(ctx, anchor, p.alliance)
 		if err != nil {
-			// Fixed, placed, busy, or the target is unreachable: back
-			// off for one cooldown instead of hammering every tick.
-			a.cool.set(h.Obj, time.Now())
-			n.stats.autopilotDeferred.Add(1)
+			failed(anchor)
 			continue
 		}
-		budget--
-		n.stats.autopilotMigrations.Add(1)
-		n.stats.autopilotObjectsMoved.Add(int64(len(moved)))
+		for oid := range members {
+			visited[oid] = true
+		}
+		g := n.groupAffinity(members)
+		n.tel.placementScores.Inc()
+		dec, ok := p.elect(g)
+		if !ok {
+			if p.declinedFor > 0 {
+				p.cool.setUntil(anchor, time.Now().Add(p.declinedFor))
+			}
+			continue
+		}
+		ids, err := n.migrateClosureSoft(ctx, anchor, members, dec.Target, n.nextTrace())
+		if err != nil {
+			failed(anchor)
+			continue
+		}
+		issued++
 		// migrateGroup already lifted the moved objects' counters out
 		// of the tracker (Take) for the origin gossip; only the
 		// cooldown stamps are left to write.
 		now := time.Now()
-		for _, oid := range moved {
-			a.cool.set(oid, now)
+		for _, oid := range ids {
+			p.cool.set(oid, now)
 		}
-		refs := make([]Ref, len(moved))
-		for i, oid := range moved {
-			refs[i] = Ref{OID: oid}
-		}
-		n.emit(Event{Kind: EventAutopilot, Obj: Ref{OID: h.Obj}, Target: target,
-			Outcome: "migrate", Objects: refs})
+		p.moved(anchor, dec.Target, ids, g)
 	}
-}
-
-// electGroup is the engine-backed election: the candidate's attachment
-// closure is resolved first, its affinity aggregated per caller node,
-// and the placement engine scores the closure as a unit against the
-// cluster load view — so one hot member cannot drag a group whose
-// combined affinity points elsewhere, and an overloaded target is
-// vetoed before a single pause is issued. Every scored member is
-// marked visited so a tick never re-scores the same closure through
-// another hot member. Reports whether a migration was issued.
-func (a *autopilot) electGroup(ctx context.Context, d *placementDaemon, root core.OID, visited map[core.OID]bool) bool {
-	n := a.node
-	if a.cool.on(root, time.Now()) {
-		n.stats.autopilotDeferred.Add(1)
-		return false
-	}
-	members, err := n.closureOf(ctx, root, a.cfg.Alliance)
-	if err != nil {
-		a.cool.set(root, time.Now())
-		n.stats.autopilotDeferred.Add(1)
-		return false
-	}
-	for oid := range members {
-		visited[oid] = true
-	}
-	opt := d.cfg.engineOptions()
-	opt.Hysteresis = a.cfg.Hysteresis
-	opt.RequireMajority = a.cfg.Policy == PolicyCompareReinstantiate
-	dec, ok := placement.Score(n.groupAffinity(members), d.view, opt)
-	if !ok {
-		// Declined: re-deriving the closure every tick for a group
-		// that keeps scoring "stay" is wasted (possibly remote) work.
-		// Back off for a fraction of the full cooldown so fresh
-		// pressure can still flip the verdict quickly.
-		short := a.cfg.Cooldown / 4
-		if short < a.cfg.Interval {
-			short = a.cfg.Interval
-		}
-		a.cool.setUntil(root, time.Now().Add(short))
-		return false
-	}
-	moved, err := n.migrateClosureSoft(ctx, root, members, dec.Target)
-	if err != nil {
-		a.cool.set(root, time.Now())
-		n.stats.autopilotDeferred.Add(1)
-		return false
-	}
-	n.stats.autopilotMigrations.Add(1)
-	n.stats.autopilotObjectsMoved.Add(int64(len(moved)))
-	n.stats.placementMigrations.Add(1)
-	n.stats.placementObjectsMoved.Add(int64(len(moved)))
-	now := time.Now()
-	refs := make([]Ref, len(moved))
-	for i, oid := range moved {
-		a.cool.set(oid, now)
-		refs[i] = Ref{OID: oid}
-	}
-	n.emit(Event{Kind: EventAutopilot, Obj: Ref{OID: root}, Target: dec.Target,
-		Outcome: "migrate", Objects: refs})
-	n.emit(Event{Kind: EventPlacement, Obj: Ref{OID: root}, Target: dec.Target,
-		Outcome: "migrate", Objects: refs})
-	return true
-}
-
-// elect applies the configured comparing strategy to one object's
-// observed pressure and returns the migration target, if any.
-func (a *autopilot) elect(h affinity.ObjLoad) (NodeID, bool) {
-	if len(h.Callers) == 0 {
-		return "", false // only local pressure: already optimally placed
-	}
-	leader := h.Callers[0]
-	rival := h.Local
-	if len(h.Callers) > 1 && h.Callers[1].Count > rival {
-		rival = h.Callers[1].Count
-	}
-	// The leader must strictly dominate every rival pressure source,
-	// scaled by the hysteresis factor (compare-nodes, §3.3: "keep
-	// objects at those nodes from where the most requests are issued").
-	if leader.Count <= rival || float64(leader.Count) < a.cfg.Hysteresis*float64(rival) {
-		return "", false
-	}
-	if a.cfg.Policy == PolicyCompareReinstantiate {
-		// Reinstantiation's clear-majority rule (§4.3): strictly more
-		// than half of all observed pressure.
-		if 2*leader.Count <= h.Total {
-			return "", false
-		}
-	}
-	return leader.Node, true
+	return issued
 }
 
 // cooldowns is the per-object "not again before" table an optimiser
@@ -416,18 +407,15 @@ func (c *cooldowns) set(obj core.OID, now time.Time) {
 	c.setUntil(obj, now.Add(c.period))
 }
 
-// setUntil stamps an explicit deadline (the engine's short
-// declined-score back-off uses a fraction of the full period).
+// setUntil stamps an explicit deadline (a pass's declined-score
+// back-off may be shorter than the full period).
 func (c *cooldowns) setUntil(obj core.OID, until time.Time) {
 	c.mu.Lock()
 	c.until[obj] = until
 	c.mu.Unlock()
 }
 
-// reap drops expired stamps. Objects that migrated away are never
-// looked up again (the hosted check skips them before the cooldown), so
-// without this sweep the table would grow by one entry per object the
-// daemon ever moved.
+// reap drops expired stamps.
 func (c *cooldowns) reap(now time.Time) {
 	c.mu.Lock()
 	for obj, until := range c.until {
@@ -436,29 +424,6 @@ func (c *cooldowns) reap(now time.Time) {
 		}
 	}
 	c.mu.Unlock()
-}
-
-// migrate drives one autopilot group migration through the standard
-// machinery: the object's attachment closure (in the configured
-// alliance context) travels with it, exactly as an explicit MigrateIn
-// would move it. Fixed or placed members veto the whole transfer — the
-// autopilot is an optimiser, never an override.
-func (a *autopilot) migrate(ctx context.Context, obj core.OID, target NodeID) ([]core.OID, error) {
-	n := a.node
-	members, err := n.closureOf(ctx, obj, a.cfg.Alliance)
-	if err != nil {
-		return nil, err
-	}
-	admit := func(s *wire.Snapshot) error {
-		if s.Pol.Lock.Held {
-			return wire.Errorf(wire.CodeDenied, "autopilot: member %s is placed", s.ID)
-		}
-		if s.Pol.Fixed {
-			return wire.Errorf(wire.CodeFixed, "autopilot: member %s is fixed", s.ID)
-		}
-		return nil
-	}
-	return n.migrateGroup(ctx, members, target, obj, admit, nil, n.nextTrace())
 }
 
 // AffinityCaller is one remote caller's observed pressure in
@@ -478,8 +443,8 @@ type ObjectAffinity struct {
 }
 
 // Affinity reports the node's current affinity observations (objects
-// with any recorded pressure), for operators and tests. Empty unless
-// the autopilot is (or was) enabled.
+// with any recorded pressure, hottest first), for operators and tests.
+// Empty unless the autopilot is (or was) enabled.
 func (n *Node) Affinity() []ObjectAffinity {
 	loads := n.aff.Hot(1)
 	out := make([]ObjectAffinity, len(loads))
@@ -491,12 +456,6 @@ func (n *Node) Affinity() []ObjectAffinity {
 		}
 		out[i] = oa
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Total != out[j].Total {
-			return out[i].Total > out[j].Total
-		}
-		return out[i].Obj.OID.Less(out[j].Obj.OID)
-	})
 	return out
 }
 

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"objmig/internal/affinity"
 	"objmig/internal/core"
 )
 
@@ -179,50 +178,6 @@ func TestAutopilotNoPingPongBetweenEqualCallers(t *testing.T) {
 	}
 	if at, err := nodes[0].Locate(ctx, ref); err != nil || at != "n0" {
 		t.Fatalf("object moved to %v (%v), want n0", at, err)
-	}
-}
-
-// TestAutopilotElect exercises the scoring rules directly: hysteresis,
-// strict domination, and reinstantiation's clear-majority requirement.
-func TestAutopilotElect(t *testing.T) {
-	t.Parallel()
-	load := func(local int64, callers ...affinity.CallerLoad) affinity.ObjLoad {
-		l := affinity.ObjLoad{Obj: core.OID{Origin: "n0", Seq: 1}, Local: local, Callers: callers, Total: local}
-		for _, c := range callers {
-			l.Total += c.Count
-		}
-		return l
-	}
-	compare := &autopilot{cfg: AutopilotConfig{Policy: PolicyCompareNodes, Hysteresis: 2}.withDefaults()}
-	reinst := &autopilot{cfg: AutopilotConfig{Policy: PolicyCompareReinstantiate, Hysteresis: 2}.withDefaults()}
-
-	cases := []struct {
-		name string
-		a    *autopilot
-		load affinity.ObjLoad
-		want NodeID
-		ok   bool
-	}{
-		{"no remote callers", compare, load(100), "", false},
-		{"sole caller dominates", compare, load(0, affinity.CallerLoad{Node: "n1", Count: 10}), "n1", true},
-		{"local rival under hysteresis", compare, load(6, affinity.CallerLoad{Node: "n1", Count: 10}), "", false},
-		{"local rival beaten", compare, load(6, affinity.CallerLoad{Node: "n1", Count: 13}), "n1", true},
-		{"runner-up under hysteresis", compare,
-			load(0, affinity.CallerLoad{Node: "n1", Count: 10}, affinity.CallerLoad{Node: "n2", Count: 9}), "", false},
-		{"equal callers never move", compare,
-			load(0, affinity.CallerLoad{Node: "n1", Count: 10}, affinity.CallerLoad{Node: "n2", Count: 10}), "", false},
-		{"reinstantiate with majority", reinst,
-			load(0, affinity.CallerLoad{Node: "n1", Count: 12}, affinity.CallerLoad{Node: "n2", Count: 5},
-				affinity.CallerLoad{Node: "n3", Count: 5}), "n1", true},
-		{"reinstantiate without majority", reinst,
-			load(0, affinity.CallerLoad{Node: "n1", Count: 12}, affinity.CallerLoad{Node: "n2", Count: 5},
-				affinity.CallerLoad{Node: "n3", Count: 5}, affinity.CallerLoad{Node: "n4", Count: 3}), "", false},
-	}
-	for _, tc := range cases {
-		got, ok := tc.a.elect(tc.load)
-		if got != tc.want || ok != tc.ok {
-			t.Errorf("%s: elect = %q, %v; want %q, %v", tc.name, got, ok, tc.want, tc.ok)
-		}
 	}
 }
 

@@ -232,7 +232,7 @@ func (n *Node) EnableHealth(cfg HealthConfig) error {
 		n.tel.flightRec.Store(health.NewRecorder(cfg.FlightRecorderSize))
 	}
 	n.hl = d
-	n.spawn(d.run)
+	n.spawn(func() { runPeriodic(d.stop, d.done, periodic{cfg.Tick, d.tick}) })
 	return nil
 }
 
@@ -296,20 +296,6 @@ func (n *Node) LastFlightDump() []byte {
 		return nil
 	}
 	return *p
-}
-
-func (d *healthDaemon) run() {
-	defer close(d.done)
-	t := time.NewTicker(d.cfg.Tick)
-	defer t.Stop()
-	for {
-		select {
-		case <-d.stop:
-			return
-		case <-t.C:
-			d.tick()
-		}
-	}
 }
 
 // tick takes one telemetry sample, evaluates it and publishes the

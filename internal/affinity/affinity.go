@@ -194,8 +194,9 @@ func loadOf(obj core.OID, c *counters) ObjLoad {
 }
 
 // Hot returns every tracked object whose total pressure is at least
-// min, callers sorted by descending count (ties broken by node ID for
-// determinism). The result is a snapshot; counters keep moving.
+// min, hottest first (ties broken by OID for determinism), each with
+// its callers sorted by descending count (ties broken by node ID). The
+// result is a snapshot; counters keep moving.
 func (t *Tracker) Hot(min int64) []ObjLoad {
 	var out []ObjLoad
 	for i := range t.stripes {
@@ -208,6 +209,12 @@ func (t *Tracker) Hot(min int64) []ObjLoad {
 		}
 		st.mu.RUnlock()
 	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Total != out[j].Total {
+			return out[i].Total > out[j].Total
+		}
+		return out[i].Obj.Less(out[j].Obj)
+	})
 	return out
 }
 

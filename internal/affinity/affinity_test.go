@@ -102,25 +102,30 @@ func TestDecayHalvesAndForgets(t *testing.T) {
 func TestHotFiltersAndSorts(t *testing.T) {
 	t.Parallel()
 	tr := enabled("n0")
-	hot, warm, cold := oid("n0", 1), oid("n0", 2), oid("n0", 3)
+	hot, warm, cold := oid("n0", 1), oid("n0", 3), oid("n0", 4)
+	tie := oid("n0", 2) // as warm as warm: the smaller OID ranks first
 	for i := 0; i < 10; i++ {
 		tr.Record(hot, "n1")
 	}
 	for i := 0; i < 5; i++ {
 		tr.Record(warm, "n2")
+		tr.Record(tie, "n2")
 	}
 	tr.Record(cold, "n1")
 
+	// Hottest first, OID ascending among equals, the floor applied.
 	got := tr.Hot(5)
-	if len(got) != 2 {
+	want := []core.OID{hot, tie, warm}
+	if len(got) != len(want) {
 		t.Fatalf("Hot(5) = %+v", got)
 	}
-	seen := map[core.OID]int64{}
-	for _, l := range got {
-		seen[l.Obj] = l.Total
+	for i, l := range got {
+		if l.Obj != want[i] {
+			t.Fatalf("Hot(5)[%d] = %v, want %v (full: %+v)", i, l.Obj, want[i], got)
+		}
 	}
-	if seen[hot] != 10 || seen[warm] != 5 {
-		t.Fatalf("Hot totals = %v", seen)
+	if got[0].Total != 10 || got[1].Total != 5 || got[2].Total != 5 {
+		t.Fatalf("Hot totals = %+v", got)
 	}
 }
 

@@ -35,9 +35,10 @@ func TestViewFreshness(t *testing.T) {
 	}
 }
 
-// TestScorePureAffinity: with no load knowledge the engine reduces to
-// the autopilot's per-object election semantics on the aggregate —
-// strict domination scaled by hysteresis.
+// TestScorePureAffinity: with no load knowledge the engine is the
+// paper's compare-nodes rule on the aggregate — strict domination
+// scaled by hysteresis. This is the election the autopilot runs when
+// no placement daemon feeds it a view.
 func TestScorePureAffinity(t *testing.T) {
 	t.Parallel()
 	v := NewView(0)
@@ -150,18 +151,29 @@ func TestScoreOverloadedSelfStays(t *testing.T) {
 	}
 }
 
-// TestScoreRequireMajority: the reinstantiation rule on aggregates.
+// TestScoreRequireMajority: the reinstantiation rule on aggregates —
+// the leader must hold strictly more than half of all observed
+// pressure, on top of the compare-nodes bar it already cleared.
 func TestScoreRequireMajority(t *testing.T) {
 	t.Parallel()
 	v := NewView(0)
-	g := Group{Self: "s", Members: 1,
-		PerNode: map[core.NodeID]int64{"a": 12, "b": 5, "c": 5, "d": 3}}
-	if _, ok := Score(g, v, Options{RequireMajority: true}); ok {
-		t.Fatal("elected without a clear majority")
+	cases := []struct {
+		name     string
+		perNode  map[core.NodeID]int64
+		majority bool
+		moved    bool
+	}{
+		{"clear majority", map[core.NodeID]int64{"a": 12, "b": 5, "c": 5}, true, true},
+		{"leader short of half", map[core.NodeID]int64{"a": 12, "b": 5, "c": 5, "d": 3}, true, false},
+		{"same pressure under compare-nodes", map[core.NodeID]int64{"a": 12, "b": 5, "c": 5, "d": 3}, false, true},
+		{"majority regained", map[core.NodeID]int64{"a": 14, "b": 5, "c": 5, "d": 3}, true, true},
 	}
-	g.PerNode["a"] = 14
-	if dec, ok := Score(g, v, Options{RequireMajority: true}); !ok || dec.Target != "a" {
-		t.Fatalf("majority election failed: %+v, %v", dec, ok)
+	for _, tc := range cases {
+		g := Group{Self: "s", Members: 1, PerNode: tc.perNode}
+		dec, ok := Score(g, v, Options{RequireMajority: tc.majority})
+		if ok != tc.moved || (ok && dec.Target != "a") {
+			t.Errorf("%s: Score = %+v, %v; want moved=%v to a", tc.name, dec, ok, tc.moved)
+		}
 	}
 }
 

@@ -716,16 +716,7 @@ func (j *Job) executeMove(ctx context.Context, m *jobs.Move) (moved []core.OID, 
 			return nil, true, nil
 		}
 
-		admit := func(s *wire.Snapshot) error {
-			if s.Pol.Lock.Held {
-				return wire.Errorf(wire.CodeDenied, "job: member %s is placed", s.ID)
-			}
-			if s.Pol.Fixed {
-				return wire.Errorf(wire.CodeFixed, "job: member %s is fixed", s.ID)
-			}
-			return nil
-		}
-		ids, err := n.migrateGroup(ctx, members, m.To, m.Anchor, admit, nil, j.trace)
+		ids, err := n.migrateClosureSoft(ctx, m.Anchor, members, m.To, j.trace)
 		if err == nil {
 			return ids, false, nil
 		}

@@ -560,6 +560,40 @@ func (n *Node) spawn(fn func()) {
 	}()
 }
 
+// periodic is one ticker-driven duty of a daemon: fn runs every period.
+// A period <= 0 means never (the duty is disabled).
+type periodic struct {
+	period time.Duration
+	fn     func()
+}
+
+// runPeriodic is every daemon's goroutine: it runs up to three duties
+// on their own tickers, one at a time, until stop closes, then closes
+// done. A duty that is disabled keeps a nil channel, which never fires.
+func runPeriodic(stop <-chan struct{}, done chan<- struct{}, duties ...periodic) {
+	defer close(done)
+	var fire [3]<-chan time.Time
+	for i, d := range duties {
+		if d.period > 0 {
+			t := time.NewTicker(d.period)
+			defer t.Stop()
+			fire[i] = t.C
+		}
+	}
+	for {
+		select {
+		case <-stop:
+			return
+		case <-fire[0]:
+			duties[0].fn()
+		case <-fire[1]:
+			duties[1].fn()
+		case <-fire[2]:
+			duties[2].fn()
+		}
+	}
+}
+
 // cancelOnStop fires cancel the moment stop closes, until the
 // returned release func runs — the pattern every optimiser daemon
 // wraps around its per-scan context, so node shutdown never waits out

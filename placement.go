@@ -28,9 +28,9 @@ package objmig
 //     install frame arrives, so converging traffic is back-pressured
 //     even when the coordinators' views are stale.
 //
-// The autopilot's election is the third consumer of the engine: with
-// placement enabled its per-object election is replaced by the
-// group-scored, load-discounted election in autopilot.go.
+// The autopilot's election (autopilot.go) is the third consumer of the
+// engine and of this daemon's view: while placement runs, the closures
+// the autopilot scores are load-discounted and overload-vetoed too.
 
 import (
 	"context"
@@ -181,7 +181,7 @@ type placementDaemon struct {
 // only bites when Config.Capacity is set). Enabling placement also
 // turns the affinity tracker on — the engine scores with its counters
 // and the gossip that merges into them. With the autopilot enabled as
-// well, its election switches to the engine's group scoring.
+// well, its election scores against this daemon's load view.
 func (n *Node) EnablePlacement(cfg PlacementConfig) error {
 	if n.closed.Load() {
 		return ErrClosed
@@ -216,7 +216,21 @@ func (n *Node) EnablePlacement(cfg PlacementConfig) error {
 	n.affUsers++
 	n.aff.SetEnabled(true)
 	n.refreshLoadSample(d)
-	n.spawn(d.run)
+	// The sampler runs even when the heartbeat RPCs are disabled
+	// (negative Heartbeat) — the HomeUpdate piggybacks must never carry
+	// a frozen enable-time sample.
+	sample := cfg.Heartbeat
+	if sample <= 0 {
+		sample = 500 * time.Millisecond
+	}
+	shedEvery := cfg.ShedPass
+	if cfg.ShedRatio <= 0 {
+		shedEvery = -1
+	}
+	n.spawn(func() {
+		runPeriodic(d.stop, d.done, periodic{sample, d.heartbeat},
+			periodic{cfg.OriginPass, d.originPass}, periodic{shedEvery, d.shedPass})
+	})
 	return nil
 }
 
@@ -284,57 +298,17 @@ type NodeLoad struct {
 	Health        HealthState // gossiped health state
 }
 
-// run is the daemon loop: heartbeat ticks re-sample and gossip load,
-// origin ticks pre-place home objects. The sampler runs even when the
-// heartbeat RPCs are disabled (negative Heartbeat) — the HomeUpdate
-// piggybacks must never carry a frozen enable-time sample.
-func (d *placementDaemon) run() {
-	defer close(d.done)
-	sample := d.cfg.Heartbeat
-	if sample <= 0 {
-		sample = 500 * time.Millisecond
+// heartbeat re-samples the node's load and, unless the heartbeat RPCs
+// are disabled, gossips the sample.
+func (d *placementDaemon) heartbeat() {
+	load := d.node.refreshLoadSample(d)
+	// Ledger backstop: the session janitor releases claims with their
+	// sessions; this sweep only catches claims orphaned by a janitor
+	// that never ran (defence in depth, normally a no-op).
+	d.node.expireReservations(time.Now())
+	if d.cfg.Heartbeat > 0 {
+		d.gossip(load)
 	}
-	hb := time.NewTicker(sample)
-	defer hb.Stop()
-	op := foreverTicker(d.cfg.OriginPass)
-	defer op.Stop()
-	shedEvery := d.cfg.ShedPass
-	if d.cfg.ShedRatio <= 0 {
-		shedEvery = -1
-	}
-	sp := foreverTicker(shedEvery)
-	defer sp.Stop()
-	for {
-		select {
-		case <-d.stop:
-			return
-		case <-hb.C:
-			load := d.node.refreshLoadSample(d)
-			// Ledger backstop: the session janitor releases claims with
-			// their sessions; this sweep only catches claims orphaned by
-			// a janitor that never ran (defence in depth, normally a
-			// no-op).
-			d.node.expireReservations(time.Now())
-			if d.cfg.Heartbeat > 0 {
-				d.gossip(load)
-			}
-		case <-op.C:
-			d.originPass()
-		case <-sp.C:
-			d.shedPass()
-		}
-	}
-}
-
-// foreverTicker returns a ticker for the period, or one that never
-// fires when the period is negative (the feature is disabled).
-func foreverTicker(period time.Duration) *time.Ticker {
-	if period <= 0 {
-		t := time.NewTicker(time.Hour)
-		t.Stop()
-		return t
-	}
-	return time.NewTicker(period)
 }
 
 // gossip exchanges the node's latest sample with every known peer
@@ -468,69 +442,36 @@ func (d *placementDaemon) gossipPeers() []NodeID {
 func (d *placementDaemon) originPass() {
 	n := d.node
 	n.stats.placementScans.Add(1)
-	d.cool.reap(time.Now())
-	hot := n.aff.Hot(d.cfg.MinTotal)
-	if len(hot) == 0 {
-		return
-	}
-	sort.Slice(hot, func(i, j int) bool {
-		if hot[i].Total != hot[j].Total {
-			return hot[i].Total > hot[j].Total
+	var anchors []core.OID
+	for _, h := range n.aff.Hot(d.cfg.MinTotal) {
+		// Home objects only: the pass is the origin acting on its own
+		// accumulated gossip, not a second autopilot.
+		if h.Obj.Origin == n.id {
+			anchors = append(anchors, h.Obj)
 		}
-		return hot[i].Obj.Less(hot[j].Obj)
+	}
+	n.optimise(pass{
+		stop:     d.stop,
+		cool:     &d.cool,
+		alliance: d.cfg.Alliance,
+		budget:   d.cfg.BudgetPerPass,
+		anchors:  anchors,
+		elect: func(g placement.Group) (placement.Decision, bool) {
+			return placement.Score(g, d.view, d.cfg.engineOptions())
+		},
+		moved: func(anchor core.OID, to NodeID, ids []core.OID, _ placement.Group) {
+			n.placementMoved("origin", anchor, to, ids)
+		},
 	})
+}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	defer cancelOnStop(d.stop, cancel)()
-
-	budget := d.cfg.BudgetPerPass
-	visited := make(map[core.OID]bool)
-	for _, h := range hot {
-		if budget <= 0 || ctx.Err() != nil {
-			return
-		}
-		// Home objects hosted here only: the pass is the origin acting
-		// on its own accumulated gossip, not a second autopilot.
-		if h.Obj.Origin != n.id || visited[h.Obj] {
-			continue
-		}
-		if _, hosted := n.store.Hosted(h.Obj); !hosted {
-			continue
-		}
-		if d.cool.on(h.Obj, time.Now()) {
-			continue
-		}
-		members, err := n.closureOf(ctx, h.Obj, d.cfg.Alliance)
-		if err != nil {
-			continue
-		}
-		for oid := range members {
-			visited[oid] = true
-		}
-		g := n.groupAffinity(members)
-		dec, ok := placement.Score(g, d.view, d.cfg.engineOptions())
-		n.tel.placementScores.Inc()
-		if !ok {
-			continue
-		}
-		moved, err := n.migrateClosureSoft(ctx, h.Obj, members, dec.Target)
-		if err != nil {
-			d.cool.set(h.Obj, time.Now())
-			continue
-		}
-		budget--
-		n.stats.placementMigrations.Add(1)
-		n.stats.placementObjectsMoved.Add(int64(len(moved)))
-		now := time.Now()
-		refs := make([]Ref, len(moved))
-		for i, oid := range moved {
-			refs[i] = Ref{OID: oid}
-			d.cool.set(oid, now)
-		}
-		n.emit(Event{Kind: EventPlacement, Obj: Ref{OID: h.Obj}, Target: dec.Target,
-			Outcome: "origin", Objects: refs})
-	}
+// placementMoved accounts one migration the engine elected: the
+// counters, and the EventPlacement whose outcome names the pass.
+func (n *Node) placementMoved(outcome string, anchor core.OID, to NodeID, ids []core.OID) {
+	n.stats.placementMigrations.Add(1)
+	n.stats.placementObjectsMoved.Add(int64(len(ids)))
+	n.emit(Event{Kind: EventPlacement, Obj: Ref{OID: anchor}, Target: to,
+		Outcome: outcome, Objects: oidRefs(ids)})
 }
 
 // groupAffinity aggregates the affinity tracker's counters over an
@@ -556,23 +497,23 @@ func (n *Node) groupAffinity(members map[core.OID]NodeID) placement.Group {
 	return g
 }
 
-// migrateClosureSoft drives one engine-elected group migration through
-// the standard machinery with the optimiser's admission rule: fixed or
-// placed members veto the whole transfer — the engine, like the
-// autopilot, is never an override. The trace is minted here, at the
-// decision point, so both callers (the autopilot election and the
-// origin pass) get per-decision timelines for free.
-func (n *Node) migrateClosureSoft(ctx context.Context, anchor core.OID, members map[core.OID]NodeID, target NodeID) ([]core.OID, error) {
+// migrateClosureSoft drives one group migration through the standard
+// machinery with the optimisers' admission rule: fixed or placed
+// members veto the whole transfer — the autopilot, the engine's passes
+// and migration jobs are optimisers, never an override. The error code
+// tells the two vetoes apart (a job gives up on CodeFixed, retargets on
+// CodeDenied).
+func (n *Node) migrateClosureSoft(ctx context.Context, anchor core.OID, members map[core.OID]NodeID, target NodeID, trace uint64) ([]core.OID, error) {
 	admit := func(s *wire.Snapshot) error {
 		if s.Pol.Lock.Held {
-			return wire.Errorf(wire.CodeDenied, "placement: member %s is placed", s.ID)
+			return wire.Errorf(wire.CodeDenied, "working-set member %s is placed", s.ID)
 		}
 		if s.Pol.Fixed {
-			return wire.Errorf(wire.CodeFixed, "placement: member %s is fixed", s.ID)
+			return wire.Errorf(wire.CodeFixed, "working-set member %s is fixed", s.ID)
 		}
 		return nil
 	}
-	return n.migrateGroup(ctx, members, target, anchor, admit, nil, n.nextTrace())
+	return n.migrateGroup(ctx, members, target, anchor, admit, nil, trace)
 }
 
 // selfSample is the node's authoritative local load sample — what a
@@ -653,11 +594,7 @@ func (n *Node) admitAndReserve(objs []core.OID, bytes int64, from NodeID, token 
 // args say why.
 func (n *Node) placementVeto(objs []core.OID, from NodeID, format string, args ...interface{}) error {
 	n.stats.placementVetoes.Add(1)
-	refs := make([]Ref, len(objs))
-	for i, oid := range objs {
-		refs[i] = Ref{OID: oid}
-	}
-	n.emit(Event{Kind: EventPlacement, Target: from, Outcome: "veto", Objects: refs})
+	n.emit(Event{Kind: EventPlacement, Target: from, Outcome: "veto", Objects: oidRefs(objs)})
 	return wire.Errorf(wire.CodeDenied, format, args...)
 }
 
@@ -724,79 +661,45 @@ func (d *placementDaemon) shedPlan() []shedCand {
 
 // shedPass is the veto's push half: while the node's own utilisation
 // sits above ShedRatio, migrate the coldest closures towards the peer
-// with the most headroom. Each shed re-reads the local sample before
-// the next, and ShedTarget refuses any peer whose projected
-// utilisation would reach ShedRatio — together with the per-closure
-// cooldown this is what keeps two draining nodes from ping-ponging a
-// group. Budgeted per pass exactly like the origin pass.
+// with the most headroom. Each shed re-reads the local sample (and
+// re-ranks) before the next, and ShedTarget refuses any peer whose
+// projected utilisation would reach ShedRatio — together with the
+// per-closure cooldown this is what keeps two draining nodes from
+// ping-ponging a group. Budgeted per pass exactly like the origin pass.
 func (d *placementDaemon) shedPass() {
 	n := d.node
-	if d.cfg.ShedRatio <= 0 {
-		return
+	over := func() bool {
+		return placement.Utilisation(n.selfSample(), 0, 0) > d.cfg.ShedRatio
 	}
-	if placement.Utilisation(n.selfSample(), 0, 0) <= d.cfg.ShedRatio {
+	if d.cfg.ShedRatio <= 0 || !over() {
 		return
 	}
 	n.stats.placementScans.Add(1)
-	d.cool.reap(time.Now())
-
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	defer cancelOnStop(d.stop, cancel)()
-
-	budget := d.cfg.BudgetPerPass
-	visited := make(map[core.OID]bool)
-	for budget > 0 && ctx.Err() == nil {
-		if placement.Utilisation(n.selfSample(), 0, 0) <= d.cfg.ShedRatio {
-			return // drained below the ratio: pass complete
+	for budget := d.cfg.BudgetPerPass; budget > 0 && over(); budget-- {
+		plan := d.shedPlan()
+		anchors := make([]core.OID, len(plan))
+		for i, cand := range plan {
+			anchors[i] = cand.oid
 		}
-		shed := false
-		for _, cand := range d.shedPlan() {
-			if ctx.Err() != nil {
-				return
-			}
-			if visited[cand.oid] || d.cool.on(cand.oid, time.Now()) {
-				continue
-			}
-			members, err := n.closureOf(ctx, cand.oid, d.cfg.Alliance)
-			if err != nil {
-				visited[cand.oid] = true
-				continue
-			}
-			for oid := range members {
-				visited[oid] = true
-			}
-			g := n.groupAffinity(members)
-			dec, ok := placement.ShedTarget(g, d.view, d.cfg.ShedRatio)
-			n.tel.placementScores.Inc()
-			if !ok {
-				// No peer with headroom for this closure; smaller ones
-				// later in the plan may still fit.
-				d.cool.set(cand.oid, time.Now())
-				continue
-			}
-			moved, err := n.migrateClosureSoft(ctx, cand.oid, members, dec.Target)
-			if err != nil {
-				d.cool.set(cand.oid, time.Now())
-				continue
-			}
-			budget--
-			n.stats.placementSheds.Add(1)
-			n.stats.placementMigrations.Add(1)
-			n.stats.placementObjectsMoved.Add(int64(len(moved)))
-			n.stats.placementShedBytes.Add(g.Bytes)
-			now := time.Now()
-			refs := make([]Ref, len(moved))
-			for i, oid := range moved {
-				refs[i] = Ref{OID: oid}
-				d.cool.set(oid, now)
-			}
-			n.emit(Event{Kind: EventPlacement, Obj: Ref{OID: cand.oid}, Target: dec.Target,
-				Outcome: "shed", Objects: refs})
-			shed = true
-			break // re-read utilisation before shedding more
-		}
-		if !shed {
+		shed := n.optimise(pass{
+			stop:     d.stop,
+			cool:     &d.cool,
+			alliance: d.cfg.Alliance,
+			budget:   1, // re-read utilisation before shedding more
+			anchors:  anchors,
+			elect: func(g placement.Group) (placement.Decision, bool) {
+				return placement.ShedTarget(g, d.view, d.cfg.ShedRatio)
+			},
+			// No peer with headroom for this closure; smaller ones
+			// later in the plan may still fit.
+			declinedFor: d.cfg.Cooldown,
+			moved: func(anchor core.OID, to NodeID, ids []core.OID, g placement.Group) {
+				n.stats.placementSheds.Add(1)
+				n.stats.placementShedBytes.Add(g.Bytes)
+				n.placementMoved("shed", anchor, to, ids)
+			},
+		})
+		if shed == 0 {
 			return // nothing sheddable this pass
 		}
 	}
