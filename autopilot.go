@@ -37,6 +37,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"objmig/internal/affinity"
@@ -203,7 +204,7 @@ func (n *Node) AutopilotEnabled() bool {
 func (a *autopilot) tick() {
 	n := a.node
 	a.scans++
-	n.stats.autopilotScans.Add(1)
+	atomic.AddInt64(&n.stats.AutopilotScans, 1)
 	if a.cfg.DecayEvery > 0 && a.scans%a.cfg.DecayEvery == 0 {
 		n.aff.Decay()
 	}
@@ -228,13 +229,13 @@ func (a *autopilot) tick() {
 	view, opt := a.view, placement.Options{}
 	pl := n.placementDaemonRef()
 	if pl != nil {
-		n.stats.placementScans.Add(1)
+		atomic.AddInt64(&n.stats.PlacementScans, 1)
 		view, opt = pl.view, pl.cfg.engineOptions()
 	}
 	opt.Hysteresis = a.cfg.Hysteresis
 	opt.RequireMajority = a.cfg.Policy == PolicyCompareReinstantiate
 
-	deferred := func(core.OID) { n.stats.autopilotDeferred.Add(1) }
+	deferred := func(core.OID) { atomic.AddInt64(&n.stats.AutopilotDeferred, 1) }
 	n.optimise(pass{
 		stop:     a.stop,
 		cool:     &a.cool,
@@ -252,8 +253,8 @@ func (a *autopilot) tick() {
 		cooling:     deferred,
 		failed:      deferred,
 		moved: func(anchor core.OID, to NodeID, ids []core.OID, _ placement.Group) {
-			n.stats.autopilotMigrations.Add(1)
-			n.stats.autopilotObjectsMoved.Add(int64(len(ids)))
+			atomic.AddInt64(&n.stats.AutopilotMigrations, 1)
+			atomic.AddInt64(&n.stats.AutopilotObjectsMoved, int64(len(ids)))
 			n.emit(Event{Kind: EventAutopilot, Obj: Ref{OID: anchor}, Target: to,
 				Outcome: "migrate", Objects: oidRefs(ids)})
 			if pl != nil {
@@ -350,7 +351,7 @@ func (n *Node) optimise(p pass) int {
 			visited[oid] = true
 		}
 		g := n.groupAffinity(members)
-		n.tel.placementScores.Inc()
+		atomic.AddInt64(&n.stats.PlacementScores, 1)
 		dec, ok := p.elect(g)
 		if !ok {
 			if p.declinedFor > 0 {

@@ -13,7 +13,7 @@ import (
 type directoryBenchResult struct {
 	bytesPerObj   float64
 	entriesPerObj float64
-	p99Hops       int
+	p99Hops       int64
 }
 
 // runDirectoryBench builds a three-node cluster, populates n0 with

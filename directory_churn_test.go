@@ -117,7 +117,7 @@ func TestDirectoryChurnBoundedChases(t *testing.T) {
 	for _, n := range nodes {
 		n.CompactDirectory()
 		st := n.Stats()
-		if bound := members * 4; st.LocForwards+st.LocClosures > bound {
+		if bound := int64(members * 4); st.LocForwards+st.LocClosures > bound {
 			t.Errorf("%s: %d forwards + %d closure records outlive the churn (bound %d)",
 				n.ID(), st.LocForwards, st.LocClosures, bound)
 		}

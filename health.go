@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"objmig/internal/health"
@@ -32,8 +33,9 @@ import (
 )
 
 // HealthState classifies a node. The numeric values ride the load
-// gossip (wire.NodeLoad.Health) and the objmig_node_health gauge, so
-// they are part of the wire surface: healthy < degraded < critical.
+// gossip (wire.NodeLoad.Health) and the objmig_health_state scrape
+// line, so they are part of the wire surface: healthy < degraded <
+// critical.
 type HealthState uint8
 
 const (
@@ -177,9 +179,9 @@ func (c HealthConfig) evalConfig() health.Config {
 
 // healthDaemon evaluates the node's health on a fixed tick. It owns
 // the evaluator (single-goroutine, no locking on the hot path) and
-// publishes only through atomics: n.healthState for the verdict, the
-// objmig_node_health gauge for scrapes, n.lastDump for the frozen
-// automatic dump.
+// publishes only through atomics: the live Stats.HealthState for the
+// verdict (read by Health(), the gossip and the scrape alike),
+// n.lastDump for the frozen automatic dump.
 type healthDaemon struct {
 	node *Node
 	cfg  HealthConfig
@@ -250,8 +252,7 @@ func (n *Node) DisableHealth() {
 	}
 	close(d.stop)
 	<-d.done
-	n.healthState.Store(uint32(HealthHealthy))
-	n.tel.nodeHealth.Set(0)
+	atomic.StoreInt64(&n.stats.HealthState, int64(HealthHealthy))
 	n.tel.flightRec.Store(nil)
 }
 
@@ -265,7 +266,7 @@ func (n *Node) HealthEnabled() bool {
 // Health returns the node's current health classification. Always
 // HealthHealthy while the engine is disabled.
 func (n *Node) Health() HealthState {
-	return HealthState(n.healthState.Load())
+	return HealthState(atomic.LoadInt64(&n.stats.HealthState))
 }
 
 // DumpFlightRecorder freezes the flight-recorder ring right now and
@@ -283,7 +284,7 @@ func (n *Node) DumpFlightRecorder() ([]byte, error) {
 	if r == nil {
 		return nil, fmt.Errorf("objmig: flight recorder disabled on %s", n.id)
 	}
-	n.stats.healthDumps.Add(1)
+	atomic.AddInt64(&n.stats.HealthDumps, 1)
 	return r.Dump(string(n.id), "manual", d.verdict()).JSON(), nil
 }
 
@@ -321,16 +322,15 @@ func (d *healthDaemon) tick() {
 		merged.Total += snap.Total
 	}
 	s.Hists[health.SigMigrationPhaseP99] = merged
-	s.Counters[health.SigStreamAborts-health.NumHists] = n.stats.streamAborts.Load()
-	s.Counters[health.SigPauseExpiries-health.NumHists] = n.stats.pauseLeasesExpired.Load()
-	s.Counters[health.SigChasesOverBudget-health.NumHists] = n.stats.chasesOverBudget.Load()
+	s.Counters[health.SigStreamAborts-health.NumHists] = atomic.LoadInt64(&n.stats.StreamAborts)
+	s.Counters[health.SigPauseExpiries-health.NumHists] = atomic.LoadInt64(&n.stats.PauseLeasesExpired)
+	s.Counters[health.SigChasesOverBudget-health.NumHists] = atomic.LoadInt64(&n.stats.ChasesOverBudget)
 	s.Counters[health.SigEventsDropped-health.NumHists] = n.eventsDropped()
 
 	v := d.eval.Tick(s)
 	d.setVerdict(v)
-	n.healthState.Store(uint32(v.State))
-	n.tel.nodeHealth.Set(int64(v.State))
-	n.stats.healthTicks.Add(1)
+	atomic.StoreInt64(&n.stats.HealthState, int64(v.State))
+	atomic.AddInt64(&n.stats.HealthTicks, 1)
 	if r := n.tel.flightRec.Load(); r != nil {
 		r.Record(health.Entry{
 			At: s.At, Kind: health.EntryHealth,
@@ -343,9 +343,9 @@ func (d *healthDaemon) tick() {
 	}
 	switch HealthState(v.State) {
 	case HealthDegraded:
-		n.stats.healthDegraded.Add(1)
+		atomic.AddInt64(&n.stats.HealthDegraded, 1)
 	case HealthCritical:
-		n.stats.healthCritical.Add(1)
+		atomic.AddInt64(&n.stats.HealthCritical, 1)
 	}
 	if v.State > v.Prev {
 		// Upward transition: freeze the black box before anything
@@ -354,7 +354,7 @@ func (d *healthDaemon) tick() {
 		if r := n.tel.flightRec.Load(); r != nil {
 			raw := r.Dump(string(n.id), "transition", v).JSON()
 			n.lastDump.Store(&raw)
-			n.stats.healthDumps.Add(1)
+			atomic.AddInt64(&n.stats.HealthDumps, 1)
 		}
 	}
 	n.emit(Event{Kind: EventHealth, Outcome: v.State.String(), Hops: int(v.Prev)})

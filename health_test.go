@@ -12,7 +12,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -240,12 +239,11 @@ func TestHealthEngineEndToEnd(t *testing.T) {
 }
 
 // TestHealthScrapeSurfaces covers the engine's read side: the
-// objmig_node_health gauge and the cumulative _bucket histogram series
-// on /metrics, the /debug/cluster aggregation, and both verbs of
-// /debug/flightrec.
+// objmig_health_state line on /metrics, the /debug/cluster
+// aggregation, and both verbs of /debug/flightrec. (The histogram
+// families are TestMetricsExpositionStrict's.)
 func TestHealthScrapeSurfaces(t *testing.T) {
 	t.Parallel()
-	ctx := ctxShort(t)
 	nodes := testCluster(t, 2, Config{})
 	a, b := nodes[0], nodes[1]
 	fullMesh(nodes...)
@@ -261,13 +259,6 @@ func TestHealthScrapeSurfaces(t *testing.T) {
 		t.Fatal("double EnableHealth succeeded")
 	}
 
-	// Some real histogram traffic so the bucket series are non-empty.
-	ref := mustCreate(t, a)
-	for i := 0; i < 32; i++ {
-		if _, err := Call[int, int](ctx, a, ref, "Add", 1); err != nil {
-			t.Fatal(err)
-		}
-	}
 	deadline := time.Now().Add(10 * time.Second)
 	for a.Stats().HealthTicks < 1 {
 		if time.Now().After(deadline) {
@@ -283,29 +274,8 @@ func TestHealthScrapeSurfaces(t *testing.T) {
 		return rec.Code, rec.Body.String()
 	}
 
-	_, metrics := scrape("GET", "/metrics")
-	for _, want := range []string{
-		`objmig_node_health{node="n0"} 0`,
-		`objmig_health_state{node="n0"} 0`,
-		`# TYPE objmig_invoke_local_us_bucket histogram`,
-		`objmig_invoke_local_us_bucket{node="n0",le="+Inf"} `,
-	} {
-		if !strings.Contains(metrics, want) {
-			t.Errorf("/metrics missing %q", want)
-		}
-	}
-	// The cumulative bucket series must end at the histogram's count.
-	var count, inf int64
-	for _, line := range strings.Split(metrics, "\n") {
-		if strings.HasPrefix(line, `objmig_invoke_local_us_count{node="n0"}`) {
-			count, _ = strconv.ParseInt(line[strings.LastIndex(line, " ")+1:], 10, 64)
-		}
-		if strings.HasPrefix(line, `objmig_invoke_local_us_bucket{node="n0",le="+Inf"}`) {
-			inf, _ = strconv.ParseInt(line[strings.LastIndex(line, " ")+1:], 10, 64)
-		}
-	}
-	if count == 0 || inf != count {
-		t.Errorf("bucket +Inf = %d, histogram count = %d; want equal and non-zero", inf, count)
+	if _, metrics := scrape("GET", "/metrics"); !strings.Contains(metrics, `objmig_health_state{node="n0"} 0`) {
+		t.Error(`/metrics missing objmig_health_state{node="n0"} 0`)
 	}
 
 	// /debug/cluster shows this node's own healthy row immediately and
@@ -356,7 +326,8 @@ func TestHealthScrapeSurfaces(t *testing.T) {
 // TestMetricsScrapeUnderMigrationLoad hammers every read endpoint
 // while a streamed multi-host migration and a drain job run
 // concurrently: no panics, no race reports (CI runs this under
-// -race), and the scraped invocation counter never goes backwards.
+// -race), every scrape parses strictly, the gauges that used to live
+// outside Stats are present, and no scraped counter goes backwards.
 func TestMetricsScrapeUnderMigrationLoad(t *testing.T) {
 	t.Parallel()
 	ctx := ctxShort(t)
@@ -415,7 +386,15 @@ func TestMetricsScrapeUnderMigrationLoad(t *testing.T) {
 	}()
 
 	// Scrapers: three goroutines cycling the endpoints, checking the
-	// invocation counter only ever grows.
+	// counters only ever grow.
+	counters := []string{
+		"objmig_invocations_served", "objmig_migrations_out", "objmig_stream_bytes_out",
+		"objmig_objects_installed", "objmig_load_gossip_sent", "objmig_health_ticks",
+		"objmig_placement_scores", "objmig_placement_reservations",
+	}
+	gauges := []string{
+		"objmig_health_state", "objmig_placement_view_age_max_us", "objmig_placement_reserved_bytes",
+	}
 	handlers := []struct {
 		h    *Node
 		path string
@@ -428,8 +407,7 @@ func TestMetricsScrapeUnderMigrationLoad(t *testing.T) {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			var lastServed int64
-			h := a.MetricsHandler()
+			last := make(map[string]int64)
 			for i := 0; ; i++ {
 				select {
 				case <-stop:
@@ -443,23 +421,31 @@ func TestMetricsScrapeUnderMigrationLoad(t *testing.T) {
 					scrapeErr <- fmt.Errorf("%s %s: status %d", ep.h.ID(), ep.path, rec.Code)
 					return
 				}
-				// Monotonicity, checked on node a's /metrics.
+				// Presence and monotonicity, checked on node a's /metrics.
 				rec = httptest.NewRecorder()
-				h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-				for _, line := range strings.Split(rec.Body.String(), "\n") {
-					if !strings.HasPrefix(line, `objmig_invocations_served{node="a"}`) {
-						continue
-					}
-					v, err := strconv.ParseInt(line[strings.LastIndex(line, " ")+1:], 10, 64)
-					if err != nil {
-						scrapeErr <- fmt.Errorf("parse %q: %w", line, err)
+				a.MetricsHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+				samples, _, err := parseProm(rec.Body.String())
+				if err != nil {
+					scrapeErr <- err
+					return
+				}
+				now := make(map[string]int64, len(samples))
+				for _, sm := range samples {
+					now[sm.name] = sm.value
+				}
+				for _, name := range gauges {
+					if _, ok := now[name]; !ok {
+						scrapeErr <- fmt.Errorf("/metrics missing %s", name)
 						return
 					}
-					if v < lastServed {
-						scrapeErr <- fmt.Errorf("invocations_served went backwards: %d -> %d", lastServed, v)
+				}
+				for _, name := range counters {
+					v, ok := now[name]
+					if !ok || v < last[name] {
+						scrapeErr <- fmt.Errorf("%s went backwards or missing: %d -> %d (present %v)", name, last[name], v, ok)
 						return
 					}
-					lastServed = v
+					last[name] = v
 				}
 			}
 		}(s)

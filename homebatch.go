@@ -3,6 +3,7 @@ package objmig
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"objmig/internal/core"
@@ -93,6 +94,7 @@ func newHomeBatcher(n *Node) *homeBatcher {
 // send so late migrations still advise their origins.
 func (b *homeBatcher) enqueue(origin, at core.NodeID, objs []core.OID, gens []uint64,
 	closures []wire.ClosureLoc, aff []wire.AffinityObs, trace uint64) {
+	atomic.AddInt64(&b.n.stats.HomeUpdatesQueued, 1)
 	b.mu.Lock()
 	if b.stopped {
 		b.mu.Unlock()
@@ -246,7 +248,7 @@ func (b *homeBatcher) send(key homeKey, p *homePending) {
 // their forwarding pointers and stubs retire on the spot.
 func (b *homeBatcher) sendNow(key homeKey, p *homePending, timeout time.Duration) {
 	n := b.n
-	n.stats.homeUpdateBatches.Add(1)
+	atomic.AddInt64(&n.stats.HomeUpdateBatches, 1)
 	req := &wire.HomeUpdate{Objs: p.objs, Gens: p.gens, At: key.at,
 		Closures: p.closures, Aff: p.aff, Load: n.cachedLoadSample(), Trace: p.trace}
 	for attempt := 0; ; attempt++ {

@@ -1,22 +1,21 @@
-// Package telemetry is the runtime's zero-allocation metrics core:
-// lock-striped counters, gauges and fixed-bucket latency histograms,
-// plus the bounded trace log migration tracing records spans into.
+// Package telemetry is the runtime's zero-allocation latency core:
+// striped fixed-bucket histograms, plus the bounded trace log migration
+// tracing records spans into. (Counters and gauges are plain atomics
+// on the root package's Stats struct, not here.)
 //
-// Everything on a recording path — Counter.Add, Gauge.Set,
-// Histogram.Observe, TraceLog.Record — is allocation-free and safe for
-// unbounded concurrency; CI enforces the zero-alloc line with
-// BenchmarkTelemetryRecord. Reading (Value, Snapshot, Spans) allocates
-// and takes whatever locks it needs; readers are scrapes and tests,
-// not hot paths.
+// Everything on a recording path — Histogram.Observe, TraceLog.Record
+// — is allocation-free and safe for unbounded concurrency; CI enforces
+// the zero-alloc line with BenchmarkTelemetryRecord. Reading (Snapshot,
+// Spans) allocates and takes whatever locks it needs; readers are
+// scrapes and tests, not hot paths.
 //
-// Counters and histograms stripe their cells so concurrent writers on
-// different goroutines rarely share a cache line. The stripe is picked
-// by hashing the goroutine's stack address — stateless, free, and
-// stable for the duration of a call, which is all the distribution
-// needs. Histogram buckets are exponential (bucket b holds values v
-// with bits.Len64(v) == b, i.e. [2^(b-1), 2^b)), the same shape as the
-// directory's chase-hop histogram; quantiles report the bucket's upper
-// bound, an overestimate of at most 2×.
+// Histograms stripe their cells so concurrent writers on different
+// goroutines rarely share a cache line. The stripe is picked by
+// hashing the goroutine's stack address — stateless, free, and stable
+// for the duration of a call, which is all the distribution needs.
+// Buckets are exponential (bucket b holds values v with
+// bits.Len64(v) == b, i.e. [2^(b-1), 2^b)); quantiles report the
+// bucket's upper bound, an overestimate of at most 2×.
 package telemetry
 
 import (
@@ -28,8 +27,8 @@ import (
 	"unsafe"
 )
 
-// numStripes is the write-side fan-out of counters and histograms.
-// Must be a power of two.
+// numStripes is the write-side fan-out of histograms. Must be a power
+// of two.
 const numStripes = 8
 
 // stripeIdx picks this goroutine's stripe from its stack address.
@@ -44,45 +43,6 @@ func stripeIdx() int {
 // pad is the tail padding that keeps one stripe's cell from sharing a
 // cache line with its neighbour.
 type pad [56]byte
-
-// Counter is a monotonically increasing striped counter.
-type Counter struct {
-	stripes [numStripes]struct {
-		n atomic.Int64
-		_ pad
-	}
-}
-
-// Add increments the counter. Allocation-free.
-func (c *Counter) Add(d int64) { c.stripes[stripeIdx()].n.Add(d) }
-
-// Inc adds one. Allocation-free.
-func (c *Counter) Inc() { c.Add(1) }
-
-// Value sums the stripes.
-func (c *Counter) Value() int64 {
-	var t int64
-	for i := range c.stripes {
-		t += c.stripes[i].n.Load()
-	}
-	return t
-}
-
-// Gauge is a last-write-wins instantaneous value. A single atomic is
-// enough: gauges are set by one maintainer (a heartbeat, a sampler)
-// and read by scrapes.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set stores the current value. Allocation-free.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add adjusts the current value. Allocation-free.
-func (g *Gauge) Add(d int64) { g.v.Add(d) }
-
-// Value returns the last stored value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // HistBuckets is the number of exponential histogram buckets. Bucket 0
 // holds zero, bucket b (1 ≤ b < HistBuckets−1) holds values in
@@ -220,100 +180,34 @@ func (s HistSnapshot) Mean() float64 {
 	return float64(s.Sum) / float64(s.Total)
 }
 
-// Registry is a lock-striped name → metric directory. Get-or-create
-// takes a short shard lock; the returned handles are stable, so hot
-// paths resolve their metrics once and record through pure atomics.
+// Registry is a list of named histograms. Get-or-create takes the
+// lock; the returned handles are stable, so hot paths resolve their
+// histograms once and record through pure atomics.
 type Registry struct {
-	shards [numStripes]regShard
+	mu    sync.Mutex
+	hists []namedHist
 }
 
-type regShard struct {
-	mu       sync.RWMutex
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
+type namedHist struct {
+	name string
+	h    *Histogram
 }
 
 // NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	r := &Registry{}
-	for i := range r.shards {
-		s := &r.shards[i]
-		s.counters = make(map[string]*Counter)
-		s.gauges = make(map[string]*Gauge)
-		s.hists = make(map[string]*Histogram)
-	}
-	return r
-}
-
-// shardFor hashes the metric name (FNV-1a) onto a shard.
-func (r *Registry) shardFor(name string) *regShard {
-	h := uint32(2166136261)
-	for i := 0; i < len(name); i++ {
-		h ^= uint32(name[i])
-		h *= 16777619
-	}
-	return &r.shards[h&(numStripes-1)]
-}
-
-// Counter returns the named counter, creating it on first use.
-func (r *Registry) Counter(name string) *Counter {
-	s := r.shardFor(name)
-	s.mu.RLock()
-	c := s.counters[name]
-	s.mu.RUnlock()
-	if c != nil {
-		return c
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if c = s.counters[name]; c == nil {
-		c = &Counter{}
-		s.counters[name] = c
-	}
-	return c
-}
-
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	s := r.shardFor(name)
-	s.mu.RLock()
-	g := s.gauges[name]
-	s.mu.RUnlock()
-	if g != nil {
-		return g
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if g = s.gauges[name]; g == nil {
-		g = &Gauge{}
-		s.gauges[name] = g
-	}
-	return g
-}
+func NewRegistry() *Registry { return &Registry{} }
 
 // Histogram returns the named histogram, creating it on first use.
 func (r *Registry) Histogram(name string) *Histogram {
-	s := r.shardFor(name)
-	s.mu.RLock()
-	h := s.hists[name]
-	s.mu.RUnlock()
-	if h != nil {
-		return h
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, nh := range r.hists {
+		if nh.name == name {
+			return nh.h
+		}
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if h = s.hists[name]; h == nil {
-		h = &Histogram{}
-		s.hists[name] = h
-	}
+	h := &Histogram{}
+	r.hists = append(r.hists, namedHist{name, h})
 	return h
-}
-
-// Point is one named value in a registry snapshot.
-type Point struct {
-	Name  string
-	Value int64
 }
 
 // HistPoint is one named histogram in a registry snapshot.
@@ -322,24 +216,14 @@ type HistPoint struct {
 	Snap HistSnapshot
 }
 
-// Snapshot exports every metric, each kind sorted by name.
-func (r *Registry) Snapshot() (counters, gauges []Point, hists []HistPoint) {
-	for i := range r.shards {
-		s := &r.shards[i]
-		s.mu.RLock()
-		for name, c := range s.counters {
-			counters = append(counters, Point{name, c.Value()})
-		}
-		for name, g := range s.gauges {
-			gauges = append(gauges, Point{name, g.Value()})
-		}
-		for name, h := range s.hists {
-			hists = append(hists, HistPoint{name, h.Snapshot()})
-		}
-		s.mu.RUnlock()
+// Snapshot exports every histogram, sorted by name.
+func (r *Registry) Snapshot() []HistPoint {
+	r.mu.Lock()
+	hists := make([]HistPoint, len(r.hists))
+	for i, nh := range r.hists {
+		hists[i] = HistPoint{nh.name, nh.h.Snapshot()}
 	}
-	sort.Slice(counters, func(i, j int) bool { return counters[i].Name < counters[j].Name })
-	sort.Slice(gauges, func(i, j int) bool { return gauges[i].Name < gauges[j].Name })
+	r.mu.Unlock()
 	sort.Slice(hists, func(i, j int) bool { return hists[i].Name < hists[j].Name })
-	return counters, gauges, hists
+	return hists
 }

@@ -6,28 +6,6 @@ import (
 	"time"
 )
 
-func TestCounterSumsStripes(t *testing.T) {
-	t.Parallel()
-	var c Counter
-	for i := 0; i < 100; i++ {
-		c.Inc()
-	}
-	c.Add(23)
-	if got := c.Value(); got != 123 {
-		t.Fatalf("Value = %d, want 123", got)
-	}
-}
-
-func TestGauge(t *testing.T) {
-	t.Parallel()
-	var g Gauge
-	g.Set(42)
-	g.Add(-2)
-	if got := g.Value(); got != 40 {
-		t.Fatalf("Value = %d, want 40", got)
-	}
-}
-
 func TestBucketOfRanges(t *testing.T) {
 	t.Parallel()
 	cases := []struct {
@@ -97,22 +75,13 @@ func TestHistogramEmpty(t *testing.T) {
 func TestRegistryHandlesAreStable(t *testing.T) {
 	t.Parallel()
 	r := NewRegistry()
-	c1 := r.Counter("a_total")
-	c2 := r.Counter("a_total")
-	if c1 != c2 {
-		t.Fatal("same name, different counter")
+	h1 := r.Histogram("h_us")
+	if h2 := r.Histogram("h_us"); h1 != h2 {
+		t.Fatal("same name, different histogram")
 	}
-	c1.Add(7)
-	r.Gauge("g").Set(3)
-	r.Histogram("h_us").Observe(9)
-	counters, gauges, hists := r.Snapshot()
-	if len(counters) != 1 || counters[0].Name != "a_total" || counters[0].Value != 7 {
-		t.Fatalf("counters = %+v", counters)
-	}
-	if len(gauges) != 1 || gauges[0].Value != 3 {
-		t.Fatalf("gauges = %+v", gauges)
-	}
-	if len(hists) != 1 || hists[0].Snap.Total != 1 {
+	h1.Observe(9)
+	hists := r.Snapshot()
+	if len(hists) != 1 || hists[0].Name != "h_us" || hists[0].Snap.Total != 1 || hists[0].Snap.Sum != 9 {
 		t.Fatalf("hists = %+v", hists)
 	}
 }
@@ -121,19 +90,22 @@ func TestRegistrySnapshotSorted(t *testing.T) {
 	t.Parallel()
 	r := NewRegistry()
 	for _, name := range []string{"zz", "aa", "mm", "bb"} {
-		r.Counter(name).Inc()
+		r.Histogram(name).Observe(1)
 	}
-	counters, _, _ := r.Snapshot()
-	for i := 1; i < len(counters); i++ {
-		if counters[i-1].Name >= counters[i].Name {
-			t.Fatalf("snapshot not sorted: %+v", counters)
+	hists := r.Snapshot()
+	if len(hists) != 4 {
+		t.Fatalf("snapshot holds %d histograms, want 4", len(hists))
+	}
+	for i := 1; i < len(hists); i++ {
+		if hists[i-1].Name >= hists[i].Name {
+			t.Fatalf("snapshot not sorted: %+v", hists)
 		}
 	}
 }
 
-// TestConcurrentRecording is the -race stress test the satellite asks
-// for: counters, gauges, histograms and the trace log hammered from
-// many goroutines, with totals checked after the dust settles.
+// TestConcurrentRecording is the -race stress test: a histogram and
+// the trace log hammered from many goroutines, with totals checked
+// after the dust settles.
 func TestConcurrentRecording(t *testing.T) {
 	t.Parallel()
 	const (
@@ -141,8 +113,6 @@ func TestConcurrentRecording(t *testing.T) {
 		perG    = 2000
 	)
 	var (
-		c  Counter
-		g  Gauge
 		h  Histogram
 		tl = NewTraceLog(128)
 		wg sync.WaitGroup
@@ -152,17 +122,12 @@ func TestConcurrentRecording(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				c.Inc()
-				g.Set(int64(i))
 				h.Observe(int64(i % 1000))
 				tl.Record(Span{Trace: uint64(w + 1), Phase: PhaseStream, Start: int64(i), End: int64(i + 1)})
 			}
 		}(w)
 	}
 	wg.Wait()
-	if got := c.Value(); got != workers*perG {
-		t.Fatalf("counter = %d, want %d", got, workers*perG)
-	}
 	if s := h.Snapshot(); s.Total != workers*perG {
 		t.Fatalf("histogram total = %d, want %d", s.Total, workers*perG)
 	}
@@ -228,23 +193,9 @@ func TestPhaseStringsComplete(t *testing.T) {
 }
 
 // BenchmarkTelemetryRecord is the CI-enforced zero-alloc line: every
-// recording path — counter, gauge, histogram (value and since-t0
-// forms) and the trace ring — must stay at 0 allocs/op.
+// recording path — histogram (value and since-t0 forms) and the trace
+// ring — must stay at 0 allocs/op.
 func BenchmarkTelemetryRecord(b *testing.B) {
-	b.Run("Counter", func(b *testing.B) {
-		var c Counter
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			c.Inc()
-		}
-	})
-	b.Run("Gauge", func(b *testing.B) {
-		var g Gauge
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			g.Set(int64(i))
-		}
-	})
 	b.Run("Histogram", func(b *testing.B) {
 		var h Histogram
 		b.ReportAllocs()

@@ -374,3 +374,49 @@ func TestMarshalAppendErrorLeavesDst(t *testing.T) {
 		t.Fatalf("failed encode left dst = %v", out)
 	}
 }
+
+// FuzzUnmarshal: no input makes the codec panic, and whatever decodes
+// re-encodes to something that decodes to the same value. Seeded with
+// the golden image of every live tag; a body is decoded into the type
+// its tag byte names, and bytes under any other tag (retired, unknown,
+// the gob fallback's) into every fast-path type.
+func FuzzUnmarshal(f *testing.F) {
+	byTag := make(map[byte]reflect.Type)
+	for i, in := range fastBodies() {
+		img, err := hex.DecodeString(goldenImages[i])
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(img)
+		byTag[img[0]] = reflect.TypeOf(in).Elem()
+	}
+	f.Add([]byte{})
+	f.Add([]byte{tagGob, 0x03, 0x04, 0x00, 0x54})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			if Unmarshal(data, new(InvokeReq)) == nil {
+				t.Fatal("empty body decoded")
+			}
+			return
+		}
+		typ, live := byTag[data[0]]
+		if !live {
+			for _, typ := range byTag {
+				_ = Unmarshal(data, reflect.New(typ).Interface())
+			}
+			return
+		}
+		first := reflect.New(typ).Interface()
+		if Unmarshal(data, first) != nil {
+			return
+		}
+		again, err := Marshal(first)
+		if err != nil {
+			t.Fatalf("decoded %T does not re-encode: %v", first, err)
+		}
+		second := reflect.New(typ).Interface()
+		if err := Unmarshal(again, second); err != nil || !reflect.DeepEqual(first, second) {
+			t.Fatalf("%T round trip drifted (%v):\n first: %+v\nsecond: %+v", first, err, first, second)
+		}
+	})
+}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"objmig/internal/core"
@@ -31,7 +32,7 @@ func (n *Node) InvokeRaw(ctx context.Context, ref Ref, method string, arg []byte
 			return "", err
 		}
 		var resp wire.InvokeResp
-		n.stats.remoteCallsSent.Add(1)
+		atomic.AddInt64(&n.stats.RemoteCallsSent, 1)
 		hopStart := time.Now()
 		err := n.call(ctx, host, wire.KInvoke,
 			&wire.InvokeReq{Obj: oid, Method: method, Arg: arg, From: n.id}, &resp)
@@ -68,7 +69,7 @@ func (n *Node) invokeLocal(ctx context.Context, rec *store.Record, method string
 			out, err = nil, fmt.Errorf("objmig: method %s.%s panicked: %v", rec.TypeName, method, r)
 		}
 	}()
-	n.stats.invocationsServed.Add(1)
+	atomic.AddInt64(&n.stats.InvocationsServed, 1)
 	n.emit(Event{Kind: EventInvoke, Obj: Ref{OID: rec.ID}, Outcome: method})
 	c := &Ctx{ctx: ctx, node: n, self: Ref{OID: rec.ID}}
 	defer n.tel.invokeLocal.ObserveSince(time.Now())

@@ -39,6 +39,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"objmig/internal/core"
@@ -195,7 +196,7 @@ func (n *Node) handleInventory(req *wire.InventoryReq) (*wire.InventoryResp, err
 	resp.Load = wire.NodeLoad{
 		Node: n.id, Objects: s.Objects, Bytes: s.Bytes,
 		Capacity: s.Capacity, CapBytes: s.CapBytes, Seq: n.loadSeq.Add(1),
-		Health: uint8(n.healthState.Load()),
+		Health: uint8(n.Health()),
 	}
 	return resp, nil
 }
@@ -477,7 +478,7 @@ func (j *Job) Cancel() {
 	}
 	j.mu.Unlock()
 	if immediate {
-		j.node.stats.jobsCancelled.Add(1)
+		atomic.AddInt64(&j.node.stats.JobsCancelled, 1)
 		j.node.emit(Event{Kind: EventJob, Outcome: "cancelled"})
 	}
 }
@@ -522,7 +523,7 @@ func (j *Job) Execute(ctx context.Context) error {
 	first := j.nextWave
 	j.mu.Unlock()
 
-	n.stats.jobsStarted.Add(1)
+	atomic.AddInt64(&n.stats.JobsStarted, 1)
 	if j.kind == jobKindDrain {
 		n.draining.Store(true)
 		defer n.draining.Store(false)
@@ -580,11 +581,11 @@ func (j *Job) Execute(ctx context.Context) error {
 
 	switch final {
 	case jobs.Done:
-		n.stats.jobsCompleted.Add(1)
+		atomic.AddInt64(&n.stats.JobsCompleted, 1)
 	case jobs.Cancelled:
-		n.stats.jobsCancelled.Add(1)
+		atomic.AddInt64(&n.stats.JobsCancelled, 1)
 	case jobs.Failed:
-		n.stats.jobsFailed.Add(1)
+		atomic.AddInt64(&n.stats.JobsFailed, 1)
 	}
 	n.emit(Event{Kind: EventJob, Outcome: final.String()})
 	return retErr
@@ -664,9 +665,9 @@ func (j *Job) runWaves(ctx context.Context, moves []jobs.Move, first int, track 
 		}
 		j.mu.Unlock()
 
-		n.stats.jobWaves.Add(1)
-		n.stats.jobMoves.Add(int64(done))
-		n.stats.jobObjectsMoved.Add(int64(len(waveRefs)))
+		atomic.AddInt64(&n.stats.JobWaves, 1)
+		atomic.AddInt64(&n.stats.JobMoves, int64(done))
+		atomic.AddInt64(&n.stats.JobObjectsMoved, int64(len(waveRefs)))
 		n.emit(Event{Kind: EventJob, Outcome: "wave-done", Wave: w,
 			Objects: waveRefs, Bytes: waveBytes})
 	}
@@ -742,7 +743,7 @@ func (j *Job) executeMove(ctx context.Context, m *jobs.Move) (moved []core.OID, 
 				j.retargets++
 				m.To = to
 				j.mu.Unlock()
-				n.stats.jobRetargets.Add(1)
+				atomic.AddInt64(&n.stats.JobRetargets, 1)
 				n.emit(Event{Kind: EventJob, Outcome: "retarget",
 					Obj: Ref{OID: m.Anchor}, Target: to})
 			}

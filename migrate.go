@@ -327,9 +327,9 @@ func (t *transfer) send(ctx context.Context, req *wire.InstallReq) error {
 		// The gauges count payload frames, so StreamMaxChunkBytes is the
 		// coordinator's true peak migration-frame size.
 		n.tel.span(t.trace, telemetry.PhaseStream, sent, bytes, len(req.Snapshots))
-		n.stats.streamChunksOut.Add(1)
-		n.stats.streamBytesOut.Add(bytes)
-		maxInt64(&n.stats.streamMaxChunkBytes, bytes)
+		atomic.AddInt64(&n.stats.StreamChunksOut, 1)
+		atomic.AddInt64(&n.stats.StreamBytesOut, bytes)
+		maxInt64(&n.stats.StreamMaxChunkBytes, bytes)
 		t.bytesOut.Add(bytes)
 	}
 	return nil
@@ -424,8 +424,8 @@ func (n *Node) finishGroupMigration(ctx context.Context, t *transfer, anchor cor
 
 	// Phase 4: advise the origins (asynchronous, batched, best effort).
 	n.notifyOrigins(ids, target, obs, anchor, gens, trace)
-	n.stats.migrationsOut.Add(1)
-	n.stats.objectsMovedOut.Add(int64(len(ids)))
+	atomic.AddInt64(&n.stats.MigrationsOut, 1)
+	atomic.AddInt64(&n.stats.ObjectsMovedOut, int64(len(ids)))
 	moved := make([]Ref, len(ids))
 	for i, id := range ids {
 		moved[i] = Ref{OID: id}
@@ -521,12 +521,10 @@ func (n *Node) notifyOrigins(ids []core.OID, at NodeID, obs []affinity.Obs, anch
 			// common outcome, and the new host should start warm. Send
 			// a gossip-only batch.
 			if aff := affByOrigin[origin]; len(aff) > 0 {
-				n.stats.homeUpdatesQueued.Add(1)
 				n.homeBatch.enqueue(origin, at, nil, nil, nil, aff, trace)
 			}
 			continue
 		}
-		n.stats.homeUpdatesQueued.Add(1)
 		if asClosure {
 			n.homeBatch.enqueue(origin, at, nil, nil,
 				[]wire.ClosureLoc{{Anchor: anchor, Gen: maxGen, Members: objs}}, affByOrigin[origin], trace)
@@ -704,7 +702,6 @@ func (n *Node) gossipDeparted(ids []core.OID, at NodeID) {
 			n.mergeAffinityGossip(aff)
 			continue
 		}
-		n.stats.homeUpdatesQueued.Add(1)
 		n.homeBatch.enqueue(origin, at, nil, nil, nil, aff, 0)
 	}
 }

@@ -35,6 +35,7 @@ import (
 	"context"
 	"errors"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"objmig/internal/core"
@@ -183,7 +184,7 @@ func (n *Node) openSession(key sessionKey, req *wire.InstallReq) error {
 	}
 	n.sessions[key] = s
 	n.sessMu.Unlock()
-	n.stats.streamSessionsOpened.Add(1)
+	atomic.AddInt64(&n.stats.StreamSessionsOpened, 1)
 	n.emit(Event{Kind: EventMigrateStream, Target: key.from, Outcome: "begin"})
 	return nil
 }
@@ -244,8 +245,8 @@ func (n *Node) stageSnapshots(key sessionKey, req *wire.InstallReq) error {
 	n.sessMu.Unlock()
 
 	n.tel.span(req.Trace, telemetry.PhaseStage, start, bytes, len(recs))
-	n.stats.streamChunksIn.Add(1)
-	n.stats.streamBytesIn.Add(bytes)
+	atomic.AddInt64(&n.stats.StreamChunksIn, 1)
+	atomic.AddInt64(&n.stats.StreamBytesIn, bytes)
 	return nil
 }
 
@@ -285,7 +286,7 @@ func (n *Node) commitSession(key sessionKey, trace uint64) error {
 	for i, rec := range s.recs {
 		installed[i] = Ref{OID: rec.ID}
 	}
-	n.stats.objectsInstalled.Add(int64(len(s.recs)))
+	atomic.AddInt64(&n.stats.ObjectsInstalled, int64(len(s.recs)))
 	n.emit(Event{Kind: EventInstall, Objects: installed})
 	n.emit(Event{Kind: EventMigrateStream, Target: key.from, Outcome: "commit", Bytes: s.bytes})
 	return nil
@@ -333,7 +334,7 @@ func (n *Node) expireSession(key sessionKey) {
 	}
 	n.sessMu.Unlock()
 	if n.dropSession(key, "expire") {
-		n.stats.streamSessionsExpired.Add(1)
+		atomic.AddInt64(&n.stats.StreamSessionsExpired, 1)
 	}
 }
 
@@ -349,7 +350,7 @@ func (n *Node) dropSession(key sessionKey, outcome string) bool {
 		return false
 	}
 	if outcome == "abort" {
-		n.stats.streamAborts.Add(1)
+		atomic.AddInt64(&n.stats.StreamAborts, 1)
 	}
 	n.emit(Event{Kind: EventMigrateStream, Target: key.from, Outcome: outcome, Bytes: s.bytes})
 	return true
@@ -481,7 +482,7 @@ func (n *Node) firePauseLease(key sessionKey) {
 //     uncertain; stay paused and re-arm the lease. A stuck-but-paused
 //     object is consistent and recoverable, a duplicated one is not.
 func (n *Node) resolveExpiredLease(key sessionKey, l *pauseLease) {
-	n.stats.pauseLeasesExpired.Add(1)
+	atomic.AddInt64(&n.stats.PauseLeasesExpired, 1)
 	outcome := "lease-resumed"
 	verdict := n.expiredLeaseVerdict(key, l)
 	if verdict == leaseAborted && l.target != "" && l.target != n.id {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"objmig/internal/core"
@@ -147,7 +148,7 @@ func (n *Node) tryMove(ctx context.Context, rec *store.Record, req *wire.MoveReq
 	rec.Mu.Unlock()
 
 	if dec.Action == core.ActionDeny {
-		n.stats.movesDenied.Add(1)
+		atomic.AddInt64(&n.stats.MovesDenied, 1)
 		n.emit(Event{Kind: EventMoveDecision, Obj: Ref{OID: req.Obj}, Target: req.From, Outcome: "denied"})
 		return &wire.MoveResp{Outcome: wire.MoveDenied, Reason: dec.Reason, At: n.id}, false, nil
 	}
@@ -202,9 +203,9 @@ func (n *Node) tryMove(ctx context.Context, rec *store.Record, req *wire.MoveReq
 	if dec.Action == core.ActionStay {
 		outcome = wire.MoveStayed
 		name = "stayed"
-		n.stats.movesStayed.Add(1)
+		atomic.AddInt64(&n.stats.MovesStayed, 1)
 	} else {
-		n.stats.movesGranted.Add(1)
+		atomic.AddInt64(&n.stats.MovesGranted, 1)
 	}
 	n.emit(Event{Kind: EventMoveDecision, Obj: Ref{OID: req.Obj}, Target: req.From, Outcome: name})
 	return &wire.MoveResp{Outcome: outcome, At: req.From, Moved: moved}, false, nil
@@ -252,7 +253,7 @@ func (n *Node) handleEnd(ctx context.Context, rec *store.Record, req *wire.EndRe
 	coreEnd := core.EndRequest{From: req.From, Block: req.Block}
 	dec := n.policy.OnEnd(&rec.Pol, n.id, coreEnd)
 	rec.Mu.Unlock()
-	n.stats.endRequests.Add(1)
+	atomic.AddInt64(&n.stats.EndRequests, 1)
 	endOutcome := "noop"
 	if dec.Unlocked {
 		endOutcome = "unlocked"

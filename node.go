@@ -126,6 +126,12 @@ type Config struct {
 // the closed flag), or configuration guarded by cfgMu (registered
 // types, the peer address book).
 type Node struct {
+	// stats is the live counter set, bumped with sync/atomic and read
+	// by Stats(). It is the first field so its int64s stay 64-bit
+	// aligned on 32-bit targets.
+	stats     Stats
+	chaseHist chaseHist
+
 	id            NodeID
 	policy        core.MovePolicy
 	attachMode    core.AttachMode
@@ -157,10 +163,6 @@ type Node struct {
 	hl       *healthDaemon
 	affUsers int
 
-	// healthState is the health engine's current verdict (HealthState
-	// numeric), stamped into every outgoing load sample so peers learn
-	// it over the existing gossip. Stays 0 while health is disabled.
-	healthState atomic.Uint32
 	// lastDump holds the most recent automatic flight-recorder dump
 	// (serialised JSON), frozen at the moment of an upward health
 	// transition.
@@ -197,8 +199,7 @@ type Node struct {
 	allSeq    atomic.Uint32 // alliance IDs
 	closed    atomic.Bool
 
-	stats nodeStats
-	tel   *nodeTelemetry
+	tel *nodeTelemetry
 
 	bgMu     sync.Mutex     // orders spawn's bg.Add before Close's bg.Wait
 	bgClosed bool           // Close is waiting on bg: spawn starts nothing more

@@ -1,9 +1,16 @@
 package objmig
 
-import "sync/atomic"
+import (
+	"reflect"
+	"sync/atomic"
+)
 
 // Stats is a snapshot of a node's runtime counters. All counters are
-// cumulative since the node started.
+// cumulative since the node started. It is also the one declaration of
+// every counter: the node's live counters are a Stats value (n.stats)
+// bumped with sync/atomic, and (*Node).Stats, /metrics, /debug/vars and
+// the benchmark all walk the fields by reflection — so every field is
+// an int64, and adding a counter is one field here plus its call site.
 type Stats struct {
 	// InvocationsServed counts method executions on objects hosted
 	// here (local and remote callers alike).
@@ -70,10 +77,13 @@ type Stats struct {
 	// auto-resumed by this host.
 	PauseLeasesExpired int64
 	// PlacementScans counts placement-engine scans (origin
-	// pre-placement passes plus autopilot ticks that elected through
-	// the engine); PlacementMigrations the group migrations the engine
+	// pre-placement passes, shed passes and autopilot ticks that
+	// elected through the engine); PlacementScores the scoring runs
+	// inside them, one per candidate closure with a non-empty pressure
+	// vector; PlacementMigrations the group migrations the engine
 	// issued, and PlacementObjectsMoved the objects those carried.
 	PlacementScans        int64
+	PlacementScores       int64
 	PlacementMigrations   int64
 	PlacementObjectsMoved int64
 	// PlacementVetoes counts migrations this node refused as a target
@@ -87,6 +97,13 @@ type Stats struct {
 	PlacementReservations int64
 	PlacementSheds        int64
 	PlacementShedBytes    int64
+	// PlacementReservedBytes is the bytes claimed in the admission
+	// ledger right now (read from the ledger, not counted);
+	// PlacementViewAgeMaxUs the age of the oldest fresh peer sample in
+	// the placement view at the last heartbeat. Both are gauges, 0
+	// until placement runs.
+	PlacementReservedBytes int64
+	PlacementViewAgeMaxUs  int64
 	// LoadGossipSent / LoadGossipReceived count load samples shipped
 	// and folded in, heartbeats and HomeUpdate piggybacks alike.
 	LoadGossipSent     int64
@@ -116,8 +133,8 @@ type Stats struct {
 	// exceeded DirectoryConfig.ChaseHopBudget — each also emitted an
 	// EventChase.
 	ChaseHops        int64
-	ChaseP50Hops     int
-	ChaseP99Hops     int
+	ChaseP50Hops     int64
+	ChaseP99Hops     int64
 	ChasesOverBudget int64
 	// EventsDropped counts observer events shed by the bounded async
 	// sink (Config.ObserverBuffer) because the observer could not keep
@@ -143,85 +160,26 @@ type Stats struct {
 	// Location-directory footprint (see store.LocStats): explicit home
 	// entries, forwarding pointers, cached hints, closure records and
 	// their member references, plus the forwarding stubs retired so far.
-	LocHome         int
-	LocForwards     int
-	LocCache        int
-	LocClosures     int
-	LocClosureRefs  int
+	LocHome         int64
+	LocForwards     int64
+	LocCache        int64
+	LocClosures     int64
+	LocClosureRefs  int64
 	ForwardsRetired int64
 }
 
-// nodeStats is the internal atomic counterpart of Stats.
-type nodeStats struct {
-	invocationsServed atomic.Int64
-	remoteCallsSent   atomic.Int64
-	movesGranted      atomic.Int64
-	movesStayed       atomic.Int64
-	movesDenied       atomic.Int64
-	endRequests       atomic.Int64
-	migrationsOut     atomic.Int64
-	objectsMovedOut   atomic.Int64
-	objectsInstalled  atomic.Int64
+// chaseHist buckets per-chase hop counts: index i counts chases of
+// i+1 hops, the last bucket saturating (8+ hops).
+type chaseHist [8]atomic.Int64
 
-	autopilotScans        atomic.Int64
-	autopilotMigrations   atomic.Int64
-	autopilotObjectsMoved atomic.Int64
-	autopilotDeferred     atomic.Int64
-	homeUpdatesQueued     atomic.Int64
-	homeUpdateBatches     atomic.Int64
-
-	streamChunksOut       atomic.Int64
-	streamBytesOut        atomic.Int64
-	streamMaxChunkBytes   atomic.Int64
-	streamChunksIn        atomic.Int64
-	streamBytesIn         atomic.Int64
-	streamSessionsOpened  atomic.Int64
-	streamSessionsExpired atomic.Int64
-	streamAborts          atomic.Int64
-	pauseLeasesExpired    atomic.Int64
-
-	placementScans        atomic.Int64
-	placementMigrations   atomic.Int64
-	placementObjectsMoved atomic.Int64
-	placementVetoes       atomic.Int64
-	placementReservations atomic.Int64
-	placementSheds        atomic.Int64
-	placementShedBytes    atomic.Int64
-	loadGossipSent        atomic.Int64
-	loadGossipReceived    atomic.Int64
-
-	jobsStarted     atomic.Int64
-	jobsCompleted   atomic.Int64
-	jobsCancelled   atomic.Int64
-	jobsFailed      atomic.Int64
-	jobWaves        atomic.Int64
-	jobMoves        atomic.Int64
-	jobObjectsMoved atomic.Int64
-	jobRetargets    atomic.Int64
-
-	healthTicks    atomic.Int64
-	healthDegraded atomic.Int64
-	healthCritical atomic.Int64
-	healthVetoes   atomic.Int64
-	healthDumps    atomic.Int64
-
-	hintHits         atomic.Int64
-	hintMisses       atomic.Int64
-	chaseHops        atomic.Int64
-	chasesOverBudget atomic.Int64
-	// chaseHist buckets per-chase hop counts: index i counts chases of
-	// i+1 hops, the last bucket saturating (8+ hops).
-	chaseHist [8]atomic.Int64
-}
-
-// chasePercentile returns the smallest hop count h such that at least
-// frac of all recorded chases used ≤ h hops (from the saturating
-// histogram; the top bucket reads as its lower bound).
-func (s *nodeStats) chasePercentile(frac float64) int {
-	var counts [8]int64
+// percentile returns the smallest hop count h such that at least frac
+// of all recorded chases used ≤ h hops (the top bucket reads as its
+// lower bound).
+func (h *chaseHist) percentile(frac float64) int64 {
+	var counts [len(h)]int64
 	var total int64
-	for i := range s.chaseHist {
-		counts[i] = s.chaseHist[i].Load()
+	for i := range h {
+		counts[i] = h[i].Load()
 		total += counts[i]
 	}
 	if total == 0 {
@@ -235,10 +193,10 @@ func (s *nodeStats) chasePercentile(frac float64) int {
 	for i, c := range counts {
 		cum += c
 		if cum >= want {
-			return i + 1
+			return int64(i + 1)
 		}
 	}
-	return len(counts)
+	return int64(len(counts))
 }
 
 // eventsDropped reads the async event sink's shed counter (0 when
@@ -250,91 +208,39 @@ func (n *Node) eventsDropped() int64 {
 	return n.events.dropped.Load()
 }
 
-// maxInt64 raises g to v if v is larger (CAS max for gauge counters).
-func maxInt64(g *atomic.Int64, v int64) {
+// maxInt64 raises the live counter *g to v if v is larger (CAS max
+// for high-water gauges).
+func maxInt64(g *int64, v int64) {
 	for {
-		cur := g.Load()
-		if v <= cur || g.CompareAndSwap(cur, v) {
+		cur := atomic.LoadInt64(g)
+		if v <= cur || atomic.CompareAndSwapInt64(g, cur, v) {
 			return
 		}
 	}
 }
 
-// Stats returns a snapshot of the node's counters. The hosted-object
-// count walks the store shard by shard — no stop-the-world lock.
+// Stats returns a snapshot of the node's counters: one atomic load per
+// field of the live struct, then the fields that are derived at read
+// time rather than counted. The hosted-object count walks the store
+// shard by shard — no stop-the-world lock.
 func (n *Node) Stats() Stats {
-	hosted := int64(n.store.HostedCount())
-	loc := n.store.LocStats()
-	return Stats{
-		InvocationsServed: n.stats.invocationsServed.Load(),
-		RemoteCallsSent:   n.stats.remoteCallsSent.Load(),
-		MovesGranted:      n.stats.movesGranted.Load(),
-		MovesStayed:       n.stats.movesStayed.Load(),
-		MovesDenied:       n.stats.movesDenied.Load(),
-		EndRequests:       n.stats.endRequests.Load(),
-		MigrationsOut:     n.stats.migrationsOut.Load(),
-		ObjectsMovedOut:   n.stats.objectsMovedOut.Load(),
-		ObjectsInstalled:  n.stats.objectsInstalled.Load(),
-		ObjectsHosted:     hosted,
-
-		AutopilotScans:        n.stats.autopilotScans.Load(),
-		AutopilotMigrations:   n.stats.autopilotMigrations.Load(),
-		AutopilotObjectsMoved: n.stats.autopilotObjectsMoved.Load(),
-		AutopilotDeferred:     n.stats.autopilotDeferred.Load(),
-		HomeUpdatesQueued:     n.stats.homeUpdatesQueued.Load(),
-		HomeUpdateBatches:     n.stats.homeUpdateBatches.Load(),
-
-		StreamChunksOut:       n.stats.streamChunksOut.Load(),
-		StreamBytesOut:        n.stats.streamBytesOut.Load(),
-		StreamMaxChunkBytes:   n.stats.streamMaxChunkBytes.Load(),
-		StreamChunksIn:        n.stats.streamChunksIn.Load(),
-		StreamBytesIn:         n.stats.streamBytesIn.Load(),
-		StreamSessionsOpened:  n.stats.streamSessionsOpened.Load(),
-		StreamSessionsExpired: n.stats.streamSessionsExpired.Load(),
-		StreamAborts:          n.stats.streamAborts.Load(),
-		PauseLeasesExpired:    n.stats.pauseLeasesExpired.Load(),
-
-		PlacementScans:        n.stats.placementScans.Load(),
-		PlacementMigrations:   n.stats.placementMigrations.Load(),
-		PlacementObjectsMoved: n.stats.placementObjectsMoved.Load(),
-		PlacementVetoes:       n.stats.placementVetoes.Load(),
-		PlacementReservations: n.stats.placementReservations.Load(),
-		PlacementSheds:        n.stats.placementSheds.Load(),
-		PlacementShedBytes:    n.stats.placementShedBytes.Load(),
-		LoadGossipSent:        n.stats.loadGossipSent.Load(),
-		LoadGossipReceived:    n.stats.loadGossipReceived.Load(),
-
-		JobsStarted:     n.stats.jobsStarted.Load(),
-		JobsCompleted:   n.stats.jobsCompleted.Load(),
-		JobsCancelled:   n.stats.jobsCancelled.Load(),
-		JobsFailed:      n.stats.jobsFailed.Load(),
-		JobWaves:        n.stats.jobWaves.Load(),
-		JobMoves:        n.stats.jobMoves.Load(),
-		JobObjectsMoved: n.stats.jobObjectsMoved.Load(),
-		JobRetargets:    n.stats.jobRetargets.Load(),
-
-		HintHits:         n.stats.hintHits.Load(),
-		HintMisses:       n.stats.hintMisses.Load(),
-		ChaseHops:        n.stats.chaseHops.Load(),
-		ChaseP50Hops:     n.stats.chasePercentile(0.50),
-		ChaseP99Hops:     n.stats.chasePercentile(0.99),
-		ChasesOverBudget: n.stats.chasesOverBudget.Load(),
-
-		EventsDropped:     n.eventsDropped(),
-		TraceSpansEvicted: n.tel.traces.Evicted(),
-
-		HealthState:    int64(n.healthState.Load()),
-		HealthTicks:    n.stats.healthTicks.Load(),
-		HealthDegraded: n.stats.healthDegraded.Load(),
-		HealthCritical: n.stats.healthCritical.Load(),
-		HealthVetoes:   n.stats.healthVetoes.Load(),
-		HealthDumps:    n.stats.healthDumps.Load(),
-
-		LocHome:         loc.Home,
-		LocForwards:     loc.Forwards,
-		LocCache:        loc.Cache,
-		LocClosures:     loc.Closures,
-		LocClosureRefs:  loc.ClosureRefs,
-		ForwardsRetired: loc.Retired,
+	var s Stats
+	live, snap := reflect.ValueOf(&n.stats).Elem(), reflect.ValueOf(&s).Elem()
+	for i := 0; i < live.NumField(); i++ {
+		snap.Field(i).SetInt(atomic.LoadInt64(live.Field(i).Addr().Interface().(*int64)))
 	}
+	s.ObjectsHosted = int64(n.store.HostedCount())
+	s.PlacementReservedBytes = n.resv.Reserved().Bytes
+	s.ChaseP50Hops = n.chaseHist.percentile(0.50)
+	s.ChaseP99Hops = n.chaseHist.percentile(0.99)
+	s.EventsDropped = n.eventsDropped()
+	s.TraceSpansEvicted = n.tel.traces.Evicted()
+	loc := n.store.LocStats()
+	s.LocHome = int64(loc.Home)
+	s.LocForwards = int64(loc.Forwards)
+	s.LocCache = int64(loc.Cache)
+	s.LocClosures = int64(loc.Closures)
+	s.LocClosureRefs = int64(loc.ClosureRefs)
+	s.ForwardsRetired = loc.Retired
+	return s
 }

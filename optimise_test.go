@@ -293,8 +293,8 @@ func TestAutopilotElectsClosureAsUnit(t *testing.T) {
 	}
 }
 
-// TestAutopilotEngineElectionsCounted: objmig_placement_scores_total
-// counts every engine scoring run, the autopilot's included.
+// TestAutopilotEngineElectionsCounted: Stats.PlacementScores counts
+// every engine scoring run, the autopilot's included.
 func TestAutopilotEngineElectionsCounted(t *testing.T) {
 	t.Parallel()
 	ctx := ctxShort(t)
@@ -312,19 +312,9 @@ func TestAutopilotEngineElectionsCounted(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	scores := func() int64 {
-		counters, _, _ := n0.tel.reg.Snapshot()
-		for _, c := range counters {
-			if c.Name == "objmig_placement_scores_total" {
-				return c.Value
-			}
-		}
-		t.Fatal("objmig_placement_scores_total not registered")
-		return 0
-	}
-	before := scores()
+	before := n0.Stats().PlacementScores
 	n0.ap.tick()
-	if got := scores() - before; got != 1 {
+	if got := n0.Stats().PlacementScores - before; got != 1 {
 		t.Errorf("one autopilot election through the engine counted %d scoring runs, want 1", got)
 	}
 	if at, err := n0.Locate(ctx, ref); err != nil || at != "n1" {

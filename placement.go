@@ -37,6 +37,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"objmig/internal/core"
@@ -332,7 +333,7 @@ func (d *placementDaemon) gossip(load wire.NodeLoad) {
 			if err := n.call(ctx, peer, wire.KLoadGossip, &wire.LoadGossipReq{Load: load}, &resp); err != nil {
 				return
 			}
-			n.stats.loadGossipSent.Add(1)
+			atomic.AddInt64(&n.stats.LoadGossipSent, 1)
 			n.observeLoad(&resp.Load)
 		}(peer)
 	}
@@ -344,7 +345,7 @@ func (d *placementDaemon) gossip(load wire.NodeLoad) {
 // into the node's own view (the engine scores self and peers alike).
 func (n *Node) refreshLoadSample(d *placementDaemon) wire.NodeLoad {
 	objs, bytes := n.store.HostedStats()
-	served := n.stats.invocationsServed.Load()
+	served := atomic.LoadInt64(&n.stats.InvocationsServed)
 	now := time.Now()
 	if dt := now.Sub(d.lastTick).Seconds(); dt > 0 {
 		d.rate.Observe(float64(served-d.lastServed) / dt)
@@ -358,14 +359,14 @@ func (n *Node) refreshLoadSample(d *placementDaemon) wire.NodeLoad {
 		Capacity:  n.capacity,
 		CapBytes:  n.capBytes,
 		Seq:       n.loadSeq.Add(1),
-		Health:    uint8(n.healthState.Load()),
+		Health:    uint8(n.Health()),
 	}
 	n.lastLoad.Store(&load)
 	d.view.Observe(placementSample(&load))
 	// The view's worst-case staleness is the one number that tells an
 	// operator whether placement decisions run on live or fossil data.
 	_, maxAge := d.view.Ages(n.id)
-	n.tel.viewAgeMax.Set(maxAge.Microseconds())
+	atomic.StoreInt64(&n.stats.PlacementViewAgeMaxUs, maxAge.Microseconds())
 	return load
 }
 
@@ -387,7 +388,7 @@ func (n *Node) observeLoad(load *wire.NodeLoad) {
 	if d == nil {
 		return
 	}
-	n.stats.loadGossipReceived.Add(1)
+	atomic.AddInt64(&n.stats.LoadGossipReceived, 1)
 	d.view.Observe(placementSample(load))
 }
 
@@ -441,7 +442,7 @@ func (d *placementDaemon) gossipPeers() []NodeID {
 // callers, within the pass budget.
 func (d *placementDaemon) originPass() {
 	n := d.node
-	n.stats.placementScans.Add(1)
+	atomic.AddInt64(&n.stats.PlacementScans, 1)
 	var anchors []core.OID
 	for _, h := range n.aff.Hot(d.cfg.MinTotal) {
 		// Home objects only: the pass is the origin acting on its own
@@ -468,8 +469,8 @@ func (d *placementDaemon) originPass() {
 // placementMoved accounts one migration the engine elected: the
 // counters, and the EventPlacement whose outcome names the pass.
 func (n *Node) placementMoved(outcome string, anchor core.OID, to NodeID, ids []core.OID) {
-	n.stats.placementMigrations.Add(1)
-	n.stats.placementObjectsMoved.Add(int64(len(ids)))
+	atomic.AddInt64(&n.stats.PlacementMigrations, 1)
+	atomic.AddInt64(&n.stats.PlacementObjectsMoved, int64(len(ids)))
 	n.emit(Event{Kind: EventPlacement, Obj: Ref{OID: anchor}, Target: to,
 		Outcome: outcome, Objects: oidRefs(ids)})
 }
@@ -537,7 +538,7 @@ func (n *Node) selfSample() placement.Sample {
 // admits the migration.
 func (n *Node) admitAndReserve(objs []core.OID, bytes int64, from NodeID, token uint64) (reserved bool, err error) {
 	draining := n.draining.Load()
-	critical := HealthState(n.healthState.Load()) >= HealthCritical
+	critical := n.Health() >= HealthCritical
 	d := n.placementDaemonRef()
 	capped := d != nil && (n.capacity > 0 || n.capBytes > 0)
 	if !draining && !critical && !capped {
@@ -568,7 +569,7 @@ func (n *Node) admitAndReserve(objs []core.OID, bytes int64, from NodeID, token 
 	// whose gossiped view lags (or predates) the transition is
 	// back-pressured here instead of trusted.
 	if critical {
-		n.stats.healthVetoes.Add(1)
+		atomic.AddInt64(&n.stats.HealthVetoes, 1)
 		return false, n.placementVeto(objs, from,
 			"node %s is critical: migration of %d objects refused", n.id, incoming)
 	}
@@ -585,15 +586,14 @@ func (n *Node) admitAndReserve(objs []core.OID, bytes int64, from NodeID, token 
 			n.id, hosted, res.Objects, incoming, n.capacity, n.capBytes,
 			hostedBytes, bytes, res.Bytes)
 	}
-	n.stats.placementReservations.Add(1)
-	n.publishReserved()
+	atomic.AddInt64(&n.stats.PlacementReservations, 1)
 	return true, nil
 }
 
 // placementVeto records and reports one refused admission; format and
 // args say why.
 func (n *Node) placementVeto(objs []core.OID, from NodeID, format string, args ...interface{}) error {
-	n.stats.placementVetoes.Add(1)
+	atomic.AddInt64(&n.stats.PlacementVetoes, 1)
 	n.emit(Event{Kind: EventPlacement, Target: from, Outcome: "veto", Objects: oidRefs(objs)})
 	return wire.Errorf(wire.CodeDenied, format, args...)
 }
@@ -602,24 +602,14 @@ func (n *Node) placementVeto(objs []core.OID, from NodeID, format string, args .
 // one exists — called from every session release point: commit (after
 // the install has landed in the hosted counts), abort, and TTL expiry.
 func (n *Node) releaseReservation(from NodeID, token uint64) {
-	if _, ok := n.resv.Release(placement.ClaimKey{From: from, Token: token}); ok {
-		n.publishReserved()
-	}
+	n.resv.Release(placement.ClaimKey{From: from, Token: token})
 }
 
 // expireReservations is the heartbeat-driven backstop sweep: claims
 // older than twice the session TTL have outlived any session that
 // could still convert them.
 func (n *Node) expireReservations(now time.Time) {
-	freed := n.resv.ExpireBefore(now.Add(-2 * n.migrate.SessionTTL))
-	if freed.Objects > 0 || freed.Bytes > 0 {
-		n.publishReserved()
-	}
-}
-
-// publishReserved refreshes the objmig_placement_reserved_bytes gauge.
-func (n *Node) publishReserved() {
-	n.tel.reservedBytes.Set(n.resv.Reserved().Bytes)
+	n.resv.ExpireBefore(now.Add(-2 * n.migrate.SessionTTL))
 }
 
 // shedCand is one ranked shed candidate: a hosted object ordered by
@@ -674,7 +664,7 @@ func (d *placementDaemon) shedPass() {
 	if d.cfg.ShedRatio <= 0 || !over() {
 		return
 	}
-	n.stats.placementScans.Add(1)
+	atomic.AddInt64(&n.stats.PlacementScans, 1)
 	for budget := d.cfg.BudgetPerPass; budget > 0 && over(); budget-- {
 		plan := d.shedPlan()
 		anchors := make([]core.OID, len(plan))
@@ -694,8 +684,8 @@ func (d *placementDaemon) shedPass() {
 			// later in the plan may still fit.
 			declinedFor: d.cfg.Cooldown,
 			moved: func(anchor core.OID, to NodeID, ids []core.OID, g placement.Group) {
-				n.stats.placementSheds.Add(1)
-				n.stats.placementShedBytes.Add(g.Bytes)
+				atomic.AddInt64(&n.stats.PlacementSheds, 1)
+				atomic.AddInt64(&n.stats.PlacementShedBytes, g.Bytes)
 				n.placementMoved("shed", anchor, to, ids)
 			},
 		})

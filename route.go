@@ -3,6 +3,7 @@ package objmig
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"objmig/internal/core"
@@ -175,19 +176,19 @@ func (c *chase) end() {
 	case c.hops == 0:
 		return
 	case c.hops == 1:
-		n.stats.hintHits.Add(1)
+		atomic.AddInt64(&n.stats.HintHits, 1)
 	default:
-		n.stats.hintMisses.Add(1)
+		atomic.AddInt64(&n.stats.HintMisses, 1)
 	}
 	n.tel.chaseLat.ObserveSince(c.start)
-	n.stats.chaseHops.Add(int64(c.hops))
+	atomic.AddInt64(&n.stats.ChaseHops, int64(c.hops))
 	bucket := c.hops
-	if bucket > len(n.stats.chaseHist) {
-		bucket = len(n.stats.chaseHist)
+	if bucket > len(n.chaseHist) {
+		bucket = len(n.chaseHist)
 	}
-	n.stats.chaseHist[bucket-1].Add(1)
+	n.chaseHist[bucket-1].Add(1)
 	if budget := n.dir.ChaseHopBudget; budget > 0 && c.hops > budget {
-		n.stats.chasesOverBudget.Add(1)
+		atomic.AddInt64(&n.stats.ChasesOverBudget, 1)
 		n.emit(Event{Kind: EventChase, Obj: Ref{OID: c.oid}, Outcome: "over-budget", Hops: c.hops})
 	}
 }

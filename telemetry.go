@@ -5,20 +5,21 @@ package objmig
 //
 // Recording is designed to cost what a counter bump costs: the handles
 // in nodeTelemetry are resolved once at node construction, the
-// histograms and counters behind them are lock-free and allocation-
-// free, and the migration trace ring holds fixed-size spans in a
-// preallocated buffer. Everything readable — the Prometheus text
-// scrape, the expvar JSON, the migration timelines — pays its costs at
-// read time instead.
+// histograms behind them are lock-free and allocation-free, and the
+// migration trace ring holds fixed-size spans in a preallocated
+// buffer. Counters and gauges are not here at all: they are fields of
+// the live Stats (nodestats.go). Everything readable — the Prometheus
+// text scrape, the expvar JSON, the migration timelines — pays its
+// costs at read time instead.
 //
 // MetricsHandler returns the surface; objmig-node mounts it with
 // -metrics-addr. Endpoints:
 //
-//	/metrics           Prometheus text: every Stats counter, the
-//	                   registry's counters/gauges/histograms (as
-//	                   summaries with p50/p99), frame-pool
-//	                   effectiveness, dropped observer events, and the
-//	                   placement view's per-peer staleness.
+//	/metrics           Prometheus text: every Stats field, the
+//	                   registry's latency histograms (cumulative
+//	                   buckets, _sum, _count), frame-pool
+//	                   effectiveness, and the placement view's per-peer
+//	                   staleness.
 //	/debug/vars        expvar JSON (process defaults plus this node's
 //	                   Stats snapshot under "objmig").
 //	/debug/pprof/...   the standard pprof handlers.
@@ -59,7 +60,7 @@ import (
 
 // nodeTelemetry bundles one node's metric handles and its migration
 // trace ring. All handles are resolved once, at construction, so the
-// recording paths never touch the registry's maps.
+// recording paths never touch the registry.
 type nodeTelemetry struct {
 	reg    *telemetry.Registry
 	traces *telemetry.TraceLog
@@ -74,16 +75,6 @@ type nodeTelemetry struct {
 	// on every migration, traced or not.
 	phase [telemetry.NumPhases]*telemetry.Histogram
 
-	// Placement decision instrumentation.
-	placementScores *telemetry.Counter // engine scoring runs
-	viewAgeMax      *telemetry.Gauge   // worst fresh peer-sample age, µs
-	reservedBytes   *telemetry.Gauge   // bytes claimed in the admission ledger
-
-	// nodeHealth mirrors the health engine's verdict (0 healthy,
-	// 1 degraded, 2 critical) as a scrapeable gauge. Stays 0 while the
-	// engine is disabled.
-	nodeHealth *telemetry.Gauge
-
 	// flightRec is the black-box flight recorder, non-nil only while
 	// the health engine runs with a recorder. Events, traced migration
 	// spans and health ticks are mirrored into it allocation-free; the
@@ -95,16 +86,12 @@ type nodeTelemetry struct {
 func newNodeTelemetry() *nodeTelemetry {
 	reg := telemetry.NewRegistry()
 	t := &nodeTelemetry{
-		reg:             reg,
-		traces:          telemetry.NewTraceLog(telemetry.DefaultTraceSpans),
-		invokeLocal:     reg.Histogram("objmig_invoke_local_us"),
-		invokeRemote:    reg.Histogram("objmig_invoke_remote_us"),
-		chaseLat:        reg.Histogram("objmig_chase_us"),
-		homeFlushLat:    reg.Histogram("objmig_homeupdate_flush_us"),
-		placementScores: reg.Counter("objmig_placement_scores_total"),
-		viewAgeMax:      reg.Gauge("objmig_placement_view_age_max_us"),
-		reservedBytes:   reg.Gauge("objmig_placement_reserved_bytes"),
-		nodeHealth:      reg.Gauge("objmig_node_health"),
+		reg:          reg,
+		traces:       telemetry.NewTraceLog(telemetry.DefaultTraceSpans),
+		invokeLocal:  reg.Histogram("objmig_invoke_local_us"),
+		invokeRemote: reg.Histogram("objmig_invoke_remote_us"),
+		chaseLat:     reg.Histogram("objmig_chase_us"),
+		homeFlushLat: reg.Histogram("objmig_homeupdate_flush_us"),
 	}
 	// The generated per-phase names, for anyone grepping a scrape:
 	// objmig_migration_phase_pause_us, objmig_migration_phase_snapshot_us,
@@ -199,30 +186,19 @@ func (n *Node) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintf(w, "objmig_%s{node=%q} %d\n", promName(t.Field(i).Name), node, v.Field(i).Int())
 	}
 
-	counters, gauges, hists := n.tel.reg.Snapshot()
-	for _, c := range counters {
-		fmt.Fprintf(w, "%s{node=%q} %d\n", c.Name, node, c.Value)
-	}
-	for _, g := range gauges {
-		fmt.Fprintf(w, "%s{node=%q} %d\n", g.Name, node, g.Value)
-	}
-	for _, h := range hists {
-		fmt.Fprintf(w, "# TYPE %s summary\n", h.Name)
-		fmt.Fprintf(w, "%s{node=%q,quantile=\"0.5\"} %d\n", h.Name, node, h.Snap.Quantile(0.5))
-		fmt.Fprintf(w, "%s{node=%q,quantile=\"0.99\"} %d\n", h.Name, node, h.Snap.Quantile(0.99))
-		fmt.Fprintf(w, "%s_sum{node=%q} %d\n", h.Name, node, h.Snap.Sum)
-		fmt.Fprintf(w, "%s_count{node=%q} %d\n", h.Name, node, h.Snap.Total)
-		// The same distribution as a real Prometheus histogram:
-		// cumulative buckets under <name>_bucket, so rate() and
-		// histogram_quantile() work against the scrape. The summary
-		// lines above stay for anyone already grepping them.
-		fmt.Fprintf(w, "# TYPE %s_bucket histogram\n", h.Name)
+	// Each latency histogram is one Prometheus histogram family:
+	// cumulative buckets, then _sum and _count, so rate() and
+	// histogram_quantile() work against the scrape.
+	for _, h := range n.tel.reg.Snapshot() {
+		fmt.Fprintf(w, "# TYPE %s histogram\n", h.Name)
 		var cum int64
 		for b, c := range h.Snap.Counts {
 			cum += c
 			fmt.Fprintf(w, "%s_bucket{node=%q,le=\"%d\"} %d\n", h.Name, node, telemetry.BucketUpper(b), cum)
 		}
 		fmt.Fprintf(w, "%s_bucket{node=%q,le=\"+Inf\"} %d\n", h.Name, node, h.Snap.Total)
+		fmt.Fprintf(w, "%s_sum{node=%q} %d\n", h.Name, node, h.Snap.Sum)
+		fmt.Fprintf(w, "%s_count{node=%q} %d\n", h.Name, node, h.Snap.Total)
 	}
 
 	hits, misses := framebuf.Stats()

@@ -1,12 +1,191 @@
 package objmig
 
 import (
+	"encoding/json"
+	"fmt"
+	"net/http/httptest"
+	"reflect"
+	"regexp"
+	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"objmig/internal/telemetry"
 )
+
+// promSample is one sample line of a parsed /metrics scrape; le is the
+// bucket bound of a histogram bucket line, "" elsewhere.
+type promSample struct {
+	name, le string
+	value    int64
+}
+
+var promSampleRE = regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*)\{[^}]*?(?:le="([^"]*)")?\} (-?[0-9]+)$`)
+
+// parseProm is a strict reader of the text exposition serveMetrics
+// writes (one node, so one series per name). It returns the samples in
+// scrape order and the "# TYPE"d families, or the first violation of
+// these rules: every line is a TYPE line or a well-formed sample; a
+// family is typed at most once and before its first sample; no series
+// repeats; no sample belongs to two typed families; a histogram
+// family's samples are <name>_bucket (le ascending, counts cumulative,
+// ending in le="+Inf"), <name>_sum and <name>_count, with the +Inf
+// bucket equal to _count.
+func parseProm(body string) (samples []promSample, types map[string]string, err error) {
+	types = make(map[string]string)
+	seen := make(map[string]bool) // series (name{labels}) and bare names so far
+	for _, line := range strings.Split(strings.TrimRight(body, "\n"), "\n") {
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			name, typ, _ := strings.Cut(rest, " ")
+			if _, dup := types[name]; dup {
+				return nil, nil, fmt.Errorf("family %s typed twice", name)
+			}
+			for _, member := range []string{name, name + "_bucket", name + "_sum", name + "_count"} {
+				if seen[member] {
+					return nil, nil, fmt.Errorf("# TYPE %s after its sample %s", name, member)
+				}
+			}
+			types[name] = typ
+			continue
+		}
+		m := promSampleRE.FindStringSubmatch(line)
+		if m == nil {
+			return nil, nil, fmt.Errorf("malformed line %q", line)
+		}
+		sm := promSample{name: m[1], le: m[2]}
+		sm.value, _ = strconv.ParseInt(m[3], 10, 64)
+		series := line[:strings.LastIndex(line, " ")]
+		if seen[series] {
+			return nil, nil, fmt.Errorf("series %s repeated", series)
+		}
+		seen[series], seen[sm.name] = true, true
+		base := sm.name
+		for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+			if b, ok := strings.CutSuffix(sm.name, suffix); ok {
+				base = b
+			}
+		}
+		if _, typed := types[base]; typed && base != sm.name && types[sm.name] != "" {
+			return nil, nil, fmt.Errorf("sample %s belongs to families %s and %s", sm.name, base, sm.name)
+		}
+		if types[sm.name] == "histogram" {
+			return nil, nil, fmt.Errorf("bare sample %s in a histogram family", sm.name)
+		}
+		samples = append(samples, sm)
+	}
+	for fam, typ := range types {
+		if typ != "histogram" {
+			continue
+		}
+		lastLe, cum, inf, count, sums := int64(-1), int64(0), int64(-1), int64(-2), 0
+		for _, sm := range samples {
+			switch sm.name {
+			case fam + "_bucket":
+				if inf >= 0 || sm.value < cum {
+					return nil, nil, fmt.Errorf("%s: bucket le=%q is not cumulative", fam, sm.le)
+				}
+				cum = sm.value
+				if sm.le == "+Inf" {
+					inf = sm.value
+					continue
+				}
+				le, perr := strconv.ParseInt(sm.le, 10, 64)
+				if perr != nil || le <= lastLe {
+					return nil, nil, fmt.Errorf("%s: bucket bound le=%q out of order", fam, sm.le)
+				}
+				lastLe = le
+			case fam + "_sum":
+				sums++
+			case fam + "_count":
+				count = sm.value
+			}
+		}
+		if inf != count || sums != 1 {
+			return nil, nil, fmt.Errorf("%s: +Inf bucket %d, _count %d, %d _sum lines (-1/-2: absent)", fam, inf, count, sums)
+		}
+	}
+	return samples, types, nil
+}
+
+// scrapeBody serves path from n's MetricsHandler and returns the body.
+func scrapeBody(t testing.TB, n *Node, path string) string {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	n.MetricsHandler().ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+	if rec.Code != 200 {
+		t.Fatalf("%s %s: status %d", n.ID(), path, rec.Code)
+	}
+	return rec.Body.String()
+}
+
+// TestMetricsExpositionStrict: the /metrics scrape survives a strict
+// parse, and every latency histogram is one well-formed Prometheus
+// histogram family whose +Inf bucket equals its _count.
+func TestMetricsExpositionStrict(t *testing.T) {
+	t.Parallel()
+	ctx := ctxShort(t)
+	nodes := testCluster(t, 2, Config{})
+	ref := mustCreate(t, nodes[0])
+	for i := 0; i < 32; i++ {
+		if _, err := Call[int, int](ctx, nodes[i%2], ref, "Add", 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := nodes[0].Migrate(ctx, ref, "n1"); err != nil {
+		t.Fatal(err)
+	}
+	samples, types, err := parseProm(scrapeBody(t, nodes[0], "/metrics"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range nodes[0].tel.reg.Snapshot() {
+		if types[h.Name] != "histogram" {
+			t.Errorf("%s announced as %q, want histogram", h.Name, types[h.Name])
+		}
+	}
+	for _, sm := range samples {
+		if sm.name == "objmig_invoke_local_us_count" && sm.value != 32 {
+			t.Errorf("objmig_invoke_local_us_count = %d, want 32", sm.value)
+		}
+	}
+}
+
+// TestStatsSurface pins the contract every reader of Stats relies on —
+// the node's atomic loop, serveMetrics and the benchmark's addStats
+// all walk the struct by reflection: every field is an int64, and each
+// appears exactly once on /metrics (as objmig_<promName(field)>) and
+// once under "objmig" in /debug/vars.
+func TestStatsSurface(t *testing.T) {
+	t.Parallel()
+	n := testCluster(t, 1, Config{})[0]
+	samples, _, err := parseProm(scrapeBody(t, n, "/metrics"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	onMetrics := make(map[string]int)
+	for _, sm := range samples {
+		onMetrics[sm.name]++
+	}
+	var vars map[string]json.RawMessage
+	if err := json.Unmarshal([]byte(scrapeBody(t, n, "/debug/vars")), &vars); err != nil {
+		t.Fatal(err)
+	}
+	st := reflect.TypeOf(Stats{})
+	for i := 0; i < st.NumField(); i++ {
+		f := st.Field(i)
+		if f.Type.Kind() != reflect.Int64 {
+			t.Errorf("Stats.%s is %s, want int64", f.Name, f.Type)
+		}
+		if got := onMetrics["objmig_"+promName(f.Name)]; got != 1 {
+			t.Errorf("objmig_%s appears %d times on /metrics, want 1", promName(f.Name), got)
+		}
+		if got := strings.Count(string(vars["objmig"]), `"`+f.Name+`":`); got != 1 {
+			t.Errorf("%s appears %d times in /debug/vars, want 1", f.Name, got)
+		}
+	}
+}
 
 // mergedSpans unions the migration spans every node recorded — the
 // cross-node raw material a timeline reconstruction works from.
