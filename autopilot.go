@@ -113,11 +113,9 @@ func (c AutopilotConfig) withDefaults() AutopilotConfig {
 
 // autopilot is one node's running daemon.
 type autopilot struct {
+	daemon
 	node *Node
 	cfg  AutopilotConfig
-
-	stop chan struct{}
-	done chan struct{}
 
 	scans int
 
@@ -140,64 +138,21 @@ func (n *Node) EnableAutopilot(cfg AutopilotConfig) error {
 	if cfg.Policy != PolicyCompareNodes && cfg.Policy != PolicyCompareReinstantiate {
 		return fmt.Errorf("objmig: autopilot policy must be compare-nodes or compare-reinstantiate, got %v", cfg.Policy)
 	}
-	n.apMu.Lock()
-	defer n.apMu.Unlock()
-	// Re-check under the lock: Close's DisableAutopilot also takes
-	// apMu, so an enable that observes closed==false here is ordered
-	// before Close's shutdown sweep and will be stopped by it.
-	if n.closed.Load() {
-		return ErrClosed
-	}
-	if n.ap != nil {
-		return fmt.Errorf("objmig: autopilot already enabled on %s", n.id)
-	}
-	ap := &autopilot{
-		node: n,
-		cfg:  cfg,
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
-		cool: newCooldowns(cfg.Cooldown),
-		view: placement.NewView(0),
-	}
-	n.ap = ap
-	n.affUsers++
-	n.aff.SetEnabled(true)
-	n.spawn(func() { runPeriodic(ap.stop, ap.done, periodic{cfg.Interval, ap.tick}) })
-	return nil
+	ap := &autopilot{node: n, cfg: cfg, cool: newCooldowns(cfg.Cooldown), view: placement.NewView(0)}
+	return startDaemon(n, "autopilot", &n.ap, ap, func() { n.useAffinity(+1) }, periodic{cfg.Interval, ap.tick})
 }
 
-// DisableAutopilot stops the daemon and the affinity tracker. It
-// blocks until any in-flight scan (and the migration it may be
-// driving) has wound down; the scan's context is cancelled so the wait
-// is short. Safe to call when the autopilot is not running.
+// DisableAutopilot stops the daemon and the affinity tracker (which
+// stays on while the placement daemon still feeds on it). It blocks
+// until any in-flight scan (and the migration it may be driving) has
+// wound down; the scan's context is cancelled so the wait is short.
+// Safe to call when the autopilot is not running.
 func (n *Node) DisableAutopilot() {
-	n.apMu.Lock()
-	ap := n.ap
-	n.ap = nil
-	if ap != nil {
-		// Inside the critical section, so a concurrent re-enable's
-		// SetEnabled(true) cannot be overwritten after it installs
-		// its daemon. The tracker stays on while the placement daemon
-		// still feeds on it.
-		n.affUsers--
-		if n.affUsers <= 0 {
-			n.aff.SetEnabled(false)
-		}
-	}
-	n.apMu.Unlock()
-	if ap == nil {
-		return
-	}
-	close(ap.stop)
-	<-ap.done
+	stopDaemon(n, &n.ap, func() { n.useAffinity(-1) })
 }
 
 // AutopilotEnabled reports whether the autopilot is running.
-func (n *Node) AutopilotEnabled() bool {
-	n.apMu.Lock()
-	defer n.apMu.Unlock()
-	return n.ap != nil
-}
+func (n *Node) AutopilotEnabled() bool { return runningDaemon(n, &n.ap) != nil }
 
 // tick performs one scan: decay if due, then hand the hot objects that
 // have remote callers, hottest first, to the shared optimiser scan.
@@ -359,7 +314,7 @@ func (n *Node) optimise(p pass) int {
 			}
 			continue
 		}
-		ids, err := n.migrateClosureSoft(ctx, anchor, members, dec.Target, n.nextTrace())
+		ids, err := n.migrateGroup(ctx, relocation{root: anchor, target: dec.Target, trace: n.nextTrace()}, members)
 		if err != nil {
 			failed(anchor)
 			continue

@@ -52,8 +52,8 @@ func (n *Node) fixRequest(ctx context.Context, op string, req *wire.FixReq) (*wi
 func (n *Node) handleFix(_ context.Context, rec *store.Record, req *wire.FixReq) (*wire.FixResp, error) {
 	rec.Mu.Lock()
 	defer rec.Mu.Unlock()
-	if rec.Status == store.StatusGone {
-		return nil, &wire.RemoteError{Code: wire.CodeMoved, Msg: req.Obj.String(), To: rec.MovedTo}
+	if err := redirectLocked(rec); err != nil {
+		return nil, err
 	}
 	if req.Query {
 		return &wire.FixResp{Fixed: rec.Pol.Fixed}, nil

@@ -183,6 +183,7 @@ func (c HealthConfig) evalConfig() health.Config {
 // verdict (read by Health(), the gossip and the scrape alike),
 // n.lastDump for the frozen automatic dump.
 type healthDaemon struct {
+	daemon
 	node *Node
 	cfg  HealthConfig
 	eval *health.Evaluator
@@ -191,9 +192,6 @@ type healthDaemon struct {
 	// daemon goroutine owns eval; readers get a copy via verdict()).
 	lastMu sync.Mutex
 	last   health.Verdict
-
-	stop chan struct{}
-	done chan struct{}
 }
 
 func (d *healthDaemon) setVerdict(v health.Verdict) {
@@ -214,28 +212,13 @@ func (d *healthDaemon) verdict() health.Verdict {
 // through the load gossip, so pair it with EnablePlacement for
 // health-aware placement.
 func (n *Node) EnableHealth(cfg HealthConfig) error {
-	if n.closed.Load() {
-		return ErrClosed
-	}
 	cfg = cfg.withDefaults()
-	n.apMu.Lock()
-	defer n.apMu.Unlock()
-	if n.hl != nil {
-		return fmt.Errorf("objmig: health engine already enabled on %s", n.id)
-	}
-	d := &healthDaemon{
-		node: n,
-		cfg:  cfg,
-		eval: health.NewEvaluator(cfg.evalConfig()),
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
-	}
-	if cfg.FlightRecorderSize > 0 {
-		n.tel.flightRec.Store(health.NewRecorder(cfg.FlightRecorderSize))
-	}
-	n.hl = d
-	n.spawn(func() { runPeriodic(d.stop, d.done, periodic{cfg.Tick, d.tick}) })
-	return nil
+	d := &healthDaemon{node: n, cfg: cfg, eval: health.NewEvaluator(cfg.evalConfig())}
+	return startDaemon(n, "health engine", &n.hl, d, func() {
+		if cfg.FlightRecorderSize > 0 {
+			n.tel.flightRec.Store(health.NewRecorder(cfg.FlightRecorderSize))
+		}
+	}, periodic{cfg.Tick, d.tick})
 }
 
 // DisableHealth stops the engine and waits for its goroutine. The
@@ -243,25 +226,14 @@ func (n *Node) EnableHealth(cfg HealthConfig) error {
 // advertising stale sickness — and the flight recorder detaches.
 // Idempotent; Close calls it.
 func (n *Node) DisableHealth() {
-	n.apMu.Lock()
-	d := n.hl
-	n.hl = nil
-	n.apMu.Unlock()
-	if d == nil {
-		return
+	if stopDaemon(n, &n.hl, nil) {
+		atomic.StoreInt64(&n.stats.HealthState, int64(HealthHealthy))
+		n.tel.flightRec.Store(nil)
 	}
-	close(d.stop)
-	<-d.done
-	atomic.StoreInt64(&n.stats.HealthState, int64(HealthHealthy))
-	n.tel.flightRec.Store(nil)
 }
 
 // HealthEnabled reports whether the engine is running.
-func (n *Node) HealthEnabled() bool {
-	n.apMu.Lock()
-	defer n.apMu.Unlock()
-	return n.hl != nil
-}
+func (n *Node) HealthEnabled() bool { return runningDaemon(n, &n.hl) != nil }
 
 // Health returns the node's current health classification. Always
 // HealthHealthy while the engine is disabled.
@@ -274,9 +246,7 @@ func (n *Node) Health() HealthState {
 // reason "manual". Fails when the engine is off or the recorder was
 // disabled (FlightRecorderSize < 0).
 func (n *Node) DumpFlightRecorder() ([]byte, error) {
-	n.apMu.Lock()
-	d := n.hl
-	n.apMu.Unlock()
+	d := runningDaemon(n, &n.hl)
 	if d == nil {
 		return nil, fmt.Errorf("objmig: health engine not enabled on %s", n.id)
 	}

@@ -252,11 +252,11 @@ func (p *projection) elect(c Closure, from core.NodeID, exclude map[core.NodeID]
 	return best, 1 - bestUtil, true
 }
 
-// coldFirst orders closures biggest-coldest first — bytes per unit of
-// pressure descending, anchors ascending on ties — the shed pass's
-// ranking, so a drain frees the most capacity for the least disruption
-// early.
-func coldFirst(closures []Closure) []Closure {
+// ColdFirst orders closures biggest-coldest first — bytes per unit of
+// pressure descending, anchors ascending on ties — so a drain (and the
+// placement daemon's shed pass, which ranks with it too) frees the most
+// capacity for the least disruption early. The input is not modified.
+func ColdFirst(closures []Closure) []Closure {
 	out := append([]Closure(nil), closures...)
 	sort.Slice(out, func(i, j int) bool {
 		si := float64(out[i].Bytes+1) / float64(out[i].Pressure+1)
@@ -281,7 +281,7 @@ func PlanDrain(from core.NodeID, closures []Closure, view []placement.Sample, ra
 	}
 	p := newProjection(view)
 	var plan Plan
-	for _, c := range coldFirst(closures) {
+	for _, c := range ColdFirst(closures) {
 		if c.Host != from {
 			continue
 		}
@@ -346,7 +346,7 @@ func PlanRebalance(closures []Closure, view []placement.Sample, ratio float64) P
 	var plan Plan
 	for _, donor := range donors {
 		drainAll := critical(donor)
-		for _, c := range coldFirst(byHost[donor]) {
+		for _, c := range ColdFirst(byHost[donor]) {
 			if !drainAll && p.util(donor, 0, 0) <= ratio {
 				break // donor fits: relieved
 			}

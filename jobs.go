@@ -160,11 +160,12 @@ type JobPreview struct {
 	Unplaced []Ref
 }
 
-// inventoryLocal summarises this node's hosted objects as planning
+// inventory is the one scan of this node's hosted objects as planning
 // units — each object stands in for the closure the executor walks at
-// move time, ranked drainable by the same bytes-per-pressure score the
-// shed pass uses.
-func (n *Node) inventoryLocal() []jobs.Closure {
+// move time, with the bytes and pressure jobs.ColdFirst ranks by. The
+// drain planner, the KInventory handler and the shed pass all read it;
+// max > 0 stops the scan after that many units.
+func (n *Node) inventory(max int64) []jobs.Closure {
 	var out []jobs.Closure
 	n.store.Range(func(rec *store.Record) bool {
 		if rec.IsGone() {
@@ -174,7 +175,7 @@ func (n *Node) inventoryLocal() []jobs.Closure {
 			Anchor: rec.ID, Host: n.id, Objects: 1,
 			Bytes: rec.StateBytes, Pressure: n.aff.Total(rec.ID),
 		})
-		return true
+		return max <= 0 || int64(len(out)) < max
 	})
 	return out
 }
@@ -182,16 +183,11 @@ func (n *Node) inventoryLocal() []jobs.Closure {
 // handleInventory serves a planner's inventory fetch: the hosted units
 // plus this node's fresh, authoritative load sample.
 func (n *Node) handleInventory(req *wire.InventoryReq) (*wire.InventoryResp, error) {
-	resp := &wire.InventoryResp{}
-	n.store.Range(func(rec *store.Record) bool {
-		if rec.IsGone() {
-			return true
-		}
-		resp.Units = append(resp.Units, wire.InventoryUnit{
-			Anchor: rec.ID, Bytes: rec.StateBytes, Pressure: n.aff.Total(rec.ID),
-		})
-		return req.MaxUnits <= 0 || int64(len(resp.Units)) < req.MaxUnits
-	})
+	units := n.inventory(req.MaxUnits)
+	resp := &wire.InventoryResp{Units: make([]wire.InventoryUnit, len(units))}
+	for i, c := range units {
+		resp.Units[i] = wire.InventoryUnit{Anchor: c.Anchor, Bytes: c.Bytes, Pressure: c.Pressure}
+	}
 	s := n.selfSample()
 	resp.Load = wire.NodeLoad{
 		Node: n.id, Objects: s.Objects, Bytes: s.Bytes,
@@ -222,7 +218,7 @@ func (n *Node) NewDrainJob(cfg JobConfig) (*Job, error) {
 	if err != nil {
 		return nil, err
 	}
-	plan := jobs.PlanDrain(n.id, n.inventoryLocal(), d.view.Snapshot(), d.cfg.OverloadRatio)
+	plan := jobs.PlanDrain(n.id, n.inventory(0), d.view.Snapshot(), d.cfg.OverloadRatio)
 	return n.registerJob(jobKindDrain, plan, cfg, 0), nil
 }
 
@@ -239,7 +235,7 @@ func (n *Node) NewRebalanceJob(ctx context.Context, cfg JobConfig) (*Job, error)
 	}
 	self := n.selfSample()
 	samples := []placement.Sample{self}
-	closures := n.inventoryLocal()
+	closures := n.inventory(0)
 	for _, peer := range d.view.Nodes() {
 		if peer == n.id {
 			continue
@@ -293,7 +289,7 @@ func (n *Node) NewPinJob(ctx context.Context, cfg JobConfig, target NodeID, anch
 	for host, idxs := range hosts {
 		bytes := make(map[core.OID]int64)
 		if host == n.id {
-			for _, c := range n.inventoryLocal() {
+			for _, c := range n.inventory(0) {
 				bytes[c.Anchor] = c.Bytes
 			}
 		} else {
@@ -544,7 +540,7 @@ func (j *Job) Execute(ctx context.Context) error {
 			if d == nil {
 				break
 			}
-			p := jobs.PlanDrain(n.id, n.inventoryLocal(), d.view.Snapshot(), d.cfg.OverloadRatio)
+			p := jobs.PlanDrain(n.id, n.inventory(0), d.view.Snapshot(), d.cfg.OverloadRatio)
 			if len(p.Moves) == 0 {
 				j.mu.Lock()
 				j.plan.Unplaced = append(j.plan.Unplaced, p.Unplaced...)
@@ -717,7 +713,7 @@ func (j *Job) executeMove(ctx context.Context, m *jobs.Move) (moved []core.OID, 
 			return nil, true, nil
 		}
 
-		ids, err := n.migrateClosureSoft(ctx, m.Anchor, members, m.To, j.trace)
+		ids, err := n.migrateGroup(ctx, relocation{root: m.Anchor, target: m.To, trace: j.trace}, members)
 		if err == nil {
 			return ids, false, nil
 		}

@@ -88,22 +88,13 @@ func sortedOIDs(members map[core.OID]NodeID) []core.OID {
 //     the coordinator never materialises more than about one chunk per
 //     host and the "group moves as a unit" invariant is preserved.
 //
-//   - admit inspects each paused snapshot as it arrives and may veto
-//     the migration (transient placement's all-or-nothing working-set
-//     rule). Any single veto aborts the whole group before commit.
-//
-//   - mutate edits each snapshot before it is shipped (placement
-//     group locks, refix).
-//
-//   - anchor names the attachment-closure root the group was derived
-//     from (zero for anchorless groups); old hosts and origins may then
-//     coalesce the group's location state into one closure record.
-//
-//   - trace is the migration's TraceID, minted at the decision point
-//     (handleMigrate, a move grant, an autopilot election, a placement
-//     pass). It rides every wire body of the transfer so each
-//     participating node stamps its telemetry spans with it; 0 runs
-//     the migration untraced (phase histograms still record).
+//   - r is the relocation the transfer carries out (see relocate): its
+//     admit rule may veto the migration on any paused snapshot — one
+//     veto aborts the whole group before commit — and its mutate edits
+//     each snapshot before it ships. r.root lets old hosts and origins
+//     coalesce the group's location state into one closure record;
+//     r.trace rides every wire body so each participating node stamps
+//     its telemetry spans with it (0: untraced, histograms still record).
 //
 // Every shipped snapshot gets its departure generation bumped on the
 // coordinator — the one place every snapshot passes through — so
@@ -113,12 +104,10 @@ func sortedOIDs(members map[core.OID]NodeID) []core.OID {
 // target's session is discarded, and the system is unchanged. Every
 // failing exit aborts every host that may hold a pause — including
 // veto exits after only some hosts responded.
-func (n *Node) migrateGroup(ctx context.Context, members map[core.OID]NodeID, target NodeID, anchor core.OID,
-	admit func(*wire.Snapshot) error, mutate func(*wire.Snapshot), trace uint64) ([]core.OID, error) {
-
+func (n *Node) migrateGroup(ctx context.Context, r relocation, members map[core.OID]NodeID) ([]core.OID, error) {
 	t := &transfer{
-		n: n, target: target, token: n.nextToken(), trace: trace, start: time.Now(),
-		ids: sortedOIDs(members), admit: admit, mutate: mutate,
+		relocation: r, n: n, token: n.nextToken(), start: time.Now(),
+		ids:  sortedOIDs(members),
 		gens: make(map[core.OID]uint64, len(members)),
 	}
 	// Group members by host, hosts in deterministic order. A group's
@@ -146,19 +135,18 @@ func (n *Node) migrateGroup(ctx context.Context, members map[core.OID]NodeID, ta
 		}
 		return nil, err
 	}
-	return n.finishGroupMigration(ctx, t, anchor)
+	return n.finishGroupMigration(ctx, t)
 }
 
-// transfer is one group migration in flight at its coordinator.
+// transfer is one group migration in flight at its coordinator: the
+// relocation it carries out plus the state of its frames.
 type transfer struct {
-	n            *Node
-	target       NodeID
-	token, trace uint64
-	start        time.Time
-	ids          []core.OID  // every member, canonical order
-	groups       []hostGroup // the members by host, hosts ascending
-	admit        func(*wire.Snapshot) error
-	mutate       func(*wire.Snapshot)
+	relocation
+	n      *Node
+	token  uint64
+	start  time.Time
+	ids    []core.OID  // every member, canonical order
+	groups []hostGroup // the members by host, hosts ascending
 
 	mu        sync.Mutex          // guards gens: the per-host workers stamp concurrently
 	gens      map[core.OID]uint64 // departure generation of every shipped snapshot
@@ -273,18 +261,14 @@ func (t *transfer) pause(ctx context.Context, h NodeID, objs []core.OID) (batch 
 	}
 	for i := range resp.Snapshots {
 		s := &resp.Snapshots[i]
-		if t.admit != nil {
-			if err := t.admit(s); err != nil {
-				return nil, nil, err
-			}
+		if err := t.admit(s.ID, &s.Pol); err != nil {
+			return nil, nil, err
 		}
 		s.Gen++
 		t.mu.Lock()
 		t.gens[s.ID] = s.Gen
 		t.mu.Unlock()
-		if t.mutate != nil {
-			t.mutate(s)
-		}
+		t.mutate(s.ID, &s.Pol)
 	}
 	return resp.Snapshots, resp.Pending, nil
 }
@@ -381,10 +365,10 @@ func memberRaced(err error) bool {
 // finishGroupMigration is the tail of a transfer, entered once the
 // group is durably installed at the target: lift the coordinator's
 // affinity observations, commit forwarding pointers at the old hosts,
-// advise the origins, account and announce. anchor carries the closure
+// advise the origins, account and announce. t.root carries the closure
 // identity the group was derived from.
-func (n *Node) finishGroupMigration(ctx context.Context, t *transfer, anchor core.OID) ([]core.OID, error) {
-	ids, target, gens, trace := t.ids, t.target, t.gens, t.trace
+func (n *Node) finishGroupMigration(ctx context.Context, t *transfer) ([]core.OID, error) {
+	ids, target, gens, trace, anchor := t.ids, t.target, t.gens, t.trace, t.root
 
 	// The objects are leaving this node: lift the coordinator's
 	// affinity observations now (commit drops them) so they can ride
@@ -426,10 +410,7 @@ func (n *Node) finishGroupMigration(ctx context.Context, t *transfer, anchor cor
 	n.notifyOrigins(ids, target, obs, anchor, gens, trace)
 	atomic.AddInt64(&n.stats.MigrationsOut, 1)
 	atomic.AddInt64(&n.stats.ObjectsMovedOut, int64(len(ids)))
-	moved := make([]Ref, len(ids))
-	for i, id := range ids {
-		moved[i] = Ref{OID: id}
-	}
+	moved := oidRefs(ids)
 	n.emit(Event{Kind: EventMigrateStream, Target: target, Outcome: "streamed",
 		Bytes: t.bytesOut.Load(), Objects: moved})
 	n.emit(Event{Kind: EventMigration, Target: target, Objects: moved})
@@ -766,70 +747,19 @@ func (n *Node) migrateRequest(ctx context.Context, req *wire.MigrateReq) (*wire.
 
 // handleMigrate executes the migrate primitive at the object's host.
 func (n *Node) handleMigrate(ctx context.Context, rec *store.Record, req *wire.MigrateReq) (*wire.MigrateResp, error) {
+	r := relocation{root: req.Obj, alliance: req.Alliance, target: req.Target, trace: n.nextTrace(), refix: req.Fix}
 	rec.Mu.Lock()
-	if rec.Status == store.StatusGone {
-		to := rec.MovedTo
-		rec.Mu.Unlock()
-		return nil, &wire.RemoteError{Code: wire.CodeMoved, Msg: req.Obj.String(), To: to}
-	}
-	if rec.Pol.Fixed && !req.Fix {
-		rec.Mu.Unlock()
-		return nil, wire.Errorf(wire.CodeFixed, "object %s is fixed at %s", req.Obj, n.id)
-	}
-	if rec.Pol.Lock.Held {
-		owner := rec.Pol.Lock.Owner
-		rec.Mu.Unlock()
-		return nil, wire.Errorf(wire.CodeDenied, "object %s is placed (locked by %s)", req.Obj, owner)
+	err := redirectLocked(rec)
+	if err == nil {
+		err = r.admit(req.Obj, &rec.Pol) // a fixed or placed root: nothing to walk
 	}
 	rec.Mu.Unlock()
-
-	admit := func(s *wire.Snapshot) error {
-		if s.Pol.Lock.Held {
-			return wire.Errorf(wire.CodeDenied, "working-set member %s is placed", s.ID)
-		}
-		if s.Pol.Fixed && !(req.Fix && s.ID == req.Obj) {
-			return wire.Errorf(wire.CodeFixed, "working-set member %s is fixed", s.ID)
-		}
-		return nil
+	if err != nil {
+		return nil, err
 	}
-	var mutate func(*wire.Snapshot)
-	if req.Fix {
-		mutate = func(s *wire.Snapshot) {
-			if s.ID == req.Obj {
-				s.Pol.Fixed = true
-			}
-		}
+	moved, err := n.relocate(ctx, r)
+	if err != nil {
+		return nil, err
 	}
-	// A member can migrate between the closure walk and its pause
-	// (memberRaced); the walk is re-run against fresh location
-	// knowledge, mirroring handleMove's busy-retry loop.
-	const (
-		raceRetries = 50
-		raceBackoff = 2 * time.Millisecond
-	)
-	// One trace covers the whole primitive, including race retries —
-	// the retries are part of the same decision's story.
-	trace := n.nextTrace()
-	for attempt := 0; ; attempt++ {
-		members, err := n.closureOf(ctx, req.Obj, req.Alliance)
-		if err != nil {
-			return nil, wire.Errorf(wire.CodeInternal, "%v", err)
-		}
-		moved, err := n.migrateGroup(ctx, members, req.Target, req.Obj, admit, mutate, trace)
-		if err == nil {
-			return &wire.MigrateResp{At: req.Target, Moved: moved}, nil
-		}
-		if memberRaced(err) && attempt < raceRetries && ctx.Err() == nil {
-			select {
-			case <-ctx.Done():
-			case <-time.After(raceBackoff):
-				continue
-			}
-		}
-		var re *wire.RemoteError
-		if errors.As(err, &re) {
-			return nil, re
-		}
-		return nil, wire.Errorf(wire.CodeInternal, "%v", err)
-	}
+	return &wire.MigrateResp{At: req.Target, Moved: moved}, nil
 }

@@ -25,10 +25,6 @@ type Block struct {
 	At NodeID
 	// Moved lists the working set that travelled with the object.
 	Moved []Ref
-
-	alliance AllianceID
-	id       core.BlockID
-	prevAt   NodeID
 }
 
 // Move opens a move-block on ref outside any alliance: it issues the
@@ -61,15 +57,10 @@ func (n *Node) moveBlock(ctx context.Context, al AllianceID, ref Ref,
 		return err
 	}
 	b := &Block{
-		Ref:      ref,
-		Granted:  resp.Outcome != wire.MoveDenied,
-		At:       resp.At,
-		alliance: al,
-		id:       block,
-		prevAt:   prevAt,
-	}
-	for _, oid := range resp.Moved {
-		b.Moved = append(b.Moved, Ref{OID: oid})
+		Ref:     ref,
+		Granted: resp.Outcome != wire.MoveDenied,
+		At:      resp.At,
+		Moved:   oidRefs(resp.Moved),
 	}
 
 	bodyErr := body(ctx, b)
@@ -77,8 +68,8 @@ func (n *Node) moveBlock(ctx context.Context, al AllianceID, ref Ref,
 	if endErr := n.endBlock(ctx, ref, al, block, resp.Moved); endErr != nil && bodyErr == nil {
 		bodyErr = endErr
 	}
-	if visit && b.Granted && b.prevAt != "" && b.prevAt != n.id {
-		if migErr := n.MigrateIn(ctx, al, ref, b.prevAt); migErr != nil && bodyErr == nil {
+	if visit && b.Granted && prevAt != "" && prevAt != n.id {
+		if migErr := n.MigrateIn(ctx, al, ref, prevAt); migErr != nil && bodyErr == nil {
 			bodyErr = fmt.Errorf("objmig: visit return: %w", migErr)
 		}
 	}
@@ -93,56 +84,37 @@ func (n *Node) moveRequest(ctx context.Context, req *wire.MoveReq) (*wire.MoveRe
 }
 
 // handleMove interprets a move-request at the object's current host —
-// the run-time support of paper Fig. 3. Under conventional migration a
-// busy working set is retried (the thrash the paper analyses); under
-// transient placement it denies immediately.
+// the run-time support of paper Fig. 3. The policy judges the request
+// exactly once (the comparing strategies count it when they do); only
+// the transfer it grants is retried. Under conventional migration and
+// the dynamic strategies a busy working set is chased (the thrash the
+// paper analyses); under transient placement it denies immediately.
 func (n *Node) handleMove(ctx context.Context, rec *store.Record, req *wire.MoveReq) (*wire.MoveResp, error) {
-	const (
-		busyRetries = 50
-		busyBackoff = 2 * time.Millisecond
-	)
-	for attempt := 0; ; attempt++ {
-		resp, retry, err := n.tryMove(ctx, rec, req)
-		if !retry {
-			return resp, err
+	coreReq := core.MoveRequest{From: req.From, Block: req.Block}
+	placement := n.policy.Kind() == core.PolicyPlacement
+
+	rec.Mu.Lock()
+	for attempt := 0; rec.Status == store.StatusPaused; attempt++ {
+		// Another migration is in flight. Placement denies (the object
+		// is spoken for); the chasing policies wait it out.
+		rec.Mu.Unlock()
+		if placement {
+			return &wire.MoveResp{Outcome: wire.MoveDenied, Reason: core.ReasonLocked, At: n.id}, nil
 		}
-		if attempt >= busyRetries || ctx.Err() != nil {
+		if !relocateWait(ctx, attempt) {
 			return nil, wire.Errorf(wire.CodeDenied, "working set of %s stayed busy", req.Obj)
-		}
-		select {
-		case <-ctx.Done():
-			return nil, wire.Errorf(wire.CodeDenied, "working set of %s stayed busy", req.Obj)
-		case <-time.After(busyBackoff):
 		}
 		// The object may have left and come back while we waited; the
-		// next attempt must judge the record that is in the table now.
+		// record that is in the table now is the one to judge.
 		var ok bool
 		if rec, ok = n.record(req.Obj); !ok {
 			return nil, n.whereabouts(req.Obj)
 		}
+		rec.Mu.Lock()
 	}
-}
-
-// tryMove performs one move attempt. retry=true means the working set
-// was busy under a policy that should chase it (conventional and the
-// dynamic strategies).
-func (n *Node) tryMove(ctx context.Context, rec *store.Record, req *wire.MoveReq) (_ *wire.MoveResp, retry bool, _ error) {
-	coreReq := core.MoveRequest{From: req.From, Block: req.Block}
-
-	rec.Mu.Lock()
-	if rec.Status == store.StatusGone {
-		to := rec.MovedTo
+	if err := redirectLocked(rec); err != nil {
 		rec.Mu.Unlock()
-		return nil, false, &wire.RemoteError{Code: wire.CodeMoved, Msg: req.Obj.String(), To: to}
-	}
-	if rec.Status == store.StatusPaused {
-		// Another migration is in flight. Placement denies (the
-		// object is spoken for); the chasing policies wait.
-		rec.Mu.Unlock()
-		if n.policy.Kind() == core.PolicyPlacement {
-			return &wire.MoveResp{Outcome: wire.MoveDenied, Reason: core.ReasonLocked, At: n.id}, false, nil
-		}
-		return nil, true, nil
+		return nil, err
 	}
 	dec := n.policy.OnMove(&rec.Pol, n.id, coreReq)
 	rec.Mu.Unlock()
@@ -150,73 +122,129 @@ func (n *Node) tryMove(ctx context.Context, rec *store.Record, req *wire.MoveReq
 	if dec.Action == core.ActionDeny {
 		atomic.AddInt64(&n.stats.MovesDenied, 1)
 		n.emit(Event{Kind: EventMoveDecision, Obj: Ref{OID: req.Obj}, Target: req.From, Outcome: "denied"})
-		return &wire.MoveResp{Outcome: wire.MoveDenied, Reason: dec.Reason, At: n.id}, false, nil
+		return &wire.MoveResp{Outcome: wire.MoveDenied, Reason: dec.Reason, At: n.id}, nil
 	}
 
-	// Granted: collocate the working set at the caller.
-	members, err := n.closureOf(ctx, req.Obj, req.Alliance)
+	// Granted: collocate the working set at the caller; a placement
+	// block's lock goes onto every member.
+	moved, err := n.relocate(ctx, relocation{
+		root: req.Obj, alliance: req.Alliance, target: req.From, trace: n.nextTrace(),
+		lock: core.LockState{Held: placement, Owner: req.From, Block: req.Block}, chase: !placement,
+	})
 	if err != nil {
-		n.moveAbort(rec, coreReq)
-		return nil, false, wire.Errorf(wire.CodeInternal, "%v", err)
-	}
-	placement := n.policy.Kind() == core.PolicyPlacement
-	admit := func(s *wire.Snapshot) error {
-		lockedByOther := s.Pol.Lock.Held &&
-			(s.Pol.Lock.Owner != req.From || s.Pol.Lock.Block != req.Block)
-		if lockedByOther {
-			return wire.Errorf(wire.CodeDenied, "working-set member %s is placed", s.ID)
+		rec.Mu.Lock()
+		n.policy.Abort(&rec.Pol, coreReq) // undo the grant's policy effects
+		rec.Mu.Unlock()
+		if placement && isCode(err, wire.CodeDenied) {
+			return &wire.MoveResp{Outcome: wire.MoveDenied, Reason: core.ReasonLocked, At: n.id}, nil
 		}
-		if s.Pol.Fixed && s.ID != req.Obj {
-			return wire.Errorf(wire.CodeFixed, "working-set member %s is fixed", s.ID)
-		}
-		return nil
+		return nil, err
 	}
-	var mutate func(*wire.Snapshot)
-	if placement {
-		mutate = func(s *wire.Snapshot) {
-			s.Pol.Lock = core.LockState{Held: true, Owner: req.From, Block: req.Block}
-		}
+	outcome, name, count := wire.MoveMigrated, "granted", &n.stats.MovesGranted
+	if dec.Action == core.ActionStay {
+		outcome, name, count = wire.MoveStayed, "stayed", &n.stats.MovesStayed
 	}
-	moved, err := n.migrateGroup(ctx, members, req.From, req.Obj, admit, mutate, n.nextTrace())
-	if err != nil {
-		n.moveAbort(rec, coreReq)
-		if isCode(err, wire.CodeDenied) {
-			if placement {
-				return &wire.MoveResp{Outcome: wire.MoveDenied, Reason: core.ReasonLocked, At: n.id}, false, nil
+	atomic.AddInt64(count, 1)
+	n.emit(Event{Kind: EventMoveDecision, Obj: Ref{OID: req.Obj}, Target: req.From, Outcome: name})
+	return &wire.MoveResp{Outcome: outcome, At: req.From, Moved: moved}, nil
+}
+
+// relocation is the run-time support's one way to change an object's
+// location (paper Fig. 3): "collocate the working set of root at target
+// unless a member is fixed or placed". move, migrate/refix, visit's
+// return, reinstantiation, the optimiser passes and migration jobs are
+// its callers; lock, refix and chase are all they vary (the table is in
+// docs/architecture.md).
+type relocation struct {
+	root     core.OID // the object named; its attachment closure travels
+	alliance core.AllianceID
+	target   NodeID
+	trace    uint64 // one TraceID for the relocation, re-walks included
+
+	// lock is the placement lock tolerated on members and, when Held,
+	// stamped onto every one: a placement move-block's group lock.
+	lock  core.LockState
+	refix bool // the root may be fixed, and arrives fixed
+	// chase: a busy working set (a member paused by another migration, a
+	// refusing target) is retried, not reported — how conventional
+	// migration and the dynamic strategies react to a move.
+	chase bool
+}
+
+// admit is the working-set admission rule, run on the root before
+// anything is walked and on every paused snapshot before it ships: a
+// member placed by someone else, or fixed (a refix's root excepted),
+// vetoes the whole relocation. A job gives up on CodeFixed and
+// retargets on CodeDenied.
+func (r *relocation) admit(id core.OID, pol *core.ObjState) error {
+	if pol.Lock.Held && pol.Lock != r.lock {
+		return wire.Errorf(wire.CodeDenied, "object %s is placed (locked by %s)", id, pol.Lock.Owner)
+	}
+	if pol.Fixed && !(r.refix && id == r.root) {
+		return wire.Errorf(wire.CodeFixed, "object %s is fixed", id)
+	}
+	return nil
+}
+
+// mutate edits an admitted snapshot's policy state before it ships.
+func (r *relocation) mutate(id core.OID, pol *core.ObjState) {
+	if r.lock.Held {
+		pol.Lock = r.lock
+	}
+	if r.refix && id == r.root {
+		pol.Fixed = true
+	}
+}
+
+// The relocation retry budget: how often a raced or busy working set is
+// walked again, and the pause before each new walk.
+const (
+	relocateRetries = 50
+	relocateBackoff = 2 * time.Millisecond
+)
+
+// relocateWait sleeps out attempt's backoff; false: budget or ctx spent.
+func relocateWait(ctx context.Context, attempt int) bool {
+	if attempt >= relocateRetries {
+		return false
+	}
+	select {
+	case <-ctx.Done():
+		return false
+	case <-time.After(relocateBackoff):
+		return true
+	}
+}
+
+// relocate carries r out: walk root's attachment closure, transfer it
+// as a unit (migrateGroup — which callers that walked and inspected the
+// closure themselves call directly), and walk again when a member
+// migrated between the walk and its pause (memberRaced) or, for a
+// chasing caller, the working set was busy. The error is classified
+// once: a RemoteError passes through, anything else is CodeInternal.
+func (n *Node) relocate(ctx context.Context, r relocation) ([]core.OID, error) {
+	for attempt := 0; ; attempt++ {
+		members, err := n.closureOf(ctx, r.root, r.alliance)
+		if err != nil {
+			return nil, wire.Errorf(wire.CodeInternal, "%v", err)
+		}
+		moved, err := n.migrateGroup(ctx, r, members)
+		if err == nil {
+			return moved, nil
+		}
+		if memberRaced(err) || (r.chase && isCode(err, wire.CodeDenied)) {
+			if relocateWait(ctx, attempt) {
+				continue
 			}
-			return nil, true, nil // busy working set: chase it
-		}
-		if memberRaced(err) {
-			// A member migrated (or its old host forgot it) between the
-			// closure walk and its pause. The next attempt re-walks the
-			// closure against fresh location knowledge.
-			return nil, true, nil
+			// Never the last refusal: a member's redirect is not the root's.
+			return nil, wire.Errorf(wire.CodeDenied, "working set of %s stayed busy", r.root)
 		}
 		var re *wire.RemoteError
 		if errors.As(err, &re) {
-			return nil, false, re
+			return nil, re
 		}
-		return nil, false, wire.Errorf(wire.CodeInternal, "%v", err)
+		return nil, wire.Errorf(wire.CodeInternal, "%v", err)
 	}
-	outcome := wire.MoveMigrated
-	name := "granted"
-	if dec.Action == core.ActionStay {
-		outcome = wire.MoveStayed
-		name = "stayed"
-		atomic.AddInt64(&n.stats.MovesStayed, 1)
-	} else {
-		atomic.AddInt64(&n.stats.MovesGranted, 1)
-	}
-	n.emit(Event{Kind: EventMoveDecision, Obj: Ref{OID: req.Obj}, Target: req.From, Outcome: name})
-	return &wire.MoveResp{Outcome: outcome, At: req.From, Moved: moved}, false, nil
-}
-
-// moveAbort undoes the policy effects of a granted move whose transfer
-// failed.
-func (n *Node) moveAbort(rec *store.Record, req core.MoveRequest) {
-	rec.Mu.Lock()
-	n.policy.Abort(&rec.Pol, req)
-	rec.Mu.Unlock()
 }
 
 // endBlock closes a move-block. Following the paper, the end-request
@@ -245,10 +273,9 @@ func (n *Node) endBlock(ctx context.Context, ref Ref, al AllianceID, block core.
 // towards a clear majority of open move-requests.
 func (n *Node) handleEnd(ctx context.Context, rec *store.Record, req *wire.EndReq) (*wire.EndResp, error) {
 	rec.Mu.Lock()
-	if rec.Status == store.StatusGone {
-		to := rec.MovedTo
+	if err := redirectLocked(rec); err != nil {
 		rec.Mu.Unlock()
-		return nil, &wire.RemoteError{Code: wire.CodeMoved, Msg: req.Obj.String(), To: to}
+		return nil, err
 	}
 	coreEnd := core.EndRequest{From: req.From, Block: req.Block}
 	dec := n.policy.OnEnd(&rec.Pol, n.id, coreEnd)
@@ -284,20 +311,17 @@ func (n *Node) handleEnd(ctx context.Context, rec *store.Record, req *wire.EndRe
 	}
 
 	if dec.Migrate {
-		// Reinstantiation: hand the object to the majority. Run in
-		// the background; the end-request itself stays local/cheap.
-		target := dec.MigrateTo
-		obj := req.Obj
-		al := req.Alliance
+		// Reinstantiation: hand the object to the majority — an ordinary
+		// relocation, so a fixed or placed member vetoes it. Run in the
+		// background; the end-request itself stays local/cheap.
+		r := relocation{root: req.Obj, alliance: req.Alliance, target: dec.MigrateTo, trace: n.nextTrace()}
 		n.spawn(func() {
 			mctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 			defer cancel()
-			if members, err := n.closureOf(mctx, obj, al); err == nil {
-				_, _ = n.migrateGroup(mctx, members, target, obj, nil, nil, n.nextTrace())
-			}
+			_, _ = n.relocate(mctx, r)
 		})
 		resp.Migrated = true
-		resp.At = target
+		resp.At = dec.MigrateTo
 	}
 	return resp, nil
 }

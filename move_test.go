@@ -235,6 +235,7 @@ func TestCompareNodesStealsOnMajority(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	requireNoOpenMoves(t, ctx, nodes, ref)
 }
 
 func TestCompareReinstantiateHandsObjectToMajority(t *testing.T) {
@@ -282,6 +283,7 @@ func TestCompareReinstantiateHandsObjectToMajority(t *testing.T) {
 	if at := whereIs(t, ctx, nodes[0], ref); at != "n2" {
 		t.Fatalf("Where = %v, want n2 after reinstantiation", at)
 	}
+	requireNoOpenMoves(t, ctx, nodes, ref)
 }
 
 func TestMoveStayWhenAlreadyLocal(t *testing.T) {

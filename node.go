@@ -595,6 +595,84 @@ func runPeriodic(stop <-chan struct{}, done chan<- struct{}, duties ...periodic)
 	}
 }
 
+// daemon is the stop/done pair every background daemon (autopilot,
+// placement, health) embeds: startDaemon makes it, stopDaemon spends it.
+type daemon struct {
+	stop chan struct{} // closed to stop the daemon's goroutine
+	done chan struct{} // closed by the goroutine on its way out
+}
+
+func (d *daemon) lifecycle() *daemon { return d }
+
+// daemonPtr is a pointer to one of the three daemon structs.
+type daemonPtr interface {
+	comparable
+	lifecycle() *daemon
+}
+
+// startDaemon is the Enable half the daemons share. Under apMu:
+// re-check closed — Close's Disable sweep takes apMu too, so an enable
+// that sees closed==false here is ordered before the sweep and will be
+// stopped by it, and spawn's door, shut only after the sweep, is still
+// open for its goroutine — refuse a second instance, publish d in its
+// slot, run installed (whatever else must change with the slot; may be
+// nil) and start the goroutine on the duties.
+func startDaemon[D daemonPtr](n *Node, what string, slot *D, d D, installed func(), duties ...periodic) error {
+	n.apMu.Lock()
+	defer n.apMu.Unlock()
+	if n.closed.Load() {
+		return ErrClosed
+	}
+	var none D
+	if *slot != none {
+		return fmt.Errorf("objmig: %s already enabled on %s", what, n.id)
+	}
+	c := d.lifecycle()
+	*c = daemon{stop: make(chan struct{}), done: make(chan struct{})}
+	*slot = d
+	if installed != nil {
+		installed()
+	}
+	n.spawn(func() { runPeriodic(c.stop, c.done, duties...) })
+	return nil
+}
+
+// stopDaemon is the Disable half: take the daemon out of its slot —
+// running removed in the same critical section, so it cannot overwrite
+// what a concurrent re-enable installs — then stop its goroutine and
+// wait for it (and whatever its current duty is driving) to wind down.
+// It reports whether a daemon was running.
+func stopDaemon[D daemonPtr](n *Node, slot *D, removed func()) bool {
+	var none D
+	n.apMu.Lock()
+	d := *slot
+	*slot = none
+	if d != none && removed != nil {
+		removed()
+	}
+	n.apMu.Unlock()
+	if d == none {
+		return false
+	}
+	close(d.lifecycle().stop)
+	<-d.lifecycle().done
+	return true
+}
+
+// runningDaemon reads a daemon slot (nil while the daemon is off).
+func runningDaemon[D daemonPtr](n *Node, slot *D) D {
+	n.apMu.Lock()
+	defer n.apMu.Unlock()
+	return *slot
+}
+
+// useAffinity counts a daemon that feeds on the affinity tracker in
+// (+1) or out (-1); the tracker runs while any does. Caller holds apMu.
+func (n *Node) useAffinity(delta int) {
+	n.affUsers += delta
+	n.aff.SetEnabled(n.affUsers > 0)
+}
+
 // cancelOnStop fires cancel the moment stop closes, until the
 // returned release func runs — the pattern every optimiser daemon
 // wraps around its per-scan context, so node shutdown never waits out

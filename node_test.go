@@ -69,7 +69,13 @@ func newCounterType() *Type[counterState] {
 // benchmark — anything that can clean up after itself).
 func testCluster(t testing.TB, count int, cfg Config) []*Node {
 	t.Helper()
-	cl := NewLocalCluster()
+	return testClusterOn(t, NewLocalCluster(), count, cfg)
+}
+
+// testClusterOn is testCluster on a fabric the test built itself (a
+// tapped transport, say).
+func testClusterOn(t testing.TB, cl *Cluster, count int, cfg Config) []*Node {
+	t.Helper()
 	nodes := make([]*Node, count)
 	for i := range nodes {
 		c := cfg

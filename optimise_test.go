@@ -115,7 +115,7 @@ func (e *passEnv) vetoed(code wire.ErrCode, refs []Ref) {
 	if err != nil {
 		e.t.Fatal(err)
 	}
-	if _, err := n0.migrateClosureSoft(e.ctx, refs[0].OID, members, "n1", n0.nextTrace()); !isCode(err, code) {
+	if _, err := n0.migrateGroup(e.ctx, relocation{root: refs[0].OID, target: "n1", trace: n0.nextTrace()}, members); !isCode(err, code) {
 		e.t.Errorf("soft migration = %v, want code %v", err, code)
 	}
 	e.expect(e.scan(4, refs[0]), 0, 1, 0, 1)

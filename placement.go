@@ -41,9 +41,9 @@ import (
 	"time"
 
 	"objmig/internal/core"
+	"objmig/internal/jobs"
 	"objmig/internal/placement"
 	"objmig/internal/stats"
-	"objmig/internal/store"
 	"objmig/internal/wire"
 )
 
@@ -161,6 +161,7 @@ func (c PlacementConfig) engineOptions() placement.Options {
 
 // placementDaemon is one node's running placement subsystem.
 type placementDaemon struct {
+	daemon
 	node *Node
 	cfg  PlacementConfig
 	view *placement.View
@@ -169,9 +170,6 @@ type placementDaemon struct {
 	// last heartbeat's reference point for the rate computation
 	lastServed int64
 	lastTick   time.Time
-
-	stop chan struct{}
-	done chan struct{}
 
 	cool cooldowns
 }
@@ -195,28 +193,14 @@ func (n *Node) EnablePlacement(cfg PlacementConfig) error {
 		return fmt.Errorf("objmig: placement ShedRatio (%v) must be below OverloadRatio (%v): shedding has to trigger before the admission veto",
 			cfg.ShedRatio, cfg.OverloadRatio)
 	}
-	n.apMu.Lock()
-	defer n.apMu.Unlock()
-	if n.closed.Load() {
-		return ErrClosed
-	}
-	if n.pl != nil {
-		return fmt.Errorf("objmig: placement already enabled on %s", n.id)
-	}
 	d := &placementDaemon{
 		node:     n,
 		cfg:      cfg,
 		view:     placement.NewView(cfg.Freshness),
 		rate:     stats.NewEWMA(0),
 		lastTick: time.Now(),
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
 		cool:     newCooldowns(cfg.Cooldown),
 	}
-	n.pl = d
-	n.affUsers++
-	n.aff.SetEnabled(true)
-	n.refreshLoadSample(d)
 	// The sampler runs even when the heartbeat RPCs are disabled
 	// (negative Heartbeat) — the HomeUpdate piggybacks must never carry
 	// a frozen enable-time sample.
@@ -228,47 +212,24 @@ func (n *Node) EnablePlacement(cfg PlacementConfig) error {
 	if cfg.ShedRatio <= 0 {
 		shedEvery = -1
 	}
-	n.spawn(func() {
-		runPeriodic(d.stop, d.done, periodic{sample, d.heartbeat},
-			periodic{cfg.OriginPass, d.originPass}, periodic{shedEvery, d.shedPass})
-	})
-	return nil
+	return startDaemon(n, "placement", &n.pl, d, func() {
+		n.useAffinity(+1)
+		n.refreshLoadSample(d)
+	}, periodic{sample, d.heartbeat}, periodic{cfg.OriginPass, d.originPass}, periodic{shedEvery, d.shedPass})
 }
 
 // DisablePlacement stops the placement subsystem. It blocks until the
 // daemon (and any migration its origin pass is driving) has wound
 // down. Safe to call when placement is not running.
 func (n *Node) DisablePlacement() {
-	n.apMu.Lock()
-	d := n.pl
-	n.pl = nil
-	if d != nil {
-		n.affUsers--
-		if n.affUsers <= 0 {
-			n.aff.SetEnabled(false)
-		}
-	}
-	n.apMu.Unlock()
-	if d == nil {
-		return
-	}
-	close(d.stop)
-	<-d.done
+	stopDaemon(n, &n.pl, func() { n.useAffinity(-1) })
 }
 
 // PlacementEnabled reports whether the placement subsystem is running.
-func (n *Node) PlacementEnabled() bool {
-	n.apMu.Lock()
-	defer n.apMu.Unlock()
-	return n.pl != nil
-}
+func (n *Node) PlacementEnabled() bool { return n.placementDaemonRef() != nil }
 
 // placementDaemonRef returns the running daemon, if any.
-func (n *Node) placementDaemonRef() *placementDaemon {
-	n.apMu.Lock()
-	defer n.apMu.Unlock()
-	return n.pl
-}
+func (n *Node) placementDaemonRef() *placementDaemon { return runningDaemon(n, &n.pl) }
 
 // LoadView reports the node's current placement view — its own latest
 // sample plus every fresh peer sample — for operators and tests.
@@ -498,25 +459,6 @@ func (n *Node) groupAffinity(members map[core.OID]NodeID) placement.Group {
 	return g
 }
 
-// migrateClosureSoft drives one group migration through the standard
-// machinery with the optimisers' admission rule: fixed or placed
-// members veto the whole transfer — the autopilot, the engine's passes
-// and migration jobs are optimisers, never an override. The error code
-// tells the two vetoes apart (a job gives up on CodeFixed, retargets on
-// CodeDenied).
-func (n *Node) migrateClosureSoft(ctx context.Context, anchor core.OID, members map[core.OID]NodeID, target NodeID, trace uint64) ([]core.OID, error) {
-	admit := func(s *wire.Snapshot) error {
-		if s.Pol.Lock.Held {
-			return wire.Errorf(wire.CodeDenied, "working-set member %s is placed", s.ID)
-		}
-		if s.Pol.Fixed {
-			return wire.Errorf(wire.CodeFixed, "working-set member %s is fixed", s.ID)
-		}
-		return nil
-	}
-	return n.migrateGroup(ctx, members, target, anchor, admit, nil, trace)
-}
-
 // selfSample is the node's authoritative local load sample — what a
 // peer would see gossiped, read directly from the store.
 func (n *Node) selfSample() placement.Sample {
@@ -612,41 +554,13 @@ func (n *Node) expireReservations(now time.Time) {
 	n.resv.ExpireBefore(now.Add(-2 * n.migrate.SessionTTL))
 }
 
-// shedCand is one ranked shed candidate: a hosted object ordered by
-// coldness × size (biggest, least-wanted first).
-type shedCand struct {
-	oid   core.OID
-	bytes int64
-	score float64 // bytes per unit of observed pressure
-}
-
-// shedPlan ranks the node's hosted objects for shedding: inverse
-// affinity × resident bytes, so the pass drains the closures that cost
-// the most capacity and are wanted the least. Pure planning — no
-// pauses, no RPCs — so it is cheap enough to rerun every pass (and to
-// benchmark: BenchmarkShedPlan).
-func (d *placementDaemon) shedPlan() []shedCand {
-	n := d.node
-	var plan []shedCand
-	n.store.Range(func(rec *store.Record) bool {
-		if rec.IsGone() {
-			return true
-		}
-		total := n.aff.Total(rec.ID)
-		plan = append(plan, shedCand{
-			oid:   rec.ID,
-			bytes: rec.StateBytes,
-			score: float64(rec.StateBytes+1) / float64(total+1),
-		})
-		return true
-	})
-	sort.Slice(plan, func(i, j int) bool {
-		if plan[i].score != plan[j].score {
-			return plan[i].score > plan[j].score
-		}
-		return plan[i].oid.Less(plan[j].oid)
-	})
-	return plan
+// shedPlan ranks the node's hosted objects for shedding, biggest and
+// least-wanted first (jobs.ColdFirst — the drain planner's ranking), so
+// the pass drains the closures that cost the most capacity and are
+// wanted the least. Pure planning — no pauses, no RPCs — so it is cheap
+// enough to rerun every pass (and to benchmark: BenchmarkShedPlan).
+func (d *placementDaemon) shedPlan() []jobs.Closure {
+	return jobs.ColdFirst(d.node.inventory(0))
 }
 
 // shedPass is the veto's push half: while the node's own utilisation
@@ -669,7 +583,7 @@ func (d *placementDaemon) shedPass() {
 		plan := d.shedPlan()
 		anchors := make([]core.OID, len(plan))
 		for i, cand := range plan {
-			anchors[i] = cand.oid
+			anchors[i] = cand.Anchor
 		}
 		shed := n.optimise(pass{
 			stop:     d.stop,

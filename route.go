@@ -130,6 +130,16 @@ func onRecord[Req, Resp any](ctx context.Context, n *Node, oid core.OID, req *Re
 	return fn(ctx, rec, req)
 }
 
+// redirectLocked is what a handler answers when onRecord passed it a
+// forwarding stub: the redirect to the object's next host, nil for a
+// live record. Caller holds rec.Mu.
+func redirectLocked(rec *store.Record) error {
+	if rec.Status != store.StatusGone {
+		return nil
+	}
+	return &wire.RemoteError{Code: wire.CodeMoved, Msg: rec.ID.String(), To: rec.MovedTo}
+}
+
 // chase is the adaptive retry budget of one location chase. A chase
 // normally terminates within a handful of hops, and the attempt budget
 // (Config.CallRetries) covers that common case cheaply. But a fixed

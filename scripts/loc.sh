@@ -16,6 +16,7 @@ count() {
 }
 
 printf '%-28s %6d\n' 'root package' "$(count . -maxdepth 1)"
+printf '%-28s %6d\n' 'move.go + migrate.go' "$(cat move.go migrate.go | wc -l)"
 printf '%-28s %6d\n' 'migrate.go + migsession.go' "$(cat migrate.go migsession.go | wc -l)"
 printf '%-28s %6d\n' 'autopilot.go + placement.go' "$(cat autopilot.go placement.go | wc -l)"
 printf '%-28s %6d\n' 'stats + telemetry (3 files)' "$(cat nodestats.go telemetry.go internal/telemetry/telemetry.go | wc -l)"
