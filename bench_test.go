@@ -18,11 +18,9 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"reflect"
 	"testing"
 
 	"objmig/internal/core"
-	"objmig/internal/gobstream"
 	"objmig/internal/store"
 	"objmig/internal/wire"
 	"objmig/sim"
@@ -262,18 +260,6 @@ func BenchmarkRuntimeMoveBlock(b *testing.B) {
 	}
 }
 
-// gobMarshal and gobUnmarshal are the wire codec's gob fallback — what
-// a body costs without a hand-rolled fast path: a plain-gob image
-// written and read by internal/gobstream's primed encoders and
-// decoders. The fast path is measured against it.
-func gobMarshal(v interface{}) ([]byte, error) {
-	return gobstream.For(reflect.TypeOf(v)).AppendEncode(nil, v)
-}
-
-func gobUnmarshal(data []byte, v interface{}) error {
-	return gobstream.For(reflect.TypeOf(v)).Decode(data, v)
-}
-
 // codecBodies are the two hot wire bodies the codec satellite tracks:
 // the invocation request every call carries, and the snapshot every
 // migration batch is made of.
@@ -298,31 +284,14 @@ func codecBodies() (*wire.InvokeReq, *wire.Snapshot) {
 	return req, snap
 }
 
-// BenchmarkRuntimeCodec compares the gob fallback against the
-// fast-path codec behind wire.Marshal, on encode+decode round
-// trips of the two hot bodies. The append sub-benchmarks measure the
-// zero-copy path the rpc layer actually runs — wire.MarshalAppend into
-// a reused frame buffer — whose remaining allocs/op are pure decode
-// output (the strings, byte slices and maps handed to the caller).
-// CI guards every sub-benchmark's allocs/op against
-// scripts/alloc-budget.txt (see scripts/check-allocs.sh).
+// BenchmarkRuntimeCodec measures encode+decode round trips of the hot
+// wire bodies on the zero-copy path the rpc layer actually runs —
+// wire.MarshalAppend into a reused frame buffer — whose remaining
+// allocs/op are pure decode output (the strings, byte slices and maps
+// handed to the caller). CI guards every sub-benchmark's allocs/op
+// against scripts/alloc-budget.txt (see scripts/check-allocs.sh).
 func BenchmarkRuntimeCodec(b *testing.B) {
 	req, snap := codecBodies()
-	run := func(name string, marshal func(interface{}) ([]byte, error),
-		unmarshal func([]byte, interface{}) error, in interface{}, out func() interface{}) {
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				data, err := marshal(in)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := unmarshal(data, out()); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 	runAppend := func(name string, in interface{}, out func() interface{}) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -338,19 +307,13 @@ func BenchmarkRuntimeCodec(b *testing.B) {
 			}
 		})
 	}
-	run("Invoke/gob", gobMarshal, gobUnmarshal, req, func() interface{} { return new(wire.InvokeReq) })
-	run("Invoke/pooled", wire.Marshal, wire.Unmarshal, req, func() interface{} { return new(wire.InvokeReq) })
 	runAppend("Invoke/append", req, func() interface{} { return new(wire.InvokeReq) })
-	run("Snapshot/gob", gobMarshal, gobUnmarshal, snap, func() interface{} { return new(wire.Snapshot) })
-	run("Snapshot/pooled", wire.Marshal, wire.Unmarshal, snap, func() interface{} { return new(wire.Snapshot) })
 	runAppend("Snapshot/append", snap, func() interface{} { return new(wire.Snapshot) })
 	// The load-gossip heartbeat body: ships every Heartbeat per peer,
 	// so its append path must stay as lean as the invoke one.
 	load := &wire.LoadGossipReq{Load: wire.NodeLoad{
 		Node: "node-0", Objects: 4096, Bytes: 1 << 28, RateMilli: 125_000, Capacity: 8192, Seq: 99,
 	}}
-	run("Load/gob", gobMarshal, gobUnmarshal, load, func() interface{} { return new(wire.LoadGossipReq) })
-	run("Load/pooled", wire.Marshal, wire.Unmarshal, load, func() interface{} { return new(wire.LoadGossipReq) })
 	runAppend("Load/append", load, func() interface{} { return new(wire.LoadGossipReq) })
 	// HomeUpdate with a piggybacked sample: the decode allocates the
 	// optional NodeLoad plus its node string on top of the OID list.
@@ -378,6 +341,10 @@ func BenchmarkRuntimeCodec(b *testing.B) {
 		install.Members = append(install.Members, s.ID)
 	}
 	runAppend("Install/append", install, func() interface{} { return new(wire.InstallReq) })
+	// The redirect every stale hint earns: an error frame naming the
+	// next hop. The decode output is its two strings.
+	redirect := &wire.RemoteError{Code: wire.CodeMoved, Msg: "object node-0/12345 moved", To: "node-1"}
+	runAppend("RemoteError/append", redirect, func() interface{} { return new(wire.RemoteError) })
 }
 
 // BenchmarkShedPlan measures the shedder's planning pass alone: the

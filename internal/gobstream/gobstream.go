@@ -5,8 +5,8 @@
 // descriptors of every type the value can reach (the preamble D), then
 // the value message V; a fresh Decoder compiles a decode engine from
 // those descriptors before it reads V. Used per message — a new
-// Encoder and Decoder for every call argument, result, object state
-// and control body — that set-up is almost the whole cost. Two facts
+// Encoder and Decoder for every call argument, result and object
+// state — that set-up is almost the whole cost. Two facts
 // make it avoidable without changing a byte on the wire:
 //
 //   - An Encoder that has already sent a type's descriptors emits only
@@ -87,15 +87,9 @@ func (w *sliceWriter) Write(p []byte) (int, error) {
 
 var streams sync.Map // reflect.Type (pointers stripped) → *Stream
 
-// untyped serves reflect.TypeOf(nil): gob rejects the nil value itself.
-var untyped = new(Stream)
-
 // For returns the stream of t. Pointer types share the stream of their
 // base type, as gob flattens pointers on the wire.
 func For(t reflect.Type) *Stream {
-	if t == nil {
-		return untyped
-	}
 	for t.Kind() == reflect.Pointer {
 		t = t.Elem()
 	}

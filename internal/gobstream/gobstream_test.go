@@ -278,11 +278,6 @@ func TestPlainPath(t *testing.T) {
 			t.Errorf("%T: err %q (len %d), plain gob %q", v, errText(err), len(got), wantErr)
 		}
 	}
-	// The untyped nil (wire.Marshal(nil)) is gob's to refuse.
-	_, wantErr := plainEncode(nil)
-	if _, err := For(reflect.TypeOf(nil)).AppendEncode(nil, nil); wantErr == nil || errText(err) != wantErr.Error() {
-		t.Errorf("nil value: err %q, plain gob %q", errText(err), errText(wantErr))
-	}
 	// Decoding into the wrong shape reports gob's own complaint.
 	data, _ := plainEncode(&four{A: 1})
 	var n int

@@ -12,6 +12,14 @@
 // successful response ([body]); direction 2 a failed response
 // (an encoded wire.RemoteError).
 //
+// A connection opens with one exchange of wire epochs (wire.Epoch):
+// the dialer's first frame is a hello carrying its epoch and the
+// acceptor's first frame answers with its own. Pool hands out a peer
+// only after a matching answer, and the acceptor closes a connection
+// whose hello names another epoch before any of its frames reaches the
+// handler — two builds that would misread each other's bodies never
+// exchange one.
+//
 // Frames are pooled (internal/framebuf), and messages are encoded
 // exactly once: Call and serve reserve the frame header up front in a
 // pooled buffer and hand the codec the tail (wire.MarshalAppend), so
@@ -45,6 +53,12 @@ const (
 	// body within its frame.
 	hdrLen    = 9
 	reqHdrLen = hdrLen + 1
+
+	// helloLen is the dialer's opening frame: a request header of call
+	// ID 0 and kind 0, then the dialer's epoch. Kind 0 is no kind, so a
+	// build predating the exchange answers the hello with an error
+	// response instead of running a handler.
+	helloLen = reqHdrLen + 1
 )
 
 // ErrPeerClosed is returned by calls whose peer shut down before a
@@ -56,6 +70,11 @@ var ErrPeerClosed = errors.New("rpc: peer closed")
 // ErrDialFailed marks calls that failed before a connection existed:
 // the request was definitely never delivered.
 var ErrDialFailed = errors.New("rpc: dial failed")
+
+// ErrEpochMismatch marks a connection refused when it opened because
+// the two ends speak different wire epochs. It always comes wrapped
+// together with ErrDialFailed: the request was never delivered.
+var ErrEpochMismatch = errors.New("rpc: wire epoch mismatch")
 
 // ErrSendFailed marks calls whose frame could not be handed to the
 // connection: the request was definitely never delivered.
@@ -79,6 +98,9 @@ type Handler func(ctx context.Context, kind wire.Kind, body, dst []byte) ([]byte
 type Peer struct {
 	conn    transport.Conn
 	handler Handler
+	// accepted: the connection was accepted by a Server, so its first
+	// frame must be the dialer's hello.
+	accepted bool
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -124,13 +146,18 @@ func (r callResult) finish(resp interface{}) error {
 // (inbound requests are then rejected). The peer owns the connection
 // and closes it on Close.
 func NewPeer(conn transport.Conn, handler Handler) *Peer {
+	return newPeer(conn, handler, false)
+}
+
+func newPeer(conn transport.Conn, handler Handler, accepted bool) *Peer {
 	ctx, cancel := context.WithCancel(context.Background())
 	p := &Peer{
-		conn:    conn,
-		handler: handler,
-		ctx:     ctx,
-		cancel:  cancel,
-		pending: make(map[uint64]chan callResult),
+		conn:     conn,
+		handler:  handler,
+		accepted: accepted,
+		ctx:      ctx,
+		cancel:   cancel,
+		pending:  make(map[uint64]chan callResult),
 	}
 	p.wg.Add(1)
 	go p.readLoop()
@@ -200,6 +227,9 @@ func (p *Peer) forget(id uint64) {
 // right here when nobody wants it.
 func (p *Peer) readLoop() {
 	defer p.wg.Done()
+	if p.accepted && !p.answerHello() {
+		return
+	}
 	for {
 		frame, err := p.conn.Recv()
 		if err != nil {
@@ -242,6 +272,59 @@ func (p *Peer) readLoop() {
 			framebuf.Put(frame)
 		}
 	}
+}
+
+// answerHello reads an accepted connection's first frame, which must be
+// the dialer's hello, and answers it with this build's epoch. Anything
+// else — no hello, or a hello of another epoch — closes the connection
+// unserved.
+func (p *Peer) answerHello() bool {
+	frame, err := p.conn.Recv()
+	if err != nil {
+		p.failAll(err)
+		return false
+	}
+	hello := len(frame) == helloLen && frame[0] == dirRequest && frame[hdrLen] == 0
+	ok := hello && frame[reqHdrLen] == wire.Epoch
+	framebuf.Put(frame)
+	if hello {
+		answer := make([]byte, hdrLen+1)
+		answer[0], answer[hdrLen] = dirOK, wire.Epoch
+		err = p.conn.Send(answer)
+	}
+	if err != nil || !ok {
+		_ = p.conn.Close()
+		p.failAll(ErrEpochMismatch)
+		return false
+	}
+	return true
+}
+
+// hello opens a dialled connection to addr: it sends this build's
+// epoch and waits, bounded by ctx, for the acceptor's. Every failure
+// wraps ErrDialFailed — no request has been sent yet.
+func hello(ctx context.Context, conn transport.Conn, addr string) error {
+	frame := make([]byte, helloLen) // direction, call ID and kind all 0
+	frame[reqHdrLen] = wire.Epoch
+	if err := conn.Send(frame); err != nil {
+		return fmt.Errorf("%w: %s: %v", ErrDialFailed, addr, err)
+	}
+	stop := context.AfterFunc(ctx, func() { _ = conn.Close() })
+	answer, err := conn.Recv()
+	if !stop() {
+		err = ctx.Err() // the connection was closed under the wait
+	}
+	if err != nil {
+		return fmt.Errorf("%w: %s: %v", ErrDialFailed, addr, err)
+	}
+	defer framebuf.Put(answer)
+	if len(answer) != hdrLen+1 || answer[0] != dirOK {
+		return fmt.Errorf("%w: %s: %w: local epoch %d, peer answered without one", ErrDialFailed, addr, ErrEpochMismatch, wire.Epoch)
+	}
+	if answer[hdrLen] != wire.Epoch {
+		return fmt.Errorf("%w: %s: %w: local epoch %d, peer epoch %d", ErrDialFailed, addr, ErrEpochMismatch, wire.Epoch, answer[hdrLen])
+	}
+	return nil
 }
 
 // serve runs the handler for one request, encoding the response
@@ -351,7 +434,7 @@ func (s *Server) acceptLoop() {
 		if err != nil {
 			return
 		}
-		p := NewPeer(conn, s.handler)
+		p := newPeer(conn, s.handler, true)
 		s.mu.Lock()
 		if s.done {
 			s.mu.Unlock()
@@ -400,11 +483,11 @@ func NewPool(tr transport.Transport) *Pool {
 	return &Pool{tr: tr, conns: make(map[string]*Peer)}
 }
 
-// Call sends one request to addr, dialling if needed, and decodes the
-// response into resp (nil discards it). Dead peers are evicted and
-// re-dialled on the next call.
+// Call sends one request to addr, dialling (and exchanging epochs) if
+// needed, and decodes the response into resp (nil discards it). Dead
+// peers are evicted and re-dialled on the next call.
 func (p *Pool) Call(ctx context.Context, addr string, kind wire.Kind, req, resp interface{}) error {
-	peer, err := p.get(addr)
+	peer, err := p.get(ctx, addr)
 	if err != nil {
 		return err
 	}
@@ -415,7 +498,7 @@ func (p *Pool) Call(ctx context.Context, addr string, kind wire.Kind, req, resp 
 	return err
 }
 
-func (p *Pool) get(addr string) (*Peer, error) {
+func (p *Pool) get(ctx context.Context, addr string) (*Peer, error) {
 	p.mu.Lock()
 	if p.done {
 		p.mu.Unlock()
@@ -430,6 +513,10 @@ func (p *Pool) get(addr string) (*Peer, error) {
 	conn, err := p.tr.Dial(addr)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %s: %v", ErrDialFailed, addr, err)
+	}
+	if err := hello(ctx, conn, addr); err != nil {
+		_ = conn.Close()
+		return nil, err
 	}
 	peer := NewPeer(conn, nil)
 

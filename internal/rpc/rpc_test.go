@@ -6,7 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -32,7 +34,7 @@ func echoHandler(ctx context.Context, kind wire.Kind, body, dst []byte) ([]byte,
 		<-ctx.Done()
 		return nil, ctx.Err()
 	default:
-		return wire.MarshalAppend(dst, wire.PingResp{Payload: req.Payload})
+		return wire.MarshalAppend(dst, &wire.PingResp{Payload: req.Payload})
 	}
 }
 
@@ -289,6 +291,93 @@ func TestNilResponseBody(t *testing.T) {
 	}
 }
 
+// TestEpochMismatchRefusedAtDial: a connection whose two ends speak
+// different wire epochs is refused when it opens, in both directions.
+// A dialer announcing another epoch gets the acceptor's epoch back and a
+// closed connection, and the request it sends after the hello never
+// reaches the handler. A pool dialling an acceptor of another epoch
+// fails the call definitely (ErrDialFailed), naming both epochs, before
+// any request leaves.
+func TestEpochMismatchRefusedAtDial(t *testing.T) {
+	t.Parallel()
+	var served atomic.Int64
+	tr := transport.NewNetwork().Transport()
+	l, err := tr.Listen("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := Serve(l, func(ctx context.Context, kind wire.Kind, body, dst []byte) ([]byte, error) {
+		served.Add(1)
+		return echoHandler(ctx, kind, body, dst)
+	})
+	defer srv.Close()
+	conn, err := tr.Dial(l.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	other := wire.Epoch + 1
+	hello := make([]byte, helloLen)
+	hello[reqHdrLen] = other
+	req, err := wire.MarshalAppend([]byte{dirRequest, 0, 0, 0, 0, 0, 0, 0, 1, byte(wire.KPing)}, &wire.PingReq{Payload: "x"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.Send(hello); err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.Send(req) // may already find the connection closed
+	answer, err := conn.Recv()
+	if err != nil || len(answer) != hdrLen+1 || answer[0] != dirOK || answer[hdrLen] != wire.Epoch {
+		t.Fatalf("hello answered with %x (%v), want the acceptor's epoch %d", answer, err, wire.Epoch)
+	}
+	if f, err := conn.Recv(); err == nil {
+		t.Fatalf("connection of epoch %d stayed open (received %x)", other, f)
+	}
+	if n := served.Load(); n != 0 {
+		t.Fatalf("handler ran %d times on a refused connection", n)
+	}
+
+	// The other direction: an acceptor that answers with another epoch.
+	tr = transport.NewNetwork().Transport()
+	if l, err = tr.Listen(""); err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	requests := make(chan []byte, 4)
+	go func() {
+		c, err := l.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		if _, err := c.Recv(); err != nil {
+			return
+		}
+		_ = c.Send([]byte{dirOK, 0, 0, 0, 0, 0, 0, 0, 0, other})
+		for {
+			f, err := c.Recv()
+			if err != nil {
+				close(requests)
+				return
+			}
+			requests <- f
+		}
+	}()
+	pool := NewPool(tr)
+	defer pool.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	err = pool.Call(ctx, l.Addr(), wire.KPing, &wire.PingReq{Payload: "x"}, nil)
+	if !errors.Is(err, ErrDialFailed) || !errors.Is(err, ErrEpochMismatch) ||
+		!strings.Contains(err.Error(), fmt.Sprintf("local epoch %d, peer epoch %d", wire.Epoch, other)) {
+		t.Fatalf("call to an acceptor of epoch %d: %v, want a definite epoch mismatch naming both epochs", other, err)
+	}
+	for f := range requests {
+		t.Fatalf("a request (%x) left after the mismatch", f)
+	}
+}
+
 // --- Frame-recycling stress ---
 
 // checksum is the integrity check of the reuse stress test: any
@@ -313,9 +402,9 @@ func payloadFor(seed, n int) []byte {
 }
 
 // stressHandler verifies the request checksum and answers with a fresh
-// deterministic payload (seed+1) plus its checksum. KInvoke exercises
-// the fast-path codec, KPing the gob fallback; payload "err" exercises
-// the error frame path.
+// deterministic payload (seed+1) plus its checksum. KInvoke carries
+// mixed-size payloads, KPing small ones; payload "err" exercises the
+// error frame path.
 func stressHandler(ctx context.Context, kind wire.Kind, body, dst []byte) ([]byte, error) {
 	switch kind {
 	case wire.KInvoke:
@@ -336,7 +425,7 @@ func stressHandler(ctx context.Context, kind wire.Kind, body, dst []byte) ([]byt
 		if req.Payload == "err" {
 			return nil, wire.Errorf(wire.CodeDenied, "requested error")
 		}
-		return wire.MarshalAppend(dst, wire.PingResp{Payload: req.Payload})
+		return wire.MarshalAppend(dst, &wire.PingResp{Payload: req.Payload})
 	default:
 		return nil, wire.Errorf(wire.CodeBadRequest, "kind %v", kind)
 	}
@@ -353,9 +442,9 @@ func stressCalls(t *testing.T, p *Peer, worker, iters int) {
 	for i := 0; i < iters; i++ {
 		seed := worker*1_000_000 + i*2
 		switch i % 5 {
-		case 4: // gob fallback body
+		case 4: // small body
 			var resp wire.PingResp
-			msg := fmt.Sprintf("gob-%d", seed)
+			msg := fmt.Sprintf("ping-%d", seed)
 			if i%10 == 9 {
 				err := p.Call(context.Background(), wire.KPing, &wire.PingReq{Payload: "err"}, &resp)
 				var re *wire.RemoteError
@@ -369,7 +458,7 @@ func stressCalls(t *testing.T, p *Peer, worker, iters int) {
 				t.Errorf("worker %d call %d: %q, %v", worker, i, resp.Payload, err)
 				return
 			}
-		default: // fast-path body, mixed sizes
+		default: // invoke body, mixed sizes
 			n := sizes[(worker+i)%len(sizes)]
 			arg := payloadFor(seed, n)
 			req := &wire.InvokeReq{

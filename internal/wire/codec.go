@@ -1,46 +1,30 @@
 package wire
 
-// The codec behind Marshal/MarshalAppend/Unmarshal. Two layers:
-//
-//   - A hand-rolled binary fast path for the high-frequency bodies —
-//     invoke, locate and home-update traffic, the snapshots that make
-//     up every migration batch, and the move/end/migrate control
-//     bodies that heat up once the autopilot issues migrations
-//     continuously. These encode to [tag][varint-framed fields] with
-//     zero reflection and no per-message encoder state.
-//   - A gob fallback for everything else (control-plane bodies and
-//     remote errors), prefixed with tagGob. Each body is a complete,
-//     self-describing plain-gob image, but it is not produced by a
-//     throwaway encoder: internal/gobstream keeps, per body type,
-//     encoders that have already sent the type's descriptors and
-//     decoders that have already compiled them, and splices the
-//     descriptor bytes back in front of every value. The bytes are
-//     those a fresh gob.Encoder writes.
-//
-// Both layers are append-style: encoders extend the destination slice
-// in place, so the rpc layer can reserve a frame header and have the
-// body land directly behind it in the same (pooled) buffer — a message
-// is encoded exactly once, into its final frame. See MarshalAppend in
-// wire.go for the buffer-ownership rules.
-//
-// A gob stream's first byte is a positive segment length, so tagGob = 0
-// can never collide with a legacy un-prefixed message. Both layers sit
-// behind the package's Marshal/Unmarshal API: internal/rpc and the
-// transports pick the fast path up transparently.
+// The codec behind MarshalAppend/Unmarshal: one hand-rolled binary
+// layout per body, [tag][varint-framed fields], with no reflection and
+// no per-message encoder state. Each body's field order is written
+// exactly once, as one case of layout, and runs in both directions: a
+// coder either appends the fields or strictly reads them back into the
+// same fields, writing or checking the tag first. Encoding is
+// append-style — the body extends the destination slice in place, so
+// the rpc layer can reserve a frame header and have the body land
+// directly behind it in the same (pooled) buffer: a message is encoded
+// exactly once, into its final frame. See MarshalAppend in wire.go for
+// the buffer-ownership rules and docs/wire-format.md for the layouts.
 
 import (
 	"encoding/binary"
 	"fmt"
-	"reflect"
-	"sort"
+	"slices"
 
 	"objmig/internal/core"
 	"objmig/internal/framebuf"
-	"objmig/internal/gobstream"
 )
 
+// Tags are append-only: a shipped layout is frozen under its tag, and
+// a retired tag is never reused.
 const (
-	tagGob byte = iota
+	_ byte = iota // 0 marked the retired gob fallback: no body decodes from it
 	tagInvokeReq
 	tagInvokeResp
 	tagLocateReq
@@ -67,28 +51,66 @@ const (
 	tagLoadGossipReq
 	tagLoadGossipResp
 	tagInstallResp
+	tagPauseReq
+	tagCommitReq
+	tagCommitResp
+	tagAbortReq
+	tagAbortResp
+	tagEdgeAddReq
+	tagEdgeAddResp
+	tagEdgeDelReq
+	tagEdgeDelResp
+	tagEdgesReq
+	tagEdgesResp
+	tagFixReq
+	tagFixResp
+	tagPingReq
+	tagPingResp
+	tagInventoryReq
+	tagInventoryResp
+	tagRemoteError
 )
 
-// --- Gob fallback ---
-
-func marshalGobAppend(dst []byte, v interface{}) ([]byte, error) {
-	out, err := gobstream.For(reflect.TypeOf(v)).AppendEncode(append(dst, tagGob), v)
-	if err != nil {
-		// Leave dst exactly as handed in: a failed encode must not
-		// publish half a body into a frame the caller will reuse.
-		return dst, fmt.Errorf("wire: marshal %T: %w", v, err)
-	}
-	return out, nil
+// coder runs a layout in one direction. The zero value (plus a
+// destination in b) encodes; dec decodes b from pos. Decoding is
+// strict and the first field error sticks — later fields read as
+// zero, and the caller checks err once at the end. Each primitive
+// picks the direction and hands off to a put or a read half.
+type coder struct {
+	dec bool
+	b   []byte
+	pos int
+	err error
 }
 
-func unmarshalGob(data []byte, v interface{}) error {
-	if err := gobstream.For(reflect.TypeOf(v)).Decode(data, v); err != nil {
-		return fmt.Errorf("wire: unmarshal %T: %w", v, err)
+func (c *coder) fail() {
+	if c.err == nil {
+		c.err = fmt.Errorf("truncated body at offset %d", c.pos)
 	}
-	return nil
 }
 
-// --- Fast-path encoding ---
+// tag writes the body's tag, or checks it. hint is the encoder's
+// estimate of the body size: a body that can carry bulk payloads
+// pre-grows the destination once, so even a megabyte-sized snapshot
+// lands in its frame with at most one reallocation.
+func (c *coder) tag(t byte, hint int) {
+	if c.dec {
+		c.readTag(t)
+		return
+	}
+	c.b = append(grow(c.b, 1+hint), t)
+}
+
+func (c *coder) readTag(t byte) {
+	if c.pos >= len(c.b) {
+		c.fail()
+		return
+	}
+	if c.b[c.pos] != t {
+		c.err = fmt.Errorf("body carries tag %d", c.b[c.pos])
+	}
+	c.pos++
+}
 
 // grow ensures dst has room for n more bytes, reallocating at most
 // once (append's geometric growth would copy the prefix repeatedly
@@ -107,88 +129,224 @@ func grow(dst []byte, n int) []byte {
 	return out
 }
 
-func appendUvarint(b []byte, v uint64) []byte { return binary.AppendUvarint(b, v) }
-
-func appendVarint(b []byte, v int64) []byte { return binary.AppendVarint(b, v) }
-
-func appendStr(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-func appendByteSlice(b, p []byte) []byte {
-	b = binary.AppendUvarint(b, uint64(len(p)))
-	return append(b, p...)
-}
-
-func appendBool(b []byte, v bool) []byte {
-	if v {
-		return append(b, 1)
+// uv, sv and str run the unsigned, signed and string fields of any
+// named type; the put and read halves they call are plain methods.
+func uv[T ~uint8 | ~uint64](c *coder, v *T) {
+	if c.dec {
+		*v = T(c.readUvarint())
+		return
 	}
-	return append(b, 0)
+	c.putUvarint(uint64(*v))
 }
 
-func appendOID(b []byte, id core.OID) []byte {
-	b = appendStr(b, string(id.Origin))
-	return appendUvarint(b, id.Seq)
-}
-
-// appendNodeLoad encodes one load sample (~8 varints plus the node
-// name; loadSize is its grow hint).
-func appendNodeLoad(b []byte, l *NodeLoad) []byte {
-	b = appendStr(b, string(l.Node))
-	b = appendVarint(b, l.Objects)
-	b = appendVarint(b, l.Bytes)
-	b = appendVarint(b, l.RateMilli)
-	b = appendVarint(b, l.Capacity)
-	b = appendVarint(b, l.CapBytes)
-	b = appendUvarint(b, l.Seq)
-	return appendUvarint(b, uint64(l.Health))
-}
-
-// loadSize estimates the encoded size of a load sample.
-func loadSize(l *NodeLoad) int {
-	if l == nil {
-		return 1
+func sv[T ~int | ~int64](c *coder, v *T) {
+	if c.dec {
+		*v = T(c.readVarint())
+		return
 	}
-	return 59 + len(l.Node)
+	c.b = binary.AppendVarint(c.b, int64(*v))
 }
 
-func appendOIDs(b []byte, ids []core.OID) []byte {
-	b = appendUvarint(b, uint64(len(ids)))
-	for _, id := range ids {
-		b = appendOID(b, id)
+func str[T ~string](c *coder, s *T) {
+	if c.dec {
+		*s = T(c.readSpan())
+		return
 	}
-	return b
+	c.putStr(string(*s))
 }
 
-func appendSnapshotBody(b []byte, s *Snapshot) []byte {
-	b = appendOID(b, s.ID)
-	b = appendStr(b, s.Type)
-	b = appendByteSlice(b, s.State)
-	b = appendBool(b, s.Pol.Fixed)
-	b = appendBool(b, s.Pol.Lock.Held)
-	b = appendStr(b, string(s.Pol.Lock.Owner))
-	b = appendUvarint(b, uint64(s.Pol.Lock.Block))
-	// OpenMoves in sorted key order: wire images stay deterministic.
-	b = appendUvarint(b, uint64(len(s.Pol.OpenMoves)))
-	if len(s.Pol.OpenMoves) > 0 {
+func (c *coder) putUvarint(v uint64) { c.b = binary.AppendUvarint(c.b, v) }
+
+func (c *coder) putStr(s string) {
+	c.b = binary.AppendUvarint(c.b, uint64(len(s)))
+	c.b = append(c.b, s...)
+}
+
+func (c *coder) readUvarint() uint64 {
+	if c.err != nil {
+		return 0
+	}
+	x, n := binary.Uvarint(c.b[c.pos:])
+	if n <= 0 {
+		c.fail()
+		return 0
+	}
+	c.pos += n
+	return x
+}
+
+func (c *coder) readVarint() int64 {
+	if c.err != nil {
+		return 0
+	}
+	x, n := binary.Varint(c.b[c.pos:])
+	if n <= 0 {
+		c.fail()
+		return 0
+	}
+	c.pos += n
+	return x
+}
+
+// bool is one byte, 0 or 1 (read as a uvarint: any non-zero is true).
+func (c *coder) bool(v *bool) {
+	if c.dec {
+		*v = c.readUvarint() != 0
+	} else if *v {
+		c.b = append(c.b, 1)
+	} else {
+		c.b = append(c.b, 0)
+	}
+}
+
+// bytes copies the field out (wire bodies may alias reused transport
+// frames) and maps the empty slice to nil.
+func (c *coder) bytes(p *[]byte) {
+	if !c.dec {
+		c.putUvarint(uint64(len(*p)))
+		c.b = append(c.b, *p...)
+		return
+	}
+	*p = nil
+	if q := c.readSpan(); len(q) > 0 {
+		*p = make([]byte, len(q)) // exact size: append would round it up
+		copy(*p, q)
+	}
+}
+
+// readSpan reads a length-prefixed byte run, aliasing the input.
+func (c *coder) readSpan() []byte {
+	n := c.readCount()
+	c.pos += n
+	return c.b[c.pos-n : c.pos]
+}
+
+// count writes a length, or reads one.
+func (c *coder) count(n int) int {
+	if c.dec {
+		return c.readCount()
+	}
+	c.putUvarint(uint64(n))
+	return n
+}
+
+// readCount is the single bound on every decoded byte run and
+// collection: each element takes at least one byte, so a count above
+// the bytes left is corruption, refused before anything is allocated.
+func (c *coder) readCount() int {
+	x := c.readUvarint()
+	if x > uint64(len(c.b)-c.pos) {
+		c.fail()
+		return 0
+	}
+	return int(x)
+}
+
+// list runs a slice's count and returns the slice whose elements the
+// caller then runs — on decode a fresh one (nil when empty).
+func list[T any](c *coder, s *[]T) []T {
+	n := c.count(len(*s))
+	if c.dec {
+		*s = nil
+		if n > 0 {
+			*s = make([]T, n)
+		}
+	}
+	return *s
+}
+
+func oid(c *coder, id *core.OID) {
+	str(c, &id.Origin)
+	uv(c, &id.Seq)
+}
+
+func oids(c *coder, ids *[]core.OID) {
+	for i := range list(c, ids) {
+		oid(c, &(*ids)[i])
+	}
+}
+
+func uvarints(c *coder, vs *[]uint64) {
+	for i := range list(c, vs) {
+		uv(c, &(*vs)[i])
+	}
+}
+
+// nodeLoad is the load layout (~8 varints plus the node name).
+func nodeLoad(c *coder, l *NodeLoad) {
+	str(c, &l.Node)
+	sv(c, &l.Objects)
+	sv(c, &l.Bytes)
+	sv(c, &l.RateMilli)
+	sv(c, &l.Capacity)
+	sv(c, &l.CapBytes)
+	uv(c, &l.Seq)
+	uv(c, &l.Health)
+}
+
+// optNodeLoad runs a presence-flagged load sample (nil when absent).
+func optNodeLoad(c *coder, l **NodeLoad) {
+	has := *l != nil
+	if c.bool(&has); c.dec {
+		*l = nil
+		if has {
+			*l = new(NodeLoad)
+		}
+	}
+	if has {
+		nodeLoad(c, *l)
+	}
+}
+
+func edges(c *coder, es *[]EdgeRec) {
+	for i := range list(c, es) {
+		oid(c, &(*es)[i].Other)
+		uv(c, &(*es)[i].Alliance)
+	}
+}
+
+func snapshots(c *coder, ss *[]Snapshot) {
+	for i := range list(c, ss) {
+		snapshot(c, &(*ss)[i])
+	}
+}
+
+// snapshot is the snapshot layout. OpenMoves is written in sorted key
+// order, so wire images stay deterministic.
+func snapshot(c *coder, s *Snapshot) {
+	oid(c, &s.ID)
+	str(c, &s.Type)
+	c.bytes(&s.State)
+	c.bool(&s.Pol.Fixed)
+	c.bool(&s.Pol.Lock.Held)
+	str(c, &s.Pol.Lock.Owner)
+	uv(c, &s.Pol.Lock.Block)
+	if !c.dec {
 		keys := make([]core.NodeID, 0, len(s.Pol.OpenMoves))
 		for k := range s.Pol.OpenMoves {
 			keys = append(keys, k)
 		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+		slices.Sort(keys)
+		c.count(len(keys))
 		for _, k := range keys {
-			b = appendStr(b, string(k))
-			b = appendVarint(b, int64(s.Pol.OpenMoves[k]))
+			v := s.Pol.OpenMoves[k]
+			str(c, &k)
+			sv(c, &v)
+		}
+	} else if n := c.count(0); n == 0 {
+		s.Pol.OpenMoves = nil
+	} else {
+		s.Pol.OpenMoves = make(map[core.NodeID]int, n)
+		for i := 0; i < n; i++ {
+			var k core.NodeID
+			var v int
+			str(c, &k)
+			sv(c, &v)
+			s.Pol.OpenMoves[k] = v
 		}
 	}
-	b = appendUvarint(b, uint64(len(s.Edges)))
-	for _, e := range s.Edges {
-		b = appendOID(b, e.Other)
-		b = appendUvarint(b, uint64(e.Alliance))
-	}
-	return appendUvarint(b, s.Gen)
+	edges(c, &s.Edges)
+	uv(c, &s.Gen)
 }
 
 // snapshotsSize estimates the encoded size of a snapshot batch (a grow
@@ -213,547 +371,202 @@ func oidsSize(ids []core.OID) int {
 	return n
 }
 
-// marshalFastAppend appends the encoding of a known hot-path body to
-// dst; ok=false means the body has no fast path and the caller falls
-// back to gob. Both pointer and value forms are accepted, mirroring
-// gob. Bodies that can carry bulk payloads pre-grow dst once, so even
-// a megabyte-sized snapshot chunk lands in its frame with at most one
-// reallocation.
-func marshalFastAppend(dst []byte, v interface{}) (data []byte, ok bool) {
+// homeUpdateSize estimates the encoded size of a home update (a grow
+// hint: coalesced batches carry long OID and closure lists).
+func homeUpdateSize(m *HomeUpdate) int {
+	n := 32 + oidsSize(m.Objs) + len(m.At) + 10*len(m.Gens)
+	if m.Load != nil {
+		n += 59 + len(m.Load.Node)
+	}
+	for _, o := range m.Aff {
+		n += 24 + len(o.Obj.Origin) + len(o.From)
+	}
+	for i := range m.Closures {
+		n += 24 + len(m.Closures[i].Anchor.Origin) + oidsSize(m.Closures[i].Members)
+	}
+	return n
+}
+
+// layout runs v's layout through c — the one place each body's tag and
+// field order is written — and reports false when v is not a message
+// body (bodies travel as pointers).
+func layout(c *coder, v any) bool {
 	switch m := v.(type) {
 	case *InvokeReq:
-		b := grow(dst, 32+len(m.Obj.Origin)+len(m.Method)+len(m.Arg)+len(m.From))
-		b = append(b, tagInvokeReq)
-		b = appendOID(b, m.Obj)
-		b = appendStr(b, m.Method)
-		b = appendByteSlice(b, m.Arg)
-		return appendStr(b, string(m.From)), true
-	case InvokeReq:
-		return marshalFastAppend(dst, &m)
+		c.tag(tagInvokeReq, 32+len(m.Obj.Origin)+len(m.Method)+len(m.Arg)+len(m.From))
+		oid(c, &m.Obj)
+		str(c, &m.Method)
+		c.bytes(&m.Arg)
+		str(c, &m.From)
 	case *InvokeResp:
-		b := grow(dst, 16+len(m.Result)+len(m.At))
-		b = append(b, tagInvokeResp)
-		b = appendByteSlice(b, m.Result)
-		return appendStr(b, string(m.At)), true
-	case InvokeResp:
-		return marshalFastAppend(dst, &m)
+		c.tag(tagInvokeResp, 16+len(m.Result)+len(m.At))
+		c.bytes(&m.Result)
+		str(c, &m.At)
 	case *LocateReq:
-		b := append(dst, tagLocateReq)
-		return appendOID(b, m.Obj), true
-	case LocateReq:
-		return marshalFastAppend(dst, &m)
+		c.tag(tagLocateReq, 0)
+		oid(c, &m.Obj)
 	case *LocateResp:
-		b := append(dst, tagLocateResp)
-		return appendStr(b, string(m.At)), true
-	case LocateResp:
-		return marshalFastAppend(dst, &m)
+		c.tag(tagLocateResp, 0)
+		str(c, &m.At)
 	case *HomeUpdate:
-		hint := 32 + oidsSize(m.Objs) + len(m.At) + loadSize(m.Load) + 10*len(m.Gens)
-		for _, o := range m.Aff {
-			hint += 24 + len(o.Obj.Origin) + len(o.From)
+		c.tag(tagHomeUpdate, homeUpdateSize(m))
+		oids(c, &m.Objs)
+		str(c, &m.At)
+		for i := range list(c, &m.Aff) {
+			oid(c, &m.Aff[i].Obj)
+			str(c, &m.Aff[i].From)
+			sv(c, &m.Aff[i].Count)
 		}
-		for i := range m.Closures {
-			cl := &m.Closures[i]
-			hint += 24 + len(cl.Anchor.Origin) + oidsSize(cl.Members)
+		optNodeLoad(c, &m.Load)
+		uvarints(c, &m.Gens)
+		for i := range list(c, &m.Closures) {
+			oid(c, &m.Closures[i].Anchor)
+			uv(c, &m.Closures[i].Gen)
+			oids(c, &m.Closures[i].Members)
 		}
-		b := grow(dst, hint)
-		b = append(b, tagHomeUpdate)
-		b = appendOIDs(b, m.Objs)
-		b = appendStr(b, string(m.At))
-		b = appendUvarint(b, uint64(len(m.Aff)))
-		for _, o := range m.Aff {
-			b = appendOID(b, o.Obj)
-			b = appendStr(b, string(o.From))
-			b = appendVarint(b, o.Count)
-		}
-		b = appendBool(b, m.Load != nil)
-		if m.Load != nil {
-			b = appendNodeLoad(b, m.Load)
-		}
-		b = appendUvarint(b, uint64(len(m.Gens)))
-		for _, g := range m.Gens {
-			b = appendUvarint(b, g)
-		}
-		b = appendUvarint(b, uint64(len(m.Closures)))
-		for i := range m.Closures {
-			cl := &m.Closures[i]
-			b = appendOID(b, cl.Anchor)
-			b = appendUvarint(b, cl.Gen)
-			b = appendOIDs(b, cl.Members)
-		}
-		return appendUvarint(b, m.Trace), true
-	case HomeUpdate:
-		return marshalFastAppend(dst, &m)
+		uv(c, &m.Trace)
 	case *HomeUpdateResp:
-		b := grow(dst, 2+loadSize(m.Load))
-		b = append(b, tagHomeUpdateResp)
-		b = appendBool(b, m.Load != nil)
-		if m.Load != nil {
-			b = appendNodeLoad(b, m.Load)
-		}
-		return b, true
-	case HomeUpdateResp:
-		return marshalFastAppend(dst, &m)
+		c.tag(tagHomeUpdateResp, 0)
+		optNodeLoad(c, &m.Load)
 	case *Snapshot:
-		b := grow(dst, 1+SnapshotSize(m))
-		b = append(b, tagSnapshot)
-		return appendSnapshotBody(b, m), true
-	case Snapshot:
-		return marshalFastAppend(dst, &m)
+		c.tag(tagSnapshot, SnapshotSize(m))
+		snapshot(c, m)
+	case *PauseReq:
+		c.tag(tagPauseReq, 0)
+		oids(c, &m.Objs)
+		uv(c, &m.Token)
+		sv(c, &m.MaxBytes)
+		sv(c, &m.Lease)
+		str(c, &m.From)
+		str(c, &m.Target)
+		uv(c, &m.Trace)
 	case *PauseResp:
-		b := grow(dst, 16+snapshotsSize(m.Snapshots)+oidsSize(m.Pending))
-		b = append(b, tagPauseResp)
-		b = appendUvarint(b, uint64(len(m.Snapshots)))
-		for i := range m.Snapshots {
-			b = appendSnapshotBody(b, &m.Snapshots[i])
-		}
-		return appendOIDs(b, m.Pending), true
-	case PauseResp:
-		return marshalFastAppend(dst, &m)
+		c.tag(tagPauseResp, 16+snapshotsSize(m.Snapshots)+oidsSize(m.Pending))
+		snapshots(c, &m.Snapshots)
+		oids(c, &m.Pending)
 	case *InstallReq:
-		b := grow(dst, 46+len(m.From)+snapshotsSize(m.Snapshots)+oidsSize(m.Members))
-		b = append(b, tagInstallReq)
-		b = appendUvarint(b, uint64(len(m.Snapshots)))
-		for i := range m.Snapshots {
-			b = appendSnapshotBody(b, &m.Snapshots[i])
-		}
-		b = appendUvarint(b, m.Token)
-		b = appendStr(b, string(m.From))
-		b = appendUvarint(b, m.Trace)
-		b = appendOIDs(b, m.Members)
-		b = appendVarint(b, m.Bytes)
-		return appendBool(b, m.Commit), true
-	case InstallReq:
-		return marshalFastAppend(dst, &m)
+		c.tag(tagInstallReq, 46+len(m.From)+snapshotsSize(m.Snapshots)+oidsSize(m.Members))
+		snapshots(c, &m.Snapshots)
+		uv(c, &m.Token)
+		str(c, &m.From)
+		uv(c, &m.Trace)
+		oids(c, &m.Members)
+		sv(c, &m.Bytes)
+		c.bool(&m.Commit)
 	case *InstallResp:
-		return append(dst, tagInstallResp), true
-	case InstallResp:
-		return marshalFastAppend(dst, &m)
+		c.tag(tagInstallResp, 0)
+	case *CommitReq:
+		c.tag(tagCommitReq, 0)
+		oids(c, &m.Objs)
+		str(c, &m.NewHome)
+		uv(c, &m.Token)
+		str(c, &m.From)
+		uvarints(c, &m.Gens)
+		oid(c, &m.Anchor)
+		uv(c, &m.Trace)
+	case *CommitResp:
+		c.tag(tagCommitResp, 0)
+	case *AbortReq:
+		c.tag(tagAbortReq, 0)
+		oids(c, &m.Objs)
+		uv(c, &m.Token)
+		str(c, &m.From)
+	case *AbortResp:
+		c.tag(tagAbortResp, 0)
 	case *MoveReq:
-		b := append(dst, tagMoveReq)
-		b = appendOID(b, m.Obj)
-		b = appendStr(b, string(m.From))
-		b = appendUvarint(b, uint64(m.Block))
-		return appendUvarint(b, uint64(m.Alliance)), true
-	case MoveReq:
-		return marshalFastAppend(dst, &m)
+		c.tag(tagMoveReq, 0)
+		oid(c, &m.Obj)
+		str(c, &m.From)
+		uv(c, &m.Block)
+		uv(c, &m.Alliance)
 	case *MoveResp:
-		b := append(dst, tagMoveResp)
-		b = appendVarint(b, int64(m.Outcome))
-		b = appendVarint(b, int64(m.Reason))
-		b = appendStr(b, string(m.At))
-		return appendOIDs(b, m.Moved), true
-	case MoveResp:
-		return marshalFastAppend(dst, &m)
+		c.tag(tagMoveResp, 0)
+		sv(c, &m.Outcome)
+		sv(c, &m.Reason)
+		str(c, &m.At)
+		oids(c, &m.Moved)
 	case *EndReq:
-		b := append(dst, tagEndReq)
-		b = appendOID(b, m.Obj)
-		b = appendStr(b, string(m.From))
-		b = appendUvarint(b, uint64(m.Block))
-		b = appendUvarint(b, uint64(m.Alliance))
-		return appendOIDs(b, m.Members), true
-	case EndReq:
-		return marshalFastAppend(dst, &m)
+		c.tag(tagEndReq, 0)
+		oid(c, &m.Obj)
+		str(c, &m.From)
+		uv(c, &m.Block)
+		uv(c, &m.Alliance)
+		oids(c, &m.Members)
 	case *EndResp:
-		b := append(dst, tagEndResp)
-		b = appendBool(b, m.Unlocked)
-		b = appendBool(b, m.Migrated)
-		return appendStr(b, string(m.At)), true
-	case EndResp:
-		return marshalFastAppend(dst, &m)
+		c.tag(tagEndResp, 0)
+		c.bool(&m.Unlocked)
+		c.bool(&m.Migrated)
+		str(c, &m.At)
 	case *MigrateReq:
-		b := append(dst, tagMigrateReq)
-		b = appendOID(b, m.Obj)
-		b = appendStr(b, string(m.Target))
-		b = appendUvarint(b, uint64(m.Alliance))
-		return appendBool(b, m.Fix), true
-	case MigrateReq:
-		return marshalFastAppend(dst, &m)
+		c.tag(tagMigrateReq, 0)
+		oid(c, &m.Obj)
+		str(c, &m.Target)
+		uv(c, &m.Alliance)
+		c.bool(&m.Fix)
 	case *MigrateResp:
-		b := append(dst, tagMigrateResp)
-		b = appendStr(b, string(m.At))
-		return appendOIDs(b, m.Moved), true
-	case MigrateResp:
-		return marshalFastAppend(dst, &m)
+		c.tag(tagMigrateResp, 0)
+		str(c, &m.At)
+		oids(c, &m.Moved)
 	case *LoadGossipReq:
-		b := grow(dst, 1+loadSize(&m.Load))
-		b = append(b, tagLoadGossipReq)
-		return appendNodeLoad(b, &m.Load), true
-	case LoadGossipReq:
-		return marshalFastAppend(dst, &m)
+		c.tag(tagLoadGossipReq, 0)
+		nodeLoad(c, &m.Load)
 	case *LoadGossipResp:
-		b := grow(dst, 1+loadSize(&m.Load))
-		b = append(b, tagLoadGossipResp)
-		return appendNodeLoad(b, &m.Load), true
-	case LoadGossipResp:
-		return marshalFastAppend(dst, &m)
-	}
-	return dst, false
-}
-
-// --- Fast-path decoding ---
-
-// reader is a cursor over a fast-path body. The first field error
-// sticks; callers check err once at the end.
-type reader struct {
-	data []byte
-	pos  int
-	err  error
-}
-
-func (r *reader) fail() {
-	if r.err == nil {
-		r.err = fmt.Errorf("wire: truncated fast-path body at offset %d", r.pos)
-	}
-}
-
-func (r *reader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.data[r.pos:])
-	if n <= 0 {
-		r.fail()
-		return 0
-	}
-	r.pos += n
-	return v
-}
-
-func (r *reader) varint() int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.data[r.pos:])
-	if n <= 0 {
-		r.fail()
-		return 0
-	}
-	r.pos += n
-	return v
-}
-
-func (r *reader) bool() bool { return r.uvarint() != 0 }
-
-func (r *reader) str() string {
-	n := r.uvarint()
-	if r.err != nil {
-		return ""
-	}
-	if n > uint64(len(r.data)-r.pos) {
-		r.fail()
-		return ""
-	}
-	s := string(r.data[r.pos : r.pos+int(n)])
-	r.pos += int(n)
-	return s
-}
-
-// byteSlice copies the field out (wire bodies may alias reused
-// transport frames) and maps the empty slice to nil, matching gob.
-func (r *reader) byteSlice() []byte {
-	n := r.uvarint()
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	if n > uint64(len(r.data)-r.pos) {
-		r.fail()
-		return nil
-	}
-	out := make([]byte, n)
-	copy(out, r.data[r.pos:r.pos+int(n)])
-	r.pos += int(n)
-	return out
-}
-
-func (r *reader) oid() core.OID {
-	origin := r.str()
-	seq := r.uvarint()
-	return core.OID{Origin: core.NodeID(origin), Seq: seq}
-}
-
-func (r *reader) oids() []core.OID {
-	n := r.uvarint()
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	if n > uint64(len(r.data)-r.pos) { // each OID takes ≥ 2 bytes; cheap sanity bound
-		r.fail()
-		return nil
-	}
-	out := make([]core.OID, 0, n)
-	for i := uint64(0); i < n && r.err == nil; i++ {
-		out = append(out, r.oid())
-	}
-	return out
-}
-
-func (r *reader) snapshotBody(s *Snapshot) {
-	s.ID = r.oid()
-	s.Type = r.str()
-	s.State = r.byteSlice()
-	s.Pol.Fixed = r.bool()
-	s.Pol.Lock.Held = r.bool()
-	s.Pol.Lock.Owner = core.NodeID(r.str())
-	s.Pol.Lock.Block = core.BlockID(r.uvarint())
-	if n := r.uvarint(); n > 0 && r.err == nil {
-		if n > uint64(len(r.data)-r.pos) { // each entry takes ≥ 2 bytes
-			r.fail()
-			return
+		c.tag(tagLoadGossipResp, 0)
+		nodeLoad(c, &m.Load)
+	case *InventoryReq:
+		c.tag(tagInventoryReq, 0)
+		sv(c, &m.MaxUnits)
+	case *InventoryResp:
+		c.tag(tagInventoryResp, 0)
+		for i := range list(c, &m.Units) {
+			oid(c, &m.Units[i].Anchor)
+			sv(c, &m.Units[i].Bytes)
+			sv(c, &m.Units[i].Pressure)
 		}
-		s.Pol.OpenMoves = make(map[core.NodeID]int, n)
-		for i := uint64(0); i < n && r.err == nil; i++ {
-			k := core.NodeID(r.str())
-			s.Pol.OpenMoves[k] = int(r.varint())
-		}
-	}
-	if n := r.uvarint(); n > 0 && r.err == nil {
-		if n > uint64(len(r.data)-r.pos) {
-			r.fail()
-			return
-		}
-		s.Edges = make([]EdgeRec, 0, n)
-		for i := uint64(0); i < n && r.err == nil; i++ {
-			var e EdgeRec
-			e.Other = r.oid()
-			e.Alliance = core.AllianceID(r.uvarint())
-			s.Edges = append(s.Edges, e)
-		}
-	}
-	s.Gen = r.uvarint()
-}
-
-func (r *reader) uvarints() []uint64 {
-	n := r.uvarint()
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	if n > uint64(len(r.data)-r.pos) { // each value takes ≥ 1 byte
-		r.fail()
-		return nil
-	}
-	out := make([]uint64, 0, n)
-	for i := uint64(0); i < n && r.err == nil; i++ {
-		out = append(out, r.uvarint())
-	}
-	return out
-}
-
-func (r *reader) closureLocs() []ClosureLoc {
-	n := r.uvarint()
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	if n > uint64(len(r.data)-r.pos) { // each entry takes ≥ 4 bytes
-		r.fail()
-		return nil
-	}
-	out := make([]ClosureLoc, 0, n)
-	for i := uint64(0); i < n && r.err == nil; i++ {
-		var cl ClosureLoc
-		cl.Anchor = r.oid()
-		cl.Gen = r.uvarint()
-		cl.Members = r.oids()
-		out = append(out, cl)
-	}
-	return out
-}
-
-func (r *reader) nodeLoad(l *NodeLoad) {
-	l.Node = core.NodeID(r.str())
-	l.Objects = r.varint()
-	l.Bytes = r.varint()
-	l.RateMilli = r.varint()
-	l.Capacity = r.varint()
-	l.CapBytes = r.varint()
-	l.Seq = r.uvarint()
-	l.Health = uint8(r.uvarint())
-}
-
-// optNodeLoad decodes a presence-flagged load sample (nil when absent).
-func (r *reader) optNodeLoad() *NodeLoad {
-	if !r.bool() || r.err != nil {
-		return nil
-	}
-	l := new(NodeLoad)
-	r.nodeLoad(l)
-	return l
-}
-
-func (r *reader) affinityObs() []AffinityObs {
-	n := r.uvarint()
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	if n > uint64(len(r.data)-r.pos) { // each entry takes ≥ 4 bytes
-		r.fail()
-		return nil
-	}
-	out := make([]AffinityObs, 0, n)
-	for i := uint64(0); i < n && r.err == nil; i++ {
-		var o AffinityObs
-		o.Obj = r.oid()
-		o.From = core.NodeID(r.str())
-		o.Count = r.varint()
-		out = append(out, o)
-	}
-	return out
-}
-
-func (r *reader) snapshots() []Snapshot {
-	n := r.uvarint()
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	if n > uint64(len(r.data)-r.pos) {
-		r.fail()
-		return nil
-	}
-	out := make([]Snapshot, n)
-	for i := uint64(0); i < n && r.err == nil; i++ {
-		r.snapshotBody(&out[i])
-	}
-	return out
-}
-
-// unmarshalFast decodes a fast-path body whose tag has been stripped.
-func unmarshalFast(tag byte, data []byte, v interface{}) error {
-	r := &reader{data: data}
-	switch out := v.(type) {
-	case *InvokeReq:
-		if tag != tagInvokeReq {
-			return tagMismatch(tag, v)
-		}
-		out.Obj = r.oid()
-		out.Method = r.str()
-		out.Arg = r.byteSlice()
-		out.From = core.NodeID(r.str())
-	case *InvokeResp:
-		if tag != tagInvokeResp {
-			return tagMismatch(tag, v)
-		}
-		out.Result = r.byteSlice()
-		out.At = core.NodeID(r.str())
-	case *LocateReq:
-		if tag != tagLocateReq {
-			return tagMismatch(tag, v)
-		}
-		out.Obj = r.oid()
-	case *LocateResp:
-		if tag != tagLocateResp {
-			return tagMismatch(tag, v)
-		}
-		out.At = core.NodeID(r.str())
-	case *HomeUpdate:
-		if tag != tagHomeUpdate {
-			return tagMismatch(tag, v)
-		}
-		out.Objs = r.oids()
-		out.At = core.NodeID(r.str())
-		out.Aff = r.affinityObs()
-		out.Load = r.optNodeLoad()
-		out.Gens = r.uvarints()
-		out.Closures = r.closureLocs()
-		out.Trace = r.uvarint()
-	case *HomeUpdateResp:
-		if tag != tagHomeUpdateResp {
-			return tagMismatch(tag, v)
-		}
-		out.Load = r.optNodeLoad()
-	case *Snapshot:
-		if tag != tagSnapshot {
-			return tagMismatch(tag, v)
-		}
-		r.snapshotBody(out)
-	case *PauseResp:
-		if tag != tagPauseResp {
-			return tagMismatch(tag, v)
-		}
-		out.Snapshots = r.snapshots()
-		out.Pending = r.oids()
-	case *InstallReq:
-		if tag != tagInstallReq {
-			return tagMismatch(tag, v)
-		}
-		out.Snapshots = r.snapshots()
-		out.Token = r.uvarint()
-		out.From = core.NodeID(r.str())
-		out.Trace = r.uvarint()
-		out.Members = r.oids()
-		out.Bytes = r.varint()
-		out.Commit = r.bool()
-	case *InstallResp:
-		if tag != tagInstallResp {
-			return tagMismatch(tag, v)
-		}
-	case *MoveReq:
-		if tag != tagMoveReq {
-			return tagMismatch(tag, v)
-		}
-		out.Obj = r.oid()
-		out.From = core.NodeID(r.str())
-		out.Block = core.BlockID(r.uvarint())
-		out.Alliance = core.AllianceID(r.uvarint())
-	case *MoveResp:
-		if tag != tagMoveResp {
-			return tagMismatch(tag, v)
-		}
-		out.Outcome = MoveOutcome(r.varint())
-		out.Reason = core.DenyReason(r.varint())
-		out.At = core.NodeID(r.str())
-		out.Moved = r.oids()
-	case *EndReq:
-		if tag != tagEndReq {
-			return tagMismatch(tag, v)
-		}
-		out.Obj = r.oid()
-		out.From = core.NodeID(r.str())
-		out.Block = core.BlockID(r.uvarint())
-		out.Alliance = core.AllianceID(r.uvarint())
-		out.Members = r.oids()
-	case *EndResp:
-		if tag != tagEndResp {
-			return tagMismatch(tag, v)
-		}
-		out.Unlocked = r.bool()
-		out.Migrated = r.bool()
-		out.At = core.NodeID(r.str())
-	case *MigrateReq:
-		if tag != tagMigrateReq {
-			return tagMismatch(tag, v)
-		}
-		out.Obj = r.oid()
-		out.Target = core.NodeID(r.str())
-		out.Alliance = core.AllianceID(r.uvarint())
-		out.Fix = r.bool()
-	case *MigrateResp:
-		if tag != tagMigrateResp {
-			return tagMismatch(tag, v)
-		}
-		out.At = core.NodeID(r.str())
-		out.Moved = r.oids()
-	case *LoadGossipReq:
-		if tag != tagLoadGossipReq {
-			return tagMismatch(tag, v)
-		}
-		r.nodeLoad(&out.Load)
-	case *LoadGossipResp:
-		if tag != tagLoadGossipResp {
-			return tagMismatch(tag, v)
-		}
-		r.nodeLoad(&out.Load)
+		nodeLoad(c, &m.Load)
+	case *EdgeAddReq:
+		c.tag(tagEdgeAddReq, 0)
+		oid(c, &m.Obj)
+		oid(c, &m.Other)
+		uv(c, &m.Alliance)
+		sv(c, &m.Mode)
+	case *EdgeAddResp:
+		c.tag(tagEdgeAddResp, 0)
+	case *EdgeDelReq:
+		c.tag(tagEdgeDelReq, 0)
+		oid(c, &m.Obj)
+		oid(c, &m.Other)
+		uv(c, &m.Alliance)
+	case *EdgeDelResp:
+		c.tag(tagEdgeDelResp, 0)
+		c.bool(&m.Existed)
+	case *EdgesReq:
+		c.tag(tagEdgesReq, 0)
+		oid(c, &m.Obj)
+	case *EdgesResp:
+		c.tag(tagEdgesResp, 0)
+		edges(c, &m.Edges)
+	case *FixReq:
+		c.tag(tagFixReq, 0)
+		oid(c, &m.Obj)
+		c.bool(&m.Fix)
+		c.bool(&m.Query)
+	case *FixResp:
+		c.tag(tagFixResp, 0)
+		c.bool(&m.Fixed)
+	case *PingReq:
+		c.tag(tagPingReq, 0)
+		str(c, &m.Payload)
+	case *PingResp:
+		c.tag(tagPingResp, 0)
+		str(c, &m.Payload)
+	case *RemoteError:
+		c.tag(tagRemoteError, 0)
+		sv(c, &m.Code)
+		str(c, &m.Msg)
+		str(c, &m.To)
 	default:
-		return fmt.Errorf("wire: unmarshal %T: unrecognised body (tag %d)", v, tag)
+		return false
 	}
-	if r.err != nil {
-		return fmt.Errorf("wire: unmarshal %T: %w", v, r.err)
-	}
-	if r.pos != len(r.data) {
-		return fmt.Errorf("wire: unmarshal %T: %d trailing bytes", v, len(r.data)-r.pos)
-	}
-	return nil
-}
-
-func tagMismatch(tag byte, v interface{}) error {
-	return fmt.Errorf("wire: unmarshal %T: body carries tag %d", v, tag)
+	return true
 }

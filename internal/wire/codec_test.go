@@ -3,14 +3,17 @@ package wire
 import (
 	"bytes"
 	"encoding/hex"
+	"hash/fnv"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"objmig/internal/core"
 )
 
-// fastBodies is one populated specimen per fast-path type (pointer
-// form, as the rpc layer passes them).
+// fastBodies is one populated specimen per body type (pointer form, the
+// only form a body travels in), in tag order.
 func fastBodies() []interface{} {
 	oid1 := core.OID{Origin: "n1", Seq: 42}
 	oid2 := core.OID{Origin: "n2", Seq: 7}
@@ -61,21 +64,36 @@ func fastBodies() []interface{} {
 		&EndResp{Unlocked: true, Migrated: true, At: "n9"},
 		&MigrateReq{Obj: oid2, Target: "n5", Alliance: 1, Fix: true},
 		&MigrateResp{At: "n5", Moved: []core.OID{oid2}},
+		&PauseReq{Objs: []core.OID{oid1, oid2}, Token: 8, MaxBytes: 1 << 20, Lease: 30 * time.Second,
+			From: "n2", Target: "n3", Trace: 5},
+		&CommitReq{Objs: []core.OID{oid1}, NewHome: "n3", Token: 8, From: "n1", Gens: []uint64{4}, Anchor: oid1, Trace: 5},
+		&CommitResp{},
+		&AbortReq{Objs: []core.OID{oid2}, Token: 8, From: "n1"},
+		&AbortResp{},
+		&EdgeAddReq{Obj: oid1, Other: oid2, Alliance: 5, Mode: core.AttachExclusive},
+		&EdgeAddResp{},
+		&EdgeDelReq{Obj: oid1, Other: oid2, Alliance: 5},
+		&EdgeDelResp{Existed: true},
+		&EdgesReq{Obj: oid2},
+		&EdgesResp{Edges: []EdgeRec{{Other: oid2, Alliance: 3}}},
+		&FixReq{Obj: oid1, Fix: true, Query: true},
+		&FixResp{Fixed: true},
+		&PingReq{Payload: "hi"},
+		&PingResp{Payload: "hi"},
+		&InventoryReq{MaxUnits: 64},
+		&InventoryResp{Units: []InventoryUnit{{Anchor: oid1, Bytes: 4096, Pressure: 12}}, Load: load},
+		&RemoteError{Code: CodeMoved, Msg: "gone", To: "n7"},
 	}
 }
 
-// TestFastPathRoundTrip: every fast-path body must decode back to a
-// deep-equal value, and must actually take the fast path (first byte is
-// a non-gob tag).
+// TestFastPathRoundTrip: every body must decode back to a deep-equal
+// value.
 func TestFastPathRoundTrip(t *testing.T) {
 	t.Parallel()
 	for _, in := range fastBodies() {
-		data, err := Marshal(in)
+		data, err := MarshalAppend(nil, in)
 		if err != nil {
 			t.Fatalf("marshal %T: %v", in, err)
-		}
-		if len(data) == 0 || data[0] == tagGob {
-			t.Fatalf("%T did not take the fast path (tag %v)", in, data[0])
 		}
 		out := reflect.New(reflect.TypeOf(in).Elem()).Interface()
 		if err := Unmarshal(data, out); err != nil {
@@ -117,10 +135,37 @@ var goldenImages = []string{
 	"0d0101026e39",                           // EndResp
 	"0e026e3207026e350101",                   // MigrateReq
 	"0f026e3501026e3207",                     // MigrateResp
+	"1902026e312a026e3207088080800180b09dc2df01026e32026e3305", // PauseReq
+	"1a01026e312a026e3308026e310104026e312a05",                 // CommitReq
+	"1b",                     // CommitResp
+	"1c01026e320708026e31",   // AbortReq
+	"1d",                     // AbortResp
+	"1e026e312a026e32070506", // EdgeAddReq
+	"1f",                     // EdgeAddResp
+	"20026e312a026e320705",   // EdgeDelReq
+	"2101",                   // EdgeDelResp
+	"22026e3207",             // EdgesReq
+	"2301026e320703",         // EdgesResp
+	"24026e312a0101",         // FixReq
+	"2501",                   // FixResp
+	"26026869",               // PingReq
+	"27026869",               // PingResp
+	"288001",                 // InventoryReq
+	"2901026e312a804018026e39f001808080018827800480808080081f02", // InventoryResp
+	"2a0604676f6e65026e37", // RemoteError
 }
 
-// TestGoldenImages: every live fast-path tag encodes its specimen to
-// exactly the pinned bytes, and the pinned bytes decode back to it.
+// epochImages pins each wire epoch to the digest of the golden images
+// it shipped with. Editing, adding or removing an image changes the
+// digest, and TestGoldenImages then fails until Epoch is bumped and the
+// new epoch's row is added here. Rows are never edited.
+var epochImages = map[byte]string{
+	1: "4a18d3beb11c0577",
+}
+
+// TestGoldenImages: every live tag encodes its specimen to exactly the
+// pinned bytes, the pinned bytes decode back to it, and the images are
+// the ones wire.Epoch names.
 func TestGoldenImages(t *testing.T) {
 	t.Parallel()
 	bodies := fastBodies()
@@ -133,7 +178,7 @@ func TestGoldenImages(t *testing.T) {
 		if err != nil {
 			t.Fatalf("golden image %d: %v", i, err)
 		}
-		got, err := Marshal(in)
+		got, err := MarshalAppend(nil, in)
 		if err != nil {
 			t.Fatalf("marshal %T: %v", in, err)
 		}
@@ -147,21 +192,32 @@ func TestGoldenImages(t *testing.T) {
 		tags[want[0]] = true
 	}
 	// Every live tag has a specimen; the retired ones have none.
-	for tag := tagInvokeReq; tag <= tagInstallResp; tag++ {
-		if retired := tag > tagMigrateResp && tag < tagLoadGossipReq; tags[tag] == retired {
+	for tag := byte(0); tag <= tagRemoteError; tag++ {
+		if retired := tag == 0 || tag > tagMigrateResp && tag < tagLoadGossipReq; tags[tag] == retired {
 			t.Fatalf("tag %d: golden image present = %v, retired = %v", tag, tags[tag], retired)
 		}
 	}
+	h := fnv.New64a()
+	h.Write([]byte(strings.Join(goldenImages, "\n")))
+	if digest := hex.EncodeToString(h.Sum(nil)); epochImages[Epoch] != digest {
+		t.Fatalf("golden images (digest %s) differ from those of wire epoch %d (%q): a layout change must bump Epoch and pin the new digest",
+			digest, Epoch, epochImages[Epoch])
+	}
 }
 
-// TestRetiredTagsNeverDecode: tags 16–21 carried the begin/chunk/commit
-// bodies of the retired session kinds. No body type may accept them —
-// not even one whose own image follows the tag byte.
+// TestRetiredTagsNeverDecode: tag 0 marked the retired gob fallback and
+// tags 16–21 carried the begin/chunk/commit bodies of the retired
+// session kinds. No body type may accept them — not even one whose own
+// image follows the tag byte.
 func TestRetiredTagsNeverDecode(t *testing.T) {
 	t.Parallel()
+	retired := []byte{0}
 	for tag := tagMigrateResp + 1; tag < tagLoadGossipReq; tag++ {
+		retired = append(retired, tag)
+	}
+	for _, tag := range retired {
 		for _, in := range fastBodies() {
-			data, err := Marshal(in)
+			data, err := MarshalAppend(nil, in)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -174,30 +230,29 @@ func TestRetiredTagsNeverDecode(t *testing.T) {
 	}
 }
 
-// TestFastPathValueForms: Marshal accepts value (non-pointer) bodies
-// like gob does, producing the same bytes as the pointer form.
+// TestFastPathValueForms: a body travels as a pointer. Its value form
+// is not a body, and both ends refuse it.
 func TestFastPathValueForms(t *testing.T) {
 	t.Parallel()
 	req := InvokeReq{Obj: core.OID{Origin: "n", Seq: 1}, Method: "m", Arg: []byte{1}}
-	byVal, err := Marshal(req)
+	if _, err := MarshalAppend(nil, req); err == nil {
+		t.Fatal("value form encoded")
+	}
+	data, err := MarshalAppend(nil, &req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	byPtr, err := Marshal(&req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(byVal, byPtr) {
-		t.Fatal("value and pointer forms encode differently")
+	if err := Unmarshal(data, req); err == nil {
+		t.Fatal("decoded into a value form")
 	}
 }
 
-// TestFastPathEmptySemantics: zero-length byte fields decode as nil
-// (gob's behaviour), so callers see identical semantics on both paths.
+// TestFastPathEmptySemantics: zero-length byte fields and lists decode
+// as nil.
 func TestFastPathEmptySemantics(t *testing.T) {
 	t.Parallel()
 	in := &InvokeReq{Obj: core.OID{Origin: "n", Seq: 1}, Method: "", Arg: []byte{}}
-	data, err := Marshal(in)
+	data, err := MarshalAppend(nil, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,8 +263,7 @@ func TestFastPathEmptySemantics(t *testing.T) {
 	if out.Arg != nil {
 		t.Fatalf("empty Arg decoded as %#v, want nil", out.Arg)
 	}
-	var emptyHU HomeUpdate
-	data, err = Marshal(&emptyHU)
+	data, err = MarshalAppend(nil, &HomeUpdate{Objs: []core.OID{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,6 +274,17 @@ func TestFastPathEmptySemantics(t *testing.T) {
 	if outHU.Objs != nil {
 		t.Fatalf("empty Objs decoded as %#v, want nil", outHU.Objs)
 	}
+	data, err = MarshalAppend(nil, &EdgesResp{Edges: []EdgeRec{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	outEdges := EdgesResp{Edges: []EdgeRec{{Alliance: 1}}}
+	if err := Unmarshal(data, &outEdges); err != nil {
+		t.Fatal(err)
+	}
+	if outEdges.Edges != nil {
+		t.Fatalf("empty Edges decoded as %#v, want nil", outEdges.Edges)
+	}
 }
 
 // TestFastPathRejectsCorruption: truncations and trailing garbage must
@@ -227,7 +292,7 @@ func TestFastPathEmptySemantics(t *testing.T) {
 func TestFastPathRejectsCorruption(t *testing.T) {
 	t.Parallel()
 	for _, in := range fastBodies() {
-		data, err := Marshal(in)
+		data, err := MarshalAppend(nil, in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -252,39 +317,13 @@ func TestFastPathRejectsCorruption(t *testing.T) {
 // TestTagMismatch: a body of one kind must not decode into another.
 func TestTagMismatch(t *testing.T) {
 	t.Parallel()
-	data, err := Marshal(&LocateReq{Obj: core.OID{Origin: "n", Seq: 1}})
+	data, err := MarshalAppend(nil, &LocateReq{Obj: core.OID{Origin: "n", Seq: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var wrong InvokeReq
 	if err := Unmarshal(data, &wrong); err == nil {
 		t.Fatal("locate body decoded as invoke request")
-	}
-}
-
-// TestGobFallbackStillWorks: a non-fast-path body travels via the
-// pooled gob layer and round-trips.
-func TestGobFallbackStillWorks(t *testing.T) {
-	t.Parallel()
-	in := &EdgeAddReq{
-		Obj:      core.OID{Origin: "n", Seq: 3},
-		Other:    core.OID{Origin: "n2", Seq: 4},
-		Alliance: 5,
-		Mode:     core.AttachExclusive,
-	}
-	data, err := Marshal(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if data[0] != tagGob {
-		t.Fatalf("EdgeAddReq took tag %d, want gob fallback", data[0])
-	}
-	var out EdgeAddReq
-	if err := Unmarshal(data, &out); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(*in, out) {
-		t.Fatalf("gob round trip: %+v != %+v", out, *in)
 	}
 }
 
@@ -300,12 +339,12 @@ func TestSnapshotDeterministicEncoding(t *testing.T) {
 			OpenMoves: map[core.NodeID]int{"a": 1, "b": 2, "c": 3, "d": 4, "e": 5},
 		},
 	}
-	first, err := Marshal(&snap)
+	first, err := MarshalAppend(nil, &snap)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 16; i++ {
-		again, err := Marshal(&snap)
+		again, err := MarshalAppend(nil, &snap)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -317,16 +356,13 @@ func TestSnapshotDeterministicEncoding(t *testing.T) {
 
 // TestMarshalAppendPrefix: MarshalAppend must extend dst in place,
 // leaving the existing prefix intact, and the appended bytes must
-// equal a fresh Marshal of the same body — for fast-path and gob
-// bodies alike. This is the contract internal/rpc relies on when it
-// reserves a frame header and hands the codec the tail.
+// equal a fresh encoding of the same body. This is the contract
+// internal/rpc relies on when it reserves a frame header and hands the
+// codec the tail.
 func TestMarshalAppendPrefix(t *testing.T) {
 	t.Parallel()
-	bodies := append(fastBodies(),
-		&EdgeAddReq{Obj: core.OID{Origin: "n", Seq: 3}, Other: core.OID{Origin: "n2", Seq: 4}}, // gob fallback
-	)
-	for _, in := range bodies {
-		fresh, err := Marshal(in)
+	for _, in := range fastBodies() {
+		fresh, err := MarshalAppend(nil, in)
 		if err != nil {
 			t.Fatalf("marshal %T: %v", in, err)
 		}
@@ -339,7 +375,7 @@ func TestMarshalAppendPrefix(t *testing.T) {
 			t.Fatalf("%T: MarshalAppend clobbered the reserved prefix", in)
 		}
 		if !reflect.DeepEqual(out[len(prefix):], fresh) {
-			t.Fatalf("%T: appended body differs from fresh Marshal", in)
+			t.Fatalf("%T: appended body differs from a fresh encoding", in)
 		}
 	}
 }
@@ -366,9 +402,9 @@ func TestMarshalAppendReusesCapacity(t *testing.T) {
 func TestMarshalAppendErrorLeavesDst(t *testing.T) {
 	t.Parallel()
 	dst := []byte{1, 2, 3}
-	out, err := MarshalAppend(dst, make(chan int)) // gob cannot encode channels
+	out, err := MarshalAppend(dst, &core.OID{Origin: "n", Seq: 1}) // not a message body
 	if err == nil {
-		t.Fatal("encoding a channel succeeded")
+		t.Fatal("encoding a non-body succeeded")
 	}
 	if !reflect.DeepEqual(out, []byte{1, 2, 3}) {
 		t.Fatalf("failed encode left dst = %v", out)
@@ -378,8 +414,8 @@ func TestMarshalAppendErrorLeavesDst(t *testing.T) {
 // FuzzUnmarshal: no input makes the codec panic, and whatever decodes
 // re-encodes to something that decodes to the same value. Seeded with
 // the golden image of every live tag; a body is decoded into the type
-// its tag byte names, and bytes under any other tag (retired, unknown,
-// the gob fallback's) into every fast-path type.
+// its tag byte names, and bytes under any other tag (retired or
+// unknown) into every body type.
 func FuzzUnmarshal(f *testing.F) {
 	byTag := make(map[byte]reflect.Type)
 	for i, in := range fastBodies() {
@@ -391,7 +427,7 @@ func FuzzUnmarshal(f *testing.F) {
 		byTag[img[0]] = reflect.TypeOf(in).Elem()
 	}
 	f.Add([]byte{})
-	f.Add([]byte{tagGob, 0x03, 0x04, 0x00, 0x54})
+	f.Add([]byte{0, 0x03, 0x04, 0x00, 0x54}) // the retired gob tag
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			if Unmarshal(data, new(InvokeReq)) == nil {
@@ -410,7 +446,7 @@ func FuzzUnmarshal(f *testing.F) {
 		if Unmarshal(data, first) != nil {
 			return
 		}
-		again, err := Marshal(first)
+		again, err := MarshalAppend(nil, first)
 		if err != nil {
 			t.Fatalf("decoded %T does not re-encode: %v", first, err)
 		}

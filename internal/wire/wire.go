@@ -1,9 +1,8 @@
 // Package wire defines the message vocabulary of the live runtime —
 // the request and response bodies exchanged between nodes and the
 // error representation that crosses the wire — together with the
-// append-style codec that puts them on the wire: a hand-rolled binary
-// fast path for the high-frequency bodies and a gob fallback for the
-// rest, both encoding directly into the caller's buffer
+// append-style codec that puts them on the wire: one hand-rolled
+// binary layout per body, encoding directly into the caller's buffer
 // (MarshalAppend) so a message becomes exactly one copy in exactly one
 // frame.
 //
@@ -80,48 +79,53 @@ func (k Kind) Valid() bool {
 	return k >= KInvoke && k < kMax && (k < kRetiredFirst || k > kRetiredLast)
 }
 
-// Marshal encodes a message body into a fresh buffer: a hand-rolled
-// binary fast path for the high-frequency bodies (invoke, locate,
-// home-update, snapshots and the migration control bodies), gob for
-// the rest. Prefer MarshalAppend on hot paths — it writes into a
-// caller-supplied buffer instead of allocating one per message.
-func Marshal(v interface{}) ([]byte, error) {
-	return MarshalAppend(nil, v)
-}
+// Epoch names this build's wire vocabulary: the body tags and layouts
+// of codec.go and the Kind numbers above. Any layout or kind change
+// bumps it. The rpc layer exchanges epochs once when a connection
+// opens and refuses a peer whose epoch differs, so two builds that
+// would misread each other never exchange a body. TestGoldenImages
+// pins it to the golden images.
+const Epoch byte = 1
 
-// MarshalAppend appends the encoding of a message body to dst and
-// returns the extended slice, growing it as needed (like append, the
-// result may share dst's backing array or be a reallocation — always
-// use the returned slice). The message is encoded exactly once, in
-// place: fast-path bodies append their fields directly, the gob
-// fallback streams into the tail. This is what lets internal/rpc
-// reserve a frame header in a pooled buffer and land the body right
-// behind it with no intermediate copy.
+// MarshalAppend appends the encoding of a message body (a pointer to
+// one of the body types below) to dst and returns the extended slice,
+// growing it as needed (like append, the result may share dst's
+// backing array or be a reallocation — always use the returned slice).
+// The message is encoded exactly once, in place: its fields are
+// appended directly. This is what lets internal/rpc reserve a frame
+// header in a pooled buffer and land the body right behind it with no
+// intermediate copy.
 //
-// Ownership: dst remains the caller's. On error the returned slice is
-// dst unchanged — no partial body is ever published into a buffer the
-// caller will send or recycle.
+// Ownership: dst remains the caller's. On error (v is not a message
+// body) the returned slice is dst unchanged — no partial body is ever
+// published into a buffer the caller will send or recycle.
 func MarshalAppend(dst []byte, v interface{}) ([]byte, error) {
-	if data, ok := marshalFastAppend(dst, v); ok {
-		return data, nil
+	c := coder{b: dst}
+	if !layout(&c, v) {
+		return dst, fmt.Errorf("wire: marshal %T: not a message body", v)
 	}
-	return marshalGobAppend(dst, v)
+	return c.b, nil
 }
 
-// Unmarshal decodes a message body into v (a pointer).
+// Unmarshal decodes a message body into v (a pointer to a body type).
+// Decoding is strict: a wrong tag, a truncated field or trailing bytes
+// is an error.
 //
 // Ownership: Unmarshal copies every variable-length field out of data
 // — the decoded value never aliases the input. Callers may therefore
 // recycle the frame that carried data (framebuf.Put in the rpc layer)
 // the moment Unmarshal returns.
 func Unmarshal(data []byte, v interface{}) error {
-	if len(data) == 0 {
-		return fmt.Errorf("wire: unmarshal %T: empty body", v)
+	c := coder{dec: true, b: data}
+	switch {
+	case !layout(&c, v):
+		return fmt.Errorf("wire: unmarshal %T: not a message body", v)
+	case c.err != nil:
+		return fmt.Errorf("wire: unmarshal %T: %w", v, c.err)
+	case c.pos != len(data):
+		return fmt.Errorf("wire: unmarshal %T: %d trailing bytes", v, len(data)-c.pos)
 	}
-	if data[0] == tagGob {
-		return unmarshalGob(data[1:], v)
-	}
-	return unmarshalFast(data[0], data[1:], v)
+	return nil
 }
 
 // ErrCode classifies remote failures so callers can react (retry on
@@ -195,7 +199,7 @@ type Snapshot struct {
 	Gen uint64
 }
 
-// SnapshotSize estimates the snapshot's encoded fast-path size in
+// SnapshotSize estimates the snapshot's encoded size in
 // bytes. Pause budgeting (PauseReq.MaxBytes) and the coordinator's
 // chunk accounting both use this estimate, so "bytes per chunk" means
 // the same thing on both ends without encoding anything twice.

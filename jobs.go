@@ -696,7 +696,7 @@ func (j *Job) executeMove(ctx context.Context, m *jobs.Move) (moved []core.OID, 
 
 		members, err := n.closureOf(ctx, m.Anchor, NoAlliance)
 		if err != nil {
-			if isCode(err, wire.CodeNotFound) {
+			if errors.Is(err, ErrNotFound) {
 				return nil, true, nil // the anchor ended: nothing to move
 			}
 			lastErr = err

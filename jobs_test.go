@@ -714,6 +714,30 @@ func TestResumeJobValidation(t *testing.T) {
 	}
 }
 
+// TestResumeJobSkipsVanishedAnchor: a resumed move whose anchor no node
+// knows any more is skipped ("the anchor ended: nothing to move"), not
+// retried until the job fails.
+func TestResumeJobSkipsVanishedAnchor(t *testing.T) {
+	t.Parallel()
+	ctx := ctxShort(t)
+	cl := NewLocalCluster()
+	a := jobNode(t, cl, "a", 16, nil)
+	b := jobNode(t, cl, "b", 16, nil)
+	fullMesh(a, b)
+	gone := core.OID{Origin: "a", Seq: 1 << 40}
+	cp := jobs.Checkpoint{Kind: "pin", WaveSize: 1, Moves: []jobs.Move{{Anchor: gone, From: "a", To: "b", Objects: 1}}}
+	j, err := a.ResumeJob(cp, JobConfig{WaveRetries: 3, RetryBackoff: 10 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Execute(ctx); err != nil {
+		t.Fatalf("execute: %v", err)
+	}
+	if st := j.Status(); st.State != "done" || st.MovesSkipped != 1 || st.MovesFailed != 0 {
+		t.Fatalf("status = %+v, want done with the vanished anchor skipped", st)
+	}
+}
+
 // TestJobCheckpointDuringRetarget is the -race regression for the
 // retarget write: Checkpoint and Preview copy the plan's moves under
 // the job mutex while executeMove re-points a vetoed move's To field,

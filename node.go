@@ -443,7 +443,7 @@ func (n *Node) handle(ctx context.Context, kind wire.Kind, body, dst []byte) ([]
 		if err := wire.Unmarshal(body, &req); err != nil {
 			return nil, wire.Errorf(wire.CodeBadRequest, "%v", err)
 		}
-		return wire.MarshalAppend(dst, wire.PingResp{Payload: req.Payload})
+		return wire.MarshalAppend(dst, &wire.PingResp{Payload: req.Payload})
 	case wire.KInvoke:
 		return handleTyped(body, dst, func(req *wire.InvokeReq) (*wire.InvokeResp, error) {
 			return onRecord(ctx, n, req.Obj, req, n.handleInvoke)

@@ -500,7 +500,7 @@ func TestRetiredKindsRefused(t *testing.T) {
 	ctx := ctxShort(t)
 	nodes := testCluster(t, 2, Config{})
 	for kind := wire.Kind(16); kind <= 18; kind++ {
-		body, err := wire.Marshal(&wire.PingReq{})
+		body, err := wire.MarshalAppend(nil, &wire.PingReq{})
 		if err != nil {
 			t.Fatal(err)
 		}

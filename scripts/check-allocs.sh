@@ -9,13 +9,13 @@
 # BenchmarkShedPlan (allocs/op), BenchmarkJobPlan (allocs/op),
 # BenchmarkHealthTick (allocs/op) and BenchmarkGobStream (allocs/op)
 # and fails if any reported value exceeds its ceiling in
-# scripts/alloc-budget.txt. The fast-path codec, invoke and gob-stream
+# scripts/alloc-budget.txt. The wire codec, invoke and gob-stream
 # budgets are exact (their allocation counts are deterministic — the
 # append variants allocate only decode output, the routed-request core
 # allocates nothing) and the telemetry budgets are zero (recording a
 # counter, gauge, histogram sample or migration span must never
-# allocate); the gob-fallback rows and the directory's bytes-per-object
-# get headroom for drift. Lowering a number after an optimisation is
+# allocate); the directory's bytes-per-object gets headroom for
+# drift. Lowering a number after an optimisation is
 # encouraged; raising one is a reviewed decision.
 #
 # Budget rows are "name budget [unit]"; the unit defaults to

@@ -21,4 +21,5 @@ printf '%-28s %6d\n' 'migrate.go + migsession.go' "$(cat migrate.go migsession.g
 printf '%-28s %6d\n' 'autopilot.go + placement.go' "$(cat autopilot.go placement.go | wc -l)"
 printf '%-28s %6d\n' 'stats + telemetry (3 files)' "$(cat nodestats.go telemetry.go internal/telemetry/telemetry.go | wc -l)"
 printf '%-28s %6d\n' 'internal/wire' "$(count internal/wire)"
+printf '%-28s %6d\n' 'internal/rpc' "$(count internal/rpc)"
 printf '%-28s %6d\n' 'internal/ total' "$(count internal)"
