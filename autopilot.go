@@ -191,8 +191,7 @@ func (a *autopilot) tick() {
 	opt.RequireMajority = a.cfg.Policy == PolicyCompareReinstantiate
 
 	deferred := func(core.OID) { atomic.AddInt64(&n.stats.AutopilotDeferred, 1) }
-	n.optimise(pass{
-		stop:     a.stop,
+	n.optimise(a.ctx, pass{
 		cool:     &a.cool,
 		alliance: a.cfg.Alliance,
 		budget:   a.cfg.BudgetPerTick,
@@ -224,7 +223,6 @@ func (a *autopilot) tick() {
 // the outcome. Everything else — the steps of a scan and their
 // bookkeeping — is optimise's.
 type pass struct {
-	stop     <-chan struct{} // the daemon's stop channel: cancels the scan context
 	cool     *cooldowns
 	alliance AllianceID // context of the closure that travels with an anchor
 	budget   int        // migrations the scan may issue
@@ -250,8 +248,10 @@ type pass struct {
 // pressure points elsewhere — and migrate it there unless a fixed or
 // placed member objects. Every member of a scored closure is marked
 // visited, so a scan never re-scores the same closure through another
-// member. It returns the number of migrations issued.
-func (n *Node) optimise(p pass) int {
+// member. ctx is the daemon's: the scan's own timeout derives from it,
+// so stopping the daemon cancels the scan and Close never waits out a
+// full migration timeout. It returns the number of migrations issued.
+func (n *Node) optimise(ctx context.Context, p pass) int {
 	if len(p.anchors) == 0 || p.budget <= 0 {
 		return 0
 	}
@@ -260,11 +260,8 @@ func (n *Node) optimise(p pass) int {
 	// table would grow by one entry per object the daemon ever moved.
 	p.cool.reap(time.Now())
 
-	// The scan's context dies with the daemon, so Close never waits
-	// out a full migration timeout.
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	ctx, cancel := context.WithTimeout(ctx, 10*time.Second)
 	defer cancel()
-	defer cancelOnStop(p.stop, cancel)()
 
 	// failed: an unreachable member, a fixed or placed one, a busy
 	// closure or a refusing target. Back off for one cooldown instead

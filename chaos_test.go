@@ -258,8 +258,8 @@ func TestChaos(t *testing.T) {
 // TestChaosCoordinatorCrashReleasesReservation: a coordinator that
 // claims admission headroom with its opening frame and then dies before
 // streaming a single snapshot must not leak its claim. The target's
-// session-TTL janitor discards the orphaned session and releases the
-// reservation with it, so the headroom returns to its pre-claim level
+// migration's record expires, discarding the orphaned session and
+// releasing the reservation with it, so the headroom returns to its pre-claim level
 // and later migrations admit again.
 func TestChaosCoordinatorCrashReleasesReservation(t *testing.T) {
 	t.Parallel()
@@ -274,7 +274,7 @@ func TestChaosCoordinatorCrashReleasesReservation(t *testing.T) {
 	}
 	tgt, err := NewNode(Config{
 		ID: "tgt", Cluster: cl, Capacity: 4,
-		Migrate: MigrateConfig{SessionTTL: 100 * time.Millisecond},
+		Migrate: MigrateConfig{Lease: 100 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -308,14 +308,14 @@ func TestChaosCoordinatorCrashReleasesReservation(t *testing.T) {
 		t.Fatalf("pre-expiry admission: %v, want capacity refusal", err)
 	}
 
-	// The TTL janitor discards the orphaned session and its claim.
+	// The record's expiry discards the orphaned session and its claim.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		if res := tgt.resv.Reserved(); res.Objects == 0 && res.Bytes == 0 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("reservation still held after session TTL: %+v", tgt.resv.Reserved())
+			t.Fatalf("reservation still held after the lease: %+v", tgt.resv.Reserved())
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

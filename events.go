@@ -37,12 +37,12 @@ const (
 	// transfer emits the same outcomes whatever its frame count. At the
 	// target: "begin" when the opening frame is admitted, then exactly
 	// one of "commit" (installed), "abort" (dropped by the coordinator's
-	// abort or by a frame that failed to stage) or "expire" (dropped by
-	// the TTL janitor); Bytes counts the staged snapshot bytes. At the
+	// abort or by a frame that failed to stage) or "expire" (dropped
+	// when the migration's lease ran out); Bytes counts the staged snapshot bytes. At the
 	// coordinator: "streamed" once the group is installed; Bytes counts
 	// the snapshot bytes its InstallReq frames carried. Source hosts
-	// add "lease-committed", "lease-resumed" or "lease-retry" when a
-	// pause lease fires.
+	// add "lease-committed", "lease-resumed" or "lease-retry" when the
+	// lease over the objects they paused runs out.
 	EventMigrateStream
 	// EventPlacement: the placement engine acted here. Outcome
 	// "migrate" (the autopilot's group-scored election) or "origin"
@@ -53,10 +53,9 @@ const (
 	// because admitting the group would push it past its capacity
 	// (Objects lists the refused members, Target the coordinator).
 	EventPlacement
-	// EventChase: a location chase exceeded the configured hop budget
-	// (DirectoryConfig.ChaseHopBudget) — the directory's hints for Obj
-	// were stale enough to cost Hops remote calls. Outcome is
-	// "over-budget".
+	// EventChase: a location chase exceeded the hop budget (4 remote
+	// hops) — the directory's hints for Obj were stale enough to cost
+	// Hops remote calls. Outcome is "over-budget".
 	EventChase
 	// EventJob: a migration job changed state on its coordinator.
 	// Outcome is the lifecycle edge — "plan" (move list computed),
@@ -163,10 +162,10 @@ type Observer func(Event)
 
 // emit delivers an event to the node's observer, if any: directly on
 // the caller's goroutine by default, or through the bounded async sink
-// when Config.ObserverBuffer is set. While the health engine runs with
-// a flight recorder, every event (bar the high-rate EventInvoke) is
-// additionally mirrored into the recorder ring, so a dump carries the
-// recent event history even with no observer set.
+// when Config.ObserverBuffer is set. While the health engine runs,
+// every event (bar the high-rate EventInvoke) is additionally mirrored
+// into the recorder ring, so a dump carries the recent event history
+// even with no observer set.
 func (n *Node) emit(e Event) {
 	rec := n.tel.flightRec.Load()
 	if n.observer == nil && rec == nil {

@@ -2,8 +2,8 @@ package objmig
 
 import (
 	"encoding/binary"
+	"fmt"
 	"sync"
-	"testing"
 
 	"objmig/internal/transport"
 	"objmig/internal/wire"
@@ -72,16 +72,17 @@ func (t *installTap) seen() int {
 }
 
 // release delivers every held frame, late.
-func (t *installTap) release(tb testing.TB) {
+func (t *installTap) release() error {
 	t.mu.Lock()
 	held := t.held
 	t.held = nil
 	t.mu.Unlock()
 	for _, h := range held {
 		if err := h.conn.Send(h.frame); err != nil {
-			tb.Fatalf("releasing a held frame: %v", err)
+			return fmt.Errorf("releasing a held frame: %w", err)
 		}
 	}
+	return nil
 }
 
 // tapConn is the dialling end of one connection; lose and watch hold

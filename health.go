@@ -30,6 +30,7 @@ import (
 
 	"objmig/internal/health"
 	"objmig/internal/telemetry"
+	"objmig/internal/wire"
 )
 
 // HealthState classifies a node. The numeric values ride the load
@@ -103,11 +104,6 @@ type HealthConfig struct {
 	PauseExpiries    HealthBound // pause leases expired; default 2 / 8
 	ChasesOverBudget HealthBound // chases past the hop budget; default 16 / 64
 	EventsDropped    HealthBound // observer events shed; default 64 / 1024
-
-	// FlightRecorderSize caps the flight-recorder ring (entries).
-	// Default 1024; negative disables the recorder (the evaluator
-	// still runs).
-	FlightRecorderSize int
 }
 
 func (c HealthConfig) withDefaults() HealthConfig {
@@ -122,9 +118,6 @@ func (c HealthConfig) withDefaults() HealthConfig {
 	}
 	if c.ClearAfter <= 0 {
 		c.ClearAfter = 3
-	}
-	if c.FlightRecorderSize == 0 {
-		c.FlightRecorderSize = health.DefaultRecorderSize
 	}
 	def := func(b *HealthBound, warn, crit int64) {
 		if b.Warn < 0 {
@@ -181,12 +174,15 @@ func (c HealthConfig) evalConfig() health.Config {
 // the evaluator (single-goroutine, no locking on the hot path) and
 // publishes only through atomics: the live Stats.HealthState for the
 // verdict (read by Health(), the gossip and the scrape alike),
-// n.lastDump for the frozen automatic dump.
+// n.lastDump for the frozen automatic dump. rec is its flight recorder
+// (health.DefaultRecorderSize entries), mirrored in n.tel while the
+// daemon runs.
 type healthDaemon struct {
 	daemon
 	node *Node
 	cfg  HealthConfig
 	eval *health.Evaluator
+	rec  *health.Recorder
 
 	// last is the most recent verdict, kept for manual dumps (the
 	// daemon goroutine owns eval; readers get a copy via verdict()).
@@ -213,12 +209,10 @@ func (d *healthDaemon) verdict() health.Verdict {
 // health-aware placement.
 func (n *Node) EnableHealth(cfg HealthConfig) error {
 	cfg = cfg.withDefaults()
-	d := &healthDaemon{node: n, cfg: cfg, eval: health.NewEvaluator(cfg.evalConfig())}
-	return startDaemon(n, "health engine", &n.hl, d, func() {
-		if cfg.FlightRecorderSize > 0 {
-			n.tel.flightRec.Store(health.NewRecorder(cfg.FlightRecorderSize))
-		}
-	}, periodic{cfg.Tick, d.tick})
+	d := &healthDaemon{node: n, cfg: cfg, eval: health.NewEvaluator(cfg.evalConfig()),
+		rec: health.NewRecorder(health.DefaultRecorderSize)}
+	return startDaemon(n, "health engine", &n.hl, d, func() { n.tel.flightRec.Store(d.rec) },
+		periodic{cfg.Tick, d.tick})
 }
 
 // DisableHealth stops the engine and waits for its goroutine. The
@@ -243,19 +237,14 @@ func (n *Node) Health() HealthState {
 
 // DumpFlightRecorder freezes the flight-recorder ring right now and
 // returns it serialised as JSON, stamped with the latest verdict and
-// reason "manual". Fails when the engine is off or the recorder was
-// disabled (FlightRecorderSize < 0).
+// reason "manual". Fails when the engine is off.
 func (n *Node) DumpFlightRecorder() ([]byte, error) {
 	d := runningDaemon(n, &n.hl)
 	if d == nil {
 		return nil, fmt.Errorf("objmig: health engine not enabled on %s", n.id)
 	}
-	r := n.tel.flightRec.Load()
-	if r == nil {
-		return nil, fmt.Errorf("objmig: flight recorder disabled on %s", n.id)
-	}
 	atomic.AddInt64(&n.stats.HealthDumps, 1)
-	return r.Dump(string(n.id), "manual", d.verdict()).JSON(), nil
+	return d.rec.Dump(string(n.id), "manual", d.verdict()).JSON(), nil
 }
 
 // LastFlightDump returns the most recent automatic dump — the JSON the
@@ -301,13 +290,11 @@ func (d *healthDaemon) tick() {
 	d.setVerdict(v)
 	atomic.StoreInt64(&n.stats.HealthState, int64(v.State))
 	atomic.AddInt64(&n.stats.HealthTicks, 1)
-	if r := n.tel.flightRec.Load(); r != nil {
-		r.Record(health.Entry{
-			At: s.At, Kind: health.EntryHealth,
-			Label: v.State.String(), Node: string(n.id),
-			Values: [4]int64{int64(v.Level), int64(v.Worst), v.Values[v.Worst], int64(v.Prev)},
-		})
-	}
+	d.rec.Record(health.Entry{
+		At: s.At, Kind: health.EntryHealth,
+		Label: v.State.String(), Node: string(n.id),
+		Values: [4]int64{int64(v.Level), int64(v.Worst), v.Values[v.Worst], int64(v.Prev)},
+	})
 	if !v.Changed {
 		return
 	}
@@ -321,19 +308,19 @@ func (d *healthDaemon) tick() {
 		// Upward transition: freeze the black box before anything
 		// else overwrites it. The dump carries the verdict that
 		// triggered it — the offending window's numbers.
-		if r := n.tel.flightRec.Load(); r != nil {
-			raw := r.Dump(string(n.id), "transition", v).JSON()
-			n.lastDump.Store(&raw)
-			atomic.AddInt64(&n.stats.HealthDumps, 1)
-		}
+		raw := d.rec.Dump(string(n.id), "transition", v).JSON()
+		n.lastDump.Store(&raw)
+		atomic.AddInt64(&n.stats.HealthDumps, 1)
 	}
 	n.emit(Event{Kind: EventHealth, Outcome: v.State.String(), Hops: int(v.Prev)})
 }
 
-// serveCluster renders the cluster as this node sees it: its own row
-// plus one row per fresh peer sample in the placement view, with the
-// gossiped health state, utilisation and sample staleness. No
-// collection RPC — everything here already arrived on the gossip.
+// serveCluster renders the cluster as this node sees it: a header
+// naming this build's wire epoch (peers of another epoch are refused at
+// dial, so they never appear), then its own row plus one row per fresh
+// peer sample in the placement view, with the gossiped health state,
+// utilisation and sample staleness. No collection RPC — everything here
+// already arrived on the gossip.
 func (n *Node) serveCluster(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	type row struct {
@@ -369,7 +356,7 @@ func (n *Node) serveCluster(w http.ResponseWriter, _ *http.Request) {
 			})
 		}
 	}
-	fmt.Fprintf(w, "node %s: cluster view, %d nodes\n", n.id, len(rows))
+	fmt.Fprintf(w, "node %s: cluster view, %d nodes, wire epoch %d\n", n.id, len(rows), wire.Epoch)
 	fmt.Fprintf(w, "%-12s %-10s %8s %12s %8s %10s %8s\n",
 		"NODE", "HEALTH", "OBJECTS", "BYTES", "UTIL", "AGE", "")
 	for _, r := range rows {

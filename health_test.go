@@ -17,6 +17,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"objmig/internal/wire"
 )
 
 // quietHealthConfig returns a fast-ticking config with every signal
@@ -279,12 +281,16 @@ func TestHealthScrapeSurfaces(t *testing.T) {
 	}
 
 	// /debug/cluster shows this node's own healthy row immediately and
-	// the peer's row once the gossip delivers a sample.
+	// the peer's row once the gossip delivers a sample; its header names
+	// this build's wire epoch.
 	deadline = time.Now().Add(10 * time.Second)
 	for {
 		_, cluster := scrape("GET", "/debug/cluster")
 		if strings.Contains(cluster, "healthy") && strings.Contains(cluster, "(self)") &&
 			strings.Contains(cluster, "n1") {
+			if header := fmt.Sprintf("node n0: cluster view, 2 nodes, wire epoch %d\n", wire.Epoch); !strings.HasPrefix(cluster, header) {
+				t.Errorf("/debug/cluster header is not %q:\n%s", header, cluster)
+			}
 			break
 		}
 		if time.Now().After(deadline) {

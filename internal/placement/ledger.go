@@ -15,8 +15,9 @@ package placement
 // claim to residency (the installed objects now show up in the hosted
 // counts, so the claim is simply released — after the install, never
 // before, so the sum of hosted and reserved never dips below the
-// truth). An abort or the session-TTL janitor releases the claim
-// without installing.
+// truth). An abort or the expiry of the migration's record releases the
+// claim without installing. The caller's record is the claim's only
+// owner: the ledger keeps no clock of its own.
 //
 // The hosted counts are read through a callback *inside* the ledger's
 // critical section: a sample read before the lock could miss a claim
@@ -27,7 +28,6 @@ package placement
 
 import (
 	"sync"
-	"time"
 
 	"objmig/internal/core"
 )
@@ -45,38 +45,31 @@ type Claim struct {
 	Bytes   int64
 }
 
-type ledgerEntry struct {
-	c  Claim
-	at time.Time
-}
-
 // Ledger is one node's admission ledger. Safe for concurrent use; the
 // zero value is not ready, use NewLedger.
 type Ledger struct {
 	mu       sync.Mutex
-	claims   map[ClaimKey]ledgerEntry
+	claims   map[ClaimKey]Claim
 	reserved Claim // running sum over claims
 }
 
 // NewLedger returns an empty ledger.
 func NewLedger() *Ledger {
-	return &Ledger{claims: make(map[ClaimKey]ledgerEntry)}
+	return &Ledger{claims: make(map[ClaimKey]Claim)}
 }
 
 // Admit atomically runs the overload veto against hosted-plus-reserved
 // load and, if the group fits, records the claim. hosted is invoked
 // under the ledger lock and must return the node's authoritative local
 // sample (objects, bytes, capacities); ratio <= 0 selects the default
-// 1. A re-admission under an existing key replaces the old claim (a
-// duplicated opening frame: the session layer then refuses the second
-// session, and the one claim keeps backing the first). Reports whether
-// the claim was recorded.
+// 1. A re-admission under an existing key replaces the old claim, so
+// one key never holds two. Reports whether the claim was recorded.
 func (l *Ledger) Admit(key ClaimKey, c Claim, ratio float64, hosted func() Sample) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if old, ok := l.claims[key]; ok {
-		l.reserved.Objects -= old.c.Objects
-		l.reserved.Bytes -= old.c.Bytes
+		l.reserved.Objects -= old.Objects
+		l.reserved.Bytes -= old.Bytes
 		delete(l.claims, key)
 	}
 	s := hosted()
@@ -85,25 +78,25 @@ func (l *Ledger) Admit(key ClaimKey, c Claim, ratio float64, hosted func() Sampl
 	if Overloaded(s, int(c.Objects), c.Bytes, ratio) {
 		return false
 	}
-	l.claims[key] = ledgerEntry{c: c, at: time.Now()}
+	l.claims[key] = c
 	l.reserved.Objects += c.Objects
 	l.reserved.Bytes += c.Bytes
 	return true
 }
 
 // Release drops the claim under key (commit after install, abort, or
-// TTL expiry alike) and reports whether one existed.
+// expiry alike) and reports whether one existed.
 func (l *Ledger) Release(key ClaimKey) (Claim, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	e, ok := l.claims[key]
+	c, ok := l.claims[key]
 	if !ok {
 		return Claim{}, false
 	}
 	delete(l.claims, key)
-	l.reserved.Objects -= e.c.Objects
-	l.reserved.Bytes -= e.c.Bytes
-	return e.c, true
+	l.reserved.Objects -= c.Objects
+	l.reserved.Bytes -= c.Bytes
+	return c, true
 }
 
 // Reserved returns the current reserved totals (the
@@ -112,26 +105,6 @@ func (l *Ledger) Reserved() Claim {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.reserved
-}
-
-// ExpireBefore releases every claim stamped before cutoff — the
-// backstop behind the session janitor, for claims whose session was
-// lost without a dropSession (should not happen; belt and braces).
-// Returns the total footprint released.
-func (l *Ledger) ExpireBefore(cutoff time.Time) Claim {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var freed Claim
-	for key, e := range l.claims {
-		if e.at.Before(cutoff) {
-			delete(l.claims, key)
-			l.reserved.Objects -= e.c.Objects
-			l.reserved.Bytes -= e.c.Bytes
-			freed.Objects += e.c.Objects
-			freed.Bytes += e.c.Bytes
-		}
-	}
-	return freed
 }
 
 // ShedTarget elects the peer an overloaded host should push a group

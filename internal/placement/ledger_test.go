@@ -90,27 +90,6 @@ func TestLedgerReleaseRestoresHeadroom(t *testing.T) {
 	}
 }
 
-// TestLedgerExpireBefore: only claims stamped before the cutoff are
-// swept, and the freed footprint is reported.
-func TestLedgerExpireBefore(t *testing.T) {
-	t.Parallel()
-	l := NewLedger()
-	hosted := fixedHosted(0, 0, 100, 0)
-	if !l.Admit(ClaimKey{Token: 1}, Claim{Objects: 5, Bytes: 50}, 1, hosted) {
-		t.Fatal("admission refused")
-	}
-	if freed := l.ExpireBefore(time.Now().Add(-time.Minute)); freed.Objects != 0 {
-		t.Fatalf("fresh claim expired: %+v", freed)
-	}
-	freed := l.ExpireBefore(time.Now().Add(time.Minute))
-	if freed.Objects != 5 || freed.Bytes != 50 {
-		t.Fatalf("expiry freed %+v, want 5/50", freed)
-	}
-	if got := l.Reserved(); got.Objects != 0 || got.Bytes != 0 {
-		t.Fatalf("reserved after expiry = %+v, want zero", got)
-	}
-}
-
 // TestLedgerConcurrentAdmission (-race): K coordinators race one
 // near-capacity ledger; the admitted claims never collectively
 // overshoot the headroom, whichever interleaving the scheduler picks.

@@ -320,9 +320,9 @@ type LocateResp struct{ At core.NodeID }
 //
 // Lease, when positive, arms a pause lease at the host: if neither a
 // commit nor an abort for (From, Token) arrives within the lease, the
-// host resolves the migration's outcome by asking Target where a
-// member lives (the install is atomic, so one member answers for the
-// whole group) — departing the objects when the install committed and
+// host fences the migration at Target and then asks it where a member
+// lives (the install is atomic, so one member answers for the whole
+// group) — departing the objects when the install committed and
 // resuming them when it did not. From names the coordinator (leases,
 // like staging sessions, are keyed per coordinator because tokens are
 // only node-unique); Target names the migration target the lease

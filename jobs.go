@@ -24,9 +24,9 @@ package objmig
 //     on the view that planned it; it is re-elected against the live
 //     view with the refuser excluded.
 //   - Crash safety is inherited, not reimplemented: an interrupted
-//     move resolves through the existing pause leases, session TTLs
-//     and the reservation ledger, so a resumed job only needs the
-//     wave index — the cluster has already cleaned up the rest.
+//     move resolves through each participant's record of the
+//     migration and its lease, claims included, so a resumed job only
+//     needs the wave index — the cluster has already cleaned up the rest.
 //
 // A drain job additionally marks its node as draining for the length
 // of the execution: inbound migrations are refused at admission

@@ -29,7 +29,7 @@ func jobNode(t *testing.T, cl *Cluster, id NodeID, capacity int64, obs Observer)
 	t.Helper()
 	n, err := NewNode(Config{
 		ID: id, Cluster: cl, Capacity: capacity, Observer: obs,
-		Migrate: MigrateConfig{SessionTTL: 200 * time.Millisecond, PauseLease: 300 * time.Millisecond},
+		Migrate: MigrateConfig{Lease: 300 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatalf("node %s: %v", id, err)
@@ -903,7 +903,7 @@ func TestPinJobPlansRealBytes(t *testing.T) {
 	b := jobNode(t, cl, "b", 16, nil)
 	// The pin target: plenty of object slots, a 1-byte budget.
 	c, err := NewNode(Config{ID: "c", Cluster: cl, Capacity: 16, CapacityBytes: 1,
-		Migrate: MigrateConfig{SessionTTL: 200 * time.Millisecond, PauseLease: 300 * time.Millisecond}})
+		Migrate: MigrateConfig{Lease: 300 * time.Millisecond}})
 	if err != nil {
 		t.Fatal(err)
 	}

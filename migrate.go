@@ -245,7 +245,7 @@ func (t *transfer) pause(ctx context.Context, h NodeID, objs []core.OID) (batch 
 	n := t.n
 	req := &wire.PauseReq{
 		Objs: objs, Token: t.token,
-		MaxBytes: int64(n.migrate.ChunkBytes), Lease: n.migrate.PauseLease,
+		MaxBytes: int64(n.migrate.ChunkBytes), Lease: n.migrate.Lease,
 		From: n.id, Target: t.target, Trace: t.trace,
 	}
 	start := time.Now()
@@ -279,30 +279,26 @@ func (t *transfer) pause(ctx context.Context, h NodeID, objs []core.OID) (batch 
 func (t *transfer) send(ctx context.Context, req *wire.InstallReq) error {
 	n := t.n
 	req.Token, req.From, req.Trace = t.token, n.id, t.trace
-	// Lease guard: committing close to the pause lease's edge could race
-	// the sources' lease machinery and duplicate objects. A transfer
-	// that burned more than half the lease (a pause that crawled through
-	// a busy drain, a slow stream) aborts instead.
-	if lease := n.migrate.PauseLease; req.Commit && lease > 0 && time.Since(t.start) > lease/2 {
+	// Lease guard: committing close to the lease's edge could race the
+	// sources' lease machinery and duplicate objects. A transfer that
+	// burned more than half the lease (a pause that crawled through a
+	// busy drain, a slow stream) aborts instead.
+	if lease := n.migrate.Lease; req.Commit && lease > 0 && time.Since(t.start) > lease/2 {
 		return wire.Errorf(wire.CodeDenied,
-			"migration %d consumed over half the %v pause lease; aborted to stay clear of the sources' lease recovery", t.token, lease)
+			"migration %d consumed over half the %v lease; aborted to stay clear of the sources' lease recovery", t.token, lease)
 	}
 	bytes := snapshotBytes(req.Snapshots)
 	sent := time.Now()
 	if _, err := deliver(ctx, n, t.target, wire.KInstall, req, n.handleInstall); err != nil {
 		// For a committing frame the failure's nature matters: a definite
-		// answer from the target (a RemoteError — the request was
-		// processed and refused) proves nothing installed, and aborting
-		// is safe. An ambiguous transport failure (lost ack, expired
-		// context) leaves the outcome unknown — the target may well have
-		// installed the group — so the sources are left paused for their
-		// leases to resolve against the target: commit finished locally
-		// if the install happened, resume if it did not. Blind-aborting
-		// here would resume sources whose state may be live at the
-		// target — the exact duplication the lease machinery exists to
-		// prevent. Only when leases are disabled is the blind abort the
-		// lesser evil (nothing else would ever unpause the sources).
-		if req.Commit && !(definiteFailure(err) || n.migrate.PauseLease <= 0) {
+		// answer from the target proves nothing installed, and aborting
+		// is safe. An ambiguous one (lost ack, expired context) leaves the
+		// outcome unknown, so the sources stay paused for their leases to
+		// resolve against the target; blind-aborting could resume sources
+		// whose state is live at the target. Only with leases disabled is
+		// the blind abort the lesser evil (nothing else would ever unpause
+		// the sources).
+		if req.Commit && !(definiteFailure(err) || n.migrate.Lease <= 0) {
 			t.undecided = true
 		}
 		return err
@@ -319,22 +315,15 @@ func (t *transfer) send(ctx context.Context, req *wire.InstallReq) error {
 	return nil
 }
 
-// abort rolls the whole transfer back: resume every host that may hold
-// a pause (Unpause is token-checked and idempotent, so hosts or objects
-// that never paused ignore it) and have the target discard its session
-// and fence the migration off — a target that holds no session just
-// plants the fence, and one that is itself a host did both with its
-// pause rollback.
+// abort rolls the whole transfer back: every host that may hold a pause
+// and the target end the migration (see end) — each resumes what it
+// paused, discards what it staged and keeps the migration's fence.
 func (t *transfer) abort() {
 	key := sessionKey{from: t.n.id, token: t.token}
-	targetIsHost := false
 	for _, g := range t.groups {
 		_ = t.n.sendAbort(g.host, g.objs, key)
-		targetIsHost = targetIsHost || g.host == t.target
 	}
-	if !targetIsHost {
-		_ = t.n.sendAbort(t.target, nil, key)
-	}
+	_ = t.n.sendAbort(t.target, nil, key)
 }
 
 // definiteFailure reports whether err proves the request had no remote
@@ -382,7 +371,7 @@ func (n *Node) finishGroupMigration(ctx context.Context, t *transfer) ([]core.OI
 	// Phase 3: commit forwarding pointers at the old hosts. The
 	// target's own paused records were replaced by the installation.
 	// A host that cannot be reached is retried in the background, and
-	// its pause lease resolves the outcome against the target as the
+	// its lease resolves the outcome against the target as the
 	// backstop — the remaining hosts still get their commit now.
 	var commitErr error
 	commitStart := time.Now()
@@ -420,7 +409,7 @@ func (n *Node) finishGroupMigration(ctx context.Context, t *transfer) ([]core.OI
 // retryCommit keeps delivering a commit whose first attempt failed:
 // the install is already durable at the target, so the old host must
 // eventually learn it. Bounded — after the retries give up, the host's
-// pause lease resolves the outcome against the target on its own.
+// lease resolves the outcome against the target on its own.
 func (n *Node) retryCommit(h NodeID, req *wire.CommitReq) {
 	n.spawn(func() {
 		for attempt := 0; attempt < 10 && !n.closed.Load(); attempt++ {
@@ -436,10 +425,9 @@ func (n *Node) retryCommit(h NodeID, req *wire.CommitReq) {
 	})
 }
 
-// sendAbort tells node h that migration key is off: h resumes what it
-// paused of objs, discards a session staged for key and fences the
-// migration (see abortLocal). Best effort, on a fresh context — the
-// migration's own context may already be cancelled.
+// sendAbort tells node h that migration key is off: h ends it (see
+// abortLocal), resuming objs as well. Best effort, on a fresh context —
+// the migration's own context may already be cancelled.
 func (n *Node) sendAbort(h NodeID, objs []core.OID, key sessionKey) error {
 	req := &wire.AbortReq{Objs: objs, Token: key.token, From: key.from}
 	actx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -524,8 +512,8 @@ func (n *Node) notifyOrigins(ids []core.OID, at NodeID, obs []affinity.Obs, anch
 // becomes one streamed chunk. At least one object is always processed
 // so oversized objects cannot stall the stream. A failure rolls back
 // only this call's pauses; earlier sub-batches of the same token stay
-// paused and are covered by the coordinator's abort (and, should the
-// coordinator be gone, by the pause lease).
+// paused in the migration's record and are covered by the coordinator's
+// abort (and, should the coordinator be gone, by the record's lease).
 func (n *Node) handlePause(ctx context.Context, req *wire.PauseReq) (*wire.PauseResp, error) {
 	start := time.Now()
 	var done []*store.Record
@@ -568,12 +556,9 @@ func (n *Node) handlePause(ctx context.Context, req *wire.PauseReq) (*wire.Pause
 		bytes += int64(wire.SnapshotSize(&snap))
 		resp.Snapshots = append(resp.Snapshots, snap)
 	}
-	if req.Lease > 0 && len(done) > 0 {
-		covered := make([]core.OID, len(done))
-		for i, rec := range done {
-			covered[i] = rec.ID
-		}
-		n.armPauseLease(sessionKey{from: req.From, token: req.Token}, req.Target, covered, req.Lease)
+	if err := n.pausedHere(sessionKey{from: req.From, token: req.Token}, req.Target, done, req.Lease); err != nil {
+		rollback()
+		return nil, err
 	}
 	n.tel.span(req.Trace, telemetry.PhaseSnapshot, start, bytes, len(done))
 	return resp, nil
@@ -585,9 +570,10 @@ func (n *Node) handleCommit(req *wire.CommitReq) (*wire.CommitResp, error) {
 	return &wire.CommitResp{}, nil
 }
 
-// commitLocal finalises departures: one shard-grouped batch lookup
-// resolves every record (each stripe lock is taken once, not once per
-// OID), then each record flips to a forwarding stub. The host's
+// commitLocal finalises departures: the migration's record is deleted
+// (a commit ends it), one shard-grouped batch lookup resolves every
+// object (each stripe lock is taken once, not once per OID), and each
+// flips to a forwarding stub. The host's
 // affinity observations for the departed objects are lifted and
 // forwarded to the objects' origins as gossip — in a multi-host group
 // migration the coordinator can only gossip its own counters, so each
@@ -601,7 +587,9 @@ func (n *Node) handleCommit(req *wire.CommitReq) (*wire.CommitResp, error) {
 // sweep is advanced.
 func (n *Node) commitLocal(req *wire.CommitReq) {
 	start := time.Now()
-	n.cancelPauseLease(sessionKey{from: req.From, token: req.Token})
+	n.xferMu.Lock()
+	n.dropLocked(sessionKey{from: req.From, token: req.Token})
+	n.xferMu.Unlock()
 	recs := n.store.GetBatch(req.Objs)
 	var departed []core.OID
 	var maxGen uint64
@@ -693,24 +681,11 @@ func (n *Node) handleAbort(req *wire.AbortReq) (*wire.AbortResp, error) {
 	return &wire.AbortResp{}, nil
 }
 
-// abortLocal rolls pauses back with one shard-grouped batch lookup.
-// Unpause itself checks status and token, so stubs and strangers are
-// naturally ignored. The pause lease is disarmed, a staging session
-// the aborting coordinator opened here (this node was the migration
-// target) is discarded, and the migration's abort fence goes up so an
-// opening frame still in flight cannot land afterwards.
+// abortLocal ends the migration here (see end): everything this node's
+// record of it holds is let go — not only the members req.Objs names,
+// which resume too — and the record stays as the migration's fence.
 func (n *Node) abortLocal(req *wire.AbortReq) {
-	key := sessionKey{from: req.From, token: req.Token}
-	n.cancelPauseLease(key)
-	if req.From != "" {
-		n.dropSession(key, "abort")
-		n.abortFence(key)
-	}
-	for _, rec := range n.store.GetBatch(req.Objs) {
-		if rec != nil {
-			rec.Unpause(req.Token)
-		}
-	}
+	n.end(sessionKey{from: req.From, token: req.Token}, req.Objs, "abort")
 }
 
 // Migrate moves an object (with the working set attached in the global

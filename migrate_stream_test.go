@@ -13,6 +13,7 @@ import (
 
 	"objmig/internal/core"
 	"objmig/internal/rpc"
+	"objmig/internal/store"
 	"objmig/internal/wire"
 )
 
@@ -215,7 +216,9 @@ func assertGroupResumed(t *testing.T, nodes []*Node, group []Ref, at []NodeID) {
 // return rule through the real coordinator, once with the group in one
 // frame and once in many (told apart on the wire, by the tap's frame
 // count): the commit-bearing frame's ack is lost, or the frame itself
-// is held back until the sources' leases have given up on it.
+// is held back until the sources' leases have given up on it — and
+// then released either after the lease resolved or just as the lease
+// fences the target.
 func TestCrashRulesAtEveryFrameCount(t *testing.T) {
 	t.Parallel()
 	arms := []struct {
@@ -228,13 +231,23 @@ func TestCrashRulesAtEveryFrameCount(t *testing.T) {
 	}
 	for _, arm := range arms {
 		arm := arm
-		world := func(t *testing.T) (src, tgt *Node, group []Ref, tap *installTap) {
+		// world's aborts tap runs a hook just before the first abort frame
+		// leaves any node.
+		world := func(t *testing.T) (src, tgt *Node, group []Ref, tap *installTap, aborts *sendTap) {
 			cl, tap := newTappedCluster()
+			aborts = &sendTap{Transport: cl.tr, kind: wire.KAbort}
+			cl.tr = aborts
 			// The lease leaves the coordinator half a second for everything
 			// before its commit, even on a loaded machine.
-			mc := MigrateConfig{ChunkBytes: arm.chunk, SessionTTL: 10 * time.Second, PauseLease: time.Second}
+			mc := MigrateConfig{ChunkBytes: arm.chunk, Lease: time.Second}
 			nodes := nodesOn(t, cl, Config{ID: "n0", Migrate: mc}, Config{ID: "n1", Migrate: mc})
-			return nodes[0], nodes[1], attachedGroup(t, nodes[0], 3), tap
+			return nodes[0], nodes[1], attachedGroup(t, nodes[0], 3), tap, aborts
+		}
+		holdCommit := func(req *wire.InstallReq) tapAction {
+			if req.Commit {
+				return tapHold
+			}
+			return tapDeliver
 		}
 		// migrate runs the doomed migration: its commit-bearing frame
 		// never gets an answer, so the call ends with its context.
@@ -265,7 +278,7 @@ func TestCrashRulesAtEveryFrameCount(t *testing.T) {
 		// finishes the commit.
 		t.Run(arm.name+"/lost-ack-resolves-committed", func(t *testing.T) {
 			t.Parallel()
-			src, tgt, group, tap := world(t)
+			src, tgt, group, tap, _ := world(t)
 			tap.setDecide(func(req *wire.InstallReq) tapAction {
 				if req.Commit {
 					return tapLoseReply
@@ -289,18 +302,15 @@ func TestCrashRulesAtEveryFrameCount(t *testing.T) {
 		// finally lands it must bounce off the fence.
 		t.Run(arm.name+"/dropped-frame-resolves-aborted", func(t *testing.T) {
 			t.Parallel()
-			src, tgt, group, tap := world(t)
-			tap.setDecide(func(req *wire.InstallReq) tapAction {
-				if req.Commit {
-					return tapHold
-				}
-				return tapDeliver
-			})
+			src, tgt, group, tap, _ := world(t)
+			tap.setDecide(holdCommit)
 			migrate(t, src, group[0], tap)
 			eventually(t, 5*time.Second, func() bool { return src.Stats().PauseLeasesExpired == 1 },
 				"the pause lease never fired")
 			assertGroupResumed(t, []*Node{src, tgt}, group, []NodeID{"n0", "n0", "n0"})
-			tap.release(t)
+			if err := tap.release(); err != nil {
+				t.Fatal(err)
+			}
 			select {
 			case dir := <-tap.late:
 				if dir != 2 {
@@ -312,6 +322,54 @@ func TestCrashRulesAtEveryFrameCount(t *testing.T) {
 			values(t, src, group, "n0")
 			if got := tgt.Stats().ObjectsHosted; got != 0 {
 				t.Fatalf("target hosts %d objects after a fenced late frame, want 0", got)
+			}
+		})
+
+		// The held frame lands, installed and answered, just before the
+		// lease's fence leaves for the target. A lease that probed the
+		// target before fencing it read "never installed" and now resumes
+		// copies the target also holds; fencing first makes the probe read
+		// the target as the fence left it. However the race falls, the
+		// group must be live exactly once.
+		t.Run(arm.name+"/commit-lands-between-probe-and-fence", func(t *testing.T) {
+			t.Parallel()
+			src, tgt, group, tap, aborts := world(t)
+			tap.setDecide(holdCommit)
+			landed := make(chan struct{})
+			aborts.arm(func() { // on the lease's goroutine
+				if err := tap.release(); err != nil {
+					t.Error(err)
+				}
+				select {
+				case <-tap.late: // the install has been answered
+					close(landed)
+				case <-time.After(5 * time.Second):
+				}
+			})
+			migrate(t, src, group[0], tap)
+			select {
+			case <-landed:
+			case <-time.After(10 * time.Second):
+				t.Fatal("the held frame never landed ahead of the lease's fence")
+			}
+			eventually(t, 5*time.Second, func() bool {
+				for _, m := range group {
+					if rec, ok := src.store.Hosted(m.OID); ok {
+						rec.Mu.Lock()
+						paused := rec.Status == store.StatusPaused
+						rec.Mu.Unlock()
+						if paused {
+							return false
+						}
+					}
+				}
+				return true
+			}, "the lease never resolved the migration")
+			if live := src.Stats().ObjectsHosted + tgt.Stats().ObjectsHosted; live != 3 {
+				t.Fatalf("%d live copies of a 3-member group, want 3", live)
+			}
+			if st := src.Stats(); st.PauseLeasesExpired != 1 {
+				t.Fatalf("PauseLeasesExpired = %d, want 1", st.PauseLeasesExpired)
 			}
 		})
 	}
@@ -474,7 +532,7 @@ func TestStreamSessionExpiryAndPauseLease(t *testing.T) {
 	t.Parallel()
 	ctx := ctxShort(t)
 	nodes := testCluster(t, 2, Config{
-		Migrate: MigrateConfig{SessionTTL: 100 * time.Millisecond, PauseLease: 150 * time.Millisecond},
+		Migrate: MigrateConfig{Lease: 100 * time.Millisecond},
 	})
 	src, tgt := nodes[0], nodes[1]
 	o1, o2 := mustCreate(t, src), mustCreate(t, src)
@@ -543,7 +601,7 @@ func TestPauseLeaseResolvesCommittedMigration(t *testing.T) {
 			t.Parallel()
 			ctx := ctxShort(t)
 			nodes := testCluster(t, 2, Config{
-				Migrate: MigrateConfig{SessionTTL: 10 * time.Second, PauseLease: 150 * time.Millisecond},
+				Migrate: MigrateConfig{Lease: 10 * time.Second},
 			})
 			src, tgt := nodes[0], nodes[1]
 			o1, o2 := mustCreate(t, src), mustCreate(t, src)
@@ -640,6 +698,42 @@ func TestPauseLeaseKeyedPerCoordinator(t *testing.T) {
 	}, "coordB's lease was clobbered by coordA's abort")
 }
 
+// TestExpiredLeaseFenceResumesTargetPause: a source's expired lease
+// fences the migration at its target with an abort that names no
+// objects. When the target paused members of the same migration too,
+// that fence must end them as well — the target's member answers again
+// long before its own, much longer, lease would have run out.
+func TestExpiredLeaseFenceResumesTargetPause(t *testing.T) {
+	t.Parallel()
+	ctx := ctxShort(t)
+	nodes := testCluster(t, 2, Config{})
+	src, tgt := nodes[0], nodes[1]
+	atSrc, atTgt := mustCreate(t, src), mustCreate(t, tgt)
+
+	// The ghost coordinator pauses one member at each host, then dies.
+	const token = 999
+	for _, p := range []struct {
+		host  *Node
+		obj   Ref
+		lease time.Duration
+	}{{src, atSrc, 150 * time.Millisecond}, {tgt, atTgt, 10 * time.Second}} {
+		if _, err := p.host.handlePause(ctx, &wire.PauseReq{
+			Objs: []core.OID{p.obj.OID}, Token: token, Lease: p.lease, From: "ghost", Target: tgt.ID(),
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eventually(t, 5*time.Second, func() bool { return src.Stats().PauseLeasesExpired == 1 },
+		"the source's lease never fired")
+	cctx, cancel := context.WithTimeout(ctx, 2*time.Second)
+	defer cancel()
+	for _, m := range []Ref{atTgt, atSrc} {
+		if _, err := Call[int, int](cctx, src, m, "Add", 1); err != nil {
+			t.Fatalf("%v still paused 2 s after the source's lease fired: %v", m, err)
+		}
+	}
+}
+
 // TestCoordinatorCloseMidStreamLeavesClusterClean: the integrated
 // version of the chaos scenario — the coordinator node is closed while
 // a streamed migration is in flight on a slow network. Whatever the
@@ -652,8 +746,7 @@ func TestCoordinatorCloseMidStreamLeavesClusterClean(t *testing.T) {
 	cl := NewLocalCluster()
 	mcfg := MigrateConfig{
 		ChunkBytes: 1, // chunk per object: many frames, long stream
-		SessionTTL: 200 * time.Millisecond,
-		PauseLease: 400 * time.Millisecond,
+		Lease:      400 * time.Millisecond,
 	}
 	var beginMu sync.Mutex
 	began := false
@@ -861,12 +954,12 @@ func TestMigrateConfigDefaults(t *testing.T) {
 	if c.ChunkBytes != DefaultChunkBytes {
 		t.Fatalf("ChunkBytes default %d, want %d", c.ChunkBytes, DefaultChunkBytes)
 	}
-	if c.SessionTTL != 30*time.Second || c.PauseLease != 30*time.Second {
-		t.Fatalf("TTL/lease defaults %v/%v, want 30s/30s", c.SessionTTL, c.PauseLease)
+	if c.Lease != 30*time.Second {
+		t.Fatalf("lease default %v, want 30s", c.Lease)
 	}
 	// Negative values survive (explicit "disabled").
-	d := MigrateConfig{ChunkBytes: -1, SessionTTL: -1, PauseLease: -1}.withDefaults()
-	if d.ChunkBytes != -1 || d.SessionTTL != -1 || d.PauseLease != -1 {
+	d := MigrateConfig{ChunkBytes: -1, Lease: -1}.withDefaults()
+	if d.ChunkBytes != -1 || d.Lease != -1 {
 		t.Fatalf("negative settings overridden: %+v", d)
 	}
 	_ = fmt.Sprintf("%v", c)

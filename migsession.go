@@ -1,6 +1,7 @@
 package objmig
 
-// Group migration, target side and shared config.
+// Group migration, target side, and the record every participant keeps
+// per migration.
 //
 // A group travels as a stream of InstallReq frames, all keyed by
 // (coordinator, token), and the target runs one state machine over
@@ -9,31 +10,20 @@ package objmig
 //	coordinator                            target
 //	-----------                            ------
 //	InstallReq{Members, Bytes, snaps…} ──► open: fence check, admission,
-//	                                       ledger claim, session (TTL
-//	                                       janitor armed); stage snaps
+//	                                       ledger claim, session; stage
 //	InstallReq{snaps…}                 ──► decode + stage (≤ ChunkBytes)
 //	…
 //	InstallReq{Commit}                 ──► close: InstallBatch, whole
 //	                                       group, one shard-aware swap
 //
-// Each step runs iff the frame carries its field, so the frame of a
-// group that fits one chunk carries all three and the same code opens,
-// stages and closes it. The target stages decoded records in the
-// session and installs the whole group only at the close, so the
-// paper's "group moves as a unit" invariant survives chunking: an abort
-// or crash anywhere before the close leaves the target exactly as it
-// was. Two failure detectors make a dead coordinator harmless:
-//
-//   - the session TTL discards a staging session that stops receiving
-//     traffic, so the target never leaks half-streamed state;
-//   - the pause lease (see PauseReq.Lease) fires at source hosts when
-//     neither commit nor abort arrives, and resolves the migration's
-//     outcome against the target — resuming the objects only once the
-//     install provably never happened (see resolveExpiredLease).
+// The group is installed only at the close, so it moves as a unit
+// however many frames it takes. Every participant keeps one record per
+// migration (xfer).
 
 import (
 	"context"
 	"errors"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -57,17 +47,12 @@ type MigrateConfig struct {
 	// still travels (in a frame of its own). Default 256 KiB; negative
 	// disables the bound (every host's members in one frame).
 	ChunkBytes int
-	// SessionTTL is how long the target keeps a staging session that
-	// receives no traffic before discarding it (coordinator death).
-	// Default 30s; negative disables expiry.
-	SessionTTL time.Duration
-	// PauseLease is how long a source host keeps objects paused for a
-	// migration that neither commits nor aborts before resuming them
-	// on its own. It must comfortably exceed the worst-case transfer
-	// time: the coordinator refuses to commit once half the lease has
-	// elapsed, so a lagging migration aborts instead of racing the
-	// auto-resume. Default 30s; negative disables the lease.
-	PauseLease time.Duration
+	// Lease is how long a participant waits on a silent coordinator
+	// before a target discards its staging session and a source host
+	// resolves the objects it paused. It must comfortably exceed the
+	// worst-case transfer time: the coordinator refuses to commit once
+	// half the lease has elapsed. Default 30s; negative disables expiry.
+	Lease time.Duration
 }
 
 // withDefaults fills the zero fields.
@@ -75,32 +60,41 @@ func (c MigrateConfig) withDefaults() MigrateConfig {
 	if c.ChunkBytes == 0 {
 		c.ChunkBytes = DefaultChunkBytes
 	}
-	if c.SessionTTL == 0 {
-		c.SessionTTL = 30 * time.Second
-	}
-	if c.PauseLease == 0 {
-		c.PauseLease = 30 * time.Second
+	if c.Lease == 0 {
+		c.Lease = 30 * time.Second
 	}
 	return c
 }
 
-// sessionKey identifies a staging session. Tokens are only unique per
-// coordinator, so the coordinator's identity is part of the key.
+// sessionKey names one migration at a participant: tokens are only
+// unique per coordinator, so the coordinator is part of the key.
 type sessionKey struct {
 	from  NodeID
 	token uint64
 }
 
-// migSession is one in-progress transfer at the target: decoded records
-// staged frame by frame until the close or a discard. All mutation
-// happens under the node's sessMu; the struct itself has no lock.
-type migSession struct {
+// xfer is this node's record of one migration, guarded by xferMu:
+// whatever the node is for it — the staging session and its ledger
+// claim at the target, the members paused at a source, a fence after an
+// abort. One timer measures coordinator silence; every frame re-arms
+// it. Commit deletes the record; abort or expiry ends everything it
+// holds and leaves the fence (see end and resolveExpiredLease).
+type xfer struct {
+	// The staging session at the target (nil members: none), with the claim.
 	members []core.OID      // the expected members, in canonical order
 	recs    []*store.Record // recs[i] is members[i] decoded; nil until staged
 	staged  int             // members staged so far
 	bytes   int64           // snapshot bytes staged so far
-	touched time.Time       // last traffic; re-checked by the TTL janitor
-	timer   *time.Timer     // TTL janitor; nil when the session needs none
+
+	objs   []core.OID // members paused here, at a source
+	target NodeID     // the migration's target, asked when the lease runs out
+
+	lease    time.Duration // coordinator silence tolerated; <= 0: never expires
+	deadline time.Time     // when the timer is due; a re-arm moves it
+	timer    *time.Timer
+
+	fenced     bool // aborted or expired: every later frame is refused
+	installing bool // the close's InstallBatch runs outside the lock
 }
 
 // handleInstall is the target side of every group migration: it runs
@@ -129,16 +123,10 @@ func (n *Node) handleInstall(req *wire.InstallReq) (*wire.InstallResp, error) {
 	return &wire.InstallResp{}, nil
 }
 
-// openSession admits a transfer and starts its staging session.
+// openSession admits a transfer and opens its staging session.
 func (n *Node) openSession(key sessionKey, req *wire.InstallReq) error {
 	if key.from == "" {
 		return wire.Errorf(wire.CodeBadRequest, "install frame %d names no coordinator", key.token)
-	}
-	n.sessMu.Lock()
-	_, fenced := n.tombs[key]
-	n.sessMu.Unlock()
-	if fenced {
-		return wire.Errorf(wire.CodeDenied, "migration %d from %s was aborted", key.token, key.from)
 	}
 	// Canonical order makes the member list its own index: staging finds
 	// a member by binary search, and a duplicate cannot hide in it.
@@ -147,43 +135,47 @@ func (n *Node) openSession(key sessionKey, req *wire.InstallReq) error {
 			return wire.Errorf(wire.CodeBadRequest, "install frame %d lists its members out of canonical order", key.token)
 		}
 	}
-	// The placement admission runs before anything is staged: a
-	// coordinator with a stale load view learns here — with this node's
-	// authoritative counts — that the group will not fit. When the group
-	// is admitted, its (objects, bytes) are claimed in the reservation
-	// ledger under the session's own key, so concurrent coordinators
-	// cannot collectively overshoot the capacity the veto defends: each
-	// admission sees every earlier claim as if it were already resident.
-	// The coordinator's estimate is a floor (it only knows the members it
-	// hosts); what this frame already carries is exact, and for a group
-	// that fits one frame that is the whole group.
+	// The placement admission runs before anything is staged, with this
+	// node's authoritative counts, and claims the group's (objects,
+	// bytes) in the reservation ledger under the migration's key, so
+	// concurrent coordinators cannot collectively overshoot the capacity
+	// the veto defends. The coordinator's estimate is a floor (it only
+	// knows the members it hosts); what this frame carries is exact.
+	// Admission runs under the record lock, so an abort either fences the
+	// migration before it or finds the claim in the session it ends.
 	bytes := req.Bytes
 	if carried := snapshotBytes(req.Snapshots); carried > bytes {
 		bytes = carried
 	}
-	if _, err := n.admitAndReserve(req.Members, bytes, key.from, key.token); err != nil {
+	n.xferMu.Lock()
+	r := n.xfers[key]
+	var err error
+	switch {
+	case r != nil && r.fenced:
+		err = wire.Errorf(wire.CodeDenied, "migration %d from %s was aborted", key.token, key.from)
+	case r != nil && r.members != nil:
+		err = wire.Errorf(wire.CodeDenied, "migration session %d from %s already open", key.token, key.from)
+	default:
+		// emit runs the observer: a veto is announced once unlocked.
+		if err = n.admitAndReserve(req.Members, bytes, key.from, key.token); err != nil {
+			defer n.emit(Event{Kind: EventPlacement, Target: key.from, Outcome: "veto", Objects: oidRefs(req.Members)})
+		}
+	}
+	if err != nil {
+		n.xferMu.Unlock()
 		return err
 	}
-	s := &migSession{
-		members: req.Members,
-		recs:    make([]*store.Record, len(req.Members)),
-		touched: time.Now(),
+	if r == nil {
+		r = &xfer{lease: n.migrate.Lease}
+		n.xfers[key] = r
 	}
-	n.sessMu.Lock()
-	if _, dup := n.sessions[key]; dup {
-		n.sessMu.Unlock()
-		// Keep the claim: it carries the same (coordinator, token) key
-		// as the open session's, so the ledger entry still backs the
-		// transfer that is actually in flight.
-		return wire.Errorf(wire.CodeDenied, "migration session %d from %s already open", key.token, key.from)
+	r.members, r.recs = req.Members, make([]*store.Record, len(req.Members))
+	// A session whose opening frame also commits is gone before this
+	// call returns: it needs no timer.
+	if !req.Commit {
+		n.arm(key, r, r.lease)
 	}
-	// The janitor guards a session that waits for further frames; one
-	// whose opening frame also commits is gone before this call returns.
-	if ttl := n.migrate.SessionTTL; ttl > 0 && !req.Commit {
-		s.timer = time.AfterFunc(ttl, func() { n.expireSession(key) })
-	}
-	n.sessions[key] = s
-	n.sessMu.Unlock()
+	n.xferMu.Unlock()
 	atomic.AddInt64(&n.stats.StreamSessionsOpened, 1)
 	n.emit(Event{Kind: EventMigrateStream, Target: key.from, Outcome: "begin"})
 	return nil
@@ -193,14 +185,14 @@ func (n *Node) openSession(key sessionKey, req *wire.InstallReq) error {
 // Records are decoded here, at staging time, so an unknown type, a
 // corrupt state blob or a conflicting live object fails the transfer
 // early — the coordinator aborts instead of discovering the problem at
-// the close. A failed frame dooms the whole transfer, so the session is
-// discarded on any error.
+// the close. A failed frame dooms the whole transfer, so it ends the
+// migration here as an abort does.
 func (n *Node) stageSnapshots(key sessionKey, req *wire.InstallReq) error {
 	fail := func(err error) error {
-		n.dropSession(key, "abort")
+		n.end(key, nil, "abort")
 		return err
 	}
-	// Decode outside the session lock: state blobs can be large. The
+	// Decode outside the record lock: state blobs can be large. The
 	// stage span covers decode and bookkeeping — the target-side cost
 	// of one frame.
 	start := time.Now()
@@ -218,31 +210,30 @@ func (n *Node) stageSnapshots(key sessionKey, req *wire.InstallReq) error {
 	}
 	bytes := snapshotBytes(req.Snapshots)
 
-	n.sessMu.Lock()
-	s, ok := n.sessions[key]
-	if !ok {
-		n.sessMu.Unlock()
+	n.xferMu.Lock()
+	r := n.xfers[key]
+	if r == nil || r.members == nil || r.installing {
+		n.xferMu.Unlock()
 		return wire.Errorf(wire.CodeDenied, "no migration session %d from %s (expired?)", key.token, key.from)
 	}
 	for _, rec := range recs {
-		i := sort.Search(len(s.members), func(i int) bool { return !s.members[i].Less(rec.ID) })
-		if i == len(s.members) || s.members[i] != rec.ID {
-			n.sessMu.Unlock()
+		i := sort.Search(len(r.members), func(i int) bool { return !r.members[i].Less(rec.ID) })
+		if i == len(r.members) || r.members[i] != rec.ID {
+			n.xferMu.Unlock()
 			return fail(wire.Errorf(wire.CodeBadRequest, "frame carries %s, not a member of session %d", rec.ID, key.token))
 		}
-		if s.recs[i] != nil {
-			n.sessMu.Unlock()
+		if r.recs[i] != nil {
+			n.xferMu.Unlock()
 			return fail(wire.Errorf(wire.CodeBadRequest, "frame re-stages %s in session %d", rec.ID, key.token))
 		}
-		s.recs[i] = rec
+		r.recs[i] = rec
 	}
-	s.staged += len(recs)
-	s.bytes += bytes
-	s.touched = time.Now()
-	if s.timer != nil {
-		s.timer.Reset(n.migrate.SessionTTL)
+	r.staged += len(recs)
+	r.bytes += bytes
+	if !req.Commit {
+		n.arm(key, r, r.lease)
 	}
-	n.sessMu.Unlock()
+	n.xferMu.Unlock()
 
 	n.tel.span(req.Trace, telemetry.PhaseStage, start, bytes, len(recs))
 	atomic.AddInt64(&n.stats.StreamChunksIn, 1)
@@ -252,43 +243,49 @@ func (n *Node) stageSnapshots(key sessionKey, req *wire.InstallReq) error {
 
 // commitSession closes a transfer: every expected member must be
 // staged, and the whole group is installed in one atomic shard-aware
-// batch. Whatever the outcome, the session and its claim are gone
-// afterwards.
+// batch. A successful install deletes the record — members paused here
+// were just replaced by it; on any other exit only the session and its
+// claim are gone.
 func (n *Node) commitSession(key sessionKey, trace uint64) error {
-	s := n.takeSession(key)
-	if s == nil {
+	n.xferMu.Lock()
+	r := n.xfers[key]
+	if r == nil || r.members == nil || r.installing {
+		n.xferMu.Unlock()
 		return wire.Errorf(wire.CodeDenied, "no migration session %d from %s (expired?)", key.token, key.from)
 	}
 	// Released on every exit, and on success only after InstallBatch:
-	// between the install and the release the group is briefly counted
-	// twice (as residency and as a claim), which errs on the safe side —
-	// hosted plus reserved never undercounts what the node is committed
-	// to.
+	// the group is briefly counted twice (as residency and as a claim),
+	// which never undercounts what the node is committed to.
 	defer n.releaseReservation(key.from, key.token)
-	if missing := len(s.members) - s.staged; missing > 0 {
-		return wire.Errorf(wire.CodeBadRequest,
-			"commit of session %d from %s with %d of %d members unstaged", key.token, key.from, missing, len(s.members))
+	members, recs, bytes, start := r.members, r.recs, r.bytes, time.Now()
+	var err error
+	if missing := len(r.members) - r.staged; missing > 0 {
+		err = wire.Errorf(wire.CodeBadRequest,
+			"commit of session %d from %s with %d of %d members unstaged", key.token, key.from, missing, len(r.members))
+	} else {
+		r.installing = true
+		n.xferMu.Unlock()
+		err = n.store.InstallBatch(recs, key.token)
+		n.xferMu.Lock()
+		r.installing = false
+		n.xferIdle.Broadcast()
 	}
-	start := time.Now()
-	if err := n.store.InstallBatch(s.recs, key.token); err != nil {
+	r.members, r.recs, r.staged, r.bytes = nil, nil, 0, 0
+	if err == nil || len(r.objs) == 0 {
+		n.dropLocked(key)
+	}
+	n.xferMu.Unlock()
+	if err != nil {
 		var re *wire.RemoteError
 		if errors.As(err, &re) {
 			return re
 		}
 		return wire.Errorf(wire.CodeInternal, "install: %v", err)
 	}
-	// Members that were paused *here* (the target hosted some of the
-	// group) were just replaced by the installation; their lease must
-	// not fire later and there is nothing left for it to resume.
-	n.cancelPauseLease(key)
-	n.tel.span(trace, telemetry.PhaseInstall, start, s.bytes, len(s.recs))
-	installed := make([]Ref, len(s.recs))
-	for i, rec := range s.recs {
-		installed[i] = Ref{OID: rec.ID}
-	}
-	atomic.AddInt64(&n.stats.ObjectsInstalled, int64(len(s.recs)))
-	n.emit(Event{Kind: EventInstall, Objects: installed})
-	n.emit(Event{Kind: EventMigrateStream, Target: key.from, Outcome: "commit", Bytes: s.bytes})
+	n.tel.span(trace, telemetry.PhaseInstall, start, bytes, len(recs))
+	atomic.AddInt64(&n.stats.ObjectsInstalled, int64(len(recs)))
+	n.emit(Event{Kind: EventInstall, Objects: oidRefs(members)})
+	n.emit(Event{Kind: EventMigrateStream, Target: key.from, Outcome: "commit", Bytes: bytes})
 	return nil
 }
 
@@ -301,226 +298,163 @@ func snapshotBytes(snaps []wire.Snapshot) int64 {
 	return bytes
 }
 
-// takeSession removes a staging session from the table and stops its
-// janitor; nil when none is open under key.
-func (n *Node) takeSession(key sessionKey) *migSession {
-	n.sessMu.Lock()
-	defer n.sessMu.Unlock()
-	s, ok := n.sessions[key]
-	if !ok {
-		return nil
+// pausedHere adds members this node paused to the migration's record
+// and re-arms its timer with the coordinator's lease. A fenced
+// migration refuses the pause; the caller rolls it back.
+func (n *Node) pausedHere(key sessionKey, target NodeID, paused []*store.Record, lease time.Duration) error {
+	n.xferMu.Lock()
+	defer n.xferMu.Unlock()
+	r := n.xfers[key]
+	if r == nil {
+		r = &xfer{}
+		n.xfers[key] = r
+	} else if r.fenced {
+		return wire.Errorf(wire.CodeDenied, "migration %d from %s was aborted", key.token, key.from)
 	}
-	delete(n.sessions, key)
-	if s.timer != nil {
-		s.timer.Stop()
+	r.objs = slices.Grow(r.objs, len(paused))
+	for _, rec := range paused {
+		r.objs = append(r.objs, rec.ID)
 	}
-	return s
+	r.target, r.lease = target, lease
+	n.arm(key, r, lease)
+	return nil
 }
 
-// expireSession is the TTL janitor: a session that stopped receiving
-// traffic is discarded, staged records and all. Fired by the session's
-// timer; a commit or abort that won the race removed the session from
-// the map first, making this a no-op, and a chunk that refreshed the
-// session while the fired timer waited on the lock (Reset cannot stop
-// an already-fired AfterFunc) is detected via the activity stamp.
-func (n *Node) expireSession(key sessionKey) {
-	n.sessMu.Lock()
-	if s, ok := n.sessions[key]; ok && s.timer != nil {
-		if remain := n.migrate.SessionTTL - time.Since(s.touched); remain > 0 {
-			s.timer.Reset(remain) // refreshed concurrently: still live
-			n.sessMu.Unlock()
-			return
-		}
-	}
-	n.sessMu.Unlock()
-	if n.dropSession(key, "expire") {
-		atomic.AddInt64(&n.stats.StreamSessionsExpired, 1)
-	}
-}
-
-// dropSession discards a staging session, reporting whether it
-// existed. outcome labels the emitted event ("abort" or "expire").
-// The session's capacity claim is released whether or not the session
-// itself still exists: an abort can overtake the opening frame between
-// its admission and its session.
-func (n *Node) dropSession(key sessionKey, outcome string) bool {
-	n.releaseReservation(key.from, key.token)
-	s := n.takeSession(key)
-	if s == nil {
-		return false
-	}
-	if outcome == "abort" {
-		atomic.AddInt64(&n.stats.StreamAborts, 1)
-	}
-	n.emit(Event{Kind: EventMigrateStream, Target: key.from, Outcome: outcome, Bytes: s.bytes})
-	return true
-}
-
-// abortFence plants a tombstone for an aborted migration: opening
-// frames for (coordinator, token) are refused afterwards (and later
-// frames find no session), so a frame that was in flight when the abort
-// (or a lease resume) happened cannot land late and duplicate objects
-// the sources already resumed.
-// Tokens are never reused, so a tombstone can only ever block the one
-// migration it names. Old tombstones are pruned lazily.
-func (n *Node) abortFence(key sessionKey) {
-	ttl := 2 * n.migrate.SessionTTL
-	if ttl <= 0 {
-		ttl = time.Minute
-	}
-	now := time.Now()
-	n.sessMu.Lock()
-	for k, t := range n.tombs {
-		if now.Sub(t) > ttl {
-			delete(n.tombs, k)
-		}
-	}
-	n.tombs[key] = now
-	n.sessMu.Unlock()
-}
-
-// closeSessions discards every staging session (node shutdown).
-func (n *Node) closeSessions() {
-	n.sessMu.Lock()
-	sessions := n.sessions
-	n.sessions = make(map[sessionKey]*migSession)
-	n.sessMu.Unlock()
-	for _, s := range sessions {
-		if s.timer != nil {
-			s.timer.Stop()
-		}
-	}
-}
-
-// sessionCount reports the number of open staging sessions (tests,
-// diagnostics).
-func (n *Node) sessionCount() int {
-	n.sessMu.Lock()
-	defer n.sessMu.Unlock()
-	return len(n.sessions)
-}
-
-// --- Pause leases (source side) ---
-
-// pauseLease tracks the objects a host paused for one migration
-// (keyed, like staging sessions, by coordinator and token — tokens are
-// only node-unique) and the timer that resolves their fate if the
-// coordinator vanishes.
-type pauseLease struct {
-	objs    []core.OID
-	target  NodeID // migration target; consulted when the lease fires
-	lease   time.Duration
-	touched time.Time
-	timer   *time.Timer
-}
-
-// armPauseLease (re)arms a migration's lease: newly paused objects
-// join the covered set and the clock restarts — a multi-batch pause
-// keeps extending its own deadline, so the lease measures coordinator
-// silence, not total migration time.
-func (n *Node) armPauseLease(key sessionKey, target NodeID, objs []core.OID, lease time.Duration) {
-	n.leaseMu.Lock()
-	defer n.leaseMu.Unlock()
-	l, ok := n.leases[key]
-	if !ok {
-		l = &pauseLease{target: target, lease: lease}
-		l.timer = time.AfterFunc(lease, func() { n.firePauseLease(key) })
-		n.leases[key] = l
-	} else {
-		l.lease = lease
-		l.timer.Reset(lease)
-	}
-	l.touched = time.Now()
-	l.objs = append(l.objs, objs...)
-}
-
-// cancelPauseLease disarms a migration's lease (commit or abort
-// arrived).
-func (n *Node) cancelPauseLease(key sessionKey) {
-	n.leaseMu.Lock()
-	l, ok := n.leases[key]
-	if ok {
-		delete(n.leases, key)
-		l.timer.Stop()
-	}
-	n.leaseMu.Unlock()
-}
-
-// firePauseLease handles coordinator silence on a migration that
-// paused objects here. A timer that raced a concurrent re-arm (Reset
-// cannot stop an already-fired AfterFunc) re-checks the last-activity
-// stamp and backs off. A genuinely silent migration is resolved, not
-// blindly resumed — see resolveExpiredLease.
-func (n *Node) firePauseLease(key sessionKey) {
-	n.leaseMu.Lock()
-	l, ok := n.leases[key]
-	if !ok {
-		n.leaseMu.Unlock()
+// arm (re)starts r's timer: d from now the record expires, unless a
+// frame re-arms it first. d <= 0 arms nothing. Caller holds xferMu.
+func (n *Node) arm(key sessionKey, r *xfer, d time.Duration) {
+	if d <= 0 || n.closed.Load() {
 		return
 	}
-	if remain := l.lease - time.Since(l.touched); remain > 0 {
-		l.timer.Reset(remain) // re-armed concurrently: not actually silent
-		n.leaseMu.Unlock()
+	r.deadline = time.Now().Add(d)
+	if r.timer == nil {
+		r.timer = time.AfterFunc(d, func() { n.expire(key, r) })
 		return
 	}
-	delete(n.leases, key)
-	n.leaseMu.Unlock()
-	n.resolveExpiredLease(key, l)
+	r.timer.Reset(d)
 }
 
-// resolveExpiredLease decides an abandoned migration's outcome. The
-// danger is the window after the target committed the install but
-// before our CommitReq arrived: resuming then would leave the object
-// live in two places. The install is atomic — all members or none — so
-// asking the target about one member answers for the whole group:
+// dropLocked deletes key's record and stops its timer; caller holds xferMu.
+func (n *Node) dropLocked(key sessionKey) {
+	if r := n.xfers[key]; r != nil {
+		delete(n.xfers, key)
+		if r.timer != nil {
+			r.timer.Stop()
+		}
+	}
+}
+
+// end ends the migration at this node, as an abort or an expiry
+// (outcome "abort" or "expire"): the record's session and claim are let
+// go, its paused members — and any also names — resume, and the record
+// stays as the migration's fence, refusing every later frame until its
+// timer reaps it at twice the lease, a minute at least. An install in
+// flight in the record is waited for first, so what end lets go of can
+// no longer change. Unpause checks status and token, so stubs,
+// strangers and installed members ignore it.
+func (n *Node) end(key sessionKey, also []core.OID, outcome string) {
+	n.xferMu.Lock()
+	r := n.xfers[key]
+	for r != nil && r.installing {
+		n.xferIdle.Wait()
+		r = n.xfers[key]
+	}
+	if r == nil {
+		r = &xfer{lease: n.migrate.Lease}
+		n.xfers[key] = r
+	}
+	held := *r
+	*r = xfer{lease: held.lease, timer: held.timer, fenced: true}
+	n.arm(key, r, max(2*r.lease, time.Minute))
+	n.xferMu.Unlock()
+	if held.members != nil {
+		n.releaseReservation(key.from, key.token)
+		if outcome == "abort" {
+			atomic.AddInt64(&n.stats.StreamAborts, 1)
+		} else {
+			atomic.AddInt64(&n.stats.StreamSessionsExpired, 1)
+		}
+		n.emit(Event{Kind: EventMigrateStream, Target: key.from, Outcome: outcome, Bytes: held.bytes})
+	}
+	for _, rec := range n.store.GetBatch(slices.Concat(also, held.objs)) {
+		if rec != nil {
+			rec.Unpause(key.token)
+		}
+	}
+}
+
+// expire runs when r's timer fires: the coordinator has been silent for
+// a whole lease, or a fence has outlived every frame that could still
+// hit it. A record that paused members here goes to resolveExpiredLease;
+// a bare session simply ends.
+func (n *Node) expire(key sessionKey, r *xfer) {
+	n.xferMu.Lock()
+	if n.xfers[key] != r || time.Now().Before(r.deadline) {
+		n.xferMu.Unlock()
+		return // ended, or re-armed after the timer fired
+	}
+	fenced, paused := r.fenced, len(r.objs) > 0
+	elsewhere := paused && r.target != "" && r.target != n.id
+	if fenced || elsewhere {
+		n.dropLocked(key) // reaped; or the resolution owns r now
+	}
+	n.xferMu.Unlock()
+	switch {
+	case paused:
+		n.resolveExpiredLease(key, r, elsewhere)
+	case !fenced:
+		n.end(key, nil, "expire")
+	}
+}
+
+// resolveExpiredLease decides the outcome of a migration whose
+// coordinator went silent while members were paused here. With the
+// target here, ending the record is the answer. With the target
+// elsewhere, resuming after the target committed the install would
+// leave the object live twice, so the target is fenced first and probed
+// second: once it holds the fence no install frame still in flight can
+// land there (an abort that meets an install waits for it), and the
+// probe reads a target that can no longer change. The install is
+// atomic, so asking about one member answers for the whole group:
 //
 //   - the target (authoritatively) hosts the member → the install
 //     committed; finish our side of the commit (forwarding stubs).
 //   - the target denies knowledge, or authoritatively places the
 //     member back here → the install never committed; resume.
-//   - anything else (unreachable target, a third-party answer) →
-//     uncertain; stay paused and re-arm the lease. A stuck-but-paused
-//     object is consistent and recoverable, a duplicated one is not.
-func (n *Node) resolveExpiredLease(key sessionKey, l *pauseLease) {
+//   - anything else (an unconfirmed fence, an unreachable target, a
+//     third-party answer) → uncertain; stay paused and re-arm. A
+//     stuck-but-paused object is consistent and recoverable, a
+//     duplicated one is not.
+func (n *Node) resolveExpiredLease(key sessionKey, l *xfer, elsewhere bool) {
 	atomic.AddInt64(&n.stats.PauseLeasesExpired, 1)
-	outcome := "lease-resumed"
-	verdict := n.expiredLeaseVerdict(key, l)
-	if verdict == leaseAborted && l.target != "" && l.target != n.id {
-		// Fence before resuming: plant the abort tombstone at the
-		// target so an install frame still in flight cannot land after
-		// the objects come back to life here. If the fence cannot be
-		// confirmed, stay paused and retry — consistency over
-		// availability.
-		if n.sendAbort(l.target, nil, key) != nil {
-			verdict = leaseUnknown
+	n.xferMu.Lock() // with the target here, l is still in the table
+	objs, target := l.objs, l.target
+	n.xferMu.Unlock()
+	verdict := leaseAborted
+	if elsewhere {
+		verdict = leaseUnknown
+		if n.sendAbort(target, nil, key) == nil {
+			verdict = n.expiredLeaseVerdict(key, l)
 		}
 	}
+	outcome := "lease-resumed"
 	switch verdict {
 	case leaseCommitted:
 		// Run the commit the coordinator never delivered.
 		outcome = "lease-committed"
-		n.commitLocal(&wire.CommitReq{Objs: l.objs, NewHome: l.target, Token: key.token, From: key.from})
+		n.commitLocal(&wire.CommitReq{Objs: objs, NewHome: target, Token: key.token, From: key.from})
 	case leaseAborted:
-		for _, rec := range n.store.GetBatch(l.objs) {
-			if rec != nil {
-				rec.Unpause(key.token)
-			}
-		}
+		n.end(key, objs, "expire")
 	case leaseUnknown:
 		outcome = "lease-retry"
-		n.leaseMu.Lock()
-		if _, exists := n.leases[key]; !exists {
-			l.touched = time.Now()
-			l.timer = time.AfterFunc(l.lease, func() { n.firePauseLease(key) })
-			n.leases[key] = l
+		n.xferMu.Lock()
+		if _, exists := n.xfers[key]; !exists {
+			n.xfers[key] = l
+			n.arm(key, l, l.lease)
 		}
-		n.leaseMu.Unlock()
+		n.xferMu.Unlock()
 	}
-	refs := make([]Ref, len(l.objs))
-	for i, oid := range l.objs {
-		refs[i] = Ref{OID: oid}
-	}
-	n.emit(Event{Kind: EventMigrateStream, Target: l.target, Outcome: outcome, Objects: refs})
+	n.emit(Event{Kind: EventMigrateStream, Target: target, Outcome: outcome, Objects: oidRefs(objs)})
 }
 
 type leaseVerdict int
@@ -535,7 +469,7 @@ const (
 // committed. Locate answers with authoritative knowledge only
 // (hosting, forwarding pointers, the origin's home index — never
 // cached hearsay), which is what makes the verdict trustworthy.
-func (n *Node) expiredLeaseVerdict(key sessionKey, l *pauseLease) leaseVerdict {
+func (n *Node) expiredLeaseVerdict(key sessionKey, l *xfer) leaseVerdict {
 	if len(l.objs) == 0 {
 		return leaseAborted
 	}
@@ -570,13 +504,23 @@ func (n *Node) expiredLeaseVerdict(key sessionKey, l *pauseLease) leaseVerdict {
 	}
 }
 
-// closePauseLeases stops every lease timer (node shutdown).
-func (n *Node) closePauseLeases() {
-	n.leaseMu.Lock()
-	leases := n.leases
-	n.leases = make(map[sessionKey]*pauseLease)
-	n.leaseMu.Unlock()
-	for _, l := range leases {
-		l.timer.Stop()
+// closeXfers stops every record's timer (node shutdown).
+func (n *Node) closeXfers() {
+	n.xferMu.Lock()
+	for key := range n.xfers {
+		n.dropLocked(key)
 	}
+	n.xferMu.Unlock()
+}
+
+// sessionCount reports the open staging sessions (tests, diagnostics).
+func (n *Node) sessionCount() (count int) {
+	n.xferMu.Lock()
+	defer n.xferMu.Unlock()
+	for _, r := range n.xfers {
+		if r.members != nil {
+			count++
+		}
+	}
+	return count
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"objmig/internal/core"
+	"objmig/internal/store"
 	"objmig/internal/wire"
 )
 
@@ -17,6 +18,7 @@ type installWorld struct {
 	tgt     *Node
 	members []core.OID
 	snaps   map[string]wire.Snapshot // "a", "b", "c", "stranger"
+	local   []core.OID               // objects the target paused for the transfer (see pauseHere)
 }
 
 const (
@@ -28,7 +30,7 @@ func newInstallWorld(t *testing.T, capBytes int64, ttl time.Duration) *installWo
 	t.Helper()
 	ctx := ctxShort(t)
 	nodes := nodesOn(t, NewLocalCluster(), Config{ID: "src"},
-		Config{ID: "tgt", Capacity: 8, CapacityBytes: capBytes, Migrate: MigrateConfig{SessionTTL: ttl}})
+		Config{ID: "tgt", Capacity: 8, CapacityBytes: capBytes, Migrate: MigrateConfig{Lease: ttl}})
 	src := nodes[0]
 	w := &installWorld{tgt: nodes[1], snaps: make(map[string]wire.Snapshot)}
 	// Capped and placement-enabled: every admitted transfer holds a
@@ -51,6 +53,34 @@ func newInstallWorld(t *testing.T, capBytes int64, ttl time.Duration) *installWo
 	}
 	w.members = oids[:3]
 	return w
+}
+
+// pauseHere makes the target a source of the transfer too: one object
+// created there is paused under the transfer's key, with a lease far
+// longer than any row.
+func (w *installWorld) pauseHere(t *testing.T) {
+	t.Helper()
+	oid := mustCreate(t, w.tgt).OID
+	if _, err := w.tgt.handlePause(ctxShort(t), &wire.PauseReq{Objs: []core.OID{oid}, Token: installToken,
+		Lease: 10 * time.Second, From: installFrom, Target: w.tgt.ID()}); err != nil {
+		t.Fatal(err)
+	}
+	w.local = append(w.local, oid)
+}
+
+// pausedHere counts the target's own objects still paused.
+func (w *installWorld) pausedHere() int {
+	paused := 0
+	for _, oid := range w.local {
+		if rec, ok := w.tgt.store.Hosted(oid); ok {
+			rec.Mu.Lock()
+			if rec.Status == store.StatusPaused {
+				paused++
+			}
+			rec.Mu.Unlock()
+		}
+	}
+	return paused
 }
 
 // frame builds one InstallReq of the transfer under test. Each snapshot
@@ -78,7 +108,8 @@ func (w *installWorld) frame(open, commit bool, snaps ...string) *wire.InstallRe
 type installStep struct {
 	frame  func(w *installWorld) *wire.InstallReq // a frame for handleInstall, or
 	abort  bool                                   // the coordinator's abort, or
-	expire bool                                   // silence until the TTL janitor ran
+	expire bool                                   // silence until the lease ran out, or
+	idle   bool                                   // silence for over a second
 
 	refused wire.ErrCode // expected refusal of the frame (0: accepted)
 	reason  string       // substring of the refusal
@@ -86,6 +117,7 @@ type installStep struct {
 	sessions  int   // open sessions afterwards
 	claimed   int64 // objects claimed in the ledger afterwards
 	aborts    int64 // StreamAborts this step added
+	paused    int   // the target's own objects still paused afterwards
 	installed bool  // the members are live at the target from here on
 }
 
@@ -94,7 +126,9 @@ type installStep struct {
 // session table, the reservation ledger, the abort counter, and that no
 // member is live at the target unless a close succeeded. The rules are
 // the same lines of code whether a transfer is one frame or many, so
-// the rows mix both.
+// the rows mix both. A row's ttl is the target's MigrateConfig.Lease.
+// A pausedHere row makes the target hold a paused member of the
+// transfer as well.
 func TestInstallStateMachine(t *testing.T) {
 	t.Parallel()
 	fr := func(open, commit bool, snaps ...string) func(*installWorld) *wire.InstallReq {
@@ -105,10 +139,11 @@ func TestInstallStateMachine(t *testing.T) {
 		cont, hold   = false, false
 	)
 	rows := []struct {
-		name     string
-		capBytes int64
-		ttl      time.Duration
-		steps    []installStep
+		name       string
+		capBytes   int64
+		ttl        time.Duration
+		pausedHere bool
+		steps      []installStep
 	}{
 		{name: "open, stage and commit in one frame", steps: []installStep{
 			{frame: fr(open, commit, "a", "b", "c"), installed: true},
@@ -148,8 +183,8 @@ func TestInstallStateMachine(t *testing.T) {
 			{frame: fr(cont, hold, "a"), refused: wire.CodeBadRequest, reason: "re-stages", aborts: 1},
 		}},
 		// A refused commit releases the claim on the spot, with no abort
-		// sent: the janitor is gone with the session, so nothing but the
-		// 2×TTL orphan sweep would free a claim left behind here.
+		// sent: the session is gone, and with it the only owner the claim
+		// has.
 		{name: "commit with a member missing", steps: []installStep{
 			{frame: fr(open, hold, "a", "b"), sessions: 1, claimed: 3},
 			{frame: fr(cont, commit), refused: wire.CodeBadRequest, reason: "1 of 3 members unstaged"},
@@ -193,6 +228,21 @@ func TestInstallStateMachine(t *testing.T) {
 			{expire: true},
 			{frame: fr(cont, hold, "b"), refused: wire.CodeDenied, reason: "no migration session"},
 		}},
+		// Expiry disabled means the claim lives exactly as long as its
+		// session, however long the coordinator stays silent.
+		{name: "silent session with expiry disabled keeps its claim", ttl: -1, steps: []installStep{
+			{frame: fr(open, hold, "a"), sessions: 1, claimed: 3},
+			{idle: true, sessions: 1, claimed: 3},
+			{frame: fr(cont, commit, "b", "c"), installed: true},
+		}},
+		// The abort ends everything the target holds for the transfer,
+		// whatever the abort names: the staged session and the target's
+		// own paused member alike.
+		{name: "abort resumes the target's own paused member", pausedHere: true, steps: []installStep{
+			{frame: fr(open, hold, "a"), sessions: 1, claimed: 3, paused: 1},
+			{abort: true, aborts: 1},
+			{frame: fr(cont, commit), refused: wire.CodeDenied},
+		}},
 		// The coordinator hosts none of the members, so its estimate is 0:
 		// the bare opening frame fits the byte cap…
 		{name: "byte cap, estimate 0, nothing carried", capBytes: 100, steps: []installStep{
@@ -209,6 +259,9 @@ func TestInstallStateMachine(t *testing.T) {
 		t.Run(row.name, func(t *testing.T) {
 			t.Parallel()
 			w := newInstallWorld(t, row.capBytes, row.ttl)
+			if row.pausedHere {
+				w.pauseHere(t)
+			}
 			installed := false
 			for i, step := range row.steps {
 				aborts := w.tgt.Stats().StreamAborts
@@ -218,7 +271,9 @@ func TestInstallStateMachine(t *testing.T) {
 					w.tgt.abortLocal(&wire.AbortReq{Token: installToken, From: installFrom})
 				case step.expire:
 					eventually(t, 5*time.Second, func() bool { return w.tgt.Stats().StreamSessionsExpired == 1 },
-						"the TTL janitor never discarded the silent session")
+						"the lease never discarded the silent session")
+				case step.idle:
+					time.Sleep(1200 * time.Millisecond) // over two load samples
 				default:
 					_, err = w.tgt.handleInstall(step.frame(w))
 				}
@@ -238,6 +293,9 @@ func TestInstallStateMachine(t *testing.T) {
 				}
 				if got := w.tgt.Stats().StreamAborts - aborts; got != step.aborts {
 					t.Fatalf("step %d: StreamAborts moved by %d, want %d", i, got, step.aborts)
+				}
+				if got := w.pausedHere(); got != step.paused {
+					t.Fatalf("step %d: %d of the target's own objects paused, want %d", i, got, step.paused)
 				}
 				installed = installed || step.installed
 				for _, oid := range w.members {

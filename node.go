@@ -82,14 +82,10 @@ type Config struct {
 	// extension (the attempt budget alone bounds the chase). The
 	// call's context still cancels a chase at any time.
 	ChaseDeadline time.Duration
-	// Migrate tunes the streaming group-migration transfer (chunk
-	// size, staging-session TTL, pause lease). The zero value selects
-	// the documented defaults; see MigrateConfig.
+	// Migrate tunes the streaming group-migration transfer (chunk size,
+	// lease). The zero value selects the documented defaults; see
+	// MigrateConfig.
 	Migrate MigrateConfig
-	// Directory tunes the location directory (hint-cache cap, forward
-	// TTL, chase-hop budget, closure records). The zero value selects
-	// the documented defaults; see DirectoryConfig.
-	Directory DirectoryConfig
 	// Capacity is the node's advertised object capacity, gossiped with
 	// its load samples and enforced by the placement admission veto: a
 	// migration that would push the hosted-object count past
@@ -138,7 +134,6 @@ type Node struct {
 	retries       int
 	chaseDeadline time.Duration
 	migrate       MigrateConfig
-	dir           DirectoryConfig
 	observer      Observer
 	events        *eventSink // non-nil when Config.ObserverBuffer > 0
 
@@ -146,11 +141,11 @@ type Node struct {
 	pool   *rpc.Pool
 	store  *store.Store
 
-	sessMu   sync.Mutex
-	sessions map[sessionKey]*migSession
-	tombs    map[sessionKey]time.Time // abort fences; see abortFence
-	leaseMu  sync.Mutex
-	leases   map[sessionKey]*pauseLease
+	// xfers holds this node's one record per migration (see xfer);
+	// xferIdle is signalled, under xferMu, when an install in one ends.
+	xferMu   sync.Mutex
+	xferIdle sync.Cond
+	xfers    map[sessionKey]*xfer
 
 	aff       *affinity.Tracker
 	homeBatch *homeBatcher
@@ -171,9 +166,9 @@ type Node struct {
 	capacity int64
 	capBytes int64
 	// resv is the admission reservation ledger: claims made when an
-	// install opens, released at its close, abort or session expiry.
-	// Always non-nil; it only accumulates claims while placement is
-	// enabled on a capped node.
+	// install opens, released when its record's session ends (close,
+	// abort or expiry). Always non-nil; it only accumulates claims while
+	// placement is enabled on a capped node.
 	resv     *placement.Ledger
 	loadSeq  atomic.Uint64                 // load-sample ordering (see wire.NodeLoad.Seq)
 	lastLoad atomic.Pointer[wire.NodeLoad] // latest self-sample, for piggybacks
@@ -251,7 +246,6 @@ func NewNode(cfg Config) (*Node, error) {
 		retries:       cfg.CallRetries,
 		chaseDeadline: cfg.ChaseDeadline,
 		migrate:       cfg.Migrate.withDefaults(),
-		dir:           cfg.Directory.withDefaults(),
 		capacity:      cfg.Capacity,
 		capBytes:      cfg.CapacityBytes,
 		resv:          placement.NewLedger(),
@@ -261,9 +255,7 @@ func NewNode(cfg Config) (*Node, error) {
 		aff:           affinity.New(cfg.ID),
 		types:         make(map[string]objectType),
 		peers:         make(map[NodeID]string),
-		sessions:      make(map[sessionKey]*migSession),
-		tombs:         make(map[sessionKey]time.Time),
-		leases:        make(map[sessionKey]*pauseLease),
+		xfers:         make(map[sessionKey]*xfer),
 		jobTable:      make(map[uint64]*Job),
 		tel:           newNodeTelemetry(),
 	}
@@ -273,8 +265,7 @@ func NewNode(cfg Config) (*Node, error) {
 	for id, addr := range cfg.Peers {
 		n.peers[id] = addr
 	}
-	n.store.SetHintCacheCap(n.dir.HintCacheCap)
-	n.store.SetForwardTTL(n.dir.ForwardTTL)
+	n.xferIdle.L = &n.xferMu
 	h := fnv.New32a()
 	_, _ = h.Write([]byte(n.id))
 	n.tokenBase = uint64(h.Sum32()) << 32
@@ -408,8 +399,7 @@ func (n *Node) Close() error {
 	n.store.Close()
 	err := n.server.Close()
 	_ = n.pool.Close()
-	n.closeSessions()
-	n.closePauseLeases()
+	n.closeXfers()
 	n.bgMu.Lock()
 	n.bgClosed = true
 	n.bgMu.Unlock()
@@ -569,9 +559,10 @@ type periodic struct {
 }
 
 // runPeriodic is every daemon's goroutine: it runs up to three duties
-// on their own tickers, one at a time, until stop closes, then closes
-// done. A duty that is disabled keeps a nil channel, which never fires.
-func runPeriodic(stop <-chan struct{}, done chan<- struct{}, duties ...periodic) {
+// on their own tickers, one at a time, until ctx is cancelled, then
+// closes done. A duty that is disabled keeps a nil channel, which never
+// fires.
+func runPeriodic(ctx context.Context, done chan<- struct{}, duties ...periodic) {
 	defer close(done)
 	var fire [3]<-chan time.Time
 	for i, d := range duties {
@@ -583,7 +574,7 @@ func runPeriodic(stop <-chan struct{}, done chan<- struct{}, duties ...periodic)
 	}
 	for {
 		select {
-		case <-stop:
+		case <-ctx.Done():
 			return
 		case <-fire[0]:
 			duties[0].fn()
@@ -595,10 +586,13 @@ func runPeriodic(stop <-chan struct{}, done chan<- struct{}, duties ...periodic)
 	}
 }
 
-// daemon is the stop/done pair every background daemon (autopilot,
+// daemon is the lifecycle every background daemon (autopilot,
 // placement, health) embeds: startDaemon makes it, stopDaemon spends it.
+// Every operation a duty starts derives its context from ctx, so node
+// shutdown never waits out a full operation timeout.
 type daemon struct {
-	stop chan struct{} // closed to stop the daemon's goroutine
+	ctx  context.Context // cancelled by stopDaemon
+	stop context.CancelFunc
 	done chan struct{} // closed by the goroutine on its way out
 }
 
@@ -628,12 +622,13 @@ func startDaemon[D daemonPtr](n *Node, what string, slot *D, d D, installed func
 		return fmt.Errorf("objmig: %s already enabled on %s", what, n.id)
 	}
 	c := d.lifecycle()
-	*c = daemon{stop: make(chan struct{}), done: make(chan struct{})}
+	ctx, stop := context.WithCancel(context.Background())
+	*c = daemon{ctx: ctx, stop: stop, done: make(chan struct{})}
 	*slot = d
 	if installed != nil {
 		installed()
 	}
-	n.spawn(func() { runPeriodic(c.stop, c.done, duties...) })
+	n.spawn(func() { runPeriodic(c.ctx, c.done, duties...) })
 	return nil
 }
 
@@ -654,7 +649,7 @@ func stopDaemon[D daemonPtr](n *Node, slot *D, removed func()) bool {
 	if d == none {
 		return false
 	}
-	close(d.lifecycle().stop)
+	d.lifecycle().stop()
 	<-d.lifecycle().done
 	return true
 }
@@ -671,20 +666,4 @@ func runningDaemon[D daemonPtr](n *Node, slot *D) D {
 func (n *Node) useAffinity(delta int) {
 	n.affUsers += delta
 	n.aff.SetEnabled(n.affUsers > 0)
-}
-
-// cancelOnStop fires cancel the moment stop closes, until the
-// returned release func runs — the pattern every optimiser daemon
-// wraps around its per-scan context, so node shutdown never waits out
-// a full operation timeout. Use as: defer cancelOnStop(stop, cancel)().
-func cancelOnStop(stop <-chan struct{}, cancel context.CancelFunc) (release func()) {
-	done := make(chan struct{})
-	go func() {
-		select {
-		case <-stop:
-			cancel()
-		case <-done:
-		}
-	}()
-	return func() { close(done) }
 }

@@ -60,8 +60,8 @@ type Stats struct {
 	// payload frames staged here and their snapshot bytes.
 	// StreamSessionsOpened counts opening frames admitted — transfers
 	// received, of any frame count; StreamSessionsExpired the staging
-	// sessions the TTL janitor discarded (an expiry means a coordinator
-	// died or stalled mid-stream).
+	// sessions discarded when the migration's lease ran out (an expiry
+	// means a coordinator died or stalled mid-stream).
 	StreamChunksIn        int64
 	StreamBytesIn         int64
 	StreamSessionsOpened  int64
@@ -70,11 +70,11 @@ type Stats struct {
 	// the coordinator aborted or a frame failed to stage (unknown type,
 	// corrupt state, a conflicting live object, a stranger in the
 	// frame) — a health-engine signal: a rising abort rate inside a window marks
-	// migrations going wrong faster than the TTL janitor would show.
+	// migrations going wrong faster than lease expiries would show.
 	StreamAborts int64
 	// PauseLeasesExpired counts pause leases that fired: migrations
-	// whose coordinator neither committed nor aborted within the lease,
-	// auto-resumed by this host.
+	// whose coordinator neither committed nor aborted within the lease
+	// while objects were paused here, resolved by this host.
 	PauseLeasesExpired int64
 	// PlacementScans counts placement-engine scans (origin
 	// pre-placement passes, shed passes and autopilot ticks that
@@ -130,8 +130,7 @@ type Stats struct {
 	// ChaseHops is the total remote hops spent chasing; ChaseP50Hops
 	// and ChaseP99Hops are percentiles of the per-chase hop count
 	// (bucketed, saturating at 8+). ChasesOverBudget counts chases that
-	// exceeded DirectoryConfig.ChaseHopBudget — each also emitted an
-	// EventChase.
+	// used more than 4 remote hops — each also emitted an EventChase.
 	ChaseHops        int64
 	ChaseP50Hops     int64
 	ChaseP99Hops     int64

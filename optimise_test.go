@@ -16,14 +16,16 @@ import (
 // cluster whose install frames pass through a tap, with the scan
 // running on n0 and every election pointing at n1. The autopilot is
 // enabled with a one-hour interval: the affinity tracker is on, no
-// ticker ever interferes.
+// ticker ever interferes. daemon plays the scanning daemon's context;
+// stop cancels it.
 type passEnv struct {
-	t     *testing.T
-	ctx   context.Context
-	nodes []*Node
-	tap   *installTap
-	cool  cooldowns
-	stop  chan struct{}
+	t      *testing.T
+	ctx    context.Context
+	nodes  []*Node
+	tap    *installTap
+	cool   cooldowns
+	daemon context.Context
+	stop   context.CancelFunc
 
 	groups  []placement.Group // what elect was asked to score, in order
 	cooling []core.OID
@@ -34,11 +36,12 @@ type passEnv struct {
 func newPassEnv(t *testing.T, lease time.Duration) *passEnv {
 	t.Helper()
 	cl, tap := newTappedCluster()
-	e := &passEnv{t: t, ctx: ctxShort(t), tap: tap,
-		cool: newCooldowns(time.Hour), stop: make(chan struct{})}
+	e := &passEnv{t: t, ctx: ctxShort(t), tap: tap, cool: newCooldowns(time.Hour)}
+	e.daemon, e.stop = context.WithCancel(e.ctx)
+	t.Cleanup(e.stop)
 	cfgs := make([]Config, 3)
 	for i := range cfgs {
-		cfgs[i] = Config{ID: NodeID(fmt.Sprintf("n%d", i)), Migrate: MigrateConfig{PauseLease: lease}}
+		cfgs[i] = Config{ID: NodeID(fmt.Sprintf("n%d", i)), Migrate: MigrateConfig{Lease: lease}}
 	}
 	e.nodes = nodesOn(t, cl, cfgs...)
 	for _, n := range e.nodes {
@@ -55,8 +58,7 @@ func (e *passEnv) scan(budget int, anchors ...Ref) int {
 	for i, r := range anchors {
 		oids[i] = r.OID
 	}
-	return e.nodes[0].optimise(pass{
-		stop:    e.stop,
+	return e.nodes[0].optimise(e.daemon, pass{
 		cool:    &e.cool,
 		budget:  budget,
 		anchors: oids,
@@ -225,7 +227,7 @@ func TestOptimisePass(t *testing.T) {
 			done := make(chan int)
 			go func() { done <- e.scan(4, a, b) }()
 			<-inFlight
-			close(e.stop)
+			e.stop()
 			select {
 			case issued := <-done:
 				// The cancelled transfer failed, and the cancelled

@@ -55,10 +55,6 @@ type PlacementConfig struct {
 	// peers. Default 500ms; negative disables the heartbeat (samples
 	// then travel only as HomeUpdate piggybacks).
 	Heartbeat time.Duration
-	// Freshness is the view TTL: a peer sample older than this is
-	// ignored (and the headroom discount fades linearly towards it).
-	// Default 8× Heartbeat, at least 2s.
-	Freshness time.Duration
 	// OverloadRatio is the veto threshold shared by scoring and
 	// admission: a node whose projected utilisation — hosted objects
 	// plus the incoming group, over its Capacity — exceeds this is not
@@ -99,23 +95,12 @@ type PlacementConfig struct {
 	// ShedPass is the shed scan period. Default 1s; negative disables
 	// the pass even when ShedRatio is set.
 	ShedPass time.Duration
-	// DegradedPenalty multiplies a degraded candidate's score in the
-	// engine's election (critical candidates are vetoed outright).
-	// Zero selects the default 0.25; see HealthConfig for how nodes
-	// become degraded.
-	DegradedPenalty float64
 }
 
 // withDefaults fills the zero fields.
 func (c PlacementConfig) withDefaults() PlacementConfig {
 	if c.Heartbeat == 0 {
 		c.Heartbeat = 500 * time.Millisecond
-	}
-	if c.Freshness == 0 {
-		c.Freshness = 8 * c.Heartbeat
-		if c.Freshness < 2*time.Second {
-			c.Freshness = 2 * time.Second
-		}
 	}
 	if c.OverloadRatio == 0 {
 		c.OverloadRatio = 1
@@ -149,13 +134,14 @@ func (c PlacementConfig) withDefaults() PlacementConfig {
 	return c
 }
 
-// engineOptions maps the config onto the scoring core's options.
+// engineOptions maps the config onto the scoring core's options. A
+// degraded candidate's score is multiplied by the engine's default
+// penalty (0.25); critical candidates are vetoed outright.
 func (c PlacementConfig) engineOptions() placement.Options {
 	return placement.Options{
-		Hysteresis:      c.Hysteresis,
-		OverloadRatio:   c.OverloadRatio,
-		LoadDiscount:    c.LoadDiscount,
-		DegradedPenalty: c.DegradedPenalty,
+		Hysteresis:    c.Hysteresis,
+		OverloadRatio: c.OverloadRatio,
+		LoadDiscount:  c.LoadDiscount,
 	}
 }
 
@@ -193,10 +179,12 @@ func (n *Node) EnablePlacement(cfg PlacementConfig) error {
 		return fmt.Errorf("objmig: placement ShedRatio (%v) must be below OverloadRatio (%v): shedding has to trigger before the admission veto",
 			cfg.ShedRatio, cfg.OverloadRatio)
 	}
+	// A peer sample older than eight heartbeats (at least 2s) is ignored,
+	// and the headroom discount fades linearly towards that age.
 	d := &placementDaemon{
 		node:     n,
 		cfg:      cfg,
-		view:     placement.NewView(cfg.Freshness),
+		view:     placement.NewView(max(8*cfg.Heartbeat, 2*time.Second)),
 		rate:     stats.NewEWMA(0),
 		lastTick: time.Now(),
 		cool:     newCooldowns(cfg.Cooldown),
@@ -264,10 +252,6 @@ type NodeLoad struct {
 // are disabled, gossips the sample.
 func (d *placementDaemon) heartbeat() {
 	load := d.node.refreshLoadSample(d)
-	// Ledger backstop: the session janitor releases claims with their
-	// sessions; this sweep only catches claims orphaned by a janitor
-	// that never ran (defence in depth, normally a no-op).
-	d.node.expireReservations(time.Now())
 	if d.cfg.Heartbeat > 0 {
 		d.gossip(load)
 	}
@@ -282,9 +266,10 @@ func (d *placementDaemon) gossip(load wire.NodeLoad) {
 	if len(peers) == 0 {
 		return
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), d.cfg.Heartbeat*4+time.Second)
+	// Derived from the daemon's context: shutdown must not wait out
+	// slow peers.
+	ctx, cancel := context.WithTimeout(d.ctx, d.cfg.Heartbeat*4+time.Second)
 	defer cancel()
-	defer cancelOnStop(d.stop, cancel)() // shutdown must not wait out slow peers
 	var wg sync.WaitGroup
 	for _, peer := range peers {
 		wg.Add(1)
@@ -412,8 +397,7 @@ func (d *placementDaemon) originPass() {
 			anchors = append(anchors, h.Obj)
 		}
 	}
-	n.optimise(pass{
-		stop:     d.stop,
+	n.optimise(d.ctx, pass{
 		cool:     &d.cool,
 		alliance: d.cfg.Alliance,
 		budget:   d.cfg.BudgetPerPass,
@@ -475,16 +459,15 @@ func (n *Node) selfSample() placement.Sample {
 // here) do not count as incoming, so same-node reshuffles and
 // returning objects are never vetoed. bytes is the coordinator's
 // estimate of the group's snapshot footprint; token keys the claim
-// alongside the staging session, and the caller owns releasing it
-// (commitSession / dropSession) whenever reserved is true. A nil error
-// admits the migration.
-func (n *Node) admitAndReserve(objs []core.OID, bytes int64, from NodeID, token uint64) (reserved bool, err error) {
+// alongside the staging session, whose record owns releasing it (see
+// commitSession and end). A nil error admits the migration.
+func (n *Node) admitAndReserve(objs []core.OID, bytes int64, from NodeID, token uint64) error {
 	draining := n.draining.Load()
 	critical := n.Health() >= HealthCritical
 	d := n.placementDaemonRef()
 	capped := d != nil && (n.capacity > 0 || n.capBytes > 0)
 	if !draining && !critical && !capped {
-		return false, nil
+		return nil
 	}
 	// Objects already present (same-node reshuffles, returning objects)
 	// re-admit through every gate below.
@@ -495,14 +478,13 @@ func (n *Node) admitAndReserve(objs []core.OID, bytes int64, from NodeID, token 
 		}
 	}
 	if incoming == 0 {
-		return false, nil
+		return nil
 	}
 	// A draining node refuses every inbound migration outright —
 	// capacity or not — so the optimiser daemons and rival coordinators
 	// cannot refill it while a drain job empties it.
 	if draining {
-		return false, n.placementVeto(objs, from,
-			"node %s is draining: migration of %d objects refused", n.id, incoming)
+		return n.placementVeto("node %s is draining: migration of %d objects refused", n.id, incoming)
 	}
 	// A critical node refuses inbound migrations the same way a
 	// draining one does — its own health engine has judged it unfit to
@@ -512,46 +494,37 @@ func (n *Node) admitAndReserve(objs []core.OID, bytes int64, from NodeID, token 
 	// back-pressured here instead of trusted.
 	if critical {
 		atomic.AddInt64(&n.stats.HealthVetoes, 1)
-		return false, n.placementVeto(objs, from,
-			"node %s is critical: migration of %d objects refused", n.id, incoming)
+		return n.placementVeto("node %s is critical: migration of %d objects refused", n.id, incoming)
 	}
 	if !capped {
-		return false, nil
+		return nil
 	}
 	key := placement.ClaimKey{From: from, Token: token}
 	claim := placement.Claim{Objects: int64(incoming), Bytes: bytes}
 	if !n.resv.Admit(key, claim, d.cfg.OverloadRatio, n.selfSample) {
 		hosted, hostedBytes := n.store.HostedStats()
 		res := n.resv.Reserved()
-		return false, n.placementVeto(objs, from,
+		return n.placementVeto(
 			"node %s is at capacity (%d hosted + %d reserved, %d incoming, capacity %d objects / %d bytes; %d+%d incoming bytes of %d reserved): migration refused",
 			n.id, hosted, res.Objects, incoming, n.capacity, n.capBytes,
 			hostedBytes, bytes, res.Bytes)
 	}
 	atomic.AddInt64(&n.stats.PlacementReservations, 1)
-	return true, nil
+	return nil
 }
 
-// placementVeto records and reports one refused admission; format and
-// args say why.
-func (n *Node) placementVeto(objs []core.OID, from NodeID, format string, args ...interface{}) error {
+// placementVeto counts one refused admission; format and args say why.
+// The caller announces the veto (EventPlacement "veto").
+func (n *Node) placementVeto(format string, args ...interface{}) error {
 	atomic.AddInt64(&n.stats.PlacementVetoes, 1)
-	n.emit(Event{Kind: EventPlacement, Target: from, Outcome: "veto", Objects: oidRefs(objs)})
 	return wire.Errorf(wire.CodeDenied, format, args...)
 }
 
 // releaseReservation drops the ledger claim keyed (from, token), if
-// one exists — called from every session release point: commit (after
-// the install has landed in the hosted counts), abort, and TTL expiry.
+// one exists — called wherever a record's session ends: commit (after
+// the install has landed in the hosted counts), abort, and expiry.
 func (n *Node) releaseReservation(from NodeID, token uint64) {
 	n.resv.Release(placement.ClaimKey{From: from, Token: token})
-}
-
-// expireReservations is the heartbeat-driven backstop sweep: claims
-// older than twice the session TTL have outlived any session that
-// could still convert them.
-func (n *Node) expireReservations(now time.Time) {
-	n.resv.ExpireBefore(now.Add(-2 * n.migrate.SessionTTL))
 }
 
 // shedPlan ranks the node's hosted objects for shedding, biggest and
@@ -585,8 +558,7 @@ func (d *placementDaemon) shedPass() {
 		for i, cand := range plan {
 			anchors[i] = cand.Anchor
 		}
-		shed := n.optimise(pass{
-			stop:     d.stop,
+		shed := n.optimise(d.ctx, pass{
 			cool:     &d.cool,
 			alliance: d.cfg.Alliance,
 			budget:   1, // re-read utilisation before shedding more

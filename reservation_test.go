@@ -292,11 +292,10 @@ func TestExplicitAdmissionTOCTOURegression(t *testing.T) {
 	if err := tgt.EnablePlacement(PlacementConfig{Heartbeat: -1, OriginPass: -1}); err != nil {
 		t.Fatal(err)
 	}
-	reserved, err := tgt.admitAndReserve([]core.OID{a.OID}, 0, src.ID(), 3)
-	if err != nil || !reserved {
-		t.Fatalf("ledger first admission: reserved=%v err=%v", reserved, err)
+	if err := tgt.admitAndReserve([]core.OID{a.OID}, 0, src.ID(), 3); err != nil {
+		t.Fatalf("ledger first admission: %v", err)
 	}
-	if _, err := tgt.admitAndReserve([]core.OID{b.OID}, 0, src.ID(), 4); err == nil ||
+	if err := tgt.admitAndReserve([]core.OID{b.OID}, 0, src.ID(), 4); err == nil ||
 		!strings.Contains(err.Error(), "capacity") {
 		t.Fatalf("ledger second admission: %v, want capacity refusal", err)
 	}

@@ -177,8 +177,8 @@ func (c *chase) hop() { c.hops = c.hops + 1 }
 // end folds the finished chase into the node's directory statistics:
 // zero hops means the object was local (not a directory event at all),
 // one hop means the first hint was right (a hit), more means chasing
-// (a miss). Chases longer than DirectoryConfig.ChaseHopBudget also
-// count as over-budget and emit an EventChase so operators can spot
+// (a miss). Chases longer than chaseHopBudget also count as
+// over-budget and emit an EventChase so operators can spot
 // directories gone stale.
 func (c *chase) end() {
 	n := c.n
@@ -197,7 +197,7 @@ func (c *chase) end() {
 		bucket = len(n.chaseHist)
 	}
 	n.chaseHist[bucket-1].Add(1)
-	if budget := n.dir.ChaseHopBudget; budget > 0 && c.hops > budget {
+	if c.hops > chaseHopBudget {
 		atomic.AddInt64(&n.stats.ChasesOverBudget, 1)
 		n.emit(Event{Kind: EventChase, Obj: Ref{OID: c.oid}, Outcome: "over-budget", Hops: c.hops})
 	}

@@ -30,11 +30,12 @@ package objmig
 //	                   starts a drain or rebalance (action=drain|
 //	                   rebalance) or cancels one (action=cancel&id=N).
 //	                   objmig-admin is the CLI front end.
-//	/debug/cluster     the cluster as this node sees it: one line per
-//	                   peer with gossiped health state, utilisation and
-//	                   view staleness, aggregated from the placement
-//	                   view — no extra collection RPC. objmig-admin top
-//	                   wraps it.
+//	/debug/cluster     the cluster as this node sees it: a header naming
+//	                   its wire epoch, then one line per peer with
+//	                   gossiped health state, utilisation and view
+//	                   staleness, aggregated from the placement view —
+//	                   no extra collection RPC. objmig-admin top wraps
+//	                   it.
 //	/debug/flightrec   the black-box flight recorder: POST freezes the
 //	                   ring and returns the dump as JSON; GET returns
 //	                   the last automatic dump (the one frozen by a
@@ -76,10 +77,9 @@ type nodeTelemetry struct {
 	phase [telemetry.NumPhases]*telemetry.Histogram
 
 	// flightRec is the black-box flight recorder, non-nil only while
-	// the health engine runs with a recorder. Events, traced migration
-	// spans and health ticks are mirrored into it allocation-free; the
-	// ring is frozen and serialised on a health transition or an
-	// explicit dump request.
+	// the health engine runs. Events, traced migration spans and health
+	// ticks are mirrored into it allocation-free; the ring is frozen and
+	// serialised on a health transition or an explicit dump request.
 	flightRec atomic.Pointer[health.Recorder]
 }
 
