@@ -14,7 +14,7 @@ func TestChaseBudgetSemantics(t *testing.T) {
 	t.Parallel()
 	ctx := context.Background()
 
-	// Attempts only (deadline disabled): exactly CallRetries attempts.
+	// Attempts only (deadline disabled): exactly the attempt budget.
 	n := &Node{retries: 3, chaseDeadline: -1}
 	got := 0
 	for c := n.newChase(Ref{}.OID); c.next(ctx); {
@@ -64,13 +64,11 @@ func TestChaseSurvivesMigrationPingPong(t *testing.T) {
 	cl := NewLocalCluster()
 	bt := newBenchType()
 	mk := func(id NodeID) *Node {
-		n, err := NewNode(Config{
-			ID: id, Cluster: cl, Policy: PolicyConventional,
-			CallRetries: 2, ChaseDeadline: 10 * time.Second,
-		})
+		n, err := NewNode(Config{ID: id, Cluster: cl, Policy: PolicyConventional})
 		if err != nil {
 			t.Fatal(err)
 		}
+		n.retries, n.chaseDeadline = 2, 10*time.Second
 		if err := n.RegisterType(bt); err != nil {
 			t.Fatal(err)
 		}

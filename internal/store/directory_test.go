@@ -353,7 +353,7 @@ func TestLocForeignObjectLifecycle(t *testing.T) {
 	if got := s.Hint(id); got != "n5" {
 		t.Fatalf("hint = %v, want cached n5", got)
 	}
-	s.Invalidate(id)
+	s.InvalidateAt(id, "n5")
 	if got := s.Hint(id); got != "n1" {
 		t.Fatalf("hint after invalidate = %v, want n1", got)
 	}

@@ -665,17 +665,9 @@ func (s *Store) Hint(id core.OID) core.NodeID {
 	return id.Origin
 }
 
-// Invalidate drops a cached hint that turned out to be wrong.
-func (s *Store) Invalidate(id core.OID) {
-	sh := s.shardOf(id)
-	sh.locMu.Lock()
-	defer sh.locMu.Unlock()
-	delete(sh.cache, id)
-}
-
 // InvalidateAt discredits location knowledge for id that still points
 // at `at` — a node that just authoritatively denied knowing the
-// object. Unlike Invalidate it also covers forwarding pointers and
+// object. It covers the cached hint, forwarding pointers and
 // closure-member references, but only when the entry still names the
 // refuted node: a concurrent update may already have moved the
 // knowledge on, and that fresh state must survive the stale chaser's

@@ -223,9 +223,10 @@ func TestStoreParallelStress(t *testing.T) {
 						}
 					}
 				case 2: // forward-chase bookkeeping
-					s.Learn(id, core.NodeID(fmt.Sprintf("n%d", r%5+2)))
+					at := core.NodeID(fmt.Sprintf("n%d", r%5+2))
+					s.Learn(id, at)
 					_ = s.Hint(id)
-					s.Invalidate(id)
+					s.InvalidateAt(id, at)
 				case 3: // table-wide ops against the hot path
 					_ = s.HostedCount()
 					_ = s.LocStats()

@@ -317,13 +317,18 @@ func (t *transfer) send(ctx context.Context, req *wire.InstallReq) error {
 
 // abort rolls the whole transfer back: every host that may hold a pause
 // and the target end the migration (see end) — each resumes what it
-// paused, discards what it staged and keeps the migration's fence.
+// paused, discards what it staged and keeps the migration's fence. Each
+// gets one abort: a target that also hosts members gets theirs.
 func (t *transfer) abort() {
 	key := sessionKey{from: t.n.id, token: t.token}
+	target := false
 	for _, g := range t.groups {
+		target = target || g.host == t.target
 		_ = t.n.sendAbort(g.host, g.objs, key)
 	}
-	_ = t.n.sendAbort(t.target, nil, key)
+	if !target {
+		_ = t.n.sendAbort(t.target, nil, key)
+	}
 }
 
 // definiteFailure reports whether err proves the request had no remote
@@ -556,7 +561,9 @@ func (n *Node) handlePause(ctx context.Context, req *wire.PauseReq) (*wire.Pause
 		bytes += int64(wire.SnapshotSize(&snap))
 		resp.Snapshots = append(resp.Snapshots, snap)
 	}
-	if err := n.pausedHere(sessionKey{from: req.From, token: req.Token}, req.Target, done, req.Lease); err != nil {
+	// A fenced migration refuses the pause; it is rolled back.
+	pause := input{kind: inPause, recs: done, target: req.Target, lease: req.Lease}
+	if err := n.drive(sessionKey{from: req.From, token: req.Token}, pause); err != nil {
 		rollback()
 		return nil, err
 	}
@@ -564,20 +571,21 @@ func (n *Node) handlePause(ctx context.Context, req *wire.PauseReq) (*wire.Pause
 	return resp, nil
 }
 
-// handleCommit finalises departures of local paused records.
+// handleCommit finalises departures of local paused records: a commit
+// ends the migration's record, and commitLocal departs the objects.
 func (n *Node) handleCommit(req *wire.CommitReq) (*wire.CommitResp, error) {
+	_ = n.drive(sessionKey{from: req.From, token: req.Token}, input{kind: inCommit})
 	n.commitLocal(req)
 	return &wire.CommitResp{}, nil
 }
 
-// commitLocal finalises departures: the migration's record is deleted
-// (a commit ends it), one shard-grouped batch lookup resolves every
-// object (each stripe lock is taken once, not once per OID), and each
-// flips to a forwarding stub. The host's
-// affinity observations for the departed objects are lifted and
-// forwarded to the objects' origins as gossip — in a multi-host group
-// migration the coordinator can only gossip its own counters, so each
-// departing host ships its own.
+// commitLocal finalises departures: one shard-grouped batch lookup
+// resolves every object (each stripe lock is taken once, not once per
+// OID), and each flips to a forwarding stub. The host's affinity
+// observations for the departed objects are lifted and forwarded to the
+// objects' origins as gossip — in a multi-host group migration the
+// coordinator can only gossip its own counters, so each departing host
+// ships its own.
 //
 // Directory upkeep rides the commit: a closure-anchored group's
 // forwarding state coalesces into one shared record, departures of
@@ -587,9 +595,6 @@ func (n *Node) handleCommit(req *wire.CommitReq) (*wire.CommitResp, error) {
 // sweep is advanced.
 func (n *Node) commitLocal(req *wire.CommitReq) {
 	start := time.Now()
-	n.xferMu.Lock()
-	n.dropLocked(sessionKey{from: req.From, token: req.Token})
-	n.xferMu.Unlock()
 	recs := n.store.GetBatch(req.Objs)
 	var departed []core.OID
 	var maxGen uint64
@@ -685,7 +690,7 @@ func (n *Node) handleAbort(req *wire.AbortReq) (*wire.AbortResp, error) {
 // record of it holds is let go — not only the members req.Objs names,
 // which resume too — and the record stays as the migration's fence.
 func (n *Node) abortLocal(req *wire.AbortReq) {
-	n.end(sessionKey{from: req.From, token: req.Token}, req.Objs, "abort")
+	_ = n.drive(sessionKey{from: req.From, token: req.Token}, input{kind: inAbort, objs: req.Objs})
 }
 
 // Migrate moves an object (with the working set attached in the global

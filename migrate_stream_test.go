@@ -150,6 +150,38 @@ func TestMigrateVetoResumesAllHosts(t *testing.T) {
 	}
 }
 
+// TestAbortOncePerParticipant: a transfer the admission vetoes sends
+// each participant one abort. The target also hosts a member, and its
+// abort names it; the target is not sent a second abort for its session.
+func TestAbortOncePerParticipant(t *testing.T) {
+	t.Parallel()
+	ctx := ctxShort(t)
+	cl := NewLocalCluster()
+	tap := &sendTap{Transport: cl.tr, kind: wire.KAbort, to: "n2"}
+	cl.tr = tap
+	nodes := nodesOn(t, cl, Config{ID: "n0"}, Config{ID: "n1"}, Config{ID: "n2"})
+	root, far, there := mustCreate(t, nodes[0]), mustCreate(t, nodes[1]), mustCreate(t, nodes[2])
+	for _, m := range []Ref{far, there} {
+		if err := nodes[0].Attach(ctx, root, m, NoAlliance); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := nodes[1].Fix(ctx, far); err != nil { // the admission vetoes far's snapshot
+		t.Fatal(err)
+	}
+	var aborts atomic.Int32
+	var count func()
+	count = func() { aborts.Add(1); tap.arm(count) }
+	tap.arm(count)
+	if err := nodes[0].Migrate(ctx, root, "n2"); !errors.Is(err, ErrFixed) {
+		t.Fatalf("migration with a fixed member: %v, want ErrFixed", err)
+	}
+	if got := aborts.Load(); got != 1 {
+		t.Fatalf("the target was sent %d aborts, want 1", got)
+	}
+	assertGroupResumed(t, nodes, []Ref{root, far, there}, []NodeID{"n0", "n1", "n2"})
+}
+
 // nodesOn starts one counter-hosting node per config on cl.
 func nodesOn(t *testing.T, cl *Cluster, cfgs ...Config) []*Node {
 	t.Helper()

@@ -18,7 +18,8 @@ package objmig
 //
 // The group is installed only at the close, so it moves as a unit
 // however many frames it takes. Every participant keeps one record per
-// migration (xfer).
+// migration (xfer); its rules are one pure function, step, and one
+// driver, Node.drive, carries out what step decides.
 
 import (
 	"context"
@@ -73,12 +74,11 @@ type sessionKey struct {
 	token uint64
 }
 
-// xfer is this node's record of one migration, guarded by xferMu:
-// whatever the node is for it — the staging session and its ledger
-// claim at the target, the members paused at a source, a fence after an
-// abort. One timer measures coordinator silence; every frame re-arms
-// it. Commit deletes the record; abort or expiry ends everything it
-// holds and leaves the fence (see end and resolveExpiredLease).
+// xfer is this node's record of one migration: whatever the node is for
+// it — the staging session and its ledger claim at the target, the
+// members paused at a source, a fence after an abort. Only step writes
+// it; Node.drive keeps it in Node.xfers, with one timer that measures
+// coordinator silence.
 type xfer struct {
 	// The staging session at the target (nil members: none), with the claim.
 	members []core.OID      // the expected members, in canonical order
@@ -90,203 +90,492 @@ type xfer struct {
 	target NodeID     // the migration's target, asked when the lease runs out
 
 	lease    time.Duration // coordinator silence tolerated; <= 0: never expires
-	deadline time.Time     // when the timer is due; a re-arm moves it
-	timer    *time.Timer
-
-	fenced     bool // aborted or expired: every later frame is refused
-	installing bool // the close's InstallBatch runs outside the lock
+	deadline time.Time     // when the timer is due; zero: none armed
+	phase    phase
 }
 
-// handleInstall is the target side of every group migration: it runs
-// the steps the frame carries, in order — open (Members), stage
-// (Snapshots), close (Commit).
+type phase uint8
+
+const (
+	phaseLive       phase = iota // holding a session, paused members, or both
+	phaseInstalling              // the close's InstallBatch runs unlocked
+	phaseFencing                 // the lease fired: the target is being fenced…
+	phaseProbing                 // …then asked whether the install committed
+	phaseFenced                  // aborted or expired: later frames are refused
+)
+
+// input is one thing that happens to a record: a frame, its timer, or
+// the answer to something step asked for.
+type input struct {
+	kind    inputKind
+	now     time.Time
+	self    NodeID          // this node
+	lease   time.Duration   // this node's lease; a pause's: the coordinator's
+	members []core.OID      // open
+	recs    []*store.Record // open: len(members) empty slots; stage: decoded; pause: paused
+	objs    []core.OID      // abort: the members it names
+	target  NodeID          // pause
+	bytes   int64           // open: the admission estimate; stage: the frame's bytes
+	commit  bool            // open, stage: the frame also closes, so arms no timer
+	ok      bool            // installed: InstallBatch succeeded; fenced: the target confirmed
+	verdict leaseVerdict    // probed
+	trace   uint64          // close
+}
+
+type inputKind uint8
+
+const (
+	inOpen      inputKind = iota + 1 // an install frame names the members
+	inStage                          // an install frame carries snapshots
+	inClose                          // an install frame commits
+	inPause                          // members were paused here
+	inCommit                         // Commit
+	inAbort                          // Abort, or a frame that failed to decode
+	inTimer                          // the timer fired
+	inInstalled                      // the close's InstallBatch returned
+	inFenced                         // the lease's fence was answered, or failed
+	inProbed                         // the lease's probe was answered
+)
+
+// effects is what step asks of the driver. The rest of its payload is
+// the record as step found it: the target to fence, the members to
+// install or depart, and so on.
+type effects struct {
+	do     effect
+	refuse refusal
+	bad    core.OID      // refStranger, refRestaged: the member
+	arm    time.Duration // effArm: due this long from now
+	resume []core.OID    // effUnpause: the members to resume
+	also   []core.OID    // effUnpause: and those the abort names
+	lease  string        // the expired lease's outcome event
+}
+
+type effect uint16
+
+const (
+	effWait       effect = 1 << iota // an install is in flight: feed the input again once it ends
+	effAdmit                         // admit and claim (a veto undoes the transition); "begin"
+	effRelease                       // release the ledger claim
+	effArm                           // (re)start the timer
+	effDrop                          // delete the record, stop its timer
+	effUnpause                       // resume and also
+	effInstall                       // InstallBatch, then feed inInstalled
+	effFence                         // Abort to the target, then feed inFenced
+	effProbe                         // Locate a member at the target, then feed inProbed
+	effCommit                        // depart the paused members towards the target
+	effInstalled                     // ObjectsInstalled, "commit"
+	effAborted                       // StreamAborts, "abort"
+	effExpired                       // StreamSessionsExpired, "expire"
+	effLeaseFired                    // PauseLeasesExpired
+)
+
+type refusal uint8
+
+const (
+	refAborted   refusal = iota + 1 // fenced
+	refOpen                         // a session is already open
+	refNoSession                    // no session to stage into or close
+	refStranger                     // a snapshot of no member
+	refRestaged                     // a member staged twice
+	refUnstaged                     // a close with members missing
+)
+
+// step is the record's rules: what in does to x, and what the driver
+// must do about it. It takes no lock, reads no clock and does no I/O,
+// so a search can run it over every interleaving of inputs
+// (migsession_model_test.go). The one thing it writes in place is a
+// staged record's slot in x.recs.
+func step(x xfer, in input) (xfer, effects) {
+	var eff effects
+	if in.kind == inTimer && (x.deadline.IsZero() || in.now.Before(x.deadline) ||
+		x.phase == phaseFencing || x.phase == phaseProbing) {
+		return x, eff // stale: re-armed, stopped, or the lease is resolving
+	}
+	if x.phase == phaseInstalling && (in.kind == inAbort || in.kind == inCommit || in.kind == inTimer) {
+		eff.do = effWait // so what ending lets go of can no longer change
+		return x, eff
+	}
+	switch in.kind {
+	case inOpen:
+		switch {
+		case x.phase == phaseFenced:
+			eff.refuse = refAborted
+		case x.members != nil:
+			eff.refuse = refOpen
+		default:
+			if len(x.objs) == 0 { // a new record
+				x.lease = in.lease
+			}
+			x.members, x.recs, x.staged, x.bytes = in.members, in.recs, 0, 0
+			eff.do |= effAdmit
+			if !in.commit {
+				x = x.arm(in.now, x.lease, &eff)
+			}
+		}
+	case inStage:
+		if x.members == nil || x.phase == phaseInstalling {
+			eff.refuse = refNoSession
+			break
+		}
+		for _, rec := range in.recs {
+			i := sort.Search(len(x.members), func(i int) bool { return !x.members[i].Less(rec.ID) })
+			if i == len(x.members) || x.members[i] != rec.ID || x.recs[i] != nil {
+				eff.refuse, eff.bad = refStranger, rec.ID
+				if i < len(x.members) && x.members[i] == rec.ID {
+					eff.refuse = refRestaged
+				}
+				x = end(x, in, &eff) // a failed frame dooms the transfer
+				return x, eff
+			}
+			x.recs[i] = rec
+		}
+		x.staged, x.bytes = x.staged+len(in.recs), x.bytes+in.bytes
+		if !in.commit {
+			x = x.arm(in.now, x.lease, &eff)
+		}
+	case inClose:
+		switch {
+		case x.members == nil || x.phase == phaseInstalling:
+			eff.refuse = refNoSession
+		case x.staged < len(x.members):
+			eff.refuse = refUnstaged
+			eff.do |= effRelease
+			x.members, x.recs, x.staged, x.bytes = nil, nil, 0, 0
+		default:
+			x.phase = phaseInstalling
+			eff.do |= effInstall
+		}
+	case inInstalled:
+		if x.phase != phaseInstalling {
+			break
+		}
+		// Released only now: the group is briefly counted twice (as
+		// residency and as a claim), which never undercounts.
+		x.phase = phaseLive
+		eff.do |= effRelease
+		if in.ok {
+			eff.do |= effInstalled
+			x.objs = nil // the members paused here were just replaced
+		}
+		x.members, x.recs, x.staged, x.bytes = nil, nil, 0, 0
+	case inPause:
+		if x.phase == phaseFenced {
+			eff.refuse = refAborted
+			break
+		}
+		x.objs = slices.Grow(x.objs, len(in.recs))
+		for _, rec := range in.recs {
+			x.objs = append(x.objs, rec.ID)
+		}
+		x.target, x.lease = in.target, in.lease
+		x = x.arm(in.now, in.lease, &eff)
+	case inCommit:
+		if x.phase == phaseFenced {
+			break // the fence outlives every late frame
+		}
+		if x.members != nil {
+			eff.do |= effRelease
+		}
+		x = xfer{}
+	case inAbort:
+		x = end(x, in, &eff)
+	case inTimer:
+		x.deadline = time.Time{}
+		switch {
+		case x.phase == phaseFenced:
+			x = xfer{} // the fence outlived every frame that could hit it
+		case len(x.objs) == 0:
+			x = end(x, in, &eff)
+		case x.target != "" && x.target != in.self:
+			// Resuming after the target committed the install would leave
+			// the group live twice: fence the target first, so no install
+			// frame still in flight can land there, then probe it.
+			x.phase = phaseFencing
+			eff.do |= effLeaseFired | effFence
+		default:
+			// The target is this node (or unrecorded): a committed install
+			// already replaced the paused records, so ending is the answer.
+			eff.do |= effLeaseFired
+			eff.lease = "lease-resumed"
+			x = end(x, in, &eff)
+		}
+	case inFenced:
+		switch {
+		case x.phase != phaseFencing:
+		case in.ok:
+			x.phase = phaseProbing
+			eff.do |= effProbe
+		default:
+			x = x.retry(in, &eff)
+		}
+	case inProbed:
+		switch {
+		case x.phase != phaseProbing:
+		case in.verdict == leaseCommitted: // run the commit the coordinator never delivered
+			eff.do |= effCommit
+			eff.lease = "lease-committed"
+			x = xfer{}
+		case in.verdict == leaseAborted:
+			eff.lease = "lease-resumed"
+			x = end(x, in, &eff)
+		default:
+			x = x.retry(in, &eff)
+		}
+	}
+	if x.phase == phaseLive && x.members == nil && len(x.objs) == 0 {
+		eff.do |= effDrop
+		x = xfer{}
+	}
+	return x, eff
+}
+
+// end ends everything x holds, as an abort (an Abort, a frame that
+// failed) or an expiry (the timer, the lease's verdict): the session
+// and its claim are let go, the members paused here — and any the abort
+// names — resume, and the record stays as the migration's fence, which
+// refuses every later opening frame and pause until its timer reaps it
+// at twice the lease, a minute at least. Unpause checks status and
+// token, so stubs, strangers and installed members ignore it.
+func end(x xfer, in input, eff *effects) xfer {
+	if x.members != nil {
+		ended := effAborted
+		if in.kind == inTimer || in.kind == inProbed {
+			ended = effExpired
+		}
+		eff.do |= effRelease | ended
+	}
+	eff.do |= effUnpause
+	eff.resume, eff.also = x.objs, in.objs
+	if x.lease == 0 {
+		x.lease = in.lease
+	}
+	return xfer{lease: x.lease, phase: phaseFenced}.arm(in.now, max(2*x.lease, time.Minute), eff)
+}
+
+// retry leaves an expired lease unresolved: the members stay paused —
+// a stuck-but-paused object is consistent, a duplicated one is not —
+// and the timer tries again a lease later.
+func (x xfer) retry(in input, eff *effects) xfer {
+	x.phase = phaseLive
+	eff.lease = "lease-retry"
+	return x.arm(in.now, x.lease, eff)
+}
+
+// arm (re)starts the timer: d from now the record expires, unless an
+// input re-arms it first. d <= 0 arms nothing.
+func (x xfer) arm(now time.Time, d time.Duration, eff *effects) xfer {
+	if d > 0 {
+		x.deadline, eff.arm = now.Add(d), d
+		eff.do |= effArm
+	}
+	return x
+}
+
+// xferSlot is one entry of Node.xfers: the record and its timer.
+type xferSlot struct {
+	x     xfer
+	timer *time.Timer
+}
+
+// drive feeds in to key's record and carries out what step decides; it
+// is the only code that reads or writes Node.xfers. An effect that asks
+// something of the store or another node (the install, the fence, the
+// probe) runs unlocked, and its answer is the next input. It returns
+// the frame's refusal, or the install's failure.
+func (n *Node) drive(key sessionKey, in input) (err error) {
+	trace, start := in.trace, time.Now()
+	for in.kind != 0 {
+		in.self = n.id
+		if in.kind != inPause {
+			in.lease = n.migrate.Lease
+		}
+		var (
+			s       *xferSlot
+			held, x xfer
+			eff     effects
+		)
+		n.xferMu.Lock()
+		for {
+			held, s = xfer{}, n.xfers[key]
+			if s != nil {
+				held = s.x
+			}
+			in.now = time.Now()
+			if x, eff = step(held, in); eff.do&effWait == 0 {
+				break
+			}
+			n.xferIdle.Wait()
+		}
+		// Admission runs under the record lock, so an abort either fences
+		// the migration before it or finds the claim in the session it ends.
+		if eff.do&effAdmit != 0 {
+			if err := n.admitAndReserve(in.members, in.bytes, key.from, key.token); err != nil {
+				n.xferMu.Unlock()
+				n.emit(Event{Kind: EventPlacement, Target: key.from, Outcome: "veto", Objects: oidRefs(in.members)})
+				return err
+			}
+		}
+		switch {
+		case eff.do&effDrop == 0 && s == nil:
+			s = &xferSlot{x: x}
+			n.xfers[key] = s
+		case eff.do&effDrop == 0:
+			s.x = x
+		case s != nil:
+			delete(n.xfers, key)
+			if s.timer != nil {
+				s.timer.Stop()
+			}
+		}
+		if eff.do&(effArm|effDrop) == effArm && !n.closed.Load() {
+			if s.timer == nil {
+				s.timer = time.AfterFunc(eff.arm, func() { _ = n.drive(key, input{kind: inTimer}) })
+			} else {
+				s.timer.Reset(eff.arm)
+			}
+		}
+		if in.kind == inInstalled {
+			n.xferIdle.Broadcast()
+		}
+		n.xferMu.Unlock()
+
+		if eff.do&effRelease != 0 {
+			n.releaseReservation(key.from, key.token)
+		}
+		switch {
+		case eff.do&effAdmit != 0:
+			atomic.AddInt64(&n.stats.StreamSessionsOpened, 1)
+			n.emit(Event{Kind: EventMigrateStream, Target: key.from, Outcome: "begin"})
+		case eff.do&effInstalled != 0:
+			n.tel.span(trace, telemetry.PhaseInstall, start, held.bytes, len(held.members))
+			atomic.AddInt64(&n.stats.ObjectsInstalled, int64(len(held.members)))
+			n.emit(Event{Kind: EventInstall, Objects: oidRefs(held.members)})
+			n.emit(Event{Kind: EventMigrateStream, Target: key.from, Outcome: "commit", Bytes: held.bytes})
+		case eff.do&effAborted != 0:
+			atomic.AddInt64(&n.stats.StreamAborts, 1)
+			n.emit(Event{Kind: EventMigrateStream, Target: key.from, Outcome: "abort", Bytes: held.bytes})
+		case eff.do&effExpired != 0:
+			atomic.AddInt64(&n.stats.StreamSessionsExpired, 1)
+			n.emit(Event{Kind: EventMigrateStream, Target: key.from, Outcome: "expire", Bytes: held.bytes})
+		}
+		if eff.do&effUnpause != 0 {
+			for _, rec := range n.store.GetBatch(slices.Concat(eff.also, eff.resume)) {
+				if rec != nil {
+					rec.Unpause(key.token)
+				}
+			}
+		}
+		if eff.do&effLeaseFired != 0 {
+			atomic.AddInt64(&n.stats.PauseLeasesExpired, 1)
+		}
+		if eff.do&effCommit != 0 {
+			n.commitLocal(&wire.CommitReq{Objs: held.objs, NewHome: held.target, Token: key.token, From: key.from})
+		}
+		if eff.lease != "" {
+			n.emit(Event{Kind: EventMigrateStream, Target: held.target, Outcome: eff.lease, Objects: oidRefs(held.objs)})
+		}
+		if eff.refuse != 0 {
+			return eff.refusal(key, held)
+		}
+		in = input{}
+		switch {
+		case eff.do&effInstall != 0:
+			start = time.Now()
+			ierr := n.store.InstallBatch(held.recs, key.token)
+			in = input{kind: inInstalled, ok: ierr == nil}
+			err = ierr
+			if ierr != nil && !errors.As(ierr, new(*wire.RemoteError)) {
+				err = wire.Errorf(wire.CodeInternal, "install: %v", ierr)
+			}
+		case eff.do&effFence != 0:
+			in = input{kind: inFenced, ok: n.sendAbort(held.target, nil, key) == nil}
+		case eff.do&effProbe != 0:
+			in = input{kind: inProbed, verdict: n.probe(held.target, held.objs[0])}
+		}
+	}
+	return err
+}
+
+// refusal words the refusal of a frame of migration key, held as step
+// found it.
+func (eff *effects) refusal(key sessionKey, held xfer) error {
+	switch eff.refuse {
+	case refAborted:
+		return wire.Errorf(wire.CodeDenied, "migration %d from %s was aborted", key.token, key.from)
+	case refOpen:
+		return wire.Errorf(wire.CodeDenied, "migration session %d from %s already open", key.token, key.from)
+	case refStranger:
+		return wire.Errorf(wire.CodeBadRequest, "frame carries %s, not a member of session %d", eff.bad, key.token)
+	case refRestaged:
+		return wire.Errorf(wire.CodeBadRequest, "frame re-stages %s in session %d", eff.bad, key.token)
+	case refUnstaged:
+		return wire.Errorf(wire.CodeBadRequest, "commit of session %d from %s with %d of %d members unstaged",
+			key.token, key.from, len(held.members)-held.staged, len(held.members))
+	}
+	return wire.Errorf(wire.CodeDenied, "no migration session %d from %s (expired?)", key.token, key.from)
+}
+
+// handleInstall is the target side of every group migration: it feeds
+// the record the steps the frame carries, in order — open (Members),
+// stage (Snapshots), close (Commit).
 func (n *Node) handleInstall(req *wire.InstallReq) (*wire.InstallResp, error) {
 	key := sessionKey{from: req.From, token: req.Token}
 	if len(req.Members) == 0 && len(req.Snapshots) == 0 && !req.Commit {
 		return nil, wire.Errorf(wire.CodeBadRequest, "install frame %d from %s carries nothing", req.Token, req.From)
 	}
 	if len(req.Members) > 0 {
-		if err := n.openSession(key, req); err != nil {
+		if key.from == "" {
+			return nil, wire.Errorf(wire.CodeBadRequest, "install frame %d names no coordinator", key.token)
+		}
+		// Canonical order makes the member list its own index: staging finds
+		// a member by binary search, and a duplicate cannot hide in it.
+		for i := 1; i < len(req.Members); i++ {
+			if !req.Members[i-1].Less(req.Members[i]) {
+				return nil, wire.Errorf(wire.CodeBadRequest, "install frame %d lists its members out of canonical order", key.token)
+			}
+		}
+		// Admission claims the group's (objects, bytes) in the reservation
+		// ledger before anything is staged, so concurrent coordinators
+		// cannot collectively overshoot the capacity the veto defends. The
+		// coordinator's estimate is a floor (it only knows the members it
+		// hosts); what this frame carries is exact.
+		open := input{kind: inOpen, members: req.Members, recs: make([]*store.Record, len(req.Members)),
+			bytes: max(req.Bytes, snapshotBytes(req.Snapshots)), commit: req.Commit}
+		if err := n.drive(key, open); err != nil {
 			return nil, err
 		}
 	}
 	if len(req.Snapshots) > 0 {
-		if err := n.stageSnapshots(key, req); err != nil {
+		// Decoded here, unlocked, so an unknown type, a corrupt state blob
+		// or a conflicting live object fails the transfer early — and ends
+		// it, as an abort does. The stage span covers decode and
+		// bookkeeping: the target-side cost of one frame.
+		start, recs := time.Now(), make([]*store.Record, len(req.Snapshots))
+		for i := range req.Snapshots {
+			rec, err := n.decodeSnapshot(&req.Snapshots[i])
+			if err == nil {
+				err = n.store.Installable(rec.ID, key.token)
+			}
+			if err != nil {
+				_ = n.drive(key, input{kind: inAbort})
+				return nil, err
+			}
+			recs[i] = rec
+		}
+		bytes := snapshotBytes(req.Snapshots)
+		if err := n.drive(key, input{kind: inStage, recs: recs, bytes: bytes, commit: req.Commit}); err != nil {
 			return nil, err
 		}
+		n.tel.span(req.Trace, telemetry.PhaseStage, start, bytes, len(recs))
+		atomic.AddInt64(&n.stats.StreamChunksIn, 1)
+		atomic.AddInt64(&n.stats.StreamBytesIn, bytes)
 	}
 	if req.Commit {
-		if err := n.commitSession(key, req.Trace); err != nil {
+		if err := n.drive(key, input{kind: inClose, trace: req.Trace}); err != nil {
 			return nil, err
 		}
 	}
 	return &wire.InstallResp{}, nil
-}
-
-// openSession admits a transfer and opens its staging session.
-func (n *Node) openSession(key sessionKey, req *wire.InstallReq) error {
-	if key.from == "" {
-		return wire.Errorf(wire.CodeBadRequest, "install frame %d names no coordinator", key.token)
-	}
-	// Canonical order makes the member list its own index: staging finds
-	// a member by binary search, and a duplicate cannot hide in it.
-	for i := 1; i < len(req.Members); i++ {
-		if !req.Members[i-1].Less(req.Members[i]) {
-			return wire.Errorf(wire.CodeBadRequest, "install frame %d lists its members out of canonical order", key.token)
-		}
-	}
-	// The placement admission runs before anything is staged, with this
-	// node's authoritative counts, and claims the group's (objects,
-	// bytes) in the reservation ledger under the migration's key, so
-	// concurrent coordinators cannot collectively overshoot the capacity
-	// the veto defends. The coordinator's estimate is a floor (it only
-	// knows the members it hosts); what this frame carries is exact.
-	// Admission runs under the record lock, so an abort either fences the
-	// migration before it or finds the claim in the session it ends.
-	bytes := req.Bytes
-	if carried := snapshotBytes(req.Snapshots); carried > bytes {
-		bytes = carried
-	}
-	n.xferMu.Lock()
-	r := n.xfers[key]
-	var err error
-	switch {
-	case r != nil && r.fenced:
-		err = wire.Errorf(wire.CodeDenied, "migration %d from %s was aborted", key.token, key.from)
-	case r != nil && r.members != nil:
-		err = wire.Errorf(wire.CodeDenied, "migration session %d from %s already open", key.token, key.from)
-	default:
-		// emit runs the observer: a veto is announced once unlocked.
-		if err = n.admitAndReserve(req.Members, bytes, key.from, key.token); err != nil {
-			defer n.emit(Event{Kind: EventPlacement, Target: key.from, Outcome: "veto", Objects: oidRefs(req.Members)})
-		}
-	}
-	if err != nil {
-		n.xferMu.Unlock()
-		return err
-	}
-	if r == nil {
-		r = &xfer{lease: n.migrate.Lease}
-		n.xfers[key] = r
-	}
-	r.members, r.recs = req.Members, make([]*store.Record, len(req.Members))
-	// A session whose opening frame also commits is gone before this
-	// call returns: it needs no timer.
-	if !req.Commit {
-		n.arm(key, r, r.lease)
-	}
-	n.xferMu.Unlock()
-	atomic.AddInt64(&n.stats.StreamSessionsOpened, 1)
-	n.emit(Event{Kind: EventMigrateStream, Target: key.from, Outcome: "begin"})
-	return nil
-}
-
-// stageSnapshots stages one frame's snapshots into its session.
-// Records are decoded here, at staging time, so an unknown type, a
-// corrupt state blob or a conflicting live object fails the transfer
-// early — the coordinator aborts instead of discovering the problem at
-// the close. A failed frame dooms the whole transfer, so it ends the
-// migration here as an abort does.
-func (n *Node) stageSnapshots(key sessionKey, req *wire.InstallReq) error {
-	fail := func(err error) error {
-		n.end(key, nil, "abort")
-		return err
-	}
-	// Decode outside the record lock: state blobs can be large. The
-	// stage span covers decode and bookkeeping — the target-side cost
-	// of one frame.
-	start := time.Now()
-	recs := make([]*store.Record, len(req.Snapshots))
-	for i := range req.Snapshots {
-		snap := &req.Snapshots[i]
-		rec, err := n.decodeSnapshot(snap)
-		if err == nil {
-			err = n.store.Installable(snap.ID, key.token)
-		}
-		if err != nil {
-			return fail(err)
-		}
-		recs[i] = rec
-	}
-	bytes := snapshotBytes(req.Snapshots)
-
-	n.xferMu.Lock()
-	r := n.xfers[key]
-	if r == nil || r.members == nil || r.installing {
-		n.xferMu.Unlock()
-		return wire.Errorf(wire.CodeDenied, "no migration session %d from %s (expired?)", key.token, key.from)
-	}
-	for _, rec := range recs {
-		i := sort.Search(len(r.members), func(i int) bool { return !r.members[i].Less(rec.ID) })
-		if i == len(r.members) || r.members[i] != rec.ID {
-			n.xferMu.Unlock()
-			return fail(wire.Errorf(wire.CodeBadRequest, "frame carries %s, not a member of session %d", rec.ID, key.token))
-		}
-		if r.recs[i] != nil {
-			n.xferMu.Unlock()
-			return fail(wire.Errorf(wire.CodeBadRequest, "frame re-stages %s in session %d", rec.ID, key.token))
-		}
-		r.recs[i] = rec
-	}
-	r.staged += len(recs)
-	r.bytes += bytes
-	if !req.Commit {
-		n.arm(key, r, r.lease)
-	}
-	n.xferMu.Unlock()
-
-	n.tel.span(req.Trace, telemetry.PhaseStage, start, bytes, len(recs))
-	atomic.AddInt64(&n.stats.StreamChunksIn, 1)
-	atomic.AddInt64(&n.stats.StreamBytesIn, bytes)
-	return nil
-}
-
-// commitSession closes a transfer: every expected member must be
-// staged, and the whole group is installed in one atomic shard-aware
-// batch. A successful install deletes the record — members paused here
-// were just replaced by it; on any other exit only the session and its
-// claim are gone.
-func (n *Node) commitSession(key sessionKey, trace uint64) error {
-	n.xferMu.Lock()
-	r := n.xfers[key]
-	if r == nil || r.members == nil || r.installing {
-		n.xferMu.Unlock()
-		return wire.Errorf(wire.CodeDenied, "no migration session %d from %s (expired?)", key.token, key.from)
-	}
-	// Released on every exit, and on success only after InstallBatch:
-	// the group is briefly counted twice (as residency and as a claim),
-	// which never undercounts what the node is committed to.
-	defer n.releaseReservation(key.from, key.token)
-	members, recs, bytes, start := r.members, r.recs, r.bytes, time.Now()
-	var err error
-	if missing := len(r.members) - r.staged; missing > 0 {
-		err = wire.Errorf(wire.CodeBadRequest,
-			"commit of session %d from %s with %d of %d members unstaged", key.token, key.from, missing, len(r.members))
-	} else {
-		r.installing = true
-		n.xferMu.Unlock()
-		err = n.store.InstallBatch(recs, key.token)
-		n.xferMu.Lock()
-		r.installing = false
-		n.xferIdle.Broadcast()
-	}
-	r.members, r.recs, r.staged, r.bytes = nil, nil, 0, 0
-	if err == nil || len(r.objs) == 0 {
-		n.dropLocked(key)
-	}
-	n.xferMu.Unlock()
-	if err != nil {
-		var re *wire.RemoteError
-		if errors.As(err, &re) {
-			return re
-		}
-		return wire.Errorf(wire.CodeInternal, "install: %v", err)
-	}
-	n.tel.span(trace, telemetry.PhaseInstall, start, bytes, len(recs))
-	atomic.AddInt64(&n.stats.ObjectsInstalled, int64(len(recs)))
-	n.emit(Event{Kind: EventInstall, Objects: oidRefs(members)})
-	n.emit(Event{Kind: EventMigrateStream, Target: key.from, Outcome: "commit", Bytes: bytes})
-	return nil
 }
 
 // snapshotBytes sums the encoded-size estimates of a snapshot batch.
@@ -298,165 +587,6 @@ func snapshotBytes(snaps []wire.Snapshot) int64 {
 	return bytes
 }
 
-// pausedHere adds members this node paused to the migration's record
-// and re-arms its timer with the coordinator's lease. A fenced
-// migration refuses the pause; the caller rolls it back.
-func (n *Node) pausedHere(key sessionKey, target NodeID, paused []*store.Record, lease time.Duration) error {
-	n.xferMu.Lock()
-	defer n.xferMu.Unlock()
-	r := n.xfers[key]
-	if r == nil {
-		r = &xfer{}
-		n.xfers[key] = r
-	} else if r.fenced {
-		return wire.Errorf(wire.CodeDenied, "migration %d from %s was aborted", key.token, key.from)
-	}
-	r.objs = slices.Grow(r.objs, len(paused))
-	for _, rec := range paused {
-		r.objs = append(r.objs, rec.ID)
-	}
-	r.target, r.lease = target, lease
-	n.arm(key, r, lease)
-	return nil
-}
-
-// arm (re)starts r's timer: d from now the record expires, unless a
-// frame re-arms it first. d <= 0 arms nothing. Caller holds xferMu.
-func (n *Node) arm(key sessionKey, r *xfer, d time.Duration) {
-	if d <= 0 || n.closed.Load() {
-		return
-	}
-	r.deadline = time.Now().Add(d)
-	if r.timer == nil {
-		r.timer = time.AfterFunc(d, func() { n.expire(key, r) })
-		return
-	}
-	r.timer.Reset(d)
-}
-
-// dropLocked deletes key's record and stops its timer; caller holds xferMu.
-func (n *Node) dropLocked(key sessionKey) {
-	if r := n.xfers[key]; r != nil {
-		delete(n.xfers, key)
-		if r.timer != nil {
-			r.timer.Stop()
-		}
-	}
-}
-
-// end ends the migration at this node, as an abort or an expiry
-// (outcome "abort" or "expire"): the record's session and claim are let
-// go, its paused members — and any also names — resume, and the record
-// stays as the migration's fence, refusing every later frame until its
-// timer reaps it at twice the lease, a minute at least. An install in
-// flight in the record is waited for first, so what end lets go of can
-// no longer change. Unpause checks status and token, so stubs,
-// strangers and installed members ignore it.
-func (n *Node) end(key sessionKey, also []core.OID, outcome string) {
-	n.xferMu.Lock()
-	r := n.xfers[key]
-	for r != nil && r.installing {
-		n.xferIdle.Wait()
-		r = n.xfers[key]
-	}
-	if r == nil {
-		r = &xfer{lease: n.migrate.Lease}
-		n.xfers[key] = r
-	}
-	held := *r
-	*r = xfer{lease: held.lease, timer: held.timer, fenced: true}
-	n.arm(key, r, max(2*r.lease, time.Minute))
-	n.xferMu.Unlock()
-	if held.members != nil {
-		n.releaseReservation(key.from, key.token)
-		if outcome == "abort" {
-			atomic.AddInt64(&n.stats.StreamAborts, 1)
-		} else {
-			atomic.AddInt64(&n.stats.StreamSessionsExpired, 1)
-		}
-		n.emit(Event{Kind: EventMigrateStream, Target: key.from, Outcome: outcome, Bytes: held.bytes})
-	}
-	for _, rec := range n.store.GetBatch(slices.Concat(also, held.objs)) {
-		if rec != nil {
-			rec.Unpause(key.token)
-		}
-	}
-}
-
-// expire runs when r's timer fires: the coordinator has been silent for
-// a whole lease, or a fence has outlived every frame that could still
-// hit it. A record that paused members here goes to resolveExpiredLease;
-// a bare session simply ends.
-func (n *Node) expire(key sessionKey, r *xfer) {
-	n.xferMu.Lock()
-	if n.xfers[key] != r || time.Now().Before(r.deadline) {
-		n.xferMu.Unlock()
-		return // ended, or re-armed after the timer fired
-	}
-	fenced, paused := r.fenced, len(r.objs) > 0
-	elsewhere := paused && r.target != "" && r.target != n.id
-	if fenced || elsewhere {
-		n.dropLocked(key) // reaped; or the resolution owns r now
-	}
-	n.xferMu.Unlock()
-	switch {
-	case paused:
-		n.resolveExpiredLease(key, r, elsewhere)
-	case !fenced:
-		n.end(key, nil, "expire")
-	}
-}
-
-// resolveExpiredLease decides the outcome of a migration whose
-// coordinator went silent while members were paused here. With the
-// target here, ending the record is the answer. With the target
-// elsewhere, resuming after the target committed the install would
-// leave the object live twice, so the target is fenced first and probed
-// second: once it holds the fence no install frame still in flight can
-// land there (an abort that meets an install waits for it), and the
-// probe reads a target that can no longer change. The install is
-// atomic, so asking about one member answers for the whole group:
-//
-//   - the target (authoritatively) hosts the member → the install
-//     committed; finish our side of the commit (forwarding stubs).
-//   - the target denies knowledge, or authoritatively places the
-//     member back here → the install never committed; resume.
-//   - anything else (an unconfirmed fence, an unreachable target, a
-//     third-party answer) → uncertain; stay paused and re-arm. A
-//     stuck-but-paused object is consistent and recoverable, a
-//     duplicated one is not.
-func (n *Node) resolveExpiredLease(key sessionKey, l *xfer, elsewhere bool) {
-	atomic.AddInt64(&n.stats.PauseLeasesExpired, 1)
-	n.xferMu.Lock() // with the target here, l is still in the table
-	objs, target := l.objs, l.target
-	n.xferMu.Unlock()
-	verdict := leaseAborted
-	if elsewhere {
-		verdict = leaseUnknown
-		if n.sendAbort(target, nil, key) == nil {
-			verdict = n.expiredLeaseVerdict(key, l)
-		}
-	}
-	outcome := "lease-resumed"
-	switch verdict {
-	case leaseCommitted:
-		// Run the commit the coordinator never delivered.
-		outcome = "lease-committed"
-		n.commitLocal(&wire.CommitReq{Objs: objs, NewHome: target, Token: key.token, From: key.from})
-	case leaseAborted:
-		n.end(key, objs, "expire")
-	case leaseUnknown:
-		outcome = "lease-retry"
-		n.xferMu.Lock()
-		if _, exists := n.xfers[key]; !exists {
-			n.xfers[key] = l
-			n.arm(key, l, l.lease)
-		}
-		n.xferMu.Unlock()
-	}
-	n.emit(Event{Kind: EventMigrateStream, Target: target, Outcome: outcome, Objects: oidRefs(objs)})
-}
-
 type leaseVerdict int
 
 const (
@@ -465,31 +595,28 @@ const (
 	leaseUnknown
 )
 
-// expiredLeaseVerdict asks the migration target whether the install
-// committed. Locate answers with authoritative knowledge only
-// (hosting, forwarding pointers, the origin's home index — never
-// cached hearsay), which is what makes the verdict trustworthy.
-func (n *Node) expiredLeaseVerdict(key sessionKey, l *xfer) leaseVerdict {
-	if len(l.objs) == 0 {
-		return leaseAborted
-	}
-	if l.target == "" || l.target == n.id {
-		// No target recorded (legacy pause), or the target is this very
-		// node: a committed install already replaced our paused records,
-		// making Unpause a token-checked no-op. Blind resume is safe.
-		return leaseAborted
-	}
-	probe := l.objs[0]
+// probe asks the migration target, already fenced, whether the install
+// of probe's group committed. Locate answers with authoritative
+// knowledge only (hosting, forwarding pointers, the origin's home index
+// — never cached hearsay), and the install is atomic, so one member
+// speaks for the group:
+//
+//   - the target hosts the member → the install committed.
+//   - the target denies knowledge, or places the member back here → it
+//     never committed.
+//   - anything else (an unreachable target, a third-party answer it
+//     cannot vouch for) → unknown.
+func (n *Node) probe(target NodeID, probe core.OID) leaseVerdict {
 	actx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	var resp wire.LocateResp
-	err := n.call(actx, l.target, wire.KLocate, &wire.LocateReq{Obj: probe}, &resp)
+	err := n.call(actx, target, wire.KLocate, &wire.LocateReq{Obj: probe}, &resp)
 	switch {
-	case err == nil && resp.At == l.target:
+	case err == nil && resp.At == target:
 		return leaseCommitted
 	case err == nil && resp.At == n.id:
 		return leaseAborted // the target's authoritative view points back here
-	case err == nil && probe.Origin != l.target:
+	case err == nil && probe.Origin != target:
 		// The target answered with a forward to a third node. For an
 		// object it did not create, the only way the target owns a
 		// forwarding pointer is having hosted the object: the install
@@ -507,8 +634,11 @@ func (n *Node) expiredLeaseVerdict(key sessionKey, l *xfer) leaseVerdict {
 // closeXfers stops every record's timer (node shutdown).
 func (n *Node) closeXfers() {
 	n.xferMu.Lock()
-	for key := range n.xfers {
-		n.dropLocked(key)
+	for key, s := range n.xfers {
+		delete(n.xfers, key)
+		if s.timer != nil {
+			s.timer.Stop()
+		}
 	}
 	n.xferMu.Unlock()
 }
@@ -517,8 +647,8 @@ func (n *Node) closeXfers() {
 func (n *Node) sessionCount() (count int) {
 	n.xferMu.Lock()
 	defer n.xferMu.Unlock()
-	for _, r := range n.xfers {
-		if r.members != nil {
+	for _, s := range n.xfers {
+		if s.x.members != nil {
 			count++
 		}
 	}

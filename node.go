@@ -67,21 +67,6 @@ type Config struct {
 	// Peers maps node IDs to dial addresses (needed on TCP clusters;
 	// local clusters address peers by ID automatically).
 	Peers map[NodeID]string
-	// CallRetries is the attempt half of the redirect-chasing budget:
-	// a chase may always make this many attempts, deadline or not.
-	// Defaults to 32. A chase normally terminates within a handful of
-	// hops; see ChaseDeadline for what happens when migrations churn
-	// faster than the chase can follow.
-	CallRetries int
-	// ChaseDeadline is the wall-clock half of the redirect-chasing
-	// budget: once CallRetries attempts are spent, a chase keeps
-	// retrying (with a gently growing backoff) until the deadline
-	// passes, so a chase racing heavy migration ping-pong waits the
-	// churn out instead of reporting ErrUnreachable while the object
-	// is merely in flight. Defaults to 2s; negative disables the
-	// extension (the attempt budget alone bounds the chase). The
-	// call's context still cancels a chase at any time.
-	ChaseDeadline time.Duration
 	// Migrate tunes the streaming group-migration transfer (chunk size,
 	// lease). The zero value selects the documented defaults; see
 	// MigrateConfig.
@@ -131,8 +116,8 @@ type Node struct {
 	id            NodeID
 	policy        core.MovePolicy
 	attachMode    core.AttachMode
-	retries       int
-	chaseDeadline time.Duration
+	retries       int           // callRetries; tests shrink the chase budget
+	chaseDeadline time.Duration // chaseDeadline
 	migrate       MigrateConfig
 	observer      Observer
 	events        *eventSink // non-nil when Config.ObserverBuffer > 0
@@ -145,7 +130,7 @@ type Node struct {
 	// xferIdle is signalled, under xferMu, when an install in one ends.
 	xferMu   sync.Mutex
 	xferIdle sync.Cond
-	xfers    map[sessionKey]*xfer
+	xfers    map[sessionKey]*xferSlot
 
 	aff       *affinity.Tracker
 	homeBatch *homeBatcher
@@ -221,12 +206,6 @@ func NewNode(cfg Config) (*Node, error) {
 	if !cfg.Attach.Valid() {
 		return nil, fmt.Errorf("objmig: invalid attach mode %d", cfg.Attach)
 	}
-	if cfg.CallRetries <= 0 {
-		cfg.CallRetries = 32
-	}
-	if cfg.ChaseDeadline == 0 {
-		cfg.ChaseDeadline = 2 * time.Second
-	}
 	listen := cfg.ListenAddr
 	if listen == "" {
 		if cfg.Cluster.mem != nil {
@@ -243,8 +222,8 @@ func NewNode(cfg Config) (*Node, error) {
 		id:            cfg.ID,
 		policy:        core.PolicyFor(cfg.Policy),
 		attachMode:    cfg.Attach,
-		retries:       cfg.CallRetries,
-		chaseDeadline: cfg.ChaseDeadline,
+		retries:       callRetries,
+		chaseDeadline: chaseDeadline,
 		migrate:       cfg.Migrate.withDefaults(),
 		capacity:      cfg.Capacity,
 		capBytes:      cfg.CapacityBytes,
@@ -255,7 +234,7 @@ func NewNode(cfg Config) (*Node, error) {
 		aff:           affinity.New(cfg.ID),
 		types:         make(map[string]objectType),
 		peers:         make(map[NodeID]string),
-		xfers:         make(map[sessionKey]*xfer),
+		xfers:         make(map[sessionKey]*xferSlot),
 		jobTable:      make(map[uint64]*Job),
 		tel:           newNodeTelemetry(),
 	}

@@ -156,6 +156,7 @@ func TestOpenMovesBalancedAfterBusyRetries(t *testing.T) {
 type sendTap struct {
 	transport.Transport
 	kind wire.Kind
+	to   string // frames to this address only; "": to any
 
 	mu   sync.Mutex
 	hook func() // nil: disarmed
@@ -169,8 +170,8 @@ func (t *sendTap) arm(hook func()) {
 
 func (t *sendTap) Dial(addr string) (transport.Conn, error) {
 	c, err := t.Transport.Dial(addr)
-	if err != nil {
-		return nil, err
+	if err != nil || t.to != "" && addr != t.to {
+		return c, err
 	}
 	return &sendTapConn{Conn: c, tap: t}, nil
 }

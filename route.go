@@ -140,14 +140,21 @@ func redirectLocked(rec *store.Record) error {
 	return &wire.RemoteError{Code: wire.CodeMoved, Msg: rec.ID.String(), To: rec.MovedTo}
 }
 
+// The two halves of a chase's budget (see chase): the attempts it may
+// always make, and how long it keeps retrying once they are spent.
+const (
+	callRetries   = 32
+	chaseDeadline = 2 * time.Second
+)
+
 // chase is the adaptive retry budget of one location chase. A chase
 // normally terminates within a handful of hops, and the attempt budget
-// (Config.CallRetries) covers that common case cheaply. But a fixed
+// (callRetries) covers that common case cheaply. But a fixed
 // attempt count alone is a wall-clock budget in disguise — 32 attempts
 // at 1 ms apart is ~32 ms — and under heavy migration ping-pong (or on
 // a starved single-CPU box) a single transfer can take longer than
 // that, so a correct chase could exhaust its budget while the object
-// was merely in flight. The deadline (Config.ChaseDeadline) closes
+// was merely in flight. The deadline (chaseDeadline) closes
 // that hole: a chase keeps retrying until BOTH the attempt budget and
 // the deadline are spent, so churn stretches the chase instead of
 // failing it, while the deadline still guarantees termination.
@@ -157,7 +164,7 @@ type chase struct {
 	attempt  int
 	hops     int       // remote calls issued — the directory's cost metric
 	start    time.Time // chase begin, for the latency histogram
-	deadline time.Time // zero when ChaseDeadline is disabled
+	deadline time.Time // zero when the deadline is disabled
 }
 
 // newChase starts a chase budget for one logical operation on oid. The

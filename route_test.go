@@ -321,7 +321,10 @@ func TestRoutedOps(t *testing.T) {
 		t.Parallel()
 		ctx := ctxShort(t)
 		const attempts = 3
-		nodes := routeCluster(t, Config{CallRetries: attempts, ChaseDeadline: -1})
+		nodes := routeCluster(t, Config{})
+		for _, n := range nodes {
+			n.retries, n.chaseDeadline = attempts, -1 // attempts only
+		}
 		caller := nodes[2]
 		oid := pingPong(t, ctx, nodes)
 		for _, op := range routedOps {
