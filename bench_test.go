@@ -242,8 +242,10 @@ func BenchmarkRuntimeMigration(b *testing.B) {
 }
 
 // BenchmarkRuntimeMoveBlock measures an uncontended placement
-// move-block: move-request, one call, end-request, and the migration
-// back and forth it implies.
+// move-block: move-request, one call, end-request. Only the first
+// block migrates the object to the caller; every later one finds it
+// there and is a stay, which stamps the block's lock and transfers
+// nothing.
 func BenchmarkRuntimeMoveBlock(b *testing.B) {
 	a, remote, ref := benchNodes(b, PolicyPlacement)
 	_ = a

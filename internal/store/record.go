@@ -27,7 +27,11 @@ const (
 // serialises per-object state; the shard lock of the owning Store only
 // guards table membership. Lock order is shard table lock → Record.Mu →
 // shard location lock; Record.Mu may be taken with or without a shard
-// lock held, never the other way around.
+// lock held, never the other way around. Several Record.Mu are held at
+// once only in ascending OID order: by a relocation whose working set
+// stays where it is (the members it stamps, no shard lock taken while
+// any is held) and by InstallBatch (the records it replaces, in the
+// migration's canonical member order).
 type Record struct {
 	ID       core.OID // the object's cluster-unique identity
 	TypeName string   // registered type that reinstantiates the object

@@ -103,11 +103,19 @@ func sortedOIDs(members map[core.OID]NodeID) []core.OID {
 // On any failure before the commit the pauses are rolled back, the
 // target's session is discarded, and the system is unchanged. Every
 // failing exit aborts every host that may hold a pause — including
-// veto exits after only some hosts responded.
+// veto exits after only some hosts responded. A group already live at
+// its target, this node, does not travel at all (see stay).
 func (n *Node) migrateGroup(ctx context.Context, r relocation, members map[core.OID]NodeID) ([]core.OID, error) {
+	ids := sortedOIDs(members)
+	switch stayed, err := n.stay(r, ids, members); {
+	case err != nil:
+		return nil, err
+	case stayed:
+		return ids, nil
+	}
 	t := &transfer{
 		relocation: r, n: n, token: n.nextToken(), start: time.Now(),
-		ids:  sortedOIDs(members),
+		ids:  ids,
 		gens: make(map[core.OID]uint64, len(members)),
 	}
 	// Group members by host, hosts in deterministic order. A group's
@@ -136,6 +144,51 @@ func (n *Node) migrateGroup(ctx context.Context, r relocation, members map[core.
 		return nil, err
 	}
 	return n.finishGroupMigration(ctx, t)
+}
+
+// stay carries out r for a working set already live at its target,
+// this node: like the paper's stayed move-block it only records r's lock
+// (or refix) on the members — no token, pause, snapshot, frame or
+// advisory. Under the members' record locks, taken in canonical
+// (ascending OID) order, every member is admitted before any is stamped,
+// so one veto leaves the set untouched. It reports false, having changed
+// nothing, unless the walk placed every member here and each is active;
+// the transfer then meets the race, busy set or denial as it always did.
+func (n *Node) stay(r relocation, ids []core.OID, members map[core.OID]NodeID) (bool, error) {
+	if r.target != n.id {
+		return false, nil
+	}
+	var buf [8]*store.Record
+	recs := buf[:0]
+	for _, oid := range ids {
+		rec, ok := n.hostedRecord(oid)
+		if !ok || members[oid] != n.id {
+			return false, nil
+		}
+		recs = append(recs, rec)
+	}
+	locked := 0
+	defer func() {
+		for _, rec := range recs[:locked] {
+			rec.Mu.Unlock()
+		}
+	}()
+	for _, rec := range recs {
+		rec.Mu.Lock()
+		locked++
+		if rec.Status != store.StatusActive {
+			return false, nil
+		}
+	}
+	for i, rec := range recs {
+		if err := r.admit(ids[i], &rec.Pol); err != nil {
+			return true, err
+		}
+	}
+	for i, rec := range recs {
+		r.mutate(ids[i], &rec.Pol)
+	}
+	return true, nil
 }
 
 // transfer is one group migration in flight at its coordinator: the

@@ -99,7 +99,7 @@ func (n *Node) handleMove(ctx context.Context, rec *store.Record, req *wire.Move
 		// is spoken for); the chasing policies wait it out.
 		rec.Mu.Unlock()
 		if placement {
-			return &wire.MoveResp{Outcome: wire.MoveDenied, Reason: core.ReasonLocked, At: n.id}, nil
+			return n.deny(req, core.ReasonLocked), nil
 		}
 		if !relocateWait(ctx, attempt) {
 			return nil, wire.Errorf(wire.CodeDenied, "working set of %s stayed busy", req.Obj)
@@ -120,9 +120,7 @@ func (n *Node) handleMove(ctx context.Context, rec *store.Record, req *wire.Move
 	rec.Mu.Unlock()
 
 	if dec.Action == core.ActionDeny {
-		atomic.AddInt64(&n.stats.MovesDenied, 1)
-		n.emit(Event{Kind: EventMoveDecision, Obj: Ref{OID: req.Obj}, Target: req.From, Outcome: "denied"})
-		return &wire.MoveResp{Outcome: wire.MoveDenied, Reason: dec.Reason, At: n.id}, nil
+		return n.deny(req, dec.Reason), nil
 	}
 
 	// Granted: collocate the working set at the caller; a placement
@@ -136,7 +134,7 @@ func (n *Node) handleMove(ctx context.Context, rec *store.Record, req *wire.Move
 		n.policy.Abort(&rec.Pol, coreReq) // undo the grant's policy effects
 		rec.Mu.Unlock()
 		if placement && isCode(err, wire.CodeDenied) {
-			return &wire.MoveResp{Outcome: wire.MoveDenied, Reason: core.ReasonLocked, At: n.id}, nil
+			return n.deny(req, core.ReasonLocked), nil
 		}
 		return nil, err
 	}
@@ -147,6 +145,14 @@ func (n *Node) handleMove(ctx context.Context, rec *store.Record, req *wire.Move
 	atomic.AddInt64(count, 1)
 	n.emit(Event{Kind: EventMoveDecision, Obj: Ref{OID: req.Obj}, Target: req.From, Outcome: name})
 	return &wire.MoveResp{Outcome: outcome, At: req.From, Moved: moved}, nil
+}
+
+// deny answers a move-request with a denial, counted and announced here
+// whichever check refused it: the policy, or another migration's pause.
+func (n *Node) deny(req *wire.MoveReq, reason core.DenyReason) *wire.MoveResp {
+	atomic.AddInt64(&n.stats.MovesDenied, 1)
+	n.emit(Event{Kind: EventMoveDecision, Obj: Ref{OID: req.Obj}, Target: req.From, Outcome: "denied"})
+	return &wire.MoveResp{Outcome: wire.MoveDenied, Reason: reason, At: n.id}
 }
 
 // relocation is the run-time support's one way to change an object's

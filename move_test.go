@@ -329,3 +329,45 @@ func TestMoveDecisionReasonSurfaced(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestMoveDenialsCounted: MovesGranted + MovesStayed + MovesDenied
+// classify every decided move-request, so a placement move refused
+// because another migration holds its working set is counted and
+// announced like a policy denial — whether that migration holds the
+// root itself or only a member.
+func TestMoveDenialsCounted(t *testing.T) {
+	t.Parallel()
+	for _, tc := range []struct {
+		name string
+		held int // the group member the other migration holds paused
+	}{
+		{"root paused", 0},
+		{"member paused", 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			ctx := ctxShort(t)
+			cl, tap := newTappedCluster()
+			rec := &recorder{}
+			nodes := testClusterOn(t, cl, 3, Config{Policy: PolicyPlacement, Observer: rec.observe})
+			group := attachedGroup(t, nodes[0], 2)
+			release := holdMigration(t, tap, nodes[0], "n2", group[tc.held])
+			err := nodes[1].Move(ctx, group[0], func(_ context.Context, b *Block) error {
+				if b.Granted {
+					t.Error("move granted while another migration holds its working set")
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			release()
+			if got := nodes[0].Stats().MovesDenied; got != 1 {
+				t.Errorf("MovesDenied = %d, want 1", got)
+			}
+			if got := rec.count(EventMoveDecision, "denied"); got != 1 {
+				t.Errorf("%d denied events, want 1", got)
+			}
+		})
+	}
+}

@@ -26,7 +26,9 @@ type Stats struct {
 	// EndRequests counts end-requests processed here.
 	EndRequests int64
 	// MigrationsOut counts transfer batches coordinated by this node;
-	// ObjectsMovedOut the objects they carried.
+	// ObjectsMovedOut the objects they carried. A working set already
+	// at its target stays put and is counted by neither (nor by
+	// ObjectsInstalled); a stayed move counts in MovesStayed.
 	MigrationsOut   int64
 	ObjectsMovedOut int64
 	// ObjectsInstalled counts objects that arrived here.

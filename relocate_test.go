@@ -2,11 +2,14 @@ package objmig
 
 import (
 	"context"
+	"errors"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
 
 	"objmig/internal/core"
+	"objmig/internal/store"
 	"objmig/internal/transport"
 	"objmig/internal/wire"
 )
@@ -367,5 +370,304 @@ func TestEnableRacesClose(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// holdMigration starts migrating objs, all hosted at from, to target as
+// one group, and returns once tap holds the group's committing install
+// frame back: until release, every member stays paused at from by a
+// migration in flight. release delivers the frame and waits for the
+// migration to succeed; calling it again is a no-op.
+func holdMigration(t *testing.T, tap *installTap, from *Node, target NodeID, objs ...Ref) (release func()) {
+	t.Helper()
+	tap.setDecide(func(req *wire.InstallReq) tapAction {
+		if req.Commit {
+			return tapHold
+		}
+		return tapDeliver
+	})
+	members := make(map[core.OID]NodeID, len(objs))
+	for _, o := range objs {
+		members[o.OID] = from.ID()
+	}
+	ctx, seen := ctxShort(t), tap.seen()
+	done := make(chan error, 1)
+	go func() {
+		_, err := from.migrateGroup(ctx, relocation{root: objs[0].OID, target: target}, members)
+		done <- err
+	}()
+	for deadline := time.Now().Add(5 * time.Second); tap.seen() == seen; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the held migration never sent its install frame")
+		}
+	}
+	var once sync.Once
+	release = func() {
+		once.Do(func() {
+			tap.setDecide(nil)
+			if err := tap.release(); err != nil {
+				t.Error(err)
+			}
+			if err := <-done; err != nil {
+				t.Errorf("held migration: %v", err)
+			}
+		})
+	}
+	t.Cleanup(release)
+	return release
+}
+
+// relocationCounters are the counters a transfer moves and a stay
+// leaves alone, summed over a cluster.
+type relocationCounters struct {
+	migrationsOut, movedOut, installed, homeUpdates, sessions int64
+}
+
+func countRelocations(nodes []*Node) (c relocationCounters) {
+	for _, n := range nodes {
+		s := n.Stats()
+		c.migrationsOut += s.MigrationsOut
+		c.movedOut += s.ObjectsMovedOut
+		c.installed += s.ObjectsInstalled
+		c.homeUpdates += s.HomeUpdatesQueued
+		c.sessions += int64(n.sessionCount())
+	}
+	return c
+}
+
+// TestRelocateStay: a relocation whose working set is already live at
+// its target, the node that runs it, stamps the set under the members'
+// record locks and transfers nothing — and falls back to the transfer,
+// unchanged, whenever one member is not live there.
+func TestRelocateStay(t *testing.T) {
+	t.Parallel()
+
+	// lockedBy asserts that every member carries (or, with a zero lock,
+	// does not carry) the placement lock want.
+	lockedBy := func(t *testing.T, ctx context.Context, nodes []*Node, group []Ref, want core.LockState) {
+		t.Helper()
+		for i, m := range group {
+			if got := polAtHost(t, ctx, nodes, m).Lock; got != want {
+				t.Errorf("member %d lock = %+v, want %+v", i, got, want)
+			}
+		}
+	}
+
+	t.Run("stayed block transfers nothing", func(t *testing.T) {
+		t.Parallel()
+		ctx := ctxShort(t)
+		rec := &recorder{}
+		nodes := observedCluster(t, 3, PolicyPlacement, rec)
+		// The closure lives at n1 and was created at n0, so a transfer
+		// would have an origin to advise.
+		group := attachedGroup(t, nodes[0], 4)
+		if err := nodes[0].Migrate(ctx, group[0], "n1"); err != nil {
+			t.Fatal(err)
+		}
+		before, migrations := countRelocations(nodes), rec.count(EventMigration, "")
+		err := nodes[1].Move(ctx, group[0], func(ctx context.Context, b *Block) error {
+			if !b.Granted || b.At != "n1" || len(b.Moved) != len(group) {
+				t.Errorf("stayed block: granted=%v at=%v moved=%d", b.Granted, b.At, len(b.Moved))
+			}
+			lock := polAtHost(t, ctx, nodes, group[0]).Lock
+			if !lock.Held || lock.Owner != "n1" {
+				t.Fatalf("root lock = %+v, want held by n1", lock)
+			}
+			lockedBy(t, ctx, nodes, group, lock)
+			for i, m := range group {
+				err := nodes[2].Move(ctx, m, func(ctx context.Context, b2 *Block) error {
+					if b2.Granted {
+						t.Errorf("member %d granted to n2 inside n1's block", i)
+					}
+					return nil
+				})
+				if err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if after := countRelocations(nodes); after != before {
+			t.Errorf("counters moved across the stay: %+v, then %+v", before, after)
+		}
+		if got := rec.count(EventMigration, ""); got != migrations {
+			t.Errorf("%d migration events after the stay, want %d", got, migrations)
+		}
+		if got := rec.count(EventMoveDecision, "stayed"); got != 1 || nodes[1].Stats().MovesStayed != 1 {
+			t.Errorf("stayed decisions: %d events, MovesStayed %d; want 1 and 1", got, nodes[1].Stats().MovesStayed)
+		}
+		lockedBy(t, ctx, nodes, group, core.LockState{})
+	})
+
+	t.Run("member elsewhere transfers", func(t *testing.T) {
+		t.Parallel()
+		ctx := ctxShort(t)
+		rec := &recorder{}
+		nodes := observedCluster(t, 3, PolicyPlacement, rec)
+		group := attachedGroup(t, nodes[0], 4)
+		if err := nodes[0].Migrate(ctx, group[0], "n1"); err != nil {
+			t.Fatal(err)
+		}
+		last := group[3]
+		if _, err := nodes[1].migrateGroup(ctx, relocation{root: last.OID, target: "n2"}, map[core.OID]NodeID{last.OID: "n1"}); err != nil {
+			t.Fatal(err)
+		}
+		before, migrations := countRelocations(nodes), rec.count(EventMigration, "")
+		err := nodes[1].Move(ctx, group[0], func(ctx context.Context, b *Block) error {
+			if at := whereIs(t, ctx, nodes[1], last); at != "n1" {
+				t.Errorf("the member left at n2 is at %v inside the block, want n1", at)
+			}
+			lockedBy(t, ctx, nodes, group, core.LockState{Held: true, Owner: "n1", Block: polAtHost(t, ctx, nodes, group[0]).Lock.Block})
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		after := countRelocations(nodes)
+		if after.migrationsOut != before.migrationsOut+1 || after.installed != before.installed+int64(len(group)) {
+			t.Errorf("transfer counters %+v, then %+v; want one migration installing %d", before, after, len(group))
+		}
+		if got := rec.count(EventMigration, ""); got != migrations+1 {
+			t.Errorf("%d migration events, want %d", got, migrations+1)
+		}
+	})
+
+	t.Run("fixed member vetoes and nothing is stamped", func(t *testing.T) {
+		t.Parallel()
+		ctx := ctxShort(t)
+		nodes := testCluster(t, 2, Config{Policy: PolicyPlacement})
+		group := attachedGroup(t, nodes[0], 4)
+		// The last member in canonical order: every other member is
+		// admitted before it is.
+		if err := nodes[0].Fix(ctx, group[3]); err != nil {
+			t.Fatal(err)
+		}
+		err := nodes[0].Move(ctx, group[0], func(context.Context, *Block) error {
+			t.Error("the block ran although its working set holds a fixed member")
+			return nil
+		})
+		if !errors.Is(err, ErrFixed) {
+			t.Fatalf("move = %v, want ErrFixed", err)
+		}
+		lockedBy(t, ctx, nodes, group, core.LockState{})
+		if c := countRelocations(nodes); c.migrationsOut != 0 {
+			t.Errorf("%d migrations, want none", c.migrationsOut)
+		}
+	})
+
+	t.Run("paused member falls back and is denied", func(t *testing.T) {
+		t.Parallel()
+		ctx := ctxShort(t)
+		cl, tap := newTappedCluster()
+		rec := &recorder{}
+		nodes := testClusterOn(t, cl, 2, Config{Policy: PolicyPlacement, Observer: rec.observe})
+		group := attachedGroup(t, nodes[0], 4)
+		release := holdMigration(t, tap, nodes[0], "n1", group[2])
+		err := nodes[0].Move(ctx, group[0], func(context.Context, *Block) error { return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		release()
+		if s := nodes[0].Stats(); s.MovesDenied != 1 || s.MovesStayed != 0 {
+			t.Errorf("MovesDenied %d, MovesStayed %d; want 1 and 0", s.MovesDenied, s.MovesStayed)
+		}
+		if got := rec.count(EventMoveDecision, "denied"); got != 1 {
+			t.Errorf("%d denied events, want 1", got)
+		}
+		lockedBy(t, ctx, nodes, group, core.LockState{})
+	})
+
+	t.Run("refix in place", func(t *testing.T) {
+		t.Parallel()
+		ctx := ctxShort(t)
+		rec := &recorder{}
+		nodes := observedCluster(t, 2, PolicyPlacement, rec)
+		group := attachedGroup(t, nodes[0], 2)
+		if err := nodes[1].Refix(ctx, group[0], "n0"); err != nil {
+			t.Fatal(err)
+		}
+		for i, want := range []bool{true, false} {
+			if fixed, err := nodes[1].IsFixed(ctx, group[i]); err != nil || fixed != want {
+				t.Errorf("IsFixed(member %d) = %v, %v; want %v", i, fixed, err, want)
+			}
+		}
+		if c := countRelocations(nodes); c.migrationsOut != 0 || c.installed != 0 || rec.count(EventMigration, "") != 0 {
+			t.Errorf("refix in place transferred: %+v", c)
+		}
+	})
+}
+
+// TestRelocateStayRacesMigrations runs stays, granted and denied blocks
+// and cross-node migrations of overlapping working sets at once: the
+// stay's record locks and the transfers' pauses must serialise, so
+// afterwards every object is live, unpaused, on exactly one node.
+func TestRelocateStayRacesMigrations(t *testing.T) {
+	t.Parallel()
+	ctx := ctxShort(t)
+	nodes := testCluster(t, 3, Config{Policy: PolicyPlacement})
+	objs := make([]Ref, 8)
+	for i := range objs {
+		objs[i] = mustCreate(t, nodes[0])
+	}
+	// Two chains of three and two singletons: a block or a migration on
+	// any chain member drags the whole chain.
+	for _, e := range [][2]int{{0, 1}, {1, 2}, {3, 4}, {4, 5}} {
+		if err := nodes[0].Attach(ctx, objs[e[0]], objs[e[1]], NoAlliance); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(rng *rand.Rand) {
+			defer wg.Done()
+			for i := 0; i < 40; i++ {
+				o, n := objs[rng.Intn(len(objs))], nodes[rng.Intn(len(nodes))]
+				var err error
+				switch rng.Intn(3) {
+				case 0: // most often a stay: from where the object is
+					var at NodeID
+					if at, err = n.Locate(ctx, o); err != nil {
+						break
+					}
+					for _, h := range nodes {
+						if h.ID() == at {
+							n = h
+						}
+					}
+					fallthrough
+				case 1:
+					err = n.Move(ctx, o, func(ctx context.Context, _ *Block) error {
+						_, err := Call[int, int](ctx, n, o, "Add", 1)
+						return err
+					})
+				case 2:
+					err = n.Migrate(ctx, o, nodes[rng.Intn(len(nodes))].ID())
+				}
+				if err != nil && !errors.Is(err, ErrDenied) {
+					t.Errorf("%s: %v", o, err)
+				}
+			}
+		}(rand.New(rand.NewSource(int64(w))))
+	}
+	wg.Wait()
+	for _, o := range objs {
+		var live []NodeID
+		for _, n := range nodes {
+			if rec, ok := n.hostedRecord(o.OID); ok {
+				rec.Mu.Lock()
+				if rec.Status != store.StatusActive || rec.Pol.Lock.Held {
+					t.Errorf("%s at %s: status %d, lock %+v after every block ended", o, n.ID(), rec.Status, rec.Pol.Lock)
+				}
+				rec.Mu.Unlock()
+				live = append(live, n.ID())
+			}
+		}
+		if len(live) != 1 {
+			t.Errorf("%s live at %v, want exactly one node", o, live)
+		}
 	}
 }
