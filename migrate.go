@@ -469,17 +469,10 @@ func (n *Node) finishGroupMigration(ctx context.Context, t *transfer) ([]core.OI
 // eventually learn it. Bounded — after the retries give up, the host's
 // lease resolves the outcome against the target on its own.
 func (n *Node) retryCommit(h NodeID, req *wire.CommitReq) {
-	n.spawn(func() {
-		for attempt := 0; attempt < 10 && !n.closed.Load(); attempt++ {
-			time.Sleep(500 * time.Millisecond)
-			actx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			var resp wire.CommitResp
-			err := n.call(actx, h, wire.KCommit, req, &resp)
-			cancel()
-			if err == nil {
-				return
-			}
-		}
+	n.retry(10, 500*time.Millisecond, func() error {
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		defer cancel()
+		return n.call(ctx, h, wire.KCommit, req, &wire.CommitResp{})
 	})
 }
 

@@ -530,6 +530,23 @@ func (n *Node) spawn(fn func()) {
 	}()
 }
 
+// retry re-runs a failed attempt in the background, up to tries more
+// times spaced by every, each on a tracked goroutine (see spawn), until
+// one succeeds or the node closes. Between attempts only a timer is
+// pending, so Close never waits out the spacing.
+func (n *Node) retry(tries int, every time.Duration, attempt func() error) {
+	if tries <= 0 || n.closed.Load() {
+		return
+	}
+	time.AfterFunc(every, func() {
+		n.spawn(func() {
+			if !n.closed.Load() && attempt() != nil {
+				n.retry(tries-1, every, attempt)
+			}
+		})
+	})
+}
+
 // periodic is one ticker-driven duty of a daemon: fn runs every period.
 // A period <= 0 means never (the duty is disabled).
 type periodic struct {

@@ -152,10 +152,11 @@ func TestOpenMovesBalancedAfterBusyRetries(t *testing.T) {
 }
 
 // sendTap wraps a transport so a test can run a hook, synchronously,
-// just before the first request frame of one kind leaves any node. Like
-// installTap it reads the rpc frame header (direction byte, 8-byte call
-// ID, kind byte); the tests assert the hook fired, so a layout change
-// fails loudly.
+// just before the first request frame of one kind leaves any node —
+// and, armed with armFail, drop that frame: its Send fails and the
+// frame never leaves. Like installTap it reads the rpc frame header
+// (direction byte, 8-byte call ID, kind byte); the tests assert the
+// hook fired, so a layout change fails loudly.
 type sendTap struct {
 	transport.Transport
 	kind wire.Kind
@@ -163,11 +164,17 @@ type sendTap struct {
 
 	mu   sync.Mutex
 	hook func() // nil: disarmed
+	fail bool   // the hooked frame is dropped
 }
 
-func (t *sendTap) arm(hook func()) {
+func (t *sendTap) arm(hook func()) { t.set(hook, false) }
+
+// armFail is arm, and the hooked frame is dropped.
+func (t *sendTap) armFail(hook func()) { t.set(hook, true) }
+
+func (t *sendTap) set(hook func(), fail bool) {
 	t.mu.Lock()
-	t.hook = hook
+	t.hook, t.fail = hook, fail
 	t.mu.Unlock()
 }
 
@@ -184,14 +191,19 @@ type sendTapConn struct {
 	tap *sendTap
 }
 
+var errTapDropped = errors.New("sendTap: frame dropped")
+
 func (c *sendTapConn) Send(frame []byte) error {
 	if len(frame) >= 10 && frame[0] == 0 && wire.Kind(frame[9]) == c.tap.kind {
 		c.tap.mu.Lock()
-		hook := c.tap.hook
-		c.tap.hook = nil
+		hook, fail := c.tap.hook, c.tap.fail
+		c.tap.hook, c.tap.fail = nil, false
 		c.tap.mu.Unlock()
 		if hook != nil {
 			hook()
+			if fail {
+				return errTapDropped
+			}
 		}
 	}
 	return c.Conn.Send(frame)
