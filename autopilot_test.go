@@ -413,10 +413,10 @@ func TestAffinityGossipReachesOriginTarget(t *testing.T) {
 	t.Fatalf("origin-target never received the affinity gossip: %+v", nodes[2].Affinity())
 }
 
-// TestHomeUpdateBatchingCoalesces: several quick migrations towards the
-// same destination must collapse into fewer HomeUpdate RPCs, the origin
-// must still learn the new home, and the coordinator's affinity
-// observations must arrive as gossip.
+// TestHomeUpdateBatchingCoalesces: after several quick migrations
+// towards the same destination the origin learns every new home, each
+// advisory in one HomeUpdate RPC, and the coordinator's affinity
+// observations arrive as gossip.
 func TestHomeUpdateBatchingCoalesces(t *testing.T) {
 	t.Parallel()
 	ctx := ctxShort(t)
@@ -428,11 +428,6 @@ func TestHomeUpdateBatchingCoalesces(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Widen n1's batch window so all migrations coalesce deterministically.
-	nodes[1].homeBatch.mu.Lock()
-	nodes[1].homeBatch.maxDelay = 200 * time.Millisecond
-	nodes[1].homeBatch.mu.Unlock()
-
 	const objects = 6
 	refs := make([]Ref, objects)
 	for i := range refs {
@@ -450,7 +445,7 @@ func TestHomeUpdateBatchingCoalesces(t *testing.T) {
 		}
 	}
 	// n1 → n2: origin n0 is neither coordinator nor target, so each
-	// migration queues one advisory for n0.
+	// migration sends n0 one advisory.
 	for _, ref := range refs {
 		if err := nodes[1].Migrate(ctx, ref, "n2"); err != nil {
 			t.Fatal(err)
@@ -461,23 +456,18 @@ func TestHomeUpdateBatchingCoalesces(t *testing.T) {
 		t.Fatalf("HomeUpdatesQueued = %d, want %d", st.HomeUpdatesQueued, objects)
 	}
 
-	// The batch flushes within the widened window; the origin then
-	// knows the new home and holds the gossiped affinity.
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		if at, ok := nodes[0].store.Home(refs[objects-1].OID); ok && at == "n2" {
-			break
+	// The origin then knows every new home and holds the gossiped
+	// affinity.
+	eventually(t, 10*time.Second, func() bool {
+		for _, ref := range refs {
+			if at, ok := nodes[0].store.Home(ref.OID); !ok || at != "n2" {
+				return false
+			}
 		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	for _, ref := range refs {
-		if at, ok := nodes[0].store.Home(ref.OID); !ok || at != "n2" {
-			t.Fatalf("origin home for %v = %v, %v; want n2", ref, at, ok)
-		}
-	}
-	st = nodes[1].Stats()
-	if st.HomeUpdateBatches == 0 || st.HomeUpdateBatches >= st.HomeUpdatesQueued {
-		t.Fatalf("HomeUpdateBatches = %d for %d queued updates; want 1 ≤ batches < queued",
+		return true
+	}, "the origin never learned n2 for every object")
+	if st = nodes[1].Stats(); st.HomeUpdateBatches != st.HomeUpdatesQueued {
+		t.Fatalf("HomeUpdateBatches = %d for %d advisories; want one RPC each",
 			st.HomeUpdateBatches, st.HomeUpdatesQueued)
 	}
 	// Gossip: n0's tracker learned that n2 uses these objects.

@@ -323,7 +323,7 @@ func run() int {
 	fmt.Printf("shutting down: served %d invocations, granted %d moves, hosted %d objects\n",
 		st.InvocationsServed, st.MovesGranted, st.ObjectsHosted)
 	if *autopilot {
-		fmt.Printf("autopilot total: %d migrations carrying %d objects, %d deferred, %d home-update batches for %d advisories\n",
+		fmt.Printf("autopilot total: %d migrations carrying %d objects, %d deferred, %d home-update RPCs for %d advisories\n",
 			st.AutopilotMigrations, st.AutopilotObjectsMoved, st.AutopilotDeferred,
 			st.HomeUpdateBatches, st.HomeUpdatesQueued)
 	}

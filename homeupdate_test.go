@@ -9,49 +9,47 @@ import (
 	"objmig/internal/wire"
 )
 
-// TestCloseFlushesHomeUpdates: an advisory still waiting in its batch
-// window leaves when the node closes — the origin knows the new home by
-// the time Close returns — and the batch's timer, firing after Close,
-// finds nothing left to send.
+// TestCloseFlushesHomeUpdates: an advisory still on its way when the
+// node closes holds Close up until it has left — the origin knows the
+// new home by the time Close returns.
 func TestCloseFlushesHomeUpdates(t *testing.T) {
 	t.Parallel()
 	ctx := ctxShort(t)
-	nodes := testCluster(t, 3, Config{})
-	b := nodes[1].homeBatch
-	b.mu.Lock()
-	b.maxDelay = time.Hour
-	b.mu.Unlock()
+	net := transport.NewNetwork()
+	tap := &sendTap{Transport: net.Transport(), kind: wire.KHomeUpdate, to: "n0"}
+	nodes := testClusterOn(t, &Cluster{tr: tap, mem: net}, 3, Config{})
 
 	ref := mustCreate(t, nodes[0])
 	if err := nodes[0].Migrate(ctx, ref, "n1"); err != nil {
 		t.Fatal(err)
 	}
-	// n1 → n2: the origin n0 is neither coordinator nor target, so the
-	// advisory waits in n1's batch.
+	// n1 → n2: the origin n0 is neither coordinator nor target, so n1
+	// sends it the advisory, which the tap holds in flight.
+	held, release := make(chan struct{}), make(chan struct{})
+	tap.arm(func() { close(held); <-release })
 	if err := nodes[1].Migrate(ctx, ref, "n2"); err != nil {
 		t.Fatal(err)
 	}
-	b.mu.Lock()
-	key := homeKey{origin: "n0", at: "n2"}
-	late := b.pend[key]
-	b.mu.Unlock()
-	if late == nil {
-		t.Fatal("no batch pending at n1 for (n0, n2)")
+	select {
+	case <-held:
+	case <-time.After(5 * time.Second):
+		close(release)
+		t.Fatal("the advisory to the origin was never sent")
 	}
-	if at, _ := nodes[0].store.Home(ref.OID); at != "n1" {
-		t.Fatalf("origin home = %v before the window closed, want n1", at)
+	closed := make(chan error, 1)
+	go func() { closed <- nodes[1].Close() }()
+	select {
+	case err := <-closed:
+		close(release)
+		t.Fatalf("Close returned (%v) with an advisory in flight", err)
+	case <-time.After(50 * time.Millisecond):
 	}
-
-	if err := nodes[1].Close(); err != nil {
+	close(release)
+	if err := <-closed; err != nil {
 		t.Fatal(err)
 	}
 	if at, ok := nodes[0].store.Home(ref.OID); !ok || at != "n2" {
 		t.Fatalf("origin home after Close = %v, %v; want n2", at, ok)
-	}
-	sent := nodes[1].Stats().HomeUpdateBatches
-	b.flush(key, late) // what the batch's timer runs when it fires
-	if got := nodes[1].Stats().HomeUpdateBatches; got != sent {
-		t.Fatalf("a timer firing after Close sent %d batches", got-sent)
 	}
 }
 
@@ -144,4 +142,50 @@ func TestFailedSendsAreRetried(t *testing.T) {
 			t.Fatalf("Close took %v with a commit retry pending; the retry spacing is 500ms", d)
 		}
 	})
+}
+
+// TestGroupGenerationOutranksClosureReport: a closure report carries
+// the group's highest departure generation for every member, so a
+// member that travelled with an older generation must not fall behind
+// it. After the group moves and the member then moves alone, the
+// origin must accept the member's own report — not keep the closure's
+// host, whose stub retires on the ack.
+func TestGroupGenerationOutranksClosureReport(t *testing.T) {
+	t.Parallel()
+	ctx := ctxShort(t)
+	nodes := testCluster(t, 4, Config{})
+	a, b := mustCreate(t, nodes[0]), mustCreate(t, nodes[0])
+	// a travels more than b, so a's generation runs ahead.
+	for _, hop := range []NodeID{"n1", "n3", "n1"} {
+		if err := nodes[0].Migrate(ctx, a, hop); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := nodes[0].Migrate(ctx, b, "n1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := nodes[1].Attach(ctx, a, b, NoAlliance); err != nil {
+		t.Fatal(err)
+	}
+	// n1 moves the closure to n2: the origin n0 hears one closure report.
+	if err := nodes[1].Migrate(ctx, a, "n2"); err != nil {
+		t.Fatal(err)
+	}
+	eventually(t, 3*time.Second, func() bool {
+		at, ok := nodes[0].store.Home(b.OID)
+		return ok && at == "n2"
+	}, "the origin never learned the closure's new home")
+	if err := nodes[2].Detach(ctx, a, b, NoAlliance); err != nil {
+		t.Fatal(err)
+	}
+	if err := nodes[2].Migrate(ctx, b, "n3"); err != nil {
+		t.Fatal(err)
+	}
+	eventually(t, 3*time.Second, func() bool {
+		at, ok := nodes[0].store.Home(b.OID)
+		return ok && at == "n3"
+	}, "the origin kept the closure's host for b")
+	if at := whereIs(t, ctx, nodes[0], b); at != "n3" {
+		t.Fatalf("b located at %v from its origin, want n3", at)
+	}
 }

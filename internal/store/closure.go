@@ -10,8 +10,8 @@ import (
 // ClosureRec is a shared location record for an attachment closure that
 // migrated as a unit: one (anchor → node, generation) pair that every
 // member references instead of carrying its own home or forwarding
-// entry. Learn updates the record once and thereby refreshes the
-// location of every member; a million-member directory stores one
+// entry. One closure report updates the record and thereby refreshes
+// the location of every member; a million-member directory stores one
 // record plus member pointers instead of a million independent entries.
 //
 // The record's mutex is a strict leaf: it is only ever taken last

@@ -12,7 +12,8 @@ import (
 
 // TestClosureRecordSharing: a closure-level home update must cost one
 // shared record (plus member references) instead of per-object home
-// entries, resolve on Hint/Home, and refresh all members on one Learn.
+// entries, resolve on Hint/Home, and refresh all members on one report.
+// At an old host, Learn detaches one member only.
 func TestClosureRecordSharing(t *testing.T) {
 	t.Parallel()
 	s := New("n1")
@@ -41,17 +42,7 @@ func TestClosureRecordSharing(t *testing.T) {
 			t.Fatalf("Home(%s) = %s, %v", id, at, ok)
 		}
 	}
-	// Learn is hearsay about one object: it detaches that member only,
-	// leaving the shared record (and everyone else) untouched.
-	s.Learn(ids[17], "n3")
-	if hint := s.Hint(ids[17]); hint != "n3" {
-		t.Fatalf("after Learn, Hint(%s) = %s, want n3", ids[17], hint)
-	}
-	if hint := s.Hint(ids[16]); hint != "n2" {
-		t.Fatalf("Learn dragged a sibling: Hint(%s) = %s, want n2", ids[16], hint)
-	}
-	// A single closure-level update refreshes every member at once —
-	// including the detached one (its entry carries the old generation).
+	// A single closure-level update refreshes every member at once.
 	s.HomeUpdateClosure(anchor, 2, ids, "n3")
 	for _, id := range ids {
 		if hint := s.Hint(id); hint != "n3" {
@@ -60,6 +51,49 @@ func TestClosureRecordSharing(t *testing.T) {
 	}
 	if ls := s.LocStats(); ls.ClosureRefs != members || ls.Home != 0 {
 		t.Fatalf("closure update did not recapture members: %+v", ls)
+	}
+
+	// An old host's record: Learn is hearsay about one object, so it
+	// detaches that member only, leaving the shared record (and
+	// everyone else) untouched.
+	old := New("n4")
+	old.DepartedClosure(anchor, 1, ids, "n2")
+	old.Learn(ids[17], "n3")
+	if hint := old.Hint(ids[17]); hint != "n3" {
+		t.Fatalf("after Learn, Hint(%s) = %s, want n3", ids[17], hint)
+	}
+	if hint := old.Hint(ids[16]); hint != "n2" {
+		t.Fatalf("Learn dragged a sibling: Hint(%s) = %s, want n2", ids[16], hint)
+	}
+	// A fresher closure departure recaptures the detached member (its
+	// forward carries the old generation).
+	old.DepartedClosure(anchor, 2, ids, "n5")
+	if ls := old.LocStats(); ls.ClosureRefs != members || ls.Forwards != 0 {
+		t.Fatalf("closure departure did not recapture members: %+v", ls)
+	}
+}
+
+// TestLearnLeavesOriginToReports: the origin's home index takes only
+// generation-ordered reports. A stale reply learnt after a fresher
+// HomeUpdate or HomeUpdateClosure leaves Home and Hint at the reported
+// host, whose stub chain leads to the object; the hearsay host may have
+// retired its stub already.
+func TestLearnLeavesOriginToReports(t *testing.T) {
+	t.Parallel()
+	s := New("n0")
+	x := oid("n0", 1)
+	s.HomeUpdate([]core.OID{x}, []uint64{12}, "n1")
+	s.Learn(x, "n2")
+	group := []core.OID{oid("n0", 2), oid("n0", 3)}
+	s.HomeUpdateClosure(group[0], 7, group, "n1")
+	s.Learn(group[0], "n2")
+	for _, id := range append(group, x) {
+		if at, ok := s.Home(id); !ok || at != "n1" {
+			t.Errorf("Home(%s) = %q, %v after a stale Learn; want n1", id, at, ok)
+		}
+		if hint := s.Hint(id); hint != "n1" {
+			t.Errorf("Hint(%s) = %q after a stale Learn; want n1", id, hint)
+		}
 	}
 }
 

@@ -26,7 +26,7 @@
 //     the directory stores one ClosureRec (anchor → node) and each
 //     member holds only a pointer to it, so a 64-member closure costs
 //     one location entry plus 64 map references instead of 64
-//     independent entries, and a single Learn refreshes every member.
+//     independent entries, and one closure report refreshes them all.
 //  2. Self-home is implicit. A hosted record IS the home knowledge for
 //     an object created here; the home index only holds entries for
 //     objects that left. Home entries and forwards carry a departure
@@ -567,16 +567,21 @@ func (s *Store) Forward(id core.OID) (core.NodeID, bool) {
 	return "", false
 }
 
-// Learn records fresher location knowledge for an object that is not
-// local. When a forwarding pointer exists it is updated in place — this
-// is the classic forward-addressing chain shortening: once we hear
+// Learn records hearsay about where an object that is not local lives:
+// the target of a redirect, or the host that answered. At the object's
+// origin it writes nothing: the home index takes only generation-ordered
+// reports (Departed, HomeUpdate, HomeUpdateClosure, Arrived), so a stale
+// reply landing after a fresher report cannot point it at a host whose
+// stub already retired. Elsewhere a forwarding pointer is updated in
+// place — the classic forward-addressing chain shortening: once we hear
 // where the object really is, our pointer skips the intermediate hops.
-// A closure member is detached and given its own entry: a Learn is
-// hearsay about ONE object, and mutating the shared record would drag
-// every other member along — wrong whenever a member left the closure
-// individually (a fresher closure-level update recaptures the member).
+// A closure member is detached and given its own forwarding pointer: a
+// Learn is hearsay about ONE object, and mutating the shared record
+// would drag every other member along — wrong whenever a member left the
+// closure individually. The pointer keeps redirects served; retirement
+// and the TTL sweep apply as usual.
 func (s *Store) Learn(id core.OID, at core.NodeID) {
-	if at == "" || at == s.self {
+	if at == "" || at == s.self || id.Origin == s.self {
 		return
 	}
 	sh := s.shardOf(id)
@@ -585,11 +590,6 @@ func (s *Store) Learn(id core.OID, at core.NodeID) {
 	if f, ok := sh.forwards[id]; ok {
 		f.to = at
 		sh.forwards[id] = f
-		if id.Origin == s.self {
-			if h, hok := sh.home[id]; !hok || f.gen >= h.gen {
-				sh.home[id] = homeEntry{at: at, gen: f.gen}
-			}
-		}
 		return
 	}
 	if clos, ok := sh.members[id]; ok {
@@ -598,25 +598,8 @@ func (s *Store) Learn(id core.OID, at core.NodeID) {
 		}
 		gen := clos.generation()
 		sh.detachMemberLocked(id)
-		if id.Origin == s.self {
-			// The origin's membership came from its own home index;
-			// carry the generation so a fresher closure update can
-			// still recapture the member.
-			sh.home[id] = homeEntry{at: at, gen: gen}
-		} else {
-			// An old host's member stands in for a forwarding pointer;
-			// restore one so redirects keep being served (retirement
-			// and the TTL sweep apply as usual).
-			sh.forwards[id] = fwdEntry{to: at, gen: gen, stamp: time.Now()}
-		}
+		sh.forwards[id] = fwdEntry{to: at, gen: gen, stamp: time.Now()}
 		return
-	}
-	if id.Origin == s.self {
-		if h, ok := sh.home[id]; ok && h.at != s.self {
-			h.at = at
-			sh.home[id] = h
-			return
-		}
 	}
 	s.cacheInsertLocked(sh, id, at)
 }

@@ -372,7 +372,7 @@ func oidsSize(ids []core.OID) int {
 }
 
 // homeUpdateSize estimates the encoded size of a home update (a grow
-// hint: coalesced batches carry long OID and closure lists).
+// hint: a large group's update carries long OID and closure lists).
 func homeUpdateSize(m *HomeUpdate) int {
 	n := 32 + oidsSize(m.Objs) + len(m.At) + 10*len(m.Gens)
 	if m.Load != nil {

@@ -483,9 +483,8 @@ type HomeUpdate struct {
 	// Closures carries closure-level location reports: each entry
 	// replaces per-object Objs entries for a whole attachment closure.
 	Closures []ClosureLoc
-	// Trace is the TraceID of the migration this update reports, when
-	// every coalesced entry shares one (0 when untraced or mixed); the
-	// origin stamps its directory-update span with it.
+	// Trace is the TraceID of the migration this update reports (0 when
+	// untraced); the origin stamps its directory-update span with it.
 	Trace uint64
 }
 

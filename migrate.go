@@ -453,7 +453,7 @@ func (n *Node) finishGroupMigration(ctx context.Context, t *transfer) ([]core.OI
 		return ids, commitErr
 	}
 
-	// Phase 4: advise the origins (asynchronous, batched, best effort).
+	// Phase 4: advise the origins (asynchronous, best effort).
 	n.notifyOrigins(ids, target, obs, anchor, gens, trace)
 	atomic.AddInt64(&n.stats.MigrationsOut, 1)
 	atomic.AddInt64(&n.stats.ObjectsMovedOut, int64(len(ids)))
@@ -487,11 +487,9 @@ func (n *Node) sendAbort(h NodeID, objs []core.OID, key sessionKey) error {
 	return err
 }
 
-// notifyOrigins queues home updates for the moved objects towards
-// their origin nodes. Remote origins go through the home-update
-// batcher, which coalesces advisories across migrations into
-// time/size-bounded HomeUpdate RPCs and piggy-backs the coordinator's
-// affinity observations as gossip.
+// notifyOrigins advises the moved objects' origin nodes of their new
+// home: one HomeUpdate RPC per remote origin (see advise), which also
+// carries the coordinator's affinity observations as gossip.
 //
 // A closure-anchored group of two or more objects travels as one
 // ClosureLoc per origin instead of per-object entries: the origin
@@ -539,18 +537,19 @@ func (n *Node) notifyOrigins(ids []core.OID, at NodeID, obs []affinity.Obs, anch
 			// the lifted observations must still travel — the object
 			// converging onto its creator is the autopilot's most
 			// common outcome, and the new host should start warm. Send
-			// a gossip-only batch.
+			// a gossip-only advisory.
 			if aff := affByOrigin[origin]; len(aff) > 0 {
-				n.homeBatch.enqueue(origin, at, nil, nil, nil, aff, trace)
+				n.advise(origin, &wire.HomeUpdate{At: at, Aff: aff, Trace: trace})
 			}
 			continue
 		}
+		req := &wire.HomeUpdate{At: at, Aff: affByOrigin[origin], Trace: trace}
 		if asClosure {
-			n.homeBatch.enqueue(origin, at, nil, nil,
-				[]wire.ClosureLoc{{Anchor: anchor, Gen: maxGen, Members: objs}}, affByOrigin[origin], trace)
+			req.Closures = []wire.ClosureLoc{{Anchor: anchor, Gen: maxGen, Members: objs}}
 		} else {
-			n.homeBatch.enqueue(origin, at, objs, gensFor(gens, objs), nil, affByOrigin[origin], trace)
+			req.Objs, req.Gens = objs, gensFor(gens, objs)
 		}
+		n.advise(origin, req)
 	}
 }
 
@@ -722,7 +721,7 @@ func (n *Node) gossipDeparted(ids []core.OID, at NodeID) {
 			n.mergeAffinityGossip(aff)
 			continue
 		}
-		n.homeBatch.enqueue(origin, at, nil, nil, nil, aff, 0)
+		n.advise(origin, &wire.HomeUpdate{At: at, Aff: aff})
 	}
 }
 

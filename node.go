@@ -132,8 +132,7 @@ type Node struct {
 	xferIdle sync.Cond
 	xfers    map[sessionKey]*xferSlot
 
-	aff       *affinity.Tracker
-	homeBatch *homeBatcher
+	aff *affinity.Tracker
 	// apMu guards the optimiser daemons (autopilot, placement, health)
 	// and the affinity tracker's user count — the first two daemons
 	// feed on the tracker, so it stays enabled while either runs.
@@ -181,9 +180,11 @@ type Node struct {
 
 	tel *nodeTelemetry
 
-	bgMu     sync.Mutex     // orders spawn's bg.Add before Close's bg.Wait
-	bgClosed bool           // Close is waiting on bg: spawn starts nothing more
-	bg       sync.WaitGroup // background work: home updates, reinstantiation
+	bgMu      sync.Mutex     // orders bg.Add and adv.Add before Close's waits
+	bgClosed  bool           // Close is waiting on bg: spawn starts nothing more
+	bg        sync.WaitGroup // background work: retries, reinstantiation, jobs
+	advClosed bool           // Close is waiting on adv: advise sends nothing more
+	adv       sync.WaitGroup // origin advisories in flight (see advise)
 }
 
 // NewNode creates and starts a node.
@@ -248,7 +249,6 @@ func NewNode(cfg Config) (*Node, error) {
 	h := fnv.New32a()
 	_, _ = h.Write([]byte(n.id))
 	n.tokenBase = uint64(h.Sum32()) << 32
-	n.homeBatch = newHomeBatcher(n)
 	n.server = rpc.Serve(l, n.handle)
 	return n, nil
 }
@@ -362,11 +362,11 @@ func (n *Node) record(id core.OID) (*store.Record, bool) {
 	return n.store.Get(id)
 }
 
-// Close shuts the node down: stops the autopilot, flushes batched home
-// updates, stops serving, closes client connections and waits for
-// background work. The autopilot goes first — its in-flight scan is
-// cancelled — and the home-update flush runs while the RPC pool is
-// still open so final advisories can leave.
+// Close shuts the node down: stops the autopilot, waits for the origin
+// advisories in flight, stops serving, closes client connections and
+// waits for background work. The autopilot goes first — its in-flight
+// scan is cancelled — and the advisories are waited for while the RPC
+// pool is still open so the final ones can leave.
 func (n *Node) Close() error {
 	if !n.closed.CompareAndSwap(false, true) {
 		return nil
@@ -374,7 +374,10 @@ func (n *Node) Close() error {
 	n.DisableAutopilot()
 	n.DisablePlacement()
 	n.DisableHealth()
-	n.homeBatch.close()
+	n.bgMu.Lock()
+	n.advClosed = true
+	n.bgMu.Unlock()
+	n.adv.Wait()
 	n.store.Close()
 	err := n.server.Close()
 	_ = n.pool.Close()
@@ -512,8 +515,8 @@ func handleTyped[Req, Resp any](body, dst []byte, fn func(*Req) (*Resp, error)) 
 // spawn runs fn in a tracked background goroutine (never fire-and-
 // forget). Once Close waits for the background work, nothing new is
 // started: bgMu orders every bg.Add before the bg.Wait, and a migration
-// still winding down on the closing node (its commit retry, its
-// home-update flush) finds the door shut instead of racing the wait.
+// still winding down on the closing node (its commit retry, an
+// advisory's re-send) finds the door shut instead of racing the wait.
 // The daemons are unaffected — Close stops them before it shuts the
 // door, and they refuse to start on a closed node.
 func (n *Node) spawn(fn func()) {

@@ -43,9 +43,9 @@ type Stats struct {
 	AutopilotMigrations   int64
 	AutopilotObjectsMoved int64
 	AutopilotDeferred     int64
-	// HomeUpdatesQueued counts per-origin advisories handed to the
-	// home-update batcher; HomeUpdateBatches the coalesced RPCs it
-	// actually sent. Queued/Batches is the coalescing ratio.
+	// HomeUpdatesQueued counts per-origin advisories made after
+	// migrations; HomeUpdateBatches the HomeUpdate RPCs actually sent,
+	// one per advisory (retries not counted).
 	HomeUpdatesQueued int64
 	HomeUpdateBatches int64
 	// StreamChunksOut / StreamBytesOut count the migration payload

@@ -24,14 +24,22 @@ import (
 // host. leg reports where the object is after a success ("" means at the
 // host that answered), which route learns; redirects, stale hints and
 // the self-hint arrival race are folded back into the store and retried
-// until the chase budget is spent. route returns the host that answered.
+// until the chase budget is spent. A redirect's target is also the host
+// the next attempt calls: the origin learns nothing from hearsay (see
+// store.Learn), yet still follows the chain. route returns the host
+// that answered.
 func (n *Node) route(ctx context.Context, oid core.OID, op string,
 	leg func(rec *store.Record, host NodeID) (at NodeID, err error)) (NodeID, error) {
 
 	c := n.newChase(oid)
 	defer c.end()
+	var redirect NodeID // where the last redirect pointed, unless at this node
 	for c.next(ctx) {
 		rec, host := n.store.Lookup(oid)
+		if rec == nil && redirect != "" {
+			host = redirect
+		}
+		redirect = ""
 		if rec == nil {
 			if host == n.id {
 				// My own tables point at me but I don't host it. If any
@@ -56,11 +64,16 @@ func (n *Node) route(ctx context.Context, oid core.OID, op string,
 		}
 		if to, moved := movedTo(err); moved {
 			n.store.Learn(oid, to)
+			if to != n.id {
+				redirect = to
+			}
+			c.definite = to != ""
 			continue
 		}
 		if rec == nil && isCode(err, wire.CodeNotFound) && host != oid.Origin {
 			// Stale hint: fall back towards the origin.
 			n.store.InvalidateAt(oid, host)
+			c.definite = true
 			continue
 		}
 		return "", fromRemote(err)
@@ -162,6 +175,7 @@ type chase struct {
 	n        *Node
 	oid      core.OID
 	attempt  int
+	definite bool      // the last answer named a next host: retry at once
 	hops     int       // remote calls issued — the directory's cost metric
 	start    time.Time // chase begin, for the latency histogram
 	deadline time.Time // zero when the deadline is disabled
@@ -210,14 +224,19 @@ func (c *chase) end() {
 	}
 }
 
-// next reports whether another attempt may run, backing off briefly
-// between attempts so in-flight transfers can land before the next
-// try (long chases stretch the pause — by then the object is clearly
-// mid-transfer and tight polling only adds load). It returns false
-// when the budget is spent or the context is done; route distinguishes
-// the two via ctx.Err().
+// next reports whether another attempt may run. Within the attempt
+// budget, an attempt whose answer was definite — a redirect naming a
+// host, or a stale hint refuted — retries at once: the next host is
+// known, and waiting only delays the call. Otherwise it backs off
+// briefly so in-flight transfers can land before the next try (long
+// chases stretch the pause — by then the object is clearly mid-transfer
+// and tight polling only adds load). It returns false when the budget
+// is spent or the context is done; route distinguishes the two via
+// ctx.Err().
 func (c *chase) next(ctx context.Context) bool {
-	if c.attempt == 0 {
+	definite := c.definite
+	c.definite = false
+	if c.attempt == 0 || definite && c.attempt < c.n.retries {
 		c.attempt++
 		return ctx.Err() == nil
 	}

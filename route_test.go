@@ -365,3 +365,33 @@ func TestRoutedOps(t *testing.T) {
 		}
 	})
 }
+
+// TestStaleHintChaseDoesNotWait: a stale hint refuted by a node that
+// never heard of the object is a definite answer — the next host to
+// try, the origin, is known — so the chase calls it at once instead of
+// backing off. One back-off per chase would cost these 200 chases at
+// least 200 ms.
+func TestStaleHintChaseDoesNotWait(t *testing.T) {
+	ctx := ctxShort(t)
+	nodes := routeCluster(t, Config{})
+	caller := nodes[2]
+	oid := fixedAt(t, ctx, nodes, "n0")
+	const chases = 200
+	var took time.Duration
+	for i := 0; i < chases; i++ {
+		caller.store.Learn(oid, "n1") // n1 never heard of the object
+		got, err := measure(caller, func() error {
+			start := time.Now()
+			_, err := caller.Locate(ctx, Ref{OID: oid})
+			took += time.Since(start)
+			return err
+		})
+		if err != nil || got != twoHopsMiss {
+			t.Fatalf("chase %d: accounting = %+v, %v, want %+v", i, got, err, twoHopsMiss)
+		}
+	}
+	t.Logf("%d stale-hint chases: %v", chases, took)
+	if took >= 100*time.Millisecond {
+		t.Fatalf("%d stale-hint chases took %v, want < 100ms", chases, took)
+	}
+}

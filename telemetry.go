@@ -70,7 +70,6 @@ type nodeTelemetry struct {
 	invokeLocal  *telemetry.Histogram // local method execution
 	invokeRemote *telemetry.Histogram // remote invoke round trip, per hop
 	chaseLat     *telemetry.Histogram // whole location chase, local ops excluded
-	homeFlushLat *telemetry.Histogram // home-update batch queue-to-delivery
 
 	// phase[p-1] is the duration histogram of migration phase p — fed
 	// on every migration, traced or not.
@@ -91,7 +90,6 @@ func newNodeTelemetry() *nodeTelemetry {
 		invokeLocal:  reg.Histogram("objmig_invoke_local_us"),
 		invokeRemote: reg.Histogram("objmig_invoke_remote_us"),
 		chaseLat:     reg.Histogram("objmig_chase_us"),
-		homeFlushLat: reg.Histogram("objmig_homeupdate_flush_us"),
 	}
 	// The generated per-phase names, for anyone grepping a scrape:
 	// objmig_migration_phase_pause_us, objmig_migration_phase_snapshot_us,
