@@ -191,17 +191,41 @@ func newBenchType() *Type[benchState] {
 		s.Value += d
 		return s.Value, nil
 	})
+	HandleFunc(t, "AddAll", func(c *Ctx, s *benchState, ds []int) (int, error) {
+		for _, d := range ds {
+			s.Value += d
+		}
+		return s.Value, nil
+	})
 	return t
 }
 
 // BenchmarkRuntimeLocalInvoke measures an invocation of a locally
-// hosted object (trap + dispatch + gob round trip, no network).
+// hosted object through the typed local leg: trap and dispatch under
+// the object's monitor, argument and result passed by value, no codec
+// and no network.
 func BenchmarkRuntimeLocalInvoke(b *testing.B) {
 	a, _, ref := benchNodes(b, PolicyPlacement)
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Call[int, int](ctx, a, ref, "Add", 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRuntimeLocalInvokeEncoded is BenchmarkRuntimeLocalInvoke
+// with a value-unsafe argument ([]int), which keeps a collocated call
+// on the encoded leg: a gob round trip of argument and result on the
+// primed streams.
+func BenchmarkRuntimeLocalInvokeEncoded(b *testing.B) {
+	a, _, ref := benchNodes(b, PolicyPlacement)
+	ctx := context.Background()
+	arg := []int{1}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Call[[]int, int](ctx, a, ref, "AddAll", arg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -245,7 +269,8 @@ func BenchmarkRuntimeMigration(b *testing.B) {
 // move-block: move-request, one call, end-request. Only the first
 // block migrates the object to the caller; every later one finds it
 // there and is a stay, which stamps the block's lock and transfers
-// nothing.
+// nothing, and its call takes the typed local leg: 13 allocs in all
+// (20 while that call went through gob).
 func BenchmarkRuntimeMoveBlock(b *testing.B) {
 	a, remote, ref := benchNodes(b, PolicyPlacement)
 	_ = a

@@ -16,6 +16,20 @@ import (
 // forwarding pointers and location hints until the object is found.
 // Typed callers should prefer Call.
 func (n *Node) InvokeRaw(ctx context.Context, ref Ref, method string, arg []byte) ([]byte, error) {
+	return n.invoke(ctx, ref, method, func(c *Ctx, inst interface{}, h handler) ([]byte, error) {
+		return h.enc(c, inst, arg)
+	}, func() ([]byte, error) { return arg, nil })
+}
+
+// invoke routes one invocation of method on ref. An attempt that finds
+// the record hosted here runs local under invokeLocal; any other attempt
+// is one KInvoke to the host, carrying the bytes arg returns. out is the
+// encoded result of whichever leg answered (nil when local returned
+// none).
+func (n *Node) invoke(ctx context.Context, ref Ref, method string,
+	local func(c *Ctx, inst interface{}, h handler) ([]byte, error),
+	arg func() ([]byte, error)) (out []byte, err error) {
+
 	if ref.IsZero() {
 		return nil, fmt.Errorf("%w: zero reference", ErrNotFound)
 	}
@@ -23,19 +37,21 @@ func (n *Node) InvokeRaw(ctx context.Context, ref Ref, method string, arg []byte
 	// The legs are spelled out instead of going through routed: the
 	// local leg must not build (and heap-allocate) a wire request, and
 	// the remote leg carries invoke's own accounting.
-	var out []byte
-	_, err := n.route(ctx, oid, "invoke", func(rec *store.Record, host NodeID) (NodeID, error) {
+	_, err = n.route(ctx, oid, "invoke", func(rec *store.Record, host NodeID) (NodeID, error) {
 		if rec != nil {
-			n.aff.RecordLocal(oid)
 			var err error
-			out, err = n.invokeLocal(ctx, rec, method, arg)
+			out, err = n.invokeLocal(ctx, rec, n.id, method, local)
+			return "", err
+		}
+		b, err := arg()
+		if err != nil {
 			return "", err
 		}
 		var resp wire.InvokeResp
 		atomic.AddInt64(&n.stats.RemoteCallsSent, 1)
 		hopStart := time.Now()
-		err := n.call(ctx, host, wire.KInvoke,
-			&wire.InvokeReq{Obj: oid, Method: method, Arg: arg, From: n.id}, &resp)
+		err = n.call(ctx, host, wire.KInvoke,
+			&wire.InvokeReq{Obj: oid, Method: method, Arg: b, From: n.id}, &resp)
 		n.tel.invokeRemote.ObserveSince(hopStart)
 		out = resp.Result
 		return resp.At, err
@@ -49,9 +65,22 @@ func isCode(err error, code wire.ErrCode) bool {
 	return errors.As(err, &re) && re.Code == code
 }
 
-// invokeLocal executes a method on a hosted object, serialising
-// invocations per object and waiting out migrations in progress.
-func (n *Node) invokeLocal(ctx context.Context, rec *store.Record, method string, arg []byte) (out []byte, err error) {
+// invokeLocal executes a method on a hosted object for a caller on
+// node from, serialising invocations per object and waiting out
+// migrations in progress. It is the one prologue of both local legs:
+// run gets the method's handler and calls whichever leg it can.
+func (n *Node) invokeLocal(ctx context.Context, rec *store.Record, from NodeID, method string,
+	run func(c *Ctx, inst interface{}, h handler) ([]byte, error)) (out []byte, err error) {
+
+	if from == n.id {
+		n.aff.RecordLocal(rec.ID)
+	} else if n.aff.Enabled() && !rec.IsGone() {
+		// Attribute pressure only for objects actually served here: a
+		// forwarding stub answering misdirected calls must not
+		// accumulate phantom counts that would poison a later return
+		// of the object.
+		n.aff.Record(rec.ID, from)
+	}
 	if err := rec.Acquire(ctx); err != nil {
 		return nil, err
 	}
@@ -60,7 +89,7 @@ func (n *Node) invokeLocal(ctx context.Context, rec *store.Record, method string
 	if !ok {
 		return nil, wire.Errorf(wire.CodeUnknownType, "type %q not registered on %s", rec.TypeName, n.id)
 	}
-	m, ok := t.method(method)
+	h, ok := t.method(method)
 	if !ok {
 		return nil, wire.Errorf(wire.CodeUnknownMethod, "%s.%s", rec.TypeName, method)
 	}
@@ -73,19 +102,15 @@ func (n *Node) invokeLocal(ctx context.Context, rec *store.Record, method string
 	n.emit(Event{Kind: EventInvoke, Obj: Ref{OID: rec.ID}, Outcome: method})
 	c := &Ctx{ctx: ctx, node: n, self: Ref{OID: rec.ID}}
 	defer n.tel.invokeLocal.ObserveSince(time.Now())
-	return m(c, rec.Inst, arg)
+	return run(c, rec.Inst, h)
 }
 
 // handleInvoke serves a remote invocation, attributing the access to
 // the calling node in the affinity tracker.
 func (n *Node) handleInvoke(ctx context.Context, rec *store.Record, req *wire.InvokeReq) (*wire.InvokeResp, error) {
-	// Attribute pressure only for objects actually served here: a
-	// forwarding stub answering misdirected calls must not accumulate
-	// phantom counts that would poison a later return of the object.
-	if n.aff.Enabled() && !rec.IsGone() {
-		n.aff.Record(req.Obj, req.From)
-	}
-	out, err := n.invokeLocal(ctx, rec, req.Method, req.Arg)
+	out, err := n.invokeLocal(ctx, rec, req.From, req.Method, func(c *Ctx, inst interface{}, h handler) ([]byte, error) {
+		return h.enc(c, inst, req.Arg)
+	})
 	if err != nil {
 		var re *wire.RemoteError
 		if errors.As(err, &re) {

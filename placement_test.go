@@ -284,28 +284,43 @@ func TestPlacementGroupMovesAsUnit(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// The coordinator emits its EventPlacement only after migrateGroup
+	// returns, so the pair may be seen at n2 before the event: once it
+	// is there, keep looking for the event until the deadline.
+	unit := func() bool {
+		evMu.Lock()
+		defer evMu.Unlock()
+		for _, ev := range migrations {
+			if ev.target != "n2" || len(ev.objects) != 2 {
+				continue
+			}
+			seen := map[Ref]bool{}
+			for _, r := range ev.objects {
+				seen[r] = true
+			}
+			if seen[hot] && seen[quiet] {
+				return true // one event, both members: moved as a unit
+			}
+		}
+		return false
+	}
+	converged := false
 	deadline := time.Now().Add(20 * time.Second)
 	for time.Now().Before(deadline) {
-		locHot, err1 := nodes[0].Locate(ctx, hot)
-		locQuiet, err2 := nodes[0].Locate(ctx, quiet)
-		if err1 == nil && err2 == nil && locHot == "n2" && locQuiet == "n2" {
-			evMu.Lock()
-			defer evMu.Unlock()
-			for _, ev := range migrations {
-				if ev.target != "n2" || len(ev.objects) != 2 {
-					continue
-				}
-				seen := map[Ref]bool{}
-				for _, r := range ev.objects {
-					seen[r] = true
-				}
-				if seen[hot] && seen[quiet] {
-					return // one event, both members: moved as a unit
-				}
-			}
-			t.Fatalf("pair reached n2 but no single EventPlacement carried both members: %+v", migrations)
+		if !converged {
+			locHot, err1 := nodes[0].Locate(ctx, hot)
+			locQuiet, err2 := nodes[0].Locate(ctx, quiet)
+			converged = err1 == nil && err2 == nil && locHot == "n2" && locQuiet == "n2"
+		}
+		if converged && unit() {
+			return
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+	evMu.Lock()
+	defer evMu.Unlock()
+	if converged {
+		t.Fatalf("pair reached n2 but no single EventPlacement carried both members: %+v", migrations)
 	}
 	t.Fatalf("attached pair never converged onto the caller: %+v", migrations)
 }

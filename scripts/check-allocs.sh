@@ -3,8 +3,8 @@
 # invoke path, the location directory and the telemetry hot path.
 #
 # Runs BenchmarkRuntimeCodec (allocs/op), BenchmarkRuntimeLocalInvoke,
-# BenchmarkRuntimeRemoteInvoke, BenchmarkRuntimeMigration and
-# BenchmarkRuntimeMoveBlock (allocs/op), BenchmarkDirectoryScale
+# BenchmarkRuntimeLocalInvokeEncoded, BenchmarkRuntimeRemoteInvoke,
+# BenchmarkRuntimeMigration and BenchmarkRuntimeMoveBlock (allocs/op), BenchmarkDirectoryScale
 # (bytes/obj, p99-hops), BenchmarkTelemetryRecord (allocs/op),
 # BenchmarkShedPlan (allocs/op), BenchmarkJobPlan (allocs/op),
 # BenchmarkHealthTick (allocs/op) and BenchmarkGobStream (allocs/op)
@@ -35,7 +35,7 @@ if [ "$status" -ne 0 ]; then
   exit 1
 fi
 
-invout=$(go test -run '^$' -bench 'BenchmarkRuntime(LocalInvoke|RemoteInvoke|Migration|MoveBlock)$' -benchmem -benchtime 1000x . 2>&1)
+invout=$(go test -run '^$' -bench 'BenchmarkRuntime(LocalInvoke|LocalInvokeEncoded|RemoteInvoke|Migration|MoveBlock)$' -benchmem -benchtime 1000x . 2>&1)
 invstatus=$?
 echo "$invout"
 if [ "$invstatus" -ne 0 ]; then

@@ -15,6 +15,8 @@ package objmig
 
 import (
 	"context"
+	"encoding"
+	"encoding/gob"
 	"fmt"
 	"reflect"
 	"strconv"
@@ -101,14 +103,28 @@ func (c *Ctx) Node() *Node { return c.node }
 // Self returns the reference of the object being invoked.
 func (c *Ctx) Self() Ref { return c.self }
 
-// methodFunc is the erased form of a registered method.
+// methodFunc is the encoded leg of a registered method: argument and
+// result travel as gob images.
 type methodFunc func(c *Ctx, inst interface{}, arg []byte) ([]byte, error)
+
+// localMethod is the typed leg of a registered method whose argument
+// and result types are both value-safe (see valueSafe): a collocated
+// Call passes the argument and takes the result by value.
+type localMethod[A, R any] func(c *Ctx, inst interface{}, arg A) (R, error)
+
+// handler is one registered method: enc serves every caller that
+// brings bytes; local, when non-nil, is the localMethod[A, R] a
+// collocated Call with exactly that A and R runs instead.
+type handler struct {
+	enc   methodFunc
+	local interface{}
+}
 
 // objectType is the erased view of Type[S] the node works with.
 type objectType interface {
 	Name() string
 	newInstance() interface{}
-	method(name string) (methodFunc, bool)
+	method(name string) (handler, bool)
 	encodeState(inst interface{}) ([]byte, error)
 	decodeState(data []byte) (interface{}, error)
 }
@@ -117,7 +133,7 @@ type objectType interface {
 // a gob-encodable struct (exported fields carry the state).
 type Type[S any] struct {
 	name    string
-	methods map[string]methodFunc
+	methods map[string]handler
 	state   *gobstream.Stream
 }
 
@@ -133,7 +149,7 @@ var _ objectType = (*Type[struct{}])(nil)
 // NewType declares an object type under the given name. Register it
 // with Node.RegisterType on every node that may host instances.
 func NewType[S any](name string) *Type[S] {
-	return &Type[S]{name: name, methods: make(map[string]methodFunc), state: streamOf[S]()}
+	return &Type[S]{name: name, methods: make(map[string]handler), state: streamOf[S]()}
 }
 
 // Name returns the registered type name.
@@ -141,7 +157,7 @@ func (t *Type[S]) Name() string { return t.name }
 
 func (t *Type[S]) newInstance() interface{} { return new(S) }
 
-func (t *Type[S]) method(name string) (methodFunc, bool) {
+func (t *Type[S]) method(name string) (handler, bool) {
 	m, ok := t.methods[name]
 	return m, ok
 }
@@ -166,18 +182,33 @@ func (t *Type[S]) decodeState(data []byte) (interface{}, error) {
 	return s, nil
 }
 
-// HandleFunc registers a method on the type. The argument and result
-// are gob-encoded across the wire; methods execute one at a time per
-// object (objects are monitors).
+// HandleFunc registers a method on the type; methods execute one at a
+// time per object (objects are monitors). A call from another node
+// carries the argument and result as gob images, so the method sees a
+// copy: slices and maps are fresh, unexported fields are zero. A
+// collocated Call of a method whose A and R are both value-safe — bool,
+// sized integers, floats, complex numbers and strings, arrays of
+// value-safe types, and structs of at least one field whose fields are
+// all exported and value-safe, none of them with custom gob, binary or
+// text marshalling — passes them by value and encodes nothing: for
+// such types a copy is all gob would make. Every other signature runs
+// the encoded leg on every call, collocated or not.
 func HandleFunc[S, A, R any](t *Type[S], name string, fn func(c *Ctx, s *S, arg A) (R, error)) {
 	if _, dup := t.methods[name]; dup {
 		panic(fmt.Sprintf("objmig: method %s.%s registered twice", t.name, name))
 	}
-	args, results := streamOf[A](), streamOf[R]()
-	t.methods[name] = func(c *Ctx, inst interface{}, argBytes []byte) ([]byte, error) {
+	instance := func(inst interface{}) (*S, error) {
 		s, ok := inst.(*S)
 		if !ok {
 			return nil, fmt.Errorf("objmig: %s.%s: instance is %T", t.name, name, inst)
+		}
+		return s, nil
+	}
+	args, results := streamOf[A](), streamOf[R]()
+	h := handler{enc: func(c *Ctx, inst interface{}, argBytes []byte) ([]byte, error) {
+		s, err := instance(inst)
+		if err != nil {
+			return nil, err
 		}
 		var arg A
 		if err := args.Decode(argBytes, &arg); err != nil {
@@ -192,35 +223,135 @@ func HandleFunc[S, A, R any](t *Type[S], name string, fn func(c *Ctx, s *S, arg 
 			return nil, fmt.Errorf("objmig: %s.%s: encode result: %w", t.name, name, err)
 		}
 		return out, nil
+	}}
+	if valueSafe(reflect.TypeOf((*A)(nil)).Elem()) && valueSafe(reflect.TypeOf((*R)(nil)).Elem()) {
+		h.local = localMethod[A, R](func(c *Ctx, inst interface{}, arg A) (R, error) {
+			s, err := instance(inst)
+			if err != nil {
+				var zero R
+				return zero, err
+			}
+			return fn(c, s, arg)
+		})
 	}
+	t.methods[name] = h
 }
 
-// Call invokes a method on a (possibly remote) object and decodes its
-// result. It is the typed client-side counterpart of HandleFunc.
+// marshalers are the interfaces through which a type takes over its own
+// encoding; a gob round trip of such a type need not be a copy.
+var marshalers = []reflect.Type{
+	reflect.TypeOf((*gob.GobEncoder)(nil)).Elem(),
+	reflect.TypeOf((*gob.GobDecoder)(nil)).Elem(),
+	reflect.TypeOf((*encoding.BinaryMarshaler)(nil)).Elem(),
+	reflect.TypeOf((*encoding.BinaryUnmarshaler)(nil)).Elem(),
+	reflect.TypeOf((*encoding.TextMarshaler)(nil)).Elem(),
+	reflect.TypeOf((*encoding.TextUnmarshaler)(nil)).Elem(),
+}
+
+// valueSafe reports whether a gob round trip of t yields exactly a Go
+// copy of the value, so a collocated call may pass it by value: t holds
+// no pointer, slice, map, interface, channel or func, no unexported or
+// marshalled part, and no empty struct.
+func valueSafe(t reflect.Type) bool {
+	for _, m := range marshalers {
+		if t.Implements(m) || reflect.PointerTo(t).Implements(m) {
+			return false
+		}
+	}
+	switch t.Kind() {
+	case reflect.Bool, reflect.String,
+		reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return true
+	case reflect.Array:
+		return valueSafe(t.Elem())
+	case reflect.Struct:
+		if t.NumField() == 0 {
+			return false
+		}
+		for i := 0; i < t.NumField(); i++ {
+			if f := t.Field(i); !f.IsExported() || !valueSafe(f.Type) {
+				return false
+			}
+		}
+		return true
+	}
+	return false
+}
+
+// Call invokes a method on a (possibly remote) object and returns its
+// result. It is the typed client-side counterpart of HandleFunc. When
+// the object is hosted on n and the method was registered with exactly
+// this A and R, both value-safe (see HandleFunc), the call is a
+// procedure call under the object's monitor: arg is passed and the
+// result returned by value, nothing is encoded. Otherwise the argument
+// is gob-encoded once, on the first attempt that needs the bytes, and
+// the result decoded, so gob's conversions (an int32 argument for an
+// int64 parameter, say) keep working.
 func Call[A, R any](ctx context.Context, n *Node, ref Ref, method string, arg A) (R, error) {
-	var zero R
-	// The encoded argument lives in a pooled scratch buffer: InvokeRaw
-	// has copied it into a frame, or the method has decoded it, by the
-	// time it returns.
-	argBytes, err := streamOf[A]().AppendEncode(framebuf.Get(0), &arg)
-	if err != nil {
-		framebuf.Put(argBytes) // the scratch buffer, unchanged
-		return zero, fmt.Errorf("objmig: encode argument: %w", err)
+	var zero, res R
+	typed := false
+	var argBytes []byte // a pooled scratch buffer once encoded
+	encoded := func() ([]byte, error) {
+		if argBytes == nil {
+			b, err := encodeArg(arg)
+			if err != nil {
+				return nil, err
+			}
+			argBytes = b
+		}
+		return argBytes, nil
 	}
-	resBytes, err := n.InvokeRaw(ctx, ref, method, argBytes)
+	out, err := n.invoke(ctx, ref, method, func(c *Ctx, inst interface{}, h handler) ([]byte, error) {
+		if f, ok := h.local.(localMethod[A, R]); ok {
+			r, err := f(c, inst, arg)
+			res, typed = r, err == nil
+			return nil, err
+		}
+		b, err := encoded()
+		if err != nil {
+			return nil, err
+		}
+		return h.enc(c, inst, b)
+	}, encoded)
+	// The scratch buffer is done with: a frame has copied it, or the
+	// method has decoded it.
 	framebuf.Put(argBytes)
-	if err != nil {
+	switch {
+	case err != nil:
 		return zero, err
+	case typed:
+		return res, nil
 	}
+	return decodeResult[R](out)
+}
+
+// encodeArg and decodeResult hold the only pointers to a Call's
+// argument and result that gob sees: their own copies, so Call's arg
+// and res stay on its stack when the typed leg runs.
+func encodeArg[A any](arg A) ([]byte, error) {
+	b, err := streamOf[A]().AppendEncode(framebuf.Get(0), &arg)
+	if err != nil {
+		framebuf.Put(b) // the scratch buffer, unchanged
+		return nil, fmt.Errorf("objmig: encode argument: %w", err)
+	}
+	return b, nil
+}
+
+func decodeResult[R any](data []byte) (R, error) {
 	var res R
-	if err := streamOf[R]().Decode(resBytes, &res); err != nil {
+	if err := streamOf[R]().Decode(data, &res); err != nil {
+		var zero R
 		return zero, fmt.Errorf("objmig: decode result: %w", err)
 	}
 	return res, nil
 }
 
 // NestedCall is Call for use inside object methods: it derives the
-// request context from the method's Ctx.
+// request context from the method's Ctx. The collocated value rule of
+// Call applies, so a nested call on an object hosted alongside the
+// caller's is a procedure call when its signature is value-safe.
 func NestedCall[A, R any](c *Ctx, ref Ref, method string, arg A) (R, error) {
 	return Call[A, R](c.ctx, c.node, ref, method, arg)
 }

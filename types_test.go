@@ -6,9 +6,12 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"objmig/internal/core"
 )
@@ -350,5 +353,243 @@ func TestTypedCallStructAndInterfaceAcrossNodes(t *testing.T) {
 	// The failure poisoned nothing.
 	if _, err := Call[orderReq, orderResp](ctx, nodes[1], ref, "Order", orderReq{SKU: "after"}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// The leg-equivalence test's argument and result types: legScalars and
+// [4]int are value-safe, the rest are not (see valueSafe).
+type legScalars struct {
+	A int64
+	B string
+	C float64
+	D bool
+	E [2]uint8
+}
+
+type legHidden struct {
+	X int
+	y int
+}
+
+// legGob counts its own gob decodes, so a result shows how many codec
+// crossings it took.
+type legGob struct{ N int }
+
+func (g legGob) GobEncode() ([]byte, error) { return []byte(strconv.Itoa(g.N)), nil }
+func (g *legGob) GobDecode(b []byte) error {
+	n, err := strconv.Atoi(string(b))
+	g.N = n + 1
+	return err
+}
+
+func newLegType() *Type[counterState] {
+	t := NewType[counterState]("legs")
+	HandleFunc(t, "Int64", func(c *Ctx, s *counterState, a int64) (int64, error) { return a + 1, nil })
+	HandleFunc(t, "Scalars", func(c *Ctx, s *counterState, a legScalars) (legScalars, error) {
+		a.A, a.B, a.C, a.D, a.E[1] = a.A*2, a.B+"!", -a.C, !a.D, a.E[0]
+		return a, nil
+	})
+	HandleFunc(t, "Array", func(c *Ctx, s *counterState, a [4]int) ([4]int, error) {
+		return [4]int{a[3], a[2], a[1], a[0]}, nil
+	})
+	HandleFunc(t, "String", func(c *Ctx, s *counterState, a string) (string, error) { return strings.ToUpper(a), nil })
+	HandleFunc(t, "Bytes", func(c *Ctx, s *counterState, a []byte) ([]byte, error) { return append(a, '!'), nil })
+	HandleFunc(t, "Map", func(c *Ctx, s *counterState, a map[string]int) (map[string]int, error) {
+		a["seen"] = len(a)
+		return a, nil
+	})
+	HandleFunc(t, "Pointer", func(c *Ctx, s *counterState, a *int) (*int, error) {
+		v := *a + 1
+		return &v, nil
+	})
+	HandleFunc(t, "Hidden", func(c *Ctx, s *counterState, a legHidden) (legHidden, error) {
+		return legHidden{X: a.X + 1, y: a.y + 1}, nil
+	})
+	HandleFunc(t, "Empty", func(c *Ctx, s *counterState, a struct{}) (struct{}, error) { return a, nil })
+	HandleFunc(t, "Gob", func(c *Ctx, s *counterState, a legGob) (legGob, error) { return a, nil })
+	HandleFunc(t, "Fail", func(c *Ctx, s *counterState, a int64) (int64, error) { return 7, errors.New("boom") })
+	HandleFunc(t, "Panic", func(c *Ctx, s *counterState, a int64) (int64, error) { panic("kaboom") })
+	HandleFunc(t, "Scribble", func(c *Ctx, s *counterState, a []int) (int, error) {
+		a[0] = -1
+		return len(a), nil
+	})
+	return t
+}
+
+// legCall wraps one typed Call so a table can hold calls of many
+// signatures.
+func legCall[A, R any](ctx context.Context, ref Ref, method string, arg A) func(*Node) (any, error) {
+	return func(n *Node) (any, error) { return Call[A, R](ctx, n, ref, method, arg) }
+}
+
+// errClass names the public sentinel err matches: callers can tell two
+// errors apart by errors.Is only when their classes differ.
+func errClass(err error) string {
+	if err == nil {
+		return "nil"
+	}
+	for _, s := range []error{ErrNotFound, ErrFixed, ErrDenied, ErrUnknownType, ErrUnknownMethod,
+		ErrExclusive, ErrClosed, ErrUnreachable} {
+		if errors.Is(err, s) {
+			return s.Error()
+		}
+	}
+	return "other"
+}
+
+// TestCallLegsAgree: the same Call sent to the hosting node (the typed
+// leg for value-safe signatures, the encoded leg for the rest) and from
+// a remote node gives the same result and the same error class; the
+// typed leg is registered exactly for the value-safe signatures; a
+// callee cannot reach its caller's slice; and each leg counts one
+// served invocation, one EventInvoke and one affinity access per call.
+func TestCallLegsAgree(t *testing.T) {
+	t.Parallel()
+	ctx := ctxShort(t)
+	var invokes atomic.Int64
+	nodes := testCluster(t, 2, Config{Observer: func(e Event) {
+		if e.Kind == EventInvoke {
+			invokes.Add(1)
+		}
+	}})
+	legs := newLegType()
+	for _, n := range nodes {
+		if err := n.RegisterType(legs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	host, caller := nodes[0], nodes[1]
+	ref, err := host.Create("legs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	seven := 7
+	cases := []struct {
+		name   string
+		method string // "" when the call names no registered method
+		typed  bool   // the method has a typed leg
+		call   func(*Node) (any, error)
+		want   any // the result; nil when the call fails
+		class  string
+	}{
+		{"int64", "Int64", true, legCall[int64, int64](ctx, ref, "Int64", 41), int64(42), "nil"},
+		{"scalars", "Scalars", true,
+			legCall[legScalars, legScalars](ctx, ref, "Scalars", legScalars{A: 3, B: "b", C: 1.5, D: true, E: [2]uint8{9, 0}}),
+			legScalars{A: 6, B: "b!", C: -1.5, E: [2]uint8{9, 9}}, "nil"},
+		{"array", "Array", true, legCall[[4]int, [4]int](ctx, ref, "Array", [4]int{1, 2, 3, 4}), [4]int{4, 3, 2, 1}, "nil"},
+		{"string", "String", true, legCall[string, string](ctx, ref, "String", "abc"), "ABC", "nil"},
+		{"bytes", "Bytes", false, legCall[[]byte, []byte](ctx, ref, "Bytes", []byte("ab")), []byte("ab!"), "nil"},
+		{"map", "Map", false, legCall[map[string]int, map[string]int](ctx, ref, "Map", map[string]int{"a": 1}),
+			map[string]int{"a": 1, "seen": 1}, "nil"},
+		{"pointer", "Pointer", false, legCall[*int, *int](ctx, ref, "Pointer", &seven), &[]int{8}[0], "nil"},
+		// gob drops the unexported field both ways: the typed leg would
+		// have returned y == 3.
+		{"unexported field", "Hidden", false, legCall[legHidden, legHidden](ctx, ref, "Hidden", legHidden{X: 1, y: 2}),
+			legHidden{X: 2}, "nil"},
+		{"empty struct", "Empty", false, legCall[struct{}, struct{}](ctx, ref, "Empty", struct{}{}), struct{}{}, "nil"},
+		// One decode of the argument and one of the result.
+		{"GobEncoder", "Gob", false, legCall[legGob, legGob](ctx, ref, "Gob", legGob{N: 1}), legGob{N: 3}, "nil"},
+		{"result with error", "Fail", true, legCall[int64, int64](ctx, ref, "Fail", 1), nil, "other"},
+		{"panic", "Panic", true, legCall[int64, int64](ctx, ref, "Panic", 1), nil, "other"},
+		{"unknown method", "", false, legCall[int64, int64](ctx, ref, "Nope", 1), nil, ErrUnknownMethod.Error()},
+		// The registration is int64: the typed leg does not match, and
+		// gob converts on the encoded one.
+		{"int32 for int64", "Int64", true, legCall[int32, int32](ctx, ref, "Int64", 41), int32(42), "nil"},
+	}
+	for _, tc := range cases {
+		if tc.method != "" {
+			h, ok := legs.method(tc.method)
+			if !ok || (h.local != nil) != tc.typed {
+				t.Errorf("%s: registered %v, typed leg %v; want typed leg %v", tc.name, ok, h.local != nil, tc.typed)
+			}
+		}
+		local, lerr := tc.call(host)
+		remote, rerr := tc.call(caller)
+		if errClass(lerr) != tc.class || errClass(rerr) != tc.class {
+			t.Errorf("%s: error classes local %q (%v), remote %q (%v); want %q",
+				tc.name, errClass(lerr), lerr, errClass(rerr), rerr, tc.class)
+			continue
+		}
+		if tc.want == nil {
+			zero := reflect.Zero(reflect.TypeOf(local)).Interface()
+			if !reflect.DeepEqual(local, zero) || !reflect.DeepEqual(remote, zero) {
+				t.Errorf("%s: failed calls returned local %#v, remote %#v; want the zero value", tc.name, local, remote)
+			}
+			continue
+		}
+		if !reflect.DeepEqual(local, tc.want) || !reflect.DeepEqual(remote, tc.want) {
+			t.Errorf("%s: local %#v, remote %#v; want %#v", tc.name, local, remote, tc.want)
+		}
+	}
+	if _, err := Call[int64, int64](ctx, host, ref, "Fail", 1); err == nil || !strings.Contains(err.Error(), "boom") {
+		t.Errorf("local Fail: %v, want the method's error", err)
+	}
+	if _, err := Call[int64, int64](ctx, caller, ref, "Fail", 1); err == nil || !strings.Contains(err.Error(), "boom") {
+		t.Errorf("remote Fail: %v, want the method's error", err)
+	}
+
+	for _, n := range []*Node{host, caller} {
+		arg := []int{1, 2, 3}
+		if got, err := Call[[]int, int](ctx, n, ref, "Scribble", arg); err != nil || got != 3 {
+			t.Fatalf("Scribble from %s: %d, %v", n.ID(), got, err)
+		}
+		if arg[0] != 1 {
+			t.Errorf("Scribble from %s reached the caller's slice: %v", n.ID(), arg)
+		}
+	}
+
+	// One call on each leg: typed local, encoded local, remote.
+	host.aff.SetEnabled(true)
+	for _, leg := range []struct {
+		name string
+		from *Node
+		call func(*Node) (any, error)
+	}{
+		{"typed", host, legCall[int64, int64](ctx, ref, "Int64", 1)},
+		{"encoded", host, legCall[[]byte, []byte](ctx, ref, "Bytes", []byte("x"))},
+		{"remote", caller, legCall[int64, int64](ctx, ref, "Int64", 1)},
+	} {
+		served, events, load := host.Stats().InvocationsServed, invokes.Load(), host.aff.Load(ref.OID)
+		if _, err := leg.call(leg.from); err != nil {
+			t.Fatalf("%s: %v", leg.name, err)
+		}
+		after := host.aff.Load(ref.OID)
+		if d := host.Stats().InvocationsServed - served; d != 1 {
+			t.Errorf("%s: InvocationsServed moved by %d, want 1", leg.name, d)
+		}
+		if d := invokes.Load() - events; d != 1 {
+			t.Errorf("%s: %d EventInvoke, want 1", leg.name, d)
+		}
+		wantLocal := int64(1)
+		if leg.from != host {
+			wantLocal = 0
+		}
+		if dl, dt := after.Local-load.Local, after.Total-load.Total; dl != wantLocal || dt != 1 {
+			t.Errorf("%s: affinity local +%d, total +%d; want +%d, +1", leg.name, dl, dt, wantLocal)
+		}
+	}
+}
+
+func TestValueSafe(t *testing.T) {
+	t.Parallel()
+	type nested struct {
+		S legScalars
+		A [2]string
+	}
+	type withPtr struct{ P *int }
+	for _, tc := range []struct {
+		v    any
+		want bool
+	}{
+		{int8(0), true}, {uint64(0), true}, {complex64(0), true}, {"", true}, {Ref{}, true},
+		{legScalars{}, true}, {nested{}, true}, {[0]int{}, true},
+		{uintptr(0), false}, {[]int(nil), false}, {map[int]int(nil), false}, {withPtr{}, false},
+		{legHidden{}, false}, {struct{}{}, false}, {[1]any{}, false}, {legGob{}, false},
+		{time.Time{}, false}, // a TextMarshaler with unexported fields
+		{[2]legGob{}, false}, {make(chan int), false},
+	} {
+		if got := valueSafe(reflect.TypeOf(tc.v)); got != tc.want {
+			t.Errorf("valueSafe(%T) = %v, want %v", tc.v, got, tc.want)
+		}
 	}
 }
