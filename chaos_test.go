@@ -253,6 +253,9 @@ func TestChaos(t *testing.T) {
 			}
 		}
 	}
+	// Invariant 4: once the advisories land, every origin's home index
+	// names the node that hosts the object.
+	originsNameHosts(t, nodes, refs)
 }
 
 // TestChaosCoordinatorCrashReleasesReservation: a coordinator that

@@ -310,9 +310,8 @@ func run() int {
 						node.Health(), st.HealthTicks, st.HealthDegraded,
 						st.HealthCritical, st.HealthVetoes, st.HealthDumps)
 				}
-				fmt.Printf("directory: %d home, %d forwards, %d cached, %d closures (%d members), %d retired; hint hit rate %s, p99 chase %d hops (%d over budget)\n",
-					st.LocHome, st.LocForwards, st.LocCache, st.LocClosures,
-					st.LocClosureRefs, st.ForwardsRetired,
+				fmt.Printf("directory: %d home, %d forwards, %d cached, %d retired; hint hit rate %s, p99 chase %d hops (%d over budget)\n",
+					st.LocHome, st.LocForwards, st.LocCache, st.ForwardsRetired,
 					hitRate(st.HintHits, st.HintMisses), st.ChaseP99Hops, st.ChasesOverBudget)
 			}
 		}
@@ -332,9 +331,8 @@ func run() int {
 			st.PlacementMigrations, st.PlacementObjectsMoved, st.PlacementVetoes,
 			st.LoadGossipSent, st.LoadGossipReceived)
 	}
-	fmt.Printf("directory total: %d home, %d forwards, %d cached, %d closures (%d members), %d retired; hint hit rate %s, p99 chase %d hops (%d over budget)\n",
-		st.LocHome, st.LocForwards, st.LocCache, st.LocClosures,
-		st.LocClosureRefs, st.ForwardsRetired,
+	fmt.Printf("directory total: %d home, %d forwards, %d cached, %d retired; hint hit rate %s, p99 chase %d hops (%d over budget)\n",
+		st.LocHome, st.LocForwards, st.LocCache, st.ForwardsRetired,
 		hitRate(st.HintHits, st.HintMisses), st.ChaseP99Hops, st.ChasesOverBudget)
 	return 0
 }

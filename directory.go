@@ -8,9 +8,8 @@ package objmig
 const chaseHopBudget = 4
 
 // CompactDirectory runs one forward-compaction sweep immediately: TTL
-// expiry of unconfirmed forwarding pointers, stub retirement and
-// closure-record reaping. The node triggers this automatically every
-// few thousand departures; the explicit hook exists for tests and
-// operational tooling. Returns the number of forwarding entries
-// removed.
+// expiry of unconfirmed forwarding pointers and retirement of their
+// stubs. The node triggers this automatically every few thousand
+// departures; the explicit hook exists for tests and operational
+// tooling. Returns the number of forwarding entries removed.
 func (n *Node) CompactDirectory() int { return n.store.CompactForwards() }

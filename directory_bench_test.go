@@ -49,8 +49,8 @@ func runDirectoryBench(b *testing.B, closures, size int) directoryBenchResult {
 		}
 	}
 	// Every closure leaves home, half of them twice: the second leg
-	// exercises the foreign-host departure path (coalesced forwarding
-	// state, asynchronous home update, stub retirement on the ack).
+	// exercises the foreign-host departure path (forwarding pointers,
+	// asynchronous home update, stub retirement on the ack).
 	for _, anchor := range anchors {
 		if err := n0.Migrate(ctx, anchor, "n1"); err != nil {
 			b.Fatal(err)
@@ -62,16 +62,15 @@ func runDirectoryBench(b *testing.B, closures, size int) directoryBenchResult {
 		}
 	}
 	// Settle: n1's forwarding state for the second leg retires once n0
-	// acknowledges the batched home updates.
+	// acknowledges the home updates.
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		st := n1.Stats()
-		if st.LocForwards == 0 && st.LocClosureRefs == 0 {
+		if st.LocForwards == 0 {
 			break
 		}
 		if time.Now().After(deadline) {
-			b.Fatalf("n1 forwarding state never retired: %d forwards, %d member refs",
-				st.LocForwards, st.LocClosureRefs)
+			b.Fatalf("n1 forwarding state never retired: %d forwards", st.LocForwards)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -98,7 +97,7 @@ func runDirectoryBench(b *testing.B, closures, size int) directoryBenchResult {
 	}
 
 	st0 := n0.Stats()
-	entries := st0.LocHome + st0.LocForwards + st0.LocCache + st0.LocClosures
+	entries := st0.LocHome + st0.LocForwards + st0.LocCache
 	return directoryBenchResult{
 		bytesPerObj:   float64(after.HeapAlloc-before.HeapAlloc) / float64(total),
 		entriesPerObj: float64(entries) / float64(total),
@@ -132,16 +131,16 @@ func BenchmarkDirectoryScale(b *testing.B) {
 
 // BenchmarkDirectoryMillion holds one million objects (15625 closures
 // of 64) on a three-node in-memory cluster and reports the per-object
-// budget. The benchmark fails if the origin keeps more than 20 location
-// entries per thousand objects (closure records measured 15.6; one entry
-// per object would be 1000) or if the steady-state p99 chase length
+// budget. The benchmark fails if one live object costs the cluster more
+// than 2200 heap bytes (BenchmarkDirectoryScale's budget in
+// scripts/alloc-budget.txt) or if the steady-state p99 chase length
 // exceeds two hops. Takes minutes on a small machine — skipped under
 // -short (CI runs the scaled-down BenchmarkDirectoryScale instead).
 func BenchmarkDirectoryMillion(b *testing.B) {
 	if testing.Short() {
 		b.Skip("1M-object directory benchmark; run without -short")
 	}
-	const maxEntriesPerKObj = 20
+	const maxBytesPerObj = 2200
 	var res directoryBenchResult
 	for i := 0; i < b.N; i++ {
 		res = runDirectoryBench(b, 15625, 64)
@@ -149,8 +148,8 @@ func BenchmarkDirectoryMillion(b *testing.B) {
 	if res.p99Hops > 2 {
 		b.Errorf("p99 chase hops = %d, want <= 2", res.p99Hops)
 	}
-	if got := res.entriesPerObj * 1000; got > maxEntriesPerKObj {
-		b.Errorf("origin holds %.1f location entries per 1000 objects, want <= %d", got, maxEntriesPerKObj)
+	if res.bytesPerObj > maxBytesPerObj {
+		b.Errorf("one live object costs %.0f heap bytes, want <= %d", res.bytesPerObj, maxBytesPerObj)
 	}
 	b.ReportMetric(res.bytesPerObj, "bytes/obj")
 	b.ReportMetric(res.entriesPerObj*1000, "locent/kobj")

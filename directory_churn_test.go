@@ -117,9 +117,11 @@ func TestDirectoryChurnBoundedChases(t *testing.T) {
 	for _, n := range nodes {
 		n.CompactDirectory()
 		st := n.Stats()
-		if bound := int64(members * 4); st.LocForwards+st.LocClosures > bound {
-			t.Errorf("%s: %d forwards + %d closure records outlive the churn (bound %d)",
-				n.ID(), st.LocForwards, st.LocClosures, bound)
+		if bound := int64(members * 4); st.LocForwards > bound {
+			t.Errorf("%s: %d forwards outlive the churn (bound %d)",
+				n.ID(), st.LocForwards, bound)
 		}
 	}
+	// The origin's home index names every member's host.
+	originsNameHosts(t, nodes, refs)
 }

@@ -2,7 +2,6 @@ package objmig
 
 import (
 	"context"
-	"slices"
 	"sync/atomic"
 	"time"
 
@@ -28,10 +27,6 @@ func (n *Node) advise(origin NodeID, req *wire.HomeUpdate) {
 	}
 	n.adv.Add(1)
 	n.bgMu.Unlock()
-	ids := req.Objs
-	for _, cl := range req.Closures {
-		ids = append(slices.Clip(ids), cl.Members...)
-	}
 	attempt := func() error {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
@@ -40,7 +35,7 @@ func (n *Node) advise(origin NodeID, req *wire.HomeUpdate) {
 			return err
 		}
 		n.observeLoad(resp.Load)
-		n.store.ConfirmDeparted(ids, req.At) // a no-op for objects never hosted here
+		n.store.ConfirmDeparted(req.Objs, req.At) // a no-op for objects never hosted here
 		return nil
 	}
 	go func() {

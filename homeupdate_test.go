@@ -2,6 +2,7 @@ package objmig
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
@@ -144,13 +145,12 @@ func TestFailedSendsAreRetried(t *testing.T) {
 	})
 }
 
-// TestGroupGenerationOutranksClosureReport: a closure report carries
-// the group's highest departure generation for every member, so a
-// member that travelled with an older generation must not fall behind
-// it. After the group moves and the member then moves alone, the
-// origin must accept the member's own report — not keep the closure's
-// host, whose stub retires on the ack.
-func TestGroupGenerationOutranksClosureReport(t *testing.T) {
+// TestGroupMemberMovesAloneAfterGroup: members of a group carry their
+// own departure generations, which differ when one member travelled
+// more than another. After the group moves and the lower-generation
+// member then moves alone, the origin must accept that member's own
+// report — not keep the group's host, whose stub retires on the ack.
+func TestGroupMemberMovesAloneAfterGroup(t *testing.T) {
 	t.Parallel()
 	ctx := ctxShort(t)
 	nodes := testCluster(t, 4, Config{})
@@ -167,7 +167,8 @@ func TestGroupGenerationOutranksClosureReport(t *testing.T) {
 	if err := nodes[1].Attach(ctx, a, b, NoAlliance); err != nil {
 		t.Fatal(err)
 	}
-	// n1 moves the closure to n2: the origin n0 hears one closure report.
+	// n1 moves the closure to n2: the origin n0 hears one report for
+	// both members, a at its generation and b at its lower one.
 	if err := nodes[1].Migrate(ctx, a, "n2"); err != nil {
 		t.Fatal(err)
 	}
@@ -187,5 +188,45 @@ func TestGroupGenerationOutranksClosureReport(t *testing.T) {
 	}, "the origin kept the closure's host for b")
 	if at := whereIs(t, ctx, nodes[0], b); at != "n3" {
 		t.Fatalf("b located at %v from its origin, want n3", at)
+	}
+	originsNameHosts(t, nodes, []Ref{a, b})
+}
+
+// originsNameHosts waits until every object is hosted on exactly one
+// node and its origin's home index names that node. A current report
+// that the origin dropped while the old host retired its stub on the
+// ack shows up here first: the origin keeps naming a host that no
+// longer leads to the object.
+func originsNameHosts(t *testing.T, nodes []*Node, refs []Ref) {
+	t.Helper()
+	byID := make(map[NodeID]*Node, len(nodes))
+	for _, n := range nodes {
+		byID[n.ID()] = n
+	}
+	mismatch := func() string {
+		for _, r := range refs {
+			var hosts []NodeID
+			for _, n := range nodes {
+				if _, ok := n.hostedRecord(r.OID); ok {
+					hosts = append(hosts, n.ID())
+				}
+			}
+			origin := byID[r.OID.Origin].store
+			if home, _ := origin.Home(r.OID); len(hosts) != 1 || home != hosts[0] {
+				return fmt.Sprintf("%s hosted at %v, its origin says %s", r.OID, hosts, origin.Debug(r.OID))
+			}
+		}
+		return ""
+	}
+	deadline := time.Now().Add(3 * time.Second)
+	for {
+		m := mismatch()
+		if m == "" {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal(m)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

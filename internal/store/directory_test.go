@@ -10,74 +10,11 @@ import (
 	"objmig/internal/core"
 )
 
-// TestClosureRecordSharing: a closure-level home update must cost one
-// shared record (plus member references) instead of per-object home
-// entries, resolve on Hint/Home, and refresh all members on one report.
-// At an old host, Learn detaches one member only.
-func TestClosureRecordSharing(t *testing.T) {
-	t.Parallel()
-	s := New("n1")
-	const members = 64
-	anchor := core.OID{Origin: "n1", Seq: 1}
-	ids := make([]core.OID, 0, members)
-	for i := 0; i < members; i++ {
-		ids = append(ids, core.OID{Origin: "n1", Seq: uint64(i + 1)})
-	}
-	s.HomeUpdateClosure(anchor, 1, ids, "n2")
-
-	ls := s.LocStats()
-	if ls.Home != 0 || ls.Closures != 1 || ls.ClosureRefs != members {
-		t.Fatalf("LocStats = %+v, want 0 home / 1 closure / %d refs", ls, members)
-	}
-	// One shared record versus N per-object entries: ≥4× fewer for a
-	// 64-member closure (here 1 entry vs 64).
-	if got := ls.Entries(); got*4 > members {
-		t.Fatalf("closure update cost %d entries for %d members", got, members)
-	}
-	for _, id := range ids {
-		if hint := s.Hint(id); hint != "n2" {
-			t.Fatalf("Hint(%s) = %s, want n2", id, hint)
-		}
-		if at, ok := s.Home(id); !ok || at != "n2" {
-			t.Fatalf("Home(%s) = %s, %v", id, at, ok)
-		}
-	}
-	// A single closure-level update refreshes every member at once.
-	s.HomeUpdateClosure(anchor, 2, ids, "n3")
-	for _, id := range ids {
-		if hint := s.Hint(id); hint != "n3" {
-			t.Fatalf("after closure update, Hint(%s) = %s, want n3", id, hint)
-		}
-	}
-	if ls := s.LocStats(); ls.ClosureRefs != members || ls.Home != 0 {
-		t.Fatalf("closure update did not recapture members: %+v", ls)
-	}
-
-	// An old host's record: Learn is hearsay about one object, so it
-	// detaches that member only, leaving the shared record (and
-	// everyone else) untouched.
-	old := New("n4")
-	old.DepartedClosure(anchor, 1, ids, "n2")
-	old.Learn(ids[17], "n3")
-	if hint := old.Hint(ids[17]); hint != "n3" {
-		t.Fatalf("after Learn, Hint(%s) = %s, want n3", ids[17], hint)
-	}
-	if hint := old.Hint(ids[16]); hint != "n2" {
-		t.Fatalf("Learn dragged a sibling: Hint(%s) = %s, want n2", ids[16], hint)
-	}
-	// A fresher closure departure recaptures the detached member (its
-	// forward carries the old generation).
-	old.DepartedClosure(anchor, 2, ids, "n5")
-	if ls := old.LocStats(); ls.ClosureRefs != members || ls.Forwards != 0 {
-		t.Fatalf("closure departure did not recapture members: %+v", ls)
-	}
-}
-
 // TestLearnLeavesOriginToReports: the origin's home index takes only
 // generation-ordered reports. A stale reply learnt after a fresher
-// HomeUpdate or HomeUpdateClosure leaves Home and Hint at the reported
-// host, whose stub chain leads to the object; the hearsay host may have
-// retired its stub already.
+// HomeUpdate — of one object or of a group — leaves Home and Hint at
+// the reported host, whose stub chain leads to the object; the hearsay
+// host may have retired its stub already.
 func TestLearnLeavesOriginToReports(t *testing.T) {
 	t.Parallel()
 	s := New("n0")
@@ -85,7 +22,7 @@ func TestLearnLeavesOriginToReports(t *testing.T) {
 	s.HomeUpdate([]core.OID{x}, []uint64{12}, "n1")
 	s.Learn(x, "n2")
 	group := []core.OID{oid("n0", 2), oid("n0", 3)}
-	s.HomeUpdateClosure(group[0], 7, group, "n1")
+	s.HomeUpdate(group, []uint64{7, 5}, "n1")
 	s.Learn(group[0], "n2")
 	for _, id := range append(group, x) {
 		if at, ok := s.Home(id); !ok || at != "n1" {
@@ -97,22 +34,22 @@ func TestLearnLeavesOriginToReports(t *testing.T) {
 	}
 }
 
-// TestClosureGenOrdering: stale reports (older generations) must never
-// roll a closure record or a fresher per-object entry backwards, in
-// either direction.
+// TestClosureGenOrdering: a closure that migrated as a unit is
+// reported member by member, each at its own departure generation.
+// Stale reports (older generations) never roll an entry backwards,
+// whether they came for the whole group or for one member.
 func TestClosureGenOrdering(t *testing.T) {
 	t.Parallel()
 	s := New("n1")
-	anchor := core.OID{Origin: "n1", Seq: 1}
 	ids := []core.OID{{Origin: "n1", Seq: 1}, {Origin: "n1", Seq: 2}}
 
-	s.HomeUpdateClosure(anchor, 3, ids, "n3")
-	s.HomeUpdateClosure(anchor, 2, ids, "n2") // stale: must be ignored
+	s.HomeUpdate(ids, []uint64{3, 3}, "n3")
+	s.HomeUpdate(ids, []uint64{2, 2}, "n2") // stale: must be ignored
 	if hint := s.Hint(ids[0]); hint != "n3" {
-		t.Fatalf("stale closure update won: hint = %s", hint)
+		t.Fatalf("stale group update won: hint = %s", hint)
 	}
 
-	// A fresher per-object report detaches the member from the record.
+	// A fresher report for one member moves that member alone.
 	s.HomeUpdate(ids[:1], []uint64{4}, "n4")
 	if hint := s.Hint(ids[0]); hint != "n4" {
 		t.Fatalf("fresh per-object update lost: hint = %s", hint)
@@ -120,39 +57,40 @@ func TestClosureGenOrdering(t *testing.T) {
 	if hint := s.Hint(ids[1]); hint != "n3" {
 		t.Fatalf("unrelated member moved: hint = %s", hint)
 	}
-	// ... and a stale per-object report must not detach it.
+	// ... and a stale per-object report must not move the other.
 	s.HomeUpdate(ids[1:], []uint64{1}, "n9")
 	if hint := s.Hint(ids[1]); hint != "n3" {
 		t.Fatalf("stale per-object update won: hint = %s", hint)
 	}
-	// A fresher closure update recaptures the individually-updated one.
-	s.HomeUpdateClosure(anchor, 5, ids, "n5")
+	// A group report carries each member's own generation: the member
+	// that travelled alone (4) and the one that did not (3) both
+	// follow the group's next trip.
+	s.HomeUpdate(ids, []uint64{5, 4}, "n5")
 	for _, id := range ids {
 		if hint := s.Hint(id); hint != "n5" {
-			t.Fatalf("closure recapture failed: hint(%s) = %s", id, hint)
+			t.Fatalf("group update lost: hint(%s) = %s", id, hint)
 		}
 	}
-	if ls := s.LocStats(); ls.Home != 0 || ls.ClosureRefs != 2 {
-		t.Fatalf("LocStats = %+v, want all members attached", ls)
+	if ls := s.LocStats(); ls.Home != len(ids) {
+		t.Fatalf("LocStats = %+v, want one home entry per member", ls)
 	}
 }
 
 // TestClosureShrinksWithoutDraggingStrays: the same anchor migrating
 // again with a smaller member set must not drag the left-behind
-// members along. The second report mints a fresh record; strays keep
-// referencing the superseded one, whose location stays put. (This is
-// the officeflow shape: {folder, report} travels to the editor, then
-// {folder, memo} travels on to the archiver — report stays put.)
+// members along: each report names only the members that travelled.
+// (This is the officeflow shape: {folder, report} travels to the
+// editor, then {folder, memo} travels on to the archiver — report
+// stays put.)
 func TestClosureShrinksWithoutDraggingStrays(t *testing.T) {
 	t.Parallel()
 	s := New("n1")
-	anchor := core.OID{Origin: "n1", Seq: 1}
 	folder := core.OID{Origin: "n1", Seq: 1}
 	report := core.OID{Origin: "n1", Seq: 2}
 	memo := core.OID{Origin: "n1", Seq: 3}
 
-	s.HomeUpdateClosure(anchor, 1, []core.OID{folder, report}, "n2")
-	s.HomeUpdateClosure(anchor, 2, []core.OID{folder, memo}, "n3")
+	s.HomeUpdate([]core.OID{folder, report}, []uint64{1, 1}, "n2")
+	s.HomeUpdate([]core.OID{folder, memo}, []uint64{2, 1}, "n3")
 
 	if hint := s.Hint(folder); hint != "n3" {
 		t.Fatalf("anchor did not follow its own migration: hint = %s", hint)
@@ -169,8 +107,7 @@ func TestClosureShrinksWithoutDraggingStrays(t *testing.T) {
 }
 
 // TestConfirmDepartedRetiresState: once the origin acknowledged a home
-// update, the old host drops the forwarding pointer, the member
-// reference and the Gone stub.
+// update, the old host drops the forwarding pointer and the Gone stub.
 func TestConfirmDepartedRetiresState(t *testing.T) {
 	t.Parallel()
 	s := New("n2") // foreign host for n1-origin objects
@@ -271,42 +208,6 @@ func TestHintCacheCap(t *testing.T) {
 	s.Learn(id, "n3")
 	if hint := s.Hint(id); hint != "n3" {
 		t.Fatalf("re-learn lost the entry: hint = %s", hint)
-	}
-}
-
-// TestDepartedClosureCoalesces: an old host collapsing a group
-// departure holds one closure record instead of N forwards, members of
-// any origin included, and retires it wholesale on confirmation.
-func TestDepartedClosureCoalesces(t *testing.T) {
-	t.Parallel()
-	s := New("n2")
-	anchor := core.OID{Origin: "n1", Seq: 1}
-	ids := []core.OID{
-		{Origin: "n1", Seq: 1},
-		{Origin: "n1", Seq: 2},
-		{Origin: "n3", Seq: 9}, // foreign member coalesces too
-	}
-	for _, id := range ids {
-		s.Departed(id, "n4", 1) // per-object forwards first (commit order)
-	}
-	s.DepartedClosure(anchor, 1, ids, "n4")
-	ls := s.LocStats()
-	if ls.Forwards != 0 || ls.Closures != 1 || ls.ClosureRefs != len(ids) {
-		t.Fatalf("LocStats = %+v, want coalesced closure", ls)
-	}
-	for _, id := range ids {
-		if to, ok := s.Forward(id); !ok || to != "n4" {
-			t.Fatalf("Forward(%s) = %s, %v", id, to, ok)
-		}
-	}
-	s.ConfirmDeparted(ids, "n4")
-	ls = s.LocStats()
-	if ls.ClosureRefs != 0 {
-		t.Fatalf("refs survived confirmation: %+v", ls)
-	}
-	s.CompactForwards() // reaps the zero-ref record (needs a TTL)
-	if ls = s.LocStats(); ls.Closures != 0 {
-		t.Fatalf("zero-ref closure not reaped: %+v", ls)
 	}
 }
 

@@ -20,18 +20,14 @@
 //
 // The location scheme follows the paper's system model ([ChC91],
 // [JLH+88]) — a name-service lookup at the object's origin plus forward
-// addressing at former hosts — with three scale amendments:
+// addressing at former hosts — kept per object, with two scale
+// amendments:
 //
-//  1. Closure records. When an attachment closure migrates as a unit,
-//     the directory stores one ClosureRec (anchor → node) and each
-//     member holds only a pointer to it, so a 64-member closure costs
-//     one location entry plus 64 map references instead of 64
-//     independent entries, and one closure report refreshes them all.
-//  2. Self-home is implicit. A hosted record IS the home knowledge for
+//  1. Self-home is implicit. A hosted record IS the home knowledge for
 //     an object created here; the home index only holds entries for
 //     objects that left. Home entries and forwards carry a departure
 //     generation so delayed reports can never roll the index backwards.
-//  3. Retirement. Forwarding state is dropped eagerly once the origin's
+//  2. Retirement. Forwarding state is dropped eagerly once the origin's
 //     home index is confirmed authoritative (ConfirmDeparted), and any
 //     survivors age out under a TTL (CompactForwards), so a node that
 //     hosted a million transient objects does not keep a million dead
@@ -96,8 +92,7 @@ type fwdEntry struct {
 // lock are separate so a record may update location state while its own
 // mutex is held (forward-pointer commit) without inverting against
 // table scans that take the table lock first. Lock order:
-// tabMu → Record.Mu → locMu → ClosureRec.mu; the closure index lock
-// (Store.closMu) is taken before locMu, never after.
+// tabMu → Record.Mu → locMu.
 type shard struct {
 	tabMu sync.RWMutex
 	objs  map[core.OID]*Record
@@ -113,9 +108,6 @@ type shard struct {
 	// cache holds location hints for foreign objects, capped at the
 	// store's per-shard budget.
 	cache map[core.OID]core.NodeID
-	// members maps closure members to their shared location record.
-	// A member reference shadows home/forwards/cache for that OID.
-	members map[core.OID]*ClosureRec
 }
 
 // Store is a node-local sharded object-and-location table. It is safe
@@ -134,22 +126,17 @@ type Store struct {
 	retired atomic.Int64
 	// sinceSweep counts departures since the last amortised sweep.
 	sinceSweep atomic.Int64
-
-	// closMu guards the anchor → closure-record index.
-	closMu   sync.Mutex
-	closures map[core.OID]*ClosureRec
 }
 
 // New returns an empty Store for the given node.
 func New(self core.NodeID) *Store {
-	s := &Store{self: self, closures: make(map[core.OID]*ClosureRec)}
+	s := &Store{self: self}
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.objs = make(map[core.OID]*Record)
 		sh.home = make(map[core.OID]homeEntry)
 		sh.forwards = make(map[core.OID]fwdEntry)
 		sh.cache = make(map[core.OID]core.NodeID)
-		sh.members = make(map[core.OID]*ClosureRec)
 	}
 	s.SetHintCacheCap(DefaultHintCacheCap)
 	s.SetForwardTTL(DefaultForwardTTL)
@@ -441,10 +428,10 @@ func (s *Store) Created(id core.OID) {
 }
 
 // Arrived records that the object is now hosted here: any forwarding
-// pointer, closure-member reference and stale hint is dropped. For an
-// object created here the home entry is dropped too when the record is
-// actually hosted (the record is the home knowledge); when no record
-// exists (location-only usage) an explicit self-entry is written instead.
+// pointer and stale hint is dropped. For an object created here the
+// home entry is dropped too when the record is actually hosted (the
+// record is the home knowledge); when no record exists (location-only
+// usage) an explicit self-entry is written instead.
 func (s *Store) Arrived(id core.OID) {
 	_, hosted := s.Hosted(id)
 	sh := s.shardOf(id)
@@ -452,7 +439,6 @@ func (s *Store) Arrived(id core.OID) {
 	defer sh.locMu.Unlock()
 	delete(sh.forwards, id)
 	delete(sh.cache, id)
-	sh.detachMemberLocked(id)
 	if id.Origin == s.self {
 		if hosted {
 			delete(sh.home, id)
@@ -475,7 +461,6 @@ func (s *Store) Departed(id core.OID, to core.NodeID, gen uint64) {
 	sh := s.shardOf(id)
 	sh.locMu.Lock()
 	defer sh.locMu.Unlock()
-	sh.detachMemberLocked(id)
 	delete(sh.cache, id)
 	if id.Origin == s.self {
 		if h, ok := sh.home[id]; !ok || gen >= h.gen {
@@ -492,9 +477,9 @@ func (s *Store) Departed(id core.OID, to core.NodeID, gen uint64) {
 // here now live at the given node. Reports about foreign objects are
 // ignored. gens, when non-nil, aligns with ids and carries each
 // object's departure generation: a report older than the stored entry
-// (or than the member's closure record) is dropped, so batches arriving
-// out of order cannot point the index backwards. Each object's shard is
-// locked individually — a large batch never stalls unrelated lookups.
+// is dropped, so reports arriving out of order cannot point the index
+// backwards. Each object's shard is locked individually — a large
+// batch never stalls unrelated lookups.
 func (s *Store) HomeUpdate(ids []core.OID, gens []uint64, at core.NodeID) {
 	for i, id := range ids {
 		if id.Origin != s.self {
@@ -506,25 +491,16 @@ func (s *Store) HomeUpdate(ids []core.OID, gens []uint64, at core.NodeID) {
 		}
 		sh := s.shardOf(id)
 		sh.locMu.Lock()
-		if clos, ok := sh.members[id]; ok {
-			if gen < clos.generation() {
-				sh.locMu.Unlock()
-				continue
-			}
-			sh.detachMemberLocked(id)
+		if h, ok := sh.home[id]; !ok || gen >= h.gen {
+			sh.home[id] = homeEntry{at: at, gen: gen}
 		}
-		if h, ok := sh.home[id]; ok && gen < h.gen {
-			sh.locMu.Unlock()
-			continue
-		}
-		sh.home[id] = homeEntry{at: at, gen: gen}
 		sh.locMu.Unlock()
 	}
 }
 
 // Home returns this node's knowledge of where an object created here
 // lives: the hosted record itself when the object is (back) here, else
-// the home-index entry, else the member's closure record.
+// the home-index entry.
 func (s *Store) Home(id core.OID) (core.NodeID, bool) {
 	if _, ok := s.Hosted(id); ok {
 		return s.self, true
@@ -535,29 +511,19 @@ func (s *Store) Home(id core.OID) (core.NodeID, bool) {
 	if h, ok := sh.home[id]; ok {
 		return h.at, true
 	}
-	if id.Origin == s.self {
-		if clos, ok := sh.members[id]; ok {
-			return clos.location(), true
-		}
-	}
 	return "", false
 }
 
 // Forward returns the forward-addressing next hop for an object that
-// left: the forwarding pointer, a closure-member reference, or — for an
-// object created here — the home entry when it points elsewhere (the
-// origin keeps no separate forwards; its home index IS the forward).
+// left: the forwarding pointer, or — for an object created here — the
+// home entry when it points elsewhere (the origin keeps no separate
+// forwards; its home index IS the forward).
 func (s *Store) Forward(id core.OID) (core.NodeID, bool) {
 	sh := s.shardOf(id)
 	sh.locMu.Lock()
 	defer sh.locMu.Unlock()
 	if f, ok := sh.forwards[id]; ok {
 		return f.to, true
-	}
-	if clos, ok := sh.members[id]; ok {
-		if at := clos.location(); at != "" && at != s.self {
-			return at, true
-		}
 	}
 	if id.Origin == s.self {
 		if h, ok := sh.home[id]; ok && h.at != "" && h.at != s.self {
@@ -570,16 +536,11 @@ func (s *Store) Forward(id core.OID) (core.NodeID, bool) {
 // Learn records hearsay about where an object that is not local lives:
 // the target of a redirect, or the host that answered. At the object's
 // origin it writes nothing: the home index takes only generation-ordered
-// reports (Departed, HomeUpdate, HomeUpdateClosure, Arrived), so a stale
-// reply landing after a fresher report cannot point it at a host whose
-// stub already retired. Elsewhere a forwarding pointer is updated in
+// reports (Departed, HomeUpdate, Arrived), so a stale reply landing
+// after a fresher report cannot point it at a host whose stub already
+// retired. Elsewhere a forwarding pointer is updated in
 // place — the classic forward-addressing chain shortening: once we hear
 // where the object really is, our pointer skips the intermediate hops.
-// A closure member is detached and given its own forwarding pointer: a
-// Learn is hearsay about ONE object, and mutating the shared record
-// would drag every other member along — wrong whenever a member left the
-// closure individually. The pointer keeps redirects served; retirement
-// and the TTL sweep apply as usual.
 func (s *Store) Learn(id core.OID, at core.NodeID) {
 	if at == "" || at == s.self || id.Origin == s.self {
 		return
@@ -590,15 +551,6 @@ func (s *Store) Learn(id core.OID, at core.NodeID) {
 	if f, ok := sh.forwards[id]; ok {
 		f.to = at
 		sh.forwards[id] = f
-		return
-	}
-	if clos, ok := sh.members[id]; ok {
-		if clos.location() == at {
-			return // nothing new: the shared record already agrees
-		}
-		gen := clos.generation()
-		sh.detachMemberLocked(id)
-		sh.forwards[id] = fwdEntry{to: at, gen: gen, stamp: time.Now()}
 		return
 	}
 	s.cacheInsertLocked(sh, id, at)
@@ -623,19 +575,14 @@ func (s *Store) cacheInsertLocked(sh *shard, id core.OID, at core.NodeID) {
 }
 
 // Hint suggests where to try first for an object that is not local:
-// the freshest of forwarding pointer, closure record, home index and
-// cache, falling back to the object's origin node.
+// the freshest of forwarding pointer, home index and cache, falling
+// back to the object's origin node.
 func (s *Store) Hint(id core.OID) core.NodeID {
 	sh := s.shardOf(id)
 	sh.locMu.Lock()
 	defer sh.locMu.Unlock()
 	if f, ok := sh.forwards[id]; ok {
 		return f.to
-	}
-	if clos, ok := sh.members[id]; ok {
-		if at := clos.location(); at != "" {
-			return at
-		}
 	}
 	if id.Origin == s.self {
 		if h, ok := sh.home[id]; ok {
@@ -650,28 +597,27 @@ func (s *Store) Hint(id core.OID) core.NodeID {
 
 // InvalidateAt discredits location knowledge for id that still points
 // at `at` — a node that just authoritatively denied knowing the
-// object. It covers the cached hint, forwarding pointers and
-// closure-member references, but only when the entry still names the
-// refuted node: a concurrent update may already have moved the
-// knowledge on, and that fresh state must survive the stale chaser's
-// complaint.
+// object. It covers the cached hint and the forwarding pointer, but
+// only when the entry still names the refuted node: a concurrent
+// update may already have moved the knowledge on, and that fresh state
+// must survive the stale chaser's complaint.
 //
-// Discredited forwards and foreign member references are re-pointed at
-// the object's origin rather than deleted: the entry still has
-// redirect duty — Forward serves it to third-party chasers (the pause
-// path of a group migration relies on old hosts answering with a next
-// hop, not a dead end) — and the origin is always a correct next hop.
-// Deleting would also livelock the local chase itself when the stale
-// entry is an orphan nothing retires (a chain-shortened forward whose
-// ack can no longer match, or one written from hearsay by Learn):
-// Hint would keep serving the refuted node forever.
+// A discredited forward is re-pointed at the object's origin rather
+// than deleted: the entry still has redirect duty — Forward serves it
+// to third-party chasers (the pause path of a group migration relies
+// on old hosts answering with a next hop, not a dead end) — and the
+// origin is always a correct next hop. Deleting would also livelock
+// the local chase itself when the stale entry is an orphan nothing
+// retires (a chain-shortened forward whose ack can no longer match, or
+// one written from hearsay by Learn): Hint would keep serving the
+// refuted node forever.
 //
-// The origin's own knowledge (home entries, self-origin member refs)
-// is never touched here: an origin with neither record nor location
-// entry answers not-found definitively, so erasing its last knowledge
-// on a chaser's say-so would turn a stale hint into a hard failure.
-// Stale origin entries heal through generation-ordered home updates
-// while chases ride their deadline.
+// The origin's own knowledge (its home entries) is never touched here:
+// an origin with neither record nor location entry answers not-found
+// definitively, so erasing its last knowledge on a chaser's say-so
+// would turn a stale hint into a hard failure. Stale origin entries
+// heal through generation-ordered home updates while chases ride their
+// deadline.
 func (s *Store) InvalidateAt(id core.OID, at core.NodeID) {
 	sh := s.shardOf(id)
 	sh.locMu.Lock()
@@ -689,31 +635,15 @@ func (s *Store) InvalidateAt(id core.OID, at core.NodeID) {
 			sh.forwards[id] = f
 		}
 	}
-	if clos, ok := sh.members[id]; ok && clos.location() == at && id.Origin != s.self {
-		gen := clos.generation()
-		sh.detachMemberLocked(id)
-		if at != id.Origin {
-			sh.forwards[id] = fwdEntry{to: id.Origin, gen: gen, stamp: time.Now()}
-		}
-	}
 }
 
 // LocStats aggregates location-table sizes across the shards (for
 // diagnostics, tests and the node status line).
 type LocStats struct {
-	Home        int   // home-index entries (origin objects that left)
-	Forwards    int   // forwarding pointers at former hosts
-	Cache       int   // foreign-object hint-cache entries
-	Closures    int   // shared closure location records
-	ClosureRefs int   // member references into closure records
-	Retired     int64 // stubs deleted by retirement since start
-}
-
-// Entries is the total number of per-object location entries plus
-// shared closure records — the quantity closure-level records are
-// meant to shrink.
-func (ls LocStats) Entries() int {
-	return ls.Home + ls.Forwards + ls.Cache + ls.Closures
+	Home     int   // home-index entries (origin objects that left)
+	Forwards int   // forwarding pointers at former hosts
+	Cache    int   // foreign-object hint-cache entries
+	Retired  int64 // stubs deleted by retirement since start
 }
 
 // LocStats reports location-table sizes, summed shard by shard.
@@ -725,20 +655,15 @@ func (s *Store) LocStats() LocStats {
 		ls.Home += len(sh.home)
 		ls.Forwards += len(sh.forwards)
 		ls.Cache += len(sh.cache)
-		ls.ClosureRefs += len(sh.members)
 		sh.locMu.Unlock()
 	}
-	s.closMu.Lock()
-	ls.Closures = len(s.closures)
-	s.closMu.Unlock()
 	ls.Retired = s.retired.Load()
 	return ls
 }
 
 // Debug renders everything the location tables know about one object
 // (diagnostics only). home and fwd are the resolved Home/Forward views
-// — at the origin a departure is carried by the home entry alone, and
-// closure members resolve through their shared record.
+// — at the origin a departure is carried by the home entry alone.
 func (s *Store) Debug(id core.OID) string {
 	h, hok := s.Home(id)
 	f, fok := s.Forward(id)
@@ -746,10 +671,6 @@ func (s *Store) Debug(id core.OID) string {
 	sh.locMu.Lock()
 	defer sh.locMu.Unlock()
 	c, cok := sh.cache[id]
-	m := ""
-	if clos, mok := sh.members[id]; mok {
-		m = fmt.Sprintf(" member(%s@%s#%d)", clos.anchor, clos.location(), clos.generation())
-	}
-	return fmt.Sprintf("self=%s home=%q(%v) fwd=%q(%v) cache=%q(%v)%s",
-		s.self, h, hok, f, fok, c, cok, m)
+	return fmt.Sprintf("self=%s home=%q(%v) fwd=%q(%v) cache=%q(%v)",
+		s.self, h, hok, f, fok, c, cok)
 }

@@ -372,7 +372,7 @@ func oidsSize(ids []core.OID) int {
 }
 
 // homeUpdateSize estimates the encoded size of a home update (a grow
-// hint: a large group's update carries long OID and closure lists).
+// hint: a large group's update carries long OID and generation lists).
 func homeUpdateSize(m *HomeUpdate) int {
 	n := 32 + oidsSize(m.Objs) + len(m.At) + 10*len(m.Gens)
 	if m.Load != nil {
@@ -380,9 +380,6 @@ func homeUpdateSize(m *HomeUpdate) int {
 	}
 	for _, o := range m.Aff {
 		n += 24 + len(o.Obj.Origin) + len(o.From)
-	}
-	for i := range m.Closures {
-		n += 24 + len(m.Closures[i].Anchor.Origin) + oidsSize(m.Closures[i].Members)
 	}
 	return n
 }
@@ -419,11 +416,6 @@ func layout(c *coder, v any) bool {
 		}
 		optNodeLoad(c, &m.Load)
 		uvarints(c, &m.Gens)
-		for i := range list(c, &m.Closures) {
-			oid(c, &m.Closures[i].Anchor)
-			uv(c, &m.Closures[i].Gen)
-			oids(c, &m.Closures[i].Members)
-		}
 		uv(c, &m.Trace)
 	case *HomeUpdateResp:
 		c.tag(tagHomeUpdateResp, 0)
@@ -462,7 +454,6 @@ func layout(c *coder, v any) bool {
 		uv(c, &m.Token)
 		str(c, &m.From)
 		uvarints(c, &m.Gens)
-		oid(c, &m.Anchor)
 		uv(c, &m.Trace)
 	case *CommitResp:
 		c.tag(tagCommitResp, 0)

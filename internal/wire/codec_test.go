@@ -36,10 +36,6 @@ func fastBodies() []interface{} {
 		&LocateReq{Obj: oid2},
 		&LocateResp{At: "n5"},
 		&HomeUpdate{Objs: []core.OID{oid1, oid2}, Gens: []uint64{3, 9}, At: "n4",
-			Closures: []ClosureLoc{
-				{Anchor: oid1, Gen: 4, Members: []core.OID{oid1, oid2}},
-				{Anchor: oid2, Gen: 1, Members: []core.OID{oid2}},
-			},
 			Aff: []AffinityObs{
 				{Obj: oid1, From: "n7", Count: 12},
 				{Obj: oid2, From: "n8", Count: 1},
@@ -66,7 +62,7 @@ func fastBodies() []interface{} {
 		&MigrateResp{At: "n5", Moved: []core.OID{oid2}},
 		&PauseReq{Objs: []core.OID{oid1, oid2}, Token: 8, MaxBytes: 1 << 20, Lease: 30 * time.Second,
 			From: "n2", Target: "n3", Trace: 5},
-		&CommitReq{Objs: []core.OID{oid1}, NewHome: "n3", Token: 8, From: "n1", Gens: []uint64{4}, Anchor: oid1, Trace: 5},
+		&CommitReq{Objs: []core.OID{oid1}, NewHome: "n3", Token: 8, From: "n1", Gens: []uint64{4}, Trace: 5},
 		&CommitResp{},
 		&AbortReq{Objs: []core.OID{oid2}, Token: 8, From: "n1"},
 		&AbortResp{},
@@ -115,7 +111,7 @@ var goldenImages = []string{
 	"03026e3207",                       // LocateReq
 	"04026e35",                         // LocateResp
 	"0502026e312a026e3207026e3402026e312a026e3718026e3207026e380201026e39f001808080018827800480808080081f02" +
-		"02030902026e312a0402026e312a026e3207026e32070101026e320700", // HomeUpdate
+		"02030900", // HomeUpdate
 	"0600", // HomeUpdateResp, no sample
 	"0601026e39f001808080018827800480808080081f02",                                         // HomeUpdateResp
 	"16026e39f001808080018827800480808080081f02",                                           // LoadGossipReq
@@ -136,21 +132,21 @@ var goldenImages = []string{
 	"0e026e3207026e350101",                   // MigrateReq
 	"0f026e3501026e3207",                     // MigrateResp
 	"1902026e312a026e3207088080800180b09dc2df01026e32026e3305", // PauseReq
-	"1a01026e312a026e3308026e310104026e312a05",                 // CommitReq
-	"1b",                     // CommitResp
-	"1c01026e320708026e31",   // AbortReq
-	"1d",                     // AbortResp
-	"1e026e312a026e32070506", // EdgeAddReq
-	"1f",                     // EdgeAddResp
-	"20026e312a026e320705",   // EdgeDelReq
-	"2101",                   // EdgeDelResp
-	"22026e3207",             // EdgesReq
-	"2301026e320703",         // EdgesResp
-	"24026e312a0101",         // FixReq
-	"2501",                   // FixResp
-	"26026869",               // PingReq
-	"27026869",               // PingResp
-	"288001",                 // InventoryReq
+	"1a01026e312a026e3308026e31010405",                         // CommitReq
+	"1b",                                                       // CommitResp
+	"1c01026e320708026e31",                                     // AbortReq
+	"1d",                                                       // AbortResp
+	"1e026e312a026e32070506",                                   // EdgeAddReq
+	"1f",                                                       // EdgeAddResp
+	"20026e312a026e320705",                                     // EdgeDelReq
+	"2101",                                                     // EdgeDelResp
+	"22026e3207",                                               // EdgesReq
+	"2301026e320703",                                           // EdgesResp
+	"24026e312a0101",                                           // FixReq
+	"2501",                                                     // FixResp
+	"26026869",                                                 // PingReq
+	"27026869",                                                 // PingResp
+	"288001",                                                   // InventoryReq
 	"2901026e312a804018026e39f001808080018827800480808080081f02", // InventoryResp
 	"2a0604676f6e65026e37", // RemoteError
 }
@@ -161,6 +157,7 @@ var goldenImages = []string{
 // new epoch's row is added here. Rows are never edited.
 var epochImages = map[byte]string{
 	1: "4a18d3beb11c0577",
+	2: "68e26220f2e0502e",
 }
 
 // TestGoldenImages: every live tag encodes its specimen to exactly the

@@ -85,7 +85,7 @@ func (k Kind) Valid() bool {
 // opens and refuses a peer whose epoch differs, so two builds that
 // would misread each other never exchange a body. TestGoldenImages
 // pins it to the golden images.
-const Epoch byte = 1
+const Epoch byte = 2
 
 // MarshalAppend appends the encoding of a message body (a pointer to
 // one of the body types below) to dst and returns the extended slice,
@@ -400,10 +400,6 @@ type CommitReq struct {
 	// Gens aligns with Objs: each object's departure generation, for
 	// generation-ordered forwarding state at the old host.
 	Gens []uint64
-	// Anchor, when set, names the attachment closure the group migrated
-	// as; old hosts may then coalesce the group's forwarding pointers
-	// into one closure record.
-	Anchor core.OID
 	// Trace is the migration's TraceID (0 = untraced); old hosts stamp
 	// their directory-update spans with it.
 	Trace uint64
@@ -480,21 +476,9 @@ type HomeUpdate struct {
 	// Gens, when non-empty, aligns with Objs and carries each object's
 	// departure generation so the origin can drop stale reports.
 	Gens []uint64
-	// Closures carries closure-level location reports: each entry
-	// replaces per-object Objs entries for a whole attachment closure.
-	Closures []ClosureLoc
 	// Trace is the TraceID of the migration this update reports (0 when
 	// untraced); the origin stamps its directory-update span with it.
 	Trace uint64
-}
-
-// ClosureLoc is one closure-level location report: the members of the
-// anchor's attachment closure now live (as a unit) at the update's At
-// node, at the given departure generation.
-type ClosureLoc struct {
-	Anchor  core.OID
-	Gen     uint64
-	Members []core.OID
 }
 
 // HomeUpdateResp acknowledges the update. Load, when non-nil, carries

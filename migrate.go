@@ -91,14 +91,14 @@ func sortedOIDs(members map[core.OID]NodeID) []core.OID {
 //   - r is the relocation the transfer carries out (see relocate): its
 //     admit rule may veto the migration on any paused snapshot — one
 //     veto aborts the whole group before commit — and its mutate edits
-//     each snapshot before it ships. r.root lets old hosts and origins
-//     coalesce the group's location state into one closure record;
-//     r.trace rides every wire body so each participating node stamps
-//     its telemetry spans with it (0: untraced, histograms still record).
+//     each snapshot before it ships. r.trace rides every wire body so
+//     each participating node stamps its telemetry spans with it (0:
+//     untraced, histograms still record).
 //
 // Every shipped snapshot gets its departure generation bumped on the
-// coordinator — the one place every snapshot passes through — so
-// location reports for this migration outrank every earlier one.
+// coordinator — the one place every snapshot passes through — so each
+// object's location reports for this migration outrank its earlier
+// ones.
 //
 // On any failure before the commit the pauses are rolled back, the
 // target's session is discarded, and the system is unchanged. Every
@@ -412,10 +412,9 @@ func memberRaced(err error) bool {
 // finishGroupMigration is the tail of a transfer, entered once the
 // group is durably installed at the target: lift the coordinator's
 // affinity observations, commit forwarding pointers at the old hosts,
-// advise the origins, account and announce. t.root carries the closure
-// identity the group was derived from.
+// advise the origins, account and announce.
 func (n *Node) finishGroupMigration(ctx context.Context, t *transfer) ([]core.OID, error) {
-	ids, target, gens, trace, anchor := t.ids, t.target, t.gens, t.trace, t.root
+	ids, target, gens, trace := t.ids, t.target, t.gens, t.trace
 
 	// The objects are leaving this node: lift the coordinator's
 	// affinity observations now (commit drops them) so they can ride
@@ -438,7 +437,7 @@ func (n *Node) finishGroupMigration(ctx context.Context, t *transfer) ([]core.OI
 			continue
 		}
 		req := &wire.CommitReq{Objs: g.objs, NewHome: target, Token: t.token, From: n.id,
-			Gens: gensFor(gens, g.objs), Anchor: anchor, Trace: trace}
+			Gens: gensFor(gens, g.objs), Trace: trace}
 		if _, err := deliver(ctx, n, g.host, wire.KCommit, req, n.handleCommit); err != nil {
 			n.retryCommit(g.host, req)
 			if commitErr == nil {
@@ -454,7 +453,7 @@ func (n *Node) finishGroupMigration(ctx context.Context, t *transfer) ([]core.OI
 	}
 
 	// Phase 4: advise the origins (asynchronous, best effort).
-	n.notifyOrigins(ids, target, obs, anchor, gens, trace)
+	n.notifyOrigins(ids, target, obs, gens, trace)
 	atomic.AddInt64(&n.stats.MigrationsOut, 1)
 	atomic.AddInt64(&n.stats.ObjectsMovedOut, int64(len(ids)))
 	moved := oidRefs(ids)
@@ -489,14 +488,9 @@ func (n *Node) sendAbort(h NodeID, objs []core.OID, key sessionKey) error {
 
 // notifyOrigins advises the moved objects' origin nodes of their new
 // home: one HomeUpdate RPC per remote origin (see advise), which also
-// carries the coordinator's affinity observations as gossip.
-//
-// A closure-anchored group of two or more objects travels as one
-// ClosureLoc per origin instead of per-object entries: the origin
-// stores one shared record plus member references, and every member's
-// departure generation is subsumed by the group's maximum (they were
-// stamped by the same migration).
-func (n *Node) notifyOrigins(ids []core.OID, at NodeID, obs []affinity.Obs, anchor core.OID, gens map[core.OID]uint64, trace uint64) {
+// carries the coordinator's affinity observations as gossip. Each
+// object is reported with its own departure generation.
+func (n *Node) notifyOrigins(ids []core.OID, at NodeID, obs []affinity.Obs, gens map[core.OID]uint64, trace uint64) {
 	byOrigin := make(map[NodeID][]core.OID)
 	for _, oid := range ids {
 		byOrigin[oid.Origin] = append(byOrigin[oid.Origin], oid)
@@ -510,24 +504,13 @@ func (n *Node) notifyOrigins(ids []core.OID, at NodeID, obs []affinity.Obs, anch
 		}
 	}
 	for origin, objs := range byOrigin {
-		var maxGen uint64
-		for _, oid := range objs {
-			if g := gens[oid]; g > maxGen {
-				maxGen = g
-			}
-		}
-		asClosure := anchor != (core.OID{}) && len(objs) >= 2
 		if origin == n.id {
 			// This node is the origin: update the home index directly
 			// and fold the lifted observations straight back in — the
 			// same warm-affinity knowledge a remote origin would merge
 			// from the gossip.
 			start := time.Now()
-			if asClosure {
-				n.store.HomeUpdateClosure(anchor, maxGen, objs, at)
-			} else {
-				n.store.HomeUpdate(objs, gensFor(gens, objs), at)
-			}
+			n.store.HomeUpdate(objs, gensFor(gens, objs), at)
 			n.tel.span(trace, telemetry.PhaseDirUpdate, start, 0, len(objs))
 			n.mergeAffinityGossip(affByOrigin[origin])
 			continue
@@ -543,13 +526,8 @@ func (n *Node) notifyOrigins(ids []core.OID, at NodeID, obs []affinity.Obs, anch
 			}
 			continue
 		}
-		req := &wire.HomeUpdate{At: at, Aff: affByOrigin[origin], Trace: trace}
-		if asClosure {
-			req.Closures = []wire.ClosureLoc{{Anchor: anchor, Gen: maxGen, Members: objs}}
-		} else {
-			req.Objs, req.Gens = objs, gensFor(gens, objs)
-		}
-		n.advise(origin, req)
+		n.advise(origin, &wire.HomeUpdate{Objs: objs, Gens: gensFor(gens, objs), At: at,
+			Aff: affByOrigin[origin], Trace: trace})
 	}
 }
 
@@ -632,17 +610,14 @@ func (n *Node) handleCommit(req *wire.CommitReq) (*wire.CommitResp, error) {
 // coordinator can only gossip its own counters, so each departing host
 // ships its own.
 //
-// Directory upkeep rides the commit: a closure-anchored group's
-// forwarding state coalesces into one shared record, departures of
-// objects this node created are retired immediately (the home entry
-// written under the record lock is authoritative by construction —
-// there is no remote origin to wait for), and the amortised forward
-// sweep is advanced.
+// Directory upkeep rides the commit: departures of objects this node
+// created are retired immediately (the home entry written under the
+// record lock is authoritative by construction — there is no remote
+// origin to wait for), and the amortised forward sweep is advanced.
 func (n *Node) commitLocal(req *wire.CommitReq) {
 	start := time.Now()
 	recs := n.store.GetBatch(req.Objs)
-	var departed []core.OID
-	var maxGen uint64
+	var departed, own []core.OID
 	for i, rec := range recs {
 		if rec == nil {
 			continue
@@ -656,28 +631,13 @@ func (n *Node) commitLocal(req *wire.CommitReq) {
 			n.store.Departed(oid, req.NewHome, gen)
 		}) {
 			departed = append(departed, oid)
-			if gen > maxGen {
-				maxGen = gen
+			if oid.Origin == n.id {
+				own = append(own, oid)
 			}
 		}
 	}
 	if len(departed) == 0 {
 		return
-	}
-	var own, foreign []core.OID
-	for _, oid := range departed {
-		if oid.Origin == n.id {
-			own = append(own, oid)
-		} else {
-			foreign = append(foreign, oid)
-		}
-	}
-	// Foreign members coalesce into one closure record; objects created
-	// here keep their per-object home entries (the origin-side closure
-	// attach happens in the coordinator's phase 4, where it survives
-	// retirement).
-	if req.Anchor != (core.OID{}) && len(foreign) >= 2 {
-		n.store.DepartedClosure(req.Anchor, maxGen, foreign, req.NewHome)
 	}
 	if len(own) > 0 {
 		n.store.ConfirmDeparted(own, req.NewHome)

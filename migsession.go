@@ -481,7 +481,6 @@ func (n *Node) drive(key sessionKey, in input) (err error) {
 		switch {
 		case eff.do&effInstall != 0:
 			start = time.Now()
-			levelGens(held.recs)
 			ierr := n.store.InstallBatch(held.recs, key.token)
 			in = input{kind: inInstalled, ok: ierr == nil}
 			err = ierr
@@ -495,22 +494,6 @@ func (n *Node) drive(key sessionKey, in input) (err error) {
 		}
 	}
 	return err
-}
-
-// levelGens raises every record of an arriving group to the group's
-// highest departure generation. A closure report carries that
-// generation for every member (see notifyOrigins), so a member's next
-// departure must be stamped above it, or the member's origin would drop
-// that report as stale and keep pointing at a host that has retired
-// its stub.
-func levelGens(recs []*store.Record) {
-	var top uint64
-	for _, rec := range recs {
-		top = max(top, rec.Gen)
-	}
-	for _, rec := range recs {
-		rec.Gen = top
-	}
 }
 
 // refusal words the refusal of a frame of migration key, held as step

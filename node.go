@@ -456,12 +456,7 @@ func (n *Node) handle(ctx context.Context, kind wire.Kind, body, dst []byte) ([]
 		return handleTyped(body, dst, func(req *wire.HomeUpdate) (*wire.HomeUpdateResp, error) {
 			start := time.Now()
 			n.store.HomeUpdate(req.Objs, req.Gens, req.At)
-			objects := len(req.Objs)
-			for _, cl := range req.Closures {
-				n.store.HomeUpdateClosure(cl.Anchor, cl.Gen, cl.Members, req.At)
-				objects += len(cl.Members)
-			}
-			n.tel.span(req.Trace, telemetry.PhaseDirUpdate, start, 0, objects)
+			n.tel.span(req.Trace, telemetry.PhaseDirUpdate, start, 0, len(req.Objs))
 			n.mergeAffinityGossip(req.Aff)
 			n.observeLoad(req.Load)
 			// The response piggybacks this node's own sample back to
