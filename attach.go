@@ -133,11 +133,14 @@ func (n *Node) handleEdgeDel(ctx context.Context, rec *store.Record, req *wire.E
 // handleEdges serves the adjacency of a hosted object.
 func (n *Node) handleEdges(_ context.Context, rec *store.Record, req *wire.EdgesReq) (*wire.EdgesResp, error) {
 	// List first, judge second: a departure between the two empties the
-	// list, and a stub never comes back to life — so a record still live
-	// after the read was live during it.
+	// list, and a departed record never comes back to life — so a record
+	// still live after the read was live during it.
 	edges := rec.EdgeList()
-	if rec.IsGone() {
-		return nil, n.whereabouts(req.Obj)
+	rec.Mu.Lock()
+	err := redirectLocked(rec)
+	rec.Mu.Unlock()
+	if err != nil {
+		return nil, err
 	}
 	return &wire.EdgesResp{Edges: edges}, nil
 }

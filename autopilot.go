@@ -282,7 +282,7 @@ func (n *Node) optimise(ctx context.Context, p pass) int {
 		if visited[anchor] {
 			continue
 		}
-		if _, hosted := n.store.Hosted(anchor); !hosted {
+		if _, hosted := n.store.Get(anchor); !hosted {
 			continue // gossip about an object somebody else hosts
 		}
 		// Cooldown checks and stamps each read a fresh clock — a slow

@@ -50,7 +50,7 @@ func runDirectoryBench(b *testing.B, closures, size int) directoryBenchResult {
 	}
 	// Every closure leaves home, half of them twice: the second leg
 	// exercises the foreign-host departure path (forwarding pointers,
-	// asynchronous home update, stub retirement on the ack).
+	// asynchronous home update, forward retirement on the ack).
 	for _, anchor := range anchors {
 		if err := n0.Migrate(ctx, anchor, "n1"); err != nil {
 			b.Fatal(err)

@@ -5,6 +5,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"objmig/internal/store"
 )
 
 // TestDirectoryChurnBoundedChases ring-migrates an attachment closure
@@ -124,4 +126,17 @@ func TestDirectoryChurnBoundedChases(t *testing.T) {
 	}
 	// The origin's home index names every member's host.
 	originsNameHosts(t, nodes, refs)
+	// A departed record left its table at commit: every record still
+	// in one is the object itself.
+	for _, n := range nodes {
+		n.store.Range(func(rec *store.Record) bool {
+			rec.Mu.Lock()
+			st := rec.Status
+			rec.Mu.Unlock()
+			if st == store.StatusGone {
+				t.Errorf("%s: departed record %s still in the table", n.ID(), rec.ID)
+			}
+			return true
+		})
+	}
 }

@@ -16,8 +16,9 @@ import (
 // advisories in flight before it closes the RPC pool; one made after
 // that is dropped. The RPC doubles as affinity and load gossip. A
 // delivered advisory is this host's proof that the origin's home index
-// is authoritative for the reported objects, so their forwarding
-// pointers and stubs here retire on the spot.
+// is authoritative for the reported departures, so their forwarding
+// pointers here retire on the spot — each only if it is no newer than
+// the generation reported (see store.ConfirmDeparted).
 func (n *Node) advise(origin NodeID, req *wire.HomeUpdate) {
 	atomic.AddInt64(&n.stats.HomeUpdatesQueued, 1)
 	n.bgMu.Lock()
@@ -35,7 +36,7 @@ func (n *Node) advise(origin NodeID, req *wire.HomeUpdate) {
 			return err
 		}
 		n.observeLoad(resp.Load)
-		n.store.ConfirmDeparted(req.Objs, req.At) // a no-op for objects never hosted here
+		n.store.ConfirmDeparted(req.Objs, req.Gens, req.At) // a no-op for objects never hosted here
 		return nil
 	}
 	go func() {
@@ -43,7 +44,7 @@ func (n *Node) advise(origin NodeID, req *wire.HomeUpdate) {
 		atomic.AddInt64(&n.stats.HomeUpdateBatches, 1)
 		req.Load = n.cachedLoadSample()
 		if attempt() != nil {
-			// A dropped advisory also delays stub retirement here, so it
+			// A dropped advisory also delays forward retirement here, so it
 			// is re-sent; forward TTL compaction is the backstop.
 			n.retry(2, 100*time.Millisecond, attempt)
 		}

@@ -3,6 +3,7 @@ package objmig
 import (
 	"context"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -120,7 +121,7 @@ func TestFailedSendsAreRetried(t *testing.T) {
 		ctx := ctxShort(t)
 		nodes, far := commitFails(t, ctx)
 		eventually(t, 3*time.Second, func() bool {
-			_, hosted := nodes[1].hostedRecord(far.OID)
+			_, hosted := nodes[1].store.Get(far.OID)
 			return !hosted
 		}, "n1 still hosts the member its dropped commit departed")
 		if at := whereIs(t, ctx, nodes[0], far); at != "n2" {
@@ -149,7 +150,7 @@ func TestFailedSendsAreRetried(t *testing.T) {
 // own departure generations, which differ when one member travelled
 // more than another. After the group moves and the lower-generation
 // member then moves alone, the origin must accept that member's own
-// report — not keep the group's host, whose stub retires on the ack.
+// report — not keep the group's host, whose forward retires on the ack.
 func TestGroupMemberMovesAloneAfterGroup(t *testing.T) {
 	t.Parallel()
 	ctx := ctxShort(t)
@@ -194,8 +195,8 @@ func TestGroupMemberMovesAloneAfterGroup(t *testing.T) {
 
 // originsNameHosts waits until every object is hosted on exactly one
 // node and its origin's home index names that node. A current report
-// that the origin dropped while the old host retired its stub on the
-// ack shows up here first: the origin keeps naming a host that no
+// that the origin dropped while the old host retired its forward on
+// the ack shows up here first: the origin keeps naming a host that no
 // longer leads to the object.
 func originsNameHosts(t *testing.T, nodes []*Node, refs []Ref) {
 	t.Helper()
@@ -207,7 +208,7 @@ func originsNameHosts(t *testing.T, nodes []*Node, refs []Ref) {
 		for _, r := range refs {
 			var hosts []NodeID
 			for _, n := range nodes {
-				if _, ok := n.hostedRecord(r.OID); ok {
+				if _, ok := n.store.Get(r.OID); ok {
 					hosts = append(hosts, n.ID())
 				}
 			}
@@ -228,5 +229,113 @@ func originsNameHosts(t *testing.T, nodes []*Node, refs []Ref) {
 			t.Fatal(m)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// holdNext arms tap to hold the next tapped frame in flight until the
+// returned release is called; it waits until the frame was caught.
+// release is idempotent and also runs when the test ends, so the held
+// advisory never blocks the node's Close.
+func holdNext(t *testing.T, tap *sendTap, send func()) (release func()) {
+	t.Helper()
+	held, free := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	release = func() { once.Do(func() { close(free) }) }
+	t.Cleanup(release)
+	tap.arm(func() { close(held); <-free })
+	send()
+	select {
+	case <-held:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the tapped frame was never sent")
+	}
+	return release
+}
+
+// TestAckRetiresOnlyItsDeparture: the origin's ack of a report retires
+// the reporting host's forward only for the departure it reported.
+// Advisories travel on their own goroutines, so a late ack of an older
+// report "at n2" can land after the same host sent the object to n2
+// again. Were the newer forward retired by it, n1 would hold nothing
+// while the origin, not yet told of the newer departure, still names
+// n1: every chase through the origin would be sent back to n1.
+func TestAckRetiresOnlyItsDeparture(t *testing.T) {
+	t.Parallel()
+	ctx := ctxShort(t)
+	net := transport.NewNetwork()
+	tap := &sendTap{Transport: net.Transport(), kind: wire.KHomeUpdate, to: "n0"}
+	nodes := testClusterOn(t, &Cluster{tr: tap, mem: net}, 4, Config{})
+	ref := mustCreate(t, nodes[0])
+	migrate := func(from *Node, to NodeID) {
+		t.Helper()
+		if err := from.Migrate(ctx, ref, to); err != nil {
+			t.Fatal(err)
+		}
+	}
+	migrate(nodes[0], "n1") // the origin coordinates: no advisory
+	// n1 → n2: n1's report of this departure is held.
+	releaseOld := holdNext(t, tap, func() { migrate(nodes[1], "n2") })
+	// n2 → n1: its report reaches the origin, whose ack retires n2's
+	// forward.
+	migrate(nodes[2], "n1")
+	eventually(t, 3*time.Second, func() bool {
+		_, fwd := nodes[2].store.Forward(ref.OID)
+		return !fwd
+	}, "the origin never acknowledged n2's report")
+	// n1 → n2 again: the newer report is held, the older one let go.
+	releaseNew := holdNext(t, tap, func() { migrate(nodes[1], "n2") })
+	defer releaseNew()
+	releaseOld()
+
+	// Until the newer report lands, n1 must keep leading to the object:
+	// its own chase goes straight to n2, never round the origin and back.
+	for end := time.Now().Add(100 * time.Millisecond); time.Now().Before(end); time.Sleep(time.Millisecond) {
+		got, err := measure(nodes[1], func() error {
+			at, err := nodes[1].Locate(ctx, ref)
+			if err == nil && at != "n2" {
+				err = fmt.Errorf("located at %s", at)
+			}
+			return err
+		})
+		if err != nil || got.hops != 1 {
+			t.Fatalf("locate from n1: %v after %d hops, want n2 in one", err, got.hops)
+		}
+	}
+	// A cold caller goes origin → n1 → n2.
+	got, err := measure(nodes[3], func() error {
+		at, err := nodes[3].Locate(ctx, ref)
+		if err == nil && at != "n2" {
+			err = fmt.Errorf("located at %s", at)
+		}
+		return err
+	})
+	if err != nil || got.hops > 3 {
+		t.Fatalf("locate from n3: %v after %d hops, want n2 in at most 3", err, got.hops)
+	}
+}
+
+// TestReturnToOriginLeavesNothing: an object that goes back to its
+// origin leaves its former host with no record and no forward. No home
+// report confirms such a departure (the origin is its own home index),
+// so a forward written there would live until the TTL.
+func TestReturnToOriginLeavesNothing(t *testing.T) {
+	t.Parallel()
+	ctx := ctxShort(t)
+	nodes := testCluster(t, 2, Config{})
+	ref := mustCreate(t, nodes[0])
+	if err := nodes[0].Migrate(ctx, ref, "n1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := nodes[1].Migrate(ctx, ref, "n0"); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := nodes[1].store.Get(ref.OID); ok {
+		t.Fatal("n1 keeps a record of the object it sent home")
+	}
+	if to, ok := nodes[1].store.Forward(ref.OID); ok {
+		t.Fatalf("n1 keeps a forward to %s for the object it sent home", to)
+	}
+	if at := whereIs(t, ctx, nodes[1], ref); at != "n0" {
+		t.Fatalf("object at %s, want n0", at)
 	}
 }

@@ -13,8 +13,8 @@ import (
 // TestLearnLeavesOriginToReports: the origin's home index takes only
 // generation-ordered reports. A stale reply learnt after a fresher
 // HomeUpdate — of one object or of a group — leaves Home and Hint at
-// the reported host, whose stub chain leads to the object; the hearsay
-// host may have retired its stub already.
+// the reported host, whose forward chain leads to the object; the
+// hearsay host may have retired its forward already.
 func TestLearnLeavesOriginToReports(t *testing.T) {
 	t.Parallel()
 	s := New("n0")
@@ -107,29 +107,23 @@ func TestClosureShrinksWithoutDraggingStrays(t *testing.T) {
 }
 
 // TestConfirmDepartedRetiresState: once the origin acknowledged a home
-// update, the old host drops the forwarding pointer and the Gone stub.
+// update, the old host drops the forwarding pointer — its one entry for
+// the departure, since the record left the table at commit.
 func TestConfirmDepartedRetiresState(t *testing.T) {
 	t.Parallel()
 	s := New("n2") // foreign host for n1-origin objects
 	id := core.OID{Origin: "n1", Seq: 7}
-	rec := NewRecord(id, "t", &testState{})
-	if err := s.Add(rec); err != nil {
+	if err := s.Add(NewRecord(id, "t", &testState{})); err != nil {
 		t.Fatal(err)
 	}
-	if err := rec.Pause(t.Context(), 1); err != nil {
-		t.Fatal(err)
-	}
-	rec.Depart(1, "n3", func() { s.Departed(id, "n3", 1) })
-	if _, ok := s.Get(id); !ok {
-		t.Fatal("stub should persist until confirmed")
+	depart(t, s, id, 1, "n3")
+	if _, ok := s.Get(id); ok {
+		t.Fatal("the departed record stayed in the table")
 	}
 	if _, ok := s.Forward(id); !ok {
 		t.Fatal("forward should exist before confirm")
 	}
-	s.ConfirmDeparted([]core.OID{id}, "n3")
-	if _, ok := s.Get(id); ok {
-		t.Fatal("stub survived confirmation")
-	}
+	s.ConfirmDeparted([]core.OID{id}, []uint64{1}, "n3")
 	if _, ok := s.Forward(id); ok {
 		t.Fatal("forward survived confirmation")
 	}
@@ -142,22 +136,68 @@ func TestConfirmDepartedRetiresState(t *testing.T) {
 	}
 }
 
-// TestCompactForwardsTTL: unconfirmed forwards (and their stubs) age
-// out under the TTL; fresh ones survive.
+// TestConfirmDepartedMatchesGeneration: the acknowledgement of a report
+// retires only the departure it reported. An object leaves for n3 at
+// generation 1, comes back, and leaves for n3 again at generation 3;
+// the late ack of the generation-1 report must leave the newer forward
+// standing (the origin may not know of that departure yet), and the
+// generation-3 ack retires it.
+func TestConfirmDepartedMatchesGeneration(t *testing.T) {
+	t.Parallel()
+	s := New("n2")
+	id := core.OID{Origin: "n1", Seq: 9}
+	for _, gen := range []uint64{1, 3} {
+		if err := s.InstallBatch([]*Record{NewRecord(id, "t", &testState{})}, gen); err != nil {
+			t.Fatal(err)
+		}
+		depart(t, s, id, gen, "n3")
+	}
+	if n := s.ConfirmDeparted([]core.OID{id}, []uint64{1}, "n3"); n != 0 {
+		t.Fatalf("the generation-1 ack retired %d forwards", n)
+	}
+	if to, ok := s.Forward(id); !ok || to != "n3" {
+		t.Fatalf("forward after the stale ack = %q, %v; want n3", to, ok)
+	}
+	if n := s.ConfirmDeparted([]core.OID{id}, []uint64{3}, "n3"); n != 1 {
+		t.Fatalf("the generation-3 ack retired %d forwards, want 1", n)
+	}
+	if _, ok := s.Forward(id); ok {
+		t.Fatal("forward survived the ack of its own departure")
+	}
+}
+
+// TestDepartToOriginLeavesNoForward: a departure towards the object's
+// origin keeps no forward — the origin fallback already names it, and no
+// home report would ever confirm the forward — and clears an older one.
+func TestDepartToOriginLeavesNoForward(t *testing.T) {
+	t.Parallel()
+	s := New("n2")
+	id := core.OID{Origin: "n1", Seq: 4}
+	if err := s.InstallBatch([]*Record{NewRecord(id, "t", &testState{})}, 2); err != nil {
+		t.Fatal(err)
+	}
+	s.Departed(id, "n3", 1) // an earlier departure's forward, replayed
+	depart(t, s, id, 2, "n1")
+	if to, ok := s.Forward(id); ok {
+		t.Fatalf("forward = %q after a departure to the origin", to)
+	}
+	if hint := s.Hint(id); hint != "n1" {
+		t.Fatalf("hint = %q, want the origin", hint)
+	}
+}
+
+// TestCompactForwardsTTL: unconfirmed forwards age out under the TTL;
+// fresh ones survive.
 func TestCompactForwardsTTL(t *testing.T) {
 	t.Parallel()
 	s := New("n2")
 	old := core.OID{Origin: "n1", Seq: 1}
 	fresh := core.OID{Origin: "n1", Seq: 2}
 	for _, id := range []core.OID{old, fresh} {
-		rec := NewRecord(id, "t", &testState{})
-		if err := s.Add(rec); err != nil {
+		if err := s.Add(NewRecord(id, "t", &testState{})); err != nil {
 			t.Fatal(err)
 		}
-		if err := rec.Pause(t.Context(), 1); err != nil {
-			t.Fatal(err)
-		}
-		rec.Depart(1, "n3", func() { s.Departed(id, "n3", 1) })
+		depart(t, s, id, 1, "n3")
 	}
 	// Age the first entry artificially.
 	sh := s.shardOf(old)
@@ -174,11 +214,11 @@ func TestCompactForwardsTTL(t *testing.T) {
 	if _, ok := s.Forward(old); ok {
 		t.Fatal("expired forward survived")
 	}
-	if _, ok := s.Get(old); ok {
-		t.Fatal("expired stub survived")
-	}
 	if to, ok := s.Forward(fresh); !ok || to != "n3" {
 		t.Fatal("fresh forward was reaped")
+	}
+	if ls := s.LocStats(); ls.Retired != 1 {
+		t.Fatalf("Retired = %d, want 1", ls.Retired)
 	}
 	// Disabled TTL compacts nothing.
 	s.SetForwardTTL(-1)

@@ -17,8 +17,9 @@ const (
 	// StatusPaused: the object is being linearised for migration; new
 	// invocations wait.
 	StatusPaused
-	// StatusGone: the object left; MovedTo names the next hop. The
-	// record persists as the forwarding pointer.
+	// StatusGone: the object left; MovedTo names the next hop. A
+	// departed record is no longer in the object table — only those
+	// still holding it see this status.
 	StatusGone
 )
 
@@ -125,7 +126,8 @@ func (r *Record) await(ctx context.Context, try func() (done bool, err error)) e
 	}
 }
 
-// movedLocked is the redirect a stub answers with. Caller holds Mu.
+// movedLocked is the redirect a departed record answers with. Caller
+// holds Mu.
 func (r *Record) movedLocked() error {
 	return &wire.RemoteError{Code: wire.CodeMoved, Msg: "object " + r.ID.String() + " moved", To: r.MovedTo}
 }
@@ -161,8 +163,9 @@ func (r *Record) Pause(ctx context.Context, token uint64) error {
 }
 
 // Unpause rolls a pause back (migration aborted or its lease expired),
-// reporting whether this call actually resumed the object. Stubs,
-// active records and pauses under a different token are left alone.
+// reporting whether this call actually resumed the object. Departed
+// records, active records and pauses under a different token are left
+// alone.
 func (r *Record) Unpause(token uint64) bool {
 	r.Mu.Lock()
 	defer r.Mu.Unlock()
@@ -175,28 +178,23 @@ func (r *Record) Unpause(token uint64) bool {
 	return false
 }
 
-// Depart finalises a migration: the record becomes a forwarding
-// pointer and all waiters are released (they will chase the object).
-// The onCommit hook, if non-nil, runs under the record lock just
-// before the flip — the node uses it to update its location tables
-// while the record still answers, so no reader ever observes
-// "record gone" and "location says here" at the same time.
-func (r *Record) Depart(token uint64, to core.NodeID, onCommit func()) bool {
+// depart flips a record paused by token into a departed one naming
+// to, reporting whether it did. Store.Depart runs it under the table
+// lock, so the record leaves the table in the same step.
+func (r *Record) depart(token uint64, to core.NodeID) bool {
 	r.Mu.Lock()
 	defer r.Mu.Unlock()
 	if r.Status != StatusPaused || r.Token != token {
 		return false
 	}
-	if onCommit != nil {
-		onCommit()
-	}
-	r.becomeStubLocked(to)
+	r.goneLocked(to)
 	return true
 }
 
-// becomeStubLocked turns the record into a forwarding pointer towards
-// to, dropping the instance, and wakes every waiter. Caller holds Mu.
-func (r *Record) becomeStubLocked(to core.NodeID) {
+// goneLocked marks the record departed towards to, dropping the
+// instance, and wakes every waiter: they fail with a redirect to to.
+// Caller holds Mu.
+func (r *Record) goneLocked(to core.NodeID) {
 	r.Status = StatusGone
 	r.Token = 0
 	r.MovedTo = to
@@ -340,11 +338,4 @@ func (r *Record) EdgeOp(ctx context.Context, op func() *wire.RemoteError) error 
 		}
 		return false, nil
 	})
-}
-
-// IsGone reports whether the record is a forwarding stub.
-func (r *Record) IsGone() bool {
-	r.Mu.Lock()
-	defer r.Mu.Unlock()
-	return r.Status == StatusGone
 }

@@ -229,7 +229,7 @@ func TestRecordDepartReleasesWaiters(t *testing.T) {
 		}()
 	}
 	time.Sleep(20 * time.Millisecond)
-	if !rec.Depart(3, "elsewhere", nil) {
+	if !rec.depart(3, "elsewhere") {
 		t.Fatal("depart failed")
 	}
 	wg.Wait()
@@ -240,7 +240,7 @@ func TestRecordDepartReleasesWaiters(t *testing.T) {
 			t.Fatalf("waiter got %v, want moved-to-elsewhere", err)
 		}
 	}
-	if !rec.IsGone() {
+	if status(rec) != StatusGone {
 		t.Fatal("record not gone after depart")
 	}
 }
@@ -248,16 +248,16 @@ func TestRecordDepartReleasesWaiters(t *testing.T) {
 func TestRecordDepartTokenMismatch(t *testing.T) {
 	t.Parallel()
 	rec := testRecord()
-	if rec.Depart(5, "x", nil) {
+	if rec.depart(5, "x") {
 		t.Fatal("depart succeeded without a pause")
 	}
 	if err := rec.Pause(context.Background(), 5); err != nil {
 		t.Fatal(err)
 	}
-	if rec.Depart(6, "x", nil) {
+	if rec.depart(6, "x") {
 		t.Fatal("depart succeeded with the wrong token")
 	}
-	if !rec.Depart(5, "x", nil) {
+	if !rec.depart(5, "x") {
 		t.Fatal("depart failed with the right token")
 	}
 }

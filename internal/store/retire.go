@@ -6,53 +6,32 @@ import (
 	"objmig/internal/core"
 )
 
-// ConfirmDeparted retires forwarding state for objects whose origin has
-// confirmed the authoritative home entry (a successful HomeUpdate
-// acknowledgement): the forwarding pointer and the Gone stub are both
-// dropped. Chasers that still hold a stale hint fall back to the
-// origin, which now answers authoritatively. Returns the number of
-// stubs retired.
-func (s *Store) ConfirmDeparted(ids []core.OID, at core.NodeID) int {
+// ConfirmDeparted retires the forwarding pointers of a departure whose
+// report the origin has acknowledged: the origin's home index now
+// answers for it, so chasers holding a stale hint fall back to the
+// origin. gens aligns with ids and carries each report's departure
+// generation; a forward is dropped only when it still names at and is
+// no newer than the report. An acknowledgement of an older report — the
+// advisories travel on their own goroutines and may land out of order —
+// thus never retires a later departure to the same host, which the
+// origin may not know yet. Returns the number of forwards retired.
+func (s *Store) ConfirmDeparted(ids []core.OID, gens []uint64, at core.NodeID) int {
 	retired := 0
-	for _, id := range ids {
+	for i, id := range ids {
+		var gen uint64
+		if i < len(gens) {
+			gen = gens[i]
+		}
 		sh := s.shardOf(id)
 		sh.locMu.Lock()
-		if f, ok := sh.forwards[id]; ok && f.to == at {
+		if f, ok := sh.forwards[id]; ok && f.to == at && f.gen <= gen {
 			delete(sh.forwards, id)
-		}
-		sh.locMu.Unlock()
-		if s.retireStub(id) {
 			retired++
 		}
+		sh.locMu.Unlock()
 	}
+	s.retired.Add(int64(retired))
 	return retired
-}
-
-// retireStub deletes id's record when it is a forwarding stub. Safe
-// against concurrent reinstalls: InstallBatch holds the shard's table
-// lock for its check-then-commit, so the stub is either still Gone
-// here (and deleting it just makes a later install a fresh insert) or
-// already replaced by a live record (left alone). Callers must hold no
-// record or shard lock.
-func (s *Store) retireStub(id core.OID) bool {
-	sh := s.shardOf(id)
-	sh.tabMu.Lock()
-	rec, ok := sh.objs[id]
-	if !ok {
-		sh.tabMu.Unlock()
-		return false
-	}
-	rec.Mu.Lock()
-	gone := rec.Status == StatusGone
-	rec.Mu.Unlock()
-	if gone {
-		delete(sh.objs, id)
-	}
-	sh.tabMu.Unlock()
-	if gone {
-		s.retired.Add(1)
-	}
-	return gone
 }
 
 // MaybeCompact triggers an amortised CompactForwards sweep after
@@ -72,8 +51,8 @@ func (s *Store) MaybeCompact(departed int) {
 }
 
 // CompactForwards ages out forwarding pointers older than the
-// configured TTL and retires their stubs. Returns the number of
-// forwarding entries removed. A no-op when the TTL is disabled.
+// configured TTL. Returns the number of forwarding entries removed. A
+// no-op when the TTL is disabled.
 func (s *Store) CompactForwards() int {
 	ttl := time.Duration(s.fwdTTL.Load())
 	if ttl <= 0 {
@@ -83,21 +62,15 @@ func (s *Store) CompactForwards() int {
 	removed := 0
 	for i := range s.shards {
 		sh := &s.shards[i]
-		var expired []core.OID
 		sh.locMu.Lock()
 		for id, f := range sh.forwards {
 			if f.stamp.Before(cutoff) {
-				expired = append(expired, id)
+				delete(sh.forwards, id)
+				removed++
 			}
 		}
-		for _, id := range expired {
-			delete(sh.forwards, id)
-		}
 		sh.locMu.Unlock()
-		for _, id := range expired {
-			s.retireStub(id)
-		}
-		removed += len(expired)
 	}
+	s.retired.Add(int64(removed))
 	return removed
 }

@@ -27,11 +27,14 @@
 //     an object created here; the home index only holds entries for
 //     objects that left. Home entries and forwards carry a departure
 //     generation so delayed reports can never roll the index backwards.
-//  2. Retirement. Forwarding state is dropped eagerly once the origin's
-//     home index is confirmed authoritative (ConfirmDeparted), and any
-//     survivors age out under a TTL (CompactForwards), so a node that
-//     hosted a million transient objects does not keep a million dead
-//     stubs. The hint cache is capped per shard.
+//  2. Retirement. A departed object leaves the object table at commit
+//     (Depart): a former host keeps exactly one entry per departure, its
+//     forwarding pointer, or at the origin the home entry. A forward is
+//     dropped once the origin confirms a report of that very departure
+//     (ConfirmDeparted), and any survivors age out under a TTL
+//     (CompactForwards), so a node that hosted a million transient
+//     objects keeps no million dead entries. The hint cache is capped
+//     per shard.
 package store
 
 import (
@@ -55,11 +58,11 @@ const ShardCount = 32
 // few MiB no matter how many foreign objects churn past it.
 const DefaultHintCacheCap = 65536
 
-// DefaultForwardTTL is how long an unconfirmed forwarding pointer (and
-// its Gone stub) survives before CompactForwards may reap it. Long
-// enough that any chaser holding a hint from before the departure has
-// retried through the origin; short enough that transient hosting
-// leaves no permanent residue.
+// DefaultForwardTTL is how long an unconfirmed forwarding pointer
+// survives before CompactForwards may reap it. Long enough that any
+// chaser holding a hint from before the departure has retried through
+// the origin; short enough that transient hosting leaves no permanent
+// residue.
 const DefaultForwardTTL = 10 * time.Minute
 
 // ErrClosed is returned by mutating operations after Close.
@@ -88,11 +91,11 @@ type fwdEntry struct {
 }
 
 // shard is one stripe: a slice of the object table plus the location
-// maps for the OIDs that hash here. The table lock and the location
-// lock are separate so a record may update location state while its own
-// mutex is held (forward-pointer commit) without inverting against
-// table scans that take the table lock first. Lock order:
-// tabMu → Record.Mu → locMu.
+// maps for the OIDs that hash here. The location maps have their own
+// lock, so hints and chases never contend with the table; a departure
+// writes its location entry while it holds the table lock (see Depart),
+// so a reader finds either the record or the entry that replaced it.
+// Lock order: tabMu → Record.Mu → locMu.
 type shard struct {
 	tabMu sync.RWMutex
 	objs  map[core.OID]*Record
@@ -119,10 +122,10 @@ type Store struct {
 
 	// cacheCap is the per-shard hint-cache bound (<0 = unbounded).
 	cacheCap atomic.Int64
-	// fwdTTL is the forward/stub age-out in nanoseconds (<=0 disables
-	// TTL compaction).
+	// fwdTTL is the forward age-out in nanoseconds (<=0 disables TTL
+	// compaction).
 	fwdTTL atomic.Int64
-	// retired counts stubs deleted by retirement (confirm + TTL).
+	// retired counts forwards deleted by retirement (confirm + TTL).
 	retired atomic.Int64
 	// sinceSweep counts departures since the last amortised sweep.
 	sinceSweep atomic.Int64
@@ -157,7 +160,7 @@ func (s *Store) SetHintCacheCap(total int) {
 	s.cacheCap.Store(int64(per))
 }
 
-// SetForwardTTL sets the forward/stub age-out. Non-positive disables
+// SetForwardTTL sets the forward age-out. Non-positive disables
 // TTL compaction (retirement then happens only via ConfirmDeparted).
 func (s *Store) SetForwardTTL(ttl time.Duration) {
 	s.fwdTTL.Store(int64(ttl))
@@ -191,7 +194,9 @@ func (s *Store) Add(rec *Record) error {
 	return nil
 }
 
-// Get looks a record up, forwarding stubs included.
+// Get returns the record of an object hosted here (active or paused).
+// A departed object leaves the table at commit (see Depart), so a
+// record found here is the object itself.
 func (s *Store) Get(id core.OID) (*Record, bool) {
 	sh := s.shardOf(id)
 	sh.tabMu.RLock()
@@ -200,47 +205,24 @@ func (s *Store) Get(id core.OID) (*Record, bool) {
 	return rec, ok
 }
 
-// Hosted returns the record only when the object actually lives here
-// (active or paused). Forwarding stubs are excluded: client fast paths
-// must fall through to the hint chain instead of spinning on their own
-// stale stub.
-func (s *Store) Hosted(id core.OID) (*Record, bool) {
-	rec, ok := s.Get(id)
-	if !ok || rec.IsGone() {
-		return nil, false
-	}
-	return rec, true
-}
-
-// Lookup is the hot-path combination of Hosted and Hint: it resolves
-// the record if the object lives here, and otherwise the best location
+// Lookup is the hot-path combination of Get and Hint: it resolves the
+// record if the object lives here, and otherwise the best location
 // hint — touching only the object's own shard.
 func (s *Store) Lookup(id core.OID) (*Record, core.NodeID) {
-	if rec, ok := s.Hosted(id); ok {
+	if rec, ok := s.Get(id); ok {
 		return rec, s.self
 	}
 	return nil, s.Hint(id)
 }
 
-// GetBatch resolves many records at once, grouping the lookups by
-// shard so each involved stripe lock is taken exactly once — the batch
-// counterpart of Get for large commit/abort sets, where a per-OID walk
-// would pay one lock round trip per object. The result aligns with
-// ids; missing objects yield nil entries.
+// GetBatch resolves many records at once, taking each involved stripe
+// lock exactly once (see byShard) — the batch counterpart of Get for
+// large sets, where a per-OID walk would pay one lock round trip per
+// object. The result aligns with ids; missing objects yield nil
+// entries.
 func (s *Store) GetBatch(ids []core.OID) []*Record {
 	out := make([]*Record, len(ids))
-	if len(ids) == 0 {
-		return out
-	}
-	// Bucket the positions per shard first, so each stripe lock is
-	// held only for its own objects' lookups.
-	var perShard [ShardCount][]int
-	for i, id := range ids {
-		sh := ShardIndex(id)
-		perShard[sh] = append(perShard[sh], i)
-	}
-	for sh := range perShard {
-		idxs := perShard[sh]
+	for sh, idxs := range byShard(ids) {
 		if len(idxs) == 0 {
 			continue
 		}
@@ -250,6 +232,16 @@ func (s *Store) GetBatch(ids []core.OID) []*Record {
 			out[i] = st.objs[ids[i]]
 		}
 		st.tabMu.RUnlock()
+	}
+	return out
+}
+
+// byShard buckets the positions of ids per stripe, so a batch call holds
+// each stripe lock only for its own objects.
+func byShard(ids []core.OID) (out [ShardCount][]int) {
+	for i, id := range ids {
+		sh := ShardIndex(id)
+		out[sh] = append(out[sh], i)
 	}
 	return out
 }
@@ -274,27 +266,25 @@ func (s *Store) Range(fn func(*Record) bool) {
 	}
 }
 
-// HostedCount returns the number of live (non-forwarding) records.
+// HostedCount returns the number of hosted records.
 func (s *Store) HostedCount() int {
 	n := 0
-	s.Range(func(rec *Record) bool {
-		if !rec.IsGone() {
-			n++
-		}
-		return true
-	})
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.tabMu.RLock()
+		n += len(sh.objs)
+		sh.tabMu.RUnlock()
+	}
 	return n
 }
 
-// HostedStats returns the live record count together with the
+// HostedStats returns the hosted record count together with the
 // approximate resident state bytes (the sum of Record.StateBytes) in
 // one shard walk — the node's load-gossip sample source.
 func (s *Store) HostedStats() (count, bytes int64) {
 	s.Range(func(rec *Record) bool {
-		if !rec.IsGone() {
-			count++
-			bytes += rec.StateBytes
-		}
+		count++
+		bytes += rec.StateBytes
 		return true
 	})
 	return count, bytes
@@ -304,11 +294,10 @@ func (s *Store) HostedStats() (count, bytes int64) {
 // The batch is all-or-nothing: either every record is installed (and
 // its location state updated to "here") or none is.
 //
-// An existing record may only be replaced if it is a forwarding stub
-// (the object is coming back) or was paused by this very migration (a
-// same-node reinstall). Replacing a record paused by a *different*
-// migration would orphan that migration's pause and duplicate the
-// object. The check-then-commit runs with every involved shard's table
+// An existing record may only be replaced if it was paused by this
+// very migration (a same-node reinstall). Replacing a record paused by
+// a *different* migration would orphan that migration's pause and
+// duplicate the object. The check-then-commit runs with every involved shard's table
 // lock held (acquired in ascending stripe order, so concurrent
 // installs cannot deadlock) and every replaced record's lock held
 // across the swap, which closes that race without any store-wide lock.
@@ -350,9 +339,7 @@ func (s *Store) InstallBatch(recs []*Record, token uint64) error {
 		}
 		old.Mu.Lock()
 		locked = append(locked, old)
-		replaceable := old.Status == StatusGone ||
-			(old.Status == StatusPaused && old.Token == token)
-		if !replaceable {
+		if old.Status != StatusPaused || old.Token != token {
 			unlockRecs()
 			unlockShards()
 			return wire.Errorf(wire.CodeDenied,
@@ -365,7 +352,7 @@ func (s *Store) InstallBatch(recs []*Record, token uint64) error {
 	for i, rec := range recs {
 		s.shardOf(rec.ID).objs[rec.ID] = rec
 		if old := olds[i]; old != nil {
-			old.becomeStubLocked(s.self)
+			old.goneLocked(s.self)
 		}
 	}
 	unlockRecs()
@@ -379,8 +366,8 @@ func (s *Store) InstallBatch(recs []*Record, token uint64) error {
 // Installable is the advisory twin of InstallBatch's replaceability
 // check, used while a streaming migration stages chunks: it reports
 // whether installing id as part of migration token would currently be
-// admissible. A live local record that is neither a forwarding stub nor
-// paused by this very token dooms the session, and catching that at
+// admissible. A local record not paused by this very token dooms the
+// session, and catching that at
 // staging time aborts the stream early instead of at commit. Advisory
 // only — the state can change before commit, and InstallBatch re-checks
 // authoritatively under the shard locks.
@@ -394,11 +381,48 @@ func (s *Store) Installable(id core.OID, token uint64) error {
 	}
 	old.Mu.Lock()
 	defer old.Mu.Unlock()
-	if old.Status == StatusGone || (old.Status == StatusPaused && old.Token == token) {
+	if old.Status == StatusPaused && old.Token == token {
 		return nil
 	}
 	return wire.Errorf(wire.CodeDenied,
 		"object %s is live at %s (concurrent migration)", id, s.self)
+}
+
+// Depart finalises the departure of objects paused by migration token
+// towards to, gens aligned with ids: each record still paused by token
+// flips to StatusGone naming to, its location entry is written (see
+// Departed) and it leaves the object table. Anyone still holding the
+// record — an invocation waiting out the pause, a handler that looked
+// it up before the commit — is thereby redirected to to. Each involved
+// stripe's table lock is taken once and held across its records'
+// flips, so a reader finds either the record or the entry that replaced
+// it. Records not paused by token are left alone. It returns the
+// objects that departed.
+func (s *Store) Depart(ids []core.OID, gens []uint64, token uint64, to core.NodeID) []core.OID {
+	var departed []core.OID
+	for sh, idxs := range byShard(ids) {
+		if len(idxs) == 0 {
+			continue
+		}
+		st := &s.shards[sh]
+		st.tabMu.Lock()
+		for _, i := range idxs {
+			id := ids[i]
+			rec, ok := st.objs[id]
+			if !ok || !rec.depart(token, to) {
+				continue
+			}
+			var gen uint64
+			if i < len(gens) {
+				gen = gens[i]
+			}
+			s.Departed(id, to, gen)
+			delete(st.objs, id)
+			departed = append(departed, id)
+		}
+		st.tabMu.Unlock()
+	}
+	return departed
 }
 
 // Close marks the store closed: no record may be added afterwards.
@@ -433,7 +457,7 @@ func (s *Store) Created(id core.OID) {
 // record is the home knowledge); when no record exists (location-only
 // usage) an explicit self-entry is written instead.
 func (s *Store) Arrived(id core.OID) {
-	_, hosted := s.Hosted(id)
+	_, hosted := s.Get(id)
 	sh := s.shardOf(id)
 	sh.locMu.Lock()
 	defer sh.locMu.Unlock()
@@ -450,13 +474,16 @@ func (s *Store) Arrived(id core.OID) {
 
 // Departed records that the object left this node towards to, at the
 // given departure generation. At the origin the home entry alone names
-// the next hop — no forwarding pointer (and hence, after stub
-// retirement, no residue) is kept. At a foreign host a forwarding
-// pointer is written, stamped for TTL aging. A stale generation (an
-// out-of-order commit replay) never rolls a fresher entry back.
+// the next hop — no forwarding pointer (and hence no residue) is kept.
+// At a foreign host a forwarding pointer is written, stamped for TTL
+// aging — unless to is the object's origin: Hint's origin fallback
+// already names it, and no home report would ever confirm that forward
+// (the origin is its own home index), so none is kept. A stale
+// generation (an out-of-order commit replay) never rolls a fresher
+// entry back.
 //
-// Departed may run under Record.Mu (the Depart commit hook), so it must
-// not touch the object table.
+// Departed runs under a table lock in Depart, so it must not touch the
+// object table.
 func (s *Store) Departed(id core.OID, to core.NodeID, gen uint64) {
 	sh := s.shardOf(id)
 	sh.locMu.Lock()
@@ -468,9 +495,14 @@ func (s *Store) Departed(id core.OID, to core.NodeID, gen uint64) {
 		}
 		return
 	}
-	if f, ok := sh.forwards[id]; !ok || gen >= f.gen {
-		sh.forwards[id] = fwdEntry{to: to, gen: gen, stamp: time.Now()}
+	if f, ok := sh.forwards[id]; ok && gen < f.gen {
+		return
 	}
+	if to == id.Origin {
+		delete(sh.forwards, id)
+		return
+	}
+	sh.forwards[id] = fwdEntry{to: to, gen: gen, stamp: time.Now()}
 }
 
 // HomeUpdate records a (possibly delayed) report that objects created
@@ -502,7 +534,7 @@ func (s *Store) HomeUpdate(ids []core.OID, gens []uint64, at core.NodeID) {
 // lives: the hosted record itself when the object is (back) here, else
 // the home-index entry.
 func (s *Store) Home(id core.OID) (core.NodeID, bool) {
-	if _, ok := s.Hosted(id); ok {
+	if _, ok := s.Get(id); ok {
 		return s.self, true
 	}
 	sh := s.shardOf(id)
@@ -537,7 +569,7 @@ func (s *Store) Forward(id core.OID) (core.NodeID, bool) {
 // the target of a redirect, or the host that answered. At the object's
 // origin it writes nothing: the home index takes only generation-ordered
 // reports (Departed, HomeUpdate, Arrived), so a stale reply landing
-// after a fresher report cannot point it at a host whose stub already
+// after a fresher report cannot point it at a host whose forward already
 // retired. Elsewhere a forwarding pointer is updated in
 // place — the classic forward-addressing chain shortening: once we hear
 // where the object really is, our pointer skips the intermediate hops.
@@ -643,7 +675,7 @@ type LocStats struct {
 	Home     int   // home-index entries (origin objects that left)
 	Forwards int   // forwarding pointers at former hosts
 	Cache    int   // foreign-object hint-cache entries
-	Retired  int64 // stubs deleted by retirement since start
+	Retired  int64 // forwards deleted by retirement since start
 }
 
 // LocStats reports location-table sizes, summed shard by shard.

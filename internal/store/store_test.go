@@ -26,26 +26,87 @@ func TestAddGetHosted(t *testing.T) {
 	if got, ok := s.Get(id); !ok || got != rec {
 		t.Fatal("Get lost the record")
 	}
-	if got, ok := s.Hosted(id); !ok || got != rec {
-		t.Fatal("Hosted lost the record")
-	}
 	// The hosted record is its own home knowledge.
 	if at, ok := s.Home(id); !ok || at != "n1" {
 		t.Fatalf("home = %v, %v", at, ok)
 	}
-	// A departed record is excluded from Hosted but kept by Get.
-	if err := rec.Pause(context.Background(), 1); err != nil {
-		t.Fatal(err)
+	// A departed record leaves the table; holders see it gone.
+	depart(t, s, id, 1, "n2")
+	if _, ok := s.Get(id); ok {
+		t.Fatal("Get returned a departed record")
 	}
-	rec.Depart(1, "n2", func() { s.Departed(id, "n2", 1) })
-	if _, ok := s.Hosted(id); ok {
-		t.Fatal("Hosted returned a forwarding stub")
+	if n := s.HostedCount(); n != 0 {
+		t.Fatalf("HostedCount after depart = %d", n)
 	}
-	if _, ok := s.Get(id); !ok {
-		t.Fatal("Get dropped the forwarding stub")
+	if st := status(rec); st != StatusGone {
+		t.Fatalf("departed record status = %v", st)
 	}
 	if hint := s.Hint(id); hint != "n2" {
 		t.Fatalf("hint after depart = %v", hint)
+	}
+}
+
+// depart pauses id's record under token 1 and departs it towards to at
+// departure generation gen through Store.Depart, the commit's call.
+func depart(t *testing.T, s *Store, id core.OID, gen uint64, to core.NodeID) {
+	t.Helper()
+	rec, ok := s.Get(id)
+	if !ok {
+		t.Fatalf("%s not hosted", id)
+	}
+	if err := rec.Pause(context.Background(), 1); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Depart([]core.OID{id}, []uint64{gen}, 1, to); len(got) != 1 {
+		t.Fatalf("Depart(%s) departed %v", id, got)
+	}
+}
+
+// status reads a record's lifecycle under its lock.
+func status(rec *Record) Status {
+	rec.Mu.Lock()
+	defer rec.Mu.Unlock()
+	return rec.Status
+}
+
+// TestDepartOnlyOwnPauses: the commit departs exactly the records its
+// own token paused, in one batch across many shards; anything else is
+// left hosted.
+func TestDepartOnlyOwnPauses(t *testing.T) {
+	t.Parallel()
+	s := New("n1")
+	ctx := context.Background()
+	var ids []core.OID
+	for i := 1; i <= 40; i++ {
+		id := oid("n9", uint64(i))
+		rec := NewRecord(id, "t", &testState{})
+		if err := s.Add(rec); err != nil {
+			t.Fatal(err)
+		}
+		if i%4 != 0 { // every fourth stays active
+			token := uint64(7)
+			if i%4 == 3 {
+				token = 8 // another migration's pause
+			}
+			if err := rec.Pause(ctx, token); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ids = append(ids, id)
+	}
+	departed := s.Depart(ids, nil, 7, "n2")
+	if len(departed) != 20 {
+		t.Fatalf("departed %d records, want 20", len(departed))
+	}
+	for i, id := range ids {
+		_, hosted := s.Get(id)
+		_, fwd := s.Forward(id)
+		if own := (i+1)%4 == 1 || (i+1)%4 == 2; hosted == own || fwd != own {
+			t.Fatalf("%s: hosted=%v forward=%v after a depart of token 7", id, hosted, fwd)
+		}
+	}
+	if n := s.HostedCount(); n != 20 {
+		t.Fatalf("HostedCount = %d, want 20", n)
 	}
 }
 
@@ -154,19 +215,19 @@ func TestInstallBatchReplacesOnlyStubsAndOwnPauses(t *testing.T) {
 		t.Fatal("vetoed batch left a partial install")
 	}
 
-	// Paused by the same token: replaceable; the old record becomes a
-	// wake-up stub pointing here.
+	// Paused by the same token: replaceable; the old record is marked
+	// gone towards here, which wakes its waiters.
 	if err := live.Pause(ctx, 7); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.InstallBatch([]*Record{in, other}, 7); err != nil {
 		t.Fatal(err)
 	}
-	if got, ok := s.Hosted(oid("n2", 1)); !ok || got != in {
+	if got, ok := s.Get(oid("n2", 1)); !ok || got != in {
 		t.Fatal("install did not swap the record in")
 	}
-	if !live.IsGone() {
-		t.Fatal("replaced record is not a stub")
+	if status(live) != StatusGone {
+		t.Fatal("replaced record is not gone")
 	}
 	live.Mu.Lock()
 	to := live.MovedTo
@@ -206,16 +267,16 @@ func TestStoreParallelStress(t *testing.T) {
 				id := ids[(w*rounds+r*7)%oids]
 				switch w % 4 {
 				case 0: // invoke
-					if rec, ok := s.Hosted(id); ok {
+					if rec, ok := s.Get(id); ok {
 						if err := rec.Acquire(ctx); err == nil {
 							rec.Release()
 						}
 					}
 				case 1: // migrate away and reinstall
 					token := uint64(w*rounds + r + 1)
-					if rec, ok := s.Hosted(id); ok {
+					if rec, ok := s.Get(id); ok {
 						if err := rec.Pause(ctx, token); err == nil {
-							rec.Depart(token, "n2", func() { s.Departed(id, "n2", token) })
+							s.Depart([]core.OID{id}, []uint64{token}, token, "n2")
 							back := NewRecord(id, "t", &testState{})
 							if err := s.InstallBatch([]*Record{back}, token); err != nil {
 								t.Errorf("reinstall %s: %v", id, err)
@@ -237,7 +298,7 @@ func TestStoreParallelStress(t *testing.T) {
 	wg.Wait()
 	// Every object must still resolve: hosted here or forwarded.
 	for _, id := range ids {
-		if _, ok := s.Hosted(id); ok {
+		if _, ok := s.Get(id); ok {
 			continue
 		}
 		if hint := s.Hint(id); hint == "" {
@@ -273,7 +334,7 @@ func TestCloseWhileBusy(t *testing.T) {
 					return
 				}
 				added.Store(id, true)
-				_, _ = s.Hosted(id)
+				_, _ = s.Get(id)
 				_ = s.Hint(id)
 			}
 		}(w)

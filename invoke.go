@@ -72,19 +72,14 @@ func isCode(err error, code wire.ErrCode) bool {
 func (n *Node) invokeLocal(ctx context.Context, rec *store.Record, from NodeID, method string,
 	run func(c *Ctx, inst interface{}, h handler) ([]byte, error)) (out []byte, err error) {
 
-	if from == n.id {
-		n.aff.RecordLocal(rec.ID)
-	} else if n.aff.Enabled() && !rec.IsGone() {
-		// Attribute pressure only for objects actually served here: a
-		// forwarding stub answering misdirected calls must not
-		// accumulate phantom counts that would poison a later return
-		// of the object.
-		n.aff.Record(rec.ID, from)
-	}
 	if err := rec.Acquire(ctx); err != nil {
 		return nil, err
 	}
 	defer rec.Release()
+	// Attribute pressure only once the call is admitted: a record that
+	// departed while the caller waited must not accumulate phantom
+	// counts that would poison a later return of the object.
+	n.aff.Record(rec.ID, from)
 	t, ok := n.typeByName(rec.TypeName)
 	if !ok {
 		return nil, wire.Errorf(wire.CodeUnknownType, "type %q not registered on %s", rec.TypeName, n.id)
@@ -136,7 +131,7 @@ func (n *Node) whereabouts(oid core.OID) *wire.RemoteError {
 	// caller's record lookup and the forward lookup above (the record
 	// appears before the forwarding pointer is cleared). Answer
 	// "moved to me" so the caller simply retries here.
-	if _, ok := n.hostedRecord(oid); ok {
+	if _, ok := n.store.Get(oid); ok {
 		return &wire.RemoteError{Code: wire.CodeMoved, Msg: oid.String(), To: n.id}
 	}
 	return wire.Errorf(wire.CodeNotFound, "object %s unknown at %s", oid, n.id)
@@ -147,7 +142,7 @@ func (n *Node) whereabouts(oid core.OID) *wire.RemoteError {
 // or the origin's home index. Hearsay (cached hints) is never served —
 // stale caches on bystander nodes would let location chases cycle.
 func (n *Node) handleLocate(req *wire.LocateReq) (*wire.LocateResp, error) {
-	if _, ok := n.hostedRecord(req.Obj); ok {
+	if _, ok := n.store.Get(req.Obj); ok {
 		return &wire.LocateResp{At: n.id}, nil
 	}
 	if err := n.whereabouts(req.Obj); err.Code == wire.CodeMoved {

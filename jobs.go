@@ -168,9 +168,6 @@ type JobPreview struct {
 func (n *Node) inventory(max int64) []jobs.Closure {
 	var out []jobs.Closure
 	n.store.Range(func(rec *store.Record) bool {
-		if rec.IsGone() {
-			return true
-		}
 		out = append(out, jobs.Closure{
 			Anchor: rec.ID, Host: n.id, Objects: 1,
 			Bytes: rec.StateBytes, Pressure: n.aff.Total(rec.ID),

@@ -139,7 +139,7 @@ func waitUnpaused(t *testing.T, n *Node) {
 func hostsOf(oid core.OID, nodes []*Node) []NodeID {
 	var at []NodeID
 	for _, n := range nodes {
-		if _, ok := n.store.Hosted(oid); ok {
+		if _, ok := n.store.Get(oid); ok {
 			at = append(at, n.ID())
 		}
 	}

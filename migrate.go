@@ -161,7 +161,7 @@ func (n *Node) stay(r relocation, ids []core.OID, members map[core.OID]NodeID) (
 	var buf [8]*store.Record
 	recs := buf[:0]
 	for _, oid := range ids {
-		rec, ok := n.hostedRecord(oid)
+		rec, ok := n.store.Get(oid)
 		if !ok || members[oid] != n.id {
 			return false, nil
 		}
@@ -222,7 +222,7 @@ func (t *transfer) run(ctx context.Context) error {
 	// is even admitted), so the estimate is a floor.
 	open := &wire.InstallReq{Members: t.ids}
 	for _, oid := range t.ids {
-		if rec, ok := t.n.hostedRecord(oid); ok {
+		if rec, ok := t.n.store.Get(oid); ok {
 			open.Bytes += rec.StateBytes
 		}
 	}
@@ -399,8 +399,8 @@ func definiteFailure(err error) bool {
 
 // memberRaced reports whether a group-migration failure means a
 // working-set member moved between the closure walk and its pause: the
-// believed host answered with a redirect (the classic stub) or with
-// not-found (the stub was already retired once the origin confirmed
+// believed host answered with a redirect (its forward) or with
+// not-found (the forward was already retired once the origin confirmed
 // the departure — see ConfirmDeparted). Either way the membership
 // snapshot was stale, not the migration wrong; callers re-walk the
 // closure and retry.
@@ -557,7 +557,7 @@ func (n *Node) handlePause(ctx context.Context, req *wire.PauseReq) (*wire.Pause
 			resp.Pending = req.Objs[i:]
 			break
 		}
-		rec, ok := n.record(oid)
+		rec, ok := n.store.Get(oid)
 		if !ok {
 			rollback()
 			return nil, n.whereabouts(oid)
@@ -602,45 +602,21 @@ func (n *Node) handleCommit(req *wire.CommitReq) (*wire.CommitResp, error) {
 	return &wire.CommitResp{}, nil
 }
 
-// commitLocal finalises departures: one shard-grouped batch lookup
-// resolves every object (each stripe lock is taken once, not once per
-// OID), and each flips to a forwarding stub. The host's affinity
-// observations for the departed objects are lifted and forwarded to the
-// objects' origins as gossip — in a multi-host group migration the
-// coordinator can only gossip its own counters, so each departing host
-// ships its own.
-//
-// Directory upkeep rides the commit: departures of objects this node
-// created are retired immediately (the home entry written under the
-// record lock is authoritative by construction — there is no remote
-// origin to wait for), and the amortised forward sweep is advanced.
+// commitLocal finalises departures in one store call (see store.Depart):
+// every object paused by the commit's token leaves the object table,
+// and its one location entry — the forward, or at the origin the home
+// entry — names the new host. A departure to the object's own origin
+// keeps no forward at all (see store.Departed): no home report will
+// ever confirm it. The host's affinity observations for the departed
+// objects are lifted and forwarded to the objects' origins as gossip —
+// in a multi-host group migration the coordinator can only gossip its
+// own counters, so each departing host ships its own. The amortised
+// forward sweep is advanced.
 func (n *Node) commitLocal(req *wire.CommitReq) {
 	start := time.Now()
-	recs := n.store.GetBatch(req.Objs)
-	var departed, own []core.OID
-	for i, rec := range recs {
-		if rec == nil {
-			continue
-		}
-		oid := req.Objs[i]
-		var gen uint64
-		if i < len(req.Gens) {
-			gen = req.Gens[i]
-		}
-		if rec.Depart(req.Token, req.NewHome, func() {
-			n.store.Departed(oid, req.NewHome, gen)
-		}) {
-			departed = append(departed, oid)
-			if oid.Origin == n.id {
-				own = append(own, oid)
-			}
-		}
-	}
+	departed := n.store.Depart(req.Objs, req.Gens, req.Token, req.NewHome)
 	if len(departed) == 0 {
 		return
-	}
-	if len(own) > 0 {
-		n.store.ConfirmDeparted(own, req.NewHome)
 	}
 	n.store.MaybeCompact(len(departed))
 	n.tel.span(req.Trace, telemetry.PhaseDirUpdate, start, 0, len(departed))

@@ -386,7 +386,7 @@ func TestCrashRulesAtEveryFrameCount(t *testing.T) {
 			}
 			eventually(t, 5*time.Second, func() bool {
 				for _, m := range group {
-					if rec, ok := src.store.Hosted(m.OID); ok {
+					if rec, ok := src.store.Get(m.OID); ok {
 						rec.Mu.Lock()
 						paused := rec.Status == store.StatusPaused
 						rec.Mu.Unlock()
@@ -669,12 +669,9 @@ func TestPauseLeaseResolvesCommittedMigration(t *testing.T) {
 
 			// The lease fires, asks n1, learns the install committed, and
 			// departs the local records — one live copy, at the target.
-			// The departure may already have retired the forwarding stub: the
-			// source is the objects' origin, so its home index is authoritative
-			// the moment the commit lands and the stub need not linger.
 			eventually(t, 5*time.Second, func() bool {
-				rec, ok := src.record(o1.OID)
-				return !ok || rec.IsGone()
+				_, ok := src.store.Get(o1.OID)
+				return !ok
 			}, "source records never departed after a committed-but-unacked migration")
 			if v, err := Call[struct{}, int](ctx, src, o1, "Get", struct{}{}); err != nil || v != 7 {
 				t.Fatalf("value after lease-resolved commit: %d, %v, want 7", v, err)

@@ -335,7 +335,8 @@ func step(x xfer, in input) (xfer, effects) {
 // names — resume, and the record stays as the migration's fence, which
 // refuses every later opening frame and pause until its timer reaps it
 // at twice the lease, a minute at least. Unpause checks status and
-// token, so stubs, strangers and installed members ignore it.
+// token, so departed records, strangers and installed members ignore
+// it.
 func end(x xfer, in input, eff *effects) xfer {
 	if x.members != nil {
 		ended := effAborted

@@ -72,7 +72,7 @@ func (w *installWorld) pauseHere(t *testing.T) {
 func (w *installWorld) pausedHere() int {
 	paused := 0
 	for _, oid := range w.local {
-		if rec, ok := w.tgt.store.Hosted(oid); ok {
+		if rec, ok := w.tgt.store.Get(oid); ok {
 			rec.Mu.Lock()
 			if rec.Status == store.StatusPaused {
 				paused++
@@ -299,7 +299,7 @@ func TestInstallStateMachine(t *testing.T) {
 				}
 				installed = installed || step.installed
 				for _, oid := range w.members {
-					if _, live := w.tgt.hostedRecord(oid); live != installed {
+					if _, live := w.tgt.store.Get(oid); live != installed {
 						t.Fatalf("step %d: member %s live at the target = %v, want %v", i, oid, live, installed)
 					}
 				}

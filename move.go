@@ -107,7 +107,7 @@ func (n *Node) handleMove(ctx context.Context, rec *store.Record, req *wire.Move
 		// The object may have left and come back while we waited; the
 		// record that is in the table now is the one to judge.
 		var ok bool
-		if rec, ok = n.record(req.Obj); !ok {
+		if rec, ok = n.store.Get(req.Obj); !ok {
 			return nil, n.whereabouts(req.Obj)
 		}
 		rec.Mu.Lock()
@@ -263,7 +263,7 @@ func (n *Node) endBlock(ctx context.Context, ref Ref, al AllianceID, block core.
 	kind := n.policy.Kind()
 	dynamic := kind == core.PolicyCompareNodes || kind == core.PolicyCompareReinstantiate
 	if !dynamic {
-		if rec, ok := n.hostedRecord(ref.OID); ok {
+		if rec, ok := n.store.Get(ref.OID); ok {
 			_, err := n.handleEnd(ctx, rec, req)
 			return fromRemote(err)
 		}
@@ -308,7 +308,7 @@ func (n *Node) handleEnd(ctx context.Context, rec *store.Record, req *wire.EndRe
 			if oid == req.Obj {
 				continue
 			}
-			if mrec, ok := n.hostedRecord(oid); ok {
+			if mrec, ok := n.store.Get(oid); ok {
 				mrec.Mu.Lock()
 				n.policy.OnEnd(&mrec.Pol, n.id, coreEnd)
 				mrec.Mu.Unlock()

@@ -357,11 +357,6 @@ func (n *Node) nextToken() uint64 {
 	return n.tokenBase | (n.token.Add(1) & 0xFFFFFFFF)
 }
 
-// record looks up a hosted object.
-func (n *Node) record(id core.OID) (*store.Record, bool) {
-	return n.store.Get(id)
-}
-
 // Close shuts the node down: stops the autopilot, waits for the origin
 // advisories in flight, stops serving, closes client connections and
 // waits for background work. The autopilot goes first — its in-flight

@@ -160,7 +160,7 @@ type Stats struct {
 	HealthDumps    int64
 	// Location-directory footprint (see store.LocStats): explicit home
 	// entries, forwarding pointers and cached hints, plus the
-	// forwarding stubs retired so far. LocClosures and LocClosureRefs
+	// forwarding pointers retired so far (on an origin's ack or by TTL). LocClosures and LocClosureRefs
 	// always read 0: the directory keeps one location entry per object
 	// and has no shared closure records. They stay because the
 	// benchmark's probes still read them.

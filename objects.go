@@ -3,22 +3,12 @@ package objmig
 import (
 	"objmig/internal/store"
 	"objmig/internal/wire"
-
-	"objmig/internal/core"
 )
 
 // The per-object record machinery (monitor locks, pause/depart
 // lifecycle, attachment adjacency) lives in internal/store together
 // with the lock-striped object table; this file keeps the node-level
-// glue: hosted-record resolution and snapshot decoding.
-
-// hostedRecord returns the local record only when the object actually
-// lives here (active or paused). Forwarding stubs are excluded: client
-// fast paths must fall through to the hint chain instead of spinning on
-// their own stale stub.
-func (n *Node) hostedRecord(id core.OID) (*store.Record, bool) {
-	return n.store.Hosted(id)
-}
+// glue: snapshot decoding.
 
 // decodeSnapshot reinstantiates one linearised object as a fresh local
 // record: type lookup, state decode, policy state and attachment edges.

@@ -91,7 +91,7 @@ func (e *passEnv) expect(issued, wantIssued, elected, cooling, failed int) {
 func (e *passEnv) restingAt(at int, refs ...Ref) {
 	e.t.Helper()
 	for _, r := range refs {
-		rec, ok := e.nodes[at].store.Hosted(r.OID)
+		rec, ok := e.nodes[at].store.Get(r.OID)
 		if !ok {
 			e.t.Errorf("%v is not hosted on n%d", r, at)
 			continue

@@ -436,7 +436,7 @@ func (n *Node) groupAffinity(members map[core.OID]NodeID) placement.Group {
 		for _, c := range l.Callers {
 			g.PerNode[c.Node] += c.Count
 		}
-		if rec, ok := n.store.Hosted(oid); ok {
+		if rec, ok := n.store.Get(oid); ok {
 			g.Bytes += rec.StateBytes
 		}
 	}
@@ -473,7 +473,7 @@ func (n *Node) admitAndReserve(objs []core.OID, bytes int64, from NodeID, token 
 	// re-admit through every gate below.
 	incoming := 0
 	for _, rec := range n.store.GetBatch(objs) {
-		if rec == nil || rec.IsGone() {
+		if rec == nil {
 			incoming++
 		}
 	}

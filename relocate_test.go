@@ -81,7 +81,7 @@ func polAtHost(t *testing.T, ctx context.Context, nodes []*Node, ref Ref) core.O
 		if n.ID() != at {
 			continue
 		}
-		rec, ok := n.hostedRecord(ref.OID)
+		rec, ok := n.store.Get(ref.OID)
 		if !ok {
 			t.Fatalf("%s reported at %s, which does not host it", ref, at)
 		}
@@ -117,7 +117,7 @@ func TestOpenMovesBalancedAfterBusyRetries(t *testing.T) {
 	}
 
 	// Another migration holds the attached member for a while.
-	brec, ok := nodes[0].hostedRecord(b.OID)
+	brec, ok := nodes[0].store.Get(b.OID)
 	if !ok {
 		t.Fatal("b not hosted at n0")
 	}
@@ -669,7 +669,7 @@ func TestRelocateStayRacesMigrations(t *testing.T) {
 	for _, o := range objs {
 		var live []NodeID
 		for _, n := range nodes {
-			if rec, ok := n.hostedRecord(o.OID); ok {
+			if rec, ok := n.store.Get(o.OID); ok {
 				rec.Mu.Lock()
 				if rec.Status != store.StatusActive || rec.Pol.Lock.Held {
 					t.Errorf("%s at %s: status %d, lock %+v after every block ended", o, n.ID(), rec.Status, rec.Pol.Lock)

@@ -42,12 +42,11 @@ func (n *Node) route(ctx context.Context, oid core.OID, op string,
 		redirect = ""
 		if rec == nil {
 			if host == n.id {
-				// My own tables point at me but I don't host it. If any
-				// record exists (the object just arrived, is arriving, or
-				// left a stub disagreeing with the directory for an
-				// instant) an arrival raced the two halves of the lookup:
-				// retry. Only a never-hosted object is genuinely unknown.
-				if _, ok := n.record(oid); ok {
+				// My own tables point at me but I don't host it. If the
+				// record is here now, an arrival raced the two halves of
+				// the lookup: retry. Only a never-hosted object is
+				// genuinely unknown.
+				if _, ok := n.store.Get(oid); ok {
 					continue
 				}
 				return "", fmt.Errorf("%w: %s", ErrNotFound, oid)
@@ -82,9 +81,9 @@ func (n *Node) route(ctx context.Context, oid core.OID, op string,
 		return "", err
 	}
 	recState := "no-record"
-	if rec, ok := n.record(oid); ok {
+	if rec, ok := n.store.Get(oid); ok {
 		rec.Mu.Lock()
-		recState = fmt.Sprintf("status=%d movedTo=%s", rec.Status, rec.MovedTo)
+		recState = fmt.Sprintf("status=%d", rec.Status)
 		rec.Mu.Unlock()
 	}
 	return "", fmt.Errorf("%w: %s (%s: chase budget exhausted; %s; %s)",
@@ -130,22 +129,23 @@ func deliver[Req, Resp any](ctx context.Context, n *Node, h NodeID, kind wire.Ki
 
 // onRecord is the serving side of a routed request: it resolves the
 // record the request addresses and runs the primitive's handler on it.
-// A node holding no record at all answers with the object's whereabouts;
-// a forwarding stub is passed on, and the handler redirects under the
-// record's lock.
+// A node that does not host the object — a former host included —
+// answers with the object's whereabouts, so every primitive gets the
+// same answer there; a record that departs after the lookup is
+// redirected by the handler under the record's lock.
 func onRecord[Req, Resp any](ctx context.Context, n *Node, oid core.OID, req *Req,
 	fn func(context.Context, *store.Record, *Req) (*Resp, error)) (*Resp, error) {
 
-	rec, ok := n.record(oid)
+	rec, ok := n.store.Get(oid)
 	if !ok {
 		return nil, n.whereabouts(oid)
 	}
 	return fn(ctx, rec, req)
 }
 
-// redirectLocked is what a handler answers when onRecord passed it a
-// forwarding stub: the redirect to the object's next host, nil for a
-// live record. Caller holds rec.Mu.
+// redirectLocked is what a handler answers when the record onRecord
+// passed it departed since: the redirect to the object's next host, nil
+// for a live record. Caller holds rec.Mu.
 func redirectLocked(rec *store.Record) error {
 	if rec.Status != store.StatusGone {
 		return nil

@@ -4,12 +4,11 @@ import (
 	"context"
 	"errors"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"objmig/internal/core"
-	"objmig/internal/store"
+	"objmig/internal/transport"
 	"objmig/internal/wire"
 )
 
@@ -120,46 +119,23 @@ var (
 	twoHopsMiss = chaseDelta{hops: 2, misses: 1}
 )
 
-// stub plants a forwarding stub for oid at n, pointing at to.
-func stub(t *testing.T, ctx context.Context, n *Node, oid core.OID, to NodeID) {
-	t.Helper()
-	rec := store.NewRecord(oid, "counter", nil)
-	if err := rec.Pause(ctx, 1); err != nil {
-		t.Fatal(err)
-	}
-	rec.Depart(1, to, nil)
-	if err := n.store.Add(rec); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// healOnWait is a context that runs heal the first time anyone waits on
-// it. Before its first RPC a chase does that in exactly one place: the
-// backoff between two attempts.
-type healOnWait struct {
-	context.Context
-	once sync.Once
-	heal func()
-}
-
-func (c *healOnWait) Done() <-chan struct{} {
-	c.once.Do(c.heal)
-	return c.Context.Done()
-}
-
 // pingPong leaves oid hosted nowhere with n0 and n1 each redirecting to
 // the other, so no chase for it can ever terminate.
 func pingPong(t *testing.T, ctx context.Context, nodes []*Node) core.OID {
 	t.Helper()
 	oid := fixedAt(t, ctx, nodes, "n1") // n0's home index now names n1
-	rec, ok := nodes[1].record(oid)
+	rec, ok := nodes[1].store.Get(oid)
 	if !ok {
 		t.Fatal("object did not arrive at n1")
 	}
 	if err := rec.Pause(ctx, 1); err != nil {
 		t.Fatal(err)
 	}
-	rec.Depart(1, "n0", func() { nodes[1].store.Departed(oid, "n0", rec.Gen+1) })
+	// Departing towards n2 and re-pointing the forward at n0 is the
+	// state a stale Learn leaves: n1's forward names the origin, whose
+	// home index still names n1.
+	nodes[1].store.Depart([]core.OID{oid}, []uint64{rec.Gen + 1}, 1, "n2")
+	nodes[1].store.Learn(oid, "n0")
 	return oid
 }
 
@@ -262,39 +238,6 @@ func TestRoutedOps(t *testing.T) {
 		}
 	})
 
-	// The caller's own tables name the caller while it holds only a stub:
-	// the state an arrival leaves between the two halves of a lookup. The
-	// chase must wait it out, not report the object unknown.
-	t.Run("self-hint arrival race is retried", func(t *testing.T) {
-		t.Parallel()
-		ctx := ctxShort(t)
-		nodes := routeCluster(t, Config{})
-		caller := nodes[0]
-		for _, op := range routedOps {
-			oid := fixedAt(t, ctx, nodes, "n1")
-			if _, ok := caller.record(oid); !ok {
-				stub(t, ctx, caller, oid, "n1")
-			}
-			caller.store.Created(oid) // the home index now says "here"
-			if rec, at := caller.store.Lookup(oid); rec != nil || at != caller.id {
-				t.Fatalf("%s: lookup = %v, %s; the self-hint state was not set up", op.label, rec, at)
-			}
-			// The tables heal the moment the chase first waits between
-			// attempts — so the first attempt is sure to have met the
-			// self-hint, and only a retry can succeed.
-			hctx := &healOnWait{Context: ctx, heal: func() {
-				caller.store.HomeUpdate([]core.OID{oid}, []uint64{1 << 20}, "n1")
-			}}
-			got, err := measure(caller, func() error { return op.run(hctx, caller, oid, "n1") })
-			if err != nil {
-				t.Fatalf("%s: %v", op.label, err)
-			}
-			if got != oneHopHit {
-				t.Errorf("%s: accounting = %+v, want %+v (retries cost no hop)", op.label, got, oneHopHit)
-			}
-		}
-	})
-
 	t.Run("never-hosted object is not found", func(t *testing.T) {
 		t.Parallel()
 		ctx := ctxShort(t)
@@ -393,5 +336,48 @@ func TestStaleHintChaseDoesNotWait(t *testing.T) {
 	t.Logf("%d stale-hint chases: %v", chases, took)
 	if took >= 100*time.Millisecond {
 		t.Fatalf("%d stale-hint chases took %v, want < 100ms", chases, took)
+	}
+}
+
+// TestFormerHostGivesOneAnswer: a former host keeps one entry for a
+// departure — its forward — so every primitive gets the same answer
+// there. The object goes n0 → n1 → n2 → n3 with n1's report to the
+// origin held (so its forward stays), and a Learn at n1 then shortens
+// the chain to n3: an invoke and a locate sent to n1 are both
+// redirected to n3.
+func TestFormerHostGivesOneAnswer(t *testing.T) {
+	t.Parallel()
+	ctx := ctxShort(t)
+	net := transport.NewNetwork()
+	tap := &sendTap{Transport: net.Transport(), kind: wire.KHomeUpdate, to: "n0"}
+	nodes := testClusterOn(t, &Cluster{tr: tap, mem: net}, 4, Config{})
+	ref := mustCreate(t, nodes[0])
+	migrate := func(from *Node, to NodeID) {
+		t.Helper()
+		if err := from.Migrate(ctx, ref, to); err != nil {
+			t.Fatal(err)
+		}
+	}
+	migrate(nodes[0], "n1")
+	defer holdNext(t, tap, func() { migrate(nodes[1], "n2") })()
+	migrate(nodes[2], "n3")
+	nodes[1].store.Learn(ref.OID, "n3")
+
+	if _, ok := nodes[1].store.Get(ref.OID); ok {
+		t.Fatal("n1's table still holds a record of the departed object")
+	}
+	caller := nodes[0]
+	err := caller.call(ctx, "n1", wire.KInvoke,
+		&wire.InvokeReq{Obj: ref.OID, Method: "Get", From: caller.id}, &wire.InvokeResp{})
+	invokeTo, moved := movedTo(err)
+	if !moved {
+		t.Fatalf("invoke at n1: %v, want a redirect", err)
+	}
+	var loc wire.LocateResp
+	if err := caller.call(ctx, "n1", wire.KLocate, &wire.LocateReq{Obj: ref.OID}, &loc); err != nil {
+		t.Fatalf("locate at n1: %v", err)
+	}
+	if invokeTo != "n3" || loc.At != "n3" {
+		t.Fatalf("n1 redirects an invoke to %s and a locate to %s, want n3 for both", invokeTo, loc.At)
 	}
 }
