@@ -1,8 +1,18 @@
 // Package rpc multiplexes request/response exchanges over a
 // transport.Conn: every in-flight call has an ID, responses are matched
-// to pending calls, and inbound requests are dispatched to a handler in
-// their own goroutine (invocations may block on object locks and
-// migrations, so the read loop must never be held up).
+// to pending calls, and inbound requests are served on worker
+// goroutines.
+//
+// Dispatch: the read loop hands each request to a worker parked on the
+// peer, or starts a new worker when none is parked. A worker serves its
+// request and parks for the next; it exits when the peer shuts down, or
+// at once if GOMAXPROCS workers are already parked on the peer. A
+// reused worker keeps the stack that decoding grew, so a request costs
+// neither a goroutine start nor a stack copy. The read loop never
+// serves a request and never waits for a busy worker: a handler may
+// block on an object lock or a migration, or call other nodes whose
+// calls come back over this connection (A→B→A→B), and a read loop
+// blocked in such a handler would deadlock the chain.
 //
 // Frame layout:
 //
@@ -36,7 +46,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"objmig/internal/framebuf"
 	"objmig/internal/transport"
@@ -80,9 +92,10 @@ var ErrEpochMismatch = errors.New("rpc: wire epoch mismatch")
 // connection: the request was definitely never delivered.
 var ErrSendFailed = errors.New("rpc: send failed")
 
-// Handler processes one inbound request and appends its encoded
-// response body to dst (normally via wire.MarshalAppend), returning
-// the extended slice. dst arrives with the frame header already
+// Handler processes one inbound request on a worker goroutine (see the
+// package doc: it may block, and it never holds up the connection's
+// read loop) and appends its encoded response body to dst (normally
+// via wire.MarshalAppend), returning the extended slice. dst arrives with the frame header already
 // reserved; the handler must only append. body is only valid until the
 // handler returns — the frame it points into is recycled afterwards —
 // so the handler must fully decode it (wire.Unmarshal copies) and must
@@ -105,6 +118,14 @@ type Peer struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
+	// idle hands a request to a parked worker; it is unbuffered, so a
+	// send succeeds only while a worker waits on it. parked counts the
+	// workers parked or about to park, at most maxParked (GOMAXPROCS
+	// when the peer was created).
+	idle      chan request
+	parked    atomic.Int32
+	maxParked int32
+
 	mu      sync.Mutex
 	pending map[uint64]chan callResult
 	nextID  uint64
@@ -115,6 +136,15 @@ type Peer struct {
 
 // resultChans recycles the one-slot channel a call blocks on.
 var resultChans = sync.Pool{New: func() interface{} { return make(chan callResult, 1) }}
+
+// request is one received request frame on its way to a worker, which
+// serves it and recycles the frame.
+type request struct {
+	id    uint64
+	kind  wire.Kind
+	body  []byte // payload within frame
+	frame []byte // whole pooled frame
+}
 
 // callResult carries one response frame (or a local failure) from the
 // read loop to the blocked caller, which decodes it and recycles the
@@ -152,12 +182,14 @@ func NewPeer(conn transport.Conn, handler Handler) *Peer {
 func newPeer(conn transport.Conn, handler Handler, accepted bool) *Peer {
 	ctx, cancel := context.WithCancel(context.Background())
 	p := &Peer{
-		conn:     conn,
-		handler:  handler,
-		accepted: accepted,
-		ctx:      ctx,
-		cancel:   cancel,
-		pending:  make(map[uint64]chan callResult),
+		conn:      conn,
+		handler:   handler,
+		accepted:  accepted,
+		ctx:       ctx,
+		cancel:    cancel,
+		idle:      make(chan request),
+		maxParked: int32(runtime.GOMAXPROCS(0)),
+		pending:   make(map[uint64]chan callResult),
 	}
 	p.wg.Add(1)
 	go p.readLoop()
@@ -222,9 +254,9 @@ func (p *Peer) forget(id uint64) {
 
 // readLoop receives frames until the connection dies, dispatching
 // requests and completing pending calls. Every received frame is
-// recycled exactly once: by the serve goroutine after its handler
-// returns, by the blocked caller after it decodes the response, or
-// right here when nobody wants it.
+// recycled exactly once: by the worker after its handler returns, by
+// the blocked caller after it decodes the response, or right here when
+// nobody wants it.
 func (p *Peer) readLoop() {
 	defer p.wg.Done()
 	if p.accepted && !p.answerHello() {
@@ -250,14 +282,13 @@ func (p *Peer) readLoop() {
 				framebuf.Put(frame)
 				continue
 			}
-			kind := wire.Kind(payload[0])
-			body := payload[1:]
-			p.wg.Add(1)
-			go func(frame []byte) {
-				defer p.wg.Done()
-				p.serve(id, kind, body)
-				framebuf.Put(frame) // body (an alias) is dead once serve returns
-			}(frame)
+			r := request{id: id, kind: wire.Kind(payload[0]), body: payload[1:], frame: frame}
+			select {
+			case p.idle <- r:
+			default:
+				p.wg.Add(1)
+				go p.worker(r)
+			}
 		case dirOK, dirErr:
 			p.mu.Lock()
 			ch, ok := p.pending[id]
@@ -327,6 +358,28 @@ func hello(ctx context.Context, conn transport.Conn, addr string) error {
 	return nil
 }
 
+// worker serves r, then parks for the next request until the peer
+// shuts down. It exits instead of parking when maxParked workers are
+// parked already: a burst of blocked requests leaves at most that many
+// behind.
+func (p *Peer) worker(r request) {
+	defer p.wg.Done()
+	for {
+		p.serve(r.id, r.kind, r.body)
+		framebuf.Put(r.frame) // body (an alias) is dead once serve returns
+		if p.parked.Add(1) > p.maxParked {
+			p.parked.Add(-1)
+			return
+		}
+		select {
+		case r = <-p.idle:
+			p.parked.Add(-1)
+		case <-p.ctx.Done():
+			return
+		}
+	}
+}
+
 // serve runs the handler for one request, encoding the response
 // straight into a pooled frame behind its reserved header.
 func (p *Peer) serve(id uint64, kind wire.Kind, body []byte) {
@@ -394,8 +447,8 @@ func (p *Peer) Closed() bool {
 	return p.closed
 }
 
-// Close tears the peer down and waits for its goroutines (read loop and
-// in-flight handlers) to finish.
+// Close tears the peer down and waits for its goroutines (read loop,
+// parked workers and in-flight handlers) to finish.
 func (p *Peer) Close() error {
 	p.cancel()
 	err := p.conn.Close()

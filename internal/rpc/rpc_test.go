@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -47,7 +48,7 @@ func ping(pool *Pool, addr, payload string) (string, error) {
 
 // pipe builds a served listener and a pool on a fresh in-memory
 // network, returning the address.
-func pipe(t *testing.T, h Handler) (*Server, *Pool, string) {
+func pipe(t testing.TB, h Handler) (*Server, *Pool, string) {
 	t.Helper()
 	tr := transport.NewNetwork().Transport()
 	l, err := tr.Listen("")
@@ -375,6 +376,187 @@ func TestEpochMismatchRefusedAtDial(t *testing.T) {
 	}
 	for f := range requests {
 		t.Fatalf("a request (%x) left after the mismatch", f)
+	}
+}
+
+// --- Dispatch rules ---
+
+// blockingHandler is echoHandler, except that payload "block" signals
+// entered and then waits for release.
+func blockingHandler(entered chan<- struct{}, release <-chan struct{}) Handler {
+	return func(ctx context.Context, kind wire.Kind, body, dst []byte) ([]byte, error) {
+		var req wire.PingReq
+		if err := wire.Unmarshal(body, &req); err != nil {
+			return nil, err
+		}
+		if req.Payload == "block" {
+			entered <- struct{}{}
+			<-release
+		}
+		return wire.MarshalAppend(dst, &wire.PingResp{Payload: req.Payload})
+	}
+}
+
+// TestBlockedHandlerDoesNotDelayNextRequest: a handler blocked on one
+// request must not hold up the next request on the same connection.
+// The read loop never waits for a busy worker.
+func TestBlockedHandlerDoesNotDelayNextRequest(t *testing.T) {
+	t.Parallel()
+	entered, release := make(chan struct{}), make(chan struct{})
+	_, pool, addr := pipe(t, blockingHandler(entered, release))
+	var once sync.Once
+	unblock := func() { once.Do(func() { close(release) }) }
+	t.Cleanup(unblock) // runs before pipe's, which waits for the handler
+	blocked := make(chan error, 1)
+	go func() {
+		_, err := ping(pool, addr, "block")
+		blocked <- err
+	}()
+	<-entered
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	var resp wire.PingResp
+	if err := pool.Call(ctx, addr, wire.KPing, &wire.PingReq{Payload: "next"}, &resp); err != nil || resp.Payload != "next" {
+		t.Fatalf("request behind a blocked handler: %q, %v", resp.Payload, err)
+	}
+	unblock()
+	if err := <-blocked; err != nil {
+		t.Fatalf("blocked request: %v", err)
+	}
+}
+
+// TestNestedCallCycleCompletes runs a chain of calls that crosses two
+// nodes back and forth, A→B→A→B→A, each handler calling the other node
+// before it answers. Every hop after the first reuses a connection
+// whose far end is still serving an earlier link of the chain, so it
+// completes only if a serving handler never holds up its connection's
+// read loop.
+func TestNestedCallCycleCompletes(t *testing.T) {
+	t.Parallel()
+	tr := transport.NewNetwork().Transport()
+	pools := [2]*Pool{NewPool(tr), NewPool(tr)}
+	var addrs [2]string
+	for i := range pools {
+		other := 1 - i
+		l, err := tr.Listen("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		addrs[i] = l.Addr()
+		pool := pools[i]
+		srv := Serve(l, func(ctx context.Context, kind wire.Kind, body, dst []byte) ([]byte, error) {
+			var req wire.PingReq
+			if err := wire.Unmarshal(body, &req); err != nil {
+				return nil, err
+			}
+			payload := req.Payload
+			if rest := strings.TrimPrefix(payload, ">"); rest != payload {
+				// Pass the rest of the chain on to the other node.
+				var resp wire.PingResp
+				if err := pool.Call(ctx, addrs[other], wire.KPing, &wire.PingReq{Payload: rest}, &resp); err != nil {
+					return nil, err
+				}
+				payload = resp.Payload + "<"
+			}
+			return wire.MarshalAppend(dst, &wire.PingResp{Payload: payload})
+		})
+		t.Cleanup(func() {
+			_ = pool.Close()
+			_ = srv.Close()
+		})
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	var resp wire.PingResp
+	// From A's pool to B: B calls A, A calls B, B calls A, A answers.
+	if err := pools[0].Call(ctx, addrs[1], wire.KPing, &wire.PingReq{Payload: ">>>end"}, &resp); err != nil {
+		t.Fatalf("nested cycle A→B→A→B→A: %v", err)
+	}
+	if resp.Payload != "end<<<" {
+		t.Fatalf("nested cycle answered %q, want %q", resp.Payload, "end<<<")
+	}
+}
+
+// settle waits up to five seconds for the goroutine count to satisfy ok.
+func settle(t *testing.T, what string, ok func(n int) bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	n := runtime.NumGoroutine()
+	for !ok(n) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: %d goroutines", what, n)
+		}
+		time.Sleep(5 * time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+}
+
+// TestBurstLeavesBoundedWorkers: a burst of concurrently blocked
+// requests starts a worker each; once they are released, at most
+// GOMAXPROCS of them stay parked on the peer, and Close ends the rest.
+// It counts the process's goroutines, so it does not run in parallel.
+func TestBurstLeavesBoundedWorkers(t *testing.T) {
+	base := runtime.NumGoroutine()
+	tr := transport.NewNetwork().Transport()
+	l, err := tr.Listen("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	entered, release := make(chan struct{}), make(chan struct{})
+	srv := Serve(l, blockingHandler(entered, release))
+	pool := NewPool(tr)
+	if _, err := ping(pool, l.Addr(), "warm"); err != nil {
+		t.Fatal(err)
+	}
+	// Connected: the accept loop, both read loops and the one worker
+	// that served "warm", now parked.
+	connected := runtime.NumGoroutine()
+
+	const k = 32
+	errs := make(chan error, k)
+	for i := 0; i < k; i++ {
+		go func() {
+			_, err := ping(pool, l.Addr(), "block")
+			errs <- err
+		}()
+	}
+	for i := 0; i < k; i++ {
+		<-entered // all k handlers run at once, each on its own worker
+	}
+	close(release)
+	for i := 0; i < k; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	parked := runtime.GOMAXPROCS(0)
+	settle(t, fmt.Sprintf("after a burst of %d, more than %d workers parked", k, parked), func(n int) bool {
+		return n <= connected-1+parked
+	})
+
+	_ = pool.Close()
+	_ = srv.Close()
+	settle(t, fmt.Sprintf("after Close, above the baseline of %d", base), func(n int) bool { return n <= base })
+}
+
+// BenchmarkPeerEcho is one echo request and its response over the
+// in-memory transport: the rpc layer's own cost per call.
+func BenchmarkPeerEcho(b *testing.B) {
+	_, pool, addr := pipe(b, echoHandler)
+	req := &wire.PingReq{Payload: "echo"}
+	var resp wire.PingResp
+	ctx := context.Background()
+	if err := pool.Call(ctx, addr, wire.KPing, req, &resp); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := pool.Call(ctx, addr, wire.KPing, req, &resp); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -22,6 +22,7 @@ package wire
 
 import (
 	"fmt"
+	"reflect"
 	"time"
 
 	"objmig/internal/core"
@@ -102,7 +103,7 @@ const Epoch byte = 2
 func MarshalAppend(dst []byte, v interface{}) ([]byte, error) {
 	c := coder{b: dst}
 	if !layout(&c, v) {
-		return dst, fmt.Errorf("wire: marshal %T: not a message body", v)
+		return dst, fmt.Errorf("wire: marshal %v: not a message body", reflect.TypeOf(v))
 	}
 	return c.b, nil
 }
@@ -119,11 +120,11 @@ func Unmarshal(data []byte, v interface{}) error {
 	c := coder{dec: true, b: data}
 	switch {
 	case !layout(&c, v):
-		return fmt.Errorf("wire: unmarshal %T: not a message body", v)
+		return fmt.Errorf("wire: unmarshal %v: not a message body", reflect.TypeOf(v))
 	case c.err != nil:
-		return fmt.Errorf("wire: unmarshal %T: %w", v, c.err)
+		return fmt.Errorf("wire: unmarshal %v: %w", reflect.TypeOf(v), c.err)
 	case c.pos != len(data):
-		return fmt.Errorf("wire: unmarshal %T: %d trailing bytes", v, len(data)-c.pos)
+		return fmt.Errorf("wire: unmarshal %v: %d trailing bytes", reflect.TypeOf(v), len(data)-c.pos)
 	}
 	return nil
 }

@@ -75,6 +75,67 @@ func TestUnmarshalError(t *testing.T) {
 	}
 }
 
+// TestMarshalAppendBodyStaysOnStack: MarshalAppend does not leak its
+// argument, so a body built on the caller's stack stays there and an
+// encode into a reused buffer allocates nothing. Every request the rpc
+// layer sends relies on it.
+func TestMarshalAppendBodyStaysOnStack(t *testing.T) {
+	buf := make([]byte, 0, 256)
+	oid := core.OID{Origin: "n1", Seq: 7}
+	allocs := testing.AllocsPerRun(100, func() {
+		var err error
+		buf, err = MarshalAppend(buf[:0], &InvokeReq{Obj: oid, Method: "Get", From: "n2"})
+		if err != nil {
+			panic(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("MarshalAppend of a stack-built body: %v allocs, want 0", allocs)
+	}
+}
+
+// TestCodecErrorTexts pins the codec's error messages: each names the
+// value's dynamic type exactly as %T prints it.
+func TestCodecErrorTexts(t *testing.T) {
+	t.Parallel()
+	img, err := MarshalAppend(nil, &InvokeReq{Obj: core.OID{Origin: "n1", Seq: 1}, Method: "m"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ping, err := MarshalAppend(nil, &PingReq{Payload: "p"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out InvokeReq
+	_, marshalInt := MarshalAppend(nil, 42)
+	_, marshalNil := MarshalAppend(nil, nil)
+	for _, tc := range []struct {
+		err       error
+		want, old string
+	}{
+		{marshalInt, "wire: marshal int: not a message body",
+			fmt.Sprintf("wire: marshal %T: not a message body", 42)},
+		{marshalNil, "wire: marshal <nil>: not a message body",
+			fmt.Sprintf("wire: marshal %T: not a message body", nil)},
+		{Unmarshal(img, 42), "wire: unmarshal int: not a message body",
+			fmt.Sprintf("wire: unmarshal %T: not a message body", 42)},
+		{Unmarshal(nil, &out), "wire: unmarshal *wire.InvokeReq: truncated body at offset 0",
+			fmt.Sprintf("wire: unmarshal %T: truncated body at offset 0", &out)},
+		{Unmarshal(ping, &out), fmt.Sprintf("wire: unmarshal *wire.InvokeReq: body carries tag %d", ping[0]),
+			fmt.Sprintf("wire: unmarshal %T: body carries tag %d", &out, ping[0])},
+		{Unmarshal(append(img, 0), &out), "wire: unmarshal *wire.InvokeReq: 1 trailing bytes",
+			fmt.Sprintf("wire: unmarshal %T: %d trailing bytes", &out, 1)},
+	} {
+		if tc.err == nil {
+			t.Errorf("no error, want %q", tc.want)
+			continue
+		}
+		if got := tc.err.Error(); got != tc.want || got != tc.old {
+			t.Errorf("error %q, want %q (the %%T form: %q)", got, tc.want, tc.old)
+		}
+	}
+}
+
 func TestRemoteError(t *testing.T) {
 	t.Parallel()
 	e := Errorf(CodeFixed, "object %s is fixed", "n1/3")

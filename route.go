@@ -171,29 +171,44 @@ const (
 // that hole: a chase keeps retrying until BOTH the attempt budget and
 // the deadline are spent, so churn stretches the chase instead of
 // failing it, while the deadline still guarantees termination.
+//
+// The clock starts when the chase first leaves the node: at its first
+// remote attempt or its first back-off, whichever comes first. The
+// latency histogram (chaseLat) and the deadline both count from there,
+// and an operation served entirely on this node never reads the clock.
 type chase struct {
 	n        *Node
 	oid      core.OID
 	attempt  int
 	definite bool      // the last answer named a next host: retry at once
 	hops     int       // remote calls issued — the directory's cost metric
-	start    time.Time // chase begin, for the latency histogram
-	deadline time.Time // zero when the deadline is disabled
+	start    time.Time // first remote attempt or back-off; zero before
+	deadline time.Time // zero before start, or when the deadline is disabled
 }
 
 // newChase starts a chase budget for one logical operation on oid. The
 // budget is returned by value so route keeps it on its stack.
 func (n *Node) newChase(oid core.OID) chase {
-	c := chase{n: n, oid: oid, start: time.Now()}
-	if d := n.chaseDeadline; d > 0 {
+	return chase{n: n, oid: oid}
+}
+
+// clock starts the chase's clock, once: see chase.
+func (c *chase) clock() {
+	if !c.start.IsZero() {
+		return
+	}
+	c.start = time.Now()
+	if d := c.n.chaseDeadline; d > 0 {
 		c.deadline = c.start.Add(d)
 	}
-	return c
 }
 
 // hop records one remote call of the chase. route bumps it immediately
 // before each RPC so end() sees the true network cost.
-func (c *chase) hop() { c.hops = c.hops + 1 }
+func (c *chase) hop() {
+	c.clock()
+	c.hops++
+}
 
 // end folds the finished chase into the node's directory statistics:
 // zero hops means the object was local (not a directory event at all),
@@ -240,6 +255,7 @@ func (c *chase) next(ctx context.Context) bool {
 		c.attempt++
 		return ctx.Err() == nil
 	}
+	c.clock()
 	if c.attempt >= c.n.retries && (c.deadline.IsZero() || !time.Now().Before(c.deadline)) {
 		return false
 	}

@@ -7,9 +7,10 @@
 # BenchmarkRuntimeMigration and BenchmarkRuntimeMoveBlock (allocs/op), BenchmarkDirectoryScale
 # (bytes/obj, p99-hops), BenchmarkTelemetryRecord (allocs/op),
 # BenchmarkShedPlan (allocs/op), BenchmarkJobPlan (allocs/op),
-# BenchmarkHealthTick (allocs/op) and BenchmarkGobStream (allocs/op)
+# BenchmarkHealthTick (allocs/op), BenchmarkPeerEcho (allocs/op) and
+# BenchmarkGobStream (allocs/op)
 # and fails if any reported value exceeds its ceiling in
-# scripts/alloc-budget.txt. The wire codec, invoke and gob-stream
+# scripts/alloc-budget.txt. The wire codec, invoke, rpc echo and gob-stream
 # budgets are exact (their allocation counts are deterministic — the
 # append variants allocate only decode output, the routed-request core
 # allocates nothing) and the telemetry budgets are zero (recording a
@@ -80,6 +81,13 @@ if [ "$healthstatus" -ne 0 ]; then
   echo "alloc check FAILED (health-tick benchmark did not run)"
   exit 1
 fi
+echoout=$(go test -run '^$' -bench 'BenchmarkPeerEcho' -benchmem -benchtime 1000x ./internal/rpc 2>&1)
+echostatus=$?
+echo "$echoout"
+if [ "$echostatus" -ne 0 ]; then
+  echo "alloc check FAILED (rpc echo benchmark did not run)"
+  exit 1
+fi
 gobout=$(go test -run '^$' -bench 'BenchmarkGobStream' -benchmem -benchtime 1000x -cpu 1 ./internal/gobstream 2>&1)
 gobstatus=$?
 echo "$gobout"
@@ -94,6 +102,7 @@ $telout
 $shedout
 $jobout
 $healthout
+$echoout
 $gobout"
 
 fail=0
