@@ -157,8 +157,15 @@ func shortLabel(label string) string {
 
 // --- Live-runtime micro-benchmarks ---
 
-// benchNodes builds a local two-node cluster with the bench type.
+// benchNodes builds a local two-node cluster, "a" and "b", with the
+// bench type.
 func benchNodes(b *testing.B, policy PolicyKind) (*Node, *Node, Ref) {
+	return benchNodesNamed(b, policy, "a", "b")
+}
+
+// benchNodesNamed is benchNodes with the two node IDs given; the
+// object is created on the first.
+func benchNodesNamed(b *testing.B, policy PolicyKind, first, second NodeID) (*Node, *Node, Ref) {
 	b.Helper()
 	cl := NewLocalCluster()
 	t := newBenchType()
@@ -173,7 +180,7 @@ func benchNodes(b *testing.B, policy PolicyKind) (*Node, *Node, Ref) {
 		b.Cleanup(func() { _ = n.Close() })
 		return n
 	}
-	a, c := mk("a"), mk("b")
+	a, c := mk(first), mk(second)
 	ref, err := a.Create("bench")
 	if err != nil {
 		b.Fatal(err)
@@ -234,7 +241,19 @@ func BenchmarkRuntimeLocalInvokeEncoded(b *testing.B) {
 // BenchmarkRuntimeRemoteInvoke measures an invocation that crosses the
 // in-memory transport (linearise, forward, execute, reply).
 func BenchmarkRuntimeRemoteInvoke(b *testing.B) {
-	_, remote, ref := benchNodes(b, PolicyPlacement)
+	benchRemoteInvoke(b, "a", "b")
+}
+
+// BenchmarkRuntimeRemoteInvokeNamed is BenchmarkRuntimeRemoteInvoke
+// between nodes named as objmig-bench names them. Go converts a
+// one-byte string without allocating, so only multi-byte node IDs
+// show what decoding the names in each request and response costs.
+func BenchmarkRuntimeRemoteInvokeNamed(b *testing.B) {
+	benchRemoteInvoke(b, "n0", "n1")
+}
+
+func benchRemoteInvoke(b *testing.B, host, caller NodeID) {
+	_, remote, ref := benchNodesNamed(b, PolicyPlacement, host, caller)
 	ctx := context.Background()
 	// Warm the location cache.
 	if _, err := Call[int, int](ctx, remote, ref, "Add", 0); err != nil {
@@ -314,8 +333,8 @@ func codecBodies() (*wire.InvokeReq, *wire.Snapshot) {
 // BenchmarkRuntimeCodec measures encode+decode round trips of the hot
 // wire bodies on the zero-copy path the rpc layer actually runs —
 // wire.MarshalAppend into a reused frame buffer — whose remaining
-// allocs/op are pure decode output (the strings, byte slices and maps
-// handed to the caller). CI guards every sub-benchmark's allocs/op
+// allocs/op are pure decode output (the free-form strings, byte slices
+// and maps handed to the caller; names come from the wire name table). CI guards every sub-benchmark's allocs/op
 // against scripts/alloc-budget.txt (see scripts/check-allocs.sh).
 func BenchmarkRuntimeCodec(b *testing.B) {
 	req, snap := codecBodies()
@@ -343,7 +362,7 @@ func BenchmarkRuntimeCodec(b *testing.B) {
 	}}
 	runAppend("Load/append", load, func() interface{} { return new(wire.LoadGossipReq) })
 	// HomeUpdate with a piggybacked sample: the decode allocates the
-	// optional NodeLoad plus its node string on top of the OID list.
+	// optional NodeLoad on top of the OID list.
 	hu := &wire.HomeUpdate{
 		Objs: []core.OID{{Origin: "node-0", Seq: 1}, {Origin: "node-0", Seq: 2}},
 		At:   "node-1",
@@ -353,8 +372,8 @@ func BenchmarkRuntimeCodec(b *testing.B) {
 	// The migration payload frame as a small migration sends it: one
 	// InstallReq that opens, stages and commits a fully connected
 	// 4-object closure (the shape bench/probes.go times). On top of the
-	// snapshots' own decode output, the member list costs the OID slice
-	// and one origin string per member.
+	// snapshots' own decode output, the member list costs its OID slice
+	// (the origins come from the wire name table).
 	const closure = 4
 	install := &wire.InstallReq{Token: 42, From: "node-0", Trace: 0xABCD1234DEADBEEF, Bytes: 3 << 20, Commit: true}
 	for i := 1; i <= closure; i++ {
@@ -369,7 +388,7 @@ func BenchmarkRuntimeCodec(b *testing.B) {
 	}
 	runAppend("Install/append", install, func() interface{} { return new(wire.InstallReq) })
 	// The redirect every stale hint earns: an error frame naming the
-	// next hop. The decode output is its two strings.
+	// next hop. The decode output is the body and its message.
 	redirect := &wire.RemoteError{Code: wire.CodeMoved, Msg: "object node-0/12345 moved", To: "node-1"}
 	runAppend("RemoteError/append", redirect, func() interface{} { return new(wire.RemoteError) })
 }

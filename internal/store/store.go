@@ -347,19 +347,20 @@ func (s *Store) InstallBatch(recs []*Record, token uint64) error {
 		}
 		olds[i] = old
 	}
-	// Commit phase: swap the records in and turn the replaced ones
-	// into wake-up markers pointing here.
+	// Commit phase: swap the records in, turn the replaced ones into
+	// wake-up markers pointing here, and write the arrivals' location
+	// entries while the table locks are still held: a departure of the
+	// same object (Depart takes the same locks) then comes after them,
+	// never between the install and its entries.
 	for i, rec := range recs {
 		s.shardOf(rec.ID).objs[rec.ID] = rec
 		if old := olds[i]; old != nil {
 			old.goneLocked(s.self)
 		}
+		s.arrived(rec.ID, true)
 	}
 	unlockRecs()
 	unlockShards()
-	for _, rec := range recs {
-		s.Arrived(rec.ID)
-	}
 	return nil
 }
 
@@ -458,6 +459,12 @@ func (s *Store) Created(id core.OID) {
 // usage) an explicit self-entry is written instead.
 func (s *Store) Arrived(id core.OID) {
 	_, hosted := s.Get(id)
+	s.arrived(id, hosted)
+}
+
+// arrived is Arrived told whether a record is hosted instead of looking
+// it up, so InstallBatch can run it under the table locks it holds.
+func (s *Store) arrived(id core.OID, hosted bool) {
 	sh := s.shardOf(id)
 	sh.locMu.Lock()
 	defer sh.locMu.Unlock()

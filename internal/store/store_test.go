@@ -358,3 +358,56 @@ func TestCloseWhileBusy(t *testing.T) {
 		t.Fatal("failed Add left a record behind")
 	}
 }
+
+// TestInstallRacingDepartKeepsHome: an object that departs again right
+// after its batch is installed at its origin keeps the departure's home
+// entry. The arrival's location writes happen under the table locks of
+// the install, so they cannot land after the departure and overwrite
+// its entry with a generation-0 self entry; at the origin, the home
+// index never names the origin for an object it does not host.
+func TestInstallRacingDepartKeepsHome(t *testing.T) {
+	t.Parallel()
+	const batch = 128
+	for round := 0; round < 40; round++ {
+		s := New("n1")
+		recs := make([]*Record, batch)
+		for i := range recs {
+			recs[i] = NewRecord(oid("n1", uint64(i+1)), "t", &testState{})
+		}
+		// The last record of the batch departs as soon as it is
+		// visible, while the install may still be writing the entries
+		// of the records before it.
+		last := recs[batch-1].ID
+		done := make(chan error, 1)
+		go func() {
+			for {
+				rec, ok := s.Get(last)
+				if !ok {
+					continue
+				}
+				if err := rec.Pause(context.Background(), 7); err != nil {
+					done <- err
+					return
+				}
+				if got := s.Depart([]core.OID{last}, []uint64{3}, 7, "n2"); len(got) != 1 {
+					done <- fmt.Errorf("depart of %s: %v", last, got)
+					return
+				}
+				done <- nil
+				return
+			}
+		}()
+		if err := s.InstallBatch(recs, 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		if _, hosted := s.Get(last); hosted {
+			t.Fatalf("round %d: %s still hosted after its departure", round, last)
+		}
+		if at, ok := s.Home(last); !ok || at != "n2" {
+			t.Fatalf("round %d: home of departed %s = %q, %v; want n2 (the departure's entry)", round, last, at, ok)
+		}
+	}
+}

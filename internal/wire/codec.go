@@ -155,6 +155,17 @@ func str[T ~string](c *coder, s *T) {
 	c.putStr(string(*s))
 }
 
+// name is str for node IDs, method and type names: the same bytes on
+// the wire, decoded through the name table (names.go), so a name seen
+// before costs no allocation.
+func name[T ~string](c *coder, s *T) {
+	if c.dec {
+		*s = T(intern(c.readSpan()))
+		return
+	}
+	c.putStr(string(*s))
+}
+
 func (c *coder) putUvarint(v uint64) { c.b = binary.AppendUvarint(c.b, v) }
 
 func (c *coder) putStr(s string) {
@@ -256,7 +267,7 @@ func list[T any](c *coder, s *[]T) []T {
 }
 
 func oid(c *coder, id *core.OID) {
-	str(c, &id.Origin)
+	name(c, &id.Origin)
 	uv(c, &id.Seq)
 }
 
@@ -274,7 +285,7 @@ func uvarints(c *coder, vs *[]uint64) {
 
 // nodeLoad is the load layout (~8 varints plus the node name).
 func nodeLoad(c *coder, l *NodeLoad) {
-	str(c, &l.Node)
+	name(c, &l.Node)
 	sv(c, &l.Objects)
 	sv(c, &l.Bytes)
 	sv(c, &l.RateMilli)
@@ -315,11 +326,11 @@ func snapshots(c *coder, ss *[]Snapshot) {
 // order, so wire images stay deterministic.
 func snapshot(c *coder, s *Snapshot) {
 	oid(c, &s.ID)
-	str(c, &s.Type)
+	name(c, &s.Type)
 	c.bytes(&s.State)
 	c.bool(&s.Pol.Fixed)
 	c.bool(&s.Pol.Lock.Held)
-	str(c, &s.Pol.Lock.Owner)
+	name(c, &s.Pol.Lock.Owner)
 	uv(c, &s.Pol.Lock.Block)
 	if !c.dec {
 		keys := make([]core.NodeID, 0, len(s.Pol.OpenMoves))
@@ -330,7 +341,7 @@ func snapshot(c *coder, s *Snapshot) {
 		c.count(len(keys))
 		for _, k := range keys {
 			v := s.Pol.OpenMoves[k]
-			str(c, &k)
+			name(c, &k)
 			sv(c, &v)
 		}
 	} else if n := c.count(0); n == 0 {
@@ -340,7 +351,7 @@ func snapshot(c *coder, s *Snapshot) {
 		for i := 0; i < n; i++ {
 			var k core.NodeID
 			var v int
-			str(c, &k)
+			name(c, &k)
 			sv(c, &v)
 			s.Pol.OpenMoves[k] = v
 		}
@@ -390,28 +401,29 @@ func homeUpdateSize(m *HomeUpdate) int {
 func layout(c *coder, v any) bool {
 	switch m := v.(type) {
 	case *InvokeReq:
-		c.tag(tagInvokeReq, 32+len(m.Obj.Origin)+len(m.Method)+len(m.Arg)+len(m.From))
+		c.tag(tagInvokeReq, 42+len(m.Obj.Origin)+len(m.Method)+len(m.Arg)+len(m.From))
 		oid(c, &m.Obj)
-		str(c, &m.Method)
+		name(c, &m.Method)
 		c.bytes(&m.Arg)
-		str(c, &m.From)
+		name(c, &m.From)
+		uv(c, &m.Layout)
 	case *InvokeResp:
 		c.tag(tagInvokeResp, 16+len(m.Result)+len(m.At))
 		c.bytes(&m.Result)
-		str(c, &m.At)
+		name(c, &m.At)
 	case *LocateReq:
 		c.tag(tagLocateReq, 0)
 		oid(c, &m.Obj)
 	case *LocateResp:
 		c.tag(tagLocateResp, 0)
-		str(c, &m.At)
+		name(c, &m.At)
 	case *HomeUpdate:
 		c.tag(tagHomeUpdate, homeUpdateSize(m))
 		oids(c, &m.Objs)
-		str(c, &m.At)
+		name(c, &m.At)
 		for i := range list(c, &m.Aff) {
 			oid(c, &m.Aff[i].Obj)
-			str(c, &m.Aff[i].From)
+			name(c, &m.Aff[i].From)
 			sv(c, &m.Aff[i].Count)
 		}
 		optNodeLoad(c, &m.Load)
@@ -429,8 +441,8 @@ func layout(c *coder, v any) bool {
 		uv(c, &m.Token)
 		sv(c, &m.MaxBytes)
 		sv(c, &m.Lease)
-		str(c, &m.From)
-		str(c, &m.Target)
+		name(c, &m.From)
+		name(c, &m.Target)
 		uv(c, &m.Trace)
 	case *PauseResp:
 		c.tag(tagPauseResp, 16+snapshotsSize(m.Snapshots)+oidsSize(m.Pending))
@@ -440,7 +452,7 @@ func layout(c *coder, v any) bool {
 		c.tag(tagInstallReq, 46+len(m.From)+snapshotsSize(m.Snapshots)+oidsSize(m.Members))
 		snapshots(c, &m.Snapshots)
 		uv(c, &m.Token)
-		str(c, &m.From)
+		name(c, &m.From)
 		uv(c, &m.Trace)
 		oids(c, &m.Members)
 		sv(c, &m.Bytes)
@@ -450,9 +462,9 @@ func layout(c *coder, v any) bool {
 	case *CommitReq:
 		c.tag(tagCommitReq, 0)
 		oids(c, &m.Objs)
-		str(c, &m.NewHome)
+		name(c, &m.NewHome)
 		uv(c, &m.Token)
-		str(c, &m.From)
+		name(c, &m.From)
 		uvarints(c, &m.Gens)
 		uv(c, &m.Trace)
 	case *CommitResp:
@@ -461,25 +473,25 @@ func layout(c *coder, v any) bool {
 		c.tag(tagAbortReq, 0)
 		oids(c, &m.Objs)
 		uv(c, &m.Token)
-		str(c, &m.From)
+		name(c, &m.From)
 	case *AbortResp:
 		c.tag(tagAbortResp, 0)
 	case *MoveReq:
 		c.tag(tagMoveReq, 0)
 		oid(c, &m.Obj)
-		str(c, &m.From)
+		name(c, &m.From)
 		uv(c, &m.Block)
 		uv(c, &m.Alliance)
 	case *MoveResp:
 		c.tag(tagMoveResp, 0)
 		sv(c, &m.Outcome)
 		sv(c, &m.Reason)
-		str(c, &m.At)
+		name(c, &m.At)
 		oids(c, &m.Moved)
 	case *EndReq:
 		c.tag(tagEndReq, 0)
 		oid(c, &m.Obj)
-		str(c, &m.From)
+		name(c, &m.From)
 		uv(c, &m.Block)
 		uv(c, &m.Alliance)
 		oids(c, &m.Members)
@@ -487,16 +499,16 @@ func layout(c *coder, v any) bool {
 		c.tag(tagEndResp, 0)
 		c.bool(&m.Unlocked)
 		c.bool(&m.Migrated)
-		str(c, &m.At)
+		name(c, &m.At)
 	case *MigrateReq:
 		c.tag(tagMigrateReq, 0)
 		oid(c, &m.Obj)
-		str(c, &m.Target)
+		name(c, &m.Target)
 		uv(c, &m.Alliance)
 		c.bool(&m.Fix)
 	case *MigrateResp:
 		c.tag(tagMigrateResp, 0)
-		str(c, &m.At)
+		name(c, &m.At)
 		oids(c, &m.Moved)
 	case *LoadGossipReq:
 		c.tag(tagLoadGossipReq, 0)
@@ -555,7 +567,7 @@ func layout(c *coder, v any) bool {
 		c.tag(tagRemoteError, 0)
 		sv(c, &m.Code)
 		str(c, &m.Msg)
-		str(c, &m.To)
+		name(c, &m.To)
 	default:
 		return false
 	}

@@ -32,6 +32,7 @@ func fastBodies() []interface{} {
 	load := NodeLoad{Node: "n9", Objects: 120, Bytes: 1 << 20, RateMilli: 2500, Capacity: 256, CapBytes: 1 << 30, Seq: 31, Health: 2}
 	return []interface{}{
 		&InvokeReq{Obj: oid1, Method: "Add", Arg: []byte{1, 2, 3}, From: "n7"},
+		&InvokeReq{Obj: oid1, Method: "Add", Arg: []byte{2}, From: "n7", Layout: 0x1234},
 		&InvokeResp{Result: []byte{4, 5}, At: "n2"},
 		&LocateReq{Obj: oid2},
 		&LocateResp{At: "n5"},
@@ -106,10 +107,11 @@ func TestFastPathRoundTrip(t *testing.T) {
 // that moves a single byte of an existing image is a protocol break and
 // must show up here as an edited literal, never silently.
 var goldenImages = []string{
-	"01026e312a0341646403010203026e37", // InvokeReq
-	"02020405026e32",                   // InvokeResp
-	"03026e3207",                       // LocateReq
-	"04026e35",                         // LocateResp
+	"01026e312a0341646403010203026e3700", // InvokeReq: gob image
+	"01026e312a034164640102026e37b424",   // InvokeReq: value layout
+	"02020405026e32",                     // InvokeResp
+	"03026e3207",                         // LocateReq
+	"04026e35",                           // LocateResp
 	"0502026e312a026e3207026e3402026e312a026e3718026e3207026e380201026e39f001808080018827800480808080081f02" +
 		"02030900", // HomeUpdate
 	"0600", // HomeUpdateResp, no sample
@@ -158,6 +160,7 @@ var goldenImages = []string{
 var epochImages = map[byte]string{
 	1: "4a18d3beb11c0577",
 	2: "68e26220f2e0502e",
+	3: "31099a7c320d8c37",
 }
 
 // TestGoldenImages: every live tag encodes its specimen to exactly the

@@ -86,7 +86,7 @@ func (k Kind) Valid() bool {
 // opens and refuses a peer whose epoch differs, so two builds that
 // would misread each other never exchange a body. TestGoldenImages
 // pins it to the golden images.
-const Epoch byte = 2
+const Epoch byte = 3
 
 // MarshalAppend appends the encoding of a message body (a pointer to
 // one of the body types below) to dst and returns the extended slice,
@@ -158,6 +158,11 @@ const (
 	CodeBadRequest
 	// CodeUnavailable: the node is shutting down.
 	CodeUnavailable
+	// CodeLayout: an invoke's argument came in a value layout whose
+	// fingerprint differs from the method's registration (InvokeReq.
+	// Layout). Nothing ran and nothing was counted; the caller re-sends
+	// the gob image.
+	CodeLayout
 )
 
 // RemoteError is the wire representation of a failure. It is the error
@@ -219,16 +224,21 @@ func SnapshotSize(s *Snapshot) int {
 
 // InvokeReq asks the receiving node to execute a method on a hosted
 // object. From names the calling node so the host's affinity tracker
-// can attribute the access pressure.
+// can attribute the access pressure. Layout says what Arg is: 0 for a
+// gob image, otherwise the fingerprint of the caller's value layout of
+// the method's argument and result (see internal/valcodec), which the
+// host serves only when its registration has the same one.
 type InvokeReq struct {
 	Obj    core.OID
 	Method string
 	Arg    []byte
 	From   core.NodeID
+	Layout uint64
 }
 
-// InvokeResp returns the encoded result and the node that executed the
-// call (a location hint for the caller's cache).
+// InvokeResp returns the encoded result, in the layout the request's
+// argument came in, and the node that executed the call (a location
+// hint for the caller's cache).
 type InvokeResp struct {
 	Result []byte
 	At     core.NodeID

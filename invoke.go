@@ -4,82 +4,141 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"sync/atomic"
 	"time"
 
 	"objmig/internal/core"
+	"objmig/internal/framebuf"
 	"objmig/internal/store"
 	"objmig/internal/wire"
 )
 
-// InvokeRaw invokes a method with a pre-encoded argument, chasing
-// forwarding pointers and location hints until the object is found.
-// Typed callers should prefer Call.
+// InvokeRaw invokes a method with a pre-encoded argument (a gob image),
+// chasing forwarding pointers and location hints until the object is
+// found, and returns the result's gob image. Typed callers should
+// prefer Call.
 func (n *Node) InvokeRaw(ctx context.Context, ref Ref, method string, arg []byte) ([]byte, error) {
-	return n.invoke(ctx, ref, method, func(c *Ctx, inst interface{}, h handler) ([]byte, error) {
+	out, _, err := n.invoke(ctx, ref, method, nil, func(c *Ctx, inst interface{}, h handler) ([]byte, error) {
 		return h.enc(c, inst, arg)
-	}, func() ([]byte, error) { return arg, nil })
+	}, func(uint64) ([]byte, error) { return arg, nil })
+	return out, err
 }
 
 // invoke routes one invocation of method on ref. An attempt that finds
 // the record hosted here runs local under invokeLocal; any other attempt
-// is one KInvoke to the host, carrying the bytes arg returns. out is the
-// encoded result of whichever leg answered (nil when local returned
-// none).
-func (n *Node) invoke(ctx context.Context, ref Ref, method string,
+// is one KInvoke to the host, carrying the argument image arg returns
+// for a layout: the signature's value layout (layoutOf, asked on the
+// first remote attempt; nil or 0 when there is none) unless this node
+// has seen a host refuse it for method, the gob image otherwise. A host
+// that refuses the value layout is asked again at once with the gob
+// image, and the refusal is remembered. out is the encoded result of
+// whichever leg answered (nil when local returned none), in outLayout:
+// the value layout, or 0 for a gob image.
+func (n *Node) invoke(ctx context.Context, ref Ref, method string, layoutOf func() uint64,
 	local func(c *Ctx, inst interface{}, h handler) ([]byte, error),
-	arg func() ([]byte, error)) (out []byte, err error) {
+	arg func(layout uint64) ([]byte, error)) (out []byte, outLayout uint64, err error) {
 
 	if ref.IsZero() {
-		return nil, fmt.Errorf("%w: zero reference", ErrNotFound)
+		return nil, 0, fmt.Errorf("%w: zero reference", ErrNotFound)
 	}
 	oid := ref.OID
+	layout, resolved := uint64(0), layoutOf == nil
 	// The legs are spelled out instead of going through routed: the
 	// local leg must not build (and heap-allocate) a wire request, and
 	// the remote leg carries invoke's own accounting.
 	_, err = n.route(ctx, oid, "invoke", func(rec *store.Record, host NodeID) (NodeID, error) {
+		var err error
 		if rec != nil {
-			var err error
-			out, err = n.invokeLocal(ctx, rec, n.id, method, local)
+			outLayout = 0
+			out, err = n.invokeLocal(ctx, rec, n.id, method, 0, local)
 			return "", err
 		}
-		b, err := arg()
-		if err != nil {
-			return "", err
+		if !resolved {
+			resolved = true
+			if layout = layoutOf(); layout != 0 && n.layoutRefused(layout, method) {
+				layout = 0
+			}
 		}
-		var resp wire.InvokeResp
-		atomic.AddInt64(&n.stats.RemoteCallsSent, 1)
-		hopStart := time.Now()
-		err = n.call(ctx, host, wire.KInvoke,
-			&wire.InvokeReq{Obj: oid, Method: method, Arg: b, From: n.id}, &resp)
-		n.tel.invokeRemote.ObserveSince(hopStart)
-		out = resp.Result
-		return resp.At, err
+		var at NodeID
+		out, at, err = n.invokeRemote(ctx, host, oid, method, layout, arg)
+		if layout != 0 && isCode(err, wire.CodeLayout) {
+			n.refuseLayout(layout, method)
+			layout = 0
+			out, at, err = n.invokeRemote(ctx, host, oid, method, 0, arg)
+		}
+		outLayout = layout
+		return at, err
 	})
-	return out, err
+	return out, outLayout, err
+}
+
+// invokeRemote sends one KInvoke to host with the argument image of
+// layout and returns the result and the answering host.
+func (n *Node) invokeRemote(ctx context.Context, host NodeID, oid core.OID, method string, layout uint64,
+	arg func(layout uint64) ([]byte, error)) ([]byte, NodeID, error) {
+
+	b, err := arg(layout)
+	if err != nil {
+		return nil, "", err
+	}
+	var resp wire.InvokeResp
+	atomic.AddInt64(&n.stats.RemoteCallsSent, 1)
+	hopStart := time.Now()
+	err = n.call(ctx, host, wire.KInvoke,
+		&wire.InvokeReq{Obj: oid, Method: method, Arg: b, From: n.id, Layout: layout}, &resp)
+	n.tel.invokeRemote.ObserveSince(hopStart)
+	return resp.Result, resp.At, err
+}
+
+// layoutKey names a signature layout a host refused for a method.
+type layoutKey struct {
+	layout uint64
+	method string
+}
+
+// layoutRefused reports whether a host has refused layout for method:
+// such calls go out as gob images from then on.
+func (n *Node) layoutRefused(layout uint64, method string) bool {
+	m := n.refused.Load()
+	return m != nil && (*m)[layoutKey{layout, method}]
+}
+
+// refuseLayout records a refusal. The set is copy-on-write: it grows
+// once per mismatched signature and is read on every call.
+func (n *Node) refuseLayout(layout uint64, method string) {
+	n.refusedMu.Lock()
+	defer n.refusedMu.Unlock()
+	next := make(map[layoutKey]bool)
+	if m := n.refused.Load(); m != nil {
+		maps.Copy(next, *m)
+	}
+	next[layoutKey{layout, method}] = true
+	n.refused.Store(&next)
 }
 
 // isCode reports whether err is a RemoteError with the given code.
 func isCode(err error, code wire.ErrCode) bool {
+	if err == nil {
+		return false
+	}
 	var re *wire.RemoteError
 	return errors.As(err, &re) && re.Code == code
 }
 
 // invokeLocal executes a method on a hosted object for a caller on
 // node from, serialising invocations per object and waiting out
-// migrations in progress. It is the one prologue of both local legs:
-// run gets the method's handler and calls whichever leg it can.
-func (n *Node) invokeLocal(ctx context.Context, rec *store.Record, from NodeID, method string,
+// migrations in progress. It is the one prologue of every leg: run gets
+// the method's handler and calls whichever leg it can. A remote call
+// whose argument came in a value layout (layout != 0) other than the
+// registration's is refused with CodeLayout before it is counted.
+func (n *Node) invokeLocal(ctx context.Context, rec *store.Record, from NodeID, method string, layout uint64,
 	run func(c *Ctx, inst interface{}, h handler) ([]byte, error)) (out []byte, err error) {
 
 	if err := rec.Acquire(ctx); err != nil {
 		return nil, err
 	}
 	defer rec.Release()
-	// Attribute pressure only once the call is admitted: a record that
-	// departed while the caller waited must not accumulate phantom
-	// counts that would poison a later return of the object.
-	n.aff.Record(rec.ID, from)
 	t, ok := n.typeByName(rec.TypeName)
 	if !ok {
 		return nil, wire.Errorf(wire.CodeUnknownType, "type %q not registered on %s", rec.TypeName, n.id)
@@ -88,6 +147,13 @@ func (n *Node) invokeLocal(ctx context.Context, rec *store.Record, from NodeID, 
 	if !ok {
 		return nil, wire.Errorf(wire.CodeUnknownMethod, "%s.%s", rec.TypeName, method)
 	}
+	if layout != 0 && layout != h.layout {
+		return nil, wire.Errorf(wire.CodeLayout, "%s.%s: argument layout %x, registered %x", rec.TypeName, method, layout, h.layout)
+	}
+	// Attribute pressure only once the call is admitted: a record that
+	// departed while the caller waited must not accumulate phantom
+	// counts that would poison a later return of the object.
+	n.aff.Record(rec.ID, from)
 	defer func() {
 		if r := recover(); r != nil {
 			out, err = nil, fmt.Errorf("objmig: method %s.%s panicked: %v", rec.TypeName, method, r)
@@ -101,9 +167,24 @@ func (n *Node) invokeLocal(ctx context.Context, rec *store.Record, from NodeID, 
 }
 
 // handleInvoke serves a remote invocation, attributing the access to
-// the calling node in the affinity tracker.
-func (n *Node) handleInvoke(ctx context.Context, rec *store.Record, req *wire.InvokeReq) (*wire.InvokeResp, error) {
-	out, err := n.invokeLocal(ctx, rec, req.From, req.Method, func(c *Ctx, inst interface{}, h handler) ([]byte, error) {
+// the calling node in the affinity tracker, and appends the encoded
+// response to dst. It is handleTyped and onRecord spelled out, so the
+// request and response bodies stay on its stack. A value-layout result
+// is appended to a pooled buffer, recycled once the response is
+// encoded.
+func (n *Node) handleInvoke(ctx context.Context, body, dst []byte) ([]byte, error) {
+	var req wire.InvokeReq
+	if err := wire.Unmarshal(body, &req); err != nil {
+		return nil, wire.Errorf(wire.CodeBadRequest, "%v", err)
+	}
+	rec, ok := n.store.Get(req.Obj)
+	if !ok {
+		return nil, n.whereabouts(req.Obj)
+	}
+	out, err := n.invokeLocal(ctx, rec, req.From, req.Method, req.Layout, func(c *Ctx, inst interface{}, h handler) ([]byte, error) {
+		if req.Layout != 0 {
+			return h.value(c, inst, req.Arg, framebuf.Get(0))
+		}
 		return h.enc(c, inst, req.Arg)
 	})
 	if err != nil {
@@ -113,7 +194,11 @@ func (n *Node) handleInvoke(ctx context.Context, rec *store.Record, req *wire.In
 		}
 		return nil, wire.Errorf(wire.CodeInternal, "%v", err)
 	}
-	return &wire.InvokeResp{Result: out, At: n.id}, nil
+	dst, err = wire.MarshalAppend(dst, &wire.InvokeResp{Result: out, At: n.id})
+	if req.Layout != 0 {
+		framebuf.Put(out)
+	}
+	return dst, err
 }
 
 // whereabouts builds the error for an object this node does not host:

@@ -126,6 +126,11 @@ type Node struct {
 	pool   *rpc.Pool
 	store  *store.Store
 
+	// refused holds the (value layout, method) pairs a host refused
+	// (see invoke); refusedMu serialises its copy-on-write additions.
+	refusedMu sync.Mutex
+	refused   atomic.Pointer[map[layoutKey]bool]
+
 	// xfers holds this node's one record per migration (see xfer);
 	// xferIdle is signalled, under xferMu, when an install in one ends.
 	xferMu   sync.Mutex
@@ -412,9 +417,7 @@ func (n *Node) handle(ctx context.Context, kind wire.Kind, body, dst []byte) ([]
 		}
 		return wire.MarshalAppend(dst, &wire.PingResp{Payload: req.Payload})
 	case wire.KInvoke:
-		return handleTyped(body, dst, func(req *wire.InvokeReq) (*wire.InvokeResp, error) {
-			return onRecord(ctx, n, req.Obj, req, n.handleInvoke)
-		})
+		return n.handleInvoke(ctx, body, dst)
 	case wire.KLocate:
 		return handleTyped(body, dst, func(req *wire.LocateReq) (*wire.LocateResp, error) {
 			return n.handleLocate(req)

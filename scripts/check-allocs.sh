@@ -4,7 +4,8 @@
 #
 # Runs BenchmarkRuntimeCodec (allocs/op), BenchmarkRuntimeLocalInvoke,
 # BenchmarkRuntimeLocalInvokeEncoded, BenchmarkRuntimeRemoteInvoke,
-# BenchmarkRuntimeMigration and BenchmarkRuntimeMoveBlock (allocs/op), BenchmarkDirectoryScale
+# BenchmarkRuntimeRemoteInvokeNamed, BenchmarkRuntimeMigration and
+# BenchmarkRuntimeMoveBlock (allocs/op), BenchmarkDirectoryScale
 # (bytes/obj, p99-hops), BenchmarkTelemetryRecord (allocs/op),
 # BenchmarkShedPlan (allocs/op), BenchmarkJobPlan (allocs/op),
 # BenchmarkHealthTick (allocs/op), BenchmarkPeerEcho (allocs/op) and
@@ -36,7 +37,7 @@ if [ "$status" -ne 0 ]; then
   exit 1
 fi
 
-invout=$(go test -run '^$' -bench 'BenchmarkRuntime(LocalInvoke|LocalInvokeEncoded|RemoteInvoke|Migration|MoveBlock)$' -benchmem -benchtime 1000x . 2>&1)
+invout=$(go test -run '^$' -bench 'BenchmarkRuntime(LocalInvoke|LocalInvokeEncoded|RemoteInvoke|RemoteInvokeNamed|Migration|MoveBlock)$' -benchmem -benchtime 1000x . 2>&1)
 invstatus=$?
 echo "$invout"
 if [ "$invstatus" -ne 0 ]; then

@@ -15,16 +15,16 @@ package objmig
 
 import (
 	"context"
-	"encoding"
-	"encoding/gob"
 	"fmt"
 	"reflect"
 	"strconv"
 	"strings"
+	"sync"
 
 	"objmig/internal/core"
 	"objmig/internal/framebuf"
 	"objmig/internal/gobstream"
+	"objmig/internal/valcodec"
 )
 
 // NodeID identifies a node. It aliases the policy-level identifier so
@@ -108,16 +108,25 @@ func (c *Ctx) Self() Ref { return c.self }
 type methodFunc func(c *Ctx, inst interface{}, arg []byte) ([]byte, error)
 
 // localMethod is the typed leg of a registered method whose argument
-// and result types are both value-safe (see valueSafe): a collocated
+// and result types are both value-safe (see HandleFunc): a collocated
 // Call passes the argument and takes the result by value.
 type localMethod[A, R any] func(c *Ctx, inst interface{}, arg A) (R, error)
 
+// valueMethod is the value leg of the same methods: a remote call's
+// argument arrives in the value layout (internal/valcodec), and the
+// result is appended to dst in it.
+type valueMethod func(c *Ctx, inst interface{}, arg, dst []byte) ([]byte, error)
+
 // handler is one registered method: enc serves every caller that
-// brings bytes; local, when non-nil, is the localMethod[A, R] a
-// collocated Call with exactly that A and R runs instead.
+// brings a gob image; local, when non-nil, is the localMethod[A, R] a
+// collocated Call with exactly that A and R runs instead; value, when
+// non-nil, serves a remote call whose argument came in the value
+// layout with fingerprint layout.
 type handler struct {
-	enc   methodFunc
-	local interface{}
+	enc    methodFunc
+	local  interface{}
+	value  valueMethod
+	layout uint64
 }
 
 // objectType is the erased view of Type[S] the node works with.
@@ -137,11 +146,43 @@ type Type[S any] struct {
 	state   *gobstream.Stream
 }
 
-// streamOf returns the reusable gob codec of T: arguments, results and
-// object state travel as plain-gob images, but the encoders and
-// decoders behind them are compiled once per type, not per message.
+// streamOf returns the reusable gob codec of T: object state, and the
+// arguments and results of every signature that is not value-safe or
+// meets a host whose layout differs, travel as plain-gob images, but
+// the encoders and decoders behind them are compiled once per type,
+// not per message.
 func streamOf[T any]() *gobstream.Stream {
 	return gobstream.For(reflect.TypeOf((*T)(nil)))
+}
+
+// valueSig is the value layout of a signature whose argument and
+// result types are both value-safe.
+type valueSig struct {
+	arg, res *valcodec.Codec
+	layout   uint64 // valcodec.Pair(arg, res): what InvokeReq.Layout carries
+}
+
+// sigKey names one (A, R) instantiation, so the signature cache is
+// keyed by a single type.
+type sigKey[A, R any] struct{}
+
+var sigs sync.Map // reflect.Type of sigKey[A, R] → *valueSig, nil when A or R is not value-safe
+
+// sigOf returns the value layout of (A, R), or nil when the signature
+// is not value-safe.
+func sigOf[A, R any]() *valueSig {
+	k := reflect.TypeOf((*sigKey[A, R])(nil))
+	if s, ok := sigs.Load(k); ok {
+		return s.(*valueSig)
+	}
+	var sig *valueSig
+	a := valcodec.For(reflect.TypeOf((*A)(nil)).Elem())
+	r := valcodec.For(reflect.TypeOf((*R)(nil)).Elem())
+	if a != nil && r != nil {
+		sig = &valueSig{arg: a, res: r, layout: valcodec.Pair(a, r)}
+	}
+	s, _ := sigs.LoadOrStore(k, sig)
+	return s.(*valueSig)
 }
 
 var _ objectType = (*Type[struct{}])(nil)
@@ -183,16 +224,18 @@ func (t *Type[S]) decodeState(data []byte) (interface{}, error) {
 }
 
 // HandleFunc registers a method on the type; methods execute one at a
-// time per object (objects are monitors). A call from another node
-// carries the argument and result as gob images, so the method sees a
-// copy: slices and maps are fresh, unexported fields are zero. A
-// collocated Call of a method whose A and R are both value-safe — bool,
-// sized integers, floats, complex numbers and strings, arrays of
-// value-safe types, and structs of at least one field whose fields are
-// all exported and value-safe, none of them with custom gob, binary or
-// text marshalling — passes them by value and encodes nothing: for
-// such types a copy is all gob would make. Every other signature runs
-// the encoded leg on every call, collocated or not.
+// time per object (objects are monitors). The method always sees a
+// copy of the argument: slices and maps are fresh, unexported fields
+// are zero. How the copy is made depends on the signature. A and R are
+// value-safe when they are bool, sized integers, floats, complex
+// numbers and strings, arrays of value-safe types, or structs of at
+// least one field whose fields are all exported and value-safe — none
+// of them with custom gob, binary or text marshalling; for such types
+// a Go copy is all gob would make. A collocated Call of a value-safe
+// signature passes argument and result by value and encodes nothing,
+// and a remote one carries them in the value layout (internal/valcodec)
+// instead of gob. Every other signature, and a remote caller whose
+// layout differs from this registration's, uses gob images.
 func HandleFunc[S, A, R any](t *Type[S], name string, fn func(c *Ctx, s *S, arg A) (R, error)) {
 	if _, dup := t.methods[name]; dup {
 		panic(fmt.Sprintf("objmig: method %s.%s registered twice", t.name, name))
@@ -224,7 +267,7 @@ func HandleFunc[S, A, R any](t *Type[S], name string, fn func(c *Ctx, s *S, arg 
 		}
 		return out, nil
 	}}
-	if valueSafe(reflect.TypeOf((*A)(nil)).Elem()) && valueSafe(reflect.TypeOf((*R)(nil)).Elem()) {
+	if sig := sigOf[A, R](); sig != nil {
 		h.local = localMethod[A, R](func(c *Ctx, inst interface{}, arg A) (R, error) {
 			s, err := instance(inst)
 			if err != nil {
@@ -233,95 +276,98 @@ func HandleFunc[S, A, R any](t *Type[S], name string, fn func(c *Ctx, s *S, arg 
 			}
 			return fn(c, s, arg)
 		})
+		h.value = func(c *Ctx, inst interface{}, argBytes, dst []byte) ([]byte, error) {
+			s, err := instance(inst)
+			if err != nil {
+				return nil, err
+			}
+			var arg A
+			if err := valcodec.Decode(sig.arg, argBytes, &arg); err != nil {
+				return nil, fmt.Errorf("objmig: %s.%s: decode argument: %w", t.name, name, err)
+			}
+			res, err := fn(c, s, arg)
+			if err != nil {
+				return nil, err
+			}
+			return valcodec.Append(sig.res, dst, &res), nil
+		}
+		h.layout = sig.layout
 	}
 	t.methods[name] = h
 }
 
-// marshalers are the interfaces through which a type takes over its own
-// encoding; a gob round trip of such a type need not be a copy.
-var marshalers = []reflect.Type{
-	reflect.TypeOf((*gob.GobEncoder)(nil)).Elem(),
-	reflect.TypeOf((*gob.GobDecoder)(nil)).Elem(),
-	reflect.TypeOf((*encoding.BinaryMarshaler)(nil)).Elem(),
-	reflect.TypeOf((*encoding.BinaryUnmarshaler)(nil)).Elem(),
-	reflect.TypeOf((*encoding.TextMarshaler)(nil)).Elem(),
-	reflect.TypeOf((*encoding.TextUnmarshaler)(nil)).Elem(),
-}
-
-// valueSafe reports whether a gob round trip of t yields exactly a Go
-// copy of the value, so a collocated call may pass it by value: t holds
-// no pointer, slice, map, interface, channel or func, no unexported or
-// marshalled part, and no empty struct.
-func valueSafe(t reflect.Type) bool {
-	for _, m := range marshalers {
-		if t.Implements(m) || reflect.PointerTo(t).Implements(m) {
-			return false
-		}
-	}
-	switch t.Kind() {
-	case reflect.Bool, reflect.String,
-		reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
-		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
-		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
-		return true
-	case reflect.Array:
-		return valueSafe(t.Elem())
-	case reflect.Struct:
-		if t.NumField() == 0 {
-			return false
-		}
-		for i := 0; i < t.NumField(); i++ {
-			if f := t.Field(i); !f.IsExported() || !valueSafe(f.Type) {
-				return false
-			}
-		}
-		return true
-	}
-	return false
-}
-
 // Call invokes a method on a (possibly remote) object and returns its
 // result. It is the typed client-side counterpart of HandleFunc. When
-// the object is hosted on n and the method was registered with exactly
-// this A and R, both value-safe (see HandleFunc), the call is a
-// procedure call under the object's monitor: arg is passed and the
-// result returned by value, nothing is encoded. Otherwise the argument
-// is gob-encoded once, on the first attempt that needs the bytes, and
-// the result decoded, so gob's conversions (an int32 argument for an
-// int64 parameter, say) keep working.
+// A and R are value-safe (see HandleFunc) and the method was
+// registered with exactly this A and R, a call on an object hosted on n
+// is a procedure call under the object's monitor: arg is passed and the
+// result returned by value, nothing is encoded. A remote call of a
+// value-safe signature carries arg and the result in the value layout;
+// a host whose registration has another layout answers so before
+// running anything, and Call re-sends the gob image to it and keeps
+// using gob for this (A, R, method) from n. Every other call encodes
+// the argument as a gob image once, on the first attempt that needs
+// it, and decodes the result, so gob's conversions (an int32 argument
+// for an int64 parameter, say) keep working.
 func Call[A, R any](ctx context.Context, n *Node, ref Ref, method string, arg A) (R, error) {
 	var zero, res R
 	typed := false
-	var argBytes []byte // a pooled scratch buffer once encoded
-	encoded := func() ([]byte, error) {
-		if argBytes == nil {
-			b, err := encodeArg(arg)
+	// The signature's value layout is looked up only when an attempt
+	// goes remote: a collocated call needs none.
+	var sig *valueSig
+	layoutOf := func() uint64 {
+		if sig = sigOf[A, R](); sig != nil {
+			return sig.layout
+		}
+		return 0
+	}
+	var img []byte // a pooled scratch buffer
+	var imgLayout uint64
+	encoded := false // img holds the image in imgLayout
+	image := func(layout uint64) ([]byte, error) {
+		if encoded && imgLayout == layout {
+			return img, nil
+		}
+		if img == nil {
+			img = framebuf.Get(0)
+		}
+		encoded = false
+		if layout != 0 {
+			img = valcodec.Append(sig.arg, img[:0], &arg)
+		} else {
+			b, err := encodeArg(img[:0], arg)
 			if err != nil {
 				return nil, err
 			}
-			argBytes = b
+			img = b
 		}
-		return argBytes, nil
+		imgLayout, encoded = layout, true
+		return img, nil
 	}
-	out, err := n.invoke(ctx, ref, method, func(c *Ctx, inst interface{}, h handler) ([]byte, error) {
+	out, outLayout, err := n.invoke(ctx, ref, method, layoutOf, func(c *Ctx, inst interface{}, h handler) ([]byte, error) {
 		if f, ok := h.local.(localMethod[A, R]); ok {
 			r, err := f(c, inst, arg)
 			res, typed = r, err == nil
 			return nil, err
 		}
-		b, err := encoded()
+		b, err := image(0)
 		if err != nil {
 			return nil, err
 		}
 		return h.enc(c, inst, b)
-	}, encoded)
+	}, image)
 	// The scratch buffer is done with: a frame has copied it, or the
 	// method has decoded it.
-	framebuf.Put(argBytes)
+	framebuf.Put(img)
 	switch {
 	case err != nil:
 		return zero, err
 	case typed:
+		return res, nil
+	case outLayout != 0:
+		if err := valcodec.Decode(sig.res, out, &res); err != nil {
+			return zero, fmt.Errorf("objmig: decode result: %w", err)
+		}
 		return res, nil
 	}
 	return decodeResult[R](out)
@@ -329,11 +375,10 @@ func Call[A, R any](ctx context.Context, n *Node, ref Ref, method string, arg A)
 
 // encodeArg and decodeResult hold the only pointers to a Call's
 // argument and result that gob sees: their own copies, so Call's arg
-// and res stay on its stack when the typed leg runs.
-func encodeArg[A any](arg A) ([]byte, error) {
-	b, err := streamOf[A]().AppendEncode(framebuf.Get(0), &arg)
+// and res stay on its stack when the typed or the value leg runs.
+func encodeArg[A any](dst []byte, arg A) ([]byte, error) {
+	b, err := streamOf[A]().AppendEncode(dst, &arg)
 	if err != nil {
-		framebuf.Put(b) // the scratch buffer, unchanged
 		return nil, fmt.Errorf("objmig: encode argument: %w", err)
 	}
 	return b, nil
@@ -349,9 +394,10 @@ func decodeResult[R any](data []byte) (R, error) {
 }
 
 // NestedCall is Call for use inside object methods: it derives the
-// request context from the method's Ctx. The collocated value rule of
-// Call applies, so a nested call on an object hosted alongside the
-// caller's is a procedure call when its signature is value-safe.
+// request context from the method's Ctx. Call's value rules apply, so
+// a nested call of a value-safe signature is a procedure call on an
+// object hosted alongside the caller's and carries the value layout to
+// any other.
 func NestedCall[A, R any](c *Ctx, ref Ref, method string, arg A) (R, error) {
 	return Call[A, R](c.ctx, c.node, ref, method, arg)
 }

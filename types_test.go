@@ -14,6 +14,8 @@ import (
 	"time"
 
 	"objmig/internal/core"
+	"objmig/internal/valcodec"
+	"objmig/internal/wire"
 )
 
 func TestParseRef(t *testing.T) {
@@ -357,7 +359,7 @@ func TestTypedCallStructAndInterfaceAcrossNodes(t *testing.T) {
 }
 
 // The leg-equivalence test's argument and result types: legScalars and
-// [4]int are value-safe, the rest are not (see valueSafe).
+// [4]int are value-safe, the rest are not (see HandleFunc).
 type legScalars struct {
 	A int64
 	B string
@@ -416,10 +418,30 @@ func newLegType() *Type[counterState] {
 	return t
 }
 
-// legCall wraps one typed Call so a table can hold calls of many
+// legCalls is one typed call in both the forms a remote caller can
+// send it: call is Call (the typed leg when collocated, the value
+// layout or gob when remote), raw is the same call as a gob image
+// through InvokeRaw, decoded as Call decodes a gob result.
+type legCalls struct{ call, raw func(*Node) (any, error) }
+
+// legCall wraps one typed call so a table can hold calls of many
 // signatures.
-func legCall[A, R any](ctx context.Context, ref Ref, method string, arg A) func(*Node) (any, error) {
-	return func(n *Node) (any, error) { return Call[A, R](ctx, n, ref, method, arg) }
+func legCall[A, R any](ctx context.Context, ref Ref, method string, arg A) legCalls {
+	return legCalls{
+		call: func(n *Node) (any, error) { return Call[A, R](ctx, n, ref, method, arg) },
+		raw: func(n *Node) (any, error) {
+			var zero R
+			img, err := encodeArg(nil, arg)
+			if err != nil {
+				return zero, err
+			}
+			out, err := n.InvokeRaw(ctx, ref, method, img)
+			if err != nil {
+				return zero, err
+			}
+			return decodeResult[R](out)
+		},
+	}
 }
 
 // errClass names the public sentinel err matches: callers can tell two
@@ -437,12 +459,14 @@ func errClass(err error) string {
 	return "other"
 }
 
-// TestCallLegsAgree: the same Call sent to the hosting node (the typed
-// leg for value-safe signatures, the encoded leg for the rest) and from
-// a remote node gives the same result and the same error class; the
-// typed leg is registered exactly for the value-safe signatures; a
-// callee cannot reach its caller's slice; and each leg counts one
-// served invocation, one EventInvoke and one affinity access per call.
+// TestCallLegsAgree: the same call sent to the hosting node (the typed
+// leg for value-safe signatures, the encoded leg for the rest), from a
+// remote node (the value layout for value-safe signatures, gob for the
+// rest) and from a remote node as a gob image through InvokeRaw gives
+// the same result and the same error class; the typed and value legs
+// are registered exactly for the value-safe signatures; a callee cannot
+// reach its caller's slice; and each leg counts one served invocation,
+// one EventInvoke and one affinity access per call.
 func TestCallLegsAgree(t *testing.T) {
 	t.Parallel()
 	ctx := ctxShort(t)
@@ -467,8 +491,8 @@ func TestCallLegsAgree(t *testing.T) {
 	cases := []struct {
 		name   string
 		method string // "" when the call names no registered method
-		typed  bool   // the method has a typed leg
-		call   func(*Node) (any, error)
+		typed  bool   // the method has a typed and a value leg
+		call   legCalls
 		want   any // the result; nil when the call fails
 		class  string
 	}{
@@ -499,26 +523,28 @@ func TestCallLegsAgree(t *testing.T) {
 	for _, tc := range cases {
 		if tc.method != "" {
 			h, ok := legs.method(tc.method)
-			if !ok || (h.local != nil) != tc.typed {
-				t.Errorf("%s: registered %v, typed leg %v; want typed leg %v", tc.name, ok, h.local != nil, tc.typed)
+			if !ok || (h.local != nil) != tc.typed || (h.value != nil) != tc.typed || (h.layout != 0) != tc.typed {
+				t.Errorf("%s: registered %v, typed leg %v, value leg %v (layout %x); want both %v",
+					tc.name, ok, h.local != nil, h.value != nil, h.layout, tc.typed)
 			}
 		}
-		local, lerr := tc.call(host)
-		remote, rerr := tc.call(caller)
-		if errClass(lerr) != tc.class || errClass(rerr) != tc.class {
-			t.Errorf("%s: error classes local %q (%v), remote %q (%v); want %q",
-				tc.name, errClass(lerr), lerr, errClass(rerr), rerr, tc.class)
-			continue
-		}
-		if tc.want == nil {
-			zero := reflect.Zero(reflect.TypeOf(local)).Interface()
-			if !reflect.DeepEqual(local, zero) || !reflect.DeepEqual(remote, zero) {
-				t.Errorf("%s: failed calls returned local %#v, remote %#v; want the zero value", tc.name, local, remote)
+		for _, leg := range []struct {
+			name string
+			call func(*Node) (any, error)
+			from *Node
+		}{{"local", tc.call.call, host}, {"remote", tc.call.call, caller}, {"remote gob", tc.call.raw, caller}} {
+			res, err := leg.call(leg.from)
+			if errClass(err) != tc.class {
+				t.Errorf("%s: %s leg error class %q (%v); want %q", tc.name, leg.name, errClass(err), err, tc.class)
+				continue
 			}
-			continue
-		}
-		if !reflect.DeepEqual(local, tc.want) || !reflect.DeepEqual(remote, tc.want) {
-			t.Errorf("%s: local %#v, remote %#v; want %#v", tc.name, local, remote, tc.want)
+			want := tc.want
+			if want == nil {
+				want = reflect.Zero(reflect.TypeOf(res)).Interface()
+			}
+			if !reflect.DeepEqual(res, want) {
+				t.Errorf("%s: %s leg returned %#v; want %#v", tc.name, leg.name, res, want)
+			}
 		}
 	}
 	if _, err := Call[int64, int64](ctx, host, ref, "Fail", 1); err == nil || !strings.Contains(err.Error(), "boom") {
@@ -538,16 +564,18 @@ func TestCallLegsAgree(t *testing.T) {
 		}
 	}
 
-	// One call on each leg: typed local, encoded local, remote.
+	// One call on each leg: typed local, encoded local, remote value,
+	// remote gob.
 	host.aff.SetEnabled(true)
 	for _, leg := range []struct {
 		name string
 		from *Node
 		call func(*Node) (any, error)
 	}{
-		{"typed", host, legCall[int64, int64](ctx, ref, "Int64", 1)},
-		{"encoded", host, legCall[[]byte, []byte](ctx, ref, "Bytes", []byte("x"))},
-		{"remote", caller, legCall[int64, int64](ctx, ref, "Int64", 1)},
+		{"typed", host, legCall[int64, int64](ctx, ref, "Int64", 1).call},
+		{"encoded", host, legCall[[]byte, []byte](ctx, ref, "Bytes", []byte("x")).call},
+		{"remote value", caller, legCall[int64, int64](ctx, ref, "Int64", 1).call},
+		{"remote gob", caller, legCall[int64, int64](ctx, ref, "Int64", 1).raw},
 	} {
 		served, events, load := host.Stats().InvocationsServed, invokes.Load(), host.aff.Load(ref.OID)
 		if _, err := leg.call(leg.from); err != nil {
@@ -570,6 +598,151 @@ func TestCallLegsAgree(t *testing.T) {
 	}
 }
 
+// The fallback test's host-side signatures, and caller-side types whose
+// layouts differ from them in one way each.
+type (
+	layPair struct {
+		A int64
+		B string
+	}
+	laySwapped struct {
+		B string
+		A int64
+	} // fields reordered
+	layRenamed struct {
+		A int64
+		C string
+	} // B renamed
+)
+
+func newLayoutType() *Type[counterState] {
+	t := NewType[counterState]("layouts")
+	HandleFunc(t, "Int64", func(c *Ctx, s *counterState, a int64) (int64, error) { return a + 1, nil })
+	HandleFunc(t, "Int32", func(c *Ctx, s *counterState, a int32) (int32, error) { return a + 1, nil })
+	HandleFunc(t, "Pair", func(c *Ctx, s *counterState, a layPair) (layPair, error) {
+		return layPair{A: a.A * 2, B: a.B + "!"}, nil
+	})
+	HandleFunc(t, "Array4", func(c *Ctx, s *counterState, a [4]int) ([4]int, error) {
+		return [4]int{a[3], a[2], a[1], a[0]}, nil
+	})
+	return t
+}
+
+// TestValueLayoutFallback: a remote Call whose value layout differs
+// from the host's registration is answered exactly as its gob image is
+// — same result, same error class, same counts at the host — for a
+// retyped argument, reordered and renamed struct fields, another array
+// length, a matching argument with another result, and an integer out
+// of range for the receiver. The first such call takes one extra round
+// trip, later ones none; a mismatch is refused before anything is
+// counted; and a request in the registration's layout is served in it.
+func TestValueLayoutFallback(t *testing.T) {
+	t.Parallel()
+	ctx := ctxShort(t)
+	var invokes atomic.Int64
+	nodes := testCluster(t, 2, Config{Observer: func(e Event) {
+		if e.Kind == EventInvoke {
+			invokes.Add(1)
+		}
+	}})
+	for _, n := range nodes {
+		if err := n.RegisterType(newLayoutType()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	host, caller := nodes[0], nodes[1]
+	host.aff.SetEnabled(true)
+	ref, err := host.Create("layouts")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Warm the caller's location cache, so every round trip counted
+	// below goes to the host.
+	if _, err := Call[int64, int64](ctx, caller, ref, "Int64", 0); err != nil {
+		t.Fatal(err)
+	}
+
+	type counts struct{ sent, served, events, access int64 }
+	measure := func(call func(*Node) (any, error)) (any, error, counts) {
+		before := counts{caller.Stats().RemoteCallsSent, host.Stats().InvocationsServed, invokes.Load(), host.aff.Load(ref.OID).Total}
+		res, err := call(caller)
+		return res, err, counts{caller.Stats().RemoteCallsSent - before.sent, host.Stats().InvocationsServed - before.served,
+			invokes.Load() - before.events, host.aff.Load(ref.OID).Total - before.access}
+	}
+	for _, tc := range []struct {
+		name  string
+		call  legCalls
+		want  any // nil when the call fails
+		class string
+	}{
+		{"int32 for int64", legCall[int32, int32](ctx, ref, "Int64", 41), int32(42), "nil"},
+		{"fields reordered", legCall[laySwapped, laySwapped](ctx, ref, "Pair", laySwapped{B: "b", A: 3}), laySwapped{B: "b!", A: 6}, "nil"},
+		{"field renamed", legCall[layRenamed, layRenamed](ctx, ref, "Pair", layRenamed{A: 3, C: "c"}), layRenamed{A: 6}, "nil"},
+		{"array length", legCall[[3]int, [3]int](ctx, ref, "Array4", [3]int{1, 2, 3}), nil, "other"},
+		{"result differs", legCall[int64, int32](ctx, ref, "Int64", 41), int32(42), "nil"},
+		{"out of range", legCall[int64, int64](ctx, ref, "Int32", 1<<40), nil, "other"},
+	} {
+		gobRes, gobErr, gobCounts := measure(tc.call.raw)
+		for round := 0; round < 2; round++ {
+			res, err, got := measure(tc.call.call)
+			if errClass(err) != tc.class || errClass(gobErr) != tc.class {
+				t.Errorf("%s, call %d: error classes %q (%v), gob leg %q (%v); want %q",
+					tc.name, round+1, errClass(err), err, errClass(gobErr), gobErr, tc.class)
+				continue
+			}
+			if !reflect.DeepEqual(res, gobRes) || tc.want != nil && !reflect.DeepEqual(res, tc.want) {
+				t.Errorf("%s, call %d: %#v, gob leg %#v; want %#v", tc.name, round+1, res, gobRes, tc.want)
+			}
+			want := gobCounts
+			if round == 0 {
+				want.sent++ // the refused value layout
+			}
+			if got != want {
+				t.Errorf("%s, call %d: counts %+v; want %+v (gob leg %+v)", tc.name, round+1, got, want, gobCounts)
+			}
+		}
+	}
+
+	// At the wire: a refused layout counts nothing, and the
+	// registration's layout is served and answered in it.
+	sig := sigOf[int64, int64]()
+	for _, tc := range []struct {
+		name   string
+		layout uint64
+		code   wire.ErrCode // 0 when served
+	}{
+		{"mismatch", sig.layout ^ 1, wire.CodeLayout},
+		{"match", sig.layout, 0},
+	} {
+		arg := int64(41)
+		req := &wire.InvokeReq{Obj: ref.OID, Method: "Int64", Arg: valcodec.Append(sig.arg, nil, &arg),
+			From: caller.ID(), Layout: tc.layout}
+		var resp wire.InvokeResp
+		_, err, got := measure(func(n *Node) (any, error) {
+			return nil, n.call(ctx, host.ID(), wire.KInvoke, req, &resp)
+		})
+		if tc.code != 0 {
+			if !isCode(err, tc.code) {
+				t.Errorf("%s: %v; want code %d", tc.name, err, tc.code)
+			}
+			if got != (counts{}) {
+				t.Errorf("%s: counted %+v at the host; want nothing", tc.name, got)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		var res int64
+		if err := valcodec.Decode(sig.res, resp.Result, &res); err != nil || res != 42 {
+			t.Errorf("%s: result %d (%v) from %x; want 42 in the value layout", tc.name, res, err, resp.Result)
+		}
+		if got != (counts{served: 1, events: 1, access: 1}) {
+			t.Errorf("%s: counts %+v; want one of each at the host", tc.name, got)
+		}
+	}
+}
+
 func TestValueSafe(t *testing.T) {
 	t.Parallel()
 	type nested struct {
@@ -588,8 +761,8 @@ func TestValueSafe(t *testing.T) {
 		{time.Time{}, false}, // a TextMarshaler with unexported fields
 		{[2]legGob{}, false}, {make(chan int), false},
 	} {
-		if got := valueSafe(reflect.TypeOf(tc.v)); got != tc.want {
-			t.Errorf("valueSafe(%T) = %v, want %v", tc.v, got, tc.want)
+		if got := valcodec.For(reflect.TypeOf(tc.v)) != nil; got != tc.want {
+			t.Errorf("value-safe(%T) = %v, want %v", tc.v, got, tc.want)
 		}
 	}
 }
