@@ -389,7 +389,7 @@ func BenchmarkRuntimeCodec(b *testing.B) {
 	runAppend("Install/append", install, func() interface{} { return new(wire.InstallReq) })
 	// The redirect every stale hint earns: an error frame naming the
 	// next hop. The decode output is the body and its message.
-	redirect := &wire.RemoteError{Code: wire.CodeMoved, Msg: "object node-0/12345 moved", To: "node-1"}
+	redirect := &wire.RemoteError{Code: wire.CodeMoved, Msg: "object node-0/12345 moved", To: "node-1", Gen: 7}
 	runAppend("RemoteError/append", redirect, func() interface{} { return new(wire.RemoteError) })
 }
 

@@ -30,8 +30,9 @@ var (
 	ErrExclusive = errors.New("objmig: exclusive attachment refused")
 	// ErrClosed: the node has been shut down.
 	ErrClosed = errors.New("objmig: node closed")
-	// ErrUnreachable: the object kept moving (or the location data
-	// kept misleading us) for more than the retry budget.
+	// ErrUnreachable: the chase lost the object's location — the origin
+	// answered with nothing newer than a redirect the chase had already
+	// followed (see chase.follow).
 	ErrUnreachable = errors.New("objmig: object unreachable")
 )
 
@@ -63,13 +64,4 @@ func fromRemote(err error) error {
 	default:
 		return re
 	}
-}
-
-// movedTo extracts the forwarding target from a CodeMoved error.
-func movedTo(err error) (NodeID, bool) {
-	var re *wire.RemoteError
-	if errors.As(err, &re) && re.Code == wire.CodeMoved {
-		return re.To, true
-	}
-	return "", false
 }

@@ -72,8 +72,8 @@ const (
 	// SigPauseExpiries counts pause leases that expired unresolved in
 	// the window.
 	SigPauseExpiries
-	// SigChasesOverBudget counts location chases that exhausted their
-	// hop budget in the window.
+	// SigChasesOverBudget counts location chases that passed the hop
+	// alarm (more than 4 remote hops) in the window.
 	SigChasesOverBudget
 	// SigEventsDropped counts observer events shed by the async event
 	// sink in the window.

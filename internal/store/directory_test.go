@@ -20,10 +20,10 @@ func TestLearnLeavesOriginToReports(t *testing.T) {
 	s := New("n0")
 	x := oid("n0", 1)
 	s.HomeUpdate([]core.OID{x}, []uint64{12}, "n1")
-	s.Learn(x, "n2")
+	s.Learn(x, "n2", 0)
 	group := []core.OID{oid("n0", 2), oid("n0", 3)}
 	s.HomeUpdate(group, []uint64{7, 5}, "n1")
-	s.Learn(group[0], "n2")
+	s.Learn(group[0], "n2", 0)
 	for _, id := range append(group, x) {
 		if at, ok := s.Home(id); !ok || at != "n1" {
 			t.Errorf("Home(%s) = %q, %v after a stale Learn; want n1", id, at, ok)
@@ -31,6 +31,32 @@ func TestLearnLeavesOriginToReports(t *testing.T) {
 		if hint := s.Hint(id); hint != "n1" {
 			t.Errorf("Hint(%s) = %q after a stale Learn; want n1", id, hint)
 		}
+	}
+}
+
+// TestLearnOrderedByGeneration: hearsay rewrites a forwarding pointer
+// only when it reports a strictly newer departure. An older or equal
+// generation leaves the forward's target and generation as they were,
+// so a stale answer can never point a forward backwards — at a node
+// that redirects here, which is how two nodes come to redirect to each
+// other — and a newer one shortens the chain.
+func TestLearnOrderedByGeneration(t *testing.T) {
+	t.Parallel()
+	s := New("n1")
+	id := oid("n0", 1)
+	s.Departed(id, "n2", 4) // n1 sent the object on at generation 4
+	for _, gen := range []uint64{0, 3, 4} {
+		s.Learn(id, "n0", gen) // "it went back to its origin"
+		if to, g, ok := s.Whereabouts(id); !ok || to != "n2" || g != 4 {
+			t.Fatalf("after a Learn at generation %d the forward is %s@%d (%v), want n2@4", gen, to, g, ok)
+		}
+	}
+	s.Learn(id, "n3", 5)
+	if to, g, ok := s.Whereabouts(id); !ok || to != "n3" || g != 5 {
+		t.Fatalf("after a newer Learn the forward is %s@%d (%v), want n3@5", to, g, ok)
+	}
+	if hint := s.Hint(id); hint != "n3" {
+		t.Fatalf("hint = %s, want the shortened chain's n3", hint)
 	}
 }
 
@@ -236,7 +262,7 @@ func TestHintCacheCap(t *testing.T) {
 	s.SetHintCacheCap(cap)
 	for i := 0; i < cap*20; i++ {
 		id := core.OID{Origin: "n9", Seq: uint64(i + 1)}
-		s.Learn(id, core.NodeID(fmt.Sprintf("n%d", i%7+2)))
+		s.Learn(id, core.NodeID(fmt.Sprintf("n%d", i%7+2)), 0)
 	}
 	if ls := s.LocStats(); ls.Cache > cap {
 		t.Fatalf("cache grew to %d entries, cap is %d", ls.Cache, cap)
@@ -244,8 +270,8 @@ func TestHintCacheCap(t *testing.T) {
 	// Re-learning an already-cached object must not evict.
 	s.SetHintCacheCap(ShardCount) // one entry per shard
 	id := core.OID{Origin: "n9", Seq: 1 << 40}
-	s.Learn(id, "n2")
-	s.Learn(id, "n3")
+	s.Learn(id, "n2", 0)
+	s.Learn(id, "n3", 0)
 	if hint := s.Hint(id); hint != "n3" {
 		t.Fatalf("re-learn lost the entry: hint = %s", hint)
 	}
@@ -324,7 +350,7 @@ func TestLocForeignObjectLifecycle(t *testing.T) {
 	if got := s.Hint(id); got != "n1" {
 		t.Fatalf("hint = %v, want origin n1", got)
 	}
-	s.Learn(id, "n5")
+	s.Learn(id, "n5", 0)
 	if got := s.Hint(id); got != "n5" {
 		t.Fatalf("hint = %v, want cached n5", got)
 	}
@@ -347,8 +373,8 @@ func TestLocLearnIgnoresSelfAndEmpty(t *testing.T) {
 	t.Parallel()
 	s := New("n2")
 	id := oid("n1", 7)
-	s.Learn(id, "")
-	s.Learn(id, "n2")
+	s.Learn(id, "", 0)
+	s.Learn(id, "n2", 0)
 	if got := s.Hint(id); got != "n1" {
 		t.Fatalf("hint = %v, want origin", got)
 	}
@@ -358,7 +384,7 @@ func TestLocForwardBeatsCache(t *testing.T) {
 	t.Parallel()
 	s := New("n2")
 	id := oid("n1", 3)
-	s.Learn(id, "n5")
+	s.Learn(id, "n5", 0)
 	s.Arrived(id)
 	s.Departed(id, "n6", 0)
 	if got := s.Hint(id); got != "n6" {
@@ -388,7 +414,7 @@ func TestLocStats(t *testing.T) {
 	t.Parallel()
 	s := New("n1")
 	s.Created(oid("n1", 1))
-	s.Learn(oid("n9", 1), "n3")
+	s.Learn(oid("n9", 1), "n3", 0)
 	s.Arrived(oid("n9", 2))
 	s.Departed(oid("n9", 2), "n4", 0)
 	if ls := s.LocStats(); ls.Home != 1 || ls.Forwards != 1 || ls.Cache != 1 {

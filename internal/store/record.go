@@ -53,13 +53,14 @@ type Record struct {
 	Mu   sync.Mutex // guards every mutable field below
 	cond *sync.Cond // broadcast on every status/busy transition
 
-	Inst    interface{}   // the live user instance
-	Pol     core.ObjState // migration-policy state (locks, fixed flag)
-	edges   map[core.OID]map[core.AllianceID]bool
-	Status  Status      // live, paused or gone
-	Token   uint64      // pause token while StatusPaused
-	MovedTo core.NodeID // next hop while StatusGone
-	busy    bool        // an invocation is executing (objects are monitors)
+	Inst     interface{}   // the live user instance
+	Pol      core.ObjState // migration-policy state (locks, fixed flag)
+	edges    map[core.OID]map[core.AllianceID]bool
+	Status   Status      // live, paused or gone
+	Token    uint64      // pause token while StatusPaused
+	MovedTo  core.NodeID // next hop while StatusGone
+	MovedGen uint64      // generation of that departure while StatusGone
+	busy     bool        // an invocation is executing (objects are monitors)
 }
 
 // NewRecord returns a fresh active record hosting inst.
@@ -79,7 +80,7 @@ func NewRecord(id core.OID, typeName string, inst interface{}) *Record {
 // busy. It fails with a moved-error when the object leaves while
 // waiting, and respects context cancellation.
 func (r *Record) Acquire(ctx context.Context) error {
-	return r.await(ctx, func() (bool, error) {
+	return r.Await(ctx, func() (bool, error) {
 		switch {
 		case r.Status == StatusGone:
 			return true, r.movedLocked()
@@ -91,12 +92,14 @@ func (r *Record) Acquire(ctx context.Context) error {
 	})
 }
 
-// await runs try under Mu until it reports done, sleeping on the
+// Await runs try under Mu until it reports done, sleeping on the
 // record's condition between attempts, and gives up with ctx's error
-// once ctx is cancelled. The cancellation hook that wakes a sleeping
+// once ctx is cancelled. Every status transition (pause, unpause,
+// departure) and every release wakes it: a caller parks on the record
+// instead of polling it. The cancellation hook that wakes a sleeping
 // waiter is registered only when the first attempt has to wait, so an
 // uncontended call costs the lock and nothing else.
-func (r *Record) await(ctx context.Context, try func() (done bool, err error)) error {
+func (r *Record) Await(ctx context.Context, try func() (done bool, err error)) error {
 	var stop func() bool
 	defer func() {
 		if stop != nil {
@@ -129,7 +132,7 @@ func (r *Record) await(ctx context.Context, try func() (done bool, err error)) e
 // movedLocked is the redirect a departed record answers with. Caller
 // holds Mu.
 func (r *Record) movedLocked() error {
-	return &wire.RemoteError{Code: wire.CodeMoved, Msg: "object " + r.ID.String() + " moved", To: r.MovedTo}
+	return &wire.RemoteError{Code: wire.CodeMoved, Msg: "object " + r.ID.String() + " moved", To: r.MovedTo, Gen: r.MovedGen}
 }
 
 // Release ends an invocation.
@@ -145,7 +148,7 @@ func (r *Record) Release() {
 // immediately if the object is already paused or gone (pause never
 // waits on pause, so concurrent group migrations cannot deadlock).
 func (r *Record) Pause(ctx context.Context, token uint64) error {
-	return r.await(ctx, func() (bool, error) {
+	return r.Await(ctx, func() (bool, error) {
 		switch r.Status {
 		case StatusGone:
 			return true, r.movedLocked()
@@ -178,26 +181,29 @@ func (r *Record) Unpause(token uint64) bool {
 	return false
 }
 
-// depart flips a record paused by token into a departed one naming
-// to, reporting whether it did. Store.Depart runs it under the table
-// lock, so the record leaves the table in the same step.
-func (r *Record) depart(token uint64, to core.NodeID) bool {
+// depart flips a record paused by token into a departed one, reporting
+// whether it did. entry writes the departure's location entry and names
+// the redirect the record answers with from then on. Store.Depart runs
+// it under the table lock, so the record leaves the table in the same
+// step.
+func (r *Record) depart(token uint64, entry func() (core.NodeID, uint64)) bool {
 	r.Mu.Lock()
 	defer r.Mu.Unlock()
 	if r.Status != StatusPaused || r.Token != token {
 		return false
 	}
-	r.goneLocked(to)
+	r.goneLocked(entry())
 	return true
 }
 
-// goneLocked marks the record departed towards to, dropping the
-// instance, and wakes every waiter: they fail with a redirect to to.
-// Caller holds Mu.
-func (r *Record) goneLocked(to core.NodeID) {
+// goneLocked marks the record departed towards to at departure
+// generation gen, dropping the instance, and wakes every waiter: they
+// fail with a redirect to to that carries gen. Caller holds Mu.
+func (r *Record) goneLocked(to core.NodeID, gen uint64) {
 	r.Status = StatusGone
 	r.Token = 0
 	r.MovedTo = to
+	r.MovedGen = gen
 	r.Inst = nil
 	r.edges = nil
 	r.cond.Broadcast()
@@ -326,7 +332,7 @@ func (r *Record) DelEdgeLocked(other core.OID, al core.AllianceID) bool {
 // taken would be lost with the transfer), fails with a redirect when
 // the object has left, and otherwise runs op under the record lock.
 func (r *Record) EdgeOp(ctx context.Context, op func() *wire.RemoteError) error {
-	return r.await(ctx, func() (bool, error) {
+	return r.Await(ctx, func() (bool, error) {
 		switch r.Status {
 		case StatusGone:
 			return true, r.movedLocked()

@@ -75,7 +75,7 @@ func TestRecordAcquireRespectsContext(t *testing.T) {
 	rec.Release()
 }
 
-// errSpy reports each Err call: await polls ctx.Err under the record
+// errSpy reports each Err call: Await polls ctx.Err under the record
 // lock at the top of every attempt, so the test learns when a waiter
 // has started one.
 type errSpy struct {
@@ -229,15 +229,15 @@ func TestRecordDepartReleasesWaiters(t *testing.T) {
 		}()
 	}
 	time.Sleep(20 * time.Millisecond)
-	if !rec.depart(3, "elsewhere") {
+	if !rec.depart(3, redirectTo("elsewhere", 4)) {
 		t.Fatal("depart failed")
 	}
 	wg.Wait()
 	close(errs)
 	for err := range errs {
 		var re *wire.RemoteError
-		if !errors.As(err, &re) || re.Code != wire.CodeMoved || re.To != "elsewhere" {
-			t.Fatalf("waiter got %v, want moved-to-elsewhere", err)
+		if !errors.As(err, &re) || re.Code != wire.CodeMoved || re.To != "elsewhere" || re.Gen != 4 {
+			t.Fatalf("waiter got %v, want moved-to-elsewhere at generation 4", err)
 		}
 	}
 	if status(rec) != StatusGone {
@@ -248,16 +248,16 @@ func TestRecordDepartReleasesWaiters(t *testing.T) {
 func TestRecordDepartTokenMismatch(t *testing.T) {
 	t.Parallel()
 	rec := testRecord()
-	if rec.depart(5, "x") {
+	if rec.depart(5, redirectTo("x", 1)) {
 		t.Fatal("depart succeeded without a pause")
 	}
 	if err := rec.Pause(context.Background(), 5); err != nil {
 		t.Fatal(err)
 	}
-	if rec.depart(6, "x") {
+	if rec.depart(6, redirectTo("x", 1)) {
 		t.Fatal("depart succeeded with the wrong token")
 	}
-	if !rec.depart(5, "x") {
+	if !rec.depart(5, redirectTo("x", 1)) {
 		t.Fatal("depart failed with the right token")
 	}
 }
@@ -315,4 +315,10 @@ func TestSnapshotCarriesPolicyState(t *testing.T) {
 	if snap.Type != "counter" {
 		t.Fatalf("type = %q", snap.Type)
 	}
+}
+
+// redirectTo is a departure's location entry for Record.depart: it
+// writes nothing and names to at gen.
+func redirectTo(to core.NodeID, gen uint64) func() (core.NodeID, uint64) {
+	return func() (core.NodeID, uint64) { return to, gen }
 }

@@ -348,14 +348,15 @@ func (s *Store) InstallBatch(recs []*Record, token uint64) error {
 		olds[i] = old
 	}
 	// Commit phase: swap the records in, turn the replaced ones into
-	// wake-up markers pointing here, and write the arrivals' location
-	// entries while the table locks are still held: a departure of the
-	// same object (Depart takes the same locks) then comes after them,
-	// never between the install and its entries.
+	// wake-up markers pointing here at the arrival's generation, and
+	// write the arrivals' location entries while the table locks are
+	// still held: a departure of the same object (Depart takes the same
+	// locks) then comes after them, never between the install and its
+	// entries.
 	for i, rec := range recs {
 		s.shardOf(rec.ID).objs[rec.ID] = rec
 		if old := olds[i]; old != nil {
-			old.goneLocked(s.self)
+			old.goneLocked(s.self, rec.Gen)
 		}
 		s.arrived(rec.ID, true)
 	}
@@ -390,11 +391,14 @@ func (s *Store) Installable(id core.OID, token uint64) error {
 }
 
 // Depart finalises the departure of objects paused by migration token
-// towards to, gens aligned with ids: each record still paused by token
-// flips to StatusGone naming to, its location entry is written (see
-// Departed) and it leaves the object table. Anyone still holding the
-// record — an invocation waiting out the pause, a handler that looked
-// it up before the commit — is thereby redirected to to. Each involved
+// towards to, gens aligned with ids: for each record still paused by
+// token the location entry is written (see Departed), the record flips
+// to StatusGone naming what that entry names, and it leaves the object
+// table. Anyone still holding the record — an invocation waiting out
+// the pause, a handler that looked it up before the commit — is thereby
+// redirected as a chaser asking here would be: to to at this
+// departure's generation, or at the origin to a newer departure its
+// home index heard of while the record waited. Each involved
 // stripe's table lock is taken once and held across its records'
 // flips, so a reader finds either the record or the entry that replaced
 // it. Records not paused by token are left alone. It returns the
@@ -409,15 +413,14 @@ func (s *Store) Depart(ids []core.OID, gens []uint64, token uint64, to core.Node
 		st.tabMu.Lock()
 		for _, i := range idxs {
 			id := ids[i]
-			rec, ok := st.objs[id]
-			if !ok || !rec.depart(token, to) {
-				continue
-			}
 			var gen uint64
 			if i < len(gens) {
 				gen = gens[i]
 			}
-			s.Departed(id, to, gen)
+			rec, ok := st.objs[id]
+			if !ok || !rec.depart(token, func() (core.NodeID, uint64) { return s.Departed(id, to, gen) }) {
+				continue
+			}
 			delete(st.objs, id)
 			departed = append(departed, id)
 		}
@@ -487,29 +490,34 @@ func (s *Store) arrived(id core.OID, hosted bool) {
 // already names it, and no home report would ever confirm that forward
 // (the origin is its own home index), so none is kept. A stale
 // generation (an out-of-order commit replay) never rolls a fresher
-// entry back.
+// entry back. It returns the next hop and generation the entry names
+// afterwards: to and gen unless a fresher entry stood, and those when no
+// entry is kept.
 //
 // Departed runs under a table lock in Depart, so it must not touch the
 // object table.
-func (s *Store) Departed(id core.OID, to core.NodeID, gen uint64) {
+func (s *Store) Departed(id core.OID, to core.NodeID, gen uint64) (core.NodeID, uint64) {
 	sh := s.shardOf(id)
 	sh.locMu.Lock()
 	defer sh.locMu.Unlock()
 	delete(sh.cache, id)
 	if id.Origin == s.self {
-		if h, ok := sh.home[id]; !ok || gen >= h.gen {
-			sh.home[id] = homeEntry{at: to, gen: gen}
+		h, ok := sh.home[id]
+		if !ok || gen >= h.gen {
+			h = homeEntry{at: to, gen: gen}
+			sh.home[id] = h
 		}
-		return
+		return h.at, h.gen
 	}
 	if f, ok := sh.forwards[id]; ok && gen < f.gen {
-		return
+		return f.to, f.gen
 	}
 	if to == id.Origin {
 		delete(sh.forwards, id)
-		return
+	} else {
+		sh.forwards[id] = fwdEntry{to: to, gen: gen, stamp: time.Now()}
 	}
-	sh.forwards[id] = fwdEntry{to: to, gen: gen, stamp: time.Now()}
+	return to, gen
 }
 
 // HomeUpdate records a (possibly delayed) report that objects created
@@ -517,8 +525,9 @@ func (s *Store) Departed(id core.OID, to core.NodeID, gen uint64) {
 // ignored. gens, when non-nil, aligns with ids and carries each
 // object's departure generation: a report older than the stored entry
 // is dropped, so reports arriving out of order cannot point the index
-// backwards. Each object's shard is locked individually — a large
-// batch never stalls unrelated lookups.
+// backwards, and so is one no newer than the record hosted here (the
+// object came back since). Each object's shard is locked individually
+// — a large batch never stalls unrelated lookups.
 func (s *Store) HomeUpdate(ids []core.OID, gens []uint64, at core.NodeID) {
 	for i, id := range ids {
 		if id.Origin != s.self {
@@ -527,6 +536,9 @@ func (s *Store) HomeUpdate(ids []core.OID, gens []uint64, at core.NodeID) {
 		var gen uint64
 		if i < len(gens) {
 			gen = gens[i]
+		}
+		if rec, ok := s.Get(id); ok && rec.Gen >= gen {
+			continue
 		}
 		sh := s.shardOf(id)
 		sh.locMu.Lock()
@@ -573,14 +585,17 @@ func (s *Store) Forward(id core.OID) (core.NodeID, bool) {
 }
 
 // Learn records hearsay about where an object that is not local lives:
-// the target of a redirect, or the host that answered. At the object's
-// origin it writes nothing: the home index takes only generation-ordered
-// reports (Departed, HomeUpdate, Arrived), so a stale reply landing
-// after a fresher report cannot point it at a host whose forward already
-// retired. Elsewhere a forwarding pointer is updated in
-// place — the classic forward-addressing chain shortening: once we hear
-// where the object really is, our pointer skips the intermediate hops.
-func (s *Store) Learn(id core.OID, at core.NodeID) {
+// the target of a redirect, or the host that answered, with gen the
+// generation of the departure that put it there (0 when unknown). At
+// the object's origin it writes nothing: the home index takes only
+// generation-ordered reports (Departed, HomeUpdate, Arrived), so a
+// stale reply landing after a fresher report cannot point it at a host
+// whose forward already retired. Elsewhere a forwarding pointer is
+// updated in place, but only by a strictly newer generation — the
+// classic forward-addressing chain shortening: once we hear where the
+// object went later, our pointer skips the intermediate hops, and a
+// stale answer can never point it backwards.
+func (s *Store) Learn(id core.OID, at core.NodeID, gen uint64) {
 	if at == "" || at == s.self || id.Origin == s.self {
 		return
 	}
@@ -588,11 +603,42 @@ func (s *Store) Learn(id core.OID, at core.NodeID) {
 	sh.locMu.Lock()
 	defer sh.locMu.Unlock()
 	if f, ok := sh.forwards[id]; ok {
-		f.to = at
-		sh.forwards[id] = f
+		if gen > f.gen {
+			f.to, f.gen = at, gen
+			sh.forwards[id] = f
+		}
 		return
 	}
 	s.cacheInsertLocked(sh, id, at)
+}
+
+// Whereabouts is this node's answer to a chaser: this node and the
+// record's generation when the object is hosted here — it may have
+// arrived since the caller's own table lookup ("moved to me") — and
+// otherwise the next hop and the generation of the departure that names
+// it: the forwarding pointer, or at the origin the home entry. ok is
+// false when nothing here knows the object. The table is read again
+// after the location entries, so an arrival that cleared them between
+// the two reads is still found.
+func (s *Store) Whereabouts(id core.OID) (to core.NodeID, gen uint64, ok bool) {
+	if rec, ok := s.Get(id); ok {
+		return s.self, rec.Gen, true
+	}
+	sh := s.shardOf(id)
+	sh.locMu.Lock()
+	f, fok := sh.forwards[id]
+	h, hok := sh.home[id]
+	sh.locMu.Unlock()
+	switch {
+	case fok && f.to != s.self:
+		return f.to, f.gen, true
+	case hok && id.Origin == s.self && h.at != "" && h.at != s.self:
+		return h.at, h.gen, true
+	}
+	if rec, ok := s.Get(id); ok {
+		return s.self, rec.Gen, true
+	}
+	return "", 0, false
 }
 
 // cacheInsertLocked writes a hint-cache entry under the shard's
@@ -634,45 +680,20 @@ func (s *Store) Hint(id core.OID) core.NodeID {
 	return id.Origin
 }
 
-// InvalidateAt discredits location knowledge for id that still points
-// at `at` — a node that just authoritatively denied knowing the
-// object. It covers the cached hint and the forwarding pointer, but
-// only when the entry still names the refuted node: a concurrent
-// update may already have moved the knowledge on, and that fresh state
-// must survive the stale chaser's complaint.
-//
-// A discredited forward is re-pointed at the object's origin rather
-// than deleted: the entry still has redirect duty — Forward serves it
-// to third-party chasers (the pause path of a group migration relies
-// on old hosts answering with a next hop, not a dead end) — and the
-// origin is always a correct next hop. Deleting would also livelock
-// the local chase itself when the stale entry is an orphan nothing
-// retires (a chain-shortened forward whose ack can no longer match, or
-// one written from hearsay by Learn): Hint would keep serving the
-// refuted node forever.
-//
-// The origin's own knowledge (its home entries) is never touched here:
-// an origin with neither record nor location entry answers not-found
-// definitively, so erasing its last knowledge on a chaser's say-so
-// would turn a stale hint into a hard failure. Stale origin entries
-// heal through generation-ordered home updates while chases ride their
-// deadline.
+// InvalidateAt drops the cached hint for id when it still names at — a
+// node that just denied knowing the object; a concurrent Learn may
+// already have moved the hint on, and that fresh hint survives. The
+// node's own entries are left alone: a forward records a departure from
+// here, which a not-found answered before it was written cannot refute,
+// and the chase that was refuted rewrites it from the origin's newer
+// answer (Learn). The origin's home entries only generation-ordered
+// reports write.
 func (s *Store) InvalidateAt(id core.OID, at core.NodeID) {
 	sh := s.shardOf(id)
 	sh.locMu.Lock()
 	defer sh.locMu.Unlock()
 	if cached, ok := sh.cache[id]; ok && cached == at {
 		delete(sh.cache, id)
-	}
-	if f, ok := sh.forwards[id]; ok && f.to == at {
-		if at == id.Origin || id.Origin == s.self {
-			// The origin itself denied (the object is truly unknown),
-			// or the home index is the authority here anyway.
-			delete(sh.forwards, id)
-		} else {
-			f.to = id.Origin
-			sh.forwards[id] = f
-		}
 	}
 }
 
@@ -702,14 +723,16 @@ func (s *Store) LocStats() LocStats {
 
 // Debug renders everything the location tables know about one object
 // (diagnostics only). home and fwd are the resolved Home/Forward views
-// — at the origin a departure is carried by the home entry alone.
+// — at the origin a departure is carried by the home entry alone — and
+// answer is what Whereabouts tells a chaser, with its generation.
 func (s *Store) Debug(id core.OID) string {
 	h, hok := s.Home(id)
 	f, fok := s.Forward(id)
+	a, gen, aok := s.Whereabouts(id)
 	sh := s.shardOf(id)
 	sh.locMu.Lock()
 	defer sh.locMu.Unlock()
 	c, cok := sh.cache[id]
-	return fmt.Sprintf("self=%s home=%q(%v) fwd=%q(%v) cache=%q(%v)",
-		s.self, h, hok, f, fok, c, cok)
+	return fmt.Sprintf("self=%s home=%q(%v) fwd=%q(%v) cache=%q(%v) answer=%q@%d(%v)",
+		s.self, h, hok, f, fok, c, cok, a, gen, aok)
 }

@@ -161,7 +161,7 @@ func TestLookupSingleShard(t *testing.T) {
 	if got, at := s.Lookup(foreign); got != nil || at != "n9" {
 		t.Fatalf("Lookup foreign = %v, %v (want origin fallback)", got, at)
 	}
-	s.Learn(foreign, "n3")
+	s.Learn(foreign, "n3", 0)
 	if _, at := s.Lookup(foreign); at != "n3" {
 		t.Fatalf("Lookup ignored learnt hint: %v", at)
 	}
@@ -285,7 +285,7 @@ func TestStoreParallelStress(t *testing.T) {
 					}
 				case 2: // forward-chase bookkeeping
 					at := core.NodeID(fmt.Sprintf("n%d", r%5+2))
-					s.Learn(id, at)
+					s.Learn(id, at, 0)
 					_ = s.Hint(id)
 					s.InvalidateAt(id, at)
 				case 3: // table-wide ops against the hot path

@@ -417,6 +417,7 @@ func layout(c *coder, v any) bool {
 	case *LocateResp:
 		c.tag(tagLocateResp, 0)
 		name(c, &m.At)
+		uv(c, &m.Gen)
 	case *HomeUpdate:
 		c.tag(tagHomeUpdate, homeUpdateSize(m))
 		oids(c, &m.Objs)
@@ -568,6 +569,7 @@ func layout(c *coder, v any) bool {
 		sv(c, &m.Code)
 		str(c, &m.Msg)
 		name(c, &m.To)
+		uv(c, &m.Gen)
 	default:
 		return false
 	}

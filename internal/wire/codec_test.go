@@ -35,7 +35,7 @@ func fastBodies() []interface{} {
 		&InvokeReq{Obj: oid1, Method: "Add", Arg: []byte{2}, From: "n7", Layout: 0x1234},
 		&InvokeResp{Result: []byte{4, 5}, At: "n2"},
 		&LocateReq{Obj: oid2},
-		&LocateResp{At: "n5"},
+		&LocateResp{At: "n5", Gen: 9},
 		&HomeUpdate{Objs: []core.OID{oid1, oid2}, Gens: []uint64{3, 9}, At: "n4",
 			Aff: []AffinityObs{
 				{Obj: oid1, From: "n7", Count: 12},
@@ -79,7 +79,7 @@ func fastBodies() []interface{} {
 		&PingResp{Payload: "hi"},
 		&InventoryReq{MaxUnits: 64},
 		&InventoryResp{Units: []InventoryUnit{{Anchor: oid1, Bytes: 4096, Pressure: 12}}, Load: load},
-		&RemoteError{Code: CodeMoved, Msg: "gone", To: "n7"},
+		&RemoteError{Code: CodeMoved, Msg: "gone", To: "n7", Gen: 5},
 	}
 }
 
@@ -111,7 +111,7 @@ var goldenImages = []string{
 	"01026e312a034164640102026e37b424",   // InvokeReq: value layout
 	"02020405026e32",                     // InvokeResp
 	"03026e3207",                         // LocateReq
-	"04026e35",                           // LocateResp
+	"04026e3509",                         // LocateResp
 	"0502026e312a026e3207026e3402026e312a026e3718026e3207026e380201026e39f001808080018827800480808080081f02" +
 		"02030900", // HomeUpdate
 	"0600", // HomeUpdateResp, no sample
@@ -150,7 +150,7 @@ var goldenImages = []string{
 	"27026869",                                                 // PingResp
 	"288001",                                                   // InventoryReq
 	"2901026e312a804018026e39f001808080018827800480808080081f02", // InventoryResp
-	"2a0604676f6e65026e37", // RemoteError
+	"2a0604676f6e65026e3705",                                     // RemoteError
 }
 
 // epochImages pins each wire epoch to the digest of the golden images
@@ -161,6 +161,7 @@ var epochImages = map[byte]string{
 	1: "4a18d3beb11c0577",
 	2: "68e26220f2e0502e",
 	3: "31099a7c320d8c37",
+	4: "44ad1a25da0e91e1",
 }
 
 // TestGoldenImages: every live tag encodes its specimen to exactly the

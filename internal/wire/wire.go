@@ -86,7 +86,7 @@ func (k Kind) Valid() bool {
 // opens and refuses a peer whose epoch differs, so two builds that
 // would misread each other never exchange a body. TestGoldenImages
 // pins it to the golden images.
-const Epoch byte = 3
+const Epoch byte = 4
 
 // MarshalAppend appends the encoding of a message body (a pointer to
 // one of the body types below) to dst and returns the extended slice,
@@ -171,6 +171,7 @@ type RemoteError struct {
 	Code ErrCode
 	Msg  string
 	To   core.NodeID // next hop for CodeMoved
+	Gen  uint64      // CodeMoved: the generation of the departure that names To
 }
 
 // Error implements error.
@@ -314,8 +315,13 @@ type MigrateResp struct {
 // lives.
 type LocateReq struct{ Obj core.OID }
 
-// LocateResp answers with the best known location.
-type LocateResp struct{ At core.NodeID }
+// LocateResp answers with the best known location and the generation
+// of the departure that put the object there (the record's own when At
+// is the answering node).
+type LocateResp struct {
+	At  core.NodeID
+	Gen uint64
+}
 
 // PauseReq asks a node to pause and snapshot the listed local objects
 // as part of group migration Token.

@@ -202,36 +202,23 @@ func (n *Node) handleInvoke(ctx context.Context, body, dst []byte) ([]byte, erro
 }
 
 // whereabouts builds the error for an object this node does not host:
-// a redirect when anything points elsewhere, not-found otherwise.
+// a redirect carrying the generation of the departure it reports (see
+// store.Whereabouts), not-found when nothing here knows the object.
 func (n *Node) whereabouts(oid core.OID) *wire.RemoteError {
-	if to, ok := n.store.Forward(oid); ok && to != n.id {
-		return &wire.RemoteError{Code: wire.CodeMoved, Msg: oid.String(), To: to}
-	}
-	if oid.Origin == n.id {
-		if at, ok := n.store.Home(oid); ok && at != n.id {
-			return &wire.RemoteError{Code: wire.CodeMoved, Msg: oid.String(), To: at}
-		}
-	}
-	// Double check: an installation may have landed between the
-	// caller's record lookup and the forward lookup above (the record
-	// appears before the forwarding pointer is cleared). Answer
-	// "moved to me" so the caller simply retries here.
-	if _, ok := n.store.Get(oid); ok {
-		return &wire.RemoteError{Code: wire.CodeMoved, Msg: oid.String(), To: n.id}
+	if to, gen, ok := n.store.Whereabouts(oid); ok {
+		return &wire.RemoteError{Code: wire.CodeMoved, Msg: oid.String(), To: to, Gen: gen}
 	}
 	return wire.Errorf(wire.CodeNotFound, "object %s unknown at %s", oid, n.id)
 }
 
 // handleLocate serves a location query with authoritative knowledge
 // only: hosting, the registry's (chain-shortened) forwarding pointer,
-// or the origin's home index. Hearsay (cached hints) is never served —
-// stale caches on bystander nodes would let location chases cycle.
+// or the origin's home index, each with its generation. Hearsay (cached
+// hints) is never served — stale caches on bystander nodes would let
+// location chases cycle.
 func (n *Node) handleLocate(req *wire.LocateReq) (*wire.LocateResp, error) {
-	if _, ok := n.store.Get(req.Obj); ok {
-		return &wire.LocateResp{At: n.id}, nil
-	}
-	if err := n.whereabouts(req.Obj); err.Code == wire.CodeMoved {
-		return &wire.LocateResp{At: err.To}, nil
+	if to, gen, ok := n.store.Whereabouts(req.Obj); ok {
+		return &wire.LocateResp{At: to, Gen: gen}, nil
 	}
 	return nil, wire.Errorf(wire.CodeNotFound, "object %s unknown at %s", req.Obj, n.id)
 }
@@ -250,7 +237,7 @@ func (n *Node) Locate(ctx context.Context, ref Ref) (NodeID, error) {
 			return "", err
 		}
 		if resp.At != host {
-			return "", &wire.RemoteError{Code: wire.CodeMoved, Msg: ref.OID.String(), To: resp.At}
+			return "", &wire.RemoteError{Code: wire.CodeMoved, Msg: ref.OID.String(), To: resp.At, Gen: resp.Gen}
 		}
 		return "", nil
 	})

@@ -93,32 +93,26 @@ func (n *Node) handleMove(ctx context.Context, rec *store.Record, req *wire.Move
 	coreReq := core.MoveRequest{From: req.From, Block: req.Block}
 	placement := n.policy.Kind() == core.PolicyPlacement
 
-	rec.Mu.Lock()
-	for attempt := 0; rec.Status == store.StatusPaused; attempt++ {
-		// Another migration is in flight. Placement denies (the object
-		// is spoken for); the chasing policies wait it out.
-		rec.Mu.Unlock()
-		if placement {
-			return n.deny(req, core.ReasonLocked), nil
+	// A root paused by another migration is spoken for: placement denies
+	// at once, the chasing policies park on the record until that
+	// migration ends — its commit answers with the redirect, its abort or
+	// expired lease resumes the object — so the pause lease bounds the
+	// wait.
+	var dec core.MoveDecision
+	err := rec.Await(ctx, func() (bool, error) {
+		if rec.Status == store.StatusPaused {
+			dec = core.MoveDecision{Action: core.ActionDeny, Reason: core.ReasonLocked}
+			return placement, nil
 		}
-		if !relocateWait(ctx, attempt) {
-			return nil, wire.Errorf(wire.CodeDenied, "working set of %s stayed busy", req.Obj)
+		if err := redirectLocked(rec); err != nil {
+			return true, err
 		}
-		// The object may have left and come back while we waited; the
-		// record that is in the table now is the one to judge.
-		var ok bool
-		if rec, ok = n.store.Get(req.Obj); !ok {
-			return nil, n.whereabouts(req.Obj)
-		}
-		rec.Mu.Lock()
-	}
-	if err := redirectLocked(rec); err != nil {
-		rec.Mu.Unlock()
+		dec = n.policy.OnMove(&rec.Pol, n.id, coreReq)
+		return true, nil
+	})
+	if err != nil {
 		return nil, err
 	}
-	dec := n.policy.OnMove(&rec.Pol, n.id, coreReq)
-	rec.Mu.Unlock()
-
 	if dec.Action == core.ActionDeny {
 		return n.deny(req, dec.Reason), nil
 	}

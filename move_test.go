@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"testing"
+	"time"
 
 	"objmig/internal/core"
 	"objmig/internal/wire"
@@ -369,5 +370,89 @@ func TestMoveDenialsCounted(t *testing.T) {
 				t.Errorf("%d denied events, want 1", got)
 			}
 		})
+	}
+}
+
+// parkSignal is a context that reports when a waiter parks on it:
+// Record.Await registers its cancellation hook only once it has to
+// wait, and context.AfterFunc hands the hook to a context that
+// schedules its own. It is never cancelled.
+type parkSignal chan struct{}
+
+var neverDone = make(chan struct{})
+
+func (parkSignal) Deadline() (time.Time, bool) { return time.Time{}, false }
+func (parkSignal) Done() <-chan struct{}       { return neverDone }
+func (parkSignal) Err() error                  { return nil }
+func (parkSignal) Value(any) any               { return nil }
+
+func (p parkSignal) AfterFunc(func()) func() bool {
+	select {
+	case p <- struct{}{}:
+	default:
+	}
+	return func() bool { return true }
+}
+
+// TestParkedMoveGrantedAtUnpause: under conventional migration a
+// move-request whose root another migration holds paused parks on the
+// record and is granted as soon as that pause ends (an abort or an
+// expired lease is an Unpause). The object goes back and forth between
+// two nodes, one parked move per trip. A wait that polled the record
+// every 2 ms would add at least 400 ms to the 200 moves; parked, they
+// take about what the same moves take unpaused.
+func TestParkedMoveGrantedAtUnpause(t *testing.T) {
+	t.Parallel()
+	ctx := ctxShort(t)
+	nodes := testCluster(t, 2, Config{Policy: PolicyConventional})
+	ref := mustCreate(t, nodes[0])
+	const moves = 200
+	trips := func(paused bool) time.Duration {
+		var took time.Duration
+		for i := 0; i < moves; i++ {
+			host, mover := nodes[i%2], nodes[(i+1)%2]
+			rec, ok := host.store.Get(ref.OID)
+			if !ok {
+				t.Fatalf("move %d: object not at %s", i, host.id)
+			}
+			const token = 1 << 40 // no migration of this node uses it
+			parked := make(parkSignal, 1)
+			if paused {
+				if err := rec.Pause(ctx, token); err != nil {
+					t.Fatal(err)
+				}
+			}
+			type result struct {
+				resp *wire.MoveResp
+				err  error
+			}
+			done := make(chan result, 1)
+			start := time.Now()
+			go func() {
+				resp, err := host.handleMove(parked, rec, &wire.MoveReq{Obj: ref.OID, From: mover.id, Block: mover.nextBlock()})
+				done <- result{resp, err}
+			}()
+			if paused {
+				select {
+				case <-parked:
+					rec.Unpause(token)
+				case <-time.After(5 * time.Second):
+					rec.Unpause(token)
+					t.Fatalf("move %d never parked on the paused record", i)
+				}
+			}
+			r := <-done
+			took += time.Since(start)
+			if r.err != nil || r.resp.Outcome != wire.MoveMigrated {
+				t.Fatalf("move %d (paused %v): %+v, %v; want granted", i, paused, r.resp, r.err)
+			}
+		}
+		return took
+	}
+	base := trips(false)
+	parked := trips(true)
+	t.Logf("%d moves: %v unpaused, %v parked", moves, base, parked)
+	if extra := parked - base; extra >= 100*time.Millisecond {
+		t.Fatalf("%d parked moves took %v longer than unpaused ones, want < 100ms", moves, extra)
 	}
 }

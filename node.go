@@ -113,14 +113,12 @@ type Node struct {
 	stats     Stats
 	chaseHist chaseHist
 
-	id            NodeID
-	policy        core.MovePolicy
-	attachMode    core.AttachMode
-	retries       int           // callRetries; tests shrink the chase budget
-	chaseDeadline time.Duration // chaseDeadline
-	migrate       MigrateConfig
-	observer      Observer
-	events        *eventSink // non-nil when Config.ObserverBuffer > 0
+	id         NodeID
+	policy     core.MovePolicy
+	attachMode core.AttachMode
+	migrate    MigrateConfig
+	observer   Observer
+	events     *eventSink // non-nil when Config.ObserverBuffer > 0
 
 	server *rpc.Server
 	pool   *rpc.Pool
@@ -225,24 +223,22 @@ func NewNode(cfg Config) (*Node, error) {
 		return nil, fmt.Errorf("objmig: listen: %w", err)
 	}
 	n := &Node{
-		id:            cfg.ID,
-		policy:        core.PolicyFor(cfg.Policy),
-		attachMode:    cfg.Attach,
-		retries:       callRetries,
-		chaseDeadline: chaseDeadline,
-		migrate:       cfg.Migrate.withDefaults(),
-		capacity:      cfg.Capacity,
-		capBytes:      cfg.CapacityBytes,
-		resv:          placement.NewLedger(),
-		observer:      cfg.Observer,
-		pool:          rpc.NewPool(cfg.Cluster.tr),
-		store:         store.New(cfg.ID),
-		aff:           affinity.New(cfg.ID),
-		types:         make(map[string]objectType),
-		peers:         make(map[NodeID]string),
-		xfers:         make(map[sessionKey]*xferSlot),
-		jobTable:      make(map[uint64]*Job),
-		tel:           newNodeTelemetry(),
+		id:         cfg.ID,
+		policy:     core.PolicyFor(cfg.Policy),
+		attachMode: cfg.Attach,
+		migrate:    cfg.Migrate.withDefaults(),
+		capacity:   cfg.Capacity,
+		capBytes:   cfg.CapacityBytes,
+		resv:       placement.NewLedger(),
+		observer:   cfg.Observer,
+		pool:       rpc.NewPool(cfg.Cluster.tr),
+		store:      store.New(cfg.ID),
+		aff:        affinity.New(cfg.ID),
+		types:      make(map[string]objectType),
+		peers:      make(map[NodeID]string),
+		xfers:      make(map[sessionKey]*xferSlot),
+		jobTable:   make(map[uint64]*Job),
+		tel:        newNodeTelemetry(),
 	}
 	if cfg.Observer != nil && cfg.ObserverBuffer > 0 {
 		n.events = newEventSink(cfg.Observer, cfg.ObserverBuffer)

@@ -2,6 +2,7 @@ package objmig
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -17,77 +18,70 @@ import (
 // loop in the runtime; routed and deliver are the typed legs the
 // primitives hang their request and handler on.
 
-// route finds oid's current host and runs one primitive there. Each
-// attempt resolves the hosted record or the best location hint in a
-// single store.Lookup and hands it to leg: rec is the hosted record when
-// host is this node, and nil when the attempt must be exactly one RPC to
-// host. leg reports where the object is after a success ("" means at the
-// host that answered), which route learns; redirects, stale hints and
-// the self-hint arrival race are folded back into the store and retried
-// until the chase budget is spent. A redirect's target is also the host
-// the next attempt calls: the origin learns nothing from hearsay (see
-// store.Learn), yet still follows the chain. route returns the host
-// that answered.
+// route finds oid's current host and runs one primitive there. The
+// first attempt resolves the hosted record or the best location hint in
+// a single store.Lookup and hands it to leg: rec is the hosted record
+// when host is this node, and nil when the attempt must be exactly one
+// RPC to host. leg reports where the object is after a success ("" means
+// at the host that answered), which route learns. Every other answer is
+// a redirect or a not-found, and the chase rule (chase.follow) names the
+// host the next attempt asks or ends the chase; a redirect it follows is
+// learnt too (see store.Learn). When the next host is this node its own
+// tables answer, as another node's would. The caller's context is the
+// only time bound. route returns the host that answered.
 func (n *Node) route(ctx context.Context, oid core.OID, op string,
 	leg func(rec *store.Record, host NodeID) (at NodeID, err error)) (NodeID, error) {
 
-	c := n.newChase(oid)
-	defer c.end()
-	var redirect NodeID // where the last redirect pointed, unless at this node
-	for c.next(ctx) {
-		rec, host := n.store.Lookup(oid)
-		if rec == nil && redirect != "" {
-			host = redirect
+	c := chase{n: n, origin: oid.Origin}
+	defer c.end(oid)
+	rec, host := n.store.Lookup(oid)
+	for {
+		if err := ctx.Err(); err != nil {
+			return "", err
 		}
-		redirect = ""
-		if rec == nil {
-			if host == n.id {
-				// My own tables point at me but I don't host it. If the
-				// record is here now, an arrival raced the two halves of
-				// the lookup: retry. Only a never-hosted object is
-				// genuinely unknown.
-				if _, ok := n.store.Get(oid); ok {
-					continue
-				}
-				return "", fmt.Errorf("%w: %s", ErrNotFound, oid)
-			}
+		var at NodeID
+		var err error
+		switch {
+		case rec != nil:
+			at, err = leg(rec, host)
+		case host == n.id:
+			err = n.whereabouts(oid)
+		default:
 			c.hop()
+			at, err = leg(nil, host)
 		}
-		at, err := leg(rec, host)
 		if err == nil {
 			if at == "" {
 				at = host
 			}
-			n.store.Learn(oid, at)
+			n.store.Learn(oid, at, c.gen())
 			return host, nil
 		}
-		if to, moved := movedTo(err); moved {
-			n.store.Learn(oid, to)
-			if to != n.id {
-				redirect = to
-			}
-			c.definite = to != ""
-			continue
+		// A redirect, or a not-found from a node's location tables, is an
+		// answer about the location; anything else is the primitive's.
+		var re *wire.RemoteError
+		if !errors.As(err, &re) || re.Code != wire.CodeMoved && (re.Code != wire.CodeNotFound || rec != nil) {
+			return "", fromRemote(err)
 		}
-		if rec == nil && isCode(err, wire.CodeNotFound) && host != oid.Origin {
-			// Stale hint: fall back towards the origin.
+		moved, seen := re.Code == wire.CodeMoved, c.seen
+		next := c.follow(host, moved, re.To, re.Gen)
+		switch {
+		case next == "" && moved:
+			return "", fmt.Errorf("%w: %s (%s: location lost at generation %d; %s)",
+				ErrUnreachable, oid, op, c.gen(), n.store.Debug(oid))
+		case next == "":
+			return "", fromRemote(err)
+		case c.seen != seen:
+			n.store.Learn(oid, next, re.Gen)
+		case !moved && host != n.id:
+			// Stale hint: the refuted host falls back to the origin.
 			n.store.InvalidateAt(oid, host)
-			c.definite = true
-			continue
 		}
-		return "", fromRemote(err)
+		host, rec = next, nil
+		if host == n.id {
+			rec, _ = n.store.Get(oid)
+		}
 	}
-	if err := ctx.Err(); err != nil {
-		return "", err
-	}
-	recState := "no-record"
-	if rec, ok := n.store.Get(oid); ok {
-		rec.Mu.Lock()
-		recState = fmt.Sprintf("status=%d", rec.Status)
-		rec.Mu.Unlock()
-	}
-	return "", fmt.Errorf("%w: %s (%s: chase budget exhausted; %s; %s)",
-		ErrUnreachable, oid, op, recState, n.store.Debug(oid))
 }
 
 // routed is route for the primitives whose two legs are the same typed
@@ -144,69 +138,77 @@ func onRecord[Req, Resp any](ctx context.Context, n *Node, oid core.OID, req *Re
 }
 
 // redirectLocked is what a handler answers when the record onRecord
-// passed it departed since: the redirect to the object's next host, nil
-// for a live record. Caller holds rec.Mu.
+// passed it departed since: the redirect to the object's next host at
+// the departure's generation, nil for a live record. Caller holds
+// rec.Mu.
 func redirectLocked(rec *store.Record) error {
 	if rec.Status != store.StatusGone {
 		return nil
 	}
-	return &wire.RemoteError{Code: wire.CodeMoved, Msg: rec.ID.String(), To: rec.MovedTo}
+	return &wire.RemoteError{Code: wire.CodeMoved, Msg: rec.ID.String(), To: rec.MovedTo, Gen: rec.MovedGen}
 }
 
-// The two halves of a chase's budget (see chase): the attempts it may
-// always make, and how long it keeps retrying once they are spent.
-const (
-	callRetries   = 32
-	chaseDeadline = 2 * time.Second
-)
-
-// chase is the adaptive retry budget of one location chase. A chase
-// normally terminates within a handful of hops, and the attempt budget
-// (callRetries) covers that common case cheaply. But a fixed
-// attempt count alone is a wall-clock budget in disguise — 32 attempts
-// at 1 ms apart is ~32 ms — and under heavy migration ping-pong (or on
-// a starved single-CPU box) a single transfer can take longer than
-// that, so a correct chase could exhaust its budget while the object
-// was merely in flight. The deadline (chaseDeadline) closes
-// that hole: a chase keeps retrying until BOTH the attempt budget and
-// the deadline are spent, so churn stretches the chase instead of
-// failing it, while the deadline still guarantees termination.
-//
-// The clock starts when the chase first leaves the node: at its first
-// remote attempt or its first back-off, whichever comes first. The
-// latency histogram (chaseLat) and the deadline both count from there,
-// and an operation served entirely on this node never reads the clock.
+// chase is one location chase: the order that ends it, and its hop
+// accounting. Every redirect carries the generation of the departure it
+// reports — how many migrations the object had survived on arriving at
+// the named host — and follow takes only redirects newer than any it
+// took before. Generations only grow along the object's path, so a
+// chase can neither cycle nor run forever: it reaches the object, or a
+// not-found at the origin (the object is unknown), or an origin whose
+// answer is no newer than what the chase already followed (the location
+// is lost, say a forward aged out before the origin heard of the
+// departure).
 type chase struct {
-	n        *Node
-	oid      core.OID
-	attempt  int
-	definite bool      // the last answer named a next host: retry at once
-	hops     int       // remote calls issued — the directory's cost metric
-	start    time.Time // first remote attempt or back-off; zero before
-	deadline time.Time // zero before start, or when the deadline is disabled
+	n      *Node
+	origin NodeID
+	// seen ranks the newest redirect followed: 2·gen+2, one more when
+	// the host named itself (an arrival racing its own lookup), so that
+	// answer outranks the redirect that led there but nothing newer. 0
+	// before the first.
+	seen  uint64
+	hops  int       // remote calls issued — the directory's cost metric
+	start time.Time // first remote attempt; zero before
 }
 
-// newChase starts a chase budget for one logical operation on oid. The
-// budget is returned by value so route keeps it on its stack.
-func (n *Node) newChase(oid core.OID) chase {
-	return chase{n: n, oid: oid}
+// follow is the chase rule, the one decision route makes on an answer
+// that is not the object: host answered with a redirect to to at
+// departure generation gen (moved), or with not-found. It returns the
+// host the next attempt asks: to, when the redirect is newer than any
+// followed; otherwise the origin, whose home index the generation-
+// ordered reports keep. "" ends the chase — the answer came from the
+// origin itself, so the object is unknown (not-found) or its location
+// lost (a stale redirect). follow reads and writes nothing but c.seen,
+// so the model check drives this very code.
+func (c *chase) follow(host NodeID, moved bool, to NodeID, gen uint64) NodeID {
+	if moved && to != "" {
+		rank := 2*gen + 2
+		if to == host {
+			rank++
+		}
+		if rank > c.seen {
+			c.seen = rank
+			return to
+		}
+	}
+	if host == c.origin {
+		return ""
+	}
+	return c.origin
 }
 
-// clock starts the chase's clock, once: see chase.
-func (c *chase) clock() {
-	if !c.start.IsZero() {
-		return
-	}
-	c.start = time.Now()
-	if d := c.n.chaseDeadline; d > 0 {
-		c.deadline = c.start.Add(d)
-	}
-}
+// gen is the departure generation of the newest redirect followed (0
+// before any): what route knows of the object's generation at the host
+// it reached.
+func (c *chase) gen() uint64 { return max(c.seen/2, 1) - 1 }
 
 // hop records one remote call of the chase. route bumps it immediately
-// before each RPC so end() sees the true network cost.
+// before each RPC so end() sees the true network cost; the first starts
+// the chase's latency clock, so an operation served entirely on this
+// node never reads the clock.
 func (c *chase) hop() {
-	c.clock()
+	if c.hops == 0 {
+		c.start = time.Now()
+	}
 	c.hops++
 }
 
@@ -216,7 +218,7 @@ func (c *chase) hop() {
 // (a miss). Chases longer than chaseHopBudget also count as
 // over-budget and emit an EventChase so operators can spot
 // directories gone stale.
-func (c *chase) end() {
+func (c *chase) end(oid core.OID) {
 	n := c.n
 	switch {
 	case c.hops == 0:
@@ -235,42 +237,6 @@ func (c *chase) end() {
 	n.chaseHist[bucket-1].Add(1)
 	if c.hops > chaseHopBudget {
 		atomic.AddInt64(&n.stats.ChasesOverBudget, 1)
-		n.emit(Event{Kind: EventChase, Obj: Ref{OID: c.oid}, Outcome: "over-budget", Hops: c.hops})
-	}
-}
-
-// next reports whether another attempt may run. Within the attempt
-// budget, an attempt whose answer was definite — a redirect naming a
-// host, or a stale hint refuted — retries at once: the next host is
-// known, and waiting only delays the call. Otherwise it backs off
-// briefly so in-flight transfers can land before the next try (long
-// chases stretch the pause — by then the object is clearly mid-transfer
-// and tight polling only adds load). It returns false when the budget
-// is spent or the context is done; route distinguishes the two via
-// ctx.Err().
-func (c *chase) next(ctx context.Context) bool {
-	definite := c.definite
-	c.definite = false
-	if c.attempt == 0 || definite && c.attempt < c.n.retries {
-		c.attempt++
-		return ctx.Err() == nil
-	}
-	c.clock()
-	if c.attempt >= c.n.retries && (c.deadline.IsZero() || !time.Now().Before(c.deadline)) {
-		return false
-	}
-	d := time.Millisecond
-	switch {
-	case c.attempt >= 256:
-		d = 8 * time.Millisecond
-	case c.attempt >= 64:
-		d = 4 * time.Millisecond
-	}
-	c.attempt++
-	select {
-	case <-ctx.Done():
-		return false
-	case <-time.After(d):
-		return true
+		n.emit(Event{Kind: EventChase, Obj: Ref{OID: oid}, Outcome: "over-budget", Hops: c.hops})
 	}
 }

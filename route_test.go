@@ -119,11 +119,15 @@ var (
 	twoHopsMiss = chaseDelta{hops: 2, misses: 1}
 )
 
-// pingPong leaves oid hosted nowhere with n0 and n1 each redirecting to
-// the other, so no chase for it can ever terminate.
-func pingPong(t *testing.T, ctx context.Context, nodes []*Node) core.OID {
+// forwardCycle leaves oid hosted nowhere, with n0 and n1 redirecting
+// to each other: n0's home index names n1 at the generation that took
+// the object there, n1's forward names n0 at a later one — hearsay
+// claiming the object went home since. A chase that followed every
+// redirect would bounce between the two for ever; the generations end
+// it in three hops (n0, n1, n0 again with nothing newer).
+func forwardCycle(t *testing.T, ctx context.Context, nodes []*Node) core.OID {
 	t.Helper()
-	oid := fixedAt(t, ctx, nodes, "n1") // n0's home index now names n1
+	oid := fixedAt(t, ctx, nodes, "n1") // n0's home index names n1
 	rec, ok := nodes[1].store.Get(oid)
 	if !ok {
 		t.Fatal("object did not arrive at n1")
@@ -131,11 +135,8 @@ func pingPong(t *testing.T, ctx context.Context, nodes []*Node) core.OID {
 	if err := rec.Pause(ctx, 1); err != nil {
 		t.Fatal(err)
 	}
-	// Departing towards n2 and re-pointing the forward at n0 is the
-	// state a stale Learn leaves: n1's forward names the origin, whose
-	// home index still names n1.
 	nodes[1].store.Depart([]core.OID{oid}, []uint64{rec.Gen + 1}, 1, "n2")
-	nodes[1].store.Learn(oid, "n0")
+	nodes[1].store.Learn(oid, "n0", rec.Gen+2)
 	return oid
 }
 
@@ -153,7 +154,7 @@ func TestRoutedOps(t *testing.T) {
 		caller := nodes[2]
 		for _, op := range routedOps {
 			oid := fixedAt(t, ctx, nodes, "n0")
-			caller.store.Learn(oid, "n1") // n1 never heard of the object
+			caller.store.Learn(oid, "n1", 0) // n1 never heard of the object
 			got, err := measure(caller, func() error { return op.run(ctx, caller, oid, "n0") })
 			if err != nil {
 				t.Fatalf("%s: %v", op.label, err)
@@ -260,36 +261,37 @@ func TestRoutedOps(t *testing.T) {
 		}
 	})
 
-	t.Run("exhausted budget is unreachable and names the op", func(t *testing.T) {
+	t.Run("a forwarding cycle ends as lost and names the op", func(t *testing.T) {
 		t.Parallel()
 		ctx := ctxShort(t)
-		const attempts = 3
 		nodes := routeCluster(t, Config{})
-		for _, n := range nodes {
-			n.retries, n.chaseDeadline = attempts, -1 // attempts only
-		}
 		caller := nodes[2]
-		oid := pingPong(t, ctx, nodes)
+		oid := forwardCycle(t, ctx, nodes)
 		for _, op := range routedOps {
+			start := time.Now()
 			got, err := measure(caller, func() error { return op.run(ctx, caller, oid, "") })
+			took := time.Since(start)
 			if !errors.Is(err, ErrUnreachable) {
 				t.Fatalf("%s: err = %v, want ErrUnreachable", op.label, err)
 			}
-			if want := "(" + op.label + ": chase budget exhausted"; !strings.Contains(err.Error(), want) {
+			if want := "(" + op.label + ": location lost"; !strings.Contains(err.Error(), want) {
 				t.Errorf("%s: error %q does not carry %q", op.label, err, want)
 			}
-			if want := (chaseDelta{hops: attempts, misses: 1}); got != want {
+			if want := (chaseDelta{hops: 3, misses: 1}); got != want {
 				t.Errorf("%s: accounting = %+v, want %+v", op.label, got, want)
+			}
+			if took >= 10*time.Millisecond {
+				t.Errorf("%s: the chase took %v, want < 10ms", op.label, took)
 			}
 		}
 	})
 
-	t.Run("cancelled context wins over the budget", func(t *testing.T) {
+	t.Run("a cancelled context ends the chase first", func(t *testing.T) {
 		t.Parallel()
 		ctx := ctxShort(t)
 		nodes := routeCluster(t, Config{})
 		caller := nodes[2]
-		oid := pingPong(t, ctx, nodes)
+		oid := forwardCycle(t, ctx, nodes)
 		for _, op := range routedOps {
 			// Cancelled before the first attempt: no hop is spent.
 			cctx, cancel := context.WithCancel(ctx)
@@ -298,22 +300,60 @@ func TestRoutedOps(t *testing.T) {
 			if !errors.Is(err, context.Canceled) || got.hops != 0 {
 				t.Errorf("%s: err = %v after %d hops, want context.Canceled after none", op.label, err, got.hops)
 			}
-			// Expiring mid-chase: the budget (2 s) is nowhere near spent.
-			dctx, cancel := context.WithTimeout(ctx, 10*time.Millisecond)
-			err = op.run(dctx, caller, oid, "")
-			cancel()
-			if !errors.Is(err, context.DeadlineExceeded) {
-				t.Errorf("%s: err = %v, want context.DeadlineExceeded", op.label, err)
-			}
 		}
 	})
 }
 
+// TestLocationLostEndsAtOnce: a former host's forward ages out before
+// the origin hears of the departure it records, so nothing names the
+// object's host. A bystander's chase goes origin → former host
+// (not-found) → origin, whose answer is no newer than the one it
+// followed, and ends with a definite error at once; once the report
+// lands the object is found again.
+func TestLocationLostEndsAtOnce(t *testing.T) {
+	t.Parallel()
+	ctx := ctxShort(t)
+	net := transport.NewNetwork()
+	tap := &sendTap{Transport: net.Transport(), kind: wire.KHomeUpdate, to: "n0"}
+	nodes := testClusterOn(t, &Cluster{tr: tap, mem: net}, 4, Config{})
+	ref := mustCreate(t, nodes[0])
+	if err := nodes[0].Migrate(ctx, ref, "n1"); err != nil {
+		t.Fatal(err)
+	}
+	release := holdNext(t, tap, func() {
+		if err := nodes[1].Migrate(ctx, ref, "n2"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	nodes[1].store.SetForwardTTL(time.Nanosecond)
+	if nodes[1].store.CompactForwards() != 1 {
+		t.Fatal("n1's forward did not age out")
+	}
+	bystander := nodes[3]
+	start := time.Now()
+	_, err := Call[struct{}, int](ctx, bystander, ref, "Get", struct{}{})
+	took := time.Since(start)
+	if !errors.Is(err, ErrUnreachable) || !strings.Contains(err.Error(), "(invoke: location lost") {
+		t.Fatalf("invoke with the location lost: %v, want ErrUnreachable naming the op", err)
+	}
+	t.Logf("lost after %v: %v", took, err)
+	if took >= 50*time.Millisecond {
+		t.Fatalf("the lost chase took %v, want < 50ms", took)
+	}
+	release()
+	eventually(t, 5*time.Second, func() bool {
+		at, ok := nodes[0].store.Home(ref.OID)
+		return ok && at == "n2"
+	}, "the origin never heard of the departure to n2")
+	if _, err := Call[struct{}, int](ctx, bystander, ref, "Get", struct{}{}); err != nil {
+		t.Fatalf("invoke after the report landed: %v", err)
+	}
+}
+
 // TestStaleHintChaseDoesNotWait: a stale hint refuted by a node that
-// never heard of the object is a definite answer — the next host to
-// try, the origin, is known — so the chase calls it at once instead of
-// backing off. One back-off per chase would cost these 200 chases at
-// least 200 ms.
+// never heard of the object sends the chase to the origin at once. One
+// millisecond's wait per chase would cost these 200 chases at least
+// 200 ms.
 func TestStaleHintChaseDoesNotWait(t *testing.T) {
 	ctx := ctxShort(t)
 	nodes := routeCluster(t, Config{})
@@ -322,7 +362,7 @@ func TestStaleHintChaseDoesNotWait(t *testing.T) {
 	const chases = 200
 	var took time.Duration
 	for i := 0; i < chases; i++ {
-		caller.store.Learn(oid, "n1") // n1 never heard of the object
+		caller.store.Learn(oid, "n1", 0) // n1 never heard of the object
 		got, err := measure(caller, func() error {
 			start := time.Now()
 			_, err := caller.Locate(ctx, Ref{OID: oid})
@@ -361,7 +401,7 @@ func TestFormerHostGivesOneAnswer(t *testing.T) {
 	migrate(nodes[0], "n1")
 	defer holdNext(t, tap, func() { migrate(nodes[1], "n2") })()
 	migrate(nodes[2], "n3")
-	nodes[1].store.Learn(ref.OID, "n3")
+	nodes[1].store.Learn(ref.OID, "n3", 3)
 
 	if _, ok := nodes[1].store.Get(ref.OID); ok {
 		t.Fatal("n1's table still holds a record of the departed object")
@@ -369,15 +409,15 @@ func TestFormerHostGivesOneAnswer(t *testing.T) {
 	caller := nodes[0]
 	err := caller.call(ctx, "n1", wire.KInvoke,
 		&wire.InvokeReq{Obj: ref.OID, Method: "Get", From: caller.id}, &wire.InvokeResp{})
-	invokeTo, moved := movedTo(err)
-	if !moved {
+	var redirect *wire.RemoteError
+	if !errors.As(err, &redirect) || redirect.Code != wire.CodeMoved {
 		t.Fatalf("invoke at n1: %v, want a redirect", err)
 	}
 	var loc wire.LocateResp
 	if err := caller.call(ctx, "n1", wire.KLocate, &wire.LocateReq{Obj: ref.OID}, &loc); err != nil {
 		t.Fatalf("locate at n1: %v", err)
 	}
-	if invokeTo != "n3" || loc.At != "n3" {
-		t.Fatalf("n1 redirects an invoke to %s and a locate to %s, want n3 for both", invokeTo, loc.At)
+	if redirect.To != "n3" || loc.At != "n3" {
+		t.Fatalf("n1 redirects an invoke to %s and a locate to %s, want n3 for both", redirect.To, loc.At)
 	}
 }
