@@ -130,15 +130,17 @@ func (n *Node) handleEdgeDel(ctx context.Context, rec *store.Record, req *wire.E
 	return &wire.EdgeDelResp{Existed: existed}, nil
 }
 
-// handleEdges serves the adjacency of a hosted object.
-func (n *Node) handleEdges(_ context.Context, rec *store.Record, req *wire.EdgesReq) (*wire.EdgesResp, error) {
-	// List first, judge second: a departure between the two empties the
-	// list, and a departed record never comes back to life — so a record
-	// still live after the read was live during it.
-	edges := rec.EdgeList()
-	rec.Mu.Lock()
-	err := redirectLocked(rec)
-	rec.Mu.Unlock()
+// handleEdges serves the adjacency of a hosted object. Like an edge
+// mutation it waits out a migration pause and is redirected once the
+// object has left, so a closure walk parks on a member another
+// migration holds — holding no pause itself — and follows it if that
+// migration commits.
+func (n *Node) handleEdges(ctx context.Context, rec *store.Record, req *wire.EdgesReq) (*wire.EdgesResp, error) {
+	var edges []wire.EdgeRec
+	err := rec.EdgeOp(ctx, func() *wire.RemoteError {
+		edges = rec.EdgeListLocked()
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"reflect"
 	"testing"
+	"time"
 )
 
 func refIDs(refs []Ref) []string {
@@ -295,5 +296,41 @@ func TestWorkingSetDeterministic(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("working set differs by root: %v vs %v", refIDs(a), refIDs(b))
+	}
+}
+
+// TestWorkingSetWaitsOutPause: the closure walk parks on a member that
+// another migration holds paused, from the member's host and from a
+// node that asks over the wire, and returns at the Unpause; a cancelled
+// context ends the wait with the context's error.
+func TestWorkingSetWaitsOutPause(t *testing.T) {
+	t.Parallel()
+	const hold = 100 * time.Millisecond
+	ctx := ctxShort(t)
+	nodes := testCluster(t, 2, Config{})
+	group := attachedGroup(t, nodes[0], 2)
+	for _, n := range nodes {
+		unpaused := pauseFor(t, nodes[0], group[1], hold)
+		set, err := n.WorkingSet(ctx, group[0], NoAlliance)
+		select {
+		case at := <-unpaused:
+			if late := time.Since(at); late >= 50*time.Millisecond {
+				t.Errorf("from %s: the walk returned %v after the Unpause", n.ID(), late)
+			}
+		default:
+			t.Fatalf("from %s: the walk returned %v, %v while the member was paused", n.ID(), set, err)
+		}
+		if err != nil || len(set) != len(group) {
+			t.Fatalf("from %s: WorkingSet = %v, %v; want both members", n.ID(), set, err)
+		}
+
+		pauseFor(t, nodes[0], group[1], time.Hour)
+		cctx, cancel := context.WithCancel(ctx)
+		time.AfterFunc(20*time.Millisecond, cancel)
+		if set, err := n.WorkingSet(cctx, group[0], NoAlliance); !errors.Is(err, context.Canceled) {
+			t.Fatalf("from %s: cancelled walk = %v, %v; want context.Canceled", n.ID(), set, err)
+		}
+		rec, _ := nodes[0].store.Get(group[1].OID)
+		rec.Unpause(foreignPause)
 	}
 }

@@ -145,15 +145,17 @@ func (r *Record) Release() {
 
 // Pause transitions an active, idle object to StatusPaused for
 // migration token. It waits for a running invocation to drain but fails
-// immediately if the object is already paused or gone (pause never
-// waits on pause, so concurrent group migrations cannot deadlock).
+// immediately if the object is gone or already paused — the latter with
+// CodeMigrating, for the caller to wait that migration out where it
+// holds no pause (pause never waits on pause, so concurrent group
+// migrations cannot deadlock).
 func (r *Record) Pause(ctx context.Context, token uint64) error {
 	return r.Await(ctx, func() (bool, error) {
 		switch r.Status {
 		case StatusGone:
 			return true, r.movedLocked()
 		case StatusPaused:
-			return true, wire.Errorf(wire.CodeDenied, "object %s is being migrated", r.ID)
+			return true, wire.Errorf(wire.CodeMigrating, "object %s is being migrated", r.ID)
 		case StatusActive:
 			if !r.busy {
 				r.Status = StatusPaused
@@ -219,19 +221,12 @@ func (r *Record) Snapshot(encode func(inst interface{}) ([]byte, error)) (wire.S
 	if err != nil {
 		return wire.Snapshot{}, err
 	}
-	edges := make([]wire.EdgeRec, 0, len(r.edges))
-	for other, als := range r.edges {
-		for al := range als {
-			edges = append(edges, wire.EdgeRec{Other: other, Alliance: al})
-		}
-	}
-	sortEdgeRecs(edges)
 	return wire.Snapshot{
 		ID:    r.ID,
 		Type:  r.TypeName,
 		State: state,
 		Pol:   r.Pol.Clone(),
-		Edges: edges,
+		Edges: r.EdgeListLocked(),
 		Gen:   r.Gen,
 	}, nil
 }
@@ -252,10 +247,9 @@ func edgeLess(a, b wire.EdgeRec) bool {
 	return a.Alliance < b.Alliance
 }
 
-// EdgeList returns the record's adjacency in canonical order.
-func (r *Record) EdgeList() []wire.EdgeRec {
-	r.Mu.Lock()
-	defer r.Mu.Unlock()
+// EdgeListLocked returns the record's adjacency in canonical order.
+// Caller holds Mu (an EdgeOp callback, or Snapshot).
+func (r *Record) EdgeListLocked() []wire.EdgeRec {
 	out := make([]wire.EdgeRec, 0, len(r.edges))
 	for other, als := range r.edges {
 		for al := range als {
@@ -327,10 +321,12 @@ func (r *Record) DelEdgeLocked(other core.OID, al core.AllianceID) bool {
 	return true
 }
 
-// EdgeOp runs an edge mutation atomically against a live record: it
-// waits out a migration pause (an edge added after the snapshot was
-// taken would be lost with the transfer), fails with a redirect when
-// the object has left, and otherwise runs op under the record lock.
+// EdgeOp runs an edge read or mutation atomically against a live
+// record: it waits out a migration pause (an edge added after the
+// snapshot was taken would be lost with the transfer, and a list read
+// during one may be stale by the time that migration commits), fails
+// with a redirect when the object has left, and otherwise runs op under
+// the record lock.
 func (r *Record) EdgeOp(ctx context.Context, op func() *wire.RemoteError) error {
 	return r.Await(ctx, func() (bool, error) {
 		switch r.Status {

@@ -177,13 +177,14 @@ func TestRecordPauseSemantics(t *testing.T) {
 	if err := rec.Pause(ctx, 7); err != nil {
 		t.Fatal(err)
 	}
-	// Pause never waits on pause: a concurrent migration fails fast.
-	if err := rec.Pause(ctx, 8); !isCode(err, wire.CodeDenied) {
-		t.Fatalf("double pause: %v, want denied", err)
+	// Pause never waits on pause: a concurrent migration fails fast,
+	// telling the caller to wait that migration out.
+	if err := rec.Pause(ctx, 8); !isCode(err, wire.CodeMigrating) {
+		t.Fatalf("double pause: %v, want migrating", err)
 	}
 	// Unpause with the wrong token is ignored.
 	rec.Unpause(99)
-	if err := rec.Pause(ctx, 9); !isCode(err, wire.CodeDenied) {
+	if err := rec.Pause(ctx, 9); !isCode(err, wire.CodeMigrating) {
 		t.Fatal("wrong-token unpause released the pause")
 	}
 	rec.Unpause(7)
@@ -276,7 +277,9 @@ func TestRecordEdgeBookkeeping(t *testing.T) {
 	if !rec.PairedWith(o1) || rec.PairedWith(core.OID{Origin: "n", Seq: 9}) {
 		t.Fatal("PairedWith mismatch")
 	}
-	edges := rec.EdgeList()
+	rec.Mu.Lock()
+	edges := rec.EdgeListLocked()
+	rec.Mu.Unlock()
 	if len(edges) != 3 {
 		t.Fatalf("edges = %v", edges)
 	}

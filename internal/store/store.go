@@ -297,10 +297,10 @@ func (s *Store) HostedStats() (count, bytes int64) {
 // An existing record may only be replaced if it was paused by this
 // very migration (a same-node reinstall). Replacing a record paused by
 // a *different* migration would orphan that migration's pause and
-// duplicate the object. The check-then-commit runs with every involved shard's table
-// lock held (acquired in ascending stripe order, so concurrent
-// installs cannot deadlock) and every replaced record's lock held
-// across the swap, which closes that race without any store-wide lock.
+// duplicate the object (installableLocked). The check-then-commit runs
+// with every involved shard's table lock held (acquired in ascending
+// stripe order, so concurrent installs cannot deadlock) and every
+// replaced record's lock held across the swap, without a store lock.
 func (s *Store) InstallBatch(recs []*Record, token uint64) error {
 	if s.closed.Load() {
 		return ErrClosed
@@ -339,11 +339,10 @@ func (s *Store) InstallBatch(recs []*Record, token uint64) error {
 		}
 		old.Mu.Lock()
 		locked = append(locked, old)
-		if old.Status != StatusPaused || old.Token != token {
+		if err := s.installableLocked(old, token); err != nil {
 			unlockRecs()
 			unlockShards()
-			return wire.Errorf(wire.CodeDenied,
-				"object %s is live at %s (concurrent migration)", rec.ID, s.self)
+			return err
 		}
 		olds[i] = old
 	}
@@ -365,14 +364,10 @@ func (s *Store) InstallBatch(recs []*Record, token uint64) error {
 	return nil
 }
 
-// Installable is the advisory twin of InstallBatch's replaceability
-// check, used while a streaming migration stages chunks: it reports
-// whether installing id as part of migration token would currently be
-// admissible. A local record not paused by this very token dooms the
-// session, and catching that at
-// staging time aborts the stream early instead of at commit. Advisory
-// only — the state can change before commit, and InstallBatch re-checks
-// authoritatively under the shard locks.
+// Installable is the advisory twin of InstallBatch's check, run while a
+// streaming migration stages chunks, so a doomed session aborts then
+// rather than at commit. The state can change before the commit, where
+// InstallBatch checks again under the shard locks.
 func (s *Store) Installable(id core.OID, token uint64) error {
 	sh := s.shardOf(id)
 	sh.tabMu.RLock()
@@ -383,11 +378,23 @@ func (s *Store) Installable(id core.OID, token uint64) error {
 	}
 	old.Mu.Lock()
 	defer old.Mu.Unlock()
-	if old.Status == StatusPaused && old.Token == token {
+	return s.installableLocked(old, token)
+}
+
+// installableLocked is the replaceability rule (caller holds old.Mu):
+// only a record paused by migration token may be replaced. One another
+// migration holds paused — a former host's copy whose commit is still in
+// flight — answers CodeMigrating, for the caller to retry once that
+// migration ends; a live one is a refusal that stands (CodeDenied).
+func (s *Store) installableLocked(old *Record, token uint64) error {
+	code := wire.CodeDenied
+	switch {
+	case old.Status == StatusPaused && old.Token == token:
 		return nil
+	case old.Status == StatusPaused:
+		code = wire.CodeMigrating
 	}
-	return wire.Errorf(wire.CodeDenied,
-		"object %s is live at %s (concurrent migration)", id, s.self)
+	return wire.Errorf(code, "object %s is live at %s (concurrent migration)", old.ID, s.self)
 }
 
 // Depart finalises the departure of objects paused by migration token

@@ -214,6 +214,25 @@ func TestInstallBatchReplacesOnlyStubsAndOwnPauses(t *testing.T) {
 	if _, ok := s.Get(oid("n2", 2)); ok {
 		t.Fatal("vetoed batch left a partial install")
 	}
+	if err := s.Installable(in.ID, 7); !isCode(err, wire.CodeDenied) {
+		t.Fatalf("Installable over live record: %v", err)
+	}
+
+	// Paused by another migration: that migration ends by itself, so the
+	// refusal says wait and retry, at staging and at commit alike.
+	if err := live.Pause(ctx, 5); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Installable(in.ID, 7); !isCode(err, wire.CodeMigrating) {
+		t.Fatalf("Installable over another migration's pause: %v", err)
+	}
+	if err := s.InstallBatch([]*Record{other, in}, 7); !isCode(err, wire.CodeMigrating) {
+		t.Fatalf("install over another migration's pause: %v", err)
+	}
+	if _, ok := s.Get(oid("n2", 2)); ok {
+		t.Fatal("refused batch left a partial install")
+	}
+	live.Unpause(5)
 
 	// Paused by the same token: replaceable; the old record is marked
 	// gone towards here, which wakes its waiters.

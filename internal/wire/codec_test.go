@@ -162,6 +162,7 @@ var epochImages = map[byte]string{
 	2: "68e26220f2e0502e",
 	3: "31099a7c320d8c37",
 	4: "44ad1a25da0e91e1",
+	5: "44ad1a25da0e91e1", // the images of 4; adds the error code CodeMigrating
 }
 
 // TestGoldenImages: every live tag encodes its specimen to exactly the

@@ -81,12 +81,12 @@ func (k Kind) Valid() bool {
 }
 
 // Epoch names this build's wire vocabulary: the body tags and layouts
-// of codec.go and the Kind numbers above. Any layout or kind change
-// bumps it. The rpc layer exchanges epochs once when a connection
+// of codec.go, the Kind numbers above and the error codes below. Any
+// layout, kind or code change bumps it. The rpc layer exchanges epochs once when a connection
 // opens and refuses a peer whose epoch differs, so two builds that
 // would misread each other never exchange a body. TestGoldenImages
 // pins it to the golden images.
-const Epoch byte = 4
+const Epoch byte = 5
 
 // MarshalAppend appends the encoding of a message body (a pointer to
 // one of the body types below) to dst and returns the extended slice,
@@ -143,8 +143,9 @@ const (
 	CodeMoved
 	// CodeFixed: the object is fixed and cannot migrate.
 	CodeFixed
-	// CodeDenied: a migration-policy denial (placement lock held,
-	// dynamic policy kept the object, working set busy).
+	// CodeDenied: a refusal that stands: a migration-policy denial
+	// (placement lock held, dynamic policy kept the object) or a veto
+	// (a target at capacity, draining or critical).
 	CodeDenied
 	// CodeUnknownType: the target node has no registration for the
 	// object's type and cannot host it.
@@ -163,6 +164,9 @@ const (
 	// Layout). Nothing ran and nothing was counted; the caller re-sends
 	// the gob image.
 	CodeLayout
+	// CodeMigrating: the object is paused by another migration; wait
+	// for that migration to end and retry.
+	CodeMigrating
 )
 
 // RemoteError is the wire representation of a failure. It is the error

@@ -671,18 +671,21 @@ func (j *Job) runWaves(ctx context.Context, moves []jobs.Move, first int, track 
 // lists the closure), skipped (the closure had already reached the
 // move's goal), or failed after the retry budget. Every attempt
 // re-walks the live closure — membership is never trusted across
-// attempts — and a veto by the target re-elects the receiver against
-// the live view with the refuser excluded before the next attempt:
-// retrying a full target on the stale view that planned it would
-// hammer the veto until the budget ran out. Pin moves are the
-// exception: their target is the point, so a vetoed pin is never
-// re-pointed — it retries the named target and fails if refused.
+// attempts. A closure that collided with another migration (a member
+// raced away, or is held paused) is re-walked at once: the walk waits
+// that migration out, and the receiver did nothing wrong. A veto by
+// the target re-elects the receiver against the live view with the
+// refuser excluded before the next attempt: retrying a full target on
+// the stale view that planned it would hammer the veto until the
+// budget ran out. Pin moves are the exception: their target is the
+// point, so a vetoed pin is never re-pointed — it retries the named
+// target and fails if refused. Only a veto or a failure backs off.
 func (j *Job) executeMove(ctx context.Context, m *jobs.Move) (moved []core.OID, skipped bool, err error) {
 	n := j.node
 	exclude := make(map[NodeID]bool)
 	var lastErr error
 	for attempt := 0; attempt < j.cfg.WaveRetries; attempt++ {
-		if attempt > 0 {
+		if attempt > 0 && !collided(lastErr) {
 			if err := j.backoff(ctx, attempt); err != nil {
 				return nil, false, err
 			}
@@ -718,8 +721,8 @@ func (j *Job) executeMove(ctx context.Context, m *jobs.Move) (moved []core.OID, 
 		switch {
 		case isCode(err, wire.CodeFixed):
 			return nil, false, err // a fixed member vetoes the closure for good
-		case memberRaced(err):
-			// Stale membership: the next attempt re-walks.
+		case collided(err):
+			// Stale membership or a busy member: the next walk settles it.
 		case isCode(err, wire.CodeDenied) && j.kind == jobKindPin:
 			// A pin has exactly one legitimate destination — the node
 			// the operator named. Electing a substitute would "succeed"

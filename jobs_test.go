@@ -447,6 +447,43 @@ func TestJobVetoRetargetUsesLiveView(t *testing.T) {
 	}
 }
 
+// TestDrainWaitsOutBusyClosure: a drain move whose closure another
+// migration holds is not vetoed, only early. The move waits that
+// migration out and lands at its planned receiver — no retarget away
+// from a receiver that did nothing wrong, no failed move.
+func TestDrainWaitsOutBusyClosure(t *testing.T) {
+	t.Parallel()
+	ctx := ctxShort(t)
+	cl := NewLocalCluster()
+	a := jobNode(t, cl, "a", 8, nil)
+	b := jobNode(t, cl, "b", 100, nil) // the planned receiver
+	c := jobNode(t, cl, "c", 10, nil)  // where a retarget would go
+	fullMesh(a, b, c)
+	ref := mustCreate(t, a)
+	waitForView(t, a, 2)
+
+	j, err := a.NewDrainJob(JobConfig{WaveRetries: 3, RetryBackoff: 10 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pv := j.Preview(); len(pv.Moves) != 1 || pv.Moves[0].To != "b" {
+		t.Fatalf("plan = %+v, want the lone move aimed at b", pv.Moves)
+	}
+	pauseFor(t, a, ref, 200*time.Millisecond)
+	if err := j.Execute(ctx); err != nil {
+		t.Fatalf("drain: %v (status %+v)", err, j.Status())
+	}
+	if st := j.Status(); st.State != "done" || st.MovesDone != 1 || st.MovesFailed != 0 || st.Retargets != 0 {
+		t.Fatalf("status %+v, want done with one move, none failed, no retarget", st)
+	}
+	if got := a.Stats().JobRetargets; got != 0 {
+		t.Fatalf("JobRetargets = %d, want 0", got)
+	}
+	if at, err := a.Locate(ctx, ref); err != nil || at != "b" {
+		t.Fatalf("object at %v (err %v), want b", at, err)
+	}
+}
+
 // TestJobCancelStopsAtWaveBoundary cancels a drain from inside the
 // first wave-done event: exactly one wave's moves land, nothing after
 // it starts, and the half-drained cluster is fully consistent — every

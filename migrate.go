@@ -397,16 +397,19 @@ func definiteFailure(err error) bool {
 		errors.Is(err, rpc.ErrSendFailed)
 }
 
-// memberRaced reports whether a group-migration failure means a
-// working-set member moved between the closure walk and its pause: the
-// believed host answered with a redirect (its forward) or with
-// not-found (the forward was already retired once the origin confirmed
-// the departure — see ConfirmDeparted). Either way the membership
-// snapshot was stale, not the migration wrong; callers re-walk the
-// closure and retry.
-func memberRaced(err error) bool {
+// collided reports whether a group-migration failure means the working
+// set collided with another migration: a member moved between the
+// closure walk and its pause — the believed host answered with a
+// redirect (its forward) or with not-found (the forward was already
+// retired once the origin confirmed the departure — see
+// ConfirmDeparted) — or another migration holds a member paused
+// (CodeMigrating). Either way the migration was not wrong, only early;
+// callers re-walk the closure at once, and the walk waits the other
+// migration out.
+func collided(err error) bool {
 	var re *wire.RemoteError
-	return errors.As(err, &re) && (re.Code == wire.CodeMoved || re.Code == wire.CodeNotFound)
+	return errors.As(err, &re) &&
+		(re.Code == wire.CodeMoved || re.Code == wire.CodeNotFound || re.Code == wire.CodeMigrating)
 }
 
 // finishGroupMigration is the tail of a transfer, entered once the

@@ -87,14 +87,15 @@ func (n *Node) moveRequest(ctx context.Context, req *wire.MoveReq) (*wire.MoveRe
 // the run-time support of paper Fig. 3. The policy judges the request
 // exactly once (the comparing strategies count it when they do); only
 // the transfer it grants is retried. Under conventional migration and
-// the dynamic strategies a busy working set is chased (the thrash the
-// paper analyses); under transient placement it denies immediately.
+// the dynamic strategies a root that another migration holds is waited
+// out (the thrash the paper analyses); under transient placement it is
+// denied immediately.
 func (n *Node) handleMove(ctx context.Context, rec *store.Record, req *wire.MoveReq) (*wire.MoveResp, error) {
 	coreReq := core.MoveRequest{From: req.From, Block: req.Block}
 	placement := n.policy.Kind() == core.PolicyPlacement
 
 	// A root paused by another migration is spoken for: placement denies
-	// at once, the chasing policies park on the record until that
+	// at once, the other policies park on the record until that
 	// migration ends — its commit answers with the redirect, its abort or
 	// expired lease resumes the object — so the pause lease bounds the
 	// wait.
@@ -121,7 +122,7 @@ func (n *Node) handleMove(ctx context.Context, rec *store.Record, req *wire.Move
 	// block's lock goes onto every member.
 	moved, err := n.relocate(ctx, relocation{
 		root: req.Obj, alliance: req.Alliance, target: req.From, trace: n.nextTrace(),
-		lock: core.LockState{Held: placement, Owner: req.From, Block: req.Block}, chase: !placement,
+		lock: core.LockState{Held: placement, Owner: req.From, Block: req.Block},
 	})
 	if err != nil {
 		rec.Mu.Lock()
@@ -153,7 +154,7 @@ func (n *Node) deny(req *wire.MoveReq, reason core.DenyReason) *wire.MoveResp {
 // location (paper Fig. 3): "collocate the working set of root at target
 // unless a member is fixed or placed". move, migrate/refix, visit's
 // return, reinstantiation, the optimiser passes and migration jobs are
-// its callers; lock, refix and chase are all they vary (the table is in
+// its callers; lock and refix are all they vary (the table is in
 // docs/architecture.md).
 type relocation struct {
 	root     core.OID // the object named; its attachment closure travels
@@ -165,10 +166,6 @@ type relocation struct {
 	// stamped onto every one: a placement move-block's group lock.
 	lock  core.LockState
 	refix bool // the root may be fixed, and arrives fixed
-	// chase: a busy working set (a member paused by another migration, a
-	// refusing target) is retried, not reported — how conventional
-	// migration and the dynamic strategies react to a move.
-	chase bool
 }
 
 // admit is the working-set admission rule, run on the root before
@@ -196,32 +193,18 @@ func (r *relocation) mutate(id core.OID, pol *core.ObjState) {
 	}
 }
 
-// The relocation retry budget: how often a raced or busy working set is
-// walked again, and the pause before each new walk.
-const (
-	relocateRetries = 50
-	relocateBackoff = 2 * time.Millisecond
-)
-
-// relocateWait sleeps out attempt's backoff; false: budget or ctx spent.
-func relocateWait(ctx context.Context, attempt int) bool {
-	if attempt >= relocateRetries {
-		return false
-	}
-	select {
-	case <-ctx.Done():
-		return false
-	case <-time.After(relocateBackoff):
-		return true
-	}
-}
+// relocateRetries bounds how often in a row a relocation walks again
+// because its working set collided with another migration.
+const relocateRetries = 50
 
 // relocate carries r out: walk root's attachment closure, transfer it
 // as a unit (migrateGroup — which callers that walked and inspected the
-// closure themselves call directly), and walk again when a member
-// migrated between the walk and its pause (memberRaced) or, for a
-// chasing caller, the working set was busy. The error is classified
-// once: a RemoteError passes through, anything else is CodeInternal.
+// closure themselves call directly), and walk again at once when the
+// working set collided with another migration (collided). The walk is
+// where that migration is waited out: it holds no pause, parks on a
+// member the other migration holds and follows it if it leaves. Any
+// other refusal is final. The error is classified once: a RemoteError
+// passes through, anything else is CodeInternal.
 func (n *Node) relocate(ctx context.Context, r relocation) ([]core.OID, error) {
 	for attempt := 0; ; attempt++ {
 		members, err := n.closureOf(ctx, r.root, r.alliance)
@@ -232,8 +215,8 @@ func (n *Node) relocate(ctx context.Context, r relocation) ([]core.OID, error) {
 		if err == nil {
 			return moved, nil
 		}
-		if memberRaced(err) || (r.chase && isCode(err, wire.CodeDenied)) {
-			if relocateWait(ctx, attempt) {
+		if collided(err) {
+			if attempt < relocateRetries {
 				continue
 			}
 			// Never the last refusal: a member's redirect is not the root's.

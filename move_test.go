@@ -335,15 +335,21 @@ func TestMoveDecisionReasonSurfaced(t *testing.T) {
 // classify every decided move-request, so a placement move refused
 // because another migration holds its working set is counted and
 // announced like a policy denial — whether that migration holds the
-// root itself or only a member.
+// root itself (denied at once, while it still holds it) or only a
+// member (waited out, and found placed by the other migration).
 func TestMoveDenialsCounted(t *testing.T) {
 	t.Parallel()
 	for _, tc := range []struct {
 		name string
 		held int // the group member the other migration holds paused
+		// lock is what the other migration leaves on its member; a
+		// waited-out migration is released 20 ms into the move, any
+		// other only once the move has returned.
+		lock   core.LockState
+		waited bool
 	}{
-		{"root paused", 0},
-		{"member paused", 1},
+		{"root paused", 0, core.LockState{}, false},
+		{"member paused", 1, core.LockState{Held: true, Owner: "n2", Block: 1}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
@@ -352,7 +358,10 @@ func TestMoveDenialsCounted(t *testing.T) {
 			rec := &recorder{}
 			nodes := testClusterOn(t, cl, 3, Config{Policy: PolicyPlacement, Observer: rec.observe})
 			group := attachedGroup(t, nodes[0], 2)
-			release := holdMigration(t, tap, nodes[0], "n2", group[tc.held])
+			release := holdMigration(t, tap, nodes[0], "n2", tc.lock, group[tc.held])
+			if tc.waited {
+				time.AfterFunc(20*time.Millisecond, release)
+			}
 			err := nodes[1].Move(ctx, group[0], func(_ context.Context, b *Block) error {
 				if b.Granted {
 					t.Error("move granted while another migration holds its working set")

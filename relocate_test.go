@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -22,10 +23,9 @@ func TestRelocationRule(t *testing.T) {
 	root, member := core.OID{Origin: "n0", Seq: 1}, core.OID{Origin: "n0", Seq: 2}
 	own := core.LockState{Held: true, Owner: "n1", Block: 7}
 	foreign := core.LockState{Held: true, Owner: "n2", Block: 9}
-	plain := relocation{root: root, target: "n1"}                // migrate, reinstantiation, optimisers, jobs
-	refix := relocation{root: root, target: "n1", refix: true}   // refix
-	placed := relocation{root: root, target: "n1", lock: own}    // a placement move-block
-	chasing := relocation{root: root, target: "n1", chase: true} // a conventional or comparing move
+	plain := relocation{root: root, target: "n1"}              // move, migrate, reinstantiation, optimisers, jobs
+	refix := relocation{root: root, target: "n1", refix: true} // refix
+	placed := relocation{root: root, target: "n1", lock: own}  // a placement move-block
 
 	for _, tc := range []struct {
 		name string
@@ -38,8 +38,6 @@ func TestRelocationRule(t *testing.T) {
 		{"plain refuses a fixed member", plain, member, core.ObjState{Fixed: true}, wire.CodeFixed},
 		{"plain refuses a fixed root", plain, root, core.ObjState{Fixed: true}, wire.CodeFixed},
 		{"plain refuses a placed member", plain, member, core.ObjState{Lock: foreign}, wire.CodeDenied},
-		{"chasing refuses a fixed member", chasing, member, core.ObjState{Fixed: true}, wire.CodeFixed},
-		{"chasing refuses any lock", chasing, member, core.ObjState{Lock: own}, wire.CodeDenied},
 		{"refix admits its fixed root", refix, root, core.ObjState{Fixed: true}, 0},
 		{"refix refuses a fixed member", refix, member, core.ObjState{Fixed: true}, wire.CodeFixed},
 		{"refix refuses a placed root", refix, root, core.ObjState{Lock: foreign}, wire.CodeDenied},
@@ -149,6 +147,192 @@ func TestOpenMovesBalancedAfterBusyRetries(t *testing.T) {
 		t.Fatalf("attached member at %v, want n1", at)
 	}
 	requireNoOpenMoves(t, ctx, nodes, a)
+}
+
+// foreignPause is a pause token no migration of a test cluster uses.
+const foreignPause = 1 << 41
+
+// pauseFor pauses the record of ref at n under foreignPause, as another
+// migration would, and resumes it after d. The returned channel yields
+// the moment of the Unpause.
+func pauseFor(t *testing.T, n *Node, ref Ref, d time.Duration) <-chan time.Time {
+	t.Helper()
+	rec, ok := n.store.Get(ref.OID)
+	if !ok {
+		t.Fatalf("%s not hosted at %s", ref, n.ID())
+	}
+	if err := rec.Pause(ctxShort(t), foreignPause); err != nil {
+		t.Fatal(err)
+	}
+	unpaused := make(chan time.Time, 1)
+	stop := time.AfterFunc(d, func() {
+		unpaused <- time.Now() // before the Unpause wakes anyone
+		rec.Unpause(foreignPause)
+	})
+	t.Cleanup(func() {
+		if stop.Stop() {
+			rec.Unpause(foreignPause)
+		}
+	})
+	return unpaused
+}
+
+// TestRelocationWaitsOutForeignPause: under conventional migration a
+// working set whose member another migration holds is waited out,
+// however long that migration takes — here three times what the old
+// 50 × 2 ms poll allowed — and travels as soon as the member is free,
+// or follows the member if that migration carries it elsewhere; and a
+// former host that still holds a paused copy is retried until that
+// migration's commit lands.
+func TestRelocationWaitsOutForeignPause(t *testing.T) {
+	t.Parallel()
+	const hold = 300 * time.Millisecond
+
+	t.Run("move", func(t *testing.T) {
+		t.Parallel()
+		ctx := ctxShort(t)
+		nodes := testCluster(t, 2, Config{Policy: PolicyConventional})
+		group := attachedGroup(t, nodes[0], 2)
+		unpaused := pauseFor(t, nodes[0], group[1], hold)
+		err := nodes[1].Move(ctx, group[0], func(ctx context.Context, b *Block) error {
+			if !b.Granted || b.At != "n1" || len(b.Moved) != len(group) {
+				t.Errorf("move through the busy member: granted=%v at=%v moved=%d", b.Granted, b.At, len(b.Moved))
+			}
+			if late := time.Since(<-unpaused); late >= 100*time.Millisecond {
+				t.Errorf("the set landed %v after the Unpause, want < 100ms", late)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, m := range group {
+			if at := whereIs(t, ctx, nodes[0], m); at != "n1" {
+				t.Errorf("member %d at %v, want n1", i, at)
+			}
+		}
+	})
+
+	t.Run("migrate", func(t *testing.T) {
+		t.Parallel()
+		ctx := ctxShort(t)
+		nodes := testCluster(t, 2, Config{Policy: PolicyConventional})
+		group := attachedGroup(t, nodes[0], 2)
+		pauseFor(t, nodes[0], group[1], hold)
+		if err := nodes[0].Migrate(ctx, group[0], "n1"); err != nil {
+			t.Fatal(err)
+		}
+		for i, m := range group {
+			if at := whereIs(t, ctx, nodes[0], m); at != "n1" {
+				t.Errorf("member %d at %v, want n1", i, at)
+			}
+		}
+	})
+
+	t.Run("holder commits the member elsewhere", func(t *testing.T) {
+		t.Parallel()
+		ctx := ctxShort(t)
+		cl, tap := newTappedCluster()
+		nodes := testClusterOn(t, cl, 3, Config{Policy: PolicyConventional})
+		group := attachedGroup(t, nodes[0], 2)
+		release := holdMigration(t, tap, nodes[0], "n2", core.LockState{}, group[1])
+		time.AfterFunc(hold, release)
+		err := nodes[1].Move(ctx, group[0], func(ctx context.Context, b *Block) error {
+			if !b.Granted || len(b.Moved) != len(group) {
+				t.Errorf("move after the member left: granted=%v moved=%d", b.Granted, len(b.Moved))
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, m := range group {
+			if at := whereIs(t, ctx, nodes[0], m); at != "n1" {
+				t.Errorf("member %d at %v, want n1", i, at)
+			}
+		}
+	})
+
+	t.Run("former host still holds a paused copy", func(t *testing.T) {
+		t.Parallel()
+		ctx := ctxShort(t)
+		net := transport.NewNetwork()
+		commits := &sendTap{Transport: net.Transport(), kind: wire.KCommit, to: "n1"}
+		refused := make(chan struct{}, 1)
+		observe := func(e Event) {
+			if e.Kind == EventMigrateStream && e.Node == "n1" && e.Target == "n0" && e.Outcome == "abort" {
+				select {
+				case refused <- struct{}{}:
+				default:
+				}
+			}
+		}
+		nodes := testClusterOn(t, &Cluster{tr: commits, mem: net}, 3, Config{Policy: PolicyConventional, Observer: observe})
+		x := mustCreate(t, nodes[1])
+
+		// n2 carries x from n1 to n0 and holds its commit to n1: x is live
+		// at n0 and still paused at n1.
+		held, unblock := make(chan struct{}), make(chan struct{})
+		release := sync.OnceFunc(func() { close(unblock) })
+		t.Cleanup(release)
+		commits.arm(func() { close(held); <-unblock })
+		first := make(chan error, 1)
+		go func() {
+			_, err := nodes[2].migrateGroup(ctx, relocation{root: x.OID, target: "n0"}, map[core.OID]NodeID{x.OID: "n1"})
+			first <- err
+		}()
+		select {
+		case <-held:
+		case <-time.After(5 * time.Second):
+			t.Fatal("the commit to the former host was never sent")
+		}
+		// The commit lands once n1 has refused the move back at least once.
+		go func() {
+			select {
+			case <-refused:
+			case <-ctx.Done():
+			}
+			release()
+		}()
+		if err := nodes[0].Migrate(ctx, x, "n1"); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-first; err != nil {
+			t.Fatalf("the first migration: %v", err)
+		}
+		if at := whereIs(t, ctx, nodes[0], x); at != "n1" {
+			t.Errorf("x at %v, want n1", at)
+		}
+	})
+}
+
+// TestMoveVetoFailsAtOnce: a move under conventional migration
+// towards a node that refuses admission fails at once with the veto's
+// own message — a refusal that stands is not retried as if the working
+// set were busy.
+func TestMoveVetoFailsAtOnce(t *testing.T) {
+	t.Parallel()
+	ctx := ctxShort(t)
+	nodes := testCluster(t, 2, Config{Policy: PolicyConventional})
+	group := attachedGroup(t, nodes[0], 2)
+	nodes[1].draining.Store(true)
+	start := time.Now()
+	err := nodes[1].Move(ctx, group[0], func(context.Context, *Block) error {
+		t.Error("the block ran although its move was vetoed")
+		return nil
+	})
+	took := time.Since(start)
+	if !errors.Is(err, ErrDenied) || !strings.Contains(err.Error(), "node n1 is draining") {
+		t.Fatalf("move = %v, want the draining veto", err)
+	}
+	if took >= 20*time.Millisecond {
+		t.Errorf("vetoed move took %v, want < 20ms", took)
+	}
+	for i, m := range group {
+		if at := whereIs(t, ctx, nodes[0], m); at != "n0" {
+			t.Errorf("member %d at %v, want n0", i, at)
+		}
+	}
 }
 
 // sendTap wraps a transport so a test can run a hook, synchronously,
@@ -386,11 +570,12 @@ func TestEnableRacesClose(t *testing.T) {
 }
 
 // holdMigration starts migrating objs, all hosted at from, to target as
-// one group, and returns once tap holds the group's committing install
-// frame back: until release, every member stays paused at from by a
-// migration in flight. release delivers the frame and waits for the
-// migration to succeed; calling it again is a no-op.
-func holdMigration(t *testing.T, tap *installTap, from *Node, target NodeID, objs ...Ref) (release func()) {
+// one group that arrives under lock (a zero lock: unplaced), and returns
+// once tap holds the group's committing install frame back: until
+// release, every member stays paused at from by a migration in flight.
+// release delivers the frame and waits for the migration to succeed;
+// calling it again is a no-op.
+func holdMigration(t *testing.T, tap *installTap, from *Node, target NodeID, lock core.LockState, objs ...Ref) (release func()) {
 	t.Helper()
 	tap.setDecide(func(req *wire.InstallReq) tapAction {
 		if req.Commit {
@@ -405,7 +590,7 @@ func holdMigration(t *testing.T, tap *installTap, from *Node, target NodeID, obj
 	ctx, seen := ctxShort(t), tap.seen()
 	done := make(chan error, 1)
 	go func() {
-		_, err := from.migrateGroup(ctx, relocation{root: objs[0].OID, target: target}, members)
+		_, err := from.migrateGroup(ctx, relocation{root: objs[0].OID, target: target, lock: lock}, members)
 		done <- err
 	}()
 	for deadline := time.Now().Add(5 * time.Second); tap.seen() == seen; time.Sleep(time.Millisecond) {
@@ -577,7 +762,12 @@ func TestRelocateStay(t *testing.T) {
 		rec := &recorder{}
 		nodes := testClusterOn(t, cl, 2, Config{Policy: PolicyPlacement, Observer: rec.observe})
 		group := attachedGroup(t, nodes[0], 4)
-		release := holdMigration(t, tap, nodes[0], "n1", group[2])
+		// The walk waits out the migration holding group[2], which then
+		// leaves it placed at n1: the stay falls back to the transfer,
+		// and the transfer meets the foreign lock.
+		foreign := core.LockState{Held: true, Owner: "n1", Block: 99}
+		release := holdMigration(t, tap, nodes[0], "n1", foreign, group[2])
+		time.AfterFunc(20*time.Millisecond, release)
 		err := nodes[0].Move(ctx, group[0], func(context.Context, *Block) error { return nil })
 		if err != nil {
 			t.Fatal(err)
@@ -589,7 +779,8 @@ func TestRelocateStay(t *testing.T) {
 		if got := rec.count(EventMoveDecision, "denied"); got != 1 {
 			t.Errorf("%d denied events, want 1", got)
 		}
-		lockedBy(t, ctx, nodes, group, core.LockState{})
+		lockedBy(t, ctx, nodes, []Ref{group[0], group[1], group[3]}, core.LockState{})
+		lockedBy(t, ctx, nodes, group[2:3], foreign)
 	})
 
 	t.Run("refix in place", func(t *testing.T) {
