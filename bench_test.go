@@ -338,7 +338,7 @@ func codecBodies() (*wire.InvokeReq, *wire.Snapshot) {
 // against scripts/alloc-budget.txt (see scripts/check-allocs.sh).
 func BenchmarkRuntimeCodec(b *testing.B) {
 	req, snap := codecBodies()
-	runAppend := func(name string, in interface{}, out func() interface{}) {
+	runDecode := func(name string, in interface{}, out func() interface{}, unmarshal func([]byte, interface{}) error) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			var buf []byte
@@ -347,13 +347,19 @@ func BenchmarkRuntimeCodec(b *testing.B) {
 				if buf, err = wire.MarshalAppend(buf[:0], in); err != nil {
 					b.Fatal(err)
 				}
-				if err := wire.Unmarshal(buf, out()); err != nil {
+				if err := unmarshal(buf, out()); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 	}
+	runAppend := func(name string, in interface{}, out func() interface{}) {
+		runDecode(name, in, out, wire.Unmarshal)
+	}
 	runAppend("Invoke/append", req, func() interface{} { return new(wire.InvokeReq) })
+	// The host's decode of the same request: the argument aliases the
+	// buffer, so only the body is left.
+	runDecode("Invoke/view", req, func() interface{} { return new(wire.InvokeReq) }, wire.UnmarshalView)
 	runAppend("Snapshot/append", snap, func() interface{} { return new(wire.Snapshot) })
 	// The load-gossip heartbeat body: ships every Heartbeat per peer,
 	// so its append path must stay as lean as the invoke one.

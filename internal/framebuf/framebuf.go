@@ -15,10 +15,12 @@
 // transfers ownership back to the pool; the caller must not touch the
 // slice (or any alias of it) afterwards. Whoever consumes a frame must
 // therefore fully decode it — wire.Unmarshal copies every variable-
-// length field out of the input for exactly this reason — or copy what
-// it needs before calling Put. Losing a frame (returning without Put)
-// is always safe: the garbage collector reclaims it and the pool just
-// misses one reuse.
+// length field out of the input for exactly this reason — or finish
+// with what it read in place (wire.UnmarshalView) before calling Put.
+// Losing a frame (returning without Put) is always safe: the garbage
+// collector reclaims it and the pool just misses one reuse. Built with
+// -tags objmig_poison, Put scribbles over every buffer handed to it, so
+// a test that reads a frame after its Put reads garbage.
 package framebuf
 
 import (
@@ -96,6 +98,9 @@ func Get(n int) []byte {
 // Buffers smaller than the smallest class or larger than MaxPooled are
 // dropped. The caller must not use b (or any alias) after Put.
 func Put(b []byte) {
+	if poison {
+		scribble(b[:cap(b)])
+	}
 	cp := cap(b)
 	if cp < 1<<minShift || cp > MaxPooled {
 		return
@@ -109,4 +114,15 @@ func Put(b []byte) {
 	p := headerPool.Get().(*[]byte)
 	*p = b[:0]
 	pools[cls].Put(p)
+}
+
+// poisonByte is what a poisoned Put writes: 0xA5 sets every varint's
+// continuation bit, so a body read after its frame was recycled fails
+// to decode rather than decoding to plausible values.
+const poisonByte = 0xA5
+
+func scribble(b []byte) {
+	for i := range b {
+		b[i] = poisonByte
+	}
 }

@@ -66,3 +66,17 @@ func TestConcurrentGetPut(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+func TestPutScribblesUnderPoison(t *testing.T) {
+	if !poison {
+		t.Skip("build with -tags objmig_poison")
+	}
+	// Pooled and dropped buffers alike, over their whole capacity.
+	for _, n := range []int{100, 1000, MaxPooled + 1} {
+		b := make([]byte, 1, n)
+		Put(b)
+		if b = b[:cap(b)]; b[0] != poisonByte || b[n-1] != poisonByte {
+			t.Fatalf("Put of cap %d left [%#x … %#x], want %#x", n, b[0], b[n-1], poisonByte)
+		}
+	}
+}

@@ -37,8 +37,11 @@
 // frames return to the pool as soon as the transport has taken them
 // (Conn.Send does not retain its argument); received frames return to
 // the pool after dispatch — which is safe because wire.Unmarshal fully
-// copies every field it decodes. See docs/wire-format.md for the
-// byte-level layout and the complete ownership rules.
+// copies every field it decodes. CallView is the exception: it decodes
+// the response with wire.UnmarshalView and hands the frame to the
+// caller, who recycles it once done with the response. See
+// docs/wire-format.md for the byte-level layout and the complete
+// ownership rules.
 package rpc
 
 import (
@@ -98,8 +101,9 @@ var ErrSendFailed = errors.New("rpc: send failed")
 // via wire.MarshalAppend), returning the extended slice. dst arrives with the frame header already
 // reserved; the handler must only append. body is only valid until the
 // handler returns — the frame it points into is recycled afterwards —
-// so the handler must fully decode it (wire.Unmarshal copies) and must
-// not retain it.
+// so the handler must not retain it: it decodes it with wire.Unmarshal,
+// which copies, or with wire.UnmarshalView when it is done with the
+// decoded byte fields before it returns.
 //
 // Returning a *wire.RemoteError preserves the error code across the
 // wire; any other error is wrapped as CodeInternal. On error the
@@ -159,17 +163,32 @@ type callResult struct {
 // finish decodes the response into resp (skipped when resp is nil) and
 // recycles the frame.
 func (r callResult) finish(resp interface{}) error {
+	frame, err := r.decode(resp, false)
+	framebuf.Put(frame)
+	return err
+}
+
+// decode decodes the response into resp (skipped when resp is nil),
+// with wire.UnmarshalView when view is set, and returns the frame,
+// which the caller recycles: nil when no frame came, or when a failure
+// already recycled it.
+func (r callResult) decode(resp interface{}, view bool) ([]byte, error) {
 	if r.err != nil {
-		return r.err
+		return nil, r.err
 	}
 	var err error
 	if r.isErr {
 		err = decodeError(r.body)
+	} else if resp != nil && view {
+		err = wire.UnmarshalView(r.body, resp)
 	} else if resp != nil {
 		err = wire.Unmarshal(r.body, resp)
 	}
-	framebuf.Put(r.frame)
-	return err
+	if err != nil {
+		framebuf.Put(r.frame)
+		return nil, err
+	}
+	return r.frame, nil
 }
 
 // NewPeer wraps a connection. handler may be nil for client-only peers
@@ -202,11 +221,33 @@ func newPeer(conn transport.Conn, handler Handler, accepted bool) *Peer {
 // exactly once, directly behind the reserved frame header; the frame
 // returns to the pool as soon as the transport has taken it.
 func (p *Peer) Call(ctx context.Context, kind wire.Kind, req, resp interface{}) error {
+	r, err := p.roundTrip(ctx, kind, req)
+	if err != nil {
+		return err
+	}
+	return r.finish(resp)
+}
+
+// CallView is Call for a caller that reads the response in place: resp
+// is decoded with wire.UnmarshalView, so its byte fields alias the
+// response frame, which CallView returns instead of recycling. The
+// caller calls framebuf.Put on it once it is done with resp. On error
+// there is no frame to put.
+func (p *Peer) CallView(ctx context.Context, kind wire.Kind, req, resp interface{}) ([]byte, error) {
+	r, err := p.roundTrip(ctx, kind, req)
+	if err != nil {
+		return nil, err
+	}
+	return r.decode(resp, true)
+}
+
+// roundTrip sends req and waits for its response frame.
+func (p *Peer) roundTrip(ctx context.Context, kind wire.Kind, req interface{}) (callResult, error) {
 	ch := resultChans.Get().(chan callResult)
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
-		return ErrPeerClosed
+		return callResult{}, ErrPeerClosed
 	}
 	p.nextID++
 	id := p.nextID
@@ -218,7 +259,7 @@ func (p *Peer) Call(ctx context.Context, kind wire.Kind, req, resp interface{}) 
 	if err != nil {
 		framebuf.Put(frame)
 		p.forget(id)
-		return err
+		return callResult{}, err
 	}
 	// The header is filled in after the body: MarshalAppend may have
 	// grown the frame into a new backing array.
@@ -229,7 +270,7 @@ func (p *Peer) Call(ctx context.Context, kind wire.Kind, req, resp interface{}) 
 	framebuf.Put(frame)
 	if err != nil {
 		p.forget(id)
-		return fmt.Errorf("%w: %v", ErrSendFailed, err)
+		return callResult{}, fmt.Errorf("%w: %v", ErrSendFailed, err)
 	}
 
 	select {
@@ -238,10 +279,10 @@ func (p *Peer) Call(ctx context.Context, kind wire.Kind, req, resp interface{}) 
 		// so the drained channel is private again. Every other exit
 		// drops it: a late response or failAll may still send into it.
 		resultChans.Put(ch)
-		return r.finish(resp)
+		return r, nil
 	case <-ctx.Done():
 		p.forget(id)
-		return ctx.Err()
+		return callResult{}, ctx.Err()
 	}
 }
 
@@ -544,7 +585,23 @@ func (p *Pool) Call(ctx context.Context, addr string, kind wire.Kind, req, resp 
 	if err != nil {
 		return err
 	}
-	err = peer.Call(ctx, kind, req, resp)
+	return p.evictOn(addr, peer, peer.Call(ctx, kind, req, resp))
+}
+
+// CallView is Call through Peer.CallView: resp's byte fields alias the
+// returned response frame, which the caller recycles with framebuf.Put
+// once it is done with resp.
+func (p *Pool) CallView(ctx context.Context, addr string, kind wire.Kind, req, resp interface{}) ([]byte, error) {
+	peer, err := p.get(ctx, addr)
+	if err != nil {
+		return nil, err
+	}
+	frame, err := peer.CallView(ctx, kind, req, resp)
+	return frame, p.evictOn(addr, peer, err)
+}
+
+// evictOn evicts peer when err says it shut down, and returns err.
+func (p *Pool) evictOn(addr string, peer *Peer, err error) error {
 	if errors.Is(err, ErrPeerClosed) {
 		p.evict(addr, peer)
 	}

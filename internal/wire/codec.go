@@ -75,12 +75,14 @@ const (
 // destination in b) encodes; dec decodes b from pos. Decoding is
 // strict and the first field error sticks — later fields read as
 // zero, and the caller checks err once at the end. Each primitive
-// picks the direction and hands off to a put or a read half.
+// picks the direction and hands off to a put or a read half. view
+// makes bytes alias b instead of copying out of it (UnmarshalView).
 type coder struct {
-	dec bool
-	b   []byte
-	pos int
-	err error
+	dec  bool
+	view bool
+	b    []byte
+	pos  int
+	err  error
 }
 
 func (c *coder) fail() {
@@ -211,7 +213,9 @@ func (c *coder) bool(v *bool) {
 }
 
 // bytes copies the field out (wire bodies may alias reused transport
-// frames) and maps the empty slice to nil.
+// frames) and maps the empty slice to nil. A view decode aliases the
+// input instead, capped at the field so an append cannot run into the
+// bytes behind it.
 func (c *coder) bytes(p *[]byte) {
 	if !c.dec {
 		c.putUvarint(uint64(len(*p)))
@@ -219,7 +223,9 @@ func (c *coder) bytes(p *[]byte) {
 		return
 	}
 	*p = nil
-	if q := c.readSpan(); len(q) > 0 {
+	if q := c.readSpan(); len(q) > 0 && c.view {
+		*p = q[:len(q):len(q)]
+	} else if len(q) > 0 {
 		*p = make([]byte, len(q)) // exact size: append would round it up
 		copy(*p, q)
 	}

@@ -289,6 +289,71 @@ func TestFastPathEmptySemantics(t *testing.T) {
 	}
 }
 
+// TestUnmarshalViewAliases: the three bodies read in place decode
+// with UnmarshalView to the same values as with Unmarshal, but their
+// byte fields alias the input, capped at the field, while strings and
+// names are still copied. Scribbling over the input after both decodes
+// shows it: the view's byte fields follow, nothing else moves, and the
+// Unmarshal decode of the same bytes is untouched.
+func TestUnmarshalViewAliases(t *testing.T) {
+	t.Parallel()
+	oid := func(seq uint64) core.OID { return core.OID{Origin: "n1", Seq: seq} }
+	cases := []struct {
+		in    interface{}
+		bytes func(v interface{}) []*[]byte
+	}{
+		{&InvokeReq{Obj: oid(1), Method: "Get", Arg: []byte("argument"), From: "n2", Layout: 9},
+			func(v interface{}) []*[]byte { return []*[]byte{&v.(*InvokeReq).Arg} }},
+		{&InvokeResp{Result: []byte("result"), At: "n1"},
+			func(v interface{}) []*[]byte { return []*[]byte{&v.(*InvokeResp).Result} }},
+		{&InstallReq{Token: 3, From: "n2", Members: []core.OID{oid(1), oid(2)}, Commit: true, Snapshots: []Snapshot{
+			{ID: oid(1), Type: "counter", State: []byte("state one"), Edges: []EdgeRec{{Other: oid(2)}}},
+			{ID: oid(2), Type: "counter", State: []byte("state two"), Gen: 4},
+		}}, func(v interface{}) []*[]byte {
+			m := v.(*InstallReq)
+			return []*[]byte{&m.Snapshots[0].State, &m.Snapshots[1].State}
+		}},
+	}
+	for _, c := range cases {
+		data, err := MarshalAppend(nil, c.in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		typ := reflect.TypeOf(c.in).Elem()
+		view, copied := reflect.New(typ).Interface(), reflect.New(typ).Interface()
+		if err := UnmarshalView(data, view); err != nil {
+			t.Fatalf("%T: view decode: %v", c.in, err)
+		}
+		if err := Unmarshal(data, copied); err != nil {
+			t.Fatalf("%T: decode: %v", c.in, err)
+		}
+		if !reflect.DeepEqual(view, c.in) || !reflect.DeepEqual(copied, c.in) {
+			t.Fatalf("%T decodes drifted:\n  in: %+v\nview: %+v\ncopy: %+v", c.in, c.in, view, copied)
+		}
+		for _, f := range c.bytes(view) {
+			if cap(*f) != len(*f) {
+				t.Fatalf("%T: view field %q has cap %d, want its length", c.in, *f, cap(*f))
+			}
+		}
+		for i := range data {
+			data[i] = 0xA5
+		}
+		if !reflect.DeepEqual(copied, c.in) {
+			t.Fatalf("%T: Unmarshal output changed with its input: %+v", c.in, copied)
+		}
+		fields, want := c.bytes(view), c.bytes(c.in)
+		for i, f := range fields {
+			if !bytes.Equal(*f, bytes.Repeat([]byte{0xA5}, len(*f))) {
+				t.Fatalf("%T: view field %q does not alias the input", c.in, *f)
+			}
+			*f = *want[i]
+		}
+		if !reflect.DeepEqual(view, c.in) {
+			t.Fatalf("%T: a view field other than the byte fields aliases the input: %+v", c.in, view)
+		}
+	}
+}
+
 // TestFastPathRejectsCorruption: truncations and trailing garbage must
 // error, never panic or silently succeed.
 func TestFastPathRejectsCorruption(t *testing.T) {
@@ -444,9 +509,17 @@ func FuzzUnmarshal(f *testing.F) {
 			}
 			return
 		}
-		first := reflect.New(typ).Interface()
-		if Unmarshal(data, first) != nil {
+		// A view decode of the same input agrees: same verdict, equal body.
+		first, view := reflect.New(typ).Interface(), reflect.New(typ).Interface()
+		err, viewErr := Unmarshal(data, first), UnmarshalView(data, view)
+		if (err == nil) != (viewErr == nil) {
+			t.Fatalf("%T: Unmarshal says %v, UnmarshalView says %v", first, err, viewErr)
+		}
+		if err != nil {
 			return
+		}
+		if !reflect.DeepEqual(first, view) {
+			t.Fatalf("%T view decode differs:\n copy: %+v\n view: %+v", first, first, view)
 		}
 		again, err := MarshalAppend(nil, first)
 		if err != nil {

@@ -115,16 +115,36 @@ func MarshalAppend(dst []byte, v interface{}) ([]byte, error) {
 // Ownership: Unmarshal copies every variable-length field out of data
 // — the decoded value never aliases the input. Callers may therefore
 // recycle the frame that carried data (framebuf.Put in the rpc layer)
-// the moment Unmarshal returns.
+// the moment Unmarshal returns. UnmarshalView is the one exception.
 func Unmarshal(data []byte, v interface{}) error {
-	c := coder{dec: true, b: data}
+	return unmarshal(coder{dec: true, b: data}, v)
+}
+
+// UnmarshalView is Unmarshal for a consumer that is done with the body
+// before data is recycled: its byte-slice fields (an invoke's argument
+// or result, a snapshot's state) alias data instead of being copied
+// out of it. Strings and names are still copied. It accepts exactly
+// the bodies Unmarshal accepts, decoded to equal values.
+//
+// Ownership: the decoded byte fields are valid only while data is — a
+// caller that recycles data must be done with them first. Three
+// consumers qualify: a host's invoke handler (the argument is decoded
+// before the handler returns), a caller's invoke (the result is
+// decoded before it recycles the response frame, rpc.Pool.CallView)
+// and a migration target's install handler (every snapshot's state is
+// decoded before the handler returns).
+func UnmarshalView(data []byte, v interface{}) error {
+	return unmarshal(coder{dec: true, view: true, b: data}, v)
+}
+
+func unmarshal(c coder, v interface{}) error {
 	switch {
 	case !layout(&c, v):
 		return fmt.Errorf("wire: unmarshal %v: not a message body", reflect.TypeOf(v))
 	case c.err != nil:
 		return fmt.Errorf("wire: unmarshal %v: %w", reflect.TypeOf(v), c.err)
-	case c.pos != len(data):
-		return fmt.Errorf("wire: unmarshal %v: %d trailing bytes", reflect.TypeOf(v), len(data)-c.pos)
+	case c.pos != len(c.b):
+		return fmt.Errorf("wire: unmarshal %v: %d trailing bytes", reflect.TypeOf(v), len(c.b)-c.pos)
 	}
 	return nil
 }

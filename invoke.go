@@ -1,6 +1,7 @@
 package objmig
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -19,9 +20,15 @@ import (
 // found, and returns the result's gob image. Typed callers should
 // prefer Call.
 func (n *Node) InvokeRaw(ctx context.Context, ref Ref, method string, arg []byte) ([]byte, error) {
-	out, _, err := n.invoke(ctx, ref, method, nil, func(c *Ctx, inst interface{}, h handler) ([]byte, error) {
+	out, _, frame, err := n.invoke(ctx, ref, method, nil, func(c *Ctx, inst interface{}, h handler) ([]byte, error) {
 		return h.enc(c, inst, arg)
 	}, func(uint64) ([]byte, error) { return arg, nil })
+	if frame != nil {
+		// A remote result lies in its response frame: the caller keeps
+		// a copy, and the frame goes back to the pool.
+		out = bytes.Clone(out)
+		framebuf.Put(frame)
+	}
 	return out, err
 }
 
@@ -34,13 +41,16 @@ func (n *Node) InvokeRaw(ctx context.Context, ref Ref, method string, arg []byte
 // that refuses the value layout is asked again at once with the gob
 // image, and the refusal is remembered. out is the encoded result of
 // whichever leg answered (nil when local returned none), in outLayout:
-// the value layout, or 0 for a gob image.
+// the value layout, or 0 for a gob image. A remote answer's out lies in
+// its response frame, which invoke returns as frame (nil after a local
+// answer or an error): the caller decodes out, then puts the frame
+// back with framebuf.Put.
 func (n *Node) invoke(ctx context.Context, ref Ref, method string, layoutOf func() uint64,
 	local func(c *Ctx, inst interface{}, h handler) ([]byte, error),
-	arg func(layout uint64) ([]byte, error)) (out []byte, outLayout uint64, err error) {
+	arg func(layout uint64) ([]byte, error)) (out []byte, outLayout uint64, frame []byte, err error) {
 
 	if ref.IsZero() {
-		return nil, 0, fmt.Errorf("%w: zero reference", ErrNotFound)
+		return nil, 0, nil, fmt.Errorf("%w: zero reference", ErrNotFound)
 	}
 	oid := ref.OID
 	layout, resolved := uint64(0), layoutOf == nil
@@ -61,34 +71,35 @@ func (n *Node) invoke(ctx context.Context, ref Ref, method string, layoutOf func
 			}
 		}
 		var at NodeID
-		out, at, err = n.invokeRemote(ctx, host, oid, method, layout, arg)
+		out, at, frame, err = n.invokeRemote(ctx, host, oid, method, layout, arg)
 		if layout != 0 && isCode(err, wire.CodeLayout) {
 			n.refuseLayout(layout, method)
 			layout = 0
-			out, at, err = n.invokeRemote(ctx, host, oid, method, 0, arg)
+			out, at, frame, err = n.invokeRemote(ctx, host, oid, method, 0, arg)
 		}
 		outLayout = layout
 		return at, err
 	})
-	return out, outLayout, err
+	return out, outLayout, frame, err
 }
 
 // invokeRemote sends one KInvoke to host with the argument image of
-// layout and returns the result and the answering host.
+// layout and returns the result, the answering host and the response
+// frame the result lies in (nil on error).
 func (n *Node) invokeRemote(ctx context.Context, host NodeID, oid core.OID, method string, layout uint64,
-	arg func(layout uint64) ([]byte, error)) ([]byte, NodeID, error) {
+	arg func(layout uint64) ([]byte, error)) ([]byte, NodeID, []byte, error) {
 
 	b, err := arg(layout)
 	if err != nil {
-		return nil, "", err
+		return nil, "", nil, err
 	}
 	var resp wire.InvokeResp
 	atomic.AddInt64(&n.stats.RemoteCallsSent, 1)
 	hopStart := time.Now()
-	err = n.call(ctx, host, wire.KInvoke,
+	frame, err := n.pool.CallView(ctx, n.addrOf(host), wire.KInvoke,
 		&wire.InvokeReq{Obj: oid, Method: method, Arg: b, From: n.id, Layout: layout}, &resp)
 	n.tel.invokeRemote.ObserveSince(hopStart)
-	return resp.Result, resp.At, err
+	return resp.Result, resp.At, frame, err
 }
 
 // layoutKey names a signature layout a host refused for a method.
@@ -169,12 +180,13 @@ func (n *Node) invokeLocal(ctx context.Context, rec *store.Record, from NodeID, 
 // handleInvoke serves a remote invocation, attributing the access to
 // the calling node in the affinity tracker, and appends the encoded
 // response to dst. It is handleTyped and onRecord spelled out, so the
-// request and response bodies stay on its stack. A value-layout result
-// is appended to a pooled buffer, recycled once the response is
-// encoded.
+// request and response bodies stay on its stack. The argument is read
+// in place: both legs decode it before the handler returns, while its
+// request frame is alive. A value-layout result is appended to a pooled
+// buffer, recycled once the response is encoded.
 func (n *Node) handleInvoke(ctx context.Context, body, dst []byte) ([]byte, error) {
 	var req wire.InvokeReq
-	if err := wire.Unmarshal(body, &req); err != nil {
+	if err := wire.UnmarshalView(body, &req); err != nil {
 		return nil, wire.Errorf(wire.CodeBadRequest, "%v", err)
 	}
 	rec, ok := n.store.Get(req.Obj)

@@ -116,6 +116,7 @@ type Job struct {
 	started      bool // Execute ran (distinguishes pre-start cancellation)
 	plan         jobs.Plan
 	nextWave     int // first wave not yet completed
+	sweepMoves   int // moves of a drain's re-plan passes, beyond plan
 	movesDone    int
 	movesSkipped int
 	movesFailed  int
@@ -133,7 +134,10 @@ type JobStatus struct {
 	State    string // planned, running, done, cancelled or failed
 	Waves    int    // total waves in the current plan
 	NextWave int    // first wave not yet completed
-	Moves    int    // total planned moves
+	// Moves counts the moves of every pass: the current plan's, and a
+	// drain's re-plan passes after it. MovesDone + MovesSkipped +
+	// MovesFailed never exceeds it.
+	Moves int
 	// MovesDone counts moves that migrated a group; MovesSkipped
 	// moves found already satisfied (the closure had already reached
 	// its goal — the resume path's common case); MovesFailed moves
@@ -414,7 +418,7 @@ func (j *Job) Status() JobStatus {
 		ID: j.id, Kind: j.kind, State: j.state.String(),
 		Waves:     len(jobs.Waves(j.plan.Moves, j.cfg.WaveSize)),
 		NextWave:  j.nextWave,
-		Moves:     len(j.plan.Moves),
+		Moves:     len(j.plan.Moves) + j.sweepMoves,
 		MovesDone: j.movesDone, MovesSkipped: j.movesSkipped,
 		MovesFailed: j.movesFailed, Retargets: j.retargets,
 		ObjectsMoved: j.objectsMoved, BytesMoved: j.bytesMoved,
@@ -538,10 +542,13 @@ func (j *Job) Execute(ctx context.Context) error {
 				break
 			}
 			p := jobs.PlanDrain(n.id, n.inventory(0), d.view.Snapshot(), d.cfg.OverloadRatio)
+			j.mu.Lock()
+			j.sweepMoves += len(p.Moves)
 			if len(p.Moves) == 0 {
-				j.mu.Lock()
 				j.plan.Unplaced = append(j.plan.Unplaced, p.Unplaced...)
-				j.mu.Unlock()
+			}
+			j.mu.Unlock()
+			if len(p.Moves) == 0 {
 				break
 			}
 			execErr = j.runWaves(ctx, p.Moves, 0, false)

@@ -473,14 +473,61 @@ func TestDrainWaitsOutBusyClosure(t *testing.T) {
 	if err := j.Execute(ctx); err != nil {
 		t.Fatalf("drain: %v (status %+v)", err, j.Status())
 	}
-	if st := j.Status(); st.State != "done" || st.MovesDone != 1 || st.MovesFailed != 0 || st.Retargets != 0 {
+	st := j.Status()
+	if st.State != "done" || st.MovesDone != 1 || st.MovesFailed != 0 || st.Retargets != 0 {
 		t.Fatalf("status %+v, want done with one move, none failed, no retarget", st)
 	}
+	checkMoveTally(t, st)
 	if got := a.Stats().JobRetargets; got != 0 {
 		t.Fatalf("JobRetargets = %d, want 0", got)
 	}
 	if at, err := a.Locate(ctx, ref); err != nil || at != "b" {
 		t.Fatalf("object at %v (err %v), want b", at, err)
+	}
+}
+
+// checkMoveTally asserts that a job's settled moves are a part of the
+// moves it reports: Moves counts every pass.
+func checkMoveTally(t *testing.T, st JobStatus) {
+	t.Helper()
+	if settled := st.MovesDone + st.MovesSkipped + st.MovesFailed; settled > st.Moves {
+		t.Fatalf("status %+v: %d moves settled of %d", st, settled, st.Moves)
+	}
+}
+
+// TestDrainSweepCountsItsMoves creates an object on the draining node
+// after the drain was planned: only the sweep's re-plan finds it, and
+// its move counts in Moves as in MovesDone.
+func TestDrainSweepCountsItsMoves(t *testing.T) {
+	t.Parallel()
+	ctx := ctxShort(t)
+	cl := NewLocalCluster()
+	a := jobNode(t, cl, "a", 8, nil)
+	b := jobNode(t, cl, "b", 100, nil)
+	fullMesh(a, b)
+	planned := mustCreate(t, a)
+	waitForView(t, a, 1)
+
+	j, err := a.NewDrainJob(JobConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pv := j.Preview(); len(pv.Moves) != 1 {
+		t.Fatalf("plan = %+v, want one move", pv.Moves)
+	}
+	late := mustCreate(t, a)
+	if err := j.Execute(ctx); err != nil {
+		t.Fatalf("drain: %v (status %+v)", err, j.Status())
+	}
+	st := j.Status()
+	if st.State != "done" || st.Moves != 2 || st.MovesDone != 2 || st.Waves != 1 {
+		t.Fatalf("status %+v, want done with 2 moves over the plan's 1 wave", st)
+	}
+	checkMoveTally(t, st)
+	for _, ref := range []Ref{planned, late} {
+		if at, err := a.Locate(ctx, ref); err != nil || at != "b" {
+			t.Fatalf("%v at %v (err %v), want b", ref, at, err)
+		}
 	}
 }
 

@@ -435,9 +435,18 @@ func (n *Node) handle(ctx context.Context, kind wire.Kind, body, dst []byte) ([]
 			return n.handlePause(ctx, req)
 		})
 	case wire.KInstall:
-		return handleTyped(body, dst, func(req *wire.InstallReq) (*wire.InstallResp, error) {
-			return n.handleInstall(req)
-		})
+		// handleTyped spelled out to read the snapshots' states in
+		// place: handleInstall decodes every one before it returns,
+		// while the request frame is alive.
+		var req wire.InstallReq
+		if err := wire.UnmarshalView(body, &req); err != nil {
+			return nil, wire.Errorf(wire.CodeBadRequest, "%v", err)
+		}
+		resp, err := n.handleInstall(&req)
+		if err != nil {
+			return nil, err
+		}
+		return wire.MarshalAppend(dst, resp)
 	case wire.KCommit:
 		return handleTyped(body, dst, func(req *wire.CommitReq) (*wire.CommitResp, error) {
 			return n.handleCommit(req)

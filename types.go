@@ -344,7 +344,7 @@ func Call[A, R any](ctx context.Context, n *Node, ref Ref, method string, arg A)
 		imgLayout, encoded = layout, true
 		return img, nil
 	}
-	out, outLayout, err := n.invoke(ctx, ref, method, layoutOf, func(c *Ctx, inst interface{}, h handler) ([]byte, error) {
+	out, outLayout, frame, err := n.invoke(ctx, ref, method, layoutOf, func(c *Ctx, inst interface{}, h handler) ([]byte, error) {
 		if f, ok := h.local.(localMethod[A, R]); ok {
 			r, err := f(c, inst, arg)
 			res, typed = r, err == nil
@@ -357,8 +357,10 @@ func Call[A, R any](ctx context.Context, n *Node, ref Ref, method string, arg A)
 		return h.enc(c, inst, b)
 	}, image)
 	// The scratch buffer is done with: a frame has copied it, or the
-	// method has decoded it.
+	// method has decoded it. A remote result is decoded out of its
+	// response frame, which goes back to the pool after that.
 	framebuf.Put(img)
+	defer framebuf.Put(frame)
 	switch {
 	case err != nil:
 		return zero, err

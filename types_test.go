@@ -459,6 +459,47 @@ func errClass(err error) string {
 	return "other"
 }
 
+// TestInvokeRawResultOutlivesFrame: a remote InvokeRaw hands back a
+// result image that is its caller's, not a view of the response frame
+// it arrived in. Many further remote calls, each drawing its frames
+// from the same pool and answering a tag of the same length but other
+// bytes, leave it as it was.
+func TestInvokeRawResultOutlivesFrame(t *testing.T) {
+	t.Parallel()
+	ctx := ctxShort(t)
+	nodes := testCluster(t, 2, Config{})
+	host, caller := nodes[0], nodes[1]
+	ref := mustCreate(t, host)
+	tag := strings.Repeat("a tag long enough to fill a frame; ", 4)
+	if _, err := Call[string, struct{}](ctx, caller, ref, "SetTag", tag); err != nil {
+		t.Fatal(err)
+	}
+	arg, err := encodeArg(nil, struct{}{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := caller.InvokeRaw(ctx, ref, "GetTag", arg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keep := string(out)
+	for i := 0; i < 200; i++ {
+		other := fmt.Sprintf("%0*d", len(tag), i)
+		if _, err := Call[string, struct{}](ctx, caller, ref, "SetTag", other); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := caller.InvokeRaw(ctx, ref, "GetTag", arg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if string(out) != keep {
+		t.Fatalf("InvokeRaw's result changed under later calls:\n got %q\nwant %q", out, keep)
+	}
+	if got, err := decodeResult[string](out); err != nil || got != tag {
+		t.Fatalf("result decodes to %q, %v; want %q", got, err, tag)
+	}
+}
+
 // TestCallLegsAgree: the same call sent to the hosting node (the typed
 // leg for value-safe signatures, the encoded leg for the rest), from a
 // remote node (the value layout for value-safe signatures, gob for the
